@@ -9,8 +9,8 @@
 //!   Parser.
 //! * [`sqm::SesqlEngine`] — the Semantic Query Module: generates SPARQL
 //!   from the enrichment syntax tree, runs the SQL and SPARQL legs,
-//!   combines them through the JoinManager and the temporary support
-//!   database (Fig. 6), and reports per-stage timings.
+//!   combines them through the JoinManager and an output projection
+//!   (Fig. 6), and reports per-stage timings.
 //! * [`platform`] — users, annotation scenarios (integrated / independent /
 //!   crowdsourced, Sec. III-A) and the query log.
 //! * [`recommend`] — the Sec. I-B vision services: peer discovery,

@@ -164,22 +164,26 @@ impl EnrichedRows {
         }
     }
 
-    /// Drain into the legacy [`EnrichedResult`] shape.
-    pub fn collect(mut self) -> Result<EnrichedResult> {
-        let schema = Rows::schema(&self);
-        let mut out = Vec::new();
-        while let Some(r) = self.next_row() {
-            out.push(r?);
+    /// Drain into the legacy [`EnrichedResult`] shape. A streaming cursor
+    /// reports its drain time as the SQL leg (lowering is lazy, so the
+    /// drain is where an un-enriched query's execution happens).
+    pub fn collect(self) -> Result<EnrichedResult> {
+        match self.inner {
+            EnrichedInner::Streaming(rows) => {
+                let t = std::time::Instant::now();
+                let rows = rows.collect_rows()?;
+                let report = PipelineReport {
+                    sql_exec: t.elapsed(),
+                    base_rows: rows.len(),
+                    result_rows: rows.len(),
+                    ..PipelineReport::default()
+                };
+                Ok(EnrichedResult { rows, report })
+            }
+            EnrichedInner::Materialized { schema, rows, report } => {
+                Ok(EnrichedResult { rows: RowSet { schema, rows: rows.collect() }, report })
+            }
         }
-        let report = match self.inner {
-            EnrichedInner::Streaming(_) => PipelineReport {
-                result_rows: out.len(),
-                base_rows: out.len(),
-                ..PipelineReport::default()
-            },
-            EnrichedInner::Materialized { report, .. } => report,
-        };
-        Ok(EnrichedResult { rows: RowSet { schema, rows: out }, report })
     }
 }
 
@@ -613,6 +617,69 @@ mod tests {
             scanned < 5_000,
             "LIMIT 5 over 50k rows scanned {scanned} rows — no short-circuit"
         );
+    }
+
+    /// Drain a cursor, returning how many base-table rows it fetched.
+    fn drain_scanned(mut cur: EnrichedRows) -> u64 {
+        while let Some(r) = cur.next_row() {
+            r.unwrap();
+        }
+        cur.rows_scanned().expect("streaming path")
+    }
+
+    #[test]
+    fn unenriched_cursor_runs_the_optimized_plan_on_the_thread_budget() {
+        let e = engine();
+        let db = e.database();
+        db.execute("CREATE TABLE big (x INT, t TEXT)").unwrap();
+        let t = db.catalog().get_table("big").unwrap();
+        t.insert_many(
+            (0..10_000).map(|i| vec![Value::Int(i % 97), Value::from("k")]).collect(),
+        )
+        .unwrap();
+        let s = Session::new(&e, "director").unwrap();
+
+        // The optimizer passes run: four structurally equal scans share
+        // one spool, exactly as for the relational `prepare` of the clean
+        // SQL, and the scan counter shows the cursor executed that plan.
+        let p = s
+            .prepare(
+                "SELECT e1.x FROM big e1, big e2 WHERE e1.x = e2.x AND e1.t <> e2.t \
+                 UNION ALL \
+                 SELECT e1.x FROM big e1, big e2 WHERE e1.x = e2.x AND e1.t <> e2.t",
+            )
+            .unwrap();
+        let sql = s.prepare_sql(&p.query().clean_sql).unwrap();
+        let plan = sql.explain().unwrap();
+        assert!(plan.contains("Shared spool #"), "{plan}");
+        assert_eq!(db.plan_optimized(&p.query().select).unwrap().render(), plan);
+        let mut sql_cur = s.execute_sql(&sql, &Params::new()).unwrap();
+        while let Some(r) = Rows::next_row(&mut sql_cur) {
+            r.unwrap();
+        }
+        assert_eq!(sql_cur.rows_scanned(), 10_000);
+        assert_eq!(drain_scanned(s.execute_cursor(&p, &Params::new()).unwrap()), 10_000);
+
+        // The thread budget is honoured: a filtered scan is dispatched in
+        // waves of `threads` batches, so a LIMIT that one batch satisfies
+        // still fetches one batch per worker — and no more than that.
+        let p = s.prepare("SELECT x FROM big WHERE x >= 0 LIMIT 5").unwrap();
+        let sequential = drain_scanned(s.execute_cursor(&p, &Params::new()).unwrap());
+        s.set_threads(4);
+        let parallel = drain_scanned(s.execute_cursor(&p, &Params::new()).unwrap());
+        assert_eq!(parallel, 4 * sequential, "one scan batch per worker");
+        assert!(parallel < 10_000, "LIMIT still stops the scan early");
+    }
+
+    #[test]
+    fn unenriched_collect_reports_the_drain_as_the_sql_leg() {
+        let e = engine();
+        let s = Session::new(&e, "director").unwrap();
+        let p = s.prepare("SELECT elem_name FROM elem_contained ORDER BY elem_name").unwrap();
+        let r = s.execute_cursor(&p, &Params::new()).unwrap().collect().unwrap();
+        assert_eq!((r.report.base_rows, r.report.result_rows), (3, 3));
+        assert!(r.report.sql_exec > std::time::Duration::ZERO);
+        assert_eq!(r.report.total(), r.report.sql_exec, "no other stage ran");
     }
 
     #[test]

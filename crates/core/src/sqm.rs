@@ -4,10 +4,18 @@
 //! Execution follows the paper's architecture: the Semantic Query Parser
 //! splits the query; the SQM derives SPARQL queries from the enrichment
 //! syntax tree; SQL and SPARQL legs run independently; the JoinManager
-//! combines partial results using the resource mapping; the temporary
-//! support database materialises intermediates; a final SQL query assembles
-//! the enriched result. Every stage is timed in [`PipelineReport`] so the
-//! E2 experiment can regenerate the Fig. 6 pipeline breakdown.
+//! combines partial results using the resource mapping. Phase D, the
+//! paper's "temporary support database" and "final SQL query", is an
+//! output projection here: the last stage only renames and reorders the
+//! JoinManager's columns, so `finalize` moves each row's values into the
+//! output order — no second database, no SQL text. Every stage is
+//! timed in [`PipelineReport`] so the E2 experiment can regenerate the
+//! Fig. 6 pipeline breakdown.
+//!
+//! Every SESQL execution enters through [`SesqlEngine::prepare`] and
+//! [`PreparedSesql::execute_cursor`]; `SesqlEngine::run` is the one place
+//! that checks the user, decides between streaming and the pipeline, and
+//! holds Phases A–D.
 
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -18,7 +26,6 @@ use parking_lot::Mutex;
 use crosse_cache::Lru;
 use crosse_federation::join_manager::{combine_in, term_to_value_in, CombineKind, JoinSpec};
 use crosse_federation::mapping::{MapStrategy, ResourceMapping};
-use crosse_federation::tempdb::TempDb;
 use crosse_rdf::provenance::KnowledgeBase;
 use crosse_rdf::sparql::eval::Solutions;
 use crosse_rdf::stored::StoredQueries;
@@ -28,6 +35,7 @@ use crosse_relational::sql::ast::{BinaryOp, Expr, Select, TableRef};
 use crosse_relational::{Column, DataType, Database, Row, RowSet, Schema, Value};
 
 use crate::error::{Error, Result};
+use crate::session::EnrichedRows;
 use crate::sesql::ast::{Enrichment, SesqlQuery};
 use crate::sesql::parser::parse_sesql;
 
@@ -117,7 +125,9 @@ pub struct PipelineReport {
     pub sparql_exec: Duration,
     /// JoinManager combination work.
     pub join: Duration,
-    /// Materialisation + final query on the temporary support database.
+    /// The output projection: moving the JoinManager's rows into the
+    /// enriched result's column order and names (the paper's "final SQL
+    /// query"; the field keeps that name).
     pub final_sql: Duration,
     pub sparql_runs: Vec<SparqlRun>,
     /// Rows returned by the SQL leg before enrichment.
@@ -320,7 +330,6 @@ pub struct SesqlEngine {
     kb: KnowledgeBase,
     stored: StoredQueries,
     mapping: ResourceMapping,
-    tempdb: TempDb,
     options: EnrichOptions,
     cache: Arc<SparqlLegCache>,
     /// Compiled SPARQL ASTs keyed by query text (bounded LRU): generated
@@ -340,7 +349,6 @@ impl SesqlEngine {
             kb,
             stored: StoredQueries::new(),
             mapping: ResourceMapping::new(),
-            tempdb: TempDb::new(),
             options: EnrichOptions::default(),
             cache: Arc::default(),
             parsed: Arc::new(Mutex::new_labeled("sesql.ast_cache", Lru::new(DEFAULT_CACHE_CAPACITY))),
@@ -705,12 +713,15 @@ impl SesqlEngine {
         Ok(out)
     }
 
-    /// Parse and execute a SESQL query in `user`'s knowledge context.
+    /// Prepare and execute a SESQL query in `user`'s knowledge context:
+    /// `prepare(sesql)?.execute(user, no params)`, with the time `prepare`
+    /// took (a cache lookup for repeated text) reported as the `parse`
+    /// stage.
     pub fn execute(&self, user: &str, sesql: &str) -> Result<EnrichedResult> {
         let t0 = Instant::now();
-        let query = parse_sesql(sesql)?;
+        let prepared = self.prepare(sesql)?;
         let parse = t0.elapsed();
-        let mut result = self.execute_parsed(user, &query)?;
+        let mut result = prepared.execute(user, &crosse_relational::Params::new())?;
         result.report.parse = parse;
         Ok(result)
     }
@@ -831,10 +842,25 @@ impl SesqlEngine {
         Ok(out)
     }
 
-    /// Execute an already-parsed SESQL query.
-    pub fn execute_parsed(&self, user: &str, query: &SesqlQuery) -> Result<EnrichedResult> {
+    /// Execute a parsed, fully bound SESQL query — the single path every
+    /// execution takes. Un-enriched queries stream straight off the
+    /// relational executor (optimized plan, the engine's thread budget; a
+    /// `LIMIT` stops the base-table scan early); enriched queries run the
+    /// Fig. 6 pipeline and stream its rows out.
+    fn run(&self, user: &str, query: &SesqlQuery) -> Result<EnrichedRows> {
         if !self.kb.is_registered(user) {
             return Err(Error::platform(format!("user `{user}` is not registered")));
+        }
+        if query.has_params() {
+            return Err(Error::sqm(
+                "query has unbound parameters — bind them before execution",
+            ));
+        }
+        if !query.is_enriched() {
+            let plan = self.db.plan_optimized(&query.select)?.plan;
+            let rows =
+                crosse_relational::Rows::from_plan_parallel(plan, self.db.exec_threads())?;
+            return Ok(EnrichedRows::streaming(rows));
         }
         let mut report = PipelineReport::default();
 
@@ -939,105 +965,13 @@ impl SesqlEngine {
             }
         }
 
-        // -------- Phase D: temporary support DB + final SQL ---------------
+        // -------- Phase D: output projection ------------------------------
         let t = Instant::now();
-        let final_rows = if applied.is_empty() {
-            rows
-        } else {
-            self.finalize(rows, &applied)?
-        };
+        let final_rows = if applied.is_empty() { rows } else { finalize(rows, &applied) };
         report.final_sql = t.elapsed();
         report.result_rows = final_rows.len();
 
-        Ok(EnrichedResult { rows: final_rows, report })
-    }
-
-    /// Execute an already-parsed (and fully bound) SESQL query, returning
-    /// the streaming cursor shape. Un-enriched queries stream straight
-    /// from the relational executor — a `LIMIT` stops the base-table scan
-    /// early — while enriched queries run the Fig. 6 pipeline and stream
-    /// the final rows out of it.
-    pub fn execute_parsed_cursor(
-        &self,
-        user: &str,
-        query: &SesqlQuery,
-    ) -> Result<crate::session::EnrichedRows> {
-        if query.has_params() {
-            return Err(Error::sqm(
-                "query has unbound parameters — bind them before execution",
-            ));
-        }
-        if !query.is_enriched() {
-            if !self.kb.is_registered(user) {
-                return Err(Error::platform(format!("user `{user}` is not registered")));
-            }
-            let plan =
-                crosse_relational::plan::plan_select(self.db.catalog(), &query.select)?;
-            let rows = crosse_relational::Rows::from_plan(plan)?;
-            return Ok(crate::session::EnrichedRows::streaming(rows));
-        }
-        let result = self.execute_parsed(user, query)?;
-        Ok(crate::session::EnrichedRows::from_result(result))
-    }
-
-    /// Materialise the working rows into the temporary support database and
-    /// issue the final SQL query that renames/reorders enrichment columns
-    /// (Fig. 6's last stage).
-    fn finalize(&self, rows: RowSet, applied: &[AppliedColumn]) -> Result<RowSet> {
-        // Synthetic unique column names for the temp table.
-        let tmp_schema = Schema::new(
-            rows.schema
-                .columns
-                .iter()
-                .enumerate()
-                .map(|(i, c)| Column::new(format!("c{i}"), c.data_type))
-                .collect(),
-        );
-        let tmp_rows = RowSet { schema: tmp_schema, rows: rows.rows.clone() };
-
-        // Output plan: every base column in order, with replacements
-        // substituting the enrichment column at the attr's position and
-        // extensions appended at the end (in clause order).
-        let base_len = rows
-            .schema
-            .columns
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !applied.iter().any(|a| a.added_index == *i))
-            .count();
-        let mut items: Vec<(usize, String)> = Vec::new(); // (tmp col idx, out name)
-        for i in 0..base_len {
-            if let Some(a) = applied.iter().find(|a| a.replaces_attr && a.attr_index == i) {
-                items.push((a.added_index, a.output_name.clone()));
-            } else {
-                items.push((i, rows.schema.columns[i].display_name()));
-            }
-        }
-        for a in applied.iter().filter(|a| !a.replaces_attr) {
-            items.push((a.added_index, a.output_name.clone()));
-        }
-        // De-duplicate output names (SQL result sets may repeat names, but
-        // the enriched result is easier to consume with unique ones).
-        let mut seen: Vec<String> = Vec::new();
-        for (_, name) in &mut items {
-            let base = name.clone();
-            let mut n = 1;
-            while seen.iter().any(|s| s.eq_ignore_ascii_case(name)) {
-                n += 1;
-                *name = format!("{base}_{n}");
-            }
-            seen.push(name.clone());
-        }
-
-        let projections: Vec<String> = items
-            .iter()
-            .map(|(i, name)| format!("c{i} AS \"{name}\""))
-            .collect();
-        self.tempdb
-            .with_table(&tmp_rows, |t| {
-                format!("SELECT {} FROM {t}", projections.join(", "))
-            })
-            .map_err(Into::into)
+        Ok(EnrichedRows::from_result(EnrichedResult { rows: final_rows, report }))
     }
 
     /// Strategy for matching an output column against RDF terms, from the
@@ -1393,11 +1327,12 @@ fn variable_expansion_select(
 /// A compiled SESQL query with typed parameter slots, bound to its engine.
 ///
 /// The prepare/execute split of the relational layer, lifted to SESQL:
-/// [`PreparedSesql::execute`] binds values, runs the full enrichment
-/// pipeline and returns the classic [`EnrichedResult`];
-/// [`PreparedSesql::execute_cursor`] returns the streaming shape (see
-/// [`crate::session::Rows`]) — for un-enriched queries that path streams
-/// straight off the relational executor, so `LIMIT` stops the scan early.
+/// [`PreparedSesql::execute_cursor`] binds values and returns the
+/// streaming shape (see [`crate::session::Rows`]) — un-enriched queries
+/// stream straight off the relational executor, so `LIMIT` stops the scan
+/// early, and enriched ones stream out of the pipeline;
+/// [`PreparedSesql::execute`] drains that cursor into the classic
+/// [`EnrichedResult`].
 #[derive(Clone)]
 pub struct PreparedSesql {
     engine: SesqlEngine,
@@ -1537,24 +1472,29 @@ impl PreparedSesql {
     }
 
     /// Bind and execute in `user`'s context, materialising the enriched
-    /// result (no re-parse; the pipeline report's `parse` stage is zero).
+    /// result: [`PreparedSesql::execute_cursor`] drained (no re-parse; the
+    /// pipeline report's `parse` stage is zero).
     pub fn execute(
         &self,
         user: &str,
         params: &crosse_relational::Params,
     ) -> Result<EnrichedResult> {
-        let bound = self.bind(params)?;
-        self.engine.execute_parsed(user, &bound)
+        self.execute_cursor(user, params)?.collect()
     }
 
-    /// Bind and execute, returning the streaming cursor shape.
+    /// Bind and execute, returning the streaming cursor shape. A
+    /// parameterless statement runs its shared AST as it is; with no
+    /// bindings at all there is nothing to bind, so a parameterised
+    /// statement reaches the engine's one unbound-parameter check.
     pub fn execute_cursor(
         &self,
         user: &str,
         params: &crosse_relational::Params,
-    ) -> Result<crate::session::EnrichedRows> {
-        let bound = self.bind(params)?;
-        self.engine.execute_parsed_cursor(user, &bound)
+    ) -> Result<EnrichedRows> {
+        if self.slots.is_empty() || params.is_empty() {
+            return self.engine.run(user, &self.query);
+        }
+        self.engine.run(user, &self.bind(params)?)
     }
 }
 
@@ -1771,6 +1711,59 @@ fn append_bool_column(
         })
         .collect();
     RowSet { schema, rows: rows_out }
+}
+
+/// Phase D: arrange the working rows into the enriched result. Every base
+/// column keeps its position, a replacement substitutes its enrichment
+/// column at the attr's position, and extensions append in clause order.
+/// Values are moved, not cloned — no working column is output twice.
+fn finalize(rows: RowSet, applied: &[AppliedColumn]) -> RowSet {
+    let columns = &rows.schema.columns;
+    let base_len = columns.len() - applied.len();
+    // (working column index, output name)
+    let mut items: Vec<(usize, String)> = (0..base_len)
+        .map(|i| match applied.iter().find(|a| a.replaces_attr && a.attr_index == i) {
+            Some(a) => (a.added_index, a.output_name.clone()),
+            None => (i, columns[i].display_name()),
+        })
+        .collect();
+    items.extend(
+        applied
+            .iter()
+            .filter(|a| !a.replaces_attr)
+            .map(|a| (a.added_index, a.output_name.clone())),
+    );
+    // De-duplicate output names (SQL result sets may repeat names, but
+    // the enriched result is easier to consume with unique ones).
+    for k in 1..items.len() {
+        let (earlier, rest) = items.split_at_mut(k);
+        let name = &mut rest[0].1;
+        let base_len = name.len();
+        let mut n = 1;
+        while earlier.iter().any(|(_, s)| s.eq_ignore_ascii_case(name)) {
+            n += 1;
+            name.truncate(base_len);
+            name.push_str(&format!("_{n}"));
+        }
+    }
+
+    let schema = Schema::new(
+        items
+            .iter()
+            .map(|(i, name)| Column::new(name.clone(), columns[*i].data_type))
+            .collect(),
+    );
+    let rows = rows
+        .rows
+        .into_iter()
+        .map(|mut row| {
+            items
+                .iter()
+                .map(|(i, _)| std::mem::replace(&mut row[*i], Value::Null))
+                .collect()
+        })
+        .collect();
+    RowSet { schema, rows }
 }
 
 /// Rewrite an ontology constant inside a tagged condition into the
@@ -2483,15 +2476,116 @@ mod tests {
     }
 
     #[test]
-    fn tempdb_left_clean_after_queries() {
+    fn execute_goes_through_the_prepared_cache() {
         let e = engine();
-        e.execute(
-            "director",
-            "SELECT elem_name FROM elem_contained \
-             ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)",
-        )
-        .unwrap();
-        assert_eq!(e.tempdb.live_tables(), 0);
+        let first = e.execute("director", CACHED_QUERY).unwrap();
+        let second = e.execute("director", CACHED_QUERY).unwrap();
+        assert!(e.prepared_cache_stats().hits >= 1, "{:?}", e.prepared_cache_stats());
+        let prepared = e
+            .prepare(CACHED_QUERY)
+            .unwrap()
+            .execute("director", &crosse_relational::Params::new())
+            .unwrap();
+        assert_eq!(first.rows, prepared.rows);
+        assert_eq!(second.rows, prepared.rows);
+    }
+
+    /// The output projection's contract: base columns keep their position,
+    /// a replacement takes its attr's position, extensions append in
+    /// clause order, clashing names get `_2`, and every column's reported
+    /// type is the type of its values.
+    #[test]
+    fn finalize_contract_names_positions_types() {
+        use DataType::{Bool, Float, Int, Text};
+        let cases: [(&str, &[(&str, DataType)]); 5] = [
+            (
+                "SELECT elem_name, landfill_name FROM elem_contained \
+                 WHERE landfill_name = 'a' \
+                 ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)",
+                &[("elem_name", Text), ("landfill_name", Text), ("dangerLevel", Int)],
+            ),
+            (
+                "SELECT name, city FROM landfill ENRICH SCHEMAREPLACEMENT(city, inCountry)",
+                &[("name", Text), ("inCountry", Text)],
+            ),
+            (
+                "SELECT elem_name FROM elem_contained WHERE landfill_name = 'a' \
+                 ENRICH BOOLSCHEMAEXTENSION(elem_name, isA, HazardousWaste)",
+                &[("elem_name", Text), ("HazardousWaste", Bool)],
+            ),
+            (
+                "SELECT name, city FROM landfill \
+                 ENRICH BOOLSCHEMAREPLACEMENT(city, inCountry, Italy)",
+                &[("name", Text), ("Italy", Bool)],
+            ),
+            (
+                "SELECT e.elem_name, landfill_name AS dangerLevel, amount \
+                 FROM elem_contained e WHERE landfill_name = 'a' \
+                 ENRICH BOOLSCHEMAEXTENSION(e.elem_name, isA, HazardousWaste) \
+                        SCHEMAREPLACEMENT(e.elem_name, dangerLevel)",
+                &[
+                    ("dangerLevel", Int),
+                    ("dangerLevel_2", Text),
+                    ("amount", Float),
+                    ("HazardousWaste", Bool),
+                ],
+            ),
+        ];
+        let e = engine();
+        for (sesql, expected) in cases {
+            let rows = e.execute("director", sesql).unwrap().rows;
+            let got: Vec<(&str, DataType)> = rows
+                .schema
+                .columns
+                .iter()
+                .map(|c| (c.name.as_str(), c.data_type))
+                .collect();
+            assert_eq!(got, expected, "{sesql}");
+            assert!(rows.schema.columns.iter().all(|c| c.qualifier.is_none()), "{sesql}");
+            assert!(!rows.rows.is_empty(), "{sesql}");
+            for row in &rows.rows {
+                assert_eq!(row.len(), expected.len(), "{sesql}");
+                for (v, (name, ty)) in row.iter().zip(expected) {
+                    assert!(
+                        v.is_null() || v.data_type() == Some(*ty),
+                        "{sesql}: column `{name}` holds {v:?}"
+                    );
+                }
+            }
+        }
+        // Values travel with their columns: Hg's danger level replaces
+        // its name, next to the landfill it sits in.
+        let rows = e.execute("director", cases[4].0).unwrap().rows;
+        assert!(rows.rows.contains(&vec![
+            Value::Int(5),
+            Value::from("a"),
+            Value::Float(12.5),
+            Value::Bool(true),
+        ]));
+    }
+
+    #[test]
+    fn enriched_rows_are_not_coerced_to_the_planner_type_guess() {
+        // The planner's type for a mixed CASE is a guess (TEXT here); the
+        // support database rejected the values that did not fit it, so
+        // enriching this query failed. Enriched and un-enriched runs now
+        // return the same base values.
+        let e = engine();
+        let sql = "SELECT elem_name, CASE WHEN amount > 20 THEN 1 ELSE 'low' END AS band \
+                   FROM elem_contained WHERE landfill_name = 'a' ORDER BY elem_name";
+        let plain = e.execute("director", sql).unwrap().rows;
+        let enriched = e
+            .execute(
+                "director",
+                &format!("{sql} ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)"),
+            )
+            .unwrap()
+            .rows;
+        assert_eq!(plain.column_values("band").unwrap(), enriched.column_values("band").unwrap());
+        assert_eq!(
+            enriched.column_values("band").unwrap(),
+            vec![Value::Int(1), Value::from("low"), Value::Int(1)]
+        );
     }
 
     // ---- SPARQL-leg cache ----------------------------------------------------

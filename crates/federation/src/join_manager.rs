@@ -172,9 +172,9 @@ pub fn combine_in(
         }
     }
 
-    // Type the appended columns from the values actually produced, so the
-    // enriched result can be materialised into the temporary support
-    // database without coercion failures.
+    // Type the appended columns from the values actually produced, and
+    // widen the values to that type, so the reported column type is one
+    // every value in the column has.
     let mut schema = Schema::new(rows.schema.columns.clone());
     let base = rows.schema.len();
     for (k, (_, name)) in spec.take.iter().enumerate() {
@@ -340,6 +340,29 @@ mod tests {
         let mut s = spec(CombineKind::Inner);
         s.take = vec![("nope".into(), "x".into())];
         assert!(combine(&rowset(), &solutions(), &s).is_err());
+    }
+
+    #[test]
+    fn appended_column_type_is_the_type_of_its_values() {
+        // Int + Float widen to Float; anything else mixed becomes Text —
+        // values included, so the reported type never lies.
+        let typed = |objects: [&str; 2]| {
+            let sols = Solutions {
+                variables: vec!["s".into(), "o".into()],
+                rows: vec![
+                    vec![Some(Term::iri("Hg")), Some(Term::lit(objects[0]))],
+                    vec![Some(Term::iri("Pb")), Some(Term::lit(objects[1]))],
+                ],
+            };
+            let out = combine(&rowset(), &sols, &spec(CombineKind::Inner)).unwrap();
+            (out.schema.columns[2].data_type, out.rows[0][2].clone(), out.rows[1][2].clone())
+        };
+        assert_eq!(typed(["5", "4.5"]), (DataType::Float, Value::Float(5.0), Value::Float(4.5)));
+        assert_eq!(
+            typed(["5", "extreme"]),
+            (DataType::Text, Value::from("5"), Value::from("extreme"))
+        );
+        assert_eq!(typed(["5", "4"]), (DataType::Int, Value::Int(5), Value::Int(4)));
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //! * [`mapping::ResourceMapping`] — the declarative relational↔RDF resource
 //!   correspondence (the paper's "XML file", here a small text format).
 //! * [`join_manager`] — combines relational rows with SPARQL solutions.
-//! * [`tempdb::TempDb`] — the temporary support database that holds
-//!   JoinManager output for the final SQL pass.
 
 #![forbid(unsafe_code)]
 
@@ -20,7 +18,6 @@ pub mod fdw;
 pub mod join_manager;
 pub mod mapping;
 pub mod source;
-pub mod tempdb;
 
 pub use fdw::{FederatedDatabase, FederatedPrepared};
 pub use join_manager::{
@@ -28,4 +25,3 @@ pub use join_manager::{
 };
 pub use mapping::{MapStrategy, ResourceMapping};
 pub use source::{DataSource, LatencyModel, LocalSource, RemoteSource, SourceStats};
-pub use tempdb::TempDb;

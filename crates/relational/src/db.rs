@@ -667,15 +667,8 @@ impl Database {
         Ok(RowSet { schema, rows })
     }
 
-    /// Materialise a row set as a new table (the SESQL temporary support
-    /// database stores JoinManager output this way).
-    pub fn materialise(&self, name: &str, rows: &RowSet) -> Result<()> {
-        self.materialise_owned(name, &rows.schema, rows.rows.clone())
-    }
-
-    /// [`Database::materialise`] for callers that already own the rows —
-    /// no re-clone (the REPLACEVARIABLE pairs-cache hit path hands over
-    /// one copy of its cached rows directly). Materialised tables are
+    /// Materialise owned rows as a new table (the SESQL engine's
+    /// REPLACEVARIABLE pairs tables). Materialised tables are
     /// **ephemeral**: derived intermediates are rebuildable, so they stay
     /// out of the write-ahead log and checkpoint snapshots.
     pub fn materialise_owned(&self, name: &str, schema: &Schema, rows: Vec<Row>) -> Result<()> {
@@ -898,7 +891,7 @@ mod tests {
     fn materialise_round_trip() {
         let d = db();
         let rs = d.query("SELECT name, tons FROM landfill WHERE tons > 100").unwrap();
-        d.materialise("tmp_big", &rs).unwrap();
+        d.materialise_owned("tmp_big", &rs.schema, rs.rows).unwrap();
         let rs2 = d.query("SELECT COUNT(*) FROM tmp_big").unwrap();
         assert_eq!(rs2.rows[0][0], Value::Int(3));
     }

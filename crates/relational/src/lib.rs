@@ -15,8 +15,9 @@
 //!   sargable predicates ([`db::Database`]),
 //! * a reusable SQL parser ([`sql::parser`]) whose AST the SESQL layer
 //!   rewrites when applying WHERE-clause enrichments, and
-//! * result materialisation back into tables ([`db::Database::materialise`]),
-//!   which implements the paper's "temporary support database" (Fig. 6).
+//! * result materialisation back into ephemeral tables
+//!   ([`db::Database::materialise_owned`]), which holds the SESQL engine's
+//!   REPLACEVARIABLE pairs tables.
 //!
 //! ```
 //! use crosse_relational::db::Database;

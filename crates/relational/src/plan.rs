@@ -281,8 +281,7 @@ impl Plan {
 }
 
 /// Infer a (best-effort) output type for an expression. Used to type
-/// result-set columns, e.g. when the SESQL layer materialises results into
-/// the temporary support database.
+/// result-set columns.
 pub fn infer_type(expr: &Expr, schema: &Schema) -> DataType {
     match expr {
         Expr::Literal(v) => v.data_type().unwrap_or(DataType::Text),

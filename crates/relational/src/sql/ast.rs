@@ -2,8 +2,7 @@
 //!
 //! The AST is deliberately close to textbook SQL. `Display` implementations
 //! render back to valid SQL text; the SESQL layer relies on this to rebuild
-//! the "cleaned" query of paper Remark 4.1 and the final query over the
-//! temporary support database (Fig. 6).
+//! the "cleaned" query of paper Remark 4.1.
 
 use std::fmt;
 

@@ -713,9 +713,9 @@ impl Catalog {
     /// Create (replacing) an **ephemeral** table: a materialised
     /// intermediate that is excluded from the write-ahead log and from
     /// checkpoint snapshots, like [`Catalog::register`]ed foreign tables.
-    /// Query-cache spools (REPLACEVARIABLE pairs tables, tempdb
-    /// materialisations) are derived state — rebuildable from the durable
-    /// stores — so persisting them would only bloat the log.
+    /// Query-cache spools (REPLACEVARIABLE pairs tables) are derived
+    /// state — rebuildable from the durable stores — so persisting them
+    /// would only bloat the log.
     pub fn create_ephemeral_table(
         &self,
         name: &str,

@@ -489,9 +489,24 @@ fn srclint() {
     println!("xtask: srclint OK (workspace clean, fixture snapshot matches)");
 }
 
+/// The benchmark package sits outside the workspace, so no other gate
+/// compiles it: build and test it against the engine's current API, then
+/// run all four workloads at smoke size, which checks every statement
+/// against its golden digest and the unoptimized, uncached reference.
+fn crossebench() {
+    let manifest = ["--offline", "--quiet", "--manifest-path", "crossebench/Cargo.toml"];
+    run("crossebench tests", cargo().arg("test").args(manifest));
+    run(
+        "crossebench --smoke",
+        cargo().args(["run", "--release"]).args(manifest).args(["--", "--smoke"]),
+    );
+    println!("xtask: crossebench OK");
+}
+
 /// The aggregate static-analysis + test gate: clippy (warnings are
 /// errors), srclint on our own sources, the corpus lint gate, the
-/// EXPLAIN plan snapshots, and the full test suite. One command ≈ "is
+/// EXPLAIN plan snapshots, the full test suite, chaos quick mode and the
+/// benchmark package. One command ≈ "is
 /// this tree healthy". Each sub-gate prints its own one-line verdict;
 /// the trailing block recaps them.
 fn check() {
@@ -501,6 +516,7 @@ fn check() {
     explain_snapshots();
     run("cargo test --workspace", cargo().args(["test", "--workspace", "--quiet"]));
     chaos(&["--quick".to_string()]);
+    crossebench();
     println!("xtask: check OK");
     for gate in [
         "clippy            OK (workspace, -D warnings)",
@@ -509,6 +525,7 @@ fn check() {
         "explain-snapshots OK (plan snapshots match)",
         "tests             OK (cargo test --workspace)",
         "chaos             OK (--quick: frame abuse + kill -9 recovery, lock-tracked)",
+        "crossebench       OK (harness tests + --smoke: golden and differential digests)",
     ] {
         println!("  {gate}");
     }
@@ -885,9 +902,9 @@ fn chaos_kill9(bin: &str, batches: u64) {
     }
     // One more batch in flight when the kill lands: its DONE never
     // arrives, so it is NOT acked — it may be lost, but must not tear.
-    let addr = server.addr.clone();
+    // Connected before the race starts: only the INSERT may meet the kill.
+    let mut c2 = chaos_client(&server.addr);
     let torn = std::thread::spawn(move || {
-        let mut c2 = chaos_client(&addr);
         let values: Vec<String> =
             (0..64).map(|i| format!("({}, {i})", u64::MAX / 2)).collect();
         // The server dies mid-exchange; any error is expected here.
@@ -1017,6 +1034,7 @@ fn main() {
                                  discipline, lock labels, forbid(unsafe_code), planner wall-clock)\n\
                                  and gate the fixture corpus snapshot\n\
                  check           aggregate gate: clippy + srclint + lint + explain-snapshots + full tests\n\
+                                 + chaos --quick + the crossebench package's tests and --smoke\n\
                  clippy          cargo clippy --workspace --all-targets -- -D warnings\n\
                  stress          concurrency tests (release), 10x iterations, worker threads 1/4/8,\n\
                                  then a debug CROSSE_LOCK_TRACK=1 lock-order gate pass\n\

@@ -61,6 +61,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("    generated: {}", run.sparql);
     }
     println!("  JoinManager   : {:?}", r.join);
-    println!("  final SQL     : {:?} ({} rows)", r.final_sql, r.result_rows);
+    println!("  projection    : {:?} ({} rows)", r.final_sql, r.result_rows);
     Ok(())
 }

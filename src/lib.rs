@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | [`relational`] | `crosse-relational` | in-memory SQL engine (the "main platform") |
 //! | [`rdf`] | `crosse-rdf` | triple store + SPARQL + RDFS (the "semantic platform") |
-//! | [`federation`] | `crosse-federation` | postgres_fdw simulation, JoinManager, temp DB |
+//! | [`federation`] | `crosse-federation` | postgres_fdw simulation, JoinManager, resource mapping |
 //! | [`core`] | `crosse-core` | SESQL language + Semantic Query Module + platform services |
 //! | [`server`] | `crosse-server` | CROSNET1 TCP front-end: wire protocol, admission control, deadlines |
 //! | [`smartground`] | `crosse-smartground` | use-case schema, data generators, workloads |

@@ -209,6 +209,28 @@ fn missing_and_excess_bindings_error() {
     assert!(err.to_string().contains("positional"), "{err}");
 }
 
+#[test]
+fn unbound_parameter_is_one_error_from_both_entry_points() {
+    // Ad-hoc text with a placeholder and nothing bound: the same mistake,
+    // so the same typed SQM error, whichever way the query comes in.
+    let e = engine();
+    let text = "SELECT elem_name FROM elem_contained WHERE landfill_name = $lf \
+                ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)";
+    let ad_hoc = e.execute("director", text).unwrap_err();
+    let cursor = e
+        .prepare(text)
+        .unwrap()
+        .execute_cursor("director", &Params::new())
+        .err()
+        .expect("unbound parameter must not execute");
+    assert!(matches!(ad_hoc, crosse::core::Error::Sqm(_)), "{ad_hoc}");
+    assert!(ad_hoc.to_string().contains("unbound parameters"), "{ad_hoc}");
+    assert_eq!(ad_hoc, cursor);
+    // Un-enriched text takes the streaming arm and gets the same answer.
+    let plain = "SELECT elem_name FROM elem_contained WHERE landfill_name = $lf";
+    assert_eq!(e.execute("director", plain).unwrap_err(), ad_hoc);
+}
+
 // ---- collect adapters keep the legacy shapes --------------------------------
 
 #[test]
