@@ -1216,43 +1216,52 @@ impl SesqlEngine {
         property: &str,
         report: &mut PipelineReport,
     ) -> Result<RowSet> {
-        // A persistent pairs table belongs to the cache entry, and a
-        // concurrent replacement/eviction/`clear_cache` may drop it
-        // between `pairs_table` handing us its name and the SELECT
-        // resolving it. That race is legitimate (the dropper couldn't
-        // know we were in flight), so one retry re-fetches the table —
-        // re-materialising or rebuilding it as needed.
-        for attempt in 0..2 {
-            let (tmp_name, persistent) = self.pairs_table(
-                user,
-                property,
-                format!("REPLACEVARIABLE(_, {attr}, {property})"),
-                report,
+        let purpose = format!("REPLACEVARIABLE(_, {attr}, {property})");
+        self.with_pairs_table(user, property, &purpose, report, |tmp_name| {
+            let query = variable_expansion_select(
+                select,
+                cond_expr,
+                attr,
+                tmp_name,
+                self.options.include_self,
             )?;
-            let run = (|| -> Result<RowSet> {
-                let query = variable_expansion_select(
-                    select,
-                    cond_expr,
-                    attr,
-                    &tmp_name,
-                    self.options.include_self,
-                )?;
-                Ok(self.db.run_select(&query)?)
-            })();
+            Ok(self.db.run_select(&query)?)
+        })
+    }
+
+    /// Run `body` against the pairs table of `property`.
+    ///
+    /// A persistent pairs table belongs to the cache entry, and a
+    /// concurrent replacement/eviction/`clear_cache` may drop it between
+    /// `pairs_table` handing us its name and `body` resolving it. That
+    /// race is legitimate (the dropper couldn't know we were in flight),
+    /// so exactly that failure — the catalog reporting *this* table
+    /// missing — is retried once, re-fetching the table (re-materialising
+    /// or rebuilding it as needed). Any other error is the caller's.
+    fn with_pairs_table<T>(
+        &self,
+        user: &str,
+        property: &str,
+        purpose: &str,
+        report: &mut PipelineReport,
+        mut body: impl FnMut(&str) -> Result<T>,
+    ) -> Result<T> {
+        for attempt in 0..2 {
+            let (tmp_name, persistent) =
+                self.pairs_table(user, property, purpose.to_string(), report)?;
+            let run = body(&tmp_name);
             // A cache-backed table stays for the next execution (the
             // cache entry owns it); an uncached one is dropped now.
             if !persistent {
                 let _ = self.db.catalog().drop_table(&tmp_name);
             }
-            match run {
-                Err(e)
-                    if attempt == 0
-                        && persistent
-                        && e.to_string().contains(&tmp_name) =>
-                {
-                    continue;
-                }
-                other => return other,
+            let dropped_under_us = matches!(
+                &run,
+                Err(Error::Relational(crosse_relational::Error::NoSuchTable(missing)))
+                    if missing.eq_ignore_ascii_case(&tmp_name)
+            );
+            if !(attempt == 0 && persistent && dropped_under_us) {
+                return run;
             }
         }
         unreachable!("loop returns on the second attempt")
@@ -2711,6 +2720,66 @@ mod tests {
         e.clear_cache();
         let r = e.execute("director", CACHED_QUERY).unwrap();
         assert!(!r.report.sparql_runs[0].cached);
+    }
+
+    #[test]
+    fn pairs_table_dropped_in_flight_is_retried_once() {
+        let e = engine();
+        let mut report = PipelineReport::default();
+        let mut seen = Vec::new();
+        let rows = e
+            .with_pairs_table("director", "oreAssemblage", "test", &mut report, |table| {
+                seen.push(table.to_string());
+                if seen.len() == 1 {
+                    // The race: the cache entry (and its table) goes away
+                    // between `pairs_table` and the SELECT.
+                    e.clear_cache();
+                }
+                Ok(e.db.query(&format!("SELECT subj FROM {table}"))?.rows.len())
+            })
+            .unwrap();
+        assert!(rows > 0);
+        assert_eq!(seen.len(), 2, "one retry, against a rebuilt table: {seen:?}");
+        assert_ne!(seen[0], seen[1]);
+
+        // Dropped again on the retry: the error is the caller's.
+        let mut calls = 0;
+        let err = e
+            .with_pairs_table("director", "oreAssemblage", "test", &mut report, |table| {
+                calls += 1;
+                e.clear_cache();
+                Ok(e.db.query(&format!("SELECT subj FROM {table}"))?.rows.len())
+            })
+            .unwrap_err();
+        assert_eq!(calls, 2);
+        assert!(matches!(
+            err,
+            Error::Relational(crosse_relational::Error::NoSuchTable(_))
+        ));
+    }
+
+    #[test]
+    fn only_this_pairs_table_going_missing_is_retried() {
+        use crosse_relational::Error as RelError;
+        let e = engine();
+        let mut report = PipelineReport::default();
+        // `__kb_pairs_1` is a prefix of `__kb_pairs_12`: another table
+        // missing, or any error that merely quotes the name, is not the race.
+        let unrelated: [fn(&str) -> RelError; 3] = [
+            |t| RelError::NoSuchTable(format!("{t}2")),
+            |t| RelError::eval(format!("cannot compare {t}.subj with 3")),
+            |t| RelError::catalog(format!("table `{t}` does not exist")),
+        ];
+        for make in unrelated {
+            let mut calls = 0;
+            let err = e
+                .with_pairs_table("director", "oreAssemblage", "test", &mut report, |table| {
+                    calls += 1;
+                    Err::<(), _>(Error::Relational(make(table)))
+                })
+                .unwrap_err();
+            assert_eq!(calls, 1, "{err} must not be retried");
+        }
     }
 
     #[test]

@@ -557,6 +557,23 @@ fn test_regions(lexed: &Lexed<'_>, code: &[usize]) -> Vec<(usize, usize)> {
     regions
 }
 
+/// Lines of `source` that start outside every test-only item (see
+/// `test_regions`): the size of a file's non-test part. Blank and comment
+/// lines count.
+pub fn non_test_lines(source: &str) -> usize {
+    let lexed = lex(source);
+    let regions = test_regions(&lexed, &lexed.code_tokens());
+    let mut start = 0;
+    source
+        .split_inclusive('\n')
+        .filter(|line| {
+            let outside = !in_regions(&regions, start);
+            start += line.len();
+            outside
+        })
+        .count()
+}
+
 fn in_regions(regions: &[(usize, usize)], pos: usize) -> bool {
     regions.iter().any(|&(s, e)| pos >= s && pos < e)
 }
@@ -772,11 +789,8 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Diagnostic> {
 /// metadata, and the lint fixture corpus (fixtures are linted by the
 /// golden test, on purpose — half of them must fire).
 pub fn lint_workspace(root: &std::path::Path) -> std::io::Result<Vec<(String, Vec<Diagnostic>)>> {
-    let mut files = Vec::new();
-    collect_rs_files(root, root, &mut files)?;
-    files.sort();
     let mut out = Vec::new();
-    for rel in files {
+    for rel in workspace_rs_files(root)? {
         let source = std::fs::read_to_string(root.join(&rel))?;
         let diags = lint_source(&rel, &source);
         if !diags.is_empty() {
@@ -784,6 +798,15 @@ pub fn lint_workspace(root: &std::path::Path) -> std::io::Result<Vec<(String, Ve
         }
     }
     Ok(out)
+}
+
+/// Every `.rs` file under `root` as a sorted, root-relative path, minus
+/// build output, VCS metadata and the lint fixture corpus.
+pub fn workspace_rs_files(root: &std::path::Path) -> std::io::Result<Vec<String>> {
+    let mut files = Vec::new();
+    collect_rs_files(root, root, &mut files)?;
+    files.sort();
+    Ok(files)
 }
 
 fn collect_rs_files(

@@ -15,8 +15,12 @@ pub enum Error {
     Parse { message: String, position: usize },
     /// Semantic / binding error (unknown table, ambiguous column, ...).
     Plan(String),
-    /// Catalog error (duplicate table, missing table, schema mismatch).
+    /// Catalog error (duplicate table, schema mismatch).
     Catalog(String),
+    /// The named table is not in the catalog. Its own variant so a caller
+    /// racing a `DROP` can tell *which* table went missing without reading
+    /// the message.
+    NoSuchTable(String),
     /// Runtime evaluation error (type mismatch, division by zero, ...).
     Eval(String),
     /// Constraint violation (arity mismatch on INSERT, type mismatch).
@@ -77,6 +81,9 @@ impl fmt::Display for Error {
             }
             Error::Plan(m) => write!(f, "planning error: {m}"),
             Error::Catalog(m) => write!(f, "catalog error: {m}"),
+            Error::NoSuchTable(name) => {
+                write!(f, "catalog error: table `{name}` does not exist")
+            }
             Error::Eval(m) => write!(f, "evaluation error: {m}"),
             Error::Constraint(m) => write!(f, "constraint violation: {m}"),
             Error::Storage(m) => write!(f, "storage error: {m}"),
@@ -116,6 +123,10 @@ mod tests {
     #[test]
     fn display_variants() {
         assert!(Error::catalog("dup").to_string().contains("catalog"));
+        assert_eq!(
+            Error::NoSuchTable("t".into()).to_string(),
+            "catalog error: table `t` does not exist"
+        );
         assert!(Error::eval("bad").to_string().contains("evaluation"));
         assert!(Error::plan("x").to_string().contains("planning"));
         assert!(Error::constraint("x").to_string().contains("constraint"));

@@ -1,9 +1,16 @@
-//! Aggregate functions: COUNT / SUM / AVG / MIN / MAX, with DISTINCT.
+//! Aggregate functions: COUNT / SUM / AVG / MIN / MAX, with DISTINCT, and
+//! the GROUP BY operator over them.
 
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 
 use crate::error::{Error, Result};
-use crate::value::Value;
+use crate::plan::AggSpec;
+use crate::value::{Row, Value};
+
+use super::expr::BoundExpr;
+use super::fasthash::FastBuild;
+use super::keys::{Key, KeyCoder};
 
 /// Which aggregate function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,6 +146,53 @@ impl Accumulator {
             AggFn::Min | AggFn::Max => self.extremum.clone().unwrap_or(Value::Null),
         }
     }
+}
+
+/// Drain `child` and aggregate it (first-seen group order, one row for a
+/// global aggregate over empty input). The group index is keyed by coded
+/// keys; a group's key values are cloned out of their expressions once,
+/// by the row that opens the group, and aggregate arguments are read by
+/// reference.
+pub(super) fn aggregate_rows(
+    child: impl Iterator<Item = Result<Row>>,
+    group: &[BoundExpr],
+    aggs: &[AggSpec],
+) -> Result<Vec<Row>> {
+    let new_accs = || {
+        aggs.iter()
+            .map(|a| Accumulator::new(a.func, a.distinct))
+            .collect::<Vec<_>>()
+    };
+    let mut coder = KeyCoder::new(group.len());
+    let mut index: HashMap<Key, usize, FastBuild> = HashMap::default();
+    let mut groups: Vec<(Vec<Value>, Vec<Accumulator>)> = Vec::new();
+    for row in child {
+        let row = row?;
+        let gi = match index.entry(coder.key(group.iter().map(|g| g.eval_ref(&row)))?) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let key_vals = group.iter().map(|g| g.eval(&row)).collect::<Result<_>>()?;
+                groups.push((key_vals, new_accs()));
+                *e.insert(groups.len() - 1)
+            }
+        };
+        for (a, acc) in aggs.iter().zip(groups[gi].1.iter_mut()) {
+            match &a.arg {
+                Some(e) => acc.update(e.eval_ref(&row)?.as_ref())?,
+                None => acc.update(&Value::Bool(true))?, // COUNT(*)
+            }
+        }
+    }
+    if groups.is_empty() && group.is_empty() {
+        groups.push((Vec::new(), new_accs()));
+    }
+    Ok(groups
+        .into_iter()
+        .map(|(mut keys, accs)| {
+            keys.extend(accs.iter().map(|a| a.finish()));
+            keys
+        })
+        .collect())
 }
 
 #[cfg(test)]

@@ -7,10 +7,12 @@
 //! short-circuit through UNKNOWN, and a WHERE predicate keeps a row only
 //! when it evaluates to `TRUE` (not NULL).
 
+use std::borrow::Cow;
+
 use crate::error::{Error, Result};
 use crate::schema::Schema;
 use crate::sql::ast::{BinaryOp, Expr, UnaryOp};
-use crate::value::{Row, Value};
+use crate::value::Value;
 
 /// A fully bound scalar expression.
 #[derive(Debug, Clone)]
@@ -189,114 +191,165 @@ pub fn bind(expr: &Expr, schema: &Schema) -> Result<BoundExpr> {
     }
 }
 
+/// What an expression evaluates against: anything that hands out a column
+/// by index. A stored or streamed row is a slice; a join evaluates its
+/// residual and fused projection on a [`Pair`], so the combined row is
+/// never built for pairs the residual rejects.
+pub trait RowView {
+    fn col(&self, i: usize) -> &Value;
+}
+
+impl RowView for [Value] {
+    #[inline]
+    fn col(&self, i: usize) -> &Value {
+        &self[i]
+    }
+}
+
+impl RowView for Vec<Value> {
+    #[inline]
+    fn col(&self, i: usize) -> &Value {
+        &self[i]
+    }
+}
+
+/// The two halves of a join pair viewed as the combined row: columns
+/// `0..left.len()` are the outer row's, the rest the build row's.
+#[derive(Clone, Copy)]
+pub struct Pair<'a> {
+    pub left: &'a [Value],
+    pub right: &'a [Value],
+}
+
+impl RowView for Pair<'_> {
+    #[inline]
+    fn col(&self, i: usize) -> &Value {
+        match i.checked_sub(self.left.len()) {
+            None => &self.left[i],
+            Some(j) => &self.right[j],
+        }
+    }
+}
+
 impl BoundExpr {
-    /// Evaluate against a row.
-    pub fn eval(&self, row: &Row) -> Result<Value> {
+    /// Evaluate against a row, cloning the result out of it.
+    pub fn eval<R: RowView + ?Sized>(&self, row: &R) -> Result<Value> {
+        self.eval_ref(row).map(Cow::into_owned)
+    }
+
+    /// Evaluate as a predicate: true only when the result is `TRUE`.
+    pub fn eval_predicate<R: RowView + ?Sized>(&self, row: &R) -> Result<bool> {
+        Ok(matches!(*self.eval_ref(row)?, Value::Bool(true)))
+    }
+
+    /// Evaluate without taking anything out of the row: column and literal
+    /// leaves are borrowed, every node that only inspects its operands
+    /// (comparisons, `IS NULL`, `IN`, `BETWEEN`, `LIKE`, `CASE WHEN`)
+    /// does so by reference, and only computed values are owned.
+    ///
+    /// The leaves are answered here, inlined into the caller — most
+    /// operands are leaves, and a call that hands a `Result<Cow<Value>>`
+    /// back through memory costs several times the comparison it feeds.
+    #[inline]
+    pub fn eval_ref<'a, R: RowView + ?Sized>(&'a self, row: &'a R) -> Result<Cow<'a, Value>> {
         match self {
-            BoundExpr::Literal(v) => Ok(v.clone()),
-            BoundExpr::Column(i) => Ok(row[*i].clone()),
-            BoundExpr::Unary { op, expr } => {
-                let v = expr.eval(row)?;
-                match (op, v) {
-                    (_, Value::Null) => Ok(Value::Null),
-                    (UnaryOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
-                    (UnaryOp::Neg, Value::Int(i)) => Ok(Value::Int(-i)),
-                    (UnaryOp::Neg, Value::Float(f)) => Ok(Value::Float(-f)),
-                    (op, v) => Err(Error::eval(format!("cannot apply {op:?} to {v}"))),
-                }
-            }
+            BoundExpr::Literal(v) => Ok(Cow::Borrowed(v)),
+            BoundExpr::Column(i) => Ok(Cow::Borrowed(row.col(*i))),
+            node => node.eval_node(row),
+        }
+    }
+
+    fn eval_node<'a, R: RowView + ?Sized>(&'a self, row: &'a R) -> Result<Cow<'a, Value>> {
+        let owned = |v: Value| Ok(Cow::Owned(v));
+        match self {
+            BoundExpr::Literal(_) | BoundExpr::Column(_) => self.eval_ref(row),
+            BoundExpr::Unary { op, expr } => match (op, &*expr.eval_ref(row)?) {
+                (_, Value::Null) => owned(Value::Null),
+                (UnaryOp::Not, Value::Bool(b)) => owned(Value::Bool(!b)),
+                (UnaryOp::Neg, Value::Int(i)) => owned(Value::Int(-i)),
+                (UnaryOp::Neg, Value::Float(f)) => owned(Value::Float(-f)),
+                (op, v) => Err(Error::eval(format!("cannot apply {op:?} to {v}"))),
+            },
             BoundExpr::Binary { left, op, right } => {
-                eval_binary(left.eval(row)?, *op, || right.eval(row))
+                let l = left.eval_ref(row)?;
+                owned(eval_binary(&l, *op, || right.eval_ref(row))?)
             }
             BoundExpr::IsNull { expr, negated } => {
-                let isnull = expr.eval(row)?.is_null();
-                Ok(Value::Bool(isnull != *negated))
+                let isnull = expr.eval_ref(row)?.is_null();
+                owned(Value::Bool(isnull != *negated))
             }
             BoundExpr::InList { expr, list, negated } => {
-                let needle = expr.eval(row)?;
+                let needle = expr.eval_ref(row)?;
                 if needle.is_null() {
-                    return Ok(Value::Null);
+                    return owned(Value::Null);
                 }
                 let mut saw_null = false;
                 for item in list {
-                    let v = item.eval(row)?;
-                    match needle.sql_eq(&v) {
-                        Some(true) => return Ok(Value::Bool(!negated)),
+                    match needle.sql_eq(&*item.eval_ref(row)?) {
+                        Some(true) => return owned(Value::Bool(!negated)),
                         Some(false) => {}
                         None => saw_null = true,
                     }
                 }
-                if saw_null {
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Bool(*negated))
-                }
+                owned(if saw_null { Value::Null } else { Value::Bool(*negated) })
             }
             BoundExpr::Between { expr, low, high, negated } => {
-                let v = expr.eval(row)?;
-                let lo = low.eval(row)?;
-                let hi = high.eval(row)?;
+                let v = expr.eval_ref(row)?;
+                let lo = low.eval_ref(row)?;
+                let hi = high.eval_ref(row)?;
                 match (v.sql_cmp(&lo), v.sql_cmp(&hi)) {
                     (Some(a), Some(b)) => {
                         let within = a != std::cmp::Ordering::Less
                             && b != std::cmp::Ordering::Greater;
-                        Ok(Value::Bool(within != *negated))
+                        owned(Value::Bool(within != *negated))
                     }
-                    _ => Ok(Value::Null),
+                    _ => owned(Value::Null),
                 }
             }
             BoundExpr::Like { expr, pattern, negated } => {
-                let v = expr.eval(row)?;
-                let p = pattern.eval(row)?;
-                match (v, p) {
-                    (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
+                match (&*expr.eval_ref(row)?, &*pattern.eval_ref(row)?) {
+                    (Value::Null, _) | (_, Value::Null) => owned(Value::Null),
                     (Value::Str(s), Value::Str(p)) => {
-                        Ok(Value::Bool(like_match(&s, &p) != *negated))
+                        owned(Value::Bool(like_match(s, p) != *negated))
                     }
                     (v, p) => Err(Error::eval(format!("LIKE requires strings, got {v} LIKE {p}"))),
                 }
             }
             BoundExpr::ScalarFn { func, args } => {
-                let vals: Vec<Value> =
-                    args.iter().map(|a| a.eval(row)).collect::<Result<_>>()?;
+                let vals = args.iter().map(|a| a.eval_ref(row)).collect::<Result<_>>()?;
                 eval_scalar_fn(*func, vals)
             }
             BoundExpr::Case { operand, branches, else_expr } => {
                 match operand {
                     Some(op) => {
-                        let v = op.eval(row)?;
+                        let v = op.eval_ref(row)?;
                         for (w, t) in branches {
-                            if v.sql_eq(&w.eval(row)?) == Some(true) {
-                                return t.eval(row);
+                            if v.sql_eq(&*w.eval_ref(row)?) == Some(true) {
+                                return t.eval_ref(row);
                             }
                         }
                     }
                     None => {
                         for (w, t) in branches {
                             if w.eval_predicate(row)? {
-                                return t.eval(row);
+                                return t.eval_ref(row);
                             }
                         }
                     }
                 }
                 match else_expr {
-                    Some(e) => e.eval(row),
-                    None => Ok(Value::Null),
+                    Some(e) => e.eval_ref(row),
+                    None => owned(Value::Null),
                 }
             }
         }
     }
-
-    /// Evaluate as a predicate: true only when the result is `TRUE`.
-    pub fn eval_predicate(&self, row: &Row) -> Result<bool> {
-        Ok(matches!(self.eval(row)?, Value::Bool(true)))
-    }
 }
 
-fn eval_binary(
-    left: Value,
+fn eval_binary<'a>(
+    left: &Value,
     op: BinaryOp,
-    right: impl FnOnce() -> Result<Value>,
+    right: impl FnOnce() -> Result<Cow<'a, Value>>,
 ) -> Result<Value> {
     use BinaryOp::*;
     // AND/OR implement three-valued logic with short-circuit on the
@@ -305,12 +358,12 @@ fn eval_binary(
         And => {
             return match left {
                 Value::Bool(false) => Ok(Value::Bool(false)),
-                Value::Bool(true) => match right()? {
-                    Value::Bool(b) => Ok(Value::Bool(b)),
+                Value::Bool(true) => match &*right()? {
+                    Value::Bool(b) => Ok(Value::Bool(*b)),
                     Value::Null => Ok(Value::Null),
                     v => Err(Error::eval(format!("AND requires booleans, got {v}"))),
                 },
-                Value::Null => match right()? {
+                Value::Null => match &*right()? {
                     Value::Bool(false) => Ok(Value::Bool(false)),
                     Value::Bool(true) | Value::Null => Ok(Value::Null),
                     v => Err(Error::eval(format!("AND requires booleans, got {v}"))),
@@ -321,12 +374,12 @@ fn eval_binary(
         Or => {
             return match left {
                 Value::Bool(true) => Ok(Value::Bool(true)),
-                Value::Bool(false) => match right()? {
-                    Value::Bool(b) => Ok(Value::Bool(b)),
+                Value::Bool(false) => match &*right()? {
+                    Value::Bool(b) => Ok(Value::Bool(*b)),
                     Value::Null => Ok(Value::Null),
                     v => Err(Error::eval(format!("OR requires booleans, got {v}"))),
                 },
-                Value::Null => match right()? {
+                Value::Null => match &*right()? {
                     Value::Bool(true) => Ok(Value::Bool(true)),
                     Value::Bool(false) | Value::Null => Ok(Value::Null),
                     v => Err(Error::eval(format!("OR requires booleans, got {v}"))),
@@ -337,8 +390,9 @@ fn eval_binary(
         _ => {}
     }
     let right = right()?;
+    let right = &*right;
     if op.is_comparison() {
-        let cmp = left.sql_cmp(&right);
+        let cmp = left.sql_cmp(right);
         let Some(ord) = cmp else {
             // NULL operand → UNKNOWN; incomparable types → error unless NULL.
             if left.is_null() || right.is_null() {
@@ -373,10 +427,10 @@ fn eval_binary(
     }
 }
 
-fn arith(left: Value, op: BinaryOp, right: Value) -> Result<Value> {
+fn arith(left: &Value, op: BinaryOp, right: &Value) -> Result<Value> {
     use BinaryOp::*;
     match (left, right) {
-        (Value::Int(a), Value::Int(b)) => match op {
+        (&Value::Int(a), &Value::Int(b)) => match op {
             Plus => Ok(Value::Int(a.wrapping_add(b))),
             Minus => Ok(Value::Int(a.wrapping_sub(b))),
             Multiply => Ok(Value::Int(a.wrapping_mul(b))),
@@ -398,9 +452,9 @@ fn arith(left: Value, op: BinaryOp, right: Value) -> Result<Value> {
         },
         (a, b) => {
             let (x, y) = match (a, b) {
-                (Value::Int(a), Value::Float(b)) => (a as f64, b),
-                (Value::Float(a), Value::Int(b)) => (a, b as f64),
-                (Value::Float(a), Value::Float(b)) => (a, b),
+                (&Value::Int(a), &Value::Float(b)) => (a as f64, b),
+                (&Value::Float(a), &Value::Int(b)) => (a, b as f64),
+                (&Value::Float(a), &Value::Float(b)) => (a, b),
                 (a, b) => {
                     return Err(Error::eval(format!("cannot compute {a} {op} {b}")))
                 }
@@ -428,68 +482,68 @@ fn arith(left: Value, op: BinaryOp, right: Value) -> Result<Value> {
     }
 }
 
-fn eval_scalar_fn(func: ScalarFn, mut vals: Vec<Value>) -> Result<Value> {
+fn eval_scalar_fn(func: ScalarFn, mut vals: Vec<Cow<'_, Value>>) -> Result<Cow<'_, Value>> {
+    let owned = |v: Value| Ok(Cow::Owned(v));
     match func {
-        ScalarFn::Coalesce => Ok(vals
-            .into_iter()
-            .find(|v| !v.is_null())
-            .unwrap_or(Value::Null)),
+        ScalarFn::Coalesce => match vals.into_iter().find(|v| !v.is_null()) {
+            Some(v) => Ok(v),
+            None => owned(Value::Null),
+        },
         ScalarFn::Upper | ScalarFn::Lower | ScalarFn::Trim | ScalarFn::Length => {
-            let v = vals.remove(0);
-            match (func, v) {
-                (_, Value::Null) => Ok(Value::Null),
-                (ScalarFn::Upper, Value::Str(s)) => Ok(Value::from(s.to_uppercase())),
-                (ScalarFn::Lower, Value::Str(s)) => Ok(Value::from(s.to_lowercase())),
-                (ScalarFn::Trim, Value::Str(s)) => Ok(Value::from(s.trim())),
+            match (func, &*vals.remove(0)) {
+                (_, Value::Null) => owned(Value::Null),
+                (ScalarFn::Upper, Value::Str(s)) => owned(Value::from(s.to_uppercase())),
+                (ScalarFn::Lower, Value::Str(s)) => owned(Value::from(s.to_lowercase())),
+                (ScalarFn::Trim, Value::Str(s)) => owned(Value::from(s.trim())),
                 (ScalarFn::Length, Value::Str(s)) => {
-                    Ok(Value::Int(s.chars().count() as i64))
+                    owned(Value::Int(s.chars().count() as i64))
                 }
                 (f, v) => Err(Error::eval(format!("{f:?} requires a string, got {v}"))),
             }
         }
-        ScalarFn::Abs => match vals.remove(0) {
-            Value::Null => Ok(Value::Null),
-            Value::Int(i) => Ok(Value::Int(i.wrapping_abs())),
-            Value::Float(f) => Ok(Value::Float(f.abs())),
+        ScalarFn::Abs => match &*vals.remove(0) {
+            Value::Null => owned(Value::Null),
+            Value::Int(i) => owned(Value::Int(i.wrapping_abs())),
+            Value::Float(f) => owned(Value::Float(f.abs())),
             v => Err(Error::eval(format!("ABS requires a number, got {v}"))),
         },
         ScalarFn::Round => {
             let digits = if vals.len() == 2 {
-                match vals.pop().unwrap() {
-                    Value::Int(d) => d,
-                    Value::Null => return Ok(Value::Null),
+                match &*vals.pop().unwrap() {
+                    Value::Int(d) => *d,
+                    Value::Null => return owned(Value::Null),
                     v => return Err(Error::eval(format!("ROUND digits must be int, got {v}"))),
                 }
             } else {
                 0
             };
-            match vals.remove(0) {
-                Value::Null => Ok(Value::Null),
-                Value::Int(i) => Ok(Value::Int(i)),
+            match &*vals.remove(0) {
+                Value::Null => owned(Value::Null),
+                Value::Int(i) => owned(Value::Int(*i)),
                 Value::Float(f) => {
                     let m = 10f64.powi(digits as i32);
-                    Ok(Value::Float((f * m).round() / m))
+                    owned(Value::Float((f * m).round() / m))
                 }
                 v => Err(Error::eval(format!("ROUND requires a number, got {v}"))),
             }
         }
         ScalarFn::Substr => {
             let len = if vals.len() == 3 {
-                match vals.pop().unwrap() {
-                    Value::Int(l) => Some(l.max(0) as usize),
-                    Value::Null => return Ok(Value::Null),
+                match &*vals.pop().unwrap() {
+                    Value::Int(l) => Some((*l).max(0) as usize),
+                    Value::Null => return owned(Value::Null),
                     v => return Err(Error::eval(format!("SUBSTR length must be int, got {v}"))),
                 }
             } else {
                 None
             };
-            let start = match vals.pop().unwrap() {
-                Value::Int(s) => s,
-                Value::Null => return Ok(Value::Null),
+            let start = match &*vals.pop().unwrap() {
+                Value::Int(s) => *s,
+                Value::Null => return owned(Value::Null),
                 v => return Err(Error::eval(format!("SUBSTR start must be int, got {v}"))),
             };
-            match vals.remove(0) {
-                Value::Null => Ok(Value::Null),
+            match &*vals.remove(0) {
+                Value::Null => owned(Value::Null),
                 Value::Str(s) => {
                     // SQL SUBSTR is 1-based.
                     let skip = (start.max(1) - 1) as usize;
@@ -498,7 +552,7 @@ fn eval_scalar_fn(func: ScalarFn, mut vals: Vec<Value>) -> Result<Value> {
                         Some(l) => it.take(l).collect(),
                         None => it.collect(),
                     };
-                    Ok(Value::from(out))
+                    owned(Value::from(out))
                 }
                 v => Err(Error::eval(format!("SUBSTR requires a string, got {v}"))),
             }
@@ -531,7 +585,7 @@ mod tests {
     use super::*;
     use crate::schema::Column;
     use crate::sql::parser::parse_expr;
-    use crate::value::DataType;
+    use crate::value::{DataType, Row};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -541,9 +595,26 @@ mod tests {
         ])
     }
 
+    /// Evaluate `src` every way a caller can — owned and borrowed, over
+    /// the row as a `Vec`, as a slice, and as a [`Pair`] split at every
+    /// position — and return the one answer they must all agree on.
+    fn try_eval(src: &str, row: &Row) -> Result<Value> {
+        let e = bind(&parse_expr(src).unwrap(), &schema()).unwrap();
+        let owned = e.eval(row);
+        assert_eq!(e.eval_ref(row).map(Cow::into_owned), owned, "{src}: borrowed");
+        assert_eq!(e.eval(&row[..]), owned, "{src}: slice");
+        for at in 0..=row.len() {
+            let pair = Pair { left: &row[..at], right: &row[at..] };
+            assert_eq!(e.eval(&pair), owned, "{src}: pair split at {at}");
+            assert_eq!(e.eval_ref(&pair).map(Cow::into_owned), owned, "{src}: borrowed pair");
+            let truth = matches!(owned, Ok(Value::Bool(true)));
+            assert_eq!(e.eval_predicate(&pair).ok(), owned.as_ref().ok().map(|_| truth));
+        }
+        owned
+    }
+
     fn eval(src: &str, row: &Row) -> Value {
-        let e = parse_expr(src).unwrap();
-        bind(&e, &schema()).unwrap().eval(row).unwrap()
+        try_eval(src, row).unwrap()
     }
 
     fn row() -> Row {
@@ -561,8 +632,7 @@ mod tests {
 
     #[test]
     fn division_by_zero_is_error() {
-        let e = parse_expr("n / 0").unwrap();
-        assert!(bind(&e, &schema()).unwrap().eval(&row()).is_err());
+        assert!(try_eval("n / 0", &row()).is_err());
     }
 
     #[test]
@@ -641,7 +711,23 @@ mod tests {
 
     #[test]
     fn incomparable_comparison_is_error() {
-        let e = parse_expr("name > 3").unwrap();
-        assert!(bind(&e, &schema()).unwrap().eval(&row()).is_err());
+        let err = try_eval("name > 3", &row()).unwrap_err();
+        assert_eq!(err, Error::eval("cannot compare 'Hg' with 3"));
+        // A NULL operand is UNKNOWN before it is incomparable.
+        let null_row = vec![Value::Null, Value::Null, Value::Null];
+        assert_eq!(eval("name > 3", &null_row), Value::Null);
+    }
+
+    #[test]
+    fn borrowed_results_point_into_the_row() {
+        let row = row();
+        let e = bind(&parse_expr("CASE WHEN n > 1 THEN name ELSE 'x' END").unwrap(), &schema())
+            .unwrap();
+        let Cow::Borrowed(v) = e.eval_ref(&row).unwrap() else {
+            panic!("a column chosen by CASE leaves the expression un-cloned");
+        };
+        assert!(std::ptr::eq(v, &row[0]));
+        let coalesce = bind(&parse_expr("COALESCE(NULL, name)").unwrap(), &schema()).unwrap();
+        assert!(matches!(coalesce.eval_ref(&row).unwrap(), Cow::Borrowed(_)));
     }
 }

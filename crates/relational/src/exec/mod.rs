@@ -8,6 +8,7 @@
 pub mod aggregate;
 pub mod expr;
 pub mod fasthash;
+mod keys;
 pub mod stream;
 
 use crate::error::Result;

@@ -34,6 +34,7 @@
 //! query actually touched — the `LIMIT` short-circuit is measurable, not
 //! just asserted.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -43,21 +44,27 @@ use parking_lot::Mutex;
 
 use crate::db::RowSet;
 use crate::error::{Error, Result};
-use crate::plan::{AggSpec, IndexLookup, Plan, SortKey};
+use crate::plan::{IndexLookup, Plan, SortKey};
 use crate::schema::Schema;
 use crate::sql::ast::JoinKind;
 use crate::storage::{Table, TableSnapshot};
 use crate::value::{Row, Value};
 
-use super::aggregate::Accumulator;
-use super::expr::BoundExpr;
+use super::aggregate::aggregate_rows;
+use super::expr::{BoundExpr, Pair, RowView};
 use super::fasthash::FastBuild;
+use super::keys::{Key, KeyCoder};
 
-/// The executor's internal hash-table types (join builds, dedup sets,
-/// group indexes) use the keyed-for-speed [`FastBuild`] hasher — see
-/// `exec/fasthash.rs` for why HashDoS keying is not needed here.
-type RowKeyMap<V> = HashMap<Vec<Value>, V, FastBuild>;
-type RowSeen = HashSet<Row, FastBuild>;
+/// A hash-join key: the values of the key expressions. The build table
+/// owns its keys (`'static`); a probe's key holds the borrowed results of
+/// evaluating its key expressions on the outer row. `HashMap` is covariant
+/// in its key type, so the table of `JoinKey<'static>` is also a table of
+/// `JoinKey<'probe>` and `get` takes the borrowed key as it is — probing
+/// clones nothing. The executor's internal tables use the keyed-for-speed
+/// [`FastBuild`] hasher — see `exec/fasthash.rs` for why HashDoS keying is
+/// not needed here.
+type JoinKey<'a> = Vec<Cow<'a, Value>>;
+type JoinTable = HashMap<JoinKey<'static>, Vec<usize>, FastBuild>;
 
 /// Shared hash-join builds of one execution, keyed by
 /// `(spool id, key-expression fingerprint)`.
@@ -363,27 +370,86 @@ impl Iterator for TableCursor {
 
 // ---- morsel-parallel pipelines ---------------------------------------------
 
-/// The per-morsel work of a parallelised pipeline fragment. Workers apply
-/// it to disjoint slices of one pinned snapshot; the results are merged
-/// back in snapshot order.
-enum MorselWork {
-    /// `Scan → [Filter] → [Project]` collapsed into one pass.
-    FilterProject {
-        predicate: Option<BoundExpr>,
-        exprs: Option<Vec<BoundExpr>>,
-    },
-    /// The probe side of a hash join (optionally pre-filtered): each
-    /// snapshot row probes the shared build table.
-    HashProbe {
-        prefilter: Option<BoundExpr>,
-        built: Arc<BuiltSide>,
-        left_keys: Vec<BoundExpr>,
-        residual: Option<BoundExpr>,
-        kind: JoinKind,
-        right_width: usize,
-        /// Fused projection over the combined row (inner joins only).
-        project: Option<Vec<BoundExpr>>,
-    },
+/// The row step of `[Filter] → [Project]`, the one kernel under both the
+/// sequential `Filter`/`Project` operators and the morsel workers.
+struct FilterProject {
+    predicate: Option<BoundExpr>,
+    exprs: Option<Vec<BoundExpr>>,
+}
+
+impl FilterProject {
+    /// `None` when the predicate rejects `row`; otherwise the projected
+    /// row, or without a projection `row` itself (cloned only if the
+    /// caller could not give it away).
+    fn apply(&self, row: Cow<'_, [Value]>) -> Result<Option<Row>> {
+        if let Some(p) = &self.predicate {
+            if !p.eval_predicate(&*row)? {
+                return Ok(None);
+            }
+        }
+        Ok(Some(match &self.exprs {
+            Some(exprs) => project_row(exprs, &*row)?,
+            None => row.into_owned(),
+        }))
+    }
+
+    /// Drive the step over an owning row stream.
+    fn stream(self, mut child: BoxRowIter) -> BoxRowIter {
+        Box::new(std::iter::from_fn(move || loop {
+            match child.next()?.and_then(|row| self.apply(Cow::Owned(row))) {
+                Ok(Some(row)) => return Some(Ok(row)),
+                Ok(None) => continue,
+                Err(e) => return Some(Err(e)),
+            }
+        }))
+    }
+}
+
+fn project_row<R: RowView + ?Sized>(exprs: &[BoundExpr], row: &R) -> Result<Row> {
+    let mut projected = Vec::with_capacity(exprs.len());
+    for e in exprs {
+        projected.push(e.eval(row)?);
+    }
+    Ok(projected)
+}
+
+/// What a join does with a candidate pair, shared by the hash probe and
+/// the nested loop: the residual predicate and the fused projection are
+/// evaluated on the [`Pair`] view, so only a surviving pair is
+/// materialised — and, projected, never as the wide combined row.
+struct JoinEmit {
+    kind: JoinKind,
+    right_width: usize,
+    predicate: Option<BoundExpr>,
+    /// Projection fused over the join (inner joins only).
+    project: Option<Vec<BoundExpr>>,
+}
+
+impl JoinEmit {
+    fn pair(&self, left: &[Value], right: &[Value], out: &mut Vec<Row>) -> Result<()> {
+        let pair = Pair { left, right };
+        if let Some(p) = &self.predicate {
+            if !p.eval_predicate(&pair)? {
+                return Ok(());
+            }
+        }
+        out.push(match &self.project {
+            Some(exprs) => project_row(exprs, &pair)?,
+            None => [left, right].concat(),
+        });
+        Ok(())
+    }
+
+    /// Close the expansion of outer row `left`, whose output starts at
+    /// `out[from]`: a LEFT join pads an outer row that matched nothing.
+    fn end_outer(&self, left: &[Value], from: usize, out: &mut Vec<Row>) {
+        if out.len() == from && self.kind == JoinKind::Left {
+            let mut padded = Vec::with_capacity(left.len() + self.right_width);
+            padded.extend_from_slice(left);
+            padded.resize(left.len() + self.right_width, Value::Null);
+            out.push(padded);
+        }
+    }
 }
 
 /// A materialised hash-join build side: the right-hand rows plus the key
@@ -391,7 +457,7 @@ enum MorselWork {
 /// to the same shared spool (and use the same key expressions) build it
 /// once per execution and probe one table.
 pub(crate) struct BuiltSide {
-    table: RowKeyMap<Vec<usize>>,
+    table: JoinTable,
     rows: Vec<Row>,
 }
 
@@ -400,7 +466,7 @@ impl BuiltSide {
     /// participate (SQL equi-join); keys are the evaluated values
     /// themselves — `Value`'s Eq/Hash carry grouping semantics.
     fn build(rows: Vec<Row>, keys: &[BoundExpr]) -> Result<BuiltSide> {
-        let mut table: RowKeyMap<Vec<usize>> = RowKeyMap::default();
+        let mut table = JoinTable::default();
         table.reserve(rows.len());
         'rows: for (i, r) in rows.iter().enumerate() {
             let mut key = Vec::with_capacity(keys.len());
@@ -409,7 +475,7 @@ impl BuiltSide {
                 if v.is_null() {
                     continue 'rows;
                 }
-                key.push(v);
+                key.push(Cow::Owned(v));
             }
             table.entry(key).or_default().push(i);
         }
@@ -417,106 +483,73 @@ impl BuiltSide {
     }
 }
 
+/// The probe side of a hash join: the one probe loop, called per outer
+/// row by the sequential [`JoinStream`] and per morsel row by the workers.
+struct HashProbe {
+    built: Arc<BuiltSide>,
+    left_keys: Vec<BoundExpr>,
+    emit: JoinEmit,
+}
+
+impl HashProbe {
+    /// Append the join output of outer row `left` to `out`.
+    fn expand(&self, left: &[Value], out: &mut Vec<Row>) -> Result<()> {
+        let from = out.len();
+        if let Some(matches) = self.matches(left)? {
+            for &ri in matches {
+                self.emit.pair(left, &self.built.rows[ri], out)?;
+            }
+        }
+        self.emit.end_outer(left, from, out);
+        Ok(())
+    }
+
+    /// Build-row positions matching `left`'s key (none for a NULL key).
+    fn matches<'a>(&'a self, left: &'a [Value]) -> Result<Option<&'a Vec<usize>>> {
+        let mut key: JoinKey<'a> = Vec::with_capacity(self.left_keys.len());
+        for k in &self.left_keys {
+            let v = k.eval_ref(left)?;
+            if v.is_null() {
+                return Ok(None);
+            }
+            key.push(v);
+        }
+        Ok(self.built.table.get(&key))
+    }
+}
+
+/// The per-morsel work of a parallelised pipeline fragment. Workers apply
+/// it to disjoint slices of one pinned snapshot; the results are merged
+/// back in snapshot order.
+enum MorselWork {
+    /// `Scan → [Filter] → [Project]` collapsed into one pass.
+    FilterProject(FilterProject),
+    /// The probe side of a hash join (optionally pre-filtered): each
+    /// snapshot row probes the shared build table.
+    HashProbe { prefilter: Option<BoundExpr>, probe: HashProbe },
+}
+
 impl MorselWork {
     fn apply(&self, morsel: &[Row]) -> Result<Vec<Row>> {
+        let mut out = Vec::new();
         match self {
-            MorselWork::FilterProject { predicate, exprs } => {
-                let mut out = Vec::new();
+            MorselWork::FilterProject(step) => {
                 for row in morsel {
-                    if let Some(p) = predicate {
-                        if !p.eval_predicate(row)? {
-                            continue;
-                        }
-                    }
-                    match exprs {
-                        Some(es) => {
-                            let mut projected = Vec::with_capacity(es.len());
-                            for e in es {
-                                projected.push(e.eval(row)?);
-                            }
-                            out.push(projected);
-                        }
-                        None => out.push(row.clone()),
-                    }
+                    out.extend(step.apply(Cow::Borrowed(row))?);
                 }
-                Ok(out)
             }
-            MorselWork::HashProbe {
-                prefilter,
-                built,
-                left_keys,
-                residual,
-                kind,
-                right_width,
-                project,
-            } => {
-                let mut out = Vec::new();
-                // Probe-key and combined-row buffers for the whole morsel
-                // — cleared per row, never re-allocated.
-                let mut key: Vec<Value> = Vec::with_capacity(left_keys.len());
-                let mut scratch: Vec<Value> = Vec::new();
+            MorselWork::HashProbe { prefilter, probe } => {
                 for l in morsel {
                     if let Some(p) = prefilter {
                         if !p.eval_predicate(l)? {
                             continue;
                         }
                     }
-                    let before = out.len();
-                    key.clear();
-                    let mut null_key = false;
-                    for k in left_keys {
-                        let v = k.eval(l)?;
-                        if v.is_null() {
-                            null_key = true;
-                            break;
-                        }
-                        key.push(v);
-                    }
-                    if !null_key {
-                        if let Some(matches) = built.table.get(&key) {
-                            for &ri in matches {
-                                match project {
-                                    None => {
-                                        let mut combined = l.to_vec();
-                                        combined
-                                            .extend(built.rows[ri].iter().cloned());
-                                        if let Some(p) = residual {
-                                            if !p.eval_predicate(&combined)? {
-                                                continue;
-                                            }
-                                        }
-                                        out.push(combined);
-                                    }
-                                    Some(exprs) => {
-                                        scratch.clear();
-                                        scratch.extend_from_slice(l);
-                                        scratch
-                                            .extend(built.rows[ri].iter().cloned());
-                                        if let Some(p) = residual {
-                                            if !p.eval_predicate(&scratch)? {
-                                                continue;
-                                            }
-                                        }
-                                        let mut projected =
-                                            Vec::with_capacity(exprs.len());
-                                        for e in exprs {
-                                            projected.push(e.eval(&scratch)?);
-                                        }
-                                        out.push(projected);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if out.len() == before && *kind == JoinKind::Left {
-                        let mut combined = l.to_vec();
-                        combined.extend(std::iter::repeat_n(Value::Null, *right_width));
-                        out.push(combined);
-                    }
+                    probe.expand(l, &mut out)?;
                 }
-                Ok(out)
             }
         }
+        Ok(out)
     }
 }
 
@@ -650,7 +683,10 @@ fn try_parallel(plan: Plan, ctx: &ExecCtx) -> std::result::Result<BoxRowIter, Pl
                 Ok(Box::new(MorselScan::new(
                     snap,
                     Arc::clone(&ctx.pool),
-                    MorselWork::FilterProject { predicate: prefilter, exprs: Some(exprs) },
+                    MorselWork::FilterProject(FilterProject {
+                        predicate: prefilter,
+                        exprs: Some(exprs),
+                    }),
                     Arc::clone(&ctx.scanned),
                     ctx.cancel.clone(),
                 )))
@@ -669,7 +705,10 @@ fn try_parallel(plan: Plan, ctx: &ExecCtx) -> std::result::Result<BoxRowIter, Pl
                 Ok(Box::new(MorselScan::new(
                     snap,
                     Arc::clone(&ctx.pool),
-                    MorselWork::FilterProject { predicate: Some(predicate), exprs: None },
+                    MorselWork::FilterProject(FilterProject {
+                        predicate: Some(predicate),
+                        exprs: None,
+                    }),
                     Arc::clone(&ctx.scanned),
                     ctx.cancel.clone(),
                 )))
@@ -725,17 +764,8 @@ pub fn stream_plan(plan: Plan, ctx: ExecCtx) -> Result<BoxRowIter> {
             }
         }
         Plan::Filter { input, predicate } => {
-            let mut child = stream_plan(*input, ctx)?;
-            Ok(Box::new(std::iter::from_fn(move || loop {
-                match child.next()? {
-                    Err(e) => return Some(Err(e)),
-                    Ok(row) => match predicate.eval_predicate(&row) {
-                        Err(e) => return Some(Err(e)),
-                        Ok(true) => return Some(Ok(row)),
-                        Ok(false) => continue,
-                    },
-                }
-            })))
+            let step = FilterProject { predicate: Some(predicate), exprs: None };
+            Ok(step.stream(stream_plan(*input, ctx)?))
         }
         Plan::Project { input, exprs, .. } => {
             // Identity projection: the rows pass through unchanged (output
@@ -751,9 +781,8 @@ pub fn stream_plan(plan: Plan, ctx: ExecCtx) -> Result<BoxRowIter> {
             }
             match *input {
                 // Fuse the projection into an inner hash join below it:
-                // the combined row is built in a reused scratch buffer and
-                // projected immediately — one output allocation per match
-                // instead of combined + projected.
+                // each match is projected straight off the pair of rows —
+                // the combined row is never built.
                 Plan::HashJoin {
                     left,
                     right,
@@ -773,44 +802,26 @@ pub fn stream_plan(plan: Plan, ctx: ExecCtx) -> Result<BoxRowIter> {
                     ctx,
                 ),
                 other => {
-                    let child = stream_plan(other, ctx)?;
-                    Ok(Box::new(child.map(move |r| {
-                        let row = r?;
-                        let mut projected = Vec::with_capacity(exprs.len());
-                        for e in &exprs {
-                            projected.push(e.eval(&row)?);
-                        }
-                        Ok(projected)
-                    })))
+                    let step = FilterProject { predicate: None, exprs: Some(exprs) };
+                    Ok(step.stream(stream_plan(other, ctx)?))
                 }
             }
         }
         Plan::NestedLoopJoin { left, right, kind, predicate, .. } => {
-            let right_width = right.schema().len();
+            let emit =
+                JoinEmit { kind, right_width: right.schema().len(), predicate, project: None };
             let right_rows: Vec<Row> =
                 stream_plan(*right, ctx.clone())?.collect::<Result<_>>()?;
             let cancel = ctx.cancel.clone();
             let left_iter = stream_plan(*left, ctx)?;
-            Ok(Box::new(JoinStream::new(
-                left_iter,
-                kind,
-                right_width,
-                cancel,
-                move |l, out| {
-                    for r in &right_rows {
-                        let mut combined = l.to_vec();
-                        combined.extend(r.iter().cloned());
-                        let keep = match &predicate {
-                            Some(p) => p.eval_predicate(&combined)?,
-                            None => true,
-                        };
-                        if keep {
-                            out.push_back(combined);
-                        }
-                    }
-                    Ok(())
-                },
-            )))
+            Ok(Box::new(JoinStream::new(left_iter, cancel, move |l, out| {
+                let from = out.len();
+                for r in &right_rows {
+                    emit.pair(l, r, out)?;
+                }
+                emit.end_outer(l, from, out);
+                Ok(())
+            })))
         }
         Plan::HashJoin { left, right, kind, left_keys, right_keys, residual, .. } => {
             lower_hash_join(*left, *right, kind, left_keys, right_keys, residual, None, ctx)
@@ -827,8 +838,9 @@ pub fn stream_plan(plan: Plan, ctx: ExecCtx) -> Result<BoxRowIter> {
         }
         Plan::Distinct { input } => {
             let cancel = ctx.cancel.clone();
+            let width = input.schema().len();
             let child = stream_plan(*input, ctx)?;
-            Ok(Box::new(DedupStream::new(child, cancel)))
+            Ok(Box::new(DedupStream::new(child, width, cancel)))
         }
         Plan::Limit { input, limit, offset } => {
             let mut child = stream_plan(*input, ctx)?;
@@ -894,7 +906,7 @@ pub fn stream_plan(plan: Plan, ctx: ExecCtx) -> Result<BoxRowIter> {
             if all {
                 Ok(concat)
             } else {
-                Ok(Box::new(DedupStream::new(concat, cancel)))
+                Ok(Box::new(DedupStream::new(concat, width, cancel)))
             }
         }
         Plan::Shared { id, input } => {
@@ -919,13 +931,15 @@ pub fn stream_plan(plan: Plan, ctx: ExecCtx) -> Result<BoxRowIter> {
 
 /// Streaming duplicate elimination (DISTINCT, deduplicating UNION),
 /// vectorised: rows are pulled from the child in [`SCAN_BATCH`] blocks
-/// and inserted into the seen-set with capacity reserved per block, so a
-/// large dedup never pays per-row incremental rehash growth. Still lazy
-/// at block granularity — a `LIMIT k` consumer pulls at most one block
-/// beyond its k-th distinct row.
+/// and their coded keys inserted into the seen-set with capacity reserved
+/// per block, so a large dedup never pays per-row incremental rehash
+/// growth. The set holds keys only; a row is either passed on or dropped,
+/// never cloned. Still lazy at block granularity — a `LIMIT k` consumer
+/// pulls at most one block beyond its k-th distinct row.
 struct DedupStream {
     child: BoxRowIter,
-    seen: RowSeen,
+    coder: KeyCoder,
+    seen: HashSet<Key, FastBuild>,
     out: std::vec::IntoIter<Row>,
     pending_err: Option<Error>,
     cancel: CancelToken,
@@ -933,10 +947,11 @@ struct DedupStream {
 }
 
 impl DedupStream {
-    fn new(child: BoxRowIter, cancel: CancelToken) -> Self {
+    fn new(child: BoxRowIter, width: usize, cancel: CancelToken) -> Self {
         DedupStream {
             child,
-            seen: RowSeen::default(),
+            coder: KeyCoder::new(width),
+            seen: HashSet::default(),
             out: Vec::new().into_iter(),
             pending_err: None,
             cancel,
@@ -971,9 +986,14 @@ impl Iterator for DedupStream {
             self.seen.reserve(SCAN_BATCH);
             let mut fresh = Vec::new();
             for _ in 0..SCAN_BATCH {
-                match self.child.next() {
-                    Some(Ok(row)) => {
-                        if self.seen.insert(row.clone()) {
+                let next = self.child.next().map(|r| {
+                    let row = r?;
+                    let key = self.coder.key(row.iter().map(Ok))?;
+                    Ok((key, row))
+                });
+                match next {
+                    Some(Ok((key, row))) => {
+                        if self.seen.insert(key) {
                             fresh.push(row);
                         }
                     }
@@ -1001,9 +1021,8 @@ impl Iterator for DedupStream {
 /// context keyed by `(spool id, key fingerprint)`, so a second join over
 /// the same spooled input with the same key expressions probes the same
 /// ref-counted [`BuiltSide`] instead of rebuilding it. With `project`
-/// (inner joins only), matched rows are assembled in a reused scratch
-/// buffer and projected immediately — the wide combined row never hits
-/// the heap.
+/// (inner joins only), matches are projected straight off the pair of
+/// rows — the wide combined row is never built.
 #[allow(clippy::too_many_arguments)]
 fn lower_hash_join(
     left: Plan,
@@ -1015,7 +1034,7 @@ fn lower_hash_join(
     project: Option<Vec<BoundExpr>>,
     ctx: ExecCtx,
 ) -> Result<BoxRowIter> {
-    let right_width = right.schema().len();
+    let emit = JoinEmit { kind, right_width: right.schema().len(), predicate: residual, project };
     let build_key = match &right {
         Plan::Shared { id, .. } => Some((*id, format!("{right_keys:?}"))),
         _ => None,
@@ -1035,6 +1054,7 @@ fn lower_hash_join(
             b
         }
     };
+    let probe = HashProbe { built, left_keys, emit };
     // Partition-parallel probe: when the probe side is a (filtered) scan
     // of a big enough table, workers probe the shared build table over
     // disjoint snapshot morsels, in snapshot order.
@@ -1055,15 +1075,7 @@ fn lower_hash_join(
                 return Ok(Box::new(MorselScan::new(
                     snap,
                     Arc::clone(&ctx.pool),
-                    MorselWork::HashProbe {
-                        prefilter,
-                        built,
-                        left_keys,
-                        residual,
-                        kind,
-                        right_width,
-                        project,
-                    },
+                    MorselWork::HashProbe { prefilter, probe },
                     Arc::clone(&ctx.scanned),
                     ctx.cancel.clone(),
                 )));
@@ -1072,68 +1084,19 @@ fn lower_hash_join(
     }
     let cancel = ctx.cancel.clone();
     let left_iter = stream_plan(left, ctx)?;
-    // Probe-key and combined-row scratch: cleared per row, allocated once.
-    let mut key: Vec<Value> = Vec::with_capacity(left_keys.len());
-    let mut scratch: Vec<Value> = Vec::new();
-    Ok(Box::new(JoinStream::new(
-        left_iter,
-        kind,
-        right_width,
-        cancel,
-        move |l, out| {
-            key.clear();
-            for k in &left_keys {
-                let v = k.eval(l)?;
-                if v.is_null() {
-                    return Ok(());
-                }
-                key.push(v);
-            }
-            if let Some(matches) = built.table.get(&key) {
-                for &ri in matches {
-                    match &project {
-                        None => {
-                            let mut combined = l.to_vec();
-                            combined.extend(built.rows[ri].iter().cloned());
-                            if let Some(p) = &residual {
-                                if !p.eval_predicate(&combined)? {
-                                    continue;
-                                }
-                            }
-                            out.push_back(combined);
-                        }
-                        Some(exprs) => {
-                            scratch.clear();
-                            scratch.extend_from_slice(l);
-                            scratch.extend(built.rows[ri].iter().cloned());
-                            if let Some(p) = &residual {
-                                if !p.eval_predicate(&scratch)? {
-                                    continue;
-                                }
-                            }
-                            let mut projected = Vec::with_capacity(exprs.len());
-                            for e in exprs {
-                                projected.push(e.eval(&scratch)?);
-                            }
-                            out.push_back(projected);
-                        }
-                    }
-                }
-            }
-            Ok(())
-        },
-    )))
+    Ok(Box::new(JoinStream::new(left_iter, cancel, move |l, out| probe.expand(l, out))))
 }
 
-/// Streams a join: pulls one outer row at a time, expands it into zero or
-/// more output rows via `expand`, and pads unmatched outer rows for LEFT
-/// joins.
+/// Streams a join: pulls one outer row at a time and expands it into zero
+/// or more output rows via `expand` (which also pads an unmatched outer
+/// row of a LEFT join).
 struct JoinStream<F> {
     left: BoxRowIter,
-    kind: JoinKind,
-    right_width: usize,
     expand: F,
-    pending: VecDeque<Row>,
+    /// Output of the current outer row; `pending[next..]` is still to be
+    /// yielded. The buffer is reused across outer rows.
+    pending: Vec<Row>,
+    next: usize,
     cancel: CancelToken,
     /// Output rows yielded since the last cancel poll; a cartesian blow-up
     /// produces many rows per outer pull, so the scan-level checks alone
@@ -1143,36 +1106,24 @@ struct JoinStream<F> {
 
 impl<F> JoinStream<F>
 where
-    F: FnMut(&Row, &mut VecDeque<Row>) -> Result<()>,
+    F: FnMut(&[Value], &mut Vec<Row>) -> Result<()>,
 {
-    fn new(
-        left: BoxRowIter,
-        kind: JoinKind,
-        right_width: usize,
-        cancel: CancelToken,
-        expand: F,
-    ) -> Self {
-        JoinStream {
-            left,
-            kind,
-            right_width,
-            expand,
-            pending: VecDeque::new(),
-            cancel,
-            since_check: 0,
-        }
+    fn new(left: BoxRowIter, cancel: CancelToken, expand: F) -> Self {
+        JoinStream { left, expand, pending: Vec::new(), next: 0, cancel, since_check: 0 }
     }
 }
 
 impl<F> Iterator for JoinStream<F>
 where
-    F: FnMut(&Row, &mut VecDeque<Row>) -> Result<()>,
+    F: FnMut(&[Value], &mut Vec<Row>) -> Result<()>,
 {
     type Item = Result<Row>;
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if let Some(row) = self.pending.pop_front() {
+            if let Some(row) = self.pending.get_mut(self.next) {
+                let row = std::mem::take(row);
+                self.next += 1;
                 self.since_check += 1;
                 if self.since_check >= SCAN_BATCH {
                     self.since_check = 0;
@@ -1183,6 +1134,8 @@ where
                 }
                 return Some(Ok(row));
             }
+            self.pending.clear();
+            self.next = 0;
             match self.left.next()? {
                 Err(e) => return Some(Err(e)),
                 Ok(l) => {
@@ -1193,70 +1146,10 @@ where
                         self.pending.clear();
                         return Some(Err(e));
                     }
-                    if self.pending.is_empty() && self.kind == JoinKind::Left {
-                        let mut combined = l;
-                        combined
-                            .extend(std::iter::repeat_n(Value::Null, self.right_width));
-                        return Some(Ok(combined));
-                    }
                 }
             }
         }
     }
-}
-
-/// Drain `child` and aggregate it (GROUP BY semantics identical to the
-/// materialising executor: first-seen group order, one row for a global
-/// aggregate over empty input).
-fn aggregate_rows(
-    child: BoxRowIter,
-    group: &[BoundExpr],
-    aggs: &[AggSpec],
-) -> Result<Vec<Row>> {
-    let mut index: RowKeyMap<usize> = RowKeyMap::default();
-    let mut groups: Vec<(Vec<Value>, Vec<Accumulator>)> = Vec::new();
-    for row in child {
-        let row = row?;
-        let mut key_vals = Vec::with_capacity(group.len());
-        for g in group {
-            key_vals.push(g.eval(&row)?);
-        }
-        let gi = match index.get(&key_vals) {
-            Some(&gi) => gi,
-            None => {
-                let accs = aggs
-                    .iter()
-                    .map(|a| Accumulator::new(a.func, a.distinct))
-                    .collect();
-                // The group's output values and its hash key are the same
-                // vector; the clone is a row of refcount bumps.
-                index.insert(key_vals.clone(), groups.len());
-                groups.push((key_vals, accs));
-                groups.len() - 1
-            }
-        };
-        for (a, acc) in aggs.iter().zip(groups[gi].1.iter_mut()) {
-            let v = match &a.arg {
-                Some(e) => e.eval(&row)?,
-                None => Value::Bool(true), // COUNT(*)
-            };
-            acc.update(&v)?;
-        }
-    }
-    if groups.is_empty() && group.is_empty() {
-        let accs: Vec<Accumulator> = aggs
-            .iter()
-            .map(|a| Accumulator::new(a.func, a.distinct))
-            .collect();
-        groups.push((Vec::new(), accs));
-    }
-    Ok(groups
-        .into_iter()
-        .map(|(mut keys, accs)| {
-            keys.extend(accs.iter().map(|a| a.finish()));
-            keys
-        })
-        .collect())
 }
 
 /// Drain `child` and sort it (stable, total order, keys precomputed).

@@ -790,7 +790,7 @@ impl Catalog {
             let mut tables = self.tables.write();
             let key = Self::key(name);
             let Some(table) = tables.get(&key) else {
-                return Err(Error::catalog(format!("table `{name}` does not exist")));
+                return Err(Error::NoSuchTable(name.to_string()));
             };
             if let Some(s) = &sink {
                 if !table.is_ephemeral() {
@@ -809,7 +809,7 @@ impl Catalog {
             .read()
             .get(&Self::key(name))
             .cloned()
-            .ok_or_else(|| Error::catalog(format!("table `{name}` does not exist")))
+            .ok_or_else(|| Error::NoSuchTable(name.to_string()))
     }
 
     pub fn has_table(&self, name: &str) -> bool {

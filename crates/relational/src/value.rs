@@ -14,9 +14,10 @@
 //!
 //! [`Value`] implements `Eq`/`Ord`/`Hash` directly with *grouping*
 //! semantics — the total order of [`Value::total_cmp`] and a hash in which
-//! `1` and `1.0` coincide — so executor hash tables (GROUP BY, DISTINCT,
-//! UNION, hash joins) and ordered indexes key rows without materialising a
-//! separate key representation per row.
+//! `1` and `1.0` coincide — so hash-join build tables and ordered indexes
+//! key on values as they are. The operators that see a key per input row
+//! (GROUP BY, DISTINCT, UNION) code the same semantics into a few words
+//! instead (`exec/keys.rs`).
 
 use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
@@ -81,6 +82,13 @@ impl Str {
     /// [`Interner`], or clones of each other).
     pub fn ptr_eq(a: &Str, b: &Str) -> bool {
         Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// Address of the shared allocation: equal for two `Str`s exactly when
+    /// [`Str::ptr_eq`] holds, and not reused by another string for as long
+    /// as any clone of this one is alive.
+    pub(crate) fn addr(&self) -> usize {
+        Arc::as_ptr(&self.0).cast::<u8>() as usize
     }
 }
 

@@ -27,6 +27,10 @@
 //!   discipline, panic discipline, determinism; see `crosse-lint`):
 //!   lint the workspace, then regenerate and drift-check the rule
 //!   fixtures' golden snapshot.
+//! * `loc` — count the Rust lines under `crates/` and `src/` that are
+//!   not test code (no `tests/` files, no `#[cfg(test)]`/`#[test]`
+//!   items, as srclint sees them), per crate and in total: the size
+//!   figure ROADMAP aim 2 asks every PR to report.
 //! * `stress` — run the concurrency test suite (release) with elevated
 //!   iteration counts (`CROSSE_STRESS_ITERS=10`) under worker-thread
 //!   budgets {1, 4, 8} (`CROSSE_EXEC_THREADS`): the snapshot-isolation
@@ -487,6 +491,37 @@ fn srclint() {
         std::process::exit(1);
     }
     println!("xtask: srclint OK (workspace clean, fixture snapshot matches)");
+}
+
+/// Non-test Rust lines under `crates/` and `src/`, per crate and in total:
+/// files srclint classes as test code are skipped whole, test-only items
+/// in the others are left out (`srclint::non_test_lines`).
+fn loc() {
+    use crosse_lint::srclint::{classify, non_test_lines, workspace_rs_files, FileClass};
+    let fail = |what: &str, e: std::io::Error| -> ! {
+        eprintln!("xtask: loc: {what}: {e}");
+        std::process::exit(1);
+    };
+    let files = workspace_rs_files(std::path::Path::new("."))
+        .unwrap_or_else(|e| fail("walking the workspace", e));
+    let mut per_crate: std::collections::BTreeMap<String, usize> = Default::default();
+    for rel in files {
+        let unit = match rel.split('/').collect::<Vec<_>>()[..] {
+            ["crates", "compat", name, ..] => format!("crates/compat/{name}"),
+            ["crates", name, ..] => format!("crates/{name}"),
+            ["src", ..] => "src".to_string(),
+            _ => continue,
+        };
+        if classify(&rel) == FileClass::TestCode {
+            continue;
+        }
+        let source = std::fs::read_to_string(&rel).unwrap_or_else(|e| fail(&rel, e));
+        *per_crate.entry(unit).or_default() += non_test_lines(&source);
+    }
+    for (unit, lines) in &per_crate {
+        println!("{lines:>7}  {unit}");
+    }
+    println!("{:>7}  total non-test Rust lines", per_crate.values().sum::<usize>());
 }
 
 /// The benchmark package sits outside the workspace, so no other gate
@@ -1016,6 +1051,7 @@ fn main() {
         "lint" => lint_gate(),
         "srclint" => srclint(),
         "check" => check(),
+        "loc" => loc(),
         "clippy" => clippy(),
         "stress" => stress(),
         "crash" => crash(),
@@ -1035,6 +1071,8 @@ fn main() {
                                  and gate the fixture corpus snapshot\n\
                  check           aggregate gate: clippy + srclint + lint + explain-snapshots + full tests\n\
                                  + chaos --quick + the crossebench package's tests and --smoke\n\
+                 loc             non-test Rust lines under crates/ + src/ (no tests/ files, no\n\
+                                 #[cfg(test)] items), per crate and total: the size to report per PR\n\
                  clippy          cargo clippy --workspace --all-targets -- -D warnings\n\
                  stress          concurrency tests (release), 10x iterations, worker threads 1/4/8,\n\
                                  then a debug CROSSE_LOCK_TRACK=1 lock-order gate pass\n\

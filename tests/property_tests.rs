@@ -174,6 +174,56 @@ proptest! {
 
 // ---- relational engine ------------------------------------------------------
 
+type Row = Vec<RValue>;
+
+/// One `(INT, FLOAT, TEXT)` row of the hash-operator properties, drawn
+/// from a domain small enough that equal keys are the common case. The
+/// flag on the text says whether the cell is interned or its own
+/// allocation.
+type KeyCells = (Option<i64>, Option<f64>, Option<(&'static str, bool)>);
+
+fn arb_key_cells() -> impl Strategy<Value = KeyCells> {
+    (
+        prop_oneof![Just(None), (0i64..3).prop_map(Some)],
+        prop_oneof![
+            Just(None),
+            Just(Some(0.0)),
+            Just(Some(-0.0)),
+            Just(Some(1.0)),
+            Just(Some(2.0)),
+            Just(Some(1.5)),
+            Just(Some(f64::NAN)),
+        ],
+        prop_oneof![
+            Just(None),
+            (prop_oneof![Just(""), Just("a"), Just("b")], any::<bool>()).prop_map(Some),
+        ],
+    )
+}
+
+fn key_rows(db: &Database, cells: &[KeyCells]) -> Vec<Row> {
+    let text = |(s, interned): (&str, bool)| match interned {
+        true => db.interner().value(s),
+        false => RValue::from(s),
+    };
+    cells
+        .iter()
+        .map(|&(i, f, s)| {
+            vec![
+                i.map_or(RValue::Null, RValue::Int),
+                f.map_or(RValue::Null, RValue::Float),
+                s.map_or(RValue::Null, text),
+            ]
+        })
+        .collect()
+}
+
+/// Rows as a multiset: sorted by `Value`'s total order.
+fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
+    rows.sort();
+    rows
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -199,16 +249,61 @@ proptest! {
         prop_assert_eq!(rs.len(), limit.min(amounts.len()));
     }
 
-    /// DISTINCT returns the exact set of distinct values.
+    /// DISTINCT, UNION / UNION ALL and GROUP BY return exactly what a
+    /// `BTreeSet`/`BTreeMap` keyed by `Value`'s own order computes, over
+    /// the keys the coded hash operators must not confuse or split: NULLs,
+    /// `1` beside `1.0`, `0.0` beside `-0.0`, NaN, empty strings, equal
+    /// strings from different allocations, and rows wider than an inline
+    /// key.
     #[test]
-    fn distinct_matches_set(xs in prop::collection::vec(0i64..20, 0..60)) {
+    fn distinct_matches_set(cells in prop::collection::vec(arb_key_cells(), 0..60)) {
+        use std::collections::{BTreeMap, BTreeSet};
         let db = Database::new();
-        db.execute("CREATE TABLE t (x INT)").unwrap();
-        let t = db.catalog().get_table("t").unwrap();
-        t.insert_many(xs.iter().map(|&x| vec![RValue::Int(x)]).collect()).unwrap();
-        let rs = db.query("SELECT DISTINCT x FROM t").unwrap();
-        let expected: std::collections::HashSet<i64> = xs.iter().copied().collect();
-        prop_assert_eq!(rs.len(), expected.len());
+        db.execute("CREATE TABLE t (i INT, f FLOAT, s TEXT)").unwrap();
+        let rows = key_rows(&db, &cells);
+        db.catalog().get_table("t").unwrap().insert_many(rows.clone()).unwrap();
+        let pick = |r: &Row, cols: &[usize]| cols.iter().map(|&c| r[c].clone()).collect::<Row>();
+
+        for (select, cols) in [
+            ("i", &[0][..]),
+            ("f, s", &[1, 2]),
+            ("i, f, s", &[0, 1, 2]),
+            ("s, i, f, s, f, i, s", &[2, 0, 1, 2, 1, 0, 2]),
+        ] {
+            let got = db.query(&format!("SELECT DISTINCT {select} FROM t")).unwrap().rows;
+            let want: BTreeSet<Row> = rows.iter().map(|r| pick(r, cols)).collect();
+            prop_assert_eq!(got.len(), want.len(), "DISTINCT {}: a duplicate got through", select);
+            prop_assert_eq!(got.into_iter().collect::<BTreeSet<_>>(), want, "DISTINCT {}", select);
+        }
+
+        // The INT and the FLOAT column meet in one operator: `1` and `1.0`
+        // are one row of the UNION and one group of the GROUP BY.
+        let members = || rows.iter().flat_map(|r| [pick(r, &[0, 2]), pick(r, &[1, 2])]);
+        let got = db.query("SELECT i, s FROM t UNION SELECT f, s FROM t").unwrap().rows;
+        let want: BTreeSet<Row> = members().collect();
+        prop_assert_eq!(got.len(), want.len());
+        prop_assert_eq!(got.into_iter().collect::<BTreeSet<_>>(), want);
+        let got = db.query("SELECT i, s FROM t UNION ALL SELECT f, s FROM t").unwrap().rows;
+        prop_assert_eq!(sorted(got), sorted(members().collect()));
+
+        let key = "CASE WHEN s = 'a' THEN i ELSE f END";
+        let got = db
+            .query(&format!("SELECT {key}, s, COUNT(*), COUNT(f) FROM t GROUP BY {key}, s"))
+            .unwrap()
+            .rows;
+        let mut want: BTreeMap<Row, (i64, i64)> = BTreeMap::new();
+        for r in &rows {
+            let k = if r[2] == RValue::from("a") { r[0].clone() } else { r[1].clone() };
+            let counts = want.entry(vec![k, r[2].clone()]).or_default();
+            counts.0 += 1;
+            counts.1 += i64::from(!r[1].is_null());
+        }
+        prop_assert_eq!(got.len(), want.len());
+        for g in got {
+            let counts = (g[2].clone(), g[3].clone());
+            let (all, non_null) = want[&g[..2]];
+            prop_assert_eq!(counts, (RValue::Int(all), RValue::Int(non_null)), "group {:?}", &g[..2]);
+        }
     }
 
     /// COUNT/SUM/MIN/MAX agree with a direct computation.
@@ -227,24 +322,65 @@ proptest! {
         prop_assert_eq!(&rs.rows[0][3], &RValue::Int(*xs.iter().max().unwrap()));
     }
 
-    /// Hash join equals nested-loop join (cross + filter) on random data.
+    /// Hash joins (inner with and without a residual, LEFT) and the
+    /// nested-loop join (inner and LEFT) equal a nested loop written
+    /// here — over NULL keys, an INT column joined to a FLOAT one, and
+    /// text keys from different allocations.
     #[test]
     fn hash_join_equals_cross_filter(
-        left in prop::collection::vec(0i64..8, 0..25),
-        right in prop::collection::vec(0i64..8, 0..25),
+        left in prop::collection::vec(arb_key_cells(), 0..25),
+        right in prop::collection::vec(arb_key_cells(), 0..25),
     ) {
         let db = Database::new();
-        db.execute("CREATE TABLE l (k INT)").unwrap();
-        db.execute("CREATE TABLE r (k INT)").unwrap();
-        db.catalog().get_table("l").unwrap()
-            .insert_many(left.iter().map(|&x| vec![RValue::Int(x)]).collect()).unwrap();
-        db.catalog().get_table("r").unwrap()
-            .insert_many(right.iter().map(|&x| vec![RValue::Int(x)]).collect()).unwrap();
-        // planner picks HashJoin for ON l.k = r.k
-        let a = db.query("SELECT COUNT(*) FROM l JOIN r ON l.k = r.k").unwrap();
-        // cross + filter goes through the nested-loop path
-        let b = db.query("SELECT COUNT(*) FROM l, r WHERE l.k = r.k").unwrap();
-        prop_assert_eq!(&a.rows[0][0], &b.rows[0][0]);
+        db.execute("CREATE TABLE l (i INT, f FLOAT, s TEXT)").unwrap();
+        db.execute("CREATE TABLE r (i INT, f FLOAT, s TEXT)").unwrap();
+        // NaN and -0.0 are grouping keys, not join keys: `NaN = NaN` is an
+        // error in SQL comparison, and `0 = -0.0` holds there while the
+        // hash join's `Value` keys tell the two zeros apart (as they did
+        // before keys were coded; see ROADMAP), so neither is drawn here.
+        let finite = |cells: &[KeyCells]| -> Vec<KeyCells> {
+            cells.iter().map(|&(i, f, s)| (i, f.filter(|f| !f.is_nan()).map(|f| f + 0.0), s)).collect()
+        };
+        let (l_rows, r_rows) = (key_rows(&db, &finite(&left)), key_rows(&db, &finite(&right)));
+        db.catalog().get_table("l").unwrap().insert_many(l_rows.clone()).unwrap();
+        db.catalog().get_table("r").unwrap().insert_many(r_rows.clone()).unwrap();
+
+        let eq = |a: &RValue, b: &RValue| a.sql_eq(b) == Some(true);
+        let ne = |a: &RValue, b: &RValue| a.sql_eq(b) == Some(false);
+        let lt = |a: &RValue, b: &RValue| a.sql_cmp(b) == Some(std::cmp::Ordering::Less);
+        type On<'a> = &'a dyn Fn(&Row, &Row) -> bool;
+        let cases: [(&str, On); 4] = [
+            ("l.i = r.f", &|l, r| eq(&l[0], &r[1])),
+            ("l.i = r.f AND l.s <> r.s", &|l, r| eq(&l[0], &r[1]) && ne(&l[2], &r[2])),
+            ("l.s = r.s AND l.f = r.f AND l.i <> r.i",
+                &|l, r| eq(&l[2], &r[2]) && eq(&l[1], &r[1]) && ne(&l[0], &r[0])),
+            // No equality: the planner has only the nested loop.
+            ("l.i < r.f", &|l, r| lt(&l[0], &r[1])),
+        ];
+        for (on, matches) in cases {
+            for kind in ["JOIN", "LEFT JOIN"] {
+                let got = db.query(&format!("SELECT * FROM l {kind} r ON {on}")).unwrap().rows;
+                let mut want = Vec::new();
+                for l in &l_rows {
+                    let before = want.len();
+                    want.extend(r_rows.iter().filter(|r| matches(l, r)).map(|r| [&l[..], r].concat()));
+                    if want.len() == before && kind == "LEFT JOIN" {
+                        want.push([&l[..], &[RValue::Null, RValue::Null, RValue::Null]].concat());
+                    }
+                }
+                prop_assert_eq!(sorted(got), sorted(want), "{} ON {}", kind, on);
+            }
+            // The same join with a projection fused over it, and as cross +
+            // filter.
+            let got = db.query(&format!("SELECT r.s, l.i FROM l JOIN r ON {on}")).unwrap().rows;
+            let cross = db.query(&format!("SELECT r.s, l.i FROM l, r WHERE {on}")).unwrap().rows;
+            let want: Vec<Row> = l_rows
+                .iter()
+                .flat_map(|l| r_rows.iter().filter(move |r| matches(l, r)).map(|r| vec![r[2].clone(), l[0].clone()]))
+                .collect();
+            prop_assert_eq!(sorted(got), sorted(want.clone()), "projected ON {}", on);
+            prop_assert_eq!(sorted(cross), sorted(want), "cross + filter {}", on);
+        }
     }
 }
 
