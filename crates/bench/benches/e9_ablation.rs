@@ -366,10 +366,10 @@ fn bench_sparql_leg_cache(c: &mut Criterion) {
     let sesql = "SELECT elem_name FROM elem_contained \
                  ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)";
     for (name, use_cache) in [("cached", true), ("uncached", false)] {
-        let engine = engine_at_scale(200).with_options(EnrichOptions {
-            use_cache,
-            ..EnrichOptions::default()
-        });
+        let engine = engine_at_scale(200);
+        if !use_cache {
+            engine.set_cache_capacity(0);
+        }
         engine.execute("director", sesql).unwrap(); // warm
         group.bench_function(name, |b| {
             b.iter(|| black_box(engine.execute("director", sesql).unwrap()))

@@ -449,7 +449,6 @@ fn e9() {
 
 fn e9b() {
     header("E9b", "SPARQL-leg cache + federation pushdown ablations");
-    use crosse_core::sqm::EnrichOptions;
     use crosse_federation::{FederatedDatabase, LatencyModel, RemoteSource};
     use std::sync::Arc;
 
@@ -457,8 +456,10 @@ fn e9b() {
     let sesql = "SELECT elem_name FROM elem_contained \
                  ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)";
     for (name, use_cache) in [("sparql cache on", true), ("sparql cache off", false)] {
-        let e = engine_at_scale(200)
-            .with_options(EnrichOptions { use_cache, ..EnrichOptions::default() });
+        let e = engine_at_scale(200);
+        if !use_cache {
+            e.set_cache_capacity(0);
+        }
         e.execute("director", sesql).unwrap(); // warm
         let t = median_time(9, || e.execute("director", sesql).unwrap());
         println!("{:<36} {:>14}", name, fmt(t));

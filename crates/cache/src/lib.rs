@@ -78,22 +78,27 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
         self.capacity
     }
 
-    /// Change the capacity, evicting LRU entries if the cache shrank.
-    pub fn set_capacity(&mut self, capacity: usize) {
+    /// Change the capacity, evicting LRU entries if the cache shrank. The
+    /// evicted values are handed back so a caller whose values own
+    /// resources can release them after it has let go of its lock.
+    pub fn set_capacity(&mut self, capacity: usize) -> Vec<V> {
         self.capacity = capacity;
+        let mut evicted = Vec::new();
         while self.map.len() > self.capacity {
-            self.evict_one();
+            evicted.extend(self.evict_one().map(|(_, v)| v));
         }
+        evicted
     }
 
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
 
-    /// Drop every entry (does not count as evictions).
-    pub fn clear(&mut self) {
-        self.map.clear();
+    /// Remove every entry (does not count as evictions), handing the
+    /// values back for the same reason as [`Lru::set_capacity`].
+    pub fn clear(&mut self) -> Vec<V> {
         self.order.clear();
+        self.map.drain().map(|(_, e)| e.value).collect()
     }
 
     fn next_stamp(&mut self) -> u64 {
@@ -221,7 +226,9 @@ mod tests {
         for i in 0..4 {
             lru.put(i, i);
         }
-        lru.set_capacity(1);
+        let mut evicted = lru.set_capacity(1);
+        evicted.sort_unstable();
+        assert_eq!(evicted, vec![0, 1, 2]);
         assert_eq!(lru.len(), 1);
         assert_eq!(lru.stats().evictions, 3);
         // The survivor is the most recently used.
@@ -233,7 +240,7 @@ mod tests {
         let mut lru: Lru<u32, u32> = Lru::new(2);
         lru.put(1, 1);
         assert_eq!(lru.get(&1), Some(&1));
-        lru.clear();
+        assert_eq!(lru.clear(), vec![1]);
         assert!(lru.get(&1).is_none());
         assert_eq!(lru.stats().hits, 1);
     }

@@ -56,6 +56,19 @@ impl Enrichment {
         )
     }
 
+    /// The property (or stored-query name) the clause draws its values
+    /// from.
+    pub fn property(&self) -> &str {
+        match self {
+            Enrichment::SchemaExtension { property, .. }
+            | Enrichment::SchemaReplacement { property, .. }
+            | Enrichment::BoolSchemaExtension { property, .. }
+            | Enrichment::BoolSchemaReplacement { property, .. }
+            | Enrichment::ReplaceConstant { property, .. }
+            | Enrichment::ReplaceVariable { property, .. } => property,
+        }
+    }
+
     /// Condition id referenced, if any.
     pub fn condition_id(&self) -> Option<&str> {
         match self {

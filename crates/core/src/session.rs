@@ -627,28 +627,60 @@ mod tests {
         cur.rows_scanned().expect("streaming path")
     }
 
-    #[test]
-    fn unenriched_cursor_runs_the_optimized_plan_on_the_thread_budget() {
+    /// A 10 000-row table and a statement that scans it four times as
+    /// written, once when the optimizer shares the structurally equal
+    /// scans through one spool.
+    const FOUR_SCANS: &str =
+        "SELECT e1.x FROM big e1, big e2 WHERE e1.x = e2.x AND e1.t <> e2.t \
+         UNION ALL \
+         SELECT e1.x FROM big e1, big e2 WHERE e1.x = e2.x AND e1.t <> e2.t";
+
+    fn engine_with_big_table() -> SesqlEngine {
         let e = engine();
-        let db = e.database();
-        db.execute("CREATE TABLE big (x INT, t TEXT)").unwrap();
-        let t = db.catalog().get_table("big").unwrap();
+        e.database().execute("CREATE TABLE big (x INT, t TEXT)").unwrap();
+        let t = e.database().catalog().get_table("big").unwrap();
         t.insert_many(
             (0..10_000).map(|i| vec![Value::Int(i % 97), Value::from("k")]).collect(),
         )
         .unwrap();
+        e
+    }
+
+    #[test]
+    fn held_handles_follow_the_optimizer_config() {
+        use crosse_relational::OptimizerConfig;
+        let e = engine_with_big_table();
+        let db = e.database();
+        let s = Session::new(&e, "director").unwrap();
+        let sql = s.prepare_sql(FOUR_SCANS).unwrap();
+        let sesql = s.prepare(FOUR_SCANS).unwrap();
+        let scanned = || {
+            let mut cur = s.execute_sql(&sql, &Params::new()).unwrap();
+            while let Some(r) = Rows::next_row(&mut cur) {
+                r.unwrap();
+            }
+            let through_sesql = drain_scanned(s.execute_cursor(&sesql, &Params::new()).unwrap());
+            (cur.rows_scanned(), through_sesql)
+        };
+        assert_eq!(scanned(), (10_000, 10_000));
+        // A live handle must not keep replaying the template it optimized
+        // under the old configuration.
+        db.set_optimizer_config(OptimizerConfig::none());
+        assert_eq!(scanned(), (40_000, 40_000));
+        db.set_optimizer_config(OptimizerConfig::default());
+        assert_eq!(scanned(), (10_000, 10_000));
+    }
+
+    #[test]
+    fn unenriched_cursor_runs_the_optimized_plan_on_the_thread_budget() {
+        let e = engine_with_big_table();
+        let db = e.database();
         let s = Session::new(&e, "director").unwrap();
 
         // The optimizer passes run: four structurally equal scans share
         // one spool, exactly as for the relational `prepare` of the clean
         // SQL, and the scan counter shows the cursor executed that plan.
-        let p = s
-            .prepare(
-                "SELECT e1.x FROM big e1, big e2 WHERE e1.x = e2.x AND e1.t <> e2.t \
-                 UNION ALL \
-                 SELECT e1.x FROM big e1, big e2 WHERE e1.x = e2.x AND e1.t <> e2.t",
-            )
-            .unwrap();
+        let p = s.prepare(FOUR_SCANS).unwrap();
         let sql = s.prepare_sql(&p.query().clean_sql).unwrap();
         let plan = sql.explain().unwrap();
         assert!(plan.contains("Shared spool #"), "{plan}");

@@ -77,9 +77,6 @@ pub struct EnrichOptions {
     pub include_self: bool,
     /// Edge direction for `REPLACEVARIABLE` expansion.
     pub expand: ExpandDirection,
-    /// Reuse SPARQL-leg results across queries while the knowledge base is
-    /// unchanged (version-checked, so a single annotation invalidates).
-    pub use_cache: bool,
 }
 
 impl Default for EnrichOptions {
@@ -88,7 +85,6 @@ impl Default for EnrichOptions {
             multi: MultiValuePolicy::RowPerMatch,
             include_self: true,
             expand: ExpandDirection::Symmetric,
-            use_cache: true,
         }
     }
 }
@@ -182,11 +178,6 @@ struct SparqlLegCache {
     /// a pairs miss falls through to the solution-cache path, which
     /// counts the leg itself, keeping "one leg, one counter event".
     pairs: Mutex<Lru<(String, String), CachedPairs>>,
-    /// Names of the persistent pairs tables this cache has materialised,
-    /// so `clear_cache` can drop them from the catalog. Replaced entries
-    /// drop (and un-track) their table eagerly; only capacity evictions
-    /// linger until the next clear.
-    pairs_tables: Mutex<Vec<String>>,
     // Hit/miss counters live outside the LRUs: a version-stale entry is a
     // *miss* for the caller even though the LRU lookup succeeded.
     hits: AtomicU64,
@@ -203,14 +194,31 @@ struct CachedPairs {
     /// Solution count of that leg (reported on hits, so warm and cold
     /// runs of one query show the same `SparqlRun::solutions`).
     solutions: usize,
-    /// Oriented, deduplicated pairs rows.
-    rows: Arc<Vec<Row>>,
-    /// Name of the relational table these rows are materialised under.
-    /// The table persists across executions while the entry is valid, so
-    /// a warm REPLACEVARIABLE run joins against it directly — no
-    /// re-materialisation, no catalog version churn (which would
-    /// invalidate every cached plan template engine-wide).
-    table: String,
+    /// The relational table the oriented, deduplicated pairs rows are
+    /// materialised under. It stays in the catalog while this entry (or a
+    /// query reading it) holds the guard, so a warm REPLACEVARIABLE run
+    /// joins against it directly — no re-materialisation, no catalog
+    /// version churn (which would invalidate every plan template
+    /// engine-wide).
+    table: Arc<PairsTable>,
+}
+
+/// A materialised `__kb_pairs_N` table, owned by whoever holds this guard
+/// — the pairs-cache entry and every query reading the table. The last
+/// holder to let go drops the table from the catalog, so a query never
+/// loses its table to an eviction, a replacement or `clear_cache`, and no
+/// path (capacity 0, a shrunk cache) can strand one.
+#[derive(Debug)]
+struct PairsTable {
+    db: Database,
+    name: String,
+}
+
+impl Drop for PairsTable {
+    fn drop(&mut self) {
+        // Already gone only if a user dropped it by name.
+        let _ = self.db.catalog().drop_table(&self.name);
+    }
 }
 
 impl Default for SparqlLegCache {
@@ -218,7 +226,6 @@ impl Default for SparqlLegCache {
         SparqlLegCache {
             entries: Mutex::new_labeled("sqm.leg_cache", Lru::new(DEFAULT_CACHE_CAPACITY)),
             pairs: Mutex::new_labeled("sqm.pairs_cache", Lru::new(DEFAULT_CACHE_CAPACITY)),
-            pairs_tables: Mutex::new_labeled("sqm.pairs_tables", Vec::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -250,19 +257,13 @@ impl SparqlLegCache {
             .put(Self::key(graphs, sparql), (version, sols.clone()));
     }
 
-    /// Version-valid cached pairs, counting a *hit* on success. A miss is
-    /// deliberately not counted here: the caller falls through to
-    /// `run_sparql_leg`, whose own cache lookup counts the event (one leg
-    /// executed = one hit-or-miss, warm or cold).
+    /// Version-valid cached pairs. Nothing is counted here: the caller
+    /// counts a *hit* once it has seen the table is still there, and
+    /// otherwise falls through to `run_sparql_leg`, whose own cache lookup
+    /// counts the event (one leg executed = one hit-or-miss, warm or cold).
     fn get_pairs(&self, graphs: &[&str], prop_key: &str, version: u64) -> Option<CachedPairs> {
         let key = Self::key(graphs, prop_key);
-        match self.pairs.lock().get(&key) {
-            Some(cached) if cached.version == version => {
-                self.hits.fetch_add(1, AtomicOrdering::Relaxed);
-                Some(cached.clone())
-            }
-            _ => None,
-        }
+        self.pairs.lock().get(&key).filter(|c| c.version == version).cloned()
     }
 
     /// Version-valid cached pairs without touching recency or the
@@ -274,29 +275,14 @@ impl SparqlLegCache {
         }
     }
 
-    /// Publish a pairs entry, tracking its persistent table. Returns the
-    /// table names this insert displaced — the replaced entry under the
-    /// same key and/or LRU capacity evictions — so the caller can drop
-    /// them from the catalog (otherwise a bounded cache would leak an
-    /// unbounded catalog).
-    fn put_pairs(&self, graphs: &[&str], prop_key: &str, cached: CachedPairs) -> Vec<String> {
-        let key = Self::key(graphs, prop_key);
-        let table = cached.table.clone();
-        let mut pairs = self.pairs.lock();
-        let displaced: Vec<String> = pairs
-            .put_evicting(key, cached)
-            .into_iter()
-            .map(|(_, v)| v.table)
-            .collect();
-        let mut tables = self.pairs_tables.lock();
-        tables.retain(|t| !displaced.contains(t));
-        tables.push(table);
-        displaced
-    }
-
-    /// Drain the tracked persistent pairs tables (for `clear_cache`).
-    fn drain_pairs_tables(&self) -> Vec<String> {
-        std::mem::take(&mut *self.pairs_tables.lock())
+    /// Publish a pairs entry. What it displaces (the replaced entry, LRU
+    /// evictions) is released after the cache lock: a guard's drop takes
+    /// the catalog lock. The caller still holds its own clone of the new
+    /// entry's guard, so nothing is dropped under the lock at capacity 0
+    /// either.
+    fn put_pairs(&self, graphs: &[&str], prop_key: &str, cached: CachedPairs) {
+        let displaced = self.pairs.lock().put_evicting(Self::key(graphs, prop_key), cached);
+        drop(displaced);
     }
 
     fn stats(&self) -> CacheStats {
@@ -313,14 +299,13 @@ impl SparqlLegCache {
 /// shape across the engine's caches.
 pub use crosse_cache::CacheStats;
 
-/// A compiled SESQL query as stored in the engine's prepared cache,
-/// tagged with the catalog version its slot types were inferred against.
+/// A compiled SESQL query as stored in the engine's prepared cache: a
+/// [`PreparedSesql`] minus the engine (which owns the cache).
 #[derive(Debug, Clone)]
 struct CachedSesql {
     query: Arc<SesqlQuery>,
-    slots: Arc<Vec<crosse_relational::SlotInfo>>,
+    sql: crosse_relational::Prepared,
     warnings: Arc<Vec<Diagnostic>>,
-    version: u64,
 }
 
 /// The SESQL engine: relational databank + knowledge base + registries.
@@ -444,8 +429,7 @@ impl SesqlEngine {
         Ok(q)
     }
 
-    /// SPARQL-leg solution cache statistics (only queries executed with
-    /// `use_cache` enabled touch the hit/miss counters).
+    /// SPARQL-leg solution cache statistics.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
@@ -460,23 +444,26 @@ impl SesqlEngine {
         self.prepared.lock().stats()
     }
 
-    /// Resize every engine-level cache (solutions, parsed ASTs, prepared
-    /// queries). Capacity 0 disables them.
+    /// Resize every engine-level cache (solutions, pairs tables, parsed
+    /// ASTs, prepared queries). Capacity 0 is the way to switch caching
+    /// off: every leg is evaluated, and a REPLACEVARIABLE query's pairs
+    /// table lives exactly as long as the query.
     pub fn set_cache_capacity(&self, capacity: usize) {
         self.cache.entries.lock().set_capacity(capacity);
-        self.cache.pairs.lock().set_capacity(capacity);
+        // Evicted pairs tables leave the catalog after the cache lock.
+        let evicted = self.cache.pairs.lock().set_capacity(capacity);
+        drop(evicted);
         self.parsed.lock().set_capacity(capacity);
         self.prepared.lock().set_capacity(capacity);
     }
 
-    /// Drop all cached SPARQL-leg results (including REPLACEVARIABLE
-    /// pairs entries and their persistent relational pairs tables).
+    /// Drop all cached SPARQL-leg results, including REPLACEVARIABLE
+    /// pairs entries; each pairs table leaves the catalog once no running
+    /// query reads it.
     pub fn clear_cache(&self) {
         self.cache.entries.lock().clear();
-        self.cache.pairs.lock().clear();
-        for table in self.cache.drain_pairs_tables() {
-            let _ = self.db.catalog().drop_table(&table);
-        }
+        let cleared = self.cache.pairs.lock().clear();
+        drop(cleared);
     }
 
     /// Evaluate one SPARQL leg with version-checked caching and record it
@@ -492,7 +479,7 @@ impl SesqlEngine {
         let version = self.kb.store().version();
         let t = Instant::now();
         // The compiled AST is cached per query text, so repeated legs skip
-        // the parser even when the solution cache is off or invalidated.
+        // the parser even when the solution cache is invalidated.
         let opts =
             crosse_rdf::sparql::eval::EvalOptions { threads: self.exec_threads(), ..Default::default() };
         let evaluate = |parsed: Option<&crosse_rdf::sparql::ast::Query>| -> Result<Solutions> {
@@ -514,17 +501,13 @@ impl SesqlEngine {
                 }
             }
         };
-        let (sols, cached) = if self.options.use_cache {
-            match self.cache.get(graphs, sparql, version) {
-                Some(s) => (s, true),
-                None => {
-                    let s = evaluate(parsed)?;
-                    self.cache.put(graphs, sparql, version, &s);
-                    (s, false)
-                }
+        let (sols, cached) = match self.cache.get(graphs, sparql, version) {
+            Some(s) => (s, true),
+            None => {
+                let s = evaluate(parsed)?;
+                self.cache.put(graphs, sparql, version, &s);
+                (s, false)
             }
-        } else {
-            (evaluate(parsed)?, false)
         };
         let duration = t.elapsed();
         report.sparql_exec += duration;
@@ -606,14 +589,7 @@ impl SesqlEngine {
         let _ = writeln!(out, "context graphs: {}", graphs.join(", "));
         for e in &query.enrichments {
             let _ = writeln!(out, "enrichment: {e}");
-            let property = match e {
-                Enrichment::SchemaExtension { property, .. }
-                | Enrichment::SchemaReplacement { property, .. }
-                | Enrichment::BoolSchemaExtension { property, .. }
-                | Enrichment::BoolSchemaReplacement { property, .. }
-                | Enrichment::ReplaceConstant { property, .. }
-                | Enrichment::ReplaceVariable { property, .. } => property,
-            };
+            let property = e.property();
             if let Some(stored) = self.stored.get(property) {
                 let _ = writeln!(
                     out,
@@ -647,21 +623,18 @@ impl SesqlEngine {
                 continue;
             };
             let cond_expr = &query.conditions[cond.as_str()];
-            // Prefer the live persistent pairs table (a warm engine plans
+            // Prefer the live cached pairs table (a warm engine plans
             // with zero DDL — no catalog-version churn, no cache-stat
             // perturbation: `peek` bypasses recency and counters); cold
             // engines plan against an ephemeral empty stand-in.
             let prop_key = format!("{property}\u{1f}{:?}", self.options.expand);
-            let live_table = if self.options.use_cache {
-                self.cache
-                    .peek_pairs(&refs, &prop_key, self.kb.store().version())
-                    .map(|c| c.table)
-                    .filter(|t| self.db.catalog().has_table(t))
-            } else {
-                None
-            };
+            let live_table = self
+                .cache
+                .peek_pairs(&refs, &prop_key, self.kb.store().version())
+                .map(|c| c.table)
+                .filter(|t| self.db.catalog().has_table(&t.name));
             let (tmp_name, ephemeral) = match &live_table {
-                Some(t) => (t.as_str(), false),
+                Some(t) => (t.name.as_str(), false),
                 None => ("__kb_pairs_explain", true),
             };
             let planned = if ephemeral {
@@ -727,58 +700,28 @@ impl SesqlEngine {
     }
 
     /// Compile a SESQL query into a [`PreparedSesql`] handle: scan, parse
-    /// both grammars, collect typed parameter slots. Compilations are
-    /// cached in a bounded LRU keyed by normalized text, so repeated
-    /// `prepare` calls with equivalent text skip parsing entirely (check
-    /// [`SesqlEngine::prepared_cache_stats`]).
+    /// both grammars, compile the SQL part. Compilations are cached in a
+    /// bounded LRU keyed by normalized text, so repeated `prepare` calls
+    /// with equivalent text skip parsing entirely (check
+    /// [`SesqlEngine::prepared_cache_stats`]) and share the SQL part's
+    /// plan template.
     pub fn prepare(&self, sesql: &str) -> Result<PreparedSesql> {
         let key = normalize_sesql(sesql);
-        let version = self.db.catalog().version();
-        let stale = match self.prepared.lock().get(&key).cloned() {
-            Some(cached) if cached.version == version => {
-                return Ok(PreparedSesql {
-                    engine: self.clone(),
-                    query: cached.query,
-                    slots: cached.slots,
-                    warnings: cached.warnings,
-                    text: key,
-                    version,
-                    revalidated: Arc::new(Mutex::new_labeled("prepared.revalidated", None)),
-                });
+        let cached = { self.prepared.lock().get(&key).cloned() };
+        let CachedSesql { query, sql, warnings } = match cached {
+            Some(cached) => cached,
+            None => {
+                let query = Arc::new(parse_sesql(sesql)?);
+                let cached = CachedSesql {
+                    sql: self.db.compile(Arc::new(query.select.clone())),
+                    warnings: Arc::new(lint_sesql_static(self.db.catalog(), &query, &key)),
+                    query,
+                };
+                self.prepared.lock().put(key.clone(), cached.clone());
+                cached
             }
-            // DDL since compilation: reuse the parse (text → AST is
-            // pure), re-infer the slot types below.
-            Some(cached) => Some(cached.query),
-            None => None,
         };
-        let query = match stale {
-            Some(q) => q,
-            None => Arc::new(parse_sesql(sesql)?),
-        };
-        let slots = Arc::new(crosse_relational::prepared::infer_slot_types(
-            self.db.catalog(),
-            &query.select,
-            &query.params,
-        ));
-        let warnings = Arc::new(lint_sesql_static(self.db.catalog(), &query, &key));
-        self.prepared.lock().put(
-            key.clone(),
-            CachedSesql {
-                query: Arc::clone(&query),
-                slots: Arc::clone(&slots),
-                warnings: Arc::clone(&warnings),
-                version,
-            },
-        );
-        Ok(PreparedSesql {
-            engine: self.clone(),
-            query,
-            slots,
-            warnings,
-            text: key,
-            version,
-            revalidated: Arc::new(Mutex::new_labeled("prepared.revalidated", None)),
-        })
+        Ok(PreparedSesql { engine: self.clone(), query, sql, warnings, text: key })
     }
 
     /// Lint a SESQL (or plain SQL) statement in `user`'s knowledge
@@ -798,14 +741,7 @@ impl SesqlEngine {
         let known_predicates = self.kb.store().distinct_predicates(&refs);
         let mut checked: Vec<&str> = Vec::new();
         for e in &query.enrichments {
-            let property = match e {
-                Enrichment::SchemaExtension { property, .. }
-                | Enrichment::SchemaReplacement { property, .. }
-                | Enrichment::BoolSchemaExtension { property, .. }
-                | Enrichment::BoolSchemaReplacement { property, .. }
-                | Enrichment::ReplaceConstant { property, .. }
-                | Enrichment::ReplaceVariable { property, .. } => property.as_str(),
-            };
+            let property = e.property();
             if checked.contains(&property) {
                 continue;
             }
@@ -842,68 +778,92 @@ impl SesqlEngine {
         Ok(out)
     }
 
-    /// Execute a parsed, fully bound SESQL query — the single path every
+    /// Execute a prepared SESQL statement — the single path every
     /// execution takes. Un-enriched queries stream straight off the
     /// relational executor (optimized plan, the engine's thread budget; a
     /// `LIMIT` stops the base-table scan early); enriched queries run the
-    /// Fig. 6 pipeline and stream its rows out.
-    fn run(&self, user: &str, query: &SesqlQuery) -> Result<EnrichedRows> {
+    /// Fig. 6 pipeline and stream its rows out. Either way the SQL leg is
+    /// a relational [`Prepared`](crosse_relational::Prepared): the
+    /// statement's own handle, or — when a WHERE-clause enrichment
+    /// rewrites the SELECT first — one compiled from the rewritten AST.
+    fn run(
+        &self,
+        user: &str,
+        stmt: &PreparedSesql,
+        params: &crosse_relational::Params,
+    ) -> Result<EnrichedRows> {
         if !self.kb.is_registered(user) {
             return Err(Error::platform(format!("user `{user}` is not registered")));
         }
-        if query.has_params() {
+        if stmt.query.has_params() && params.is_empty() {
             return Err(Error::sqm(
                 "query has unbound parameters — bind them before execution",
             ));
         }
-        if !query.is_enriched() {
-            let plan = self.db.plan_optimized(&query.select)?.plan;
-            let rows =
-                crosse_relational::Rows::from_plan_parallel(plan, self.db.exec_threads())?;
-            return Ok(EnrichedRows::streaming(rows));
+        if !stmt.query.is_enriched() {
+            return Ok(EnrichedRows::streaming(stmt.sql.execute(params)?));
         }
         let mut report = PipelineReport::default();
+        let no_params = crosse_relational::Params::new();
 
-        // -------- Phase A: WHERE-clause enrichments (AST rewrites) --------
-        let mut select = query.select.clone();
-        let mut variable_ops: Vec<&Enrichment> = Vec::new();
-        for e in &query.enrichments {
-            match e {
-                Enrichment::ReplaceConstant { cond, constant, property } => {
-                    let values =
-                        self.replacement_values(user, constant, property, e, &mut report)?;
-                    let cond_expr = &query.conditions[cond];
-                    let rewritten =
-                        rewrite_constant(cond_expr.clone(), constant, &values)?;
-                    replace_condition(&mut select, cond_expr, rewritten)?;
+        let mut rows = if !stmt.query.enrichments.iter().any(Enrichment::is_where_enrichment) {
+            // -------- Phase B alone: the statement's own SQL leg ----------
+            let t = Instant::now();
+            let rows = stmt.sql.query(params)?;
+            report.sql_exec = t.elapsed();
+            rows
+        } else {
+            // -------- Phase A: WHERE-clause enrichments (AST rewrites) ----
+            // The rewrites work on literals, so parameters are bound first.
+            let bound;
+            let query = if stmt.query.has_params() {
+                bound = stmt.bind(params)?;
+                &bound
+            } else {
+                &*stmt.query
+            };
+            let mut select = query.select.clone();
+            let mut variable_ops: Vec<&Enrichment> = Vec::new();
+            for e in &query.enrichments {
+                match e {
+                    Enrichment::ReplaceConstant { cond, constant, property } => {
+                        let values = self
+                            .replacement_values(user, constant, property, e, &mut report)?;
+                        let cond_expr = &query.conditions[cond];
+                        let rewritten =
+                            rewrite_constant(cond_expr.clone(), constant, &values)?;
+                        replace_condition(&mut select, cond_expr, rewritten)?;
+                    }
+                    Enrichment::ReplaceVariable { .. } => variable_ops.push(e),
+                    _ => {}
                 }
-                Enrichment::ReplaceVariable { .. } => variable_ops.push(e),
-                _ => {}
             }
-        }
-        if variable_ops.len() > 1 {
-            return Err(Error::sqm(
-                "at most one REPLACEVARIABLE clause per query is supported",
-            ));
-        }
+            if variable_ops.len() > 1 {
+                return Err(Error::sqm(
+                    "at most one REPLACEVARIABLE clause per query is supported",
+                ));
+            }
 
-        // -------- Phase B: the SQL leg ------------------------------------
-        let t = Instant::now();
-        let mut rows = match variable_ops.first() {
-            None => self.db.run_select(&select)?,
-            Some(Enrichment::ReplaceVariable { cond, attr, property }) => self
-                .execute_with_variable_expansion(
-                    user,
-                    &select,
-                    &query.conditions[cond.as_str()],
-                    attr,
-                    property,
-                    &mut report,
-                )?,
-            Some(_) => unreachable!("filtered above"),
+            // -------- Phase B: the rewritten SQL leg ----------------------
+            let t = Instant::now();
+            let rows = match variable_ops.first() {
+                None => self.db.compile(Arc::new(select)).query(&no_params)?,
+                Some(Enrichment::ReplaceVariable { cond, attr, property }) => self
+                    .execute_with_variable_expansion(
+                        user,
+                        &select,
+                        &query.conditions[cond.as_str()],
+                        attr,
+                        property,
+                        &mut report,
+                    )?,
+                Some(_) => unreachable!("filtered above"),
+            };
+            report.sql_exec = t.elapsed();
+            rows
         };
-        report.sql_exec = t.elapsed();
         report.base_rows = rows.len();
+        let query = &*stmt.query;
 
         // -------- Phase C: schema enrichments (SPARQL + JoinManager) ------
         let mut applied: Vec<AppliedColumn> = Vec::new();
@@ -1096,45 +1056,40 @@ impl SesqlEngine {
     /// context — the oriented, deduplicated KB pairs rows of the
     /// REPLACEVARIABLE expansion. A row (a, b) means "a value equal to
     /// `a` may also match as `b`"; the expansion direction decides the
-    /// orientation(s). With caching on, the entry (keyed by context
-    /// graphs, property + direction, KB version) keeps its table alive in
-    /// the catalog across executions: a warm run skips the SPARQL leg,
-    /// the term→value conversion *and* the re-materialisation (no catalog
-    /// version churn), reporting the leg as `cached + shared`. Returns
-    /// `(table name, persistent)`; a non-persistent table is the caller's
-    /// to drop.
+    /// orientation(s). The cache entry (keyed by context graphs,
+    /// property + direction, KB version) keeps the table alive in the
+    /// catalog across executions: a warm run skips the SPARQL leg, the
+    /// term→value conversion *and* the re-materialisation (no catalog
+    /// version churn), reporting the leg as `cached + shared`. The caller
+    /// holds the returned guard for as long as it reads the table.
     fn pairs_table(
         &self,
         user: &str,
         property: &str,
         purpose: String,
         report: &mut PipelineReport,
-    ) -> Result<(String, bool)> {
+    ) -> Result<Arc<PairsTable>> {
         let graphs = self.kb.context_graphs(user);
         let refs: Vec<&str> = graphs.iter().map(String::as_str).collect();
         let version = self.kb.store().version();
         let prop_key = format!("{property}\u{1f}{:?}", self.options.expand);
-        if self.options.use_cache {
-            if let Some(cached) = self.cache.get_pairs(&refs, &prop_key, version) {
-                if !self.db.catalog().has_table(&cached.table) {
-                    // The table was dropped behind our back (explicit DDL);
-                    // re-materialise it from the cached rows.
-                    self.db.materialise_owned(
-                        &cached.table,
-                        &pairs_table_schema(),
-                        cached.rows.as_ref().clone(),
-                    )?;
-                }
-                report.sparql_runs.push(SparqlRun {
-                    purpose,
-                    sparql: cached.sparql,
-                    solutions: cached.solutions,
-                    duration: Duration::ZERO,
-                    cached: true,
-                    shared: true,
-                });
-                return Ok((cached.table, true));
-            }
+        // A table a user dropped by name is a miss: the leg cache still
+        // holds the solutions to rebuild it from.
+        if let Some(cached) = self
+            .cache
+            .get_pairs(&refs, &prop_key, version)
+            .filter(|c| self.db.catalog().has_table(&c.table.name))
+        {
+            self.cache.hits.fetch_add(1, AtomicOrdering::Relaxed);
+            report.sparql_runs.push(SparqlRun {
+                purpose,
+                sparql: cached.sparql,
+                solutions: cached.solutions,
+                duration: Duration::ZERO,
+                cached: true,
+                shared: true,
+            });
+            return Ok(cached.table);
         }
         let sols = self.property_pairs(user, property, purpose, report)?;
         let sparql = report
@@ -1174,39 +1129,25 @@ impl SesqlEngine {
         // (and successive KB versions) never collide on a table name.
         static PAIRS_SEQ: std::sync::atomic::AtomicU64 =
             std::sync::atomic::AtomicU64::new(0);
-        let table = format!(
+        let name = format!(
             "__kb_pairs_{}",
             PAIRS_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         );
-        if self.options.use_cache {
-            self.db
-                .materialise_owned(&table, &pairs_table_schema(), rows.clone())?;
-            let displaced = self.cache.put_pairs(
-                &refs,
-                &prop_key,
-                CachedPairs {
-                    version,
-                    sparql,
-                    solutions: sols.len(),
-                    rows: Arc::new(rows),
-                    table: table.clone(),
-                },
-            );
-            for old in displaced {
-                let _ = self.db.catalog().drop_table(&old);
-            }
-            Ok((table, true))
-        } else {
-            self.db.materialise_owned(&table, &pairs_table_schema(), rows)?;
-            Ok((table, false))
-        }
+        self.db.materialise_owned(&name, &pairs_table_schema(), rows)?;
+        let table = Arc::new(PairsTable { db: self.db.clone(), name });
+        self.cache.put_pairs(
+            &refs,
+            &prop_key,
+            CachedPairs { version, sparql, solutions: sols.len(), table: Arc::clone(&table) },
+        );
+        Ok(table)
     }
 
     /// REPLACEVARIABLE execution strategy: the ontology pairs for `prop`
-    /// are materialised as a temporary relational table; a rewritten query
-    /// joins through it so the tagged condition also matches through
-    /// related values; when `include_self` is set the original query's rows
-    /// are united in (deduplicated).
+    /// are materialised as a relational table; a rewritten query joins
+    /// through it so the tagged condition also matches through related
+    /// values; when `include_self` is set the original query's rows are
+    /// united in (deduplicated).
     fn execute_with_variable_expansion(
         &self,
         user: &str,
@@ -1217,54 +1158,17 @@ impl SesqlEngine {
         report: &mut PipelineReport,
     ) -> Result<RowSet> {
         let purpose = format!("REPLACEVARIABLE(_, {attr}, {property})");
-        self.with_pairs_table(user, property, &purpose, report, |tmp_name| {
-            let query = variable_expansion_select(
-                select,
-                cond_expr,
-                attr,
-                tmp_name,
-                self.options.include_self,
-            )?;
-            Ok(self.db.run_select(&query)?)
-        })
-    }
-
-    /// Run `body` against the pairs table of `property`.
-    ///
-    /// A persistent pairs table belongs to the cache entry, and a
-    /// concurrent replacement/eviction/`clear_cache` may drop it between
-    /// `pairs_table` handing us its name and `body` resolving it. That
-    /// race is legitimate (the dropper couldn't know we were in flight),
-    /// so exactly that failure — the catalog reporting *this* table
-    /// missing — is retried once, re-fetching the table (re-materialising
-    /// or rebuilding it as needed). Any other error is the caller's.
-    fn with_pairs_table<T>(
-        &self,
-        user: &str,
-        property: &str,
-        purpose: &str,
-        report: &mut PipelineReport,
-        mut body: impl FnMut(&str) -> Result<T>,
-    ) -> Result<T> {
-        for attempt in 0..2 {
-            let (tmp_name, persistent) =
-                self.pairs_table(user, property, purpose.to_string(), report)?;
-            let run = body(&tmp_name);
-            // A cache-backed table stays for the next execution (the
-            // cache entry owns it); an uncached one is dropped now.
-            if !persistent {
-                let _ = self.db.catalog().drop_table(&tmp_name);
-            }
-            let dropped_under_us = matches!(
-                &run,
-                Err(Error::Relational(crosse_relational::Error::NoSuchTable(missing)))
-                    if missing.eq_ignore_ascii_case(&tmp_name)
-            );
-            if !(attempt == 0 && persistent && dropped_under_us) {
-                return run;
-            }
-        }
-        unreachable!("loop returns on the second attempt")
+        // Held until the rows are collected: the table cannot leave the
+        // catalog under this query, whatever happens to its cache entry.
+        let table = self.pairs_table(user, property, purpose, report)?;
+        let query = variable_expansion_select(
+            select,
+            cond_expr,
+            attr,
+            &table.name,
+            self.options.include_self,
+        )?;
+        Ok(self.db.compile(Arc::new(query)).query(&crosse_relational::Params::new())?)
     }
 }
 
@@ -1346,22 +1250,14 @@ fn variable_expansion_select(
 pub struct PreparedSesql {
     engine: SesqlEngine,
     query: Arc<SesqlQuery>,
-    slots: Arc<Vec<crosse_relational::SlotInfo>>,
+    /// The executable form of `query.select`: typed slots, re-validation
+    /// after DDL and the plan template all live in this handle.
+    sql: crosse_relational::Prepared,
     text: String,
-    /// Catalog version the slot types were inferred against; executions
-    /// after DDL re-infer against the live catalog (memoised below), so a
-    /// live handle held across `DROP TABLE` + re-`CREATE` binds with
-    /// fresh expectations — mirroring the relational `Prepared`.
-    version: u64,
-    revalidated: Arc<Mutex<RevalidatedSesqlSlots>>,
     /// Lint findings from prepare time (the user-independent rules; see
     /// [`SesqlEngine::lint`] for the context-dependent ones).
     warnings: Arc<Vec<Diagnostic>>,
 }
-
-/// The latest `(catalog version, re-inferred slots)` pair of a
-/// [`PreparedSesql`] handle (empty until the first post-DDL execution).
-type RevalidatedSesqlSlots = Option<(u64, Arc<Vec<crosse_relational::SlotInfo>>)>;
 
 /// The user-independent SESQL lint: relational rules over the cleaned
 /// SELECT (params allowed — binding them is what prepare is for) plus the
@@ -1418,9 +1314,10 @@ fn lint_sesql_static(
 }
 
 impl PreparedSesql {
-    /// The parameter slots as inferred at prepare time, in binding order.
-    pub fn param_slots(&self) -> &[crosse_relational::SlotInfo] {
-        &self.slots
+    /// The parameter slots, in binding order, typed against the live
+    /// catalog.
+    pub fn param_slots(&self) -> Arc<Vec<crosse_relational::SlotInfo>> {
+        self.sql.param_slots()
     }
 
     /// Lint findings attached at prepare time (the user-independent
@@ -1428,28 +1325,6 @@ impl PreparedSesql {
     /// queries.
     pub fn warnings(&self) -> &[Diagnostic] {
         &self.warnings
-    }
-
-    /// Slot types valid for the *current* catalog: the prepare-time
-    /// inference while no DDL has happened, else a memoised re-inference.
-    fn current_slots(&self) -> Arc<Vec<crosse_relational::SlotInfo>> {
-        let version = self.engine.db.catalog().version();
-        if version == self.version {
-            return Arc::clone(&self.slots);
-        }
-        let mut memo = self.revalidated.lock();
-        match memo.as_ref() {
-            Some((v, cached)) if *v == version => Arc::clone(cached),
-            _ => {
-                let fresh = Arc::new(crosse_relational::prepared::infer_slot_types(
-                    self.engine.db.catalog(),
-                    &self.query.select,
-                    &self.query.params,
-                ));
-                *memo = Some((version, Arc::clone(&fresh)));
-                fresh
-            }
-        }
     }
 
     /// Normalized query text (the prepared-cache key).
@@ -1465,10 +1340,7 @@ impl PreparedSesql {
     /// Bind `params` into a parameter-free [`SesqlQuery`].
     pub fn bind(&self, params: &crosse_relational::Params) -> Result<SesqlQuery> {
         use crosse_relational::prepared::{resolve_params, substitute_expr, substitute_select};
-        if self.slots.is_empty() {
-            return Ok((*self.query).clone());
-        }
-        let values = resolve_params(&self.current_slots(), params)?;
+        let values = resolve_params(&self.param_slots(), params)?;
         let mut bound = (*self.query).clone();
         bound.select = substitute_select(bound.select, &values);
         bound.conditions = bound
@@ -1491,19 +1363,13 @@ impl PreparedSesql {
         self.execute_cursor(user, params)?.collect()
     }
 
-    /// Bind and execute, returning the streaming cursor shape. A
-    /// parameterless statement runs its shared AST as it is; with no
-    /// bindings at all there is nothing to bind, so a parameterised
-    /// statement reaches the engine's one unbound-parameter check.
+    /// Bind and execute, returning the streaming cursor shape.
     pub fn execute_cursor(
         &self,
         user: &str,
         params: &crosse_relational::Params,
     ) -> Result<EnrichedRows> {
-        if self.slots.is_empty() || params.is_empty() {
-            return self.engine.run(user, &self.query);
-        }
-        self.engine.run(user, &self.bind(params)?)
+        self.engine.run(user, self, params)
     }
 }
 
@@ -2702,84 +2568,12 @@ mod tests {
     }
 
     #[test]
-    fn cache_can_be_disabled() {
-        let e = engine().with_options(EnrichOptions {
-            use_cache: false,
-            ..EnrichOptions::default()
-        });
-        e.execute("director", CACHED_QUERY).unwrap();
-        let r = e.execute("director", CACHED_QUERY).unwrap();
-        assert!(!r.report.sparql_runs[0].cached);
-        assert_eq!(e.cache_stats(), CacheStats::default());
-    }
-
-    #[test]
     fn clear_cache_forces_reevaluation() {
         let e = engine();
         e.execute("director", CACHED_QUERY).unwrap();
         e.clear_cache();
         let r = e.execute("director", CACHED_QUERY).unwrap();
         assert!(!r.report.sparql_runs[0].cached);
-    }
-
-    #[test]
-    fn pairs_table_dropped_in_flight_is_retried_once() {
-        let e = engine();
-        let mut report = PipelineReport::default();
-        let mut seen = Vec::new();
-        let rows = e
-            .with_pairs_table("director", "oreAssemblage", "test", &mut report, |table| {
-                seen.push(table.to_string());
-                if seen.len() == 1 {
-                    // The race: the cache entry (and its table) goes away
-                    // between `pairs_table` and the SELECT.
-                    e.clear_cache();
-                }
-                Ok(e.db.query(&format!("SELECT subj FROM {table}"))?.rows.len())
-            })
-            .unwrap();
-        assert!(rows > 0);
-        assert_eq!(seen.len(), 2, "one retry, against a rebuilt table: {seen:?}");
-        assert_ne!(seen[0], seen[1]);
-
-        // Dropped again on the retry: the error is the caller's.
-        let mut calls = 0;
-        let err = e
-            .with_pairs_table("director", "oreAssemblage", "test", &mut report, |table| {
-                calls += 1;
-                e.clear_cache();
-                Ok(e.db.query(&format!("SELECT subj FROM {table}"))?.rows.len())
-            })
-            .unwrap_err();
-        assert_eq!(calls, 2);
-        assert!(matches!(
-            err,
-            Error::Relational(crosse_relational::Error::NoSuchTable(_))
-        ));
-    }
-
-    #[test]
-    fn only_this_pairs_table_going_missing_is_retried() {
-        use crosse_relational::Error as RelError;
-        let e = engine();
-        let mut report = PipelineReport::default();
-        // `__kb_pairs_1` is a prefix of `__kb_pairs_12`: another table
-        // missing, or any error that merely quotes the name, is not the race.
-        let unrelated: [fn(&str) -> RelError; 3] = [
-            |t| RelError::NoSuchTable(format!("{t}2")),
-            |t| RelError::eval(format!("cannot compare {t}.subj with 3")),
-            |t| RelError::catalog(format!("table `{t}` does not exist")),
-        ];
-        for make in unrelated {
-            let mut calls = 0;
-            let err = e
-                .with_pairs_table("director", "oreAssemblage", "test", &mut report, |table| {
-                    calls += 1;
-                    Err::<(), _>(Error::Relational(make(table)))
-                })
-                .unwrap_err();
-            assert_eq!(calls, 1, "{err} must not be retried");
-        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub struct FederatedPrepared {
 
 impl FederatedPrepared {
     /// Typed parameter slots, in binding order.
-    pub fn param_slots(&self) -> &[crosse_relational::SlotInfo] {
+    pub fn param_slots(&self) -> Arc<Vec<crosse_relational::SlotInfo>> {
         self.inner.param_slots()
     }
 
@@ -234,39 +234,42 @@ impl FederatedDatabase {
     /// executions skip both re-parsing and the FROM-clause analysis.
     /// Parameter placeholders (`$name` / `?`) bind per execution.
     pub fn prepare(&self, sql: &str) -> Result<FederatedPrepared> {
-        let foreign = self.referenced_foreign_tables(sql)?;
         let inner = self.local.prepare(sql)?;
+        let foreign = self.foreign_tables_of(inner.select());
         Ok(FederatedPrepared { inner, foreign, fed: self.clone() })
     }
 
     /// Which foreign tables a query touches (by FROM-clause analysis).
     pub fn referenced_foreign_tables(&self, sql: &str) -> Result<Vec<String>> {
-        use crosse_relational::sql::ast::{Statement, TableRef};
-        let stmt = crosse_relational::sql::parser::parse_statement(sql)?;
-        let mut out = Vec::new();
-        if let Statement::Select(s) = &stmt {
-            fn walk(tr: &TableRef, out: &mut Vec<String>) {
-                match tr {
-                    TableRef::Table { name, .. } => out.push(name.clone()),
-                    TableRef::Join { left, right, .. } => {
-                        walk(left, out);
-                        walk(right, out);
-                    }
-                }
-            }
-            let mut tables = Vec::new();
-            for tr in &s.from {
-                walk(tr, &mut tables);
-            }
-            let foreign = self.foreign.read();
-            for t in tables {
-                let key = t.to_ascii_lowercase();
-                if foreign.contains_key(&key) && !out.contains(&key) {
-                    out.push(key);
+        Ok(match crosse_relational::sql::parser::parse_statement(sql)? {
+            Statement::Select(s) => self.foreign_tables_of(&s),
+            _ => Vec::new(),
+        })
+    }
+
+    fn foreign_tables_of(&self, select: &crosse_relational::sql::ast::Select) -> Vec<String> {
+        fn walk(tr: &TableRef, out: &mut Vec<String>) {
+            match tr {
+                TableRef::Table { name, .. } => out.push(name.clone()),
+                TableRef::Join { left, right, .. } => {
+                    walk(left, out);
+                    walk(right, out);
                 }
             }
         }
-        Ok(out)
+        let mut tables = Vec::new();
+        for tr in &select.from {
+            walk(tr, &mut tables);
+        }
+        let foreign = self.foreign.read();
+        let mut out = Vec::new();
+        for t in tables {
+            let key = t.to_ascii_lowercase();
+            if foreign.contains_key(&key) && !out.contains(&key) {
+                out.push(key);
+            }
+        }
+        out
     }
 
     /// Execute a live SELECT with **filter pushdown**: WHERE conjuncts that
@@ -483,7 +486,7 @@ impl FederatedDatabase {
                     rewrite(tr, &refs, &staged, &mut next);
                 }
                 self.local
-                    .execute_statement(&Statement::Select(Box::new(select)))
+                    .execute_statement(Statement::Select(Box::new(select)))
                     .and_then(|o| o.into_rows())
             }
         };

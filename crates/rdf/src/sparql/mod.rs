@@ -6,4 +6,4 @@ pub mod lint;
 pub mod parser;
 pub mod prepared;
 
-pub use prepared::{prepare, Prepared, PreparedCache, SolutionCursor, SparqlParams};
+pub use prepared::{prepare, Prepared, SolutionCursor, SparqlParams};

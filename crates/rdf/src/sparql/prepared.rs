@@ -17,15 +17,8 @@
 //! then resolves the constants through the dictionary exactly once —
 //! bound parameters get the same short-circuit behaviour as constants
 //! written literally (an unknown term empties the BGP without scanning).
-//!
-//! [`PreparedCache`] is the bounded LRU (keyed by normalized query text)
-//! that engines put in front of [`prepare`].
 
 use std::sync::Arc;
-
-use parking_lot::Mutex;
-
-use crosse_cache::{CacheStats, Lru};
 
 use crate::error::{Error, Result};
 use crate::store::TripleStore;
@@ -121,7 +114,7 @@ impl Prepared {
         &self.query
     }
 
-    /// Normalized query text (the cache key under [`PreparedCache`]).
+    /// Normalized query text.
     pub fn text(&self) -> &str {
         &self.text
     }
@@ -359,51 +352,6 @@ pub fn normalize_sparql(src: &str) -> String {
     out
 }
 
-/// A bounded LRU of prepared queries keyed by normalized text.
-#[derive(Debug)]
-pub struct PreparedCache {
-    entries: Mutex<Lru<String, Prepared>>,
-}
-
-/// Default capacity of a [`PreparedCache`].
-pub const DEFAULT_PREPARED_CACHE_CAPACITY: usize = 256;
-
-impl Default for PreparedCache {
-    fn default() -> Self {
-        PreparedCache::new(DEFAULT_PREPARED_CACHE_CAPACITY)
-    }
-}
-
-impl PreparedCache {
-    pub fn new(capacity: usize) -> Self {
-        PreparedCache { entries: Mutex::new_labeled("rdf.prepared_cache", Lru::new(capacity)) }
-    }
-
-    /// Compile `sparql`, or return the cached compilation of equivalent
-    /// text.
-    pub fn prepare(&self, sparql: &str) -> Result<Prepared> {
-        let key = normalize_sparql(sparql);
-        if let Some(p) = self.entries.lock().get(&key) {
-            return Ok(p.clone());
-        }
-        let p = prepare(sparql)?;
-        self.entries.lock().put(key, p.clone());
-        Ok(p)
-    }
-
-    pub fn stats(&self) -> CacheStats {
-        self.entries.lock().stats()
-    }
-
-    pub fn set_capacity(&self, capacity: usize) {
-        self.entries.lock().set_capacity(capacity);
-    }
-
-    pub fn clear(&self) {
-        self.entries.lock().clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,16 +468,6 @@ mod tests {
         // `?elem` must keep meaning "variable" — only `$` is a parameter.
         let p = prepare("SELECT ?elem WHERE { ?elem <dangerLevel> ?o }").unwrap();
         assert!(p.params().is_empty());
-    }
-
-    #[test]
-    fn cache_hits_on_whitespace_variants() {
-        let cache = PreparedCache::default();
-        cache.prepare("SELECT ?s WHERE { ?s <p> ?o }").unwrap();
-        cache.prepare("SELECT ?s  WHERE {\n  ?s <p> ?o\n}").unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
     }
 
     #[test]

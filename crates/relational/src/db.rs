@@ -12,8 +12,8 @@ use crate::error::{Error, Result};
 use crate::exec::expr::bind;
 use crate::exec::Rows;
 use crate::opt::{optimize, OptimizerConfig};
-use crate::plan::{plan_select, Plan};
-use crate::prepared::{infer_slot_types, normalize_sql, Prepared, SlotInfo};
+use crate::plan::plan_select;
+use crate::prepared::{normalize_sql, Params, Prepared, SharedMemo};
 use crate::schema::{Column, Schema};
 use crate::sql::ast::{Expr, Select, Statement};
 use crate::sql::parser::{parse_script, parse_statement, parse_statement_with_params};
@@ -139,15 +139,18 @@ impl ExecOutcome {
 /// Default capacity of the prepared-statement (plan) cache.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
 
-/// A compiled statement as stored in the plan cache, tagged with the
-/// catalog version its slots (and plan) were derived against.
+/// A prepared statement as stored in the plan cache: what a
+/// [`Prepared`] is made of, minus the database (which owns the cache).
 #[derive(Debug, Clone)]
 struct CachedStmt {
     select: Arc<Select>,
-    slots: Arc<Vec<SlotInfo>>,
-    plan: Option<(Arc<Plan>, u64)>,
+    /// Shared with every handle `prepare` hands out for this text, so one
+    /// handle's plan template serves them all.
+    memo: SharedMemo,
     /// Lint diagnostics computed at prepare time (parameters allowed).
     warnings: Arc<Vec<crosse_lint::Diagnostic>>,
+    /// Catalog version the lint and the eager plan ran against; DDL makes
+    /// the entry a miss.
     version: u64,
 }
 
@@ -169,6 +172,8 @@ pub struct Database {
     /// Which plan-rewrite passes run between planning and execution
     /// (shared across clones — one engine, one setting).
     opt: Arc<Mutex<OptimizerConfig>>,
+    /// Bumped by every `set_optimizer_config`; half of [`Database::plan_tag`].
+    opt_epoch: Arc<std::sync::atomic::AtomicU64>,
     /// Durability handle when the database was opened from a data
     /// directory ([`Database::open`]); `None` for in-memory databases.
     durability: Option<Arc<dyn DurabilityHandle>>,
@@ -182,6 +187,7 @@ impl Default for Database {
             exec_threads: Arc::new(std::sync::atomic::AtomicUsize::new(1)),
             interner: Arc::new(Interner::new()),
             opt: Arc::new(Mutex::new_labeled("db.opt_config", OptimizerConfig::default())),
+            opt_epoch: Arc::default(),
             durability: None,
         }
     }
@@ -319,13 +325,24 @@ impl Database {
     /// (see [`crate::opt`]). The default enables every pass;
     /// [`OptimizerConfig::none`] executes plans exactly as built —
     /// the equivalence property tests compare the two. Applies to every
-    /// clone of this database and also invalidates cached plan templates
-    /// (they embed the optimized shape).
+    /// clone of this database and also invalidates every plan template
+    /// (they embed the optimized shape), cached or held by a live
+    /// [`Prepared`].
     pub fn set_optimizer_config(&self, cfg: OptimizerConfig) {
         *self.opt.lock() = cfg;
-        // Cached `Prepared` templates were optimized under the old
-        // config; drop them rather than serve stale shapes.
+        // Release pairs with the Acquire in `plan_tag`: whoever reads the
+        // new epoch plans under the new config.
+        self.opt_epoch.fetch_add(1, std::sync::atomic::Ordering::Release);
         self.plans.lock().clear();
+    }
+
+    /// What a plan template is valid for: (catalog version, optimizer-
+    /// config epoch).
+    pub(crate) fn plan_tag(&self) -> (u64, u64) {
+        (
+            self.catalog.version(),
+            self.opt_epoch.load(std::sync::atomic::Ordering::Acquire),
+        )
     }
 
     /// The active plan-rewrite pass configuration.
@@ -342,33 +359,31 @@ impl Database {
         Ok(optimize(plan, &self.optimizer_config())?)
     }
 
-    /// Compile a SELECT into a [`Prepared`] handle: parse, collect typed
-    /// parameter slots and (for parameterless statements) plan. Compiled
-    /// statements are cached in a bounded LRU keyed by normalized text,
-    /// so repeated `prepare` calls with equivalent text skip the whole
-    /// front-end.
+    /// Compile a parsed SELECT into its executable form. Nothing is
+    /// derived from the catalog yet — no plan, no lint, no cache entry:
+    /// the handle types its slots and plans at first use, so a statement
+    /// that cannot be planned as written (SESQL Ex. 4.5's
+    /// `elem_name = HazardousWaste` before its WHERE enrichment rewrites
+    /// it) still compiles, and "compile, run, drop" costs no more than
+    /// planning once.
+    pub fn compile(&self, select: Arc<Select>) -> Prepared {
+        Prepared::new(self.clone(), String::new(), select, Arc::default(), None)
+    }
+
+    /// Prepare a SELECT from text: [`Database::compile`] behind a bounded
+    /// LRU keyed by normalized text (repeated `prepare` calls with
+    /// equivalent text skip the front-end and share one plan template),
+    /// plus what a caller preparing ahead of time relies on — the
+    /// statement is linted, and a parameterless one is planned now, so a
+    /// bad table is a prepare-time error.
     pub fn prepare(&self, sql: &str) -> Result<Prepared> {
         let key = normalize_sql(sql)?;
         let version = self.catalog.version();
         // Bind the lookup before matching: an `if let` scrutinee would
-        // keep the cache lock alive across `finish_prepare`'s re-lock.
+        // keep the cache lock alive across the re-lock below.
         let cached = { self.plans.lock().get(&key).cloned() };
-        if let Some(cached) = cached {
-            if cached.version == version {
-                return Ok(Prepared::new(
-                    self.clone(),
-                    key,
-                    cached.select,
-                    cached.slots,
-                    cached.plan,
-                    cached.warnings,
-                    cached.version,
-                ));
-            }
-            // DDL since compilation: the parse is still valid (text → AST
-            // is pure), but slot types and the plan template must be
-            // re-derived against the live catalog.
-            return self.finish_prepare(key, cached.select, version);
+        if let Some(c) = cached.filter(|c| c.version == version) {
+            return Ok(Prepared::new(self.clone(), key, c.select, c.warnings, Some(c.memo)));
         }
         let (stmt, _) = parse_statement_with_params(sql)?;
         let Statement::Select(select) = stmt else {
@@ -376,45 +391,32 @@ impl Database {
                 "only SELECT statements can be prepared (DDL/DML execute directly)",
             ));
         };
-        self.finish_prepare(key, Arc::new(*select), version)
-    }
-
-    /// Infer slots + plan for `select` against the live catalog and
-    /// (re-)publish the cache entry.
-    fn finish_prepare(
-        &self,
-        key: String,
-        select: Arc<Select>,
-        version: u64,
-    ) -> Result<Prepared> {
-        let raw_slots = crate::sql::parser::collect_params(&select);
-        // Prepare-time invariant: the AST must not reference a parameter
-        // slot outside the table we just derived (an engine bug in slot
-        // collection or AST caching, not a user error).
-        crate::opt::validate::check_param_slots(&select, raw_slots.len())
-            .map_err(Error::plan)?;
-        let slots = Arc::new(infer_slot_types(&self.catalog, &select, &raw_slots));
-        let plan = if slots.is_empty() {
-            // Templates are cached post-optimization: repeated executions
-            // replay the rewritten (pushed-down, spooled) shape directly.
-            Some((Arc::new(self.plan_optimized(&select)?.plan), version))
-        } else {
-            None
-        };
+        let select: Arc<Select> = Arc::from(select);
         // Parameters are expected in a prepared statement, so the linter
         // runs with L006 suppressed. Lint against the normalized text:
         // spans are best-effort anyway and the original was not retained.
         let warnings =
             Arc::new(crate::lint::lint_select(&self.catalog, &select, &key, true));
-        let cached = CachedStmt {
-            select: Arc::clone(&select),
-            slots: Arc::clone(&slots),
-            plan: plan.clone(),
-            warnings: Arc::clone(&warnings),
-            version,
-        };
-        self.plans.lock().put(key.clone(), cached);
-        Ok(Prepared::new(self.clone(), key, select, slots, plan, warnings, version))
+        let prepared = Prepared::new(
+            self.clone(),
+            key.clone(),
+            Arc::clone(&select),
+            Arc::clone(&warnings),
+            None,
+        );
+        let slots = prepared.param_slots();
+        // Prepare-time invariant: the AST must not reference a parameter
+        // slot outside the table we just derived (an engine bug in slot
+        // collection or AST caching, not a user error).
+        crate::opt::validate::check_param_slots(&select, slots.len()).map_err(Error::plan)?;
+        if slots.is_empty() {
+            prepared.plan(&Params::new())?;
+        }
+        self.plans.lock().put(
+            key,
+            CachedStmt { select, memo: prepared.shared_memo(), warnings, version },
+        );
+        Ok(prepared)
     }
 
     /// Lint a statement without executing it: parse, then run the
@@ -436,28 +438,27 @@ impl Database {
         self.plans.lock().set_capacity(capacity);
     }
 
-    /// Parse, plan and stream a SELECT through a cursor in one call (the
-    /// ad-hoc path; prepared statements amortise the front-end).
+    /// Parse, compile and stream a SELECT through a cursor in one call
+    /// (the ad-hoc path: the handle is dropped with the call; prepared
+    /// statements keep it and amortise the front-end).
     pub fn query_cursor(&self, sql: &str) -> Result<Rows> {
         let stmt = parse_statement(sql)?;
         let Statement::Select(select) = stmt else {
             return Err(Error::plan("query_cursor expects a SELECT statement"));
         };
-        let plan = self.plan_optimized(&select)?.plan;
-        Rows::from_plan_parallel(plan, self.exec_threads())
+        self.compile(Arc::from(select)).execute(&Params::new())
     }
 
     /// Parse and execute a single statement.
     pub fn execute(&self, sql: &str) -> Result<ExecOutcome> {
-        let stmt = parse_statement(sql)?;
-        self.execute_statement(&stmt)
+        self.execute_statement(parse_statement(sql)?)
     }
 
     /// Execute a `;`-separated script, returning the outcome of each
     /// statement.
     pub fn execute_script(&self, sql: &str) -> Result<Vec<ExecOutcome>> {
         parse_script(sql)?
-            .iter()
+            .into_iter()
             .map(|s| self.execute_statement(s))
             .collect()
     }
@@ -469,16 +470,18 @@ impl Database {
 
     /// Execute an already-parsed statement. The SESQL layer uses this to run
     /// the "cleaned" SQL query (paper Remark 4.1) without re-rendering text.
-    pub fn execute_statement(&self, stmt: &Statement) -> Result<ExecOutcome> {
+    pub fn execute_statement(&self, stmt: Statement) -> Result<ExecOutcome> {
         match stmt {
-            Statement::Select(s) => self.run_select(s).map(ExecOutcome::Rows),
+            Statement::Select(s) => {
+                self.compile(Arc::from(s)).query(&Params::new()).map(ExecOutcome::Rows)
+            }
             Statement::Explain(s) => {
-                let optimized = self.plan_optimized(s)?;
+                let optimized = self.plan_optimized(&s)?;
                 let schema = Schema::new(vec![Column::new("plan", crate::value::DataType::Text)]);
                 let mut lines = explain_lines(&optimized);
                 // Lint footer: one `-- lint:` line per diagnostic, so
                 // EXPLAIN doubles as a quick statement health check.
-                for d in crate::lint::lint_select(&self.catalog, s, "", true) {
+                for d in crate::lint::lint_select(&self.catalog, &s, "", true) {
                     lines.push(format!("-- lint: {d}"));
                 }
                 let rows = lines.into_iter().map(|l| vec![Value::from(l)]).collect();
@@ -489,38 +492,38 @@ impl Database {
                     .iter()
                     .map(|c| Column::new(c.name.clone(), c.data_type))
                     .collect();
-                if *or_replace {
-                    self.catalog.create_or_replace_table(name, cols)?;
-                } else if *if_not_exists && self.catalog.has_table(name) {
+                if or_replace {
+                    self.catalog.create_or_replace_table(&name, cols)?;
+                } else if if_not_exists && self.catalog.has_table(&name) {
                     // no-op
                 } else {
-                    self.catalog.create_table(name, cols)?;
+                    self.catalog.create_table(&name, cols)?;
                 }
                 Ok(ExecOutcome::Done)
             }
             Statement::DropTable { name, if_exists } => {
-                match self.catalog.drop_table(name) {
+                match self.catalog.drop_table(&name) {
                     Ok(()) => Ok(ExecOutcome::Done),
-                    Err(_) if *if_exists => Ok(ExecOutcome::Done),
+                    Err(_) if if_exists => Ok(ExecOutcome::Done),
                     Err(e) => Err(e),
                 }
             }
             Statement::CreateIndex { name, table, column, if_not_exists } => {
-                if *if_not_exists && self.catalog.has_index(name) {
+                if if_not_exists && self.catalog.has_index(&name) {
                     return Ok(ExecOutcome::Done);
                 }
-                self.catalog.create_index(name, table, column)?;
+                self.catalog.create_index(&name, &table, &column)?;
                 Ok(ExecOutcome::Done)
             }
             Statement::DropIndex { name, if_exists } => {
-                match self.catalog.drop_index(name) {
+                match self.catalog.drop_index(&name) {
                     Ok(()) => Ok(ExecOutcome::Done),
-                    Err(_) if *if_exists => Ok(ExecOutcome::Done),
+                    Err(_) if if_exists => Ok(ExecOutcome::Done),
                     Err(e) => Err(e),
                 }
             }
             Statement::Insert { table, columns, rows } => {
-                let t = self.catalog.get_table(table)?;
+                let t = self.catalog.get_table(&table)?;
                 let schema = &t.schema;
                 // Map provided columns onto table positions.
                 let positions: Vec<usize> = match columns {
@@ -553,7 +556,7 @@ impl Database {
                 Ok(ExecOutcome::Affected(n))
             }
             Statement::InsertSelect { table, columns, query } => {
-                let t = self.catalog.get_table(table)?;
+                let t = self.catalog.get_table(&table)?;
                 let schema = &t.schema;
                 let positions: Vec<usize> = match columns {
                     Some(cols) => cols
@@ -562,7 +565,7 @@ impl Database {
                         .collect::<Result<_>>()?,
                     None => (0..schema.len()).collect(),
                 };
-                let source = self.run_select(query)?;
+                let source = self.compile(Arc::from(query)).query(&Params::new())?;
                 if source.schema.len() != positions.len() {
                     return Err(Error::constraint(format!(
                         "INSERT ... SELECT provides {} column(s), target expects {}",
@@ -582,7 +585,7 @@ impl Database {
                 Ok(ExecOutcome::Affected(n))
             }
             Statement::Delete { table, filter } => {
-                let t = self.catalog.get_table(table)?;
+                let t = self.catalog.get_table(&table)?;
                 let n = match filter {
                     None => {
                         let n = t.row_count();
@@ -615,12 +618,9 @@ impl Database {
                 Ok(ExecOutcome::Affected(n))
             }
             Statement::Update { table, assignments, filter } => {
-                let t = self.catalog.get_table(table)?;
+                let t = self.catalog.get_table(&table)?;
                 let schema = t.schema.clone();
-                let pred = filter
-                    .as_ref()
-                    .map(|f| self.bind_dml_filter(f, &schema))
-                    .transpose()?;
+                let pred = filter.map(|f| self.bind_dml_filter(f, &schema)).transpose()?;
                 let bound: Vec<(usize, crate::exec::expr::BoundExpr)> = assignments
                     .iter()
                     .map(|(c, e)| Ok((schema.resolve(None, c)?, bind(e, &schema)?)))
@@ -649,22 +649,11 @@ impl Database {
     /// subqueries it contains (e.g. `DELETE ... WHERE x IN (SELECT ...)`).
     fn bind_dml_filter(
         &self,
-        filter: &Expr,
+        filter: Expr,
         schema: &Schema,
     ) -> Result<crate::exec::expr::BoundExpr> {
-        let resolved =
-            crate::plan::resolve_expr_subqueries(&self.catalog, filter.clone())?;
+        let resolved = crate::plan::resolve_expr_subqueries(&self.catalog, filter)?;
         bind(&resolved, schema)
-    }
-
-    /// Plan a SELECT, optimize it and run it.
-    pub fn run_select(&self, select: &Select) -> Result<RowSet> {
-        let plan = self.plan_optimized(select)?.plan;
-        let schema = plan.schema().clone();
-        let rows = Rows::from_plan_parallel(plan, self.exec_threads())?
-            .collect_rows()?
-            .rows;
-        Ok(RowSet { schema, rows })
     }
 
     /// Materialise owned rows as a new table (the SESQL engine's

@@ -1,13 +1,13 @@
-//! Prepared statements: parse once, bind parameters, execute many times.
+//! Prepared statements: compile once, bind parameters, execute many times.
 //!
-//! [`Database::prepare`](crate::Database::prepare) splits the classic
-//! string-in/rows-out path into a *prepare* step (lex + parse + parameter
-//! slot collection + — for parameterless statements — planning) and an
-//! *execute* step that binds values to slots and streams results through a
-//! [`Rows`] cursor. Compiled statements are cached in a bounded LRU keyed
-//! by [`normalize_sql`], so repeated traffic with the same shape skips the
-//! front-end entirely even when the submitted text differs in case or
-//! whitespace.
+//! A [`Prepared`] is the executable form of a SELECT — the only one.
+//! [`Database::compile`](crate::Database::compile) builds it from an AST;
+//! [`Database::prepare`](crate::Database::prepare) builds it from text
+//! behind a bounded LRU keyed by [`normalize_sql`] (so repeated traffic
+//! with the same shape skips the front-end even when the submitted text
+//! differs in case or whitespace) and lints and plans it eagerly. The
+//! *execute* step binds values to slots and streams results through a
+//! [`Rows`] cursor.
 //!
 //! Placeholders come in two forms, shared with the SESQL and SPARQL
 //! grammars:
@@ -187,8 +187,11 @@ pub fn normalize_sql(sql: &str) -> Result<String> {
 // ---- parameter substitution ------------------------------------------------
 
 /// Substitute every parameter placeholder in `e` with its bound literal,
-/// descending into subquery bodies.
+/// descending into subquery bodies. No values, nothing to substitute.
 pub fn substitute_expr(e: Expr, values: &[Value]) -> Expr {
+    if values.is_empty() {
+        return e;
+    }
     e.rewrite(&mut |node| match node {
         Expr::Param { index, .. } => Expr::Literal(
             values.get(index).cloned().unwrap_or(Value::Null),
@@ -222,8 +225,11 @@ fn substitute_table_ref(tr: TableRef, values: &[Value]) -> TableRef {
 }
 
 /// Substitute every parameter placeholder in a SELECT (all clauses, all
-/// union members, all subqueries).
+/// union members, all subqueries). No values, nothing to substitute.
 pub fn substitute_select(select: Select, values: &[Value]) -> Select {
+    if values.is_empty() {
+        return select;
+    }
     Select {
         distinct: select.distinct,
         projections: select
@@ -348,6 +354,9 @@ pub fn infer_slot_types(
     select: &Select,
     slots: &[ParamSlot],
 ) -> Vec<SlotInfo> {
+    if slots.is_empty() {
+        return Vec::new();
+    }
     let mut infos: Vec<SlotInfo> = slots
         .iter()
         .map(|s| SlotInfo { name: s.name.clone(), expected: None })
@@ -391,63 +400,87 @@ pub fn infer_slot_types(
 
 // ---- the prepared handle ---------------------------------------------------
 
-/// A compiled statement: parsed AST, typed parameter slots and — when the
-/// statement has no parameters — a ready plan template.
+/// A compiled SELECT — the only executable form of one. Every way of
+/// running a SELECT ([`Database::query`], `query_cursor`, `prepare`,
+/// `INSERT … SELECT`, the SESQL pipeline's SQL leg) builds one of these
+/// and calls [`Prepared::execute`], the one function that plans, re-plans
+/// and opens a [`Rows`] cursor.
 ///
-/// Cheap to clone (everything hot is behind an `Arc`); executions on one
+/// Cheap to clone; clones share the memo below, and executions on one
 /// `Prepared` are independent cursors.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     db: Database,
     select: Arc<Select>,
-    slots: Arc<Vec<SlotInfo>>,
-    /// Pre-planned template for parameterless statements, tagged with the
-    /// catalog version it was planned against.
-    plan: Option<(Arc<Plan>, u64)>,
-    /// Normalized statement text (the plan-cache key).
+    /// Normalized statement text (the plan-cache key); empty for a handle
+    /// built from an AST by [`Database::compile`].
     text: String,
-    /// Lint diagnostics computed at prepare time (see
-    /// [`crate::lint`]; parameter placeholders do not warn here).
+    /// Lint diagnostics computed by [`Database::prepare`] (see
+    /// [`crate::lint`]; parameter placeholders do not warn there).
     warnings: Arc<Vec<crosse_lint::Diagnostic>>,
-    /// Catalog version the slot types were inferred against. Executions
-    /// after DDL re-infer slots against the live catalog, so a handle held
-    /// across `DROP TABLE` + re-`CREATE` binds with fresh expectations.
-    version: u64,
-    /// Memo of the latest post-DDL re-inference `(catalog version, slots)`,
-    /// shared across clones: one DDL event costs one re-inference, not one
-    /// per subsequent execution for the life of the handle.
-    revalidated: Arc<Mutex<RevalidatedSlots>>,
+    memo: SharedMemo,
 }
 
-/// The latest `(catalog version, re-inferred slots)` pair of a
-/// [`Prepared`] handle (empty until the first post-DDL execution).
-type RevalidatedSlots = Option<(u64, Arc<Vec<SlotInfo>>)>;
+/// Everything a [`Prepared`] derives from the catalog, valid while
+/// `tag` is the database's [`Database::plan_tag`]: DDL or
+/// `set_optimizer_config` costs the handle (and its clones) one
+/// re-derivation, not one per later execution.
+#[derive(Debug, Clone)]
+pub(crate) struct Memo {
+    tag: (u64, u64),
+    /// Slot types inferred against the catalog at `tag`, so a handle held
+    /// across `DROP TABLE` + re-`CREATE` binds with fresh expectations.
+    slots: Arc<Vec<SlotInfo>>,
+    /// The optimized plan of a parameterless statement, filled by its
+    /// first execution at `tag` and replayed by the later ones. A
+    /// parameterised statement is planned per binding, so value-dependent
+    /// access paths (index eq/range scans) are chosen per execution.
+    template: Option<Arc<Plan>>,
+}
+
+pub(crate) type SharedMemo = Arc<Mutex<Option<Memo>>>;
 
 impl Prepared {
     pub(crate) fn new(
         db: Database,
         text: String,
         select: Arc<Select>,
-        slots: Arc<Vec<SlotInfo>>,
-        plan: Option<(Arc<Plan>, u64)>,
         warnings: Arc<Vec<crosse_lint::Diagnostic>>,
-        version: u64,
+        memo: Option<SharedMemo>,
     ) -> Self {
-        Prepared {
-            db,
-            select,
-            slots,
-            plan,
-            text,
-            warnings,
-            version,
-            revalidated: Arc::new(Mutex::new_labeled("prepared.revalidated", None)),
+        let memo =
+            memo.unwrap_or_else(|| Arc::new(Mutex::new_labeled("prepared.memo", None)));
+        Prepared { db, select, text, warnings, memo }
+    }
+
+    /// The memo its clones (and the plan cache's entry) share.
+    pub(crate) fn shared_memo(&self) -> SharedMemo {
+        Arc::clone(&self.memo)
+    }
+
+    /// The memo for the live catalog and optimizer configuration,
+    /// re-deriving the slot types (and forgetting the template) if either
+    /// changed since it was filled.
+    fn memo(&self) -> Memo {
+        // Read the tag before deriving anything: a change that lands in
+        // between leaves the memo tagged old, and the next call redoes it.
+        let tag = self.db.plan_tag();
+        let mut memo = self.memo.lock();
+        match memo.as_ref() {
+            Some(m) if m.tag == tag => m.clone(),
+            _ => {
+                let raw = crate::sql::parser::collect_params(&self.select);
+                let slots =
+                    Arc::new(infer_slot_types(self.db.catalog(), &self.select, &raw));
+                memo.insert(Memo { tag, slots, template: None }).clone()
+            }
         }
     }
 
-    /// The parameter slots, in binding order.
-    pub fn param_slots(&self) -> &[SlotInfo] {
-        &self.slots
+    /// The parameter slots, in binding order, typed against the live
+    /// catalog.
+    pub fn param_slots(&self) -> Arc<Vec<SlotInfo>> {
+        self.memo().slots
     }
 
     /// Lint diagnostics found at prepare time (empty for a clean
@@ -467,62 +500,40 @@ impl Prepared {
         &self.select
     }
 
-    /// Slot types valid for the *current* catalog: the prepare-time
-    /// inference while no DDL has happened, else a re-inference memoised
-    /// per catalog version (one DDL event costs one AST walk, not one per
-    /// execution).
-    fn current_slots(&self) -> Arc<Vec<SlotInfo>> {
-        let version = self.db.catalog().version();
-        if version == self.version {
-            return Arc::clone(&self.slots);
-        }
-        let mut memo = self.revalidated.lock();
-        match memo.as_ref() {
-            Some((v, cached)) if *v == version => Arc::clone(cached),
-            _ => {
-                let raw = crate::sql::parser::collect_params(&self.select);
-                let fresh =
-                    Arc::new(infer_slot_types(self.db.catalog(), &self.select, &raw));
-                *memo = Some((version, Arc::clone(&fresh)));
-                fresh
-            }
-        }
-    }
-
-    /// Bind `params` into a parameter-free SELECT. Binds against the
-    /// live catalog's slot types (same re-validation as [`Prepared::execute`]).
+    /// Bind `params` into a parameter-free SELECT, coercing against the
+    /// live catalog's slot types.
     pub fn bind(&self, params: &Params) -> Result<Select> {
-        let values = resolve_params(&self.current_slots(), params)?;
+        let values = resolve_params(&self.memo().slots, params)?;
         Ok(substitute_select((*self.select).clone(), &values))
     }
 
     /// Execute with bound parameters, returning a streaming cursor.
     ///
-    /// Parameterless statements reuse the cached plan template (no parse,
-    /// no plan); parameterised ones substitute literals and re-plan, so
-    /// value-dependent access paths (index eq/range scans) are chosen per
-    /// binding. Execution inherits the database's worker-thread budget
-    /// (see `Database::set_exec_threads`).
+    /// A parameterless statement replays its plan template (no parse, no
+    /// plan; bindings are ignored); a parameterised one substitutes
+    /// literals and plans. Execution inherits the database's worker-thread
+    /// budget (see `Database::set_exec_threads`).
     pub fn execute(&self, params: &Params) -> Result<Rows> {
-        let threads = self.db.exec_threads();
-        if self.slots.is_empty() {
-            if let Some((plan, version)) = &self.plan {
-                if *version == self.db.catalog().version() {
-                    return Rows::from_plan_parallel((**plan).clone(), threads);
-                }
-            }
-            // DDL since planning (or no template): re-plan against the
-            // live catalog.
+        Rows::from_plan_parallel(self.plan(params)?, self.db.exec_threads())
+    }
+
+    /// The plan one execution with `params` runs: the only place a
+    /// statement is planned for execution.
+    pub(crate) fn plan(&self, params: &Params) -> Result<Plan> {
+        let memo = self.memo();
+        Ok(if !memo.slots.is_empty() {
+            self.db.plan_optimized(&self.bind(params)?)?.plan
+        } else if let Some(template) = &memo.template {
+            (**template).clone()
+        } else {
+            // Templates are kept post-optimization: later executions
+            // replay the rewritten (pushed-down, spooled) shape directly.
             let plan = self.db.plan_optimized(&self.select)?.plan;
-            return Rows::from_plan_parallel(plan, threads);
-        }
-        // DDL since preparation: the parse stays valid, but slot types must
-        // be re-derived so bindings coerce against the live column types
-        // (never the stale inference, which could reject or mis-coerce).
-        // `bind` routes through the same per-version memoised re-inference.
-        let bound = self.bind(params)?;
-        let plan = self.db.plan_optimized(&bound)?.plan;
-        Rows::from_plan_parallel(plan, threads)
+            if let Some(m) = self.memo.lock().as_mut().filter(|m| m.tag == memo.tag) {
+                m.template = Some(Arc::new(plan.clone()));
+            }
+            plan
+        })
     }
 
     /// Render the optimized execution plan of this statement — the
@@ -531,7 +542,7 @@ impl Prepared {
     /// plan depends on its bound values, so use
     /// [`Prepared::explain_with`].
     pub fn explain(&self) -> Result<String> {
-        if !self.slots.is_empty() {
+        if !self.param_slots().is_empty() {
             return Err(Error::plan(
                 "statement has parameters — use explain_with(params) so \
                  value-dependent access paths can be chosen",
@@ -659,8 +670,10 @@ mod tests {
     #[test]
     fn executing_unprepared_param_text_fails_clearly() {
         let d = db();
+        // Ad-hoc text is compiled and executed with nothing bound: the same
+        // handle, so the same error a prepared statement gives.
         let err = d.query("SELECT name FROM landfill WHERE city = $c").unwrap_err();
-        assert!(err.to_string().contains("unbound parameter"), "{err}");
+        assert!(err.to_string().contains("missing binding for parameter `$c`"), "{err}");
     }
 
     #[test]

@@ -350,7 +350,7 @@ fn send_error(stream: &mut TcpStream, code: ErrorCode, message: impl Into<String
 
 /// A per-connection prepared statement (client-named cursor).
 enum PreparedAny {
-    Sesql(crosse_core::sqm::PreparedSesql),
+    Sesql(Box<crosse_core::sqm::PreparedSesql>),
     Sql(crosse_relational::Prepared),
     Sparql(crosse_rdf::sparql::Prepared),
 }
@@ -578,7 +578,7 @@ fn do_prepare(
         Lang::Sesql => {
             let p = sess.prepare(text).map_err(|e| e.to_string())?;
             let n = p.param_slots().len() as u16;
-            Ok((PreparedAny::Sesql(p), n))
+            Ok((PreparedAny::Sesql(Box::new(p)), n))
         }
         Lang::Sql => {
             let p = sess.prepare_sql(text).map_err(|e| e.to_string())?;

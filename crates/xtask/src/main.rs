@@ -493,9 +493,10 @@ fn srclint() {
     println!("xtask: srclint OK (workspace clean, fixture snapshot matches)");
 }
 
-/// Non-test Rust lines under `crates/` and `src/`, per crate and in total:
-/// files srclint classes as test code are skipped whole, test-only items
-/// in the others are left out (`srclint::non_test_lines`).
+/// Non-test Rust lines under `crates/` and `src/`, per crate and in total,
+/// then the five largest files by the same count: files srclint classes
+/// as test code are skipped whole, test-only items in the others are left
+/// out (`srclint::non_test_lines`).
 fn loc() {
     use crosse_lint::srclint::{classify, non_test_lines, workspace_rs_files, FileClass};
     let fail = |what: &str, e: std::io::Error| -> ! {
@@ -505,6 +506,7 @@ fn loc() {
     let files = workspace_rs_files(std::path::Path::new("."))
         .unwrap_or_else(|e| fail("walking the workspace", e));
     let mut per_crate: std::collections::BTreeMap<String, usize> = Default::default();
+    let mut per_file: Vec<(usize, String)> = Vec::new();
     for rel in files {
         let unit = match rel.split('/').collect::<Vec<_>>()[..] {
             ["crates", "compat", name, ..] => format!("crates/compat/{name}"),
@@ -516,12 +518,19 @@ fn loc() {
             continue;
         }
         let source = std::fs::read_to_string(&rel).unwrap_or_else(|e| fail(&rel, e));
-        *per_crate.entry(unit).or_default() += non_test_lines(&source);
+        let lines = non_test_lines(&source);
+        *per_crate.entry(unit).or_default() += lines;
+        per_file.push((lines, rel));
     }
     for (unit, lines) in &per_crate {
         println!("{lines:>7}  {unit}");
     }
     println!("{:>7}  total non-test Rust lines", per_crate.values().sum::<usize>());
+    per_file.sort_by(|a, b| b.cmp(a));
+    println!("largest files:");
+    for (lines, rel) in per_file.iter().take(5) {
+        println!("{lines:>7}  {rel}");
+    }
 }
 
 /// The benchmark package sits outside the workspace, so no other gate

@@ -280,6 +280,88 @@ fn concurrent_replace_variable_queries_do_not_collide() {
 }
 
 #[test]
+fn replace_variable_readers_keep_their_pairs_table_under_cache_churn() {
+    // A reader pins the pairs table it joins against, so nothing a writer
+    // does to the cache entry — clearing it, invalidating it through the
+    // KB version, evicting it by shrinking the cache to nothing — can take
+    // the table away mid-query: every answer is the uncontended one, no
+    // execution fails with `NoSuchTable`, and when the last holder lets go
+    // the catalog holds no pairs table.
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let engine = Arc::new(
+        crosse::smartground::standard_engine(&SmartGroundConfig::tiny(), "director")
+            .unwrap(),
+    );
+    let sesql = "SELECT e1.landfill_name AS l1, e2.landfill_name AS l2 \
+                 FROM elem_contained AS e1, elem_contained AS e2 \
+                 WHERE e1.landfill_name <> e2.landfill_name AND \
+                       ${ e1.elem_name = e2.elem_name :cond1} \
+                 ENRICH REPLACEVARIABLE(cond1, e2.elem_name, oreAssemblage)";
+    let answer = |engine: &crosse::core::sqm::SesqlEngine| {
+        let mut rows = engine.execute("director", sesql).unwrap().rows.rows;
+        rows.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        rows
+    };
+    let expected = answer(&engine);
+    assert!(!expected.is_empty());
+
+    const READERS: usize = 4;
+    let start = Arc::new(std::sync::Barrier::new(READERS + 1));
+    let done = Arc::new(AtomicBool::new(false));
+    let readers: Vec<_> = (0..READERS)
+        .map(|_| {
+            let (engine, start, done) =
+                (Arc::clone(&engine), Arc::clone(&start), Arc::clone(&done));
+            let expected = expected.clone();
+            thread::spawn(move || {
+                start.wait();
+                let mut runs = 0;
+                while runs < 10 || !done.load(Ordering::SeqCst) {
+                    assert_eq!(answer(&engine), expected);
+                    runs += 1;
+                }
+            })
+        })
+        .collect();
+    start.wait();
+    for i in 0..stress_iters(90) {
+        match i % 3 {
+            0 => engine.clear_cache(),
+            // A statement no leg of this query reads: it moves the KB
+            // version (every cached leg and pairs entry goes stale)
+            // without moving the answer.
+            1 => {
+                engine
+                    .knowledge_base()
+                    .assert_statement(
+                        "director",
+                        &Triple::new(
+                            Term::iri(format!("Note{i}")),
+                            Term::iri("comment"),
+                            Term::lit("x"),
+                        ),
+                    )
+                    .unwrap();
+            }
+            _ => engine.set_cache_capacity(if i % 2 == 0 { 0 } else { 256 }),
+        }
+    }
+    done.store(true, Ordering::SeqCst);
+    for r in readers {
+        r.join().unwrap();
+    }
+    engine.clear_cache();
+    let left: Vec<String> = engine
+        .database()
+        .catalog()
+        .table_names()
+        .into_iter()
+        .filter(|t| t.starts_with("__kb_pairs"))
+        .collect();
+    assert!(left.is_empty(), "leaked: {left:?}");
+}
+
+#[test]
 fn indexed_queries_stay_consistent_under_concurrent_dml() {
     // Writers churn the table (insert + delete, which dirties the index
     // and forces lazy rebuilds) while readers run indexed point queries.

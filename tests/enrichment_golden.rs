@@ -207,7 +207,7 @@ fn ex46_replace_variable_golden() {
 
 #[test]
 fn ex46_replace_variable_golden_stable_under_caching() {
-    // Cold pairs cache, warm pairs cache, and cache-disabled executions
+    // Cold pairs cache, warm pairs cache, and a cache cleared in between
     // must all produce the identical row set.
     let e = engine();
     let cold = golden(&e, EX46);
@@ -215,11 +215,43 @@ fn ex46_replace_variable_golden_stable_under_caching() {
     assert_eq!(cold, warm, "pairs-cache hit changed the result");
     assert_eq!(warm, rows(EX46_GOLDEN));
 
-    let uncached = engine().with_options(EnrichOptions {
-        use_cache: false,
-        ..EnrichOptions::default()
-    });
-    assert_eq!(golden(&uncached, EX46), rows(EX46_GOLDEN));
+    e.clear_cache();
+    assert_eq!(golden(&e, EX46), rows(EX46_GOLDEN));
+}
+
+fn kb_pairs_tables(e: &SesqlEngine) -> Vec<String> {
+    let mut names = e.database().catalog().table_names();
+    names.retain(|t| t.starts_with("__kb_pairs"));
+    names
+}
+
+#[test]
+fn ex46_pairs_tables_never_outlive_their_holders() {
+    // Capacity 0: nothing caches the table, so it lives exactly as long
+    // as the query that built it (it used to be recorded as persistent
+    // and leak, one catalog table per run).
+    let e = engine();
+    e.set_cache_capacity(0);
+    for _ in 0..5 {
+        let r = e.execute("director", EX46).unwrap();
+        assert!(!r.report.sparql_runs[0].cached && !r.report.sparql_runs[0].shared);
+        assert_eq!(kb_pairs_tables(&e), Vec::<String>::new());
+    }
+    assert_eq!(golden(&e, EX46), rows(EX46_GOLDEN));
+
+    // A shrink drops the tables of the entries it evicts (they used to
+    // stay in the catalog until the next `clear_cache`).
+    let e = engine();
+    let other = EX46.replace("oreAssemblage", "isA");
+    golden(&e, &other);
+    assert_eq!(golden(&e, EX46), rows(EX46_GOLDEN));
+    assert_eq!(kb_pairs_tables(&e).len(), 2);
+    e.set_cache_capacity(1);
+    assert_eq!(kb_pairs_tables(&e).len(), 1);
+    assert_eq!(golden(&e, EX46), rows(EX46_GOLDEN));
+    e.set_cache_capacity(0);
+    assert_eq!(kb_pairs_tables(&e), Vec::<String>::new());
+    assert_eq!(golden(&e, EX46), rows(EX46_GOLDEN));
 }
 
 #[test]
@@ -237,30 +269,12 @@ fn ex46_leg_reporting_distinguishes_recomputed_cached_shared() {
     assert_eq!(leg.solutions, cold.report.sparql_runs[0].solutions);
     // The persistent pairs table exists exactly once and clear_cache
     // removes it.
-    let pairs: Vec<String> = e
-        .database()
-        .catalog()
-        .table_names()
-        .into_iter()
-        .filter(|t| t.starts_with("__kb_pairs"))
-        .collect();
-    assert_eq!(pairs.len(), 1, "{pairs:?}");
+    assert_eq!(kb_pairs_tables(&e).len(), 1);
     e.clear_cache();
-    assert!(
-        !e.database().catalog().table_names().iter().any(|t| t.starts_with("__kb_pairs")),
+    assert_eq!(
+        kb_pairs_tables(&e),
+        Vec::<String>::new(),
         "clear_cache must drop the persistent pairs table"
-    );
-    // Cache off: recomputed every time, never shared, no persistent table.
-    let uncached = engine().with_options(EnrichOptions {
-        use_cache: false,
-        ..EnrichOptions::default()
-    });
-    uncached.execute("director", EX46).unwrap();
-    let again = uncached.execute("director", EX46).unwrap();
-    assert!(!again.report.sparql_runs[0].shared);
-    assert!(
-        !uncached.database().catalog().table_names().iter().any(|t| t.starts_with("__kb_pairs")),
-        "uncached executions must drop their pairs table"
     );
 }
 

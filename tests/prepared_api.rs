@@ -376,3 +376,90 @@ fn live_sesql_prepared_handle_revalidates_after_ddl() {
     assert_eq!(r.rows.len(), 1);
     assert_eq!(r.rows.rows[0][0], Value::from("s2"));
 }
+
+// ---- one compiled SELECT behind every entry point ----------------------------
+
+/// Drain a relational cursor: its rows and how many base-table rows it
+/// fetched to produce them.
+fn drain(cur: crosse::relational::Rows) -> (Vec<Vec<Value>>, u64) {
+    let mut cur = cur;
+    let mut rows = Vec::new();
+    while let Some(r) = crosse::relational::Rows::next_row(&mut cur) {
+        rows.push(r.unwrap());
+    }
+    (rows, cur.rows_scanned())
+}
+
+#[test]
+fn every_way_of_running_a_select_agrees_across_ddl() {
+    // (statement, the column it is enriched on, a sink its rows fit in)
+    let cases = [
+        (
+            "SELECT elem_name, landfill_name FROM elem_contained \
+             WHERE landfill_name = 'Gerbido' ORDER BY elem_name",
+            "elem_name",
+            "(a TEXT, b TEXT)",
+        ),
+        (
+            "SELECT e.elem_name, l.city FROM landfill l \
+             JOIN elem_contained e ON l.name = e.landfill_name ORDER BY l.city, e.elem_name",
+            "e.elem_name",
+            "(a TEXT, b TEXT)",
+        ),
+        (
+            "SELECT elem_name, COUNT(*) AS n FROM elem_contained \
+             GROUP BY elem_name ORDER BY elem_name",
+            "elem_name",
+            "(a TEXT, b INT)",
+        ),
+    ];
+    // What happens to the schema between rounds of executions; the
+    // handles below are prepared once and held across all of it.
+    let ddl = [
+        "",
+        "CREATE INDEX idx_lf ON elem_contained (landfill_name)",
+        "DROP TABLE elem_contained;
+         CREATE TABLE elem_contained (elem_name TEXT, landfill_name TEXT, amount FLOAT);
+         INSERT INTO elem_contained VALUES
+           ('Pb', 'Gerbido', 1.0), ('As', 'Gerbido', 2.0), ('Hg', 'Barricalla', 3.0)",
+    ];
+    let e = engine();
+    let db = e.database();
+    let none = Params::new();
+    let held: Vec<_> = cases
+        .iter()
+        .map(|(sql, attr, _)| {
+            let enriched = format!("{sql} ENRICH SCHEMAEXTENSION({attr}, dangerLevel)");
+            (db.prepare(sql).unwrap(), e.prepare(sql).unwrap(), e.prepare(&enriched).unwrap())
+        })
+        .collect();
+    for script in ddl {
+        db.execute_script(script).unwrap();
+        for ((sql, _, sink), (held_sql, held_sesql, held_enriched)) in cases.iter().zip(&held) {
+            let reference = db.query(sql).unwrap().rows;
+            assert!(!reference.is_empty(), "{sql}");
+
+            // The three cursors: ad hoc, a fresh prepare, the held handle.
+            let ad_hoc = drain(db.query_cursor(sql).unwrap());
+            assert_eq!(ad_hoc.0, reference, "query_cursor: {sql}");
+            assert_eq!(drain(db.prepare(sql).unwrap().execute(&none).unwrap()), ad_hoc, "{sql}");
+            assert_eq!(drain(held_sql.execute(&none).unwrap()), ad_hoc, "held: {sql}");
+
+            // SESQL, un-enriched: the same cursor behind `EnrichedRows`.
+            let mut cur = held_sesql.execute_cursor("director", &none).unwrap();
+            assert_eq!(cur.collect_rows().unwrap().rows, reference, "sesql: {sql}");
+            assert_eq!(cur.rows_scanned(), Some(ad_hoc.1), "sesql: {sql}");
+
+            // SESQL, enriched: the pipeline's SQL leg.
+            let r = held_enriched.execute("director", &none).unwrap();
+            assert_eq!(r.report.base_rows, reference.len(), "leg: {sql}");
+            let base: Vec<Vec<Value>> = r.rows.rows.iter().map(|row| row[..2].to_vec()).collect();
+            assert_eq!(base, reference, "leg: {sql}");
+
+            // INSERT … SELECT.
+            db.execute(&format!("CREATE OR REPLACE TABLE sink {sink}")).unwrap();
+            db.execute(&format!("INSERT INTO sink {sql}")).unwrap();
+            assert_eq!(db.query("SELECT a, b FROM sink").unwrap().rows, reference, "{sql}");
+        }
+    }
+}

@@ -1038,6 +1038,34 @@ proptest! {
             )
             .unwrap();
         prop_assert_eq!(&via_prepared.rows.rows, &via_text.rows.rows);
+
+        // And with a schema enrichment on top: one handle, bound per
+        // execution (the SQL leg is planned by the handle, the enrichment
+        // joins onto whatever rows that binding selected).
+        for (_, t) in rows.iter().step_by(2) {
+            engine
+                .knowledge_base()
+                .assert_statement(
+                    "u",
+                    &crosse::rdf::store::Triple::new(
+                        crosse::rdf::term::Term::iri(t.as_str()),
+                        crosse::rdf::term::Term::iri("label"),
+                        crosse::rdf::term::Term::lit(format!("L-{t}")),
+                    ),
+                )
+                .unwrap();
+        }
+        let enriched_shape = format!("{sesql_shape} ENRICH SCHEMAEXTENSION(tag, label)");
+        let p = engine.prepare(&enriched_shape).unwrap();
+        for n in [needle, needle + 1] {
+            let via_prepared = p
+                .execute("u", &crosse::relational::Params::new().set("n", n))
+                .unwrap();
+            let via_text = engine
+                .execute("u", &enriched_shape.replace("$n", &sql_literal(&RValue::Int(n))))
+                .unwrap();
+            prop_assert_eq!(&via_prepared.rows, &via_text.rows, "n = {}", n);
+        }
     }
 
     /// Binding through a prepared SPARQL query equals writing the constant
