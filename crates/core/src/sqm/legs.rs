@@ -55,14 +55,14 @@ pub(super) struct CachedPairs {
 /// path (capacity 0, a shrunk cache) can strand one.
 #[derive(Debug)]
 pub(super) struct PairsTable {
-    db: Database,
+    catalog: crosse_relational::storage::Catalog,
     pub(super) name: String,
 }
 
 impl Drop for PairsTable {
     fn drop(&mut self) {
         // Already gone only if a user dropped it by name.
-        let _ = self.db.catalog().drop_table(&self.name);
+        let _ = self.catalog.drop_table(&self.name);
     }
 }
 
@@ -401,7 +401,7 @@ impl SesqlEngine {
             PAIRS_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         );
         self.db.materialise_owned(&name, &pairs_table_schema(), rows)?;
-        let table = Arc::new(PairsTable { db: self.db.clone(), name });
+        let table = Arc::new(PairsTable { catalog: self.db.catalog().clone(), name });
         self.cache.put_pairs(
             &refs,
             &prop_key,

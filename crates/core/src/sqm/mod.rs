@@ -51,6 +51,7 @@ use rewrite::{
     append_bool_column, finalize, local_label, replace_condition, resolve_attr,
     rewrite_constant,
 };
+
 /// How multi-valued enrichments materialise (a subject may have several
 /// objects for the chosen property; the paper leaves this open).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -380,18 +381,18 @@ impl SesqlEngine {
         if !self.kb.is_registered(user) {
             return Err(Error::platform(format!("user `{user}` is not registered")));
         }
-        if stmt.query.has_params() && params.is_empty() {
+        let query = &*stmt.query;
+        if query.has_params() && params.is_empty() {
             return Err(Error::sqm(
                 "query has unbound parameters — bind them before execution",
             ));
         }
-        if !stmt.query.is_enriched() {
+        if !query.is_enriched() {
             return Ok(EnrichedRows::streaming(stmt.sql.execute(params)?));
         }
         let mut report = PipelineReport::default();
-        let no_params = crosse_relational::Params::new();
 
-        let mut rows = if !stmt.query.enrichments.iter().any(Enrichment::is_where_enrichment) {
+        let mut rows = if !query.enrichments.iter().any(Enrichment::is_where_enrichment) {
             // -------- Phase B alone: the statement's own SQL leg ----------
             let t = Instant::now();
             let rows = stmt.sql.query(params)?;
@@ -401,11 +402,11 @@ impl SesqlEngine {
             // -------- Phase A: WHERE-clause enrichments (AST rewrites) ----
             // The rewrites work on literals, so parameters are bound first.
             let bound;
-            let query = if stmt.query.has_params() {
+            let query = if query.has_params() {
                 bound = stmt.bind(params)?;
                 &bound
             } else {
-                &*stmt.query
+                query
             };
             let mut select = query.select.clone();
             let mut variable_ops: Vec<&Enrichment> = Vec::new();
@@ -432,7 +433,10 @@ impl SesqlEngine {
             // -------- Phase B: the rewritten SQL leg ----------------------
             let t = Instant::now();
             let rows = match variable_ops.first() {
-                None => self.db.compile(Arc::new(select)).query(&no_params)?,
+                None => self
+                    .db
+                    .compile(Arc::new(select))
+                    .query(&crosse_relational::Params::new())?,
                 Some(Enrichment::ReplaceVariable { cond, attr, property }) => self
                     .execute_with_variable_expansion(
                         user,
@@ -448,7 +452,6 @@ impl SesqlEngine {
             rows
         };
         report.base_rows = rows.len();
-        let query = &*stmt.query;
 
         // -------- Phase C: schema enrichments (SPARQL + JoinManager) ------
         let mut applied: Vec<AppliedColumn> = Vec::new();

@@ -367,7 +367,7 @@ impl Database {
     /// it) still compiles, and "compile, run, drop" costs no more than
     /// planning once.
     pub fn compile(&self, select: Arc<Select>) -> Prepared {
-        Prepared::new(self.clone(), String::new(), select, Arc::default(), None)
+        Prepared::new(self.clone(), String::new(), select, Arc::default())
     }
 
     /// Prepare a SELECT from text: [`Database::compile`] behind a bounded
@@ -383,7 +383,13 @@ impl Database {
         // keep the cache lock alive across the re-lock below.
         let cached = { self.plans.lock().get(&key).cloned() };
         if let Some(c) = cached.filter(|c| c.version == version) {
-            return Ok(Prepared::new(self.clone(), key, c.select, c.warnings, Some(c.memo)));
+            return Ok(Prepared {
+                db: self.clone(),
+                select: c.select,
+                text: key,
+                warnings: c.warnings,
+                memo: c.memo,
+            });
         }
         let (stmt, _) = parse_statement_with_params(sql)?;
         let Statement::Select(select) = stmt else {
@@ -397,13 +403,8 @@ impl Database {
         // spans are best-effort anyway and the original was not retained.
         let warnings =
             Arc::new(crate::lint::lint_select(&self.catalog, &select, &key, true));
-        let prepared = Prepared::new(
-            self.clone(),
-            key.clone(),
-            Arc::clone(&select),
-            Arc::clone(&warnings),
-            None,
-        );
+        let prepared =
+            Prepared::new(self.clone(), key.clone(), Arc::clone(&select), Arc::clone(&warnings));
         let slots = prepared.param_slots();
         // Prepare-time invariant: the AST must not reference a parameter
         // slot outside the table we just derived (an engine bug in slot
@@ -414,7 +415,7 @@ impl Database {
         }
         self.plans.lock().put(
             key,
-            CachedStmt { select, memo: prepared.shared_memo(), warnings, version },
+            CachedStmt { select, memo: Arc::clone(&prepared.memo), warnings, version },
         );
         Ok(prepared)
     }

@@ -410,15 +410,17 @@ pub fn infer_slot_types(
 /// `Prepared` are independent cursors.
 #[derive(Debug, Clone)]
 pub struct Prepared {
-    db: Database,
-    select: Arc<Select>,
+    pub(crate) db: Database,
+    pub(crate) select: Arc<Select>,
     /// Normalized statement text (the plan-cache key); empty for a handle
     /// built from an AST by [`Database::compile`].
-    text: String,
+    pub(crate) text: String,
     /// Lint diagnostics computed by [`Database::prepare`] (see
     /// [`crate::lint`]; parameter placeholders do not warn there).
-    warnings: Arc<Vec<crosse_lint::Diagnostic>>,
-    memo: SharedMemo,
+    pub(crate) warnings: Arc<Vec<crosse_lint::Diagnostic>>,
+    /// Shared by the handle's clones and, for a prepared text, by the plan
+    /// cache's entry and every handle made from it.
+    pub(crate) memo: SharedMemo,
 }
 
 /// Everything a [`Prepared`] derives from the catalog, valid while
@@ -441,21 +443,15 @@ pub(crate) struct Memo {
 pub(crate) type SharedMemo = Arc<Mutex<Option<Memo>>>;
 
 impl Prepared {
+    /// A handle with an empty memo of its own.
     pub(crate) fn new(
         db: Database,
         text: String,
         select: Arc<Select>,
         warnings: Arc<Vec<crosse_lint::Diagnostic>>,
-        memo: Option<SharedMemo>,
     ) -> Self {
-        let memo =
-            memo.unwrap_or_else(|| Arc::new(Mutex::new_labeled("prepared.memo", None)));
+        let memo = Arc::new(Mutex::new_labeled("prepared.memo", None));
         Prepared { db, select, text, warnings, memo }
-    }
-
-    /// The memo its clones (and the plan cache's entry) share.
-    pub(crate) fn shared_memo(&self) -> SharedMemo {
-        Arc::clone(&self.memo)
     }
 
     /// The memo for the live catalog and optimizer configuration,
