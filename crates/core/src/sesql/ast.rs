@@ -6,6 +6,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crosse_relational::sql::ast::{Expr, Select};
 use crosse_relational::sql::parser::ParamSlot;
@@ -110,8 +111,9 @@ impl fmt::Display for Enrichment {
 pub struct SesqlQuery {
     /// The SELECT with `${...:id}` markers stripped (paper Remark 4.1:
     /// "the query is then 'cleaned' ... so that a syntactically correct SQL
-    /// query can be processed").
-    pub select: Select,
+    /// query can be processed"). Shared with the relational handle a
+    /// prepared statement compiles from it.
+    pub select: Arc<Select>,
     /// Cleaned SQL text.
     pub clean_sql: String,
     /// Tagged conditions by id, as parsed expressions.

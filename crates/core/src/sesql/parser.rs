@@ -3,6 +3,7 @@
 //! grammar of Fig. 5 together (the paper's Semantic Query Parser, SQP).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crosse_relational::sql::ast::{Expr, Statement};
 use crosse_relational::sql::parser::{parse_expr_with_params, parse_statement_with_params};
@@ -81,7 +82,7 @@ pub fn parse_sesql(text: &str) -> Result<SesqlQuery> {
         }
     }
 
-    Ok(SesqlQuery { select: *select, clean_sql, conditions, enrichments, params })
+    Ok(SesqlQuery { select: Arc::from(select), clean_sql, conditions, enrichments, params })
 }
 
 /// Parse the enrichment specification (everything after `ENRICH`).

@@ -408,7 +408,7 @@ impl SesqlEngine {
             } else {
                 query
             };
-            let mut select = query.select.clone();
+            let mut select = (*query.select).clone();
             let mut variable_ops: Vec<&Enrichment> = Vec::new();
             for e in &query.enrichments {
                 match e {

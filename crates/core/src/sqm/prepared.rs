@@ -118,7 +118,7 @@ impl PreparedSesql {
         use crosse_relational::prepared::{resolve_params, substitute_expr, substitute_select};
         let values = resolve_params(&self.param_slots(), params)?;
         let mut bound = (*self.query).clone();
-        bound.select = substitute_select(bound.select, &values);
+        bound.select = Arc::new(substitute_select((*bound.select).clone(), &values));
         bound.conditions = bound
             .conditions
             .into_iter()
@@ -164,7 +164,7 @@ impl SesqlEngine {
             None => {
                 let query = Arc::new(parse_sesql(sesql)?);
                 let cached = CachedSesql {
-                    sql: self.db.compile(Arc::new(query.select.clone())),
+                    sql: self.db.compile(Arc::clone(&query.select)),
                     warnings: Arc::new(lint_sesql_static(self.db.catalog(), &query, &key)),
                     query,
                 };
