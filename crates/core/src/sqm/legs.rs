@@ -435,7 +435,8 @@ impl SesqlEngine {
             &table.name,
             self.options.include_self,
         )?;
-        Ok(self.db.compile(Arc::new(query)).query(&crosse_relational::Params::new())?)
+        let rows = self.db.compile(Arc::new(query)).execute_once(&crosse_relational::Params::new())?;
+        Ok(rows.collect_rows()?)
     }
 }
 

@@ -436,7 +436,8 @@ impl SesqlEngine {
                 None => self
                     .db
                     .compile(Arc::new(select))
-                    .query(&crosse_relational::Params::new())?,
+                    .execute_once(&crosse_relational::Params::new())?
+                    .collect_rows()?,
                 Some(Enrichment::ReplaceVariable { cond, attr, property }) => self
                     .execute_with_variable_expansion(
                         user,

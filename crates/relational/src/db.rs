@@ -367,7 +367,7 @@ impl Database {
     /// it) still compiles, and "compile, run, drop" costs no more than
     /// planning once.
     pub fn compile(&self, select: Arc<Select>) -> Prepared {
-        Prepared::new(self.clone(), String::new(), select, Arc::default())
+        Prepared::new(self.clone(), String::new(), select, None)
     }
 
     /// Prepare a SELECT from text: [`Database::compile`] behind a bounded
@@ -387,7 +387,7 @@ impl Database {
                 db: self.clone(),
                 select: c.select,
                 text: key,
-                warnings: c.warnings,
+                warnings: Some(c.warnings),
                 memo: c.memo,
             });
         }
@@ -404,14 +404,14 @@ impl Database {
         let warnings =
             Arc::new(crate::lint::lint_select(&self.catalog, &select, &key, true));
         let prepared =
-            Prepared::new(self.clone(), key.clone(), Arc::clone(&select), Arc::clone(&warnings));
+            Prepared::new(self.clone(), key.clone(), Arc::clone(&select), Some(Arc::clone(&warnings)));
         let slots = prepared.param_slots();
         // Prepare-time invariant: the AST must not reference a parameter
         // slot outside the table we just derived (an engine bug in slot
         // collection or AST caching, not a user error).
         crate::opt::validate::check_param_slots(&select, slots.len()).map_err(Error::plan)?;
         if slots.is_empty() {
-            prepared.plan(&Params::new())?;
+            prepared.plan(&Params::new(), true)?;
         }
         self.plans.lock().put(
             key,
@@ -447,7 +447,7 @@ impl Database {
         let Statement::Select(select) = stmt else {
             return Err(Error::plan("query_cursor expects a SELECT statement"));
         };
-        self.compile(Arc::from(select)).execute(&Params::new())
+        self.compile(Arc::from(select)).execute_once(&Params::new())
     }
 
     /// Parse and execute a single statement.
@@ -474,12 +474,14 @@ impl Database {
     pub fn execute_statement(&self, stmt: Statement) -> Result<ExecOutcome> {
         match stmt {
             Statement::Select(s) => {
-                self.compile(Arc::from(s)).query(&Params::new()).map(ExecOutcome::Rows)
+                let rows = self.compile(Arc::from(s)).execute_once(&Params::new())?;
+                rows.collect_rows().map(ExecOutcome::Rows)
             }
             Statement::Explain(s) => {
                 let optimized = self.plan_optimized(&s)?;
                 let schema = Schema::new(vec![Column::new("plan", crate::value::DataType::Text)]);
-                let mut lines = explain_lines(&optimized);
+                let mut lines: Vec<String> =
+                    optimized.render().lines().map(str::to_string).collect();
                 // Lint footer: one `-- lint:` line per diagnostic, so
                 // EXPLAIN doubles as a quick statement health check.
                 for d in crate::lint::lint_select(&self.catalog, &s, "", true) {
@@ -526,14 +528,7 @@ impl Database {
             Statement::Insert { table, columns, rows } => {
                 let t = self.catalog.get_table(&table)?;
                 let schema = &t.schema;
-                // Map provided columns onto table positions.
-                let positions: Vec<usize> = match columns {
-                    Some(cols) => cols
-                        .iter()
-                        .map(|c| schema.resolve(None, c))
-                        .collect::<Result<_>>()?,
-                    None => (0..schema.len()).collect(),
-                };
+                let positions = insert_positions(schema, &columns)?;
                 let empty = Schema::default();
                 let mut materialised = Vec::with_capacity(rows.len());
                 for value_exprs in rows {
@@ -559,14 +554,9 @@ impl Database {
             Statement::InsertSelect { table, columns, query } => {
                 let t = self.catalog.get_table(&table)?;
                 let schema = &t.schema;
-                let positions: Vec<usize> = match columns {
-                    Some(cols) => cols
-                        .iter()
-                        .map(|c| schema.resolve(None, c))
-                        .collect::<Result<_>>()?,
-                    None => (0..schema.len()).collect(),
-                };
-                let source = self.compile(Arc::from(query)).query(&Params::new())?;
+                let positions = insert_positions(schema, &columns)?;
+                let source =
+                    self.compile(Arc::from(query)).execute_once(&Params::new())?.collect_rows()?;
                 if source.schema.len() != positions.len() {
                     return Err(Error::constraint(format!(
                         "INSERT ... SELECT provides {} column(s), target expects {}",
@@ -673,9 +663,13 @@ impl Database {
     }
 }
 
-/// `EXPLAIN` rendering of an optimized plan, line by line.
-pub(crate) fn explain_lines(optimized: &crate::opt::Optimized) -> Vec<String> {
-    optimized.render().lines().map(str::to_string).collect()
+/// Table positions an INSERT's values land in: the listed columns, or
+/// every column in order.
+fn insert_positions(schema: &Schema, columns: &Option<Vec<String>>) -> Result<Vec<usize>> {
+    match columns {
+        Some(cols) => cols.iter().map(|c| schema.resolve(None, c)).collect(),
+        None => Ok((0..schema.len()).collect()),
+    }
 }
 
 #[cfg(test)]

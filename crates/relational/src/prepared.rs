@@ -416,8 +416,9 @@ pub struct Prepared {
     /// built from an AST by [`Database::compile`].
     pub(crate) text: String,
     /// Lint diagnostics computed by [`Database::prepare`] (see
-    /// [`crate::lint`]; parameter placeholders do not warn there).
-    pub(crate) warnings: Arc<Vec<crosse_lint::Diagnostic>>,
+    /// [`crate::lint`]; parameter placeholders do not warn there); `None`
+    /// for a handle that was never linted.
+    pub(crate) warnings: Option<Arc<Vec<crosse_lint::Diagnostic>>>,
     /// Shared by the handle's clones and, for a prepared text, by the plan
     /// cache's entry and every handle made from it.
     pub(crate) memo: SharedMemo,
@@ -448,7 +449,7 @@ impl Prepared {
         db: Database,
         text: String,
         select: Arc<Select>,
-        warnings: Arc<Vec<crosse_lint::Diagnostic>>,
+        warnings: Option<Arc<Vec<crosse_lint::Diagnostic>>>,
     ) -> Self {
         let memo = Arc::new(Mutex::new_labeled("prepared.memo", None));
         Prepared { db, select, text, warnings, memo }
@@ -483,7 +484,7 @@ impl Prepared {
     /// statement). Parameters never warn here — binding them is the whole
     /// point of preparing.
     pub fn warnings(&self) -> &[crosse_lint::Diagnostic] {
-        &self.warnings
+        self.warnings.as_ref().map_or(&[], |w| w.as_slice())
     }
 
     /// Normalized statement text (also the cache key).
@@ -510,12 +511,20 @@ impl Prepared {
     /// literals and plans. Execution inherits the database's worker-thread
     /// budget (see `Database::set_exec_threads`).
     pub fn execute(&self, params: &Params) -> Result<Rows> {
-        Rows::from_plan_parallel(self.plan(params)?, self.db.exec_threads())
+        Rows::from_plan_parallel(self.plan(params, true)?, self.db.exec_threads())
+    }
+
+    /// [`Prepared::execute`] for a handle that is dropped with the call
+    /// (ad-hoc text, a rewritten SESQL leg): no later execution could
+    /// replay a template, so none is kept.
+    pub fn execute_once(self, params: &Params) -> Result<Rows> {
+        Rows::from_plan_parallel(self.plan(params, false)?, self.db.exec_threads())
     }
 
     /// The plan one execution with `params` runs: the only place a
-    /// statement is planned for execution.
-    pub(crate) fn plan(&self, params: &Params) -> Result<Plan> {
+    /// statement is planned for execution. `keep` stores a parameterless
+    /// statement's plan as the template (at the price of one clone).
+    pub(crate) fn plan(&self, params: &Params, keep: bool) -> Result<Plan> {
         let memo = self.memo();
         Ok(if !memo.slots.is_empty() {
             self.db.plan_optimized(&self.bind(params)?)?.plan
@@ -525,8 +534,10 @@ impl Prepared {
             // Templates are kept post-optimization: later executions
             // replay the rewritten (pushed-down, spooled) shape directly.
             let plan = self.db.plan_optimized(&self.select)?.plan;
-            if let Some(m) = self.memo.lock().as_mut().filter(|m| m.tag == memo.tag) {
-                m.template = Some(Arc::new(plan.clone()));
+            if keep {
+                if let Some(m) = self.memo.lock().as_mut().filter(|m| m.tag == memo.tag) {
+                    m.template = Some(Arc::new(plan.clone()));
+                }
             }
             plan
         })
@@ -544,16 +555,13 @@ impl Prepared {
                  value-dependent access paths can be chosen",
             ));
         }
-        let optimized = self.db.plan_optimized(&self.select)?;
-        Ok(optimized.render())
+        Ok(self.db.plan_optimized(&self.select)?.render())
     }
 
     /// [`Prepared::explain`] with parameters bound — shows the plan the
     /// next [`Prepared::execute`] with these values would run.
     pub fn explain_with(&self, params: &Params) -> Result<String> {
-        let bound = self.bind(params)?;
-        let optimized = self.db.plan_optimized(&bound)?;
-        Ok(optimized.render())
+        Ok(self.db.plan_optimized(&self.bind(params)?)?.render())
     }
 
     /// Execute and materialise (the `collect()` adapter over
