@@ -182,52 +182,6 @@ fn e4() {
     }
 }
 
-fn e5() {
-    header("E5", "Federation overhead (paper Fig. 1, postgres_fdw simulation)");
-    println!(
-        "{:<10} {:>8} {:>12} {:>12} {:>14}",
-        "sources", "rtt", "cached", "live", "net(sim)"
-    );
-    for sources in [1usize, 2, 4, 8] {
-        for rtt_us in [0u64, 1_000, 10_000] {
-            let fed = federation(sources, Duration::from_micros(rtt_us), 80);
-            // One count per source, summed client-side (the mediated sweep).
-            let run = |live: bool| {
-                let mut total = 0i64;
-                for i in 0..sources {
-                    let rs = fed
-                        .query(&format!("SELECT COUNT(*) FROM s{i}__landfill"), live)
-                        .unwrap();
-                    if let crosse_relational::Value::Int(n) = rs.rows[0][0] {
-                        total += n;
-                    }
-                }
-                total
-            };
-            let cached = median_time(3, || run(false));
-            let before: u64 = fed
-                .source_stats()
-                .iter()
-                .map(|(_, s)| s.simulated_network_nanos)
-                .sum();
-            let live = median_time(3, || run(true));
-            let after: u64 = fed
-                .source_stats()
-                .iter()
-                .map(|(_, s)| s.simulated_network_nanos)
-                .sum();
-            println!(
-                "{:<10} {:>6}µs {:>12} {:>12} {:>14}",
-                sources,
-                rtt_us,
-                fmt(cached),
-                fmt(live),
-                fmt(Duration::from_nanos((after - before) / 4)), // per run (3 timed + 1 warm)
-            );
-        }
-    }
-}
-
 fn e6() {
     header("E6", "Crowdsourcing throughput (paper Fig. 2 / Sec. III)");
     println!("{:<26} {:>10} {:>14}", "operation", "kb size", "median time");
@@ -448,9 +402,7 @@ fn e9() {
 }
 
 fn e9b() {
-    header("E9b", "SPARQL-leg cache + federation pushdown ablations");
-    use crosse_federation::{FederatedDatabase, LatencyModel, RemoteSource};
-    use std::sync::Arc;
+    header("E9b", "SPARQL-leg cache ablations");
 
     // SPARQL-leg cache: same enrichment re-run over an unchanged KB.
     let sesql = "SELECT elem_name FROM elem_contained \
@@ -477,46 +429,6 @@ fn e9b() {
         e.execute("director", sesql).unwrap()
     });
     println!("{:<36} {:>14}   (cache never valid)", "cache on, KB churn each query", fmt(t));
-
-    // Federation: filter pushdown vs full live fetch.
-    let fed = FederatedDatabase::new();
-    let db = engine_at_scale(200).database().clone();
-    fed.register_source(Arc::new(RemoteSource::new(
-        "src",
-        db,
-        LatencyModel {
-            per_request: Duration::from_micros(200),
-            per_row: Duration::from_micros(2),
-            realtime: true,
-        },
-    )))
-    .unwrap();
-    let sql = "SELECT elem_name FROM src__elem_contained \
-               WHERE landfill_name = 'LF00001'";
-    let t_full = median_time(5, || fed.query(sql, true).unwrap());
-    let out = fed.query_pushdown(sql).unwrap();
-    let t_push = median_time(5, || fed.query_pushdown(sql).unwrap());
-    println!("{:<36} {:>14}", "federated select, full live fetch", fmt(t_full));
-    println!(
-        "{:<36} {:>14}   ({} rows crossed the wire)",
-        "same with filter pushdown",
-        fmt(t_push),
-        out.pushed[0].rows_fetched
-    );
-
-    // Parallel vs sequential full sync.
-    for sources in [2usize, 4, 8] {
-        let fed = federation(sources, Duration::from_millis(2), 80);
-        let t_seq = median_time(3, || fed.refresh_all().unwrap());
-        let t_par = median_time(3, || fed.refresh_all_parallel().unwrap());
-        println!(
-            "{:<36} {:>14} / {:<10}  ({} sources, 2ms RTT)",
-            "refresh: sequential / parallel",
-            fmt(t_seq),
-            fmt(t_par),
-            sources
-        );
-    }
 }
 
 fn e10() {
@@ -1202,9 +1114,6 @@ fn main() {
     }
     if want("e4") {
         e4();
-    }
-    if want("e5") {
-        e5();
     }
     if want("e6") {
         e6();

@@ -7,16 +7,11 @@
 
 #![forbid(unsafe_code)]
 
-use std::sync::Arc;
-use std::time::Duration;
-
 use crosse_core::platform::CrossePlatform;
 use crosse_core::sqm::SesqlEngine;
-use crosse_federation::{FederatedDatabase, LatencyModel, LocalSource, RemoteSource};
 use crosse_rdf::provenance::KnowledgeBase;
 use crosse_rdf::store::{Triple, TripleStore};
 use crosse_rdf::term::Term;
-use crosse_relational::Database;
 use crosse_smartground::{
     director_ontology, generate, random_kb, standard_engine, SmartGroundConfig,
 };
@@ -89,33 +84,6 @@ pub fn store_with_users(users: usize, total: usize) -> TripleStore {
         store.insert(&format!("user{}", i % users.max(1)), t);
     }
     store
-}
-
-/// A federation of `sources` remote databanks with the given RTT (E5).
-/// Each source holds a copy of the landfill table at 1/sources scale.
-pub fn federation(sources: usize, rtt: Duration, landfills_total: usize) -> FederatedDatabase {
-    let fed = FederatedDatabase::new();
-    let per_source = (landfills_total / sources.max(1)).max(1);
-    for i in 0..sources {
-        let db: Database = generate(
-            &SmartGroundConfig::default()
-                .with_landfills(per_source)
-                .with_seed(1000 + i as u64),
-        )
-        .expect("fixture generation");
-        if rtt.is_zero() {
-            fed.register_source(Arc::new(LocalSource::new(format!("s{i}"), db)))
-                .expect("register");
-        } else {
-            fed.register_source(Arc::new(RemoteSource::new(
-                format!("s{i}"),
-                db,
-                LatencyModel { per_request: rtt, per_row: Duration::ZERO, realtime: true },
-            )))
-            .expect("register");
-        }
-    }
-    fed
 }
 
 /// A crowdsourcing community: `users` members; user 0 seeds `statements`
@@ -236,8 +204,6 @@ mod tests {
         assert!(e.knowledge_base().store().len() > 100);
         assert_eq!(store_with_triples(500).len(), 500);
         assert_eq!(store_with_users(3, 50).graph_names().len(), 3);
-        let fed = federation(2, Duration::ZERO, 20);
-        assert_eq!(fed.foreign_tables().len(), 10); // 5 tables × 2 sources
         let c = community(3, 20);
         assert_eq!(c.users().len(), 3);
         let oc = overlapping_community(4, 10);

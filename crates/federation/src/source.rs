@@ -1,42 +1,18 @@
-//! Data sources behind the integration layer.
+//! Simulated databanks behind the integration layer.
 //!
 //! The SmartGround platform "integrates existing information from national
-//! and international databanks" over `postgres_fdw` (paper Sec. I-A). We
-//! model each databank as a [`DataSource`]; remote ones add a configurable
-//! latency/transfer cost so federation experiments (E5) can sweep network
-//! conditions without a network.
+//! and international databanks" over `postgres_fdw` (paper Sec. I-A). Each
+//! databank here is a [`DataSource`] over a [`Database`] of its own:
+//! [`LocalSource`] is colocated with the mediator, [`RemoteSource`] adds a
+//! configurable latency/transfer cost so the integration layer can be
+//! exercised under network conditions without a network. Register either
+//! with [`Database::register_source`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crosse_relational::{Database, Result, RowSet, Schema};
-
-/// A queryable source of tables.
-pub trait DataSource: Send + Sync {
-    /// Stable source name (used to prefix imported foreign tables).
-    fn name(&self) -> &str;
-
-    /// Names of the tables this source exposes.
-    fn table_names(&self) -> Vec<String>;
-
-    /// Schema of one table.
-    fn table_schema(&self, table: &str) -> Result<Schema>;
-
-    /// Fetch the full content of a table (the paper's integration layer is
-    /// read-only: "mediated query systems enable a uniform data access
-    /// solution by providing a single point for read-only query").
-    fn fetch_table(&self, table: &str) -> Result<RowSet>;
-
-    /// Ship a read-only SELECT to the source and return its result — the
-    /// sub-query path of a mediated query system. Remote sources charge
-    /// their cost model on the *result* rows, which is what makes filter
-    /// pushdown profitable.
-    fn fetch_query(&self, sql: &str) -> Result<RowSet>;
-
-    /// Cumulative transfer statistics.
-    fn stats(&self) -> SourceStats;
-}
+use crosse_relational::{DataSource, Database, Result, RowSet, Schema};
 
 /// Transfer statistics of a source.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -86,6 +62,11 @@ impl LocalSource {
     pub fn database(&self) -> &Database {
         &self.db
     }
+
+    /// Cumulative transfer statistics (shared by clones).
+    pub fn stats(&self) -> SourceStats {
+        self.stats.snapshot()
+    }
 }
 
 impl DataSource for LocalSource {
@@ -101,23 +82,11 @@ impl DataSource for LocalSource {
         Ok(self.db.catalog().get_table(table)?.schema.clone())
     }
 
-    fn fetch_table(&self, table: &str) -> Result<RowSet> {
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let t = self.db.catalog().get_table(table)?;
-        let rows = t.scan();
-        self.stats.rows.fetch_add(rows.len() as u64, Ordering::Relaxed);
-        Ok(RowSet { schema: t.schema.clone(), rows })
-    }
-
     fn fetch_query(&self, sql: &str) -> Result<RowSet> {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         let rs = self.db.query(sql)?;
         self.stats.rows.fetch_add(rs.len() as u64, Ordering::Relaxed);
         Ok(rs)
-    }
-
-    fn stats(&self) -> SourceStats {
-        self.stats.snapshot()
     }
 }
 
@@ -171,6 +140,11 @@ impl RemoteSource {
         self.latency
     }
 
+    /// Cumulative transfer statistics (shared by clones).
+    pub fn stats(&self) -> SourceStats {
+        self.stats.snapshot()
+    }
+
     fn charge(&self, rows: usize) {
         let cost = self.latency.cost(rows);
         self.stats
@@ -195,25 +169,12 @@ impl DataSource for RemoteSource {
         Ok(self.db.catalog().get_table(table)?.schema.clone())
     }
 
-    fn fetch_table(&self, table: &str) -> Result<RowSet> {
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let t = self.db.catalog().get_table(table)?;
-        let rows = t.scan();
-        self.stats.rows.fetch_add(rows.len() as u64, Ordering::Relaxed);
-        self.charge(rows.len());
-        Ok(RowSet { schema: t.schema.clone(), rows })
-    }
-
     fn fetch_query(&self, sql: &str) -> Result<RowSet> {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         let rs = self.db.query(sql)?;
         self.stats.rows.fetch_add(rs.len() as u64, Ordering::Relaxed);
         self.charge(rs.len());
         Ok(rs)
-    }
-
-    fn stats(&self) -> SourceStats {
-        self.stats.snapshot()
     }
 }
 
@@ -234,7 +195,7 @@ mod tests {
     #[test]
     fn local_source_fetches() {
         let src = LocalSource::new("main", seeded_db());
-        let rs = src.fetch_table("landfill").unwrap();
+        let rs = src.fetch_query("SELECT * FROM landfill").unwrap();
         assert_eq!(rs.len(), 2);
         let stats = src.stats();
         assert_eq!(stats.requests, 1);
@@ -250,7 +211,7 @@ mod tests {
             realtime: false,
         };
         let src = RemoteSource::new("eu-stats", seeded_db(), latency);
-        src.fetch_table("landfill").unwrap();
+        src.fetch_query("SELECT * FROM landfill").unwrap();
         let stats = src.stats();
         // 10ms + 2 * 100µs
         assert_eq!(stats.simulated_network(), Duration::from_micros(10_200));
@@ -265,14 +226,14 @@ mod tests {
         };
         let src = RemoteSource::new("r", seeded_db(), latency);
         let t0 = std::time::Instant::now();
-        src.fetch_table("landfill").unwrap();
+        src.fetch_query("SELECT * FROM landfill").unwrap();
         assert!(t0.elapsed() >= Duration::from_millis(5));
     }
 
     #[test]
     fn unknown_table_is_error() {
         let src = LocalSource::new("main", seeded_db());
-        assert!(src.fetch_table("nope").is_err());
+        assert!(src.fetch_query("SELECT * FROM nope").is_err());
         assert!(src.table_schema("nope").is_err());
     }
 
@@ -287,8 +248,8 @@ mod tests {
     fn stats_accumulate_across_clones() {
         let src = LocalSource::new("main", seeded_db());
         let src2 = src.clone();
-        src.fetch_table("landfill").unwrap();
-        src2.fetch_table("landfill").unwrap();
+        src.fetch_query("SELECT * FROM landfill").unwrap();
+        src2.fetch_query("SELECT * FROM landfill").unwrap();
         assert_eq!(src.stats().requests, 2);
     }
 }

@@ -11,6 +11,7 @@ pub use parking_lot::tracking::LockSiteStats;
 use crate::error::{Error, Result};
 use crate::exec::expr::bind;
 use crate::exec::Rows;
+use crate::foreign::{DataSource, Foreign};
 use crate::opt::{optimize, OptimizerConfig};
 use crate::plan::plan_select;
 use crate::prepared::{normalize_sql, Params, Prepared, SharedMemo};
@@ -22,7 +23,7 @@ use crate::storage::durable::{
 };
 use crate::storage::snapshot::decode_catalog;
 use crate::storage::wal::apply_rel_op;
-use crate::storage::Catalog;
+use crate::storage::{Catalog, Table};
 use crate::value::{Interner, Row, Value};
 
 /// A materialised query result: a schema plus rows.
@@ -645,6 +646,32 @@ impl Database {
     ) -> Result<crate::exec::expr::BoundExpr> {
         let resolved = crate::plan::resolve_expr_subqueries(&self.catalog, filter)?;
         bind(&resolved, schema)
+    }
+
+    /// Import every table of `source` as a read-only foreign table named
+    /// `<source>__<table>` and return the names. All or none: a name
+    /// already taken fails the call before any table is added. A foreign
+    /// table holds no rows and is never logged or snapshotted; each query
+    /// reads it live from the source, shipping the WHERE conjuncts that
+    /// bind to it (see [`crate::foreign`]). A local snapshot is
+    /// `CREATE TABLE` + `INSERT … SELECT`.
+    pub fn register_source(&self, source: Arc<dyn DataSource>) -> Result<Vec<String>> {
+        let tables = source
+            .table_names()
+            .into_iter()
+            .map(|remote| {
+                let columns = source.table_schema(&remote)?.columns;
+                let schema = Schema::new(
+                    columns.into_iter().map(|c| Column::new(c.name, c.data_type)).collect(),
+                );
+                let name = format!("{}__{remote}", source.name());
+                let foreign = Foreign { source: Arc::clone(&source), table: remote };
+                Ok(Table::new_foreign(name, schema, foreign))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let names = tables.iter().map(|t| t.name.clone()).collect();
+        self.catalog.add_foreign_tables(tables)?;
+        Ok(names)
     }
 
     /// Materialise owned rows as a new table (the SESQL engine's

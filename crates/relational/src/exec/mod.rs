@@ -1,7 +1,7 @@
 //! Plan execution.
 //!
-//! The engine is pull-based: [`stream::stream_plan`] lowers a plan into a
-//! lazy row iterator (see [`stream`] for the operator semantics), and the
+//! The engine is pull-based: a [`Rows`] cursor lowers a plan into a lazy
+//! row iterator (see [`stream`] for the operator semantics), and the
 //! materialising [`execute_plan`] entry point is a thin collect over it —
 //! one executor, two consumption styles.
 
@@ -29,5 +29,5 @@ pub fn execute_plan(plan: &Plan) -> Result<Vec<Row>> {
 /// Execute a plan to a fully materialised set of rows with up to
 /// `threads` workers for morsel-parallel operators.
 pub fn execute_plan_parallel(plan: &Plan, threads: usize) -> Result<Vec<Row>> {
-    stream::stream_plan(plan.clone(), ExecCtx::new(threads))?.collect()
+    Rows::from_plan_parallel(plan.clone(), threads)?.collect()
 }

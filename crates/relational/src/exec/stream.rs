@@ -265,8 +265,12 @@ impl Rows {
         Self::lower(plan, ExecCtx::with_cancel(threads, cancel))
     }
 
+    /// Open the cursor. Foreign leaves are fetched here, when the cursor
+    /// opens and never at plan time, so a replayed template reads live.
     fn lower(plan: Plan, ctx: ExecCtx) -> Result<Rows> {
         let schema = plan.schema().clone();
+        let (plan, fetched) = crate::foreign::fetch_leaves(plan)?;
+        ctx.scanned.fetch_add(fetched as u64, AtomicOrdering::Relaxed);
         let scanned = Arc::clone(&ctx.scanned);
         let iter = stream_plan(plan, ctx)?;
         Ok(Rows { schema, iter, scanned })
@@ -721,8 +725,9 @@ fn try_parallel(plan: Plan, ctx: &ExecCtx) -> std::result::Result<BoxRowIter, Pl
 
 /// Lower a plan into a lazy row iterator, charging base-table fetches to
 /// the context's scanned counter and running recognised pipeline fragments
-/// on the context's worker pool.
-pub fn stream_plan(plan: Plan, ctx: ExecCtx) -> Result<BoxRowIter> {
+/// on the context's worker pool. Only [`Rows::lower`] calls in from
+/// outside, after it has fetched the plan's foreign leaves.
+fn stream_plan(plan: Plan, ctx: ExecCtx) -> Result<BoxRowIter> {
     let plan = match try_parallel(plan, &ctx) {
         Ok(iter) => return Ok(iter),
         Err(plan) => plan,
@@ -763,6 +768,7 @@ pub fn stream_plan(plan: Plan, ctx: ExecCtx) -> Result<BoxRowIter> {
                 }
             }
         }
+        Plan::ForeignScan { .. } => unreachable!("Rows::lower fetches every foreign leaf"),
         Plan::Filter { input, predicate } => {
             let step = FilterProject { predicate: Some(predicate), exprs: None };
             Ok(step.stream(stream_plan(*input, ctx)?))

@@ -13,6 +13,9 @@
 //!   `DISTINCT`, `ORDER BY`, `LIMIT`, `CASE`, uncorrelated subqueries
 //!   (`IN (SELECT …)`, `EXISTS`, scalar), and index-scan planning for
 //!   sargable predicates ([`db::Database`]),
+//! * foreign tables: the tables of a registered [`DataSource`], read live
+//!   through the same plans with their filters shipped to the source
+//!   ([`foreign`], [`db::Database::register_source`]),
 //! * a reusable SQL parser ([`sql::parser`]) whose AST the SESQL layer
 //!   rewrites when applying WHERE-clause enrichments, and
 //! * result materialisation back into ephemeral tables
@@ -35,6 +38,7 @@ pub mod csv;
 pub mod db;
 pub mod error;
 pub mod exec;
+pub mod foreign;
 pub mod lint;
 pub mod opt;
 pub mod plan;
@@ -49,6 +53,7 @@ pub use error::{Error, Result};
 pub use storage::durable::{DurabilityHandle, SyncPolicy, WalOptions, WalStats};
 pub use crosse_lint::{Diagnostic, Severity, Span};
 pub use exec::Rows;
+pub use foreign::DataSource;
 pub use opt::{optimize, Optimized, OptimizerConfig, PlanInvariantError};
 pub use prepared::{Params, Prepared, SlotInfo};
 pub use schema::{Column, Schema};

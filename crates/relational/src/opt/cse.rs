@@ -69,7 +69,7 @@ fn prune_single_reader_spools(plan: Plan) -> (Plan, usize, usize) {
             }
             return;
         }
-        visit_children(plan, &mut |c| count(c, refs));
+        plan.visit_children(&mut |c| count(c, refs));
     }
     let mut refs = HashMap::new();
     count(&plan, &mut refs);
@@ -128,7 +128,7 @@ impl Counter {
             }
             other => {
                 let mut children = Vec::new();
-                visit_children(other, &mut |c| children.push(self.count(c)));
+                other.visit_children(&mut |c| children.push(self.count(c)));
                 fingerprint(other, &children)
             }
         };
@@ -178,7 +178,7 @@ impl Rewriter {
             }
             other => {
                 let mut children = Vec::new();
-                visit_children(other, &mut |c| {
+                other.visit_children(&mut |c| {
                     let k = self.key_of(c);
                     children.push(k);
                 });
@@ -190,28 +190,6 @@ impl Rewriter {
 
 fn map_children_owned(plan: Plan, f: &mut impl FnMut(Plan) -> Plan) -> Plan {
     super::map_children(plan, f)
-}
-
-fn visit_children<'p>(plan: &'p Plan, f: &mut impl FnMut(&'p Plan)) {
-    match plan {
-        Plan::Values { .. } | Plan::Scan { .. } | Plan::IndexScan { .. } => {}
-        Plan::Filter { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::Aggregate { input, .. }
-        | Plan::Sort { input, .. }
-        | Plan::Distinct { input }
-        | Plan::Limit { input, .. } => f(input),
-        Plan::NestedLoopJoin { left, right, .. } | Plan::HashJoin { left, right, .. } => {
-            f(left);
-            f(right);
-        }
-        Plan::Union { inputs, .. } => {
-            for i in inputs {
-                f(i);
-            }
-        }
-        Plan::Shared { input, .. } => f(input),
-    }
 }
 
 /// Canonical rendering of one node given its children's fingerprints.
@@ -226,6 +204,9 @@ fn fingerprint(plan: &Plan, children: &[String]) -> String {
         }
         Plan::IndexScan { table, column, lookup, .. } => {
             let _ = write!(s, "idxscan({:p},{column},{lookup:?})", Arc::as_ptr(table));
+        }
+        Plan::ForeignScan { table, pushed, .. } => {
+            let _ = write!(s, "fscan({:p},{pushed:?})", Arc::as_ptr(table));
         }
         Plan::Filter { predicate, .. } => {
             let _ = write!(s, "filter({},{predicate:?})", children[0]);

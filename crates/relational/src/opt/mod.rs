@@ -209,7 +209,10 @@ fn drop_project_column(plan: Plan) -> Plan {
 /// spool inputs are left untouched — CSE runs last and owns them).
 pub(crate) fn map_children(plan: Plan, f: &mut impl FnMut(Plan) -> Plan) -> Plan {
     match plan {
-        p @ (Plan::Values { .. } | Plan::Scan { .. } | Plan::IndexScan { .. }) => p,
+        p @ (Plan::Values { .. }
+        | Plan::Scan { .. }
+        | Plan::IndexScan { .. }
+        | Plan::ForeignScan { .. }) => p,
         Plan::Filter { input, predicate } => Plan::Filter {
             input: Box::new(f(*input)),
             predicate,

@@ -137,6 +137,20 @@ fn check_node(
                 ));
             }
         }
+        Plan::ForeignScan { table, schema, .. } => {
+            if schema.len() != table.schema.len() {
+                return Err(PlanInvariantError::new(
+                    pass,
+                    format!(
+                        "foreign scan has {} columns, table `{}` has {}",
+                        schema.len(),
+                        table.name,
+                        table.schema.len()
+                    ),
+                    plan,
+                ));
+            }
+        }
         Plan::Filter { input, predicate } => {
             check_arity(pass, plan, "filter predicate", predicate, input.schema().len())?;
         }
@@ -282,7 +296,10 @@ fn check_node(
 
 fn children(plan: &Plan) -> Vec<&Plan> {
     match plan {
-        Plan::Values { .. } | Plan::Scan { .. } | Plan::IndexScan { .. } => vec![],
+        Plan::Values { .. }
+        | Plan::Scan { .. }
+        | Plan::IndexScan { .. }
+        | Plan::ForeignScan { .. } => vec![],
         Plan::Filter { input, .. }
         | Plan::Project { input, .. }
         | Plan::Aggregate { input, .. }
@@ -307,7 +324,7 @@ fn output_types(plan: &Plan) -> Vec<DataType> {
 fn row_bound(plan: &Plan) -> Option<u64> {
     match plan {
         Plan::Values { rows, .. } => Some(rows.len() as u64),
-        Plan::Scan { .. } | Plan::IndexScan { .. } => None,
+        Plan::Scan { .. } | Plan::IndexScan { .. } | Plan::ForeignScan { .. } => None,
         Plan::Filter { input, .. }
         | Plan::Project { input, .. }
         | Plan::Sort { input, .. }

@@ -41,6 +41,15 @@ pub enum Plan {
         column: usize,
         lookup: IndexLookup,
     },
+    /// A foreign table's rows, fetched from its source when a cursor
+    /// opens (see [`crate::foreign`]). `pushed` is the conjunction of the
+    /// WHERE conjuncts shipped to the source; each of them also stays in
+    /// a local `Filter` above the leaf.
+    ForeignScan {
+        table: Arc<Table>,
+        schema: Schema,
+        pushed: Option<Expr>,
+    },
     Filter {
         input: Box<Plan>,
         predicate: BoundExpr,
@@ -190,6 +199,15 @@ impl Plan {
                     table.name
                 );
             }
+            Plan::ForeignScan { table, pushed, .. } => {
+                let remote = table.foreign().map(|f| f.remote_sql(pushed.as_ref()));
+                let _ = writeln!(
+                    out,
+                    "{pad}ForeignScan: {} (remote: {})",
+                    table.name,
+                    remote.unwrap_or_default()
+                );
+            }
             Plan::Filter { input, .. } => {
                 let _ = writeln!(out, "{pad}Filter");
                 input.explain_into(depth + 1, out, seen_spools);
@@ -266,6 +284,7 @@ impl Plan {
             Plan::Values { schema, .. } => schema,
             Plan::Scan { schema, .. } => schema,
             Plan::IndexScan { schema, .. } => schema,
+            Plan::ForeignScan { schema, .. } => schema,
             Plan::Filter { input, .. } => input.schema(),
             Plan::Project { schema, .. } => schema,
             Plan::NestedLoopJoin { schema, .. } => schema,
@@ -276,6 +295,33 @@ impl Plan {
             Plan::Limit { input, .. } => input.schema(),
             Plan::Union { schema, .. } => schema,
             Plan::Shared { input, .. } => input.schema(),
+        }
+    }
+
+    /// Visit each direct child, left to right (a shared spool's input
+    /// counts as its child).
+    pub(crate) fn visit_children<'p>(&'p self, f: &mut impl FnMut(&'p Plan)) {
+        match self {
+            Plan::Values { .. }
+            | Plan::Scan { .. }
+            | Plan::IndexScan { .. }
+            | Plan::ForeignScan { .. } => {}
+            Plan::Filter { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Aggregate { input, .. }
+            | Plan::Sort { input, .. }
+            | Plan::Distinct { input }
+            | Plan::Limit { input, .. } => f(input),
+            Plan::NestedLoopJoin { left, right, .. } | Plan::HashJoin { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            Plan::Union { inputs, .. } => {
+                for i in inputs {
+                    f(i);
+                }
+            }
+            Plan::Shared { input, .. } => f(input),
         }
     }
 }
@@ -881,7 +927,11 @@ impl<'a> Planner<'a> {
                 let table = self.catalog.get_table(name)?;
                 let qualifier = alias.clone().unwrap_or_else(|| name.clone());
                 let schema = table.schema.clone().with_qualifier(&qualifier);
-                Ok(Plan::Scan { table, schema })
+                Ok(if table.foreign().is_some() {
+                    Plan::ForeignScan { table, schema, pushed: None }
+                } else {
+                    Plan::Scan { table, schema }
+                })
             }
             TableRef::Join { left, right, kind, on } => {
                 let l = self.table_ref(left)?;
@@ -1128,7 +1178,9 @@ impl AggRewriter {
 /// Push a WHERE conjunct as deep into `plan` as semantics allow: through
 /// the left side of any join, through the right side of inner/cross joins
 /// (never below the preserved side of a LEFT join), and through filters.
-/// The conjunct must already bind against `plan`'s schema.
+/// At a leaf it becomes an index lookup when it can, and at a foreign
+/// leaf it is also shipped to the source. The conjunct must already bind
+/// against `plan`'s schema.
 fn push_conjunct(plan: Plan, c: &Expr) -> Result<Plan> {
     /// Apply the conjunct as a filter at this level (binding re-resolves
     /// column indexes against the sub-plan's own schema).
@@ -1172,6 +1224,15 @@ fn push_conjunct(plan: Plan, c: &Expr) -> Result<Plan> {
                 return Ok(Plan::IndexScan { table, schema, column, lookup });
             }
             wrap(Plan::Scan { table, schema }, c)
+        }
+        Plan::ForeignScan { table, schema, mut pushed } => {
+            if let Some(remote) = crate::foreign::remote_conjunct(c) {
+                pushed = Some(match pushed {
+                    Some(p) => Expr::and(p, remote),
+                    None => remote,
+                });
+            }
+            wrap(Plan::ForeignScan { table, schema, pushed }, c)
         }
         other => wrap(other, c),
     }
@@ -1390,7 +1451,9 @@ mod tests {
     /// order (left-deep: left subtree first).
     fn scan_order(p: &Plan, out: &mut Vec<String>) {
         match p {
-            Plan::Scan { schema, .. } | Plan::IndexScan { schema, .. } => {
+            Plan::Scan { schema, .. }
+            | Plan::IndexScan { schema, .. }
+            | Plan::ForeignScan { schema, .. } => {
                 if let Some(q) = schema.columns.first().and_then(|c| c.qualifier.clone()) {
                     out.push(q);
                 }

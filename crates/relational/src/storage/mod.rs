@@ -19,10 +19,11 @@
 //! database was opened from a data directory), every mutation logs a redo
 //! record *before* applying — under the sink's barrier lock, so checkpoint
 //! pinning can exclude in-flight mutations — and a failed log append fails
-//! the statement without touching the heap. Tables registered through
-//! [`Catalog::register`] are **ephemeral** (foreign/federation tables):
-//! they are excluded from both logging and snapshots. Without a sink
-//! everything behaves exactly as before: a purely in-memory engine.
+//! the statement without touching the heap. **Ephemeral** tables (the
+//! SESQL pairs tables from [`Catalog::create_ephemeral_table`], the
+//! foreign tables of [`crate::foreign`]) are excluded from both logging
+//! and snapshots. Without a sink everything behaves exactly as before: a
+//! purely in-memory engine.
 
 pub mod durable;
 pub mod snapshot;
@@ -36,6 +37,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use crate::error::{Error, Result};
+use crate::foreign::Foreign;
 use crate::schema::{Column, Schema};
 use crate::value::{Row, Value};
 
@@ -175,9 +177,11 @@ pub struct Table {
     indexes: RwLock<Vec<Arc<Index>>>,
     /// Redo sink for durability; `None` on purely in-memory tables.
     sink: RwLock<Option<Arc<dyn RedoSink>>>,
-    /// Ephemeral tables (foreign/federation registrations) are excluded
-    /// from logging and snapshots.
-    ephemeral: AtomicBool,
+    /// Ephemeral tables are excluded from logging and snapshots.
+    ephemeral: bool,
+    /// Set on a foreign table: its rows live at a source, and the table
+    /// itself is ephemeral, empty and read-only.
+    foreign: Option<Foreign>,
 }
 
 impl Table {
@@ -189,29 +193,40 @@ impl Table {
             generation: AtomicU64::new(0),
             indexes: RwLock::new_labeled("table.indexes", Vec::new()),
             sink: RwLock::new_labeled("table.sink", None),
-            ephemeral: AtomicBool::new(false),
+            ephemeral: false,
+            foreign: None,
         }
     }
 
-    /// The redo sink, if this table participates in durability.
-    fn sink(&self) -> Option<Arc<dyn RedoSink>> {
-        if self.ephemeral.load(AtomicOrdering::Acquire) {
-            return None;
+    /// A foreign table named `name` over `foreign` (see [`crate::foreign`]).
+    pub(crate) fn new_foreign(name: String, schema: Schema, foreign: Foreign) -> Self {
+        Table { ephemeral: true, foreign: Some(foreign), ..Table::new(name, schema) }
+    }
+
+    /// The redo sink a mutation logs through (`None` when the table takes
+    /// no part in durability); an error on a read-only foreign table.
+    fn write_sink(&self) -> Result<Option<Arc<dyn RedoSink>>> {
+        if self.foreign.is_some() {
+            return Err(Error::catalog(format!(
+                "`{}` is a foreign table and is read-only",
+                self.name
+            )));
         }
-        self.sink.read().clone()
+        Ok(if self.ephemeral { None } else { self.sink.read().clone() })
     }
 
     pub(crate) fn set_sink(&self, sink: Option<Arc<dyn RedoSink>>) {
         *self.sink.write() = sink;
     }
 
-    /// Mark this table as excluded from durability (see [`Catalog::register`]).
-    pub fn set_ephemeral(&self, ephemeral: bool) {
-        self.ephemeral.store(ephemeral, AtomicOrdering::Release);
+    pub fn is_ephemeral(&self) -> bool {
+        self.ephemeral
     }
 
-    pub fn is_ephemeral(&self) -> bool {
-        self.ephemeral.load(AtomicOrdering::Acquire)
+    /// Where a foreign table's rows live; `None` for a table of this
+    /// database.
+    pub fn foreign(&self) -> Option<&Foreign> {
+        self.foreign.as_ref()
     }
 
     /// Number of stored rows.
@@ -234,7 +249,7 @@ impl Table {
     /// append it.
     pub fn insert(&self, row: Row) -> Result<()> {
         let coerced = self.check_row(row)?;
-        let sink = self.sink();
+        let sink = self.write_sink()?;
         {
             let _barrier = sink_guard(&sink);
             let mut rows = self.rows.write();
@@ -264,7 +279,7 @@ impl Table {
             checked.push(self.check_row(row)?);
         }
         let n = checked.len();
-        let sink = self.sink();
+        let sink = self.write_sink()?;
         {
             let _barrier = sink_guard(&sink);
             let mut stored = self.rows.write();
@@ -342,7 +357,8 @@ impl Table {
         self.mark_indexes_dirty();
     }
 
-    fn check_row(&self, row: Row) -> Result<Row> {
+    /// Arity and per-column coercion of one row against the schema.
+    pub(crate) fn check_row(&self, row: Row) -> Result<Row> {
         if row.len() != self.schema.len() {
             return Err(Error::constraint(format!(
                 "table `{}` expects {} values, got {}",
@@ -375,7 +391,7 @@ impl Table {
     /// record carries the matched heap positions, so replay removes
     /// exactly the same rows without re-evaluating the predicate.
     pub fn delete_where(&self, mut pred: impl FnMut(&Row) -> bool) -> Result<usize> {
-        let sink = self.sink();
+        let sink = self.write_sink()?;
         let removed = {
             let _barrier = sink_guard(&sink);
             let mut rows = self.rows.write();
@@ -423,7 +439,7 @@ impl Table {
         &self,
         mut f: impl FnMut(&mut Row) -> Result<bool>,
     ) -> Result<usize> {
-        let sink = self.sink();
+        let sink = self.write_sink()?;
         let (updated, failed) = {
             let _barrier = sink_guard(&sink);
             let mut rows = self.rows.write();
@@ -469,7 +485,7 @@ impl Table {
     /// Remove all rows, keeping the schema. Pinned snapshots keep the old
     /// rows; the table publishes a fresh empty heap.
     pub fn truncate(&self) -> Result<()> {
-        let sink = self.sink();
+        let sink = self.write_sink()?;
         {
             let _barrier = sink_guard(&sink);
             let mut rows = self.rows.write();
@@ -497,7 +513,7 @@ impl Table {
     /// unknown or an index of that name already exists on this table.
     pub fn create_index(&self, index_name: &str, column_name: &str) -> Result<()> {
         let column = self.schema.resolve(None, column_name)?;
-        let sink = self.sink();
+        let sink = self.write_sink()?;
         {
             let _barrier = sink_guard(&sink);
             let rows = self.rows.read();
@@ -522,7 +538,7 @@ impl Table {
 
     /// Drop an index by name; returns whether one was removed.
     pub fn drop_index(&self, index_name: &str) -> Result<bool> {
-        let sink = self.sink();
+        let sink = self.write_sink()?;
         {
             let _barrier = sink_guard(&sink);
             let mut indexes = self.indexes.write();
@@ -712,10 +728,9 @@ impl Catalog {
 
     /// Create (replacing) an **ephemeral** table: a materialised
     /// intermediate that is excluded from the write-ahead log and from
-    /// checkpoint snapshots, like [`Catalog::register`]ed foreign tables.
-    /// Query-cache spools (REPLACEVARIABLE pairs tables) are derived
-    /// state — rebuildable from the durable stores — so persisting them
-    /// would only bloat the log.
+    /// checkpoint snapshots, like a foreign table. Query-cache spools
+    /// (REPLACEVARIABLE pairs tables) are derived state — rebuildable from
+    /// the durable stores — so persisting them would only bloat the log.
     pub fn create_ephemeral_table(
         &self,
         name: &str,
@@ -768,10 +783,8 @@ impl Catalog {
             if replace {
                 tables.remove(&key);
             }
-            let table = Arc::new(Table::new(name, Schema::new(columns)));
-            if ephemeral {
-                table.set_ephemeral(true);
-            } else {
+            let table = Arc::new(Table { ephemeral, ..Table::new(name, Schema::new(columns)) });
+            if !ephemeral {
                 table.set_sink(sink.clone());
             }
             tables.insert(key, Arc::clone(&table));
@@ -876,22 +889,19 @@ impl Catalog {
             .any(|t| t.index_names().iter().any(|(n, _)| n.eq_ignore_ascii_case(index_name)))
     }
 
-    /// Register an externally constructed table (used by the federation
-    /// layer to expose foreign tables). Registered tables are marked
-    /// **ephemeral**: their contents mirror an external source, so they are
-    /// excluded from the write-ahead log and from snapshots — recovery
-    /// re-registers them from the source instead.
-    pub fn register(&self, table: Arc<Table>) -> Result<()> {
-        table.set_ephemeral(true);
+    /// Add read-only foreign tables, all or none: a name already taken
+    /// fails the call before any table is added. Nothing is logged.
+    pub(crate) fn add_foreign_tables(&self, new: Vec<Table>) -> Result<()> {
         let mut tables = self.tables.write();
-        let key = Self::key(&table.name);
-        if tables.contains_key(&key) {
-            return Err(Error::catalog(format!(
-                "table `{}` already exists",
-                table.name
-            )));
+        let mut keys: Vec<String> = Vec::with_capacity(new.len());
+        for table in &new {
+            let key = Self::key(&table.name);
+            if tables.contains_key(&key) || keys.contains(&key) {
+                return Err(Error::catalog(format!("table `{}` already exists", table.name)));
+            }
+            keys.push(key);
         }
-        tables.insert(key, table);
+        tables.extend(keys.into_iter().zip(new.into_iter().map(Arc::new)));
         drop(tables);
         self.bump_version();
         Ok(())
@@ -1017,13 +1027,37 @@ mod tests {
         assert!(cat2.has_table("t"));
     }
 
+    /// A source no test asks for rows.
+    struct NoRows;
+
+    impl crate::foreign::DataSource for NoRows {
+        fn name(&self) -> &str {
+            "src"
+        }
+        fn table_names(&self) -> Vec<String> {
+            Vec::new()
+        }
+        fn table_schema(&self, table: &str) -> Result<Schema> {
+            Err(Error::NoSuchTable(table.to_string()))
+        }
+        fn fetch_query(&self, _sql: &str) -> Result<crate::db::RowSet> {
+            Err(Error::eval("no rows here"))
+        }
+    }
+
     #[test]
     fn registered_table_is_ephemeral() {
         let cat = Catalog::new();
-        let t = Arc::new(Table::new("foreign", Schema::new(landfill_cols())));
-        cat.register(Arc::clone(&t)).unwrap();
+        let foreign = Foreign { source: Arc::new(NoRows), table: "landfill".into() };
+        let t = Table::new_foreign("foreign".into(), Schema::new(landfill_cols()), foreign);
+        cat.add_foreign_tables(vec![t]).unwrap();
+        let t = cat.get_table("foreign").unwrap();
         assert!(t.is_ephemeral());
-        assert!(cat.get_table("foreign").unwrap().is_ephemeral());
+        // Read-only: every write path refuses, before touching the heap.
+        assert!(t.insert(row!["a", "b", 1.0]).is_err());
+        assert!(t.delete_where(|_| true).is_err());
+        assert!(t.truncate().is_err());
+        assert!(cat.create_index("i", "foreign", "city").is_err());
     }
 
     // ---- snapshots ---------------------------------------------------------

@@ -121,9 +121,7 @@ mod tests {
     use super::*;
     use crate::row;
     use crate::schema::Column;
-    use crate::storage::Table;
     use crate::value::{DataType, Value};
-    use std::sync::Arc;
 
     fn seed() -> Catalog {
         let cat = Catalog::new();
@@ -162,11 +160,7 @@ mod tests {
     #[test]
     fn ephemeral_tables_excluded() {
         let cat = seed();
-        let foreign = Arc::new(Table::new(
-            "foreign",
-            Schema::new(vec![Column::new("x", DataType::Int)]),
-        ));
-        cat.register(foreign).unwrap();
+        cat.create_ephemeral_table("foreign", vec![Column::new("x", DataType::Int)]).unwrap();
         let pin = pin_catalog(&cat);
         assert!(pin.tables.iter().all(|t| !t.name.eq_ignore_ascii_case("foreign")));
         let restored = Catalog::new();

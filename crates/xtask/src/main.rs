@@ -22,7 +22,8 @@
 //! * `lint` — regenerate the corpus lint snapshots (`lint_golden`) and
 //!   fail on drift against the committed ones.
 //! * `check` — the aggregate gate: clippy + srclint + lint +
-//!   explain-snapshots + the full test suite, with a per-gate recap.
+//!   explain-snapshots + the full test suite + every example binary, with
+//!   a per-gate recap.
 //! * `srclint` — the in-process Rust source linter (R001–R006: lock
 //!   discipline, panic discipline, determinism; see `crosse-lint`):
 //!   lint the workspace, then regenerate and drift-check the rule
@@ -547,10 +548,37 @@ fn crossebench() {
     println!("xtask: crossebench OK");
 }
 
+/// Run every `examples/*.rs` binary (debug build, output discarded): the
+/// examples assert what they demonstrate, so a non-zero exit fails the
+/// gate.
+fn examples() {
+    let mut names: Vec<String> = std::fs::read_dir("examples")
+        .unwrap_or_else(|e| {
+            eprintln!("xtask: cannot list examples/: {e}");
+            std::process::exit(1);
+        })
+        .filter_map(|entry| {
+            let path = entry.ok()?.path();
+            let stem = path.file_stem()?.to_str()?.to_string();
+            (path.extension()? == "rs").then_some(stem)
+        })
+        .collect();
+    names.sort();
+    for name in &names {
+        run(
+            &format!("example {name}"),
+            cargo()
+                .args(["run", "--quiet", "--example", name])
+                .stdout(std::process::Stdio::null()),
+        );
+    }
+    println!("xtask: examples OK ({} run)", names.len());
+}
+
 /// The aggregate static-analysis + test gate: clippy (warnings are
 /// errors), srclint on our own sources, the corpus lint gate, the
-/// EXPLAIN plan snapshots, the full test suite, chaos quick mode and the
-/// benchmark package. One command ≈ "is
+/// EXPLAIN plan snapshots, the full test suite, the examples, chaos quick
+/// mode and the benchmark package. One command ≈ "is
 /// this tree healthy". Each sub-gate prints its own one-line verdict;
 /// the trailing block recaps them.
 fn check() {
@@ -559,6 +587,7 @@ fn check() {
     lint_gate();
     explain_snapshots();
     run("cargo test --workspace", cargo().args(["test", "--workspace", "--quiet"]));
+    examples();
     chaos(&["--quick".to_string()]);
     crossebench();
     println!("xtask: check OK");
@@ -568,6 +597,7 @@ fn check() {
         "lint              OK (query-corpus snapshots match)",
         "explain-snapshots OK (plan snapshots match)",
         "tests             OK (cargo test --workspace)",
+        "examples          OK (every examples/*.rs binary exits 0)",
         "chaos             OK (--quick: frame abuse + kill -9 recovery, lock-tracked)",
         "crossebench       OK (harness tests + --smoke: golden and differential digests)",
     ] {
@@ -1078,7 +1108,7 @@ fn main() {
                  srclint         lint our own Rust sources (R001-R006: std::sync locks, unwrap/panic\n\
                                  discipline, lock labels, forbid(unsafe_code), planner wall-clock)\n\
                                  and gate the fixture corpus snapshot\n\
-                 check           aggregate gate: clippy + srclint + lint + explain-snapshots + full tests\n\
+                 check           aggregate gate: clippy + srclint + lint + explain-snapshots + full tests + examples\n\
                                  + chaos --quick + the crossebench package's tests and --smoke\n\
                  loc             non-test Rust lines under crates/ + src/ (no tests/ files, no\n\
                                  #[cfg(test)] items), per crate and total: the size to report per PR\n\

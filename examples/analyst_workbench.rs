@@ -11,10 +11,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crosse::core::session::Session;
-use crosse::federation::{FederatedDatabase, LatencyModel, RemoteSource};
+use crosse::federation::{LatencyModel, RemoteSource};
 use crosse::rdf::sparql::SparqlParams;
 use crosse::rdf::term::Term;
-use crosse::relational::Params;
+use crosse::relational::{Database, Params};
 use crosse::smartground::{standard_engine, SmartGroundConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -121,37 +121,40 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- 5. Federation with filter pushdown ------------------------------------
-    let remote_db = engine.database().clone();
-    let fed = FederatedDatabase::new();
-    fed.register_source(Arc::new(RemoteSource::new(
+    // The same databank as a remote source of a mediator: its tables are
+    // foreign tables there, read live, with WHERE conjuncts shipped to it.
+    let remote = RemoteSource::new(
         "eu",
-        remote_db,
+        engine.database().clone(),
         LatencyModel {
             per_request: Duration::from_micros(300),
             per_row: Duration::from_micros(3),
             realtime: true,
         },
-    )))?;
-    // A prepared federated query: the plan is compiled once, the landfill
-    // binds per request, and live executions refresh the foreign table.
-    let by_landfill = fed.prepare(
+    );
+    let mediator = Database::new();
+    mediator.register_source(Arc::new(remote.clone()))?;
+    let by_landfill = mediator.prepare(
         "SELECT elem_name, amount FROM eu__elem_contained WHERE landfill_name = $lf",
     )?;
-    let full = by_landfill.query(&Params::new().set("lf", "LF00001"), true)?;
-    let sql = "SELECT elem_name, amount FROM eu__elem_contained \
-               WHERE landfill_name = 'LF00001'";
-    let pushed = fed.query_pushdown(sql)?;
-    println!("\n== Federation: full fetch vs filter pushdown ==");
-    println!("  result rows          : {}", full.len());
-    println!(
-        "  pushdown shipped     : {}",
-        pushed.pushed[0].remote_sql
-    );
-    println!(
-        "  rows over the network: {} (vs whole table when not pushed)",
-        pushed.pushed[0].rows_fetched
-    );
-    assert_eq!(full.rows, pushed.result.rows, "pushdown must not change results");
+    let lf = Params::new().set("lf", "LF00001");
+    let before = remote.stats().rows_transferred;
+    let pushed = by_landfill.query(&lf)?;
+    let moved = remote.stats().rows_transferred - before;
+    // A local snapshot is CREATE TABLE + INSERT … SELECT; it ships nothing
+    // when queried.
+    mediator.execute_script(
+        "CREATE TABLE elem_copy (elem_name TEXT, landfill_name TEXT, amount FLOAT);
+         INSERT INTO elem_copy SELECT * FROM eu__elem_contained;",
+    )?;
+    let snapshot = mediator
+        .query("SELECT elem_name, amount FROM elem_copy WHERE landfill_name = 'LF00001'")?;
+    println!("\n== Federation: filter pushdown vs a local snapshot ==");
+    println!("  result rows          : {}", pushed.len());
+    print!("  plan:\n{}", by_landfill.explain_with(&lf)?);
+    println!("  rows over the network: {moved} (the snapshot copied the whole table)");
+    assert_eq!(pushed.rows, snapshot.rows, "pushdown must not change results");
+    assert_eq!(moved, pushed.len() as u64, "only the matching rows crossed the network");
 
     Ok(())
 }

@@ -31,35 +31,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
            ('France', 2016, 34200.0), ('Germany', 2016, 51010.0);",
     )?;
 
-    let fed = FederatedDatabase::new();
-    fed.register_source(Arc::new(LocalSource::new("it", national)))?;
-    fed.register_source(Arc::new(RemoteSource::new(
-        "eu",
-        eu,
-        LatencyModel::with_rtt(Duration::from_millis(2)),
-    )))?;
+    // The mediator: one Database whose catalog gains each source's tables
+    // as read-only foreign tables (`<source>__<table>`).
+    let it = LocalSource::new("it", national);
+    let eu = RemoteSource::new("eu", eu, LatencyModel::with_rtt(Duration::from_millis(2)));
+    let mediator = Database::new();
+    let mut foreign = mediator.register_source(Arc::new(it.clone()))?;
+    foreign.extend(mediator.register_source(Arc::new(eu.clone()))?);
+    println!("foreign tables: {foreign:?}\n");
 
-    println!("foreign tables: {:?}\n", fed.foreign_tables());
-
-    // A prepared federated query joining both sources: country and year
-    // bind per execution, the plan and FROM-analysis are done once.
-    let totals = fed.prepare(
+    // A prepared query joining both sources: country and year bind per
+    // execution, every execution reads both sources live, and the WHERE
+    // conjuncts on the EU table travel to the EU source.
+    let totals = mediator.prepare(
         "SELECT l.name, l.city, w.kilotons \
          FROM it__landfill l, eu__waste_stats w \
          WHERE w.country = $country AND w.year = $year \
          ORDER BY l.name",
     )?;
-    let rs = totals.query(&Params::new().set("country", "Italy").set("year", 2017), false)?;
+    let italy_2017 = Params::new().set("country", "Italy").set("year", 2017);
+    let rs = totals.query(&italy_2017)?;
     println!("landfills with the 2017 national total:\n{rs}");
-    let rs16 = totals.query(&Params::new().set("country", "Italy").set("year", 2016), false)?;
+    let rs16 = totals.query(&Params::new().set("country", "Italy").set("year", 2016))?;
     println!("(same handle, 2016 binding: {} row(s))\n", rs16.len());
+    println!("plan, with the SQL each source receives:\n{}", totals.explain_with(&italy_2017)?);
 
-    // Live mode re-pulls referenced foreign tables through the link.
     let t0 = std::time::Instant::now();
-    fed.query("SELECT COUNT(*) FROM eu__waste_stats", true)?;
-    println!("live federated query took {:?} (includes simulated RTT)", t0.elapsed());
+    mediator.query("SELECT COUNT(*) FROM eu__waste_stats")?;
+    println!("federated query took {:?} (includes simulated RTT)", t0.elapsed());
 
-    for (name, stats) in fed.source_stats() {
+    for (name, stats) in [("it", it.stats()), ("eu", eu.stats())] {
         println!(
             "source {name:<4} requests={} rows={} simulated-network={:?}",
             stats.requests,
@@ -68,8 +69,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // SESQL on top of the federated surface: the mediator's local database
-    // is a regular Database, so the engine plugs straight in.
+    // SESQL on top of the federated surface: the mediator is a regular
+    // Database, so the engine plugs straight in (and its SQL leg gets the
+    // same pushdown).
     let kb = KnowledgeBase::new();
     kb.register_user("analyst");
     for (city, country) in [("Torino", "Italy"), ("Collegno", "Italy")] {
@@ -78,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &Triple::new(Term::iri(city), Term::iri("inCountry"), Term::iri(country)),
         )?;
     }
-    let engine = SesqlEngine::new(fed.local().clone(), kb);
+    let engine = SesqlEngine::new(mediator, kb);
     let session = Session::new(&engine, "analyst")?;
     let enrich = session.prepare(
         "SELECT name, city FROM it__landfill \

@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | [`relational`] | `crosse-relational` | in-memory SQL engine (the "main platform") |
 //! | [`rdf`] | `crosse-rdf` | triple store + SPARQL + RDFS (the "semantic platform") |
-//! | [`federation`] | `crosse-federation` | postgres_fdw simulation, JoinManager, resource mapping |
+//! | [`federation`] | `crosse-federation` | simulated databanks (foreign-table sources), JoinManager, resource mapping |
 //! | [`core`] | `crosse-core` | SESQL language + Semantic Query Module + platform services |
 //! | [`server`] | `crosse-server` | CROSNET1 TCP front-end: wire protocol, admission control, deadlines |
 //! | [`smartground`] | `crosse-smartground` | use-case schema, data generators, workloads |
@@ -52,12 +52,12 @@ pub mod prelude {
     pub use crosse_core::session::{Rows, Session};
     pub use crosse_core::sqm::{EnrichOptions, MultiValuePolicy, PreparedSesql, SesqlEngine};
     pub use crosse_core::{parse_sesql, Enrichment, SesqlQuery};
-    pub use crosse_federation::{FederatedDatabase, LatencyModel, LocalSource, RemoteSource};
+    pub use crosse_federation::{LatencyModel, LocalSource, RemoteSource};
     pub use crosse_rdf::provenance::KnowledgeBase;
     pub use crosse_rdf::sparql::SparqlParams;
     pub use crosse_rdf::store::Triple;
     pub use crosse_rdf::term::Term;
     pub use crosse_core::{Diagnostic, Severity};
-    pub use crosse_relational::{Database, Params, RowSet, Value};
+    pub use crosse_relational::{DataSource, Database, Params, RowSet, Value};
     pub use crosse_smartground::{SmartGroundConfig, standard_engine, standard_engine_at, standard_engine_at_with};
 }

@@ -148,6 +148,32 @@ fn missing_snapshot_is_a_typed_error() {
 }
 
 #[test]
+fn foreign_tables_stay_out_of_the_log_and_the_snapshot() {
+    let dir = tmp_dir("foreign");
+    {
+        let engine = seeded(&dir);
+        let logged = engine.wal_stats().unwrap().last_lsn;
+        let national = Database::new();
+        national
+            .execute_script("CREATE TABLE landfill (name TEXT); INSERT INTO landfill VALUES ('a');")
+            .unwrap();
+        let source = crosse::federation::LocalSource::new("it", national);
+        engine.database().register_source(std::sync::Arc::new(source)).unwrap();
+        let rows = engine.database().query("SELECT COUNT(*) FROM it__landfill").unwrap();
+        assert_eq!(rows.rows[0][0], Value::Int(1));
+        assert_eq!(engine.wal_stats().unwrap().last_lsn, logged, "registering and reading log nothing");
+        engine.checkpoint().unwrap();
+        engine.checkpoint_join().unwrap();
+    }
+    let engine = SesqlEngine::open(&dir).unwrap();
+    assert!(engine.recovery_warnings().is_empty(), "{:?}", engine.recovery_warnings());
+    assert!(!engine.database().catalog().has_table("it__landfill"), "no snapshot entry");
+    let rows = engine.database().query("SELECT COUNT(*) AS n FROM t").unwrap();
+    assert_eq!(rows.rows[0][0], Value::Int(4));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn stale_snapshot_with_long_tail_recovers() {
     let dir = tmp_dir("stale");
     {

@@ -240,7 +240,7 @@ fn federation_feeds_sesql() {
              INSERT INTO landfill VALUES ('x','Torino'), ('y','Lyon');",
         )
         .unwrap();
-    let fed = FederatedDatabase::new();
+    let fed = Database::new();
     fed.register_source(Arc::new(RemoteSource::new(
         "nat",
         remote,
@@ -254,7 +254,7 @@ fn federation_feeds_sesql() {
         &Triple::new(Term::iri("Torino"), Term::iri("inCountry"), Term::iri("Italy")),
     )
     .unwrap();
-    let engine = SesqlEngine::new(fed.local().clone(), kb);
+    let engine = SesqlEngine::new(fed, kb);
     let r = engine
         .execute(
             "u",

@@ -66,14 +66,16 @@ fn engine() -> SesqlEngine {
 }
 
 fn check(name: &str, sesql: &str) {
-    let engine = engine();
-    let got = engine.explain("director", sesql).unwrap();
+    snapshot(name, &engine().explain("director", sesql).unwrap());
+}
+
+fn snapshot(name: &str, got: &str) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/snapshots")
         .join(format!("{name}.snap"));
     if std::env::var_os("CROSSE_UPDATE_SNAPSHOTS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &got).unwrap();
+        std::fs::write(&path, got).unwrap();
         return;
     }
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -152,4 +154,40 @@ fn explain_ex4_6_replace_variable_shares_q1_through_spool() {
     assert!(rewritten.contains("Shared spool #0"), "{text}");
     assert!(rewritten.contains("Shared spool #0 (reused)"), "{text}");
     assert!(rewritten.contains("Union: 2 inputs"), "{text}");
+}
+
+#[test]
+fn explain_federated_pushdown() {
+    // Two statements over foreign tables: a WHERE shipped to its source,
+    // and a LEFT join whose nullable-side foreign leaf ships a plain
+    // `SELECT *` while the preserved side ships its conjunct.
+    let national = Database::new();
+    national
+        .execute_script(
+            "CREATE TABLE landfill (name TEXT, city TEXT);
+             INSERT INTO landfill VALUES ('a', 'Torino'), ('b', 'Lyon');",
+        )
+        .unwrap();
+    let eu = Database::new();
+    eu.execute_script(
+        "CREATE TABLE waste_stats (country TEXT, tons FLOAT);
+         INSERT INTO waste_stats VALUES ('Italy', 29000.0), ('France', 34000.0);",
+    )
+    .unwrap();
+    let mediator = Database::new();
+    mediator.register_source(std::sync::Arc::new(LocalSource::new("it", national))).unwrap();
+    mediator.register_source(std::sync::Arc::new(LocalSource::new("eu", eu))).unwrap();
+    let mut got = String::new();
+    for sql in [
+        "SELECT name FROM it__landfill WHERE city = 'Torino' AND name LIKE 'a%'",
+        "SELECT l.name, w.tons FROM it__landfill l \
+         LEFT JOIN eu__waste_stats w ON l.city = w.country \
+         WHERE l.city = 'Torino' AND (w.tons > 30000 OR w.tons IS NULL)",
+    ] {
+        got.push_str(&format!("EXPLAIN {sql}\n"));
+        for row in mediator.query(&format!("EXPLAIN {sql}")).unwrap().rows {
+            got.push_str(&format!("{}\n", row[0].lexical_form()));
+        }
+    }
+    snapshot("explain_federated", &got);
 }

@@ -1228,3 +1228,122 @@ proptest! {
         }
     }
 }
+
+// ---- foreign tables ------------------------------------------------------------
+
+const FOREIGN_FLOATS: [f64; 4] = [-2.5, 0.5, 1.5, 7.25];
+const FOREIGN_TEXTS: [&str; 3] = ["x", "xy", "z'q"];
+
+/// One generated WHERE conjunct over table alias `q` of `a (k INT, f
+/// FLOAT, s TEXT)` (`on_b`: over `b (k INT, g FLOAT)`), and whether its
+/// text survives the trip to a source (`i / 2.0` renders `2.0` as `2`).
+fn foreign_conjunct(q: &str, on_b: bool, (kind, i, j): (u8, i64, u8)) -> (String, bool) {
+    let fl = FOREIGN_FLOATS[j as usize % FOREIGN_FLOATS.len()];
+    let txt = FOREIGN_TEXTS[j as usize % FOREIGN_TEXTS.len()].replace('\'', "''");
+    if on_b {
+        return match kind % 5 {
+            0 => (format!("{q}.g > {fl}"), true),
+            1 => (format!("{q}.g IS NULL"), true),
+            2 => (format!("{q}.k = {i}"), true),
+            3 => (format!("({q}.g IS NULL OR {q}.g < {i})"), true),
+            _ => (format!("{q}.k IS NULL"), true),
+        };
+    }
+    match kind % 16 {
+        0 => (format!("{q}.k = {i}"), true),
+        1 => (format!("{q}.k > {i}"), true),
+        2 => (format!("{q}.f = {i}"), true),
+        3 => (format!("{q}.k < {fl}"), true),
+        4 => (format!("{q}.f >= {fl}"), true),
+        5 => (format!("{q}.s = '{txt}'"), true),
+        6 => (format!("{q}.s IS NULL"), true),
+        7 => (format!("{q}.k IS NOT NULL"), true),
+        8 => (format!("{q}.k IN ({i}, {}, NULL)", i + 1), true),
+        9 => (format!("{q}.f BETWEEN {i} AND {fl}"), true),
+        10 => (format!("{q}.s LIKE 'x%'"), true),
+        11 => (format!("NOT ({q}.k = {i})"), true),
+        12 => (format!("({q}.k = {i} OR {q}.f IS NULL)"), true),
+        13 => (format!("{q}.k >= $p"), true),
+        14 => (format!("{q}.f / 2.0 > {i}"), false),
+        _ => (format!("{q}.k = NULL"), true),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Statements over foreign tables return what the same statements
+    /// return over local copies of the rows — one-table filters, inner
+    /// joins and LEFT joins (whose nullable side must ship nothing), with
+    /// NULLs, Int-vs-Float comparisons and `$params`. A one-table filter
+    /// whose conjuncts all ship moves exactly the matching rows.
+    #[test]
+    fn foreign_tables_agree_with_local_copies(
+        a_rows in prop::collection::vec((0u8..10, 0u8..6, 0u8..4), 0..25),
+        b_rows in prop::collection::vec((0u8..10, 0u8..6), 0..15),
+        on_a in prop::collection::vec((0u8..16, 0i64..8, 0u8..4), 0..4),
+        on_b in prop::collection::vec((0u8..5, 0i64..8, 0u8..4), 0..3),
+        p in 0i64..8,
+    ) {
+        let int = |c: u8| if c >= 8 { RValue::Null } else { RValue::Int(c as i64) };
+        let float = |c: u8| match c {
+            0 => RValue::Null,
+            1 => RValue::Float(2.0),
+            c => RValue::Float(FOREIGN_FLOATS[(c - 2) as usize]),
+        };
+        let text = |c: u8| FOREIGN_TEXTS.get(c as usize).map_or(RValue::Null, |t| RValue::from(*t));
+        let a: Vec<Row> = a_rows.iter().map(|&(k, f, s)| vec![int(k), float(f), text(s)]).collect();
+        let b: Vec<Row> = b_rows.iter().map(|&(k, g)| vec![int(k), float(g)]).collect();
+        let load = |db: &Database| {
+            db.execute_script("CREATE TABLE a (k INT, f FLOAT, s TEXT); CREATE TABLE b (k INT, g FLOAT);")
+                .unwrap();
+            db.catalog().get_table("a").unwrap().insert_many(a.clone()).unwrap();
+            db.catalog().get_table("b").unwrap().insert_many(b.clone()).unwrap();
+        };
+        let source_db = Database::new();
+        load(&source_db);
+        let source = LocalSource::new("src", source_db);
+        let db = Database::new();
+        load(&db);
+        db.register_source(std::sync::Arc::new(source.clone())).unwrap();
+        let params = crosse::relational::Params::new().set("p", p);
+        let run = |sql: &str| db.prepare(sql).unwrap().query(&params).unwrap().rows;
+
+        let where_of = |conjuncts: Vec<(String, bool)>| -> (String, bool) {
+            let ships = conjuncts.iter().all(|(_, s)| *s);
+            let texts: Vec<String> = conjuncts.into_iter().map(|(c, _)| c).collect();
+            let clause = if texts.is_empty() { String::new() } else { format!(" WHERE {}", texts.join(" AND ")) };
+            (clause, ships)
+        };
+        let a_conj = |q: &str| on_a.iter().map(|&c| foreign_conjunct(q, false, c)).collect::<Vec<_>>();
+        let b_conj = |q: &str| on_b.iter().map(|&c| foreign_conjunct(q, true, c)).collect::<Vec<_>>();
+
+        // One table: equal rows, and exactly the matches cross the wire.
+        let (clause, ships) = where_of(a_conj("q"));
+        let shape = |t: &str| format!("SELECT q.k, q.f, q.s FROM {t} q{clause} ORDER BY q.k, q.f, q.s");
+        let local = run(&shape("a"));
+        let before = source.stats().rows_transferred;
+        let remote = run(&shape("src__a"));
+        let moved = source.stats().rows_transferred - before;
+        prop_assert_eq!(&remote, &local, "{}", shape("src__a"));
+        if ships {
+            prop_assert_eq!(moved, local.len() as u64, "{}", shape("src__a"));
+        } else {
+            prop_assert!(moved >= local.len() as u64);
+        }
+
+        // Joins over both tables, inner and LEFT.
+        let mut conjuncts = a_conj("x");
+        conjuncts.extend(b_conj("y"));
+        let (clause, _) = where_of(conjuncts);
+        for join in ["JOIN", "LEFT JOIN"] {
+            let shape = |ta: &str, tb: &str| {
+                format!(
+                    "SELECT x.k, x.s, y.g FROM {ta} x {join} {tb} y ON x.k = y.k{clause} \
+                     ORDER BY x.k, x.s, y.g"
+                )
+            };
+            prop_assert_eq!(run(&shape("src__a", "src__b")), run(&shape("a", "b")), "{}", shape("src__a", "src__b"));
+        }
+    }
+}

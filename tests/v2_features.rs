@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use crosse::federation::{FederatedDatabase, LatencyModel, RemoteSource};
+use crosse::federation::{LatencyModel, RemoteSource};
 use crosse::prelude::*;
 use crosse::smartground::{landfill_name, standard_engine, SmartGroundConfig};
 
@@ -103,12 +103,12 @@ fn property_path_stored_query_expands_hierarchy() {
 
 #[test]
 fn pushdown_federation_feeds_a_sesql_engine() {
-    // Build a mediator over a remote SmartGround databank, pull one
-    // landfill's rows via pushdown, materialise them locally, and run a
-    // SESQL enrichment on the staged copy.
+    // A mediator over a remote SmartGround databank, and a SESQL engine on
+    // the mediator: the enrichment runs on the foreign table directly, and
+    // its SQL leg ships the WHERE to the source, so only matching rows
+    // cross the network.
     let source_engine = engine();
-    let fed = FederatedDatabase::new();
-    fed.register_source(Arc::new(RemoteSource::new(
+    let remote = RemoteSource::new(
         "eu",
         source_engine.database().clone(),
         LatencyModel {
@@ -116,39 +116,32 @@ fn pushdown_federation_feeds_a_sesql_engine() {
             per_row: Duration::from_micros(1),
             realtime: false,
         },
-    )))
-    .unwrap();
+    );
+    let mediator = Database::new();
+    mediator.register_source(Arc::new(remote.clone())).unwrap();
     let target = landfill_name(0);
-    let out = fed
-        .query_pushdown(&format!(
-            "SELECT elem_name, landfill_name, amount FROM eu__elem_contained \
-             WHERE landfill_name = '{target}'"
+    let matching = source_engine
+        .database()
+        .query(&format!(
+            "SELECT elem_name FROM elem_contained WHERE landfill_name = '{target}'"
         ))
         .unwrap();
-    assert!(out.pushed[0].remote_sql.contains("WHERE"));
-    assert!(!out.result.is_empty());
+    assert!(!matching.is_empty());
 
-    // Materialise the mediated result as the engine's own table.
-    let local = Database::new();
-    local
-        .execute("CREATE TABLE elem_contained (elem_name TEXT, landfill_name TEXT, amount FLOAT)")
-        .unwrap();
-    local
-        .catalog()
-        .get_table("elem_contained")
-        .unwrap()
-        .insert_many(out.result.rows.clone())
-        .unwrap();
     let kb = source_engine.knowledge_base().clone();
-    let mediated = SesqlEngine::new(local, kb);
+    let mediated = SesqlEngine::new(mediator, kb);
     let r = mediated
         .execute(
             "director",
-            "SELECT elem_name FROM elem_contained \
-             ENRICH BOOLSCHEMAEXTENSION(elem_name, isA, HazardousWaste)",
+            &format!(
+                "SELECT elem_name FROM eu__elem_contained WHERE landfill_name = '{target}' \
+                 ENRICH BOOLSCHEMAEXTENSION(elem_name, isA, HazardousWaste)"
+            ),
         )
         .unwrap();
-    assert_eq!(r.rows.len(), out.result.len());
+    assert_eq!(r.rows.len(), matching.len());
+    assert_eq!(remote.stats().rows_transferred, matching.len() as u64);
+    assert_eq!(remote.stats().requests, 1);
 }
 
 #[test]
