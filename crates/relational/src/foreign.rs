@@ -42,17 +42,16 @@ pub trait DataSource: Send + Sync {
 }
 
 /// Where a foreign table's rows live: one table of a registered source.
-#[derive(Clone)]
 pub struct Foreign {
-    pub source: Arc<dyn DataSource>,
+    pub(crate) source: Arc<dyn DataSource>,
     /// The table's name at the source.
-    pub table: String,
+    pub(crate) table: String,
 }
 
 impl Foreign {
     /// The SELECT shipped to the source: every column, filtered by the
     /// conjunction the planner pushed to the leaf.
-    pub fn remote_sql(&self, pushed: Option<&Expr>) -> String {
+    pub(crate) fn remote_sql(&self, pushed: Option<&Expr>) -> String {
         let mut select = Select::empty();
         select.projections.push(SelectItem::Wildcard);
         select.from.push(TableRef::Table { name: self.table.clone(), alias: None });
