@@ -16,8 +16,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use crosse_rdf::sparql::eval::{evaluate_with, EvalOptions};
-use crosse_rdf::sparql::parser::parse_query;
+use crosse_rdf::sparql::eval::EvalOptions;
+use crosse_rdf::sparql::{prepare, SparqlParams};
 use crosse_rdf::store::{Triple, TripleStore};
 use crosse_rdf::term::Term;
 use crosse_relational::db::Database;
@@ -131,7 +131,7 @@ fn bench_sparql_probe(c: &mut Criterion) {
             );
         }
     }
-    let q = parse_query(
+    let q = prepare(
         "SELECT ?hub ?leaf ?w WHERE { ?hub <linksTo> ?leaf . ?leaf <weight> ?w }",
     )
     .unwrap();
@@ -139,7 +139,8 @@ fn bench_sparql_probe(c: &mut Criterion) {
     for threads in [1usize, 4] {
         group.bench_with_input(BenchmarkId::new("two_hop_star", threads), &threads, |b, &t| {
             let opts = EvalOptions { threads: t, ..Default::default() };
-            b.iter(|| black_box(evaluate_with(&store, &["kb"], &q, &opts).unwrap().len()))
+            let params = SparqlParams::new();
+            b.iter(|| black_box(q.execute(&store, &["kb"], &params, &opts).unwrap().len()))
         });
     }
     group.finish();

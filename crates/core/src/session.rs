@@ -340,8 +340,8 @@ impl Session {
 
     // ---- SPARQL (the user's knowledge context) ---------------------------
 
-    /// Prepare a SPARQL SELECT (parse only; evaluation binds the user's
-    /// context graphs at execute time).
+    /// Prepare a SPARQL SELECT: parse and compile it once; execution binds
+    /// the parameters and the user's context graphs.
     pub fn prepare_sparql(&self, sparql: &str) -> Result<PreparedSparql> {
         Ok(crosse_rdf::sparql::prepare(sparql)?)
     }
@@ -358,7 +358,7 @@ impl Session {
         let graphs = kb.context_graphs(&self.user);
         let refs: Vec<&str> = graphs.iter().map(String::as_str).collect();
         let opts = EvalOptions { threads: self.engine.exec_threads(), ..Default::default() };
-        let sols = prepared.execute_with(kb.store(), &refs, params, &opts)?;
+        let sols = prepared.execute(kb.store(), &refs, params, &opts)?;
         Ok(SparqlRows::new(sols))
     }
 }

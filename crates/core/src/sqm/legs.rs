@@ -141,57 +141,37 @@ impl SparqlLegCache {
 }
 
 impl SesqlEngine {
-    /// Parse a SPARQL SELECT once per distinct text, returning the shared
-    /// compiled AST (bounded LRU — generated leg texts vary with the live
-    /// predicate set, so old entries age out instead of accumulating).
-    fn parse_cached(&self, sparql: &str) -> Result<Arc<crosse_rdf::sparql::ast::Query>> {
-        if let Some(q) = self.parsed.lock().get(sparql) {
-            return Ok(q.clone());
+    /// Compile a generated SPARQL leg once per distinct text (bounded LRU:
+    /// generated leg texts vary with the live predicate set, so old
+    /// entries age out instead of accumulating). A handle never goes
+    /// stale: each execution resolves it against the store afresh.
+    fn compiled_leg(&self, sparql: &str) -> Result<Arc<PreparedSparql>> {
+        if let Some(p) = self.parsed.lock().get(sparql) {
+            return Ok(p.clone());
         }
-        let q = Arc::new(crosse_rdf::sparql::parser::parse_query(sparql)?);
-        self.parsed.lock().put(sparql.to_string(), q.clone());
-        Ok(q)
+        let p = Arc::new(crosse_rdf::sparql::prepare(sparql)?);
+        self.parsed.lock().put(sparql.to_string(), p.clone());
+        Ok(p)
     }
 
-    /// Evaluate one SPARQL leg with version-checked caching and record it
-    /// in the pipeline report.
+    /// Execute one SPARQL leg (`sparql` is its text, `prepared` its
+    /// compiled form) behind the version-checked solution cache, and
+    /// record it in the pipeline report.
     fn run_sparql_leg(
         &self,
         graphs: &[&str],
         sparql: &str,
-        parsed: Option<&crosse_rdf::sparql::ast::Query>,
+        prepared: &PreparedSparql,
         purpose: String,
         report: &mut PipelineReport,
     ) -> Result<Solutions> {
         let version = self.kb.store().version();
         let t = Instant::now();
-        // The compiled AST is cached per query text, so repeated legs skip
-        // the parser even when the solution cache is invalidated.
-        let opts =
-            crosse_rdf::sparql::eval::EvalOptions { threads: self.exec_threads(), ..Default::default() };
-        let evaluate = |parsed: Option<&crosse_rdf::sparql::ast::Query>| -> Result<Solutions> {
-            match parsed {
-                Some(q) => Ok(crosse_rdf::sparql::eval::evaluate_with(
-                    self.kb.store(),
-                    graphs,
-                    q,
-                    &opts,
-                )?),
-                None => {
-                    let q = self.parse_cached(sparql)?;
-                    Ok(crosse_rdf::sparql::eval::evaluate_with(
-                        self.kb.store(),
-                        graphs,
-                        &q,
-                        &opts,
-                    )?)
-                }
-            }
-        };
         let (sols, cached) = match self.cache.get(graphs, sparql, version) {
             Some(s) => (s, true),
             None => {
-                let s = evaluate(parsed)?;
+                let opts = EvalOptions { threads: self.exec_threads(), ..Default::default() };
+                let s = prepared.execute(self.kb.store(), graphs, &SparqlParams::new(), &opts)?;
                 self.cache.put(graphs, sparql, version, &s);
                 (s, false)
             }
@@ -222,7 +202,8 @@ impl SesqlEngine {
         let refs: Vec<&str> = graphs.iter().map(String::as_str).collect();
         let predicates = self.resolve_predicates(&refs, property);
         let sparql = sparql_pairs_query(&predicates, property);
-        self.run_sparql_leg(&refs, &sparql, None, purpose, report)
+        let prepared = self.compiled_leg(&sparql)?;
+        self.run_sparql_leg(&refs, &sparql, &prepared, purpose, report)
     }
 
     /// Resolve a property argument to concrete predicate IRIs: an argument
@@ -290,7 +271,7 @@ impl SesqlEngine {
             let sols = self.run_sparql_leg(
                 &refs,
                 &stored.sparql,
-                Some(&stored.query),
+                &stored.prepared,
                 e.to_string(),
                 report,
             )?;
@@ -303,7 +284,8 @@ impl SesqlEngine {
         let predicates = self.resolve_predicates(&refs, property);
         let subjects = self.resolve_constant_subjects(constant);
         let sparql = sparql_objects_query(&subjects, &predicates);
-        let sols = self.run_sparql_leg(&refs, &sparql, None, e.to_string(), report)?;
+        let prepared = self.compiled_leg(&sparql)?;
+        let sols = self.run_sparql_leg(&refs, &sparql, &prepared, e.to_string(), report)?;
         let o_idx = sols.var_index("o").expect("objects query binds ?o");
         let mut seen: std::collections::HashSet<Value> =
             std::collections::HashSet::with_capacity(sols.rows.len());
@@ -623,6 +605,46 @@ mod tests {
         e.clear_cache();
         let r = e.execute("director", CACHED_QUERY).unwrap();
         assert!(!r.report.sparql_runs[0].cached);
+    }
+
+    fn col_strings(rows: &RowSet, name: &str) -> Vec<String> {
+        let mut v: Vec<String> =
+            rows.column_values(name).unwrap().iter().map(Value::lexical_form).collect();
+        v.sort();
+        v
+    }
+
+    #[test]
+    fn cached_compiled_leg_sees_terms_asserted_later() {
+        // A compiled leg is reused, never its resolution: the leg's
+        // constants are unknown to the store on the first run and found on
+        // the second, from the same cached handle.
+        let e = engine();
+        let q = "SELECT landfill_name FROM elem_contained \
+                 WHERE ${elem_name = DangerList:cond1} \
+                 ENRICH REPLACECONSTANT(cond1, DangerList, includes)";
+        assert_eq!(e.execute("director", q).unwrap().rows.len(), 0);
+        let compiled = e.ast_cache_stats();
+        e.knowledge_base()
+            .assert_statement("director", &Triple::new(iri("DangerList"), iri("includes"), iri("Hg")))
+            .unwrap();
+        let r = e.execute("director", q).unwrap();
+        assert!(!r.report.sparql_runs[0].cached);
+        let after = e.ast_cache_stats();
+        assert_eq!(after.misses, compiled.misses, "the leg is not recompiled");
+        assert!(after.hits > compiled.hits);
+        assert_eq!(col_strings(&r.rows, "landfill_name"), vec!["a", "c"]); // Hg is in a and c
+
+        // The same for a stored query registered before its terms exist.
+        e.stored_queries().register("toxicQuery", "SELECT ?e WHERE { ?e <isA> <Toxic> }").unwrap();
+        let q = "SELECT landfill_name FROM elem_contained \
+                 WHERE ${elem_name = Toxic:c} ENRICH REPLACECONSTANT(c, Toxic, toxicQuery)";
+        assert_eq!(e.execute("director", q).unwrap().rows.len(), 0);
+        e.knowledge_base()
+            .assert_statement("director", &Triple::new(iri("As"), iri("isA"), iri("Toxic")))
+            .unwrap();
+        let r = e.execute("director", q).unwrap();
+        assert_eq!(col_strings(&r.rows, "landfill_name"), vec!["b"]); // As is in b
     }
 
     #[test]

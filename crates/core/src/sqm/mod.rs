@@ -26,7 +26,8 @@ use crosse_cache::Lru;
 use crosse_federation::join_manager::{combine_in, term_to_value_in, CombineKind, JoinSpec};
 use crosse_federation::mapping::{MapStrategy, ResourceMapping};
 use crosse_rdf::provenance::KnowledgeBase;
-use crosse_rdf::sparql::eval::Solutions;
+use crosse_rdf::sparql::eval::{EvalOptions, Solutions};
+use crosse_rdf::sparql::{Prepared as PreparedSparql, SparqlParams};
 use crosse_rdf::stored::StoredQueries;
 use crosse_rdf::term::Term;
 use crosse_lint::Diagnostic;
@@ -172,7 +173,7 @@ struct AppliedColumn {
 }
 
 /// Default capacity of the engine's bounded caches (SPARQL-leg solutions,
-/// parsed SPARQL ASTs, prepared SESQL queries).
+/// compiled SPARQL legs, prepared SESQL queries).
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// Cumulative cache statistics (hits, misses, LRU evictions) — shared
@@ -188,11 +189,12 @@ pub struct SesqlEngine {
     mapping: ResourceMapping,
     options: EnrichOptions,
     cache: Arc<SparqlLegCache>,
-    /// Compiled SPARQL ASTs keyed by query text (bounded LRU): generated
-    /// legs parse once, then evaluate the compiled form (the result cache
-    /// above is version-checked; this one never needs invalidation — the
-    /// same text always parses to the same AST).
-    parsed: Arc<Mutex<Lru<String, Arc<crosse_rdf::sparql::ast::Query>>>>,
+    /// Compiled SPARQL legs keyed by query text (bounded LRU): a generated
+    /// leg compiles once, then every execution runs the compiled operator
+    /// tree. The result cache above is version-checked; this one never
+    /// needs invalidation, because a compiled leg holds no data (its
+    /// constants are resolved against the store per execution).
+    parsed: Arc<Mutex<Lru<String, Arc<PreparedSparql>>>>,
     /// Prepared SESQL queries keyed by normalized text (bounded LRU):
     /// repeated `prepare` traffic skips the scanner + both parsers.
     prepared: Arc<Mutex<Lru<String, CachedSesql>>>,
@@ -293,7 +295,8 @@ impl SesqlEngine {
         self.cache.stats()
     }
 
-    /// Parsed-SPARQL AST cache statistics.
+    /// Compiled-SPARQL-leg cache statistics (the LRU of generated legs'
+    /// compiled operator trees; the name predates the operator tree).
     pub fn ast_cache_stats(&self) -> CacheStats {
         self.parsed.lock().stats()
     }
@@ -303,8 +306,8 @@ impl SesqlEngine {
         self.prepared.lock().stats()
     }
 
-    /// Resize every engine-level cache (solutions, pairs tables, parsed
-    /// ASTs, prepared queries). Capacity 0 is the way to switch caching
+    /// Resize every engine-level cache (solutions, pairs tables, compiled
+    /// SPARQL legs, prepared queries). Capacity 0 is the way to switch caching
     /// off: every leg is evaluated, and a REPLACEVARIABLE query's pairs
     /// table lives exactly as long as the query.
     pub fn set_cache_capacity(&self, capacity: usize) {

@@ -47,7 +47,7 @@ use crate::{Diagnostic, Severity};
 // ---- lexer ----------------------------------------------------------------
 
 /// What a lexed token is. Comments are kept (allow directives live in
-/// them); rule matching skips them via [`Lexed::code_tokens`].
+/// them); rule matching skips them via `Lexed::code_tokens`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
     Ident,

@@ -413,7 +413,8 @@ impl KnowledgeBase {
         ]
     }
 
-    /// Evaluate a SPARQL query in a user's context.
+    /// Prepare and execute a parameter-free SPARQL SELECT in a user's
+    /// context.
     pub fn query_as(
         &self,
         user: &str,

@@ -1,35 +1,20 @@
-// srclint: allow(R002): resolved[] slots are filled by the loop just above; the ordering pick runs over a non-empty candidate set
-//! SPARQL evaluation over the triple store.
+//! SPARQL entry points over text, and the shapes results come back in.
 //!
-//! Evaluation is a two-phase, ID-native pipeline:
-//!
-//! 1. **Compile**: every `PatternTriple` of a BGP is translated into a
-//!    [`CompiledTriple`] whose constants are resolved through the
-//!    [`Dictionary`](crate::term::Dictionary) exactly once (a constant the
-//!    dictionary has never seen short-circuits the whole BGP to the empty
-//!    result) and whose variables are pre-resolved to row-slot indices.
-//!    FILTER expressions compile the same way ([`CExpr`]), so the per-row
-//!    loops never hash a variable name or intern a term.
-//! 2. **Stream**: patterns join index-nested-loop style in greedy order
-//!    (most-bound first; ties broken by estimated cardinality from the
-//!    store's index counts). Probes reuse one scratch buffer per pattern,
-//!    input rows are sorted on the bound probe prefix so consecutive range
-//!    scans hit warm B-tree nodes, and identical consecutive probes are
-//!    answered from the previous scan without touching the store.
-//!
-//! Property-path patterns materialise their edge set once per pattern (not
-//! once per row) and memoise reachability across rows.
+//! Every query runs the same way: [`prepare`] (or [`prepare_any`] for ASK
+//! and CONSTRUCT) compiles the text once into a
+//! [`Prepared`](super::Prepared) operator tree, and
+//! [`Prepared::execute`](super::Prepared::execute) runs it. The helpers
+//! here are that pair for callers holding nothing but text.
 
-use std::cell::RefCell;
-use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
+use std::collections::HashSet;
 
 use crate::error::{Error, Result};
-use crate::store::{IdPattern, IdTriple, Prober, TripleStore};
-use crate::term::{DictReader, Term, TermId};
+use crate::store::{Triple, TripleStore};
+use crate::term::Term;
 
-use super::ast::*;
+use super::ast::{PatternTerm, PatternTriple};
+use super::compile::Form;
+use super::prepared::{prepare, prepare_any, SparqlParams};
 
 /// A set of solutions: variable names plus one row of optional bindings per
 /// solution.
@@ -73,8 +58,9 @@ pub struct EvalOptions {
     pub threads: usize,
     /// Cooperative cancellation handle, polled between BGP probe batches
     /// and inside long probe loops. `None` (the default) falls back to the
-    /// ambient [`CancelToken`] of the calling thread, so a serving layer's
-    /// deadline reaches SPARQL legs without explicit plumbing.
+    /// ambient [`CancelToken`](crosse_exec::CancelToken) of the calling
+    /// thread, so a serving layer's deadline reaches SPARQL legs without
+    /// explicit plumbing.
     pub cancel: Option<crosse_exec::CancelToken>,
 }
 
@@ -84,1662 +70,69 @@ impl Default for EvalOptions {
     }
 }
 
-/// Evaluate a parsed query against the union of `graphs` (sequential).
-pub fn evaluate(store: &TripleStore, graphs: &[&str], query: &Query) -> Result<Solutions> {
-    evaluate_with(store, graphs, query, &EvalOptions::default())
-}
-
-/// Evaluate a parsed query against the union of `graphs` with explicit
-/// [`EvalOptions`] (e.g. a worker-thread budget).
-pub fn evaluate_with(
-    store: &TripleStore,
-    graphs: &[&str],
-    query: &Query,
-    options: &EvalOptions,
-) -> Result<Solutions> {
-    let params = query.params();
-    if !params.is_empty() {
-        return Err(unbound_param_error(&params));
-    }
-    // Build the variable table: projected vars first (if explicit), then
-    // any others appearing in the pattern.
-    let pattern_vars = query.pattern.variables();
-    let mut vars: Vec<String> = Vec::new();
-    for v in query.variables.iter().chain(pattern_vars.iter()) {
-        if !vars.contains(v) {
-            vars.push(v.clone());
-        }
-    }
-    if !query.is_aggregate() {
-        // (Aggregate queries resolve ORDER BY against the output columns,
-        // which may be aggregate aliases.)
-        for o in &query.order_by {
-            if !vars.contains(&o.variable) {
-                return Err(Error::eval(format!(
-                    "ORDER BY variable `?{}` does not occur in the pattern",
-                    o.variable
-                )));
-            }
-        }
-    }
-    for v in &query.variables {
-        if !pattern_vars.contains(v) {
-            // Legal in SPARQL (always unbound); we keep it and bind nothing.
-        }
-    }
-
-    let var_index: HashMap<&str, usize> =
-        vars.iter().enumerate().map(|(i, v)| (v.as_str(), i)).collect();
-
-    let ctx = EvalCtx {
-        store,
-        graphs,
-        vars: &vars,
-        var_index: &var_index,
-        nums: RefCell::new(HashMap::new()),
-        threads: options.threads.max(1),
-        cancel: options
-            .cancel
-            .clone()
-            .unwrap_or_else(crosse_exec::CancelToken::current),
-    };
-    let mut rows = ctx.eval_pattern(&query.pattern, vec![vec![None; vars.len()]])?;
-
-    if query.is_aggregate() {
-        return aggregate_solutions(store, query, rows, &var_index);
-    }
-
-    // ORDER BY: decode each sort key once per row (numeric value + lexical
-    // form), then compare the cached keys — no dictionary access inside the
-    // comparator.
-    if !query.order_by.is_empty() {
-        let keys: Vec<(usize, bool)> = query
-            .order_by
-            .iter()
-            .map(|o| (var_index[o.variable.as_str()], o.ascending))
-            .collect();
-        let mut decorated: Vec<(Vec<SortKey>, Bindings)> = {
-            let reader = store.dictionary().reader();
-            rows.into_iter()
-                .map(|r| {
-                    let ks = keys
-                        .iter()
-                        .map(|&(i, _)| {
-                            r[i].map(|id| {
-                                let t = reader.term(id);
-                                (t.as_f64(), t.lexical_form().to_string())
-                            })
-                        })
-                        .collect();
-                    (ks, r)
-                })
-                .collect()
-        };
-        decorated.sort_by(|a, b| {
-            for (j, &(_, asc)) in keys.iter().enumerate() {
-                let ord = cmp_sort_key(&a.0[j], &b.0[j]);
-                let ord = if asc { ord } else { ord.reverse() };
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            Ordering::Equal
-        });
-        rows = decorated.into_iter().map(|(_, r)| r).collect();
-    }
-
-    // Projection
-    let (out_vars, proj): (Vec<String>, Vec<usize>) = if query.variables.is_empty() {
-        (vars.clone(), (0..vars.len()).collect())
-    } else {
-        (
-            query.variables.clone(),
-            query
-                .variables
-                .iter()
-                .map(|v| var_index[v.as_str()])
-                .collect(),
-        )
-    };
-    let mut projected: Vec<Vec<Option<TermId>>> = rows
-        .into_iter()
-        .map(|r| proj.iter().map(|&i| r[i]).collect())
-        .collect();
-
-    // DISTINCT
-    if query.distinct {
-        let mut seen = std::collections::HashSet::new();
-        projected.retain(|r| seen.insert(r.clone()));
-    }
-
-    // LIMIT / OFFSET
-    let start = query.offset.unwrap_or(0).min(projected.len());
-    let end = match query.limit {
-        Some(l) => (start + l).min(projected.len()),
-        None => projected.len(),
-    };
-    let window = &projected[start..end];
-
-    // Materialise terms through one dictionary read lock.
-    let reader = store.dictionary().reader();
-    Ok(Solutions {
-        variables: out_vars,
-        rows: window
-            .iter()
-            .map(|r| r.iter().map(|id| id.map(|i| reader.term(i).clone())).collect())
-            .collect(),
-    })
-}
-
-/// Cached ORDER BY key for one binding: `None` for unbound, else the
-/// numeric interpretation (if any) plus the lexical form.
-type SortKey = Option<(Option<f64>, String)>;
-
-fn cmp_sort_key(a: &SortKey, b: &SortKey) -> Ordering {
-    match (a, b) {
-        (None, None) => Ordering::Equal,
-        (None, Some(_)) => Ordering::Less,
-        (Some(_), None) => Ordering::Greater,
-        (Some((na, la)), Some((nb, lb))) => match (na, nb) {
-            (Some(x), Some(y)) => x.total_cmp(y),
-            _ => la.cmp(lb),
-        },
-    }
-}
-
-/// Group the pattern solutions and compute aggregate projections
-/// (SPARQL 1.1 `GROUP BY` / `HAVING` / aggregate functions).
-fn aggregate_solutions(
-    store: &TripleStore,
-    query: &Query,
-    rows: Vec<Vec<Option<TermId>>>,
-    var_index: &HashMap<&str, usize>,
-) -> Result<Solutions> {
-    let dict = store.dictionary();
-
-    // Validate projections: plain variables must be grouped.
-    for p in &query.projections {
-        if let Projection::Var(v) = p {
-            if !query.group_by.contains(v) {
-                return Err(Error::eval(format!(
-                    "variable `?{v}` must appear in GROUP BY or inside an aggregate"
-                )));
-            }
-        }
-    }
-    let group_is: Vec<usize> = query
-        .group_by
-        .iter()
-        .map(|v| {
-            var_index.get(v.as_str()).copied().ok_or_else(|| {
-                Error::eval(format!("GROUP BY variable `?{v}` not in pattern"))
-            })
-        })
-        .collect::<Result<_>>()?;
-
-    // Group rows, preserving first-seen order.
-    let mut order: Vec<Vec<Option<TermId>>> = Vec::new();
-    let mut groups: HashMap<Vec<Option<TermId>>, Vec<usize>> = HashMap::new();
-    for (ri, row) in rows.iter().enumerate() {
-        let key: Vec<Option<TermId>> = group_is.iter().map(|&i| row[i]).collect();
-        if !groups.contains_key(&key) {
-            order.push(key.clone());
-        }
-        groups.entry(key).or_default().push(ri);
-    }
-    // A global aggregate (no GROUP BY) over an empty input is one group.
-    if order.is_empty() && query.group_by.is_empty() {
-        order.push(Vec::new());
-        groups.insert(Vec::new(), Vec::new());
-    }
-
-    // Output column names in written order.
-    let out_names: Vec<String> = query
-        .projections
-        .iter()
-        .map(|p| match p {
-            Projection::Var(v) => v.clone(),
-            Projection::Agg(a) => a.alias.clone(),
-        })
-        .collect();
-
-    let mut out_rows: Vec<Vec<Option<Term>>> = Vec::new();
-    for key in &order {
-        let members = &groups[key];
-        // Per-group bindings for HAVING: group vars + aggregate aliases.
-        let mut named: HashMap<&str, Option<Term>> = HashMap::new();
-        for (v, id) in query.group_by.iter().zip(key) {
-            named.insert(v.as_str(), id.map(|i| dict.term_of(i)));
-        }
-        let mut agg_values: HashMap<&str, Option<Term>> = HashMap::new();
-        for p in &query.projections {
-            if let Projection::Agg(a) = p {
-                let value = compute_aggregate(store, a, members, &rows, var_index)?;
-                agg_values.insert(a.alias.as_str(), value);
-            }
-        }
-        for (k, v) in &agg_values {
-            named.insert(k, v.clone());
-        }
-        if let Some(h) = &query.having {
-            if eval_expr_over_terms(h, &named)? != Some(true) {
-                continue;
-            }
-        }
-        out_rows.push(
-            query
-                .projections
-                .iter()
-                .map(|p| match p {
-                    Projection::Var(v) => named.get(v.as_str()).cloned().flatten(),
-                    Projection::Agg(a) => {
-                        agg_values.get(a.alias.as_str()).cloned().flatten()
-                    }
-                })
-                .collect(),
-        );
-    }
-
-    // DISTINCT over output rows.
-    if query.distinct {
-        let mut seen = std::collections::HashSet::new();
-        out_rows.retain(|r| {
-            let k: Vec<String> = r
-                .iter()
-                .map(|t| t.as_ref().map(|t| format!("{t:?}")).unwrap_or_default())
-                .collect();
-            seen.insert(k)
-        });
-    }
-
-    // ORDER BY against output columns.
-    if !query.order_by.is_empty() {
-        let keys: Vec<(usize, bool)> = query
-            .order_by
-            .iter()
-            .map(|o| {
-                out_names
-                    .iter()
-                    .position(|n| *n == o.variable)
-                    .map(|i| (i, o.ascending))
-                    .ok_or_else(|| {
-                        Error::eval(format!(
-                            "ORDER BY variable `?{}` is not projected",
-                            o.variable
-                        ))
-                    })
-            })
-            .collect::<Result<_>>()?;
-        out_rows.sort_by(|a, b| {
-            for &(i, asc) in &keys {
-                let ord = cmp_term_opt(&a[i], &b[i]);
-                let ord = if asc { ord } else { ord.reverse() };
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            Ordering::Equal
-        });
-    }
-
-    let start = query.offset.unwrap_or(0).min(out_rows.len());
-    let end = match query.limit {
-        Some(l) => (start + l).min(out_rows.len()),
-        None => out_rows.len(),
-    };
-    Ok(Solutions {
-        variables: out_names,
-        rows: out_rows[start..end].to_vec(),
-    })
-}
-
-/// Compute one aggregate over the group member rows.
-fn compute_aggregate(
-    store: &TripleStore,
-    agg: &AggProj,
-    members: &[usize],
-    rows: &[Vec<Option<TermId>>],
-    var_index: &HashMap<&str, usize>,
-) -> Result<Option<Term>> {
-    let dict = store.dictionary();
-    // COUNT(*) counts solutions, everything else aggregates bound values.
-    let values: Vec<Term> = match &agg.var {
-        None => Vec::new(),
-        Some(v) => {
-            let vi = *var_index.get(v.as_str()).ok_or_else(|| {
-                Error::eval(format!("aggregate variable `?{v}` not in pattern"))
-            })?;
-            let mut vals: Vec<Term> = members
-                .iter()
-                .filter_map(|&ri| rows[ri][vi].map(|id| dict.term_of(id)))
-                .collect();
-            if agg.distinct {
-                let mut seen = std::collections::HashSet::new();
-                vals.retain(|t| seen.insert(t.clone()));
-            }
-            vals
-        }
-    };
-    let numeric = |vals: &[Term]| -> Result<Vec<f64>> {
-        vals.iter()
-            .map(|t| {
-                t.as_f64().ok_or_else(|| {
-                    Error::eval(format!(
-                        "non-numeric value `{}` in numeric aggregate",
-                        t.lexical_form()
-                    ))
-                })
-            })
-            .collect()
-    };
-    Ok(match agg.func {
-        AggFunc::Count => {
-            let n = match &agg.var {
-                None => members.len(),
-                Some(_) => values.len(),
-            };
-            Some(num_term(n as f64))
-        }
-        AggFunc::Sum => Some(num_term(numeric(&values)?.iter().sum())),
-        AggFunc::Avg => {
-            let ns = numeric(&values)?;
-            if ns.is_empty() {
-                Some(num_term(0.0))
-            } else {
-                Some(num_term(ns.iter().sum::<f64>() / ns.len() as f64))
-            }
-        }
-        AggFunc::Min | AggFunc::Max => {
-            let mut best: Option<Term> = None;
-            for v in values {
-                best = Some(match best {
-                    None => v,
-                    Some(b) => {
-                        let ord = cmp_term_values(&b, &v);
-                        let keep_new = if agg.func == AggFunc::Min {
-                            ord == Ordering::Greater
-                        } else {
-                            ord == Ordering::Less
-                        };
-                        if keep_new {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            best
-        }
-        AggFunc::Sample => values.into_iter().next(),
-    })
-}
-
-/// Render a numeric aggregate result as a plain literal, using integer
-/// formatting for whole numbers.
-fn num_term(x: f64) -> Term {
-    if x.fract() == 0.0 && x.abs() < 9e15 {
-        Term::lit(format!("{}", x as i64))
-    } else {
-        Term::lit(format!("{x}"))
-    }
-}
-
-/// Numeric-when-possible, lexical-otherwise comparison of two terms.
-fn cmp_term_values(a: &Term, b: &Term) -> Ordering {
-    match (a.as_f64(), b.as_f64()) {
-        (Some(x), Some(y)) => x.total_cmp(&y),
-        _ => a.lexical_form().cmp(b.lexical_form()),
-    }
-}
-
-fn cmp_term_opt(a: &Option<Term>, b: &Option<Term>) -> Ordering {
-    match (a, b) {
-        (None, None) => Ordering::Equal,
-        (None, Some(_)) => Ordering::Less,
-        (Some(_), None) => Ordering::Greater,
-        (Some(x), Some(y)) => cmp_term_values(x, y),
-    }
-}
-
-/// Evaluate a FILTER-style expression over named (already materialised)
-/// term bindings — used for HAVING, where values may be computed aggregates
-/// that never entered the dictionary.
-fn eval_expr_over_terms(
-    e: &SparqlExpr,
-    named: &HashMap<&str, Option<Term>>,
-) -> Result<Option<bool>> {
-    fn term_of<'t>(
-        e: &'t SparqlExpr,
-        named: &'t HashMap<&str, Option<Term>>,
-    ) -> Result<Option<Term>> {
-        match e {
-            SparqlExpr::Var(v) => named
-                .get(v.as_str())
-                .cloned()
-                .ok_or_else(|| Error::eval(format!("unknown variable `?{v}` in HAVING"))),
-            SparqlExpr::Const(t) => Ok(Some(t.clone())),
-            SparqlExpr::Str(inner) => {
-                Ok(term_of(inner, named)?.map(|t| Term::lit(t.lexical_form().to_string())))
-            }
-            SparqlExpr::Param(p) => Err(Error::eval(format!(
-                "unbound parameter `${p}` in HAVING"
-            ))),
-            other => Err(Error::eval(format!(
-                "expected a term expression in HAVING, got {other:?}"
-            ))),
-        }
-    }
-    match e {
-        SparqlExpr::And(a, b) => Ok(
-            match (eval_expr_over_terms(a, named)?, eval_expr_over_terms(b, named)?) {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
-                _ => None,
-            },
-        ),
-        SparqlExpr::Or(a, b) => Ok(
-            match (eval_expr_over_terms(a, named)?, eval_expr_over_terms(b, named)?) {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
-            },
-        ),
-        SparqlExpr::Not(inner) => Ok(eval_expr_over_terms(inner, named)?.map(|b| !b)),
-        SparqlExpr::Bound(v) => Ok(Some(
-            named
-                .get(v.as_str())
-                .ok_or_else(|| Error::eval(format!("unknown variable `?{v}` in HAVING")))?
-                .is_some(),
-        )),
-        SparqlExpr::Regex(inner, pattern) => {
-            let Some(t) = term_of(inner, named)? else {
-                return Ok(None);
-            };
-            Ok(Some(simple_regex_match(t.lexical_form(), pattern)))
-        }
-        SparqlExpr::Cmp(a, op, b) => {
-            let (Some(ta), Some(tb)) = (term_of(a, named)?, term_of(b, named)?) else {
-                return Ok(None);
-            };
-            Ok(Some(compare_terms(&ta, *op, &tb)))
-        }
-        SparqlExpr::Var(_) | SparqlExpr::Const(_) | SparqlExpr::Str(_) => {
-            Err(Error::eval("HAVING expression is not boolean"))
-        }
-        SparqlExpr::Param(p) => {
-            Err(Error::eval(format!("unbound parameter `${p}` in HAVING")))
-        }
-    }
-}
-
-/// The error reported when a query with unbound parameters reaches the
-/// evaluator directly.
-fn unbound_param_error(params: &[String]) -> Error {
-    let shown: Vec<String> = params
-        .iter()
-        .map(|p| match p.strip_prefix('#') {
-            Some(n) => format!("?#{n}"),
-            None => format!("${p}"),
-        })
-        .collect();
-    Error::eval(format!(
-        "query has unbound parameter(s) {} — prepare it and execute with bindings",
-        shown.join(", ")
-    ))
-}
-
-/// Convenience: parse and evaluate in one step.
+/// Prepare and execute a parameter-free SELECT in one step.
 pub fn query(store: &TripleStore, graphs: &[&str], sparql: &str) -> Result<Solutions> {
-    let q = super::parser::parse_query(sparql)?;
-    evaluate(store, graphs, &q)
+    prepare(sparql)?.execute(store, graphs, &SparqlParams::new(), &EvalOptions::default())
 }
 
-/// Evaluate an `ASK` pattern: does at least one solution exist?
-pub fn ask(store: &TripleStore, graphs: &[&str], pattern: &GraphPattern) -> Result<bool> {
-    let q = Query {
-        distinct: false,
-        variables: Vec::new(),
-        projections: Vec::new(),
-        pattern: pattern.clone(),
-        group_by: Vec::new(),
-        having: None,
-        order_by: Vec::new(),
-        limit: Some(1),
-        offset: None,
-    };
-    Ok(!evaluate(store, graphs, &q)?.is_empty())
-}
-
-/// Evaluate a `CONSTRUCT`: instantiate `template` once per solution of
-/// `pattern`. Triples with unbound variables or literal subjects/predicates
-/// are skipped; duplicates are removed.
-pub fn construct(
-    store: &TripleStore,
-    graphs: &[&str],
-    template: &[PatternTriple],
-    pattern: &GraphPattern,
-) -> Result<Vec<crate::store::Triple>> {
-    let q = Query {
-        distinct: false,
-        variables: Vec::new(),
-        projections: Vec::new(),
-        pattern: pattern.clone(),
-        group_by: Vec::new(),
-        having: None,
-        order_by: Vec::new(),
-        limit: None,
-        offset: None,
-    };
-    let sols = evaluate(store, graphs, &q)?;
-
-    // Compile the template once: variable positions resolved against the
-    // solution columns, constants kept by reference.
-    enum TSlot<'t> {
-        Const(&'t Term),
-        Var(Option<usize>),
-    }
-    let compiled: Vec<[TSlot; 3]> = template
-        .iter()
-        .map(|t| {
-            [&t.subject, &t.predicate, &t.object].map(|part| match part {
-                PatternTerm::Const(c) => TSlot::Const(c),
-                PatternTerm::Var(v) => TSlot::Var(sols.var_index(v)),
-                // Unbound parameters never instantiate a template triple.
-                PatternTerm::Param(_) => TSlot::Var(None),
-            })
-        })
-        .collect();
-
-    let mut out = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    for row in &sols.rows {
-        'tmpl: for slots in &compiled {
-            let mut resolved: [Option<&Term>; 3] = [None, None, None];
-            for (pos, slot) in slots.iter().enumerate() {
-                resolved[pos] = match slot {
-                    TSlot::Const(c) => Some(c),
-                    TSlot::Var(None) => continue 'tmpl,
-                    TSlot::Var(Some(i)) => match &row[*i] {
-                        Some(term) => Some(term),
-                        None => continue 'tmpl,
-                    },
-                };
-            }
-            let (s, p, o) = (
-                resolved[0].expect("filled"),
-                resolved[1].expect("filled"),
-                resolved[2].expect("filled"),
-            );
-            // RDF validity: literals cannot be subjects or predicates.
-            if s.is_literal() || p.is_literal() {
-                continue;
-            }
-            let triple = crate::store::Triple::new(s.clone(), p.clone(), o.clone());
-            if seen.insert(triple.clone()) {
-                out.push(triple);
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Parse and evaluate any query form; SELECT solutions, ASK booleans and
-/// CONSTRUCT graphs are returned through one result enum.
+/// Any query form's result: SELECT solutions, an ASK boolean or a
+/// CONSTRUCT graph.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryOutcome {
     Solutions(Solutions),
     Boolean(bool),
-    Graph(Vec<crate::store::Triple>),
+    Graph(Vec<Triple>),
 }
 
-/// Evaluate any SPARQL query form.
-pub fn query_any(
-    store: &TripleStore,
-    graphs: &[&str],
-    sparql: &str,
-) -> Result<QueryOutcome> {
-    match super::parser::parse_any(sparql)? {
-        ParsedQuery::Select(q) => Ok(QueryOutcome::Solutions(evaluate(store, graphs, &q)?)),
-        ParsedQuery::Ask(p) => Ok(QueryOutcome::Boolean(ask(store, graphs, &p)?)),
-        ParsedQuery::Construct { template, pattern } => Ok(QueryOutcome::Graph(
-            construct(store, graphs, &template, &pattern)?,
-        )),
-    }
+/// Prepare and execute a parameter-free query of any form.
+pub fn query_any(store: &TripleStore, graphs: &[&str], sparql: &str) -> Result<QueryOutcome> {
+    let prepared = prepare_any(sparql)?;
+    let sols =
+        prepared.execute(store, graphs, &SparqlParams::new(), &EvalOptions::default())?;
+    Ok(match prepared.form() {
+        Form::Select => QueryOutcome::Solutions(sols),
+        // An ASK plan projects nothing and stops at the first solution.
+        Form::Ask => QueryOutcome::Boolean(!sols.is_empty()),
+        Form::Construct(template) => QueryOutcome::Graph(construct(template, &sols)),
+    })
 }
 
-/// A (partial) solution row over the full variable table.
-type Bindings = Vec<Option<TermId>>;
-
-/// One position of a compiled triple pattern: a constant already resolved
-/// to its dictionary id, or a variable resolved to its row slot.
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    Const(TermId),
-    Var(usize),
-}
-
-/// A simple (non-path) pattern with every name resolved exactly once.
-#[derive(Debug, Clone, Copy)]
-struct CompiledTriple {
-    slots: [Slot; 3],
-}
-
-impl CompiledTriple {
-    /// The probe pattern for one input row: constants stay fixed, bound
-    /// variables contribute their binding, free variables stay wildcards.
-    #[inline]
-    fn probe(&self, row: &Bindings) -> IdPattern {
-        let v = |slot: Slot| match slot {
-            Slot::Const(id) => Some(id),
-            Slot::Var(vi) => row[vi],
-        };
-        (v(self.slots[0]), v(self.slots[1]), v(self.slots[2]))
-    }
-
-    fn has_var(&self) -> bool {
-        self.slots.iter().any(|s| matches!(s, Slot::Var(_)))
-    }
-}
-
-/// A compiled FILTER expression: variable names and constant terms are
-/// resolved once, so per-row evaluation is id-native.
-enum CExpr {
-    And(Box<CExpr>, Box<CExpr>),
-    Or(Box<CExpr>, Box<CExpr>),
-    Not(Box<CExpr>),
-    Bound(usize),
-    Regex(CTerm, String),
-    Cmp(CTerm, CmpOp, CTerm),
-}
-
-/// A compiled term expression inside a FILTER.
-enum CTerm {
-    Var(usize),
-    /// A constant with its dictionary id (if interned) precomputed.
-    Const { id: Option<TermId>, term: Term },
-    Str(Box<CTerm>),
-}
-
-/// A resolved term value during FILTER evaluation: an interned id (no
-/// materialisation), a borrowed constant, or an owned synthesised term
-/// (only `STR(...)` produces these).
-enum RTerm<'a> {
-    Id(TermId),
-    Term(&'a Term),
-    Owned(Term),
-}
-
-/// Minimum probe-batch size before [`EvalOptions::threads`] actually
-/// spawns workers — smaller batches finish faster than a thread spawn.
-const PARALLEL_PROBE_MIN: usize = 1024;
-
-/// The probe loop of [`EvalCtx::extend_batch_simple`] over one chunk of
-/// input rows (a free function so worker threads can run it against the
-/// shared prober without borrowing the evaluation context).
-fn probe_rows(
-    ct: &CompiledTriple,
-    prober: &Prober<'_>,
-    rows: Vec<Bindings>,
-    cancel: &crosse_exec::CancelToken,
-) -> Vec<Bindings> {
-    let mut out = Vec::with_capacity(rows.len());
-    let mut scratch: Vec<IdTriple> = Vec::new();
-    let mut last: Option<IdPattern> = None;
-    let mut since_check = 0usize;
-    // Bind the free positions of `row` to one match; false if a
-    // repeated variable (e.g. ?x <p> ?x) disagrees.
-    let bind = |row: &mut Bindings, (s, p, o): IdTriple| -> bool {
-        for (pos, id) in [(0usize, s), (1, p), (2, o)] {
-            if let Slot::Var(vi) = ct.slots[pos] {
-                match row[vi] {
-                    None => row[vi] = Some(id),
-                    Some(existing) if existing == id => {}
-                    Some(_) => return false,
-                }
+/// Instantiate a CONSTRUCT template once per solution. Triples with unbound
+/// variables or literal subjects/predicates are skipped; duplicates are
+/// removed.
+fn construct(template: &[PatternTriple], sols: &Solutions) -> Vec<Triple> {
+    let mut out = Vec::new();
+    let mut seen = HashSet::new();
+    for row in &sols.rows {
+        for t in template {
+            let resolve = |part: &PatternTerm| match part {
+                PatternTerm::Const(c) => Some(c.clone()),
+                PatternTerm::Var(v) => sols.var_index(v).and_then(|i| row[i].clone()),
+                // A parameter never instantiates a template triple.
+                PatternTerm::Param(_) => None,
+            };
+            let (Some(s), Some(p), Some(o)) =
+                (resolve(&t.subject), resolve(&t.predicate), resolve(&t.object))
+            else {
+                continue;
+            };
+            // RDF validity: literals cannot be subjects or predicates.
+            if s.is_literal() || p.is_literal() {
+                continue;
             }
-        }
-        true
-    };
-    for mut row in rows {
-        // Stop early on cancellation: the partial output is discarded by
-        // the typed error the BGP loop raises at its next batch boundary.
-        since_check += 1;
-        if since_check >= PARALLEL_PROBE_MIN {
-            since_check = 0;
-            if cancel.check().is_err() {
-                return out;
-            }
-        }
-        let pat = ct.probe(&row);
-        if last != Some(pat) {
-            scratch.clear();
-            prober.probe(pat, &mut scratch);
-            last = Some(pat);
-        }
-        // All matches but the last extend a clone of the input
-        // row; the last consumes the row itself, so the common
-        // 1-match-per-row join allocates nothing.
-        if let [head @ .., tail] = scratch.as_slice() {
-            for &m in head {
-                let mut new_row = row.clone();
-                if bind(&mut new_row, m) {
-                    out.push(new_row);
-                }
-            }
-            if bind(&mut row, *tail) {
-                out.push(row);
+            let triple = Triple::new(s, p, o);
+            if seen.insert(triple.clone()) {
+                out.push(triple);
             }
         }
     }
     out
 }
 
-struct EvalCtx<'a> {
-    store: &'a TripleStore,
-    graphs: &'a [&'a str],
-    vars: &'a [String],
-    var_index: &'a HashMap<&'a str, usize>,
-    /// Numeric interpretations memoised per term id (FILTER hot path).
-    nums: RefCell<HashMap<TermId, Option<f64>>>,
-    /// Worker threads for partition-parallel probe batches (1 = off).
-    threads: usize,
-    /// Cooperative cancellation handle, polled between probe batches.
-    cancel: crosse_exec::CancelToken,
-}
-
-impl<'a> EvalCtx<'a> {
-    fn eval_pattern(
-        &self,
-        pattern: &GraphPattern,
-        input: Vec<Bindings>,
-    ) -> Result<Vec<Bindings>> {
-        match pattern {
-            GraphPattern::Bgp(triples) => self.eval_bgp(triples, input),
-            GraphPattern::Join(a, b) => {
-                let left = self.eval_pattern(a, input)?;
-                self.eval_pattern(b, left)
-            }
-            GraphPattern::Optional(a, b) => {
-                let left = self.eval_pattern(a, input)?;
-                let mut out = Vec::new();
-                for row in left {
-                    let extended = self.eval_pattern(b, vec![row.clone()])?;
-                    if extended.is_empty() {
-                        out.push(row);
-                    } else {
-                        out.extend(extended);
-                    }
-                }
-                Ok(out)
-            }
-            GraphPattern::Union(a, b) => {
-                let mut left = self.eval_pattern(a, input.clone())?;
-                let right = self.eval_pattern(b, input)?;
-                left.extend(right);
-                Ok(left)
-            }
-            GraphPattern::Filter(p, e) => {
-                let rows = self.eval_pattern(p, input)?;
-                if rows.is_empty() {
-                    return Ok(rows);
-                }
-                let compiled = self.compile_expr(e)?;
-                let mut out = Vec::new();
-                // One dictionary read guard serves the whole batch; filter
-                // evaluation never interns, so holding it is safe.
-                let reader = self.store.dictionary().reader();
-                for row in rows {
-                    if self.eval_cexpr(&compiled, &row, &reader) == Some(true) {
-                        out.push(row);
-                    }
-                }
-                Ok(out)
-            }
-            GraphPattern::Minus(a, b) => {
-                let left = self.eval_pattern(a, input)?;
-                // The right side is evaluated independently (fresh scope),
-                // per the SPARQL 1.1 MINUS definition.
-                let right =
-                    self.eval_pattern(b, vec![vec![None; self.vars.len()]])?;
-                Ok(left
-                    .into_iter()
-                    .filter(|l| {
-                        !right.iter().any(|r| {
-                            let mut shares = false;
-                            for (lv, rv) in l.iter().zip(r.iter()) {
-                                match (lv, rv) {
-                                    (Some(x), Some(y)) if x == y => shares = true,
-                                    (Some(_), Some(_)) => return false, // incompatible
-                                    _ => {}
-                                }
-                            }
-                            shares // compatible and sharing ≥1 binding → remove
-                        })
-                    })
-                    .collect())
-            }
-            GraphPattern::Values { vars, rows } => {
-                let dict = self.store.dictionary();
-                let var_is: Vec<usize> = vars
-                    .iter()
-                    .map(|v| {
-                        self.var_index.get(v.as_str()).copied().ok_or_else(|| {
-                            Error::eval(format!("unknown VALUES variable `?{v}`"))
-                        })
-                    })
-                    .collect::<Result<_>>()?;
-                // Intern each VALUES cell once, not once per input row.
-                // (Interning is safe here: it adds the term to the
-                // dictionary without asserting any triple.)
-                let data_ids: Vec<Vec<Option<TermId>>> = rows
-                    .iter()
-                    .map(|data| {
-                        data.iter()
-                            .map(|cell| cell.as_ref().map(|t| dict.intern(t)))
-                            .collect()
-                    })
-                    .collect();
-                let mut out = Vec::new();
-                for row in &input {
-                    'data: for data in &data_ids {
-                        let mut new_row = row.clone();
-                        for (&vi, cell) in var_is.iter().zip(data) {
-                            let Some(id) = *cell else { continue }; // UNDEF
-                            match new_row[vi] {
-                                None => new_row[vi] = Some(id),
-                                Some(existing) if existing == id => {}
-                                Some(_) => continue 'data,
-                            }
-                        }
-                        out.push(new_row);
-                    }
-                }
-                Ok(out)
-            }
-        }
-    }
-
-    /// What a BGP pattern compiles to.
-    fn eval_bgp(
-        &self,
-        triples: &[PatternTriple],
-        mut solutions: Vec<Bindings>,
-    ) -> Result<Vec<Bindings>> {
-        if triples.is_empty() {
-            return Ok(solutions);
-        }
-
-        enum Kind<'t> {
-            Simple(CompiledTriple),
-            Path(&'t PatternTriple),
-            Complex(&'t PropertyPath, &'t PatternTriple),
-        }
-
-        // Compile phase: resolve every constant through the dictionary
-        // exactly once, pre-resolve the variable slots used for ordering,
-        // and estimate each pattern's cardinality from the store's indexes.
-        struct Compiled<'t> {
-            estimate: usize,
-            /// `None` = constant position, `Some(vi)` = variable slot.
-            score_slots: [Option<usize>; 3],
-            kind: Kind<'t>,
-        }
-        let mut remaining: Vec<Compiled> = Vec::with_capacity(triples.len());
-        for t in triples {
-            let kind = if let Some(path) = &t.complex {
-                Kind::Complex(path, t)
-            } else if t.path != PathMod::One {
-                Kind::Path(t)
-            } else {
-                match self.compile_triple(t) {
-                    Some(ct) => Kind::Simple(ct),
-                    // A constant the dictionary has never seen: the whole
-                    // conjunction is empty.
-                    None => return Ok(Vec::new()),
-                }
-            };
-            let score_slots = [&t.subject, &t.predicate, &t.object].map(|pt| match pt {
-                PatternTerm::Const(_) | PatternTerm::Param(_) => None,
-                PatternTerm::Var(v) => Some(self.var_index[v.as_str()]),
-            });
-            let estimate = self.estimate_pattern(t, matches!(kind, Kind::Simple(_)));
-            remaining.push(Compiled { estimate, score_slots, kind });
-        }
-
-        // Greedy ordering: repeatedly pick the unprocessed pattern with the
-        // most positions that are constants or already-bound variables;
-        // ties go to the smaller estimated cardinality.
-        let mut bound_vars: Vec<bool> = vec![false; self.vars.len()];
-        // Variables bound by the input solutions count as bound.
-        if let Some(first) = solutions.first() {
-            for (i, b) in first.iter().enumerate() {
-                if b.is_some() {
-                    bound_vars[i] = true;
-                }
-            }
-        }
-
-        // Boundness score: 2 per constant or bound-variable position.
-        let score = |c: &Compiled, bound: &[bool]| -> usize {
-            c.score_slots
-                .iter()
-                .map(|slot| match slot {
-                    None => 2usize,
-                    Some(vi) => {
-                        if bound[*vi] {
-                            2
-                        } else {
-                            0
-                        }
-                    }
-                })
-                .sum()
-        };
-
-        while !remaining.is_empty() {
-            // Probe-batch boundary: each pattern extension below walks the
-            // whole solution batch, so poll the cancel token here — a
-            // cancelled SPARQL leg stops between joins with a typed error
-            // instead of running the conjunction to completion.
-            self.cancel.check()?;
-            let best_pos = remaining
-                .iter()
-                .enumerate()
-                .max_by(|(_, a), (_, b)| {
-                    score(a, &bound_vars)
-                        .cmp(&score(b, &bound_vars))
-                        // Smaller estimated cardinality wins ties.
-                        .then_with(|| b.estimate.cmp(&a.estimate))
-                })
-                .map(|(i, _)| i)
-                .expect("non-empty");
-            let chosen = remaining.remove(best_pos);
-
-            solutions = match chosen.kind {
-                Kind::Simple(ct) => self.extend_batch_simple(&ct, solutions),
-                Kind::Path(t) => self.extend_batch_path(t, solutions)?,
-                Kind::Complex(path, t) => self.extend_batch_complex(path, t, solutions)?,
-            };
-            for slot in chosen.score_slots.into_iter().flatten() {
-                bound_vars[slot] = true;
-            }
-            if solutions.is_empty() {
-                return Ok(solutions);
-            }
-        }
-        Ok(solutions)
-    }
-
-    /// Estimated result cardinality of one pattern against the store: the
-    /// index count for its constant positions (variables wildcard, since
-    /// their per-row values are unknown at planning time). The walk is
-    /// capped — the estimate only breaks ties, so relative size up to the
-    /// cap is all the resolution ordering needs.
-    fn estimate_pattern(&self, t: &PatternTriple, simple: bool) -> usize {
-        const EST_CAP: usize = 256;
-        let dict = self.store.dictionary();
-        if simple {
-            let conv = |pt: &PatternTerm| match pt {
-                PatternTerm::Const(term) => dict.id_of(term),
-                PatternTerm::Var(_) | PatternTerm::Param(_) => None,
-            };
-            let pat = (conv(&t.subject), conv(&t.predicate), conv(&t.object));
-            self.store.count_id_pattern(self.graphs, pat, EST_CAP)
-        } else {
-            // Path patterns scan their predicate's extension.
-            match &t.predicate {
-                PatternTerm::Const(p) => match dict.id_of(p) {
-                    Some(id) => self.store.count_id_pattern(
-                        self.graphs,
-                        (None, Some(id), None),
-                        EST_CAP,
-                    ),
-                    None => 0,
-                },
-                PatternTerm::Var(_) | PatternTerm::Param(_) => {
-                    self.store.count_id_pattern(self.graphs, (None, None, None), EST_CAP)
-                }
-            }
-        }
-    }
-
-    fn compile_triple(&self, t: &PatternTriple) -> Option<CompiledTriple> {
-        let dict = self.store.dictionary();
-        let mut slots = [Slot::Var(0); 3];
-        for (pos, pt) in [&t.subject, &t.predicate, &t.object].into_iter().enumerate() {
-            slots[pos] = match pt {
-                PatternTerm::Const(term) => Slot::Const(dict.id_of(term)?),
-                PatternTerm::Var(v) => Slot::Var(self.var_index[v.as_str()]),
-                // Guarded against in `evaluate`; an unbound parameter can
-                // never match (behaves like an unknown constant).
-                PatternTerm::Param(_) => return None,
-            };
-        }
-        Some(CompiledTriple { slots })
-    }
-
-    /// Join every input row with one compiled pattern. The per-row loop is
-    /// id-native: no dictionary lookups, no per-row probe allocation (one
-    /// scratch buffer serves every probe), and rows are pre-sorted on their
-    /// probe key so consecutive range scans are index-adjacent — identical
-    /// consecutive probes reuse the previous scan outright.
-    ///
-    /// With a parallel thread budget (see [`EvalOptions::threads`]) and a
-    /// large enough batch, the sorted rows are split into contiguous
-    /// chunks and probed partition-parallel: the store's graph map is
-    /// resolved once into a shared [`Prober`], each worker owns its chunk
-    /// and scratch buffer, and chunk outputs concatenate in order — the
-    /// result is bit-identical to the sequential loop.
-    fn extend_batch_simple(
-        &self,
-        ct: &CompiledTriple,
-        mut rows: Vec<Bindings>,
-    ) -> Vec<Bindings> {
-        if rows.len() > 16 && ct.has_var() {
-            rows.sort_by_cached_key(|row| ct.probe(row));
-        }
-        // Captured alone so worker closures don't borrow the (non-Sync)
-        // evaluation context.
-        let cancel = &self.cancel;
-        self.store.with_prober(self.graphs, |prober| {
-            if self.threads > 1 && rows.len() >= PARALLEL_PROBE_MIN {
-                let pool = crosse_exec::WorkerPool::new(self.threads);
-                pool.map_owned_chunks(rows, self.threads, |_, chunk| {
-                    probe_rows(ct, prober, chunk, cancel)
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            } else {
-                probe_rows(ct, prober, rows, cancel)
-            }
-        })
-    }
-
-    /// Resolve a path endpoint once per pattern (same slot model as
-    /// [`CompiledTriple`]). `None` means a constant the dictionary has
-    /// never seen (pattern matches nothing).
-    fn compile_end(&self, pt: &PatternTerm) -> Option<Slot> {
-        match pt {
-            PatternTerm::Const(term) => {
-                self.store.dictionary().id_of(term).map(Slot::Const)
-            }
-            PatternTerm::Var(v) => Some(Slot::Var(self.var_index[v.as_str()])),
-            PatternTerm::Param(_) => None,
-        }
-    }
-
-    /// Evaluate a transitive path pattern (`p+` / `p*`) against every input
-    /// row. The predicate's edge list and adjacency maps are materialised
-    /// once per *pattern* (they were previously rebuilt per row), and
-    /// reachability sets are memoised across rows.
-    fn extend_batch_path(
-        &self,
-        t: &PatternTriple,
-        rows: Vec<Bindings>,
-    ) -> Result<Vec<Bindings>> {
-        let dict = self.store.dictionary();
-        let PatternTerm::Const(pred) = &t.predicate else {
-            return Err(Error::eval("path modifiers require a constant predicate"));
-        };
-        let Some(p) = dict.id_of(pred) else {
-            return Ok(Vec::new()); // predicate never seen → no edges
-        };
-        let (Some(s_end), Some(o_end)) =
-            (self.compile_end(&t.subject), self.compile_end(&t.object))
-        else {
-            return Ok(Vec::new()); // constant endpoint never interned
-        };
-
-        let mut edges: Vec<IdTriple> = Vec::new();
-        self.store
-            .match_id_pattern(self.graphs, (None, Some(p), None), &mut edges);
-        let mut forward: HashMap<TermId, Vec<TermId>> = HashMap::new();
-        let mut backward: HashMap<TermId, Vec<TermId>> = HashMap::new();
-        let mut nodes: Vec<TermId> = Vec::new();
-        let mut node_set: HashSet<TermId> = HashSet::new();
-        for &(s, _, o) in &edges {
-            forward.entry(s).or_default().push(o);
-            backward.entry(o).or_default().push(s);
-            if node_set.insert(s) {
-                nodes.push(s);
-            }
-            if node_set.insert(o) {
-                nodes.push(o);
-            }
-        }
-        let include_zero = t.path == PathMod::ZeroOrMore;
-
-        let mut reach_memo: HashMap<TermId, Rc<ReachSet>> = HashMap::new();
-        let mut back_memo: HashMap<TermId, Rc<HashSet<TermId>>> = HashMap::new();
-
-        let mut out = Vec::new();
-        for row in &rows {
-            let end_val = |end: Slot| match end {
-                Slot::Const(id) => Some(id),
-                Slot::Var(vi) => row[vi],
-            };
-            let (s_res, o_res) = (end_val(s_end), end_val(o_end));
-
-            let emit = |s: TermId, o: TermId, out: &mut Vec<Bindings>| {
-                let mut new_row = row.clone();
-                if let Slot::Var(vi) = s_end {
-                    new_row[vi] = Some(s);
-                }
-                if let Slot::Var(vi) = o_end {
-                    match new_row[vi] {
-                        None => new_row[vi] = Some(o),
-                        Some(existing) if existing == o => {}
-                        Some(_) => return,
-                    }
-                }
-                out.push(new_row);
-            };
-
-            match (s_res, o_res) {
-                (Some(s), Some(o)) => {
-                    let r = reachable(&forward, include_zero, &mut reach_memo, s);
-                    if r.set.contains(&o) {
-                        emit(s, o, &mut out);
-                    }
-                }
-                (Some(s), None) => {
-                    let r = reachable(&forward, include_zero, &mut reach_memo, s);
-                    for &o in &r.order {
-                        emit(s, o, &mut out);
-                    }
-                }
-                (None, Some(o)) => {
-                    // Backward reachability: nodes from which `o` is
-                    // reachable, in node-first-seen order.
-                    let sources = back_reachable(
-                        &backward,
-                        &node_set,
-                        include_zero,
-                        &mut back_memo,
-                        o,
-                    );
-                    for &s in &nodes {
-                        if sources.contains(&s) {
-                            emit(s, o, &mut out);
-                        }
-                    }
-                }
-                (None, None) => {
-                    for &s in &nodes {
-                        let r = reachable(&forward, include_zero, &mut reach_memo, s);
-                        for &o in &r.order {
-                            emit(s, o, &mut out);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Bind the endpoints of a structured property path against its pair
-    /// set. The pair set and its endpoint indexes are built once per
-    /// pattern (previously the pair set was recomputed per row).
-    fn extend_batch_complex(
-        &self,
-        path: &PropertyPath,
-        t: &PatternTriple,
-        rows: Vec<Bindings>,
-    ) -> Result<Vec<Bindings>> {
-        let (Some(s_end), Some(o_end)) =
-            (self.compile_end(&t.subject), self.compile_end(&t.object))
-        else {
-            return Ok(Vec::new()); // constant endpoint never interned
-        };
-        let pairs = self.path_pairs(path);
-        let mut by_s: HashMap<TermId, Vec<TermId>> = HashMap::new();
-        let mut by_o: HashMap<TermId, Vec<TermId>> = HashMap::new();
-        let mut pair_set: HashSet<(TermId, TermId)> = HashSet::with_capacity(pairs.len());
-        for &(s, o) in &pairs {
-            by_s.entry(s).or_default().push(o);
-            by_o.entry(o).or_default().push(s);
-            pair_set.insert((s, o));
-        }
-
-        let mut out = Vec::new();
-        for row in &rows {
-            let end_val = |end: Slot| match end {
-                Slot::Const(id) => Some(id),
-                Slot::Var(vi) => row[vi],
-            };
-            let (s_res, o_res) = (end_val(s_end), end_val(o_end));
-
-            let emit = |s: TermId, o: TermId, out: &mut Vec<Bindings>| {
-                let mut new_row = row.clone();
-                let mut ok = true;
-                for (end, id) in [(s_end, s), (o_end, o)] {
-                    if let Slot::Var(vi) = end {
-                        match new_row[vi] {
-                            None => new_row[vi] = Some(id),
-                            Some(existing) if existing == id => {}
-                            Some(_) => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if ok {
-                    out.push(new_row);
-                }
-            };
-
-            match (s_res, o_res) {
-                (Some(s), Some(o)) => {
-                    if pair_set.contains(&(s, o)) {
-                        emit(s, o, &mut out);
-                    }
-                }
-                (Some(s), None) => {
-                    for &o in by_s.get(&s).map(Vec::as_slice).unwrap_or(&[]) {
-                        emit(s, o, &mut out);
-                    }
-                }
-                (None, Some(o)) => {
-                    for &s in by_o.get(&o).map(Vec::as_slice).unwrap_or(&[]) {
-                        emit(s, o, &mut out);
-                    }
-                }
-                (None, None) => {
-                    for &(s, o) in &pairs {
-                        emit(s, o, &mut out);
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Materialise the (subject, object) pair set of a structured property
-    /// path. Pair sets stay small because they are evaluated against
-    /// per-user knowledge bases, not the relational databank.
-    fn path_pairs(&self, path: &PropertyPath) -> Vec<(TermId, TermId)> {
-        match path {
-            PropertyPath::Pred(term) => {
-                let Some(p) = self.store.dictionary().id_of(term) else {
-                    return Vec::new();
-                };
-                let mut matches = Vec::new();
-                self.store
-                    .match_id_pattern(self.graphs, (None, Some(p), None), &mut matches);
-                matches.into_iter().map(|(s, _, o)| (s, o)).collect()
-            }
-            PropertyPath::Inverse(p) => {
-                self.path_pairs(p).into_iter().map(|(s, o)| (o, s)).collect()
-            }
-            PropertyPath::Alternative(ps) => {
-                let mut seen = HashSet::new();
-                let mut out = Vec::new();
-                for p in ps {
-                    for pair in self.path_pairs(p) {
-                        if seen.insert(pair) {
-                            out.push(pair);
-                        }
-                    }
-                }
-                out
-            }
-            PropertyPath::Sequence(ps) => {
-                let mut acc: Option<Vec<(TermId, TermId)>> = None;
-                for p in ps {
-                    let next = self.path_pairs(p);
-                    acc = Some(match acc {
-                        None => next,
-                        Some(cur) => {
-                            let mut by_subject: HashMap<TermId, Vec<TermId>> =
-                                HashMap::new();
-                            for (s, o) in next {
-                                by_subject.entry(s).or_default().push(o);
-                            }
-                            let mut seen = HashSet::new();
-                            let mut out = Vec::new();
-                            for (a, b) in cur {
-                                for &c in
-                                    by_subject.get(&b).map(Vec::as_slice).unwrap_or(&[])
-                                {
-                                    if seen.insert((a, c)) {
-                                        out.push((a, c));
-                                    }
-                                }
-                            }
-                            out
-                        }
-                    });
-                    if acc.as_ref().is_some_and(Vec::is_empty) {
-                        break;
-                    }
-                }
-                acc.unwrap_or_default()
-            }
-            PropertyPath::Closure(p, mode) => {
-                let base = self.path_pairs(p);
-                let mut forward: HashMap<TermId, Vec<TermId>> = HashMap::new();
-                let mut nodes: HashSet<TermId> = HashSet::new();
-                for &(s, o) in &base {
-                    forward.entry(s).or_default().push(o);
-                    nodes.insert(s);
-                    nodes.insert(o);
-                }
-                let mut seen = HashSet::new();
-                let mut out = Vec::new();
-                for &start in &nodes {
-                    // BFS from each node.
-                    let mut frontier = vec![start];
-                    let mut reached: HashSet<TermId> = HashSet::new();
-                    while let Some(n) = frontier.pop() {
-                        for &next in forward.get(&n).map(Vec::as_slice).unwrap_or(&[]) {
-                            if reached.insert(next) {
-                                frontier.push(next);
-                            }
-                        }
-                    }
-                    if *mode == PathMod::ZeroOrMore {
-                        reached.insert(start);
-                    }
-                    for o in reached {
-                        if seen.insert((start, o)) {
-                            out.push((start, o));
-                        }
-                    }
-                }
-                out
-            }
-        }
-    }
-
-    // ---- compiled FILTER evaluation ------------------------------------
-
-    fn compile_expr(&self, e: &SparqlExpr) -> Result<CExpr> {
-        Ok(match e {
-            SparqlExpr::And(a, b) => {
-                CExpr::And(Box::new(self.compile_expr(a)?), Box::new(self.compile_expr(b)?))
-            }
-            SparqlExpr::Or(a, b) => {
-                CExpr::Or(Box::new(self.compile_expr(a)?), Box::new(self.compile_expr(b)?))
-            }
-            SparqlExpr::Not(inner) => CExpr::Not(Box::new(self.compile_expr(inner)?)),
-            SparqlExpr::Bound(v) => CExpr::Bound(self.resolve_var(v)?),
-            SparqlExpr::Regex(inner, pattern) => {
-                CExpr::Regex(self.compile_cterm(inner)?, pattern.clone())
-            }
-            SparqlExpr::Cmp(a, op, b) => {
-                CExpr::Cmp(self.compile_cterm(a)?, *op, self.compile_cterm(b)?)
-            }
-            SparqlExpr::Var(_) | SparqlExpr::Const(_) | SparqlExpr::Str(_) => {
-                return Err(Error::eval("expression is not boolean"))
-            }
-            SparqlExpr::Param(p) => {
-                return Err(Error::eval(format!("unbound parameter `${p}`")))
-            }
-        })
-    }
-
-    fn compile_cterm(&self, e: &SparqlExpr) -> Result<CTerm> {
-        Ok(match e {
-            SparqlExpr::Var(v) => CTerm::Var(self.resolve_var(v)?),
-            SparqlExpr::Const(t) => CTerm::Const {
-                id: self.store.dictionary().id_of(t),
-                term: t.clone(),
-            },
-            SparqlExpr::Str(inner) => CTerm::Str(Box::new(self.compile_cterm(inner)?)),
-            other => {
-                return Err(Error::eval(format!(
-                    "expected a term expression, got {other:?}"
-                )))
-            }
-        })
-    }
-
-    fn resolve_var(&self, v: &str) -> Result<usize> {
-        self.var_index
-            .get(v)
-            .copied()
-            .ok_or_else(|| Error::eval(format!("unknown variable `?{v}`")))
-    }
-
-    fn eval_cexpr(&self, e: &CExpr, row: &Bindings, reader: &DictReader) -> Option<bool> {
-        // Three-valued: unbound variables make a comparison undefined
-        // (treated as an evaluation error in SPARQL → filter drops the row,
-        // here modelled as None).
-        match e {
-            CExpr::And(a, b) => match
-                (self.eval_cexpr(a, row, reader), self.eval_cexpr(b, row, reader))
-            {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
-                _ => None,
-            },
-            CExpr::Or(a, b) => match
-                (self.eval_cexpr(a, row, reader), self.eval_cexpr(b, row, reader))
-            {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
-            },
-            CExpr::Not(inner) => self.eval_cexpr(inner, row, reader).map(|b| !b),
-            CExpr::Bound(vi) => Some(row[*vi].is_some()),
-            CExpr::Regex(ct, pattern) => {
-                let value = self.resolve_cterm(ct, row, reader)?;
-                Some(match value {
-                    RTerm::Id(id) => {
-                        simple_regex_match(reader.term(id).lexical_form(), pattern)
-                    }
-                    RTerm::Term(t) => simple_regex_match(t.lexical_form(), pattern),
-                    RTerm::Owned(t) => simple_regex_match(t.lexical_form(), pattern),
-                })
-            }
-            CExpr::Cmp(a, op, b) => {
-                let va = self.resolve_cterm(a, row, reader)?;
-                let vb = self.resolve_cterm(b, row, reader)?;
-                Some(self.compare_rterms(&va, *op, &vb, reader))
-            }
-        }
-    }
-
-    fn resolve_cterm<'t>(
-        &self,
-        ct: &'t CTerm,
-        row: &Bindings,
-        reader: &DictReader,
-    ) -> Option<RTerm<'t>> {
-        match ct {
-            CTerm::Var(vi) => row[*vi].map(RTerm::Id),
-            CTerm::Const { id: Some(id), .. } => Some(RTerm::Id(*id)),
-            CTerm::Const { id: None, term } => Some(RTerm::Term(term)),
-            CTerm::Str(inner) => {
-                let value = self.resolve_cterm(inner, row, reader)?;
-                let lex = match value {
-                    RTerm::Id(id) => reader.term(id).lexical_form().to_string(),
-                    RTerm::Term(t) => t.lexical_form().to_string(),
-                    RTerm::Owned(t) => t.lexical_form().to_string(),
-                };
-                Some(RTerm::Owned(Term::lit(lex)))
-            }
-        }
-    }
-
-    /// Memoised numeric interpretation of an interned term.
-    fn num(&self, id: TermId, reader: &DictReader) -> Option<f64> {
-        if let Some(&v) = self.nums.borrow().get(&id) {
-            return v;
-        }
-        let v = reader.term(id).as_f64();
-        self.nums.borrow_mut().insert(id, v);
-        v
-    }
-
-    fn num_of(&self, r: &RTerm, reader: &DictReader) -> Option<f64> {
-        match r {
-            RTerm::Id(id) => self.num(*id, reader),
-            RTerm::Term(t) => t.as_f64(),
-            RTerm::Owned(t) => t.as_f64(),
-        }
-    }
-
-    /// Compare two resolved terms with the semantics of [`compare_terms`]:
-    /// numeric when both sides parse as numbers, id/term equality for
-    /// `=`/`!=`, lexical otherwise. Ids are compared before any term is
-    /// materialised; the dictionary is only read (never cloned from) when
-    /// the id fast paths cannot decide.
-    fn compare_rterms(&self, a: &RTerm, op: CmpOp, b: &RTerm, reader: &DictReader) -> bool {
-        if let (Some(x), Some(y)) = (self.num_of(a, reader), self.num_of(b, reader)) {
-            return match op {
-                CmpOp::Eq => x == y,
-                CmpOp::NotEq => x != y,
-                op => {
-                    let ord = x.partial_cmp(&y).unwrap_or(Ordering::Equal);
-                    match op {
-                        CmpOp::Lt => ord == Ordering::Less,
-                        CmpOp::LtEq => ord != Ordering::Greater,
-                        CmpOp::Gt => ord == Ordering::Greater,
-                        CmpOp::GtEq => ord != Ordering::Less,
-                        CmpOp::Eq | CmpOp::NotEq => unreachable!(),
-                    }
-                }
-            };
-        }
-        // Identical ids ⇒ identical terms, no materialisation needed.
-        if let (RTerm::Id(x), RTerm::Id(y)) = (a, b) {
-            if x == y && matches!(op, CmpOp::Eq | CmpOp::NotEq) {
-                return op == CmpOp::Eq;
-            }
-        }
-        // Fall back to the term-level comparison, borrowing interned terms
-        // from the dictionary without cloning.
-        let ta: &Term = match a {
-            RTerm::Id(id) => reader.term(*id),
-            RTerm::Term(t) => t,
-            RTerm::Owned(t) => t,
-        };
-        let tb: &Term = match b {
-            RTerm::Id(id) => reader.term(*id),
-            RTerm::Term(t) => t,
-            RTerm::Owned(t) => t,
-        };
-        compare_terms(ta, op, tb)
-    }
-}
-
-/// A memoised forward-reachability result: insertion order (for stable
-/// emission order) plus a set (for O(1) membership).
-struct ReachSet {
-    order: Vec<TermId>,
-    set: HashSet<TermId>,
-}
-
-/// Nodes reachable from `start` over `forward` edges (≥1 step; `start`
-/// itself included when `include_zero`). Memoised per start node.
-fn reachable(
-    forward: &HashMap<TermId, Vec<TermId>>,
-    include_zero: bool,
-    memo: &mut HashMap<TermId, Rc<ReachSet>>,
-    start: TermId,
-) -> Rc<ReachSet> {
-    if let Some(r) = memo.get(&start) {
-        return r.clone();
-    }
-    let mut set: HashSet<TermId> = HashSet::new();
-    let mut order: Vec<TermId> = Vec::new();
-    let mut frontier = vec![start];
-    while let Some(n) = frontier.pop() {
-        for &next in forward.get(&n).map(Vec::as_slice).unwrap_or(&[]) {
-            if set.insert(next) {
-                order.push(next);
-                frontier.push(next);
-            }
-        }
-    }
-    if include_zero && set.insert(start) {
-        order.push(start);
-    }
-    let rc = Rc::new(ReachSet { order, set });
-    memo.insert(start, rc.clone());
-    rc
-}
-
-/// Nodes from which `target` is reachable (≥1 step; `target` itself
-/// included when `include_zero` and it occurs in the edge set). Memoised
-/// per target node.
-fn back_reachable(
-    backward: &HashMap<TermId, Vec<TermId>>,
-    node_set: &HashSet<TermId>,
-    include_zero: bool,
-    memo: &mut HashMap<TermId, Rc<HashSet<TermId>>>,
-    target: TermId,
-) -> Rc<HashSet<TermId>> {
-    if let Some(r) = memo.get(&target) {
-        return r.clone();
-    }
-    let mut set: HashSet<TermId> = HashSet::new();
-    let mut frontier = vec![target];
-    while let Some(n) = frontier.pop() {
-        for &prev in backward.get(&n).map(Vec::as_slice).unwrap_or(&[]) {
-            if set.insert(prev) {
-                frontier.push(prev);
-            }
-        }
-    }
-    if include_zero && node_set.contains(&target) {
-        set.insert(target);
-    }
-    let rc = Rc::new(set);
-    memo.insert(target, rc.clone());
-    rc
-}
-
-/// Term comparison: numeric when both sides parse as numbers, term equality
-/// for `=`/`!=`, lexical otherwise.
-pub(crate) fn compare_terms(a: &Term, op: CmpOp, b: &Term) -> bool {
-    if matches!(op, CmpOp::Eq | CmpOp::NotEq) {
-        let eq = match (a.as_f64(), b.as_f64()) {
-            (Some(x), Some(y)) => x == y,
-            _ => a == b || (a.is_iri() ^ b.is_iri() && a.lexical_form() == b.lexical_form()),
-        };
-        return if op == CmpOp::Eq { eq } else { !eq };
-    }
-    let ord = match (a.as_f64(), b.as_f64()) {
-        (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(Ordering::Equal),
-        _ => a.lexical_form().cmp(b.lexical_form()),
-    };
-    match op {
-        CmpOp::Lt => ord == Ordering::Less,
-        CmpOp::LtEq => ord != Ordering::Greater,
-        CmpOp::Gt => ord == Ordering::Greater,
-        CmpOp::GtEq => ord != Ordering::Less,
-        CmpOp::Eq | CmpOp::NotEq => unreachable!(),
-    }
-}
-
-/// A deliberately small REGEX subset: `^` anchors the start, `$` the end,
-/// everything else matches literally (substring search). Covers the
-/// highlight / snippet use cases of the paper without a regex dependency.
-fn simple_regex_match(s: &str, pattern: &str) -> bool {
-    let (anchored_start, p) = match pattern.strip_prefix('^') {
-        Some(rest) => (true, rest),
-        None => (false, pattern),
-    };
-    let (anchored_end, p) = match p.strip_suffix('$') {
-        Some(rest) => (true, rest),
-        None => (false, p),
-    };
-    match (anchored_start, anchored_end) {
-        (true, true) => s == p,
-        (true, false) => s.starts_with(p),
-        (false, true) => s.ends_with(p),
-        (false, false) => s.contains(p),
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::Triple;
+    use crate::sparql::ops::simple_regex_match;
 
     fn t(s: &str, p: &str, o: Term) -> Triple {
         Triple::new(Term::iri(s), Term::iri(p), o)
@@ -2231,6 +624,31 @@ mod tests {
             "SELECT ?s ?d WHERE { VALUES ?s { <Unobtainium> } ?s <dangerLevel> ?d }",
         );
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn values_with_unseen_terms_leaves_the_dictionary_alone() {
+        // A read-only query must not grow the dictionary (every snapshot
+        // persists all of it): unseen VALUES terms get query-local ids.
+        let store = store();
+        let before = store.dictionary().len();
+        for i in 0..100 {
+            let s = query(&store, &["kb"], &format!("SELECT ?x WHERE {{ VALUES ?x {{ <fresh{i}> }} }}"))
+                .unwrap();
+            assert_eq!(s.rows, vec![vec![Some(Term::iri(format!("fresh{i}")))]]);
+        }
+        assert_eq!(store.dictionary().len(), before);
+        // Two VALUES blocks naming the same unseen term still join, and a
+        // FILTER compares it as a term.
+        let s = query(
+            &store,
+            &["kb"],
+            "SELECT ?x WHERE { VALUES ?x { <fresh> <Hg> } VALUES ?x { <fresh> } \
+             FILTER(?x = <fresh>) }",
+        )
+        .unwrap();
+        assert_eq!(s.rows, vec![vec![Some(Term::iri("fresh"))]]);
+        assert_eq!(store.dictionary().len(), before);
     }
 
     // ---- structured property paths -------------------------------------------

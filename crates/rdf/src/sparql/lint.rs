@@ -20,7 +20,7 @@ use crosse_lint::Diagnostic;
 use super::ast::{
     AggFunc, GraphPattern, ParsedQuery, PatternTerm, Projection, Query, SparqlExpr,
 };
-use super::eval::compare_terms;
+use super::ops::compare_terms;
 
 /// Lint any parsed query form. ASK and CONSTRUCT queries only get the
 /// filter checks (`S003`) plus, for CONSTRUCT, template variables that the

@@ -1,5 +1,9 @@
-// srclint: allow(R002): most hits are the parser's own Result-returning expect(&Tok) combinator; the rest are in-bounds char reads from the same scan
-//! SPARQL parser (lexer + recursive descent in one module).
+// srclint: allow(R002): every hit is the parser's own Result-returning expect(&Tok) combinator
+//! SPARQL parser: recursive descent over the tokens of module `lexer`,
+//! with property paths and FILTER expressions in module `expr`.
+
+mod expr;
+mod lexer;
 
 use std::collections::HashMap;
 
@@ -7,6 +11,8 @@ use crate::error::{Error, Result};
 use crate::term::Term;
 
 use super::ast::*;
+use expr::Verb;
+use lexer::{lex, Tok};
 
 /// Parse a SPARQL SELECT query.
 pub fn parse_query(src: &str) -> Result<Query> {
@@ -24,317 +30,9 @@ pub fn parse_any(src: &str) -> Result<ParsedQuery> {
     Ok(q)
 }
 
-// ---- lexer ----------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    /// Bare word (keyword or prefixed-name fragment before `:`).
-    Word(String),
-    /// `?name` variable.
-    Var(String),
-    /// `$name` parameter, or bare `?` (positional, synthesized `#<n>`
-    /// name). This engine reserves `$` for prepared-query parameters —
-    /// a deliberate divergence from the SPARQL spec's `$x ≡ ?x` — so the
-    /// placeholder grammar is uniform with SQL and SESQL.
-    Param(String),
-    /// `<iri>`
-    Iri(String),
-    /// String literal.
-    Str(String),
-    /// Numeric literal, kept in lexical form.
-    Num(String),
-    /// `prefix:local`
-    Prefixed(String, String),
-    LBrace,
-    RBrace,
-    LParen,
-    RParen,
-    Dot,
-    Comma,
-    Semicolon,
-    Star,
-    /// `+` path modifier.
-    Plus,
-    Eq,
-    NotEq,
-    Lt,
-    LtEq,
-    Gt,
-    GtEq,
-    AndAnd,
-    OrOr,
-    Bang,
-    /// `^^` datatype marker.
-    DtMarker,
-    /// `/` path sequence operator.
-    Slash,
-    /// `|` path alternative operator.
-    Pipe,
-    /// `^` path inverse operator.
-    Caret,
-    Eof,
-}
-
-fn lex(src: &str) -> Result<Vec<(Tok, usize)>> {
-    let b = src.as_bytes();
-    let mut i = 0;
-    let mut out = Vec::new();
-    let mut positional = 0usize;
-    while i < b.len() {
-        let c = b[i];
-        let start = i;
-        match c {
-            _ if c.is_ascii_whitespace() => {
-                i += 1;
-                continue;
-            }
-            b'#' => {
-                while i < b.len() && b[i] != b'\n' {
-                    i += 1;
-                }
-                continue;
-            }
-            b'{' => {
-                out.push((Tok::LBrace, start));
-                i += 1;
-            }
-            b'}' => {
-                out.push((Tok::RBrace, start));
-                i += 1;
-            }
-            b'(' => {
-                out.push((Tok::LParen, start));
-                i += 1;
-            }
-            b')' => {
-                out.push((Tok::RParen, start));
-                i += 1;
-            }
-            b'.' => {
-                out.push((Tok::Dot, start));
-                i += 1;
-            }
-            b',' => {
-                out.push((Tok::Comma, start));
-                i += 1;
-            }
-            b';' => {
-                out.push((Tok::Semicolon, start));
-                i += 1;
-            }
-            b'*' => {
-                out.push((Tok::Star, start));
-                i += 1;
-            }
-            b'=' => {
-                out.push((Tok::Eq, start));
-                i += 1;
-            }
-            b'!' => {
-                if b.get(i + 1) == Some(&b'=') {
-                    out.push((Tok::NotEq, start));
-                    i += 2;
-                } else {
-                    out.push((Tok::Bang, start));
-                    i += 1;
-                }
-            }
-            b'<' => {
-                // `<=` or IRI
-                if b.get(i + 1) == Some(&b'=') {
-                    out.push((Tok::LtEq, start));
-                    i += 2;
-                } else {
-                    // IRI iff it closes with '>' before whitespace.
-                    let mut j = i + 1;
-                    let mut iri = String::new();
-                    let mut is_iri = false;
-                    while j < b.len() {
-                        if b[j] == b'>' {
-                            is_iri = true;
-                            break;
-                        }
-                        if b[j].is_ascii_whitespace() {
-                            break;
-                        }
-                        iri.push(b[j] as char);
-                        j += 1;
-                    }
-                    if is_iri {
-                        out.push((Tok::Iri(iri), start));
-                        i = j + 1;
-                    } else {
-                        out.push((Tok::Lt, start));
-                        i += 1;
-                    }
-                }
-            }
-            b'>' => {
-                if b.get(i + 1) == Some(&b'=') {
-                    out.push((Tok::GtEq, start));
-                    i += 2;
-                } else {
-                    out.push((Tok::Gt, start));
-                    i += 1;
-                }
-            }
-            b'&' => {
-                if b.get(i + 1) == Some(&b'&') {
-                    out.push((Tok::AndAnd, start));
-                    i += 2;
-                } else {
-                    return Err(Error::parse("unexpected `&`", start));
-                }
-            }
-            b'|' => {
-                if b.get(i + 1) == Some(&b'|') {
-                    out.push((Tok::OrOr, start));
-                    i += 2;
-                } else {
-                    out.push((Tok::Pipe, start));
-                    i += 1;
-                }
-            }
-            b'^' => {
-                if b.get(i + 1) == Some(&b'^') {
-                    out.push((Tok::DtMarker, start));
-                    i += 2;
-                } else {
-                    out.push((Tok::Caret, start));
-                    i += 1;
-                }
-            }
-            b'/' => {
-                out.push((Tok::Slash, start));
-                i += 1;
-            }
-            b'?' | b'$' => {
-                i += 1;
-                let s = i;
-                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
-                    i += 1;
-                }
-                if s == i {
-                    if c == b'?' {
-                        // Bare `?`: a positional parameter slot.
-                        out.push((Tok::Param(format!("#{positional}")), start));
-                        positional += 1;
-                    } else {
-                        return Err(Error::parse("empty parameter name after `$`", start));
-                    }
-                } else if c == b'$' {
-                    out.push((Tok::Param(src[s..i].to_string()), start));
-                } else {
-                    out.push((Tok::Var(src[s..i].to_string()), start));
-                }
-            }
-            b'"' => {
-                i += 1;
-                let mut s = String::new();
-                loop {
-                    match b.get(i) {
-                        Some(b'"') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(b'\\') => {
-                            let esc = b.get(i + 1).copied();
-                            match esc {
-                                Some(b'"') => s.push('"'),
-                                Some(b'\\') => s.push('\\'),
-                                Some(b'n') => s.push('\n'),
-                                Some(b't') => s.push('\t'),
-                                _ => return Err(Error::parse("bad escape", i)),
-                            }
-                            i += 2;
-                        }
-                        Some(_) => {
-                            let ch = src[i..].chars().next().expect("in bounds");
-                            s.push(ch);
-                            i += ch.len_utf8();
-                        }
-                        None => return Err(Error::parse("unterminated string", start)),
-                    }
-                }
-                out.push((Tok::Str(s), start));
-            }
-            b'0'..=b'9' | b'-' | b'+' => {
-                // `+` not followed by a digit is the path modifier.
-                if c == b'+' && !b.get(i + 1).map(|d| d.is_ascii_digit()).unwrap_or(false) {
-                    out.push((Tok::Plus, start));
-                    i += 1;
-                    continue;
-                }
-                i += 1;
-                while i < b.len() && (b[i].is_ascii_digit() || b[i] == b'.') {
-                    // A dot followed by non-digit ends the number (it's a
-                    // triple terminator).
-                    if b[i] == b'.'
-                        && !b.get(i + 1).map(|d| d.is_ascii_digit()).unwrap_or(false)
-                    {
-                        break;
-                    }
-                    i += 1;
-                }
-                let text = &src[start..i];
-                if text == "-" {
-                    return Err(Error::parse("dangling sign", start));
-                }
-                out.push((Tok::Num(text.to_string()), start));
-            }
-            _ if c.is_ascii_alphabetic() || c == b'_' => {
-                while i < b.len()
-                    && (b[i].is_ascii_alphanumeric() || b[i] == b'_' || b[i] == b'-')
-                {
-                    i += 1;
-                }
-                let word = src[start..i].to_string();
-                // prefixed name?
-                if b.get(i) == Some(&b':') {
-                    i += 1;
-                    let s = i;
-                    while i < b.len()
-                        && (b[i].is_ascii_alphanumeric() || b[i] == b'_' || b[i] == b'-')
-                    {
-                        i += 1;
-                    }
-                    out.push((Tok::Prefixed(word, src[s..i].to_string()), start));
-                } else {
-                    out.push((Tok::Word(word), start));
-                }
-            }
-            b':' => {
-                // default-prefix name `:local`
-                i += 1;
-                let s = i;
-                while i < b.len()
-                    && (b[i].is_ascii_alphanumeric() || b[i] == b'_' || b[i] == b'-')
-                {
-                    i += 1;
-                }
-                out.push((Tok::Prefixed(String::new(), src[s..i].to_string()), start));
-            }
-            other => {
-                return Err(Error::parse(
-                    format!("unexpected character `{}`", other as char),
-                    start,
-                ))
-            }
-        }
-    }
-    out.push((Tok::Eof, src.len()));
-    Ok(out)
-}
 
 // ---- parser ---------------------------------------------------------------
 
-/// The verb position of a triple pattern.
-enum Verb {
-    /// Plain predicate (possibly a variable) with an optional closure.
-    Simple(PatternTerm, PathMod),
-    /// Structured property path.
-    Path(PropertyPath),
-}
 
 struct Parser {
     toks: Vec<(Tok, usize)>,
@@ -779,115 +477,6 @@ impl Parser {
         }
     }
 
-    /// Parse the verb (predicate) position of a triple: either a simple
-    /// predicate (variable or constant, with an optional `+`/`*` closure)
-    /// or a structured property path.
-    fn path_or_predicate(&mut self) -> Result<Verb> {
-        if matches!(self.peek(), Tok::Caret | Tok::LParen) {
-            return Ok(Verb::Path(self.path_alternative()?));
-        }
-        let first = self.pattern_term()?;
-        let path = if self.eat(&Tok::Plus) {
-            PathMod::OneOrMore
-        } else if self.eat(&Tok::Star) {
-            PathMod::ZeroOrMore
-        } else {
-            PathMod::One
-        };
-        if path != PathMod::One && !matches!(first, PatternTerm::Const(_)) {
-            return Err(Error::parse(
-                "path modifiers require a constant predicate",
-                self.offset(),
-            ));
-        }
-        if matches!(self.peek(), Tok::Slash | Tok::Pipe) {
-            let PatternTerm::Const(t) = first else {
-                return Err(Error::parse(
-                    "property paths require constant predicates",
-                    self.offset(),
-                ));
-            };
-            let mut head = PropertyPath::Pred(t);
-            if path != PathMod::One {
-                head = PropertyPath::Closure(Box::new(head), path);
-            }
-            let mut seq = vec![head];
-            while self.eat(&Tok::Slash) {
-                seq.push(self.path_elt_or_inverse()?);
-            }
-            let mut p = if seq.len() == 1 {
-                seq.pop().expect("non-empty")
-            } else {
-                PropertyPath::Sequence(seq)
-            };
-            if *self.peek() == Tok::Pipe {
-                let mut alts = vec![p];
-                while self.eat(&Tok::Pipe) {
-                    alts.push(self.path_sequence()?);
-                }
-                p = PropertyPath::Alternative(alts);
-            }
-            return Ok(Verb::Path(p));
-        }
-        Ok(Verb::Simple(first, path))
-    }
-
-    fn path_alternative(&mut self) -> Result<PropertyPath> {
-        let mut alts = vec![self.path_sequence()?];
-        while self.eat(&Tok::Pipe) {
-            alts.push(self.path_sequence()?);
-        }
-        Ok(if alts.len() == 1 {
-            alts.pop().expect("non-empty")
-        } else {
-            PropertyPath::Alternative(alts)
-        })
-    }
-
-    fn path_sequence(&mut self) -> Result<PropertyPath> {
-        let mut seq = vec![self.path_elt_or_inverse()?];
-        while self.eat(&Tok::Slash) {
-            seq.push(self.path_elt_or_inverse()?);
-        }
-        Ok(if seq.len() == 1 {
-            seq.pop().expect("non-empty")
-        } else {
-            PropertyPath::Sequence(seq)
-        })
-    }
-
-    fn path_elt_or_inverse(&mut self) -> Result<PropertyPath> {
-        if self.eat(&Tok::Caret) {
-            return Ok(PropertyPath::Inverse(Box::new(self.path_elt()?)));
-        }
-        self.path_elt()
-    }
-
-    fn path_elt(&mut self) -> Result<PropertyPath> {
-        let primary = if self.eat(&Tok::LParen) {
-            let p = self.path_alternative()?;
-            self.expect(&Tok::RParen)?;
-            p
-        } else {
-            match self.pattern_term()? {
-                PatternTerm::Const(t @ Term::Iri(_)) => PropertyPath::Pred(t),
-                other => {
-                    return Err(Error::parse(
-                        format!("property paths require IRI predicates, found {other:?}"),
-                        self.offset(),
-                    ))
-                }
-            }
-        };
-        if self.eat(&Tok::Plus) {
-            Ok(PropertyPath::Closure(Box::new(primary), PathMod::OneOrMore))
-        } else if self.eat(&Tok::Star) {
-            Ok(PropertyPath::Closure(Box::new(primary), PathMod::ZeroOrMore))
-        } else {
-            Ok(primary)
-        }
-    }
-
     /// Parse a `VALUES` block after the keyword: `?v { t ... }` or
     /// `(?a ?b) { (t t) ... }` with `UNDEF` for unbound cells.
     fn values_block(&mut self) -> Result<GraphPattern> {
@@ -980,96 +569,6 @@ impl Parser {
         }
     }
 
-    // FILTER expression grammar: or > and > not > cmp > primary
-    fn expr(&mut self) -> Result<SparqlExpr> {
-        let mut left = self.and_expr()?;
-        while self.eat(&Tok::OrOr) {
-            let right = self.and_expr()?;
-            left = SparqlExpr::Or(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn and_expr(&mut self) -> Result<SparqlExpr> {
-        let mut left = self.not_expr()?;
-        while self.eat(&Tok::AndAnd) {
-            let right = self.not_expr()?;
-            left = SparqlExpr::And(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn not_expr(&mut self) -> Result<SparqlExpr> {
-        if self.eat(&Tok::Bang) {
-            let e = self.not_expr()?;
-            return Ok(SparqlExpr::Not(Box::new(e)));
-        }
-        self.cmp_expr()
-    }
-
-    fn cmp_expr(&mut self) -> Result<SparqlExpr> {
-        let left = self.primary_expr()?;
-        let op = match self.peek() {
-            Tok::Eq => CmpOp::Eq,
-            Tok::NotEq => CmpOp::NotEq,
-            Tok::Lt => CmpOp::Lt,
-            Tok::LtEq => CmpOp::LtEq,
-            Tok::Gt => CmpOp::Gt,
-            Tok::GtEq => CmpOp::GtEq,
-            _ => return Ok(left),
-        };
-        self.advance();
-        let right = self.primary_expr()?;
-        Ok(SparqlExpr::Cmp(Box::new(left), op, Box::new(right)))
-    }
-
-    fn primary_expr(&mut self) -> Result<SparqlExpr> {
-        if self.eat(&Tok::LParen) {
-            let e = self.expr()?;
-            self.expect(&Tok::RParen)?;
-            return Ok(e);
-        }
-        if self.eat_kw("bound") {
-            self.expect(&Tok::LParen)?;
-            let v = self.variable()?;
-            self.expect(&Tok::RParen)?;
-            return Ok(SparqlExpr::Bound(v));
-        }
-        if self.eat_kw("regex") {
-            self.expect(&Tok::LParen)?;
-            let e = self.expr()?;
-            self.expect(&Tok::Comma)?;
-            let pat = match self.advance() {
-                Tok::Str(s) => s,
-                other => {
-                    return Err(Error::parse(
-                        format!("REGEX pattern must be a string, found {other:?}"),
-                        self.offset(),
-                    ))
-                }
-            };
-            self.expect(&Tok::RParen)?;
-            return Ok(SparqlExpr::Regex(Box::new(e), pat));
-        }
-        if self.eat_kw("str") {
-            self.expect(&Tok::LParen)?;
-            let e = self.expr()?;
-            self.expect(&Tok::RParen)?;
-            return Ok(SparqlExpr::Str(Box::new(e)));
-        }
-        match self.advance() {
-            Tok::Var(v) => Ok(SparqlExpr::Var(v)),
-            Tok::Param(p) => Ok(SparqlExpr::Param(p)),
-            Tok::Iri(i) => Ok(SparqlExpr::Const(Term::iri(i))),
-            Tok::Str(s) => Ok(SparqlExpr::Const(Term::lit(s))),
-            Tok::Num(n) => Ok(SparqlExpr::Const(Term::lit(n))),
-            Tok::Prefixed(p, l) => Ok(SparqlExpr::Const(self.resolve_prefixed(&p, &l)?)),
-            other => Err(Error::parse(
-                format!("expected expression, found {other:?}"),
-                self.offset(),
-            )),
-        }
-    }
 }
 
 #[cfg(test)]

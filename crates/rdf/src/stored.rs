@@ -12,10 +12,11 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use crate::error::{Error, Result};
-use crate::sparql::ast::Query;
+use crate::sparql::ast::ParsedQuery;
 use crate::sparql::parser::parse_query;
+use crate::sparql::Prepared;
 
-/// A registry of named, pre-parsed SPARQL queries. Cheap to clone.
+/// A registry of named, compiled SPARQL queries. Cheap to clone.
 #[derive(Debug, Clone)]
 pub struct StoredQueries {
     inner: Arc<RwLock<HashMap<String, Arc<StoredQuery>>>>,
@@ -34,7 +35,9 @@ impl Default for StoredQueries {
 pub struct StoredQuery {
     pub name: String,
     pub sparql: String,
-    pub query: Query,
+    /// The compiled query; every execution resolves it against the store
+    /// afresh.
+    pub prepared: Prepared,
     /// The variable whose bindings form the query's "result list". Defaults
     /// to the first projected variable.
     pub output_variable: String,
@@ -58,7 +61,7 @@ impl StoredQueries {
         let sq = StoredQuery {
             name: name.to_string(),
             sparql: sparql.to_string(),
-            query,
+            prepared: Prepared::compile(&ParsedQuery::Select(query))?,
             output_variable: first,
         };
         self.inner.write().insert(name.to_string(), Arc::new(sq));
@@ -127,6 +130,27 @@ mod tests {
         assert_eq!(reg.get("q").unwrap().output_variable, "x");
         reg.remove("q").unwrap();
         assert!(reg.remove("q").is_err());
+    }
+
+    #[test]
+    fn held_stored_query_sees_terms_inserted_later() {
+        use crate::sparql::eval::EvalOptions;
+        use crate::sparql::SparqlParams;
+        use crate::store::{Triple, TripleStore};
+        use crate::term::Term;
+
+        let reg = StoredQueries::new();
+        reg.register("q", "SELECT ?e WHERE { ?e <isA> <Hazard> }").unwrap();
+        let q = reg.get("q").unwrap();
+        let store = TripleStore::new();
+        let run = || {
+            q.prepared
+                .execute(&store, &["kb"], &SparqlParams::new(), &EvalOptions::default())
+                .unwrap()
+        };
+        assert!(run().is_empty(), "<Hazard> is not in the store yet");
+        store.insert("kb", &Triple::new(Term::iri("Hg"), Term::iri("isA"), Term::iri("Hazard")));
+        assert_eq!(run().column("e").unwrap(), vec![Term::iri("Hg")]);
     }
 
     #[test]

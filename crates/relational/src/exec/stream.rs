@@ -1,7 +1,7 @@
 // srclint: allow(R002): the spool state machine guarantees an open (not done) spool still owns its source
 //! Streaming (pull-based) plan execution with morsel-driven parallelism.
 //!
-//! [`stream_plan`] lowers a [`Plan`] into an iterator of rows. Pipelined
+//! `stream_plan` lowers a [`Plan`] into an iterator of rows. Pipelined
 //! operators — scans, filters, projections, probe sides of joins, LIMIT,
 //! UNION concatenation, DISTINCT — produce rows on demand, so a consumer
 //! that stops early (a `LIMIT k`, a client that abandons its cursor)

@@ -22,7 +22,7 @@ use super::Catalog;
 pub trait RedoSink: Send + Sync + std::fmt::Debug {
     /// The append/checkpoint barrier. Mutators hold the read side across
     /// their whole log-then-apply critical section (see
-    /// [`super::sink_guard`]).
+    /// `storage::sink_guard`).
     fn barrier(&self) -> &RwLock<()>;
 
     /// Append one encoded [`RelOp`] to the log *without* forcing it to

@@ -55,7 +55,7 @@ impl ServerStats {
     }
 
     /// Record one accepted request's end-to-end latency (queue + execute
-    /// + stream), keeping the most recent [`LATENCY_WINDOW`] samples.
+    /// + stream), keeping the most recent `LATENCY_WINDOW` samples.
     pub fn record_latency_us(&self, us: u64) {
         let mut ring = self.latencies.lock();
         if ring.len() == LATENCY_WINDOW {

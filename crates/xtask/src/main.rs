@@ -19,9 +19,11 @@
 //!   (`tests/snapshots/*.snap`) and `git diff --exit-code` them against
 //!   the committed ones.
 //! * `clippy` — `cargo clippy --workspace --all-targets -- -D warnings`.
+//! * `rustdoc` — `cargo doc --no-deps --workspace` with
+//!   `RUSTDOCFLAGS=-D warnings`: broken and private intra-doc links fail.
 //! * `lint` — regenerate the corpus lint snapshots (`lint_golden`) and
 //!   fail on drift against the committed ones.
-//! * `check` — the aggregate gate: clippy + srclint + lint +
+//! * `check` — the aggregate gate: clippy + rustdoc + srclint + lint +
 //!   explain-snapshots + the full test suite + every example binary, with
 //!   a per-gate recap.
 //! * `srclint` — the in-process Rust source linter (R001–R006: lock
@@ -85,6 +87,18 @@ fn clippy() {
         ]),
     );
     println!("xtask: clippy OK");
+}
+
+/// Rustdoc with warnings as errors: an intra-doc link to a private or
+/// missing item fails the gate.
+fn rustdoc() {
+    run(
+        "rustdoc gate on the whole workspace",
+        cargo()
+            .args(["doc", "--no-deps", "--workspace", "--quiet"])
+            .env("RUSTDOCFLAGS", "-D warnings"),
+    );
+    println!("xtask: rustdoc OK");
 }
 
 fn bench_smoke() {
@@ -583,6 +597,7 @@ fn examples() {
 /// the trailing block recaps them.
 fn check() {
     clippy();
+    rustdoc();
     srclint();
     lint_gate();
     explain_snapshots();
@@ -593,6 +608,7 @@ fn check() {
     println!("xtask: check OK");
     for gate in [
         "clippy            OK (workspace, -D warnings)",
+        "rustdoc           OK (cargo doc --no-deps --workspace, -D warnings)",
         "srclint           OK (R001-R006 on our own sources + fixture snapshot)",
         "lint              OK (query-corpus snapshots match)",
         "explain-snapshots OK (plan snapshots match)",
@@ -1092,6 +1108,7 @@ fn main() {
         "check" => check(),
         "loc" => loc(),
         "clippy" => clippy(),
+        "rustdoc" => rustdoc(),
         "stress" => stress(),
         "crash" => crash(),
         "chaos" => chaos(&args[1..]),
@@ -1108,11 +1125,12 @@ fn main() {
                  srclint         lint our own Rust sources (R001-R006: std::sync locks, unwrap/panic\n\
                                  discipline, lock labels, forbid(unsafe_code), planner wall-clock)\n\
                                  and gate the fixture corpus snapshot\n\
-                 check           aggregate gate: clippy + srclint + lint + explain-snapshots + full tests + examples\n\
-                                 + chaos --quick + the crossebench package's tests and --smoke\n\
+                 check           aggregate gate: clippy + rustdoc + srclint + lint + explain-snapshots + full tests\n\
+                                 + examples + chaos --quick + the crossebench package's tests and --smoke\n\
                  loc             non-test Rust lines under crates/ + src/ (no tests/ files, no\n\
                                  #[cfg(test)] items), per crate and total: the size to report per PR\n\
                  clippy          cargo clippy --workspace --all-targets -- -D warnings\n\
+                 rustdoc         cargo doc --no-deps --workspace with RUSTDOCFLAGS=-D warnings\n\
                  stress          concurrency tests (release), 10x iterations, worker threads 1/4/8,\n\
                                  then a debug CROSSE_LOCK_TRACK=1 lock-order gate pass\n\
                  crash           kill -9 a write-heavy child mid-batch, reopen, verify no acked\n\

@@ -12,6 +12,7 @@ use std::time::Duration;
 
 use crosse::core::session::Session;
 use crosse::federation::{LatencyModel, RemoteSource};
+use crosse::rdf::sparql::eval::EvalOptions;
 use crosse::rdf::sparql::SparqlParams;
 use crosse::rdf::term::Term;
 use crosse::relational::{Database, Params};
@@ -64,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "SELECT ?d (COUNT(?e) AS ?n) WHERE { ?e <dangerLevel> ?d } \
          GROUP BY ?d HAVING(?n >= 1) ORDER BY DESC(?d)",
     )?
-    .execute(kb.store(), &refs, &SparqlParams::new())?;
+    .execute(kb.store(), &refs, &SparqlParams::new(), &EvalOptions::default())?;
     println!("== Elements per danger level (SPARQL GROUP BY) ==");
     for row in &sols.rows {
         let d = row[0].as_ref().map(|t| t.lexical_form().to_string()).unwrap_or_default();
@@ -82,6 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             kb.store(),
             &refs,
             &SparqlParams::new().set("seed", Term::iri(seed)),
+            &EvalOptions::default(),
         )?;
         let cluster: Vec<String> = sols
             .rows

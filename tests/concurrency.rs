@@ -719,8 +719,8 @@ fn parallel_scans_stay_consistent_under_concurrent_dml() {
 
 #[test]
 fn parallel_sparql_probe_matches_sequential() {
-    use crosse::rdf::sparql::eval::{evaluate_with, EvalOptions};
-    use crosse::rdf::sparql::parser::parse_query;
+    use crosse::rdf::sparql::eval::EvalOptions;
+    use crosse::rdf::sparql::{prepare, SparqlParams};
 
     let store = TripleStore::new();
     // A two-hop star wide enough to push probe batches past the parallel
@@ -745,13 +745,16 @@ fn parallel_sparql_probe_matches_sequential() {
             );
         }
     }
-    let q = parse_query(
+    let q = prepare(
         "SELECT ?hub ?leaf ?w WHERE { ?hub <linksTo> ?leaf . ?leaf <weight> ?w }",
     )
     .unwrap();
-    let sequential = evaluate_with(&store, &["kb"], &q, &EvalOptions { threads: 1, ..Default::default() }).unwrap();
-    let threads = stress_threads(4);
-    let parallel = evaluate_with(&store, &["kb"], &q, &EvalOptions { threads, ..Default::default() }).unwrap();
+    let run = |threads| {
+        q.execute(&store, &["kb"], &SparqlParams::new(), &EvalOptions { threads, ..Default::default() })
+            .unwrap()
+    };
+    let sequential = run(1);
+    let parallel = run(stress_threads(4));
     assert_eq!(sequential.len(), 60 * 40);
     assert_eq!(sequential.rows, parallel.rows, "parallel probe must be bit-identical");
 }

@@ -1069,40 +1069,70 @@ proptest! {
     }
 
     /// Binding through a prepared SPARQL query equals writing the constant
-    /// in the query text.
+    /// in the query text — the reference for parameters as compiled
+    /// leaves. The parameter sits in a subject, predicate or object
+    /// position, a FILTER comparand, HAVING, or inside OPTIONAL, UNION or
+    /// MINUS; it is named or positional; the bound term may be absent
+    /// from the store; and one handle runs with two different bindings.
     #[test]
     fn sparql_prepare_bind_equals_substitution(
-        subjects in prop::collection::vec("[a-z]{1,5}", 1..20),
-        pick in 0usize..20,
+        subjects in prop::collection::vec("[a-f]{1,2}", 1..12),
+        shape in 0usize..8,
+        positional in any::<bool>(),
+        picks in (0usize..16, 0usize..16),
     ) {
+        use crosse::rdf::sparql::eval::EvalOptions;
+        use crosse::rdf::sparql::{prepare, SparqlParams};
+        use crosse::rdf::term::Term;
+
         let store = TripleStore::new();
         for (i, s) in subjects.iter().enumerate() {
-            store.insert(
-                "kb",
-                &crosse::rdf::store::Triple::new(
-                    crosse::rdf::term::Term::iri(s.clone()),
-                    crosse::rdf::term::Term::iri("level"),
-                    crosse::rdf::term::Term::lit(format!("{i}")),
-                ),
-            );
+            let next = &subjects[(i + 1) % subjects.len()];
+            for (p, o) in [
+                ("level", Term::lit((i % 5).to_string())),
+                ("kind", Term::iri(format!("k{}", i % 3))),
+                ("near", Term::iri(next.clone())),
+            ] {
+                store.insert("kb", &Triple::new(Term::iri(s.clone()), Term::iri(p), o));
+            }
         }
-        let target = &subjects[pick % subjects.len()];
-        let p = crosse::rdf::sparql::prepare("SELECT ?o WHERE { $s <level> ?o }").unwrap();
-        let bound = p
-            .execute(
-                &store,
-                &["kb"],
-                &crosse::rdf::sparql::SparqlParams::new()
-                    .set("s", crosse::rdf::term::Term::iri(target.clone())),
-            )
-            .unwrap();
-        let textual = crosse::rdf::sparql::eval::query(
-            &store,
-            &["kb"],
-            &format!("SELECT ?o WHERE {{ <{target}> <level> ?o }}"),
-        )
-        .unwrap();
-        prop_assert_eq!(bound.rows, textual.rows);
+        // (template with one `{P}` hole, what the hole holds)
+        let (template, iris): (&str, Vec<String>) = match shape {
+            0 => ("SELECT ?o WHERE { {P} <level> ?o }", subjects.clone()),
+            1 => ("SELECT ?s ?o WHERE { ?s {P} ?o }", vec!["level".into(), "kind".into(), "near".into()]),
+            2 => ("SELECT ?s WHERE { ?s <kind> {P} }", vec!["k0".into(), "k1".into(), "k2".into()]),
+            3 => ("SELECT ?s WHERE { ?s <level> ?l . FILTER(?l >= {P}) }", Vec::new()),
+            4 => ("SELECT ?k (COUNT(?s) AS ?n) WHERE { ?s <kind> ?k } GROUP BY ?k HAVING(?n >= {P})", Vec::new()),
+            5 => ("SELECT ?s ?k WHERE { ?s <level> ?l . OPTIONAL { ?s <near> {P} . ?s <kind> ?k } }", subjects.clone()),
+            6 => ("SELECT ?s WHERE { { ?s <kind> {P} } UNION { ?s <level> \"0\" } }", vec!["k0".into(), "k1".into()]),
+            _ => ("SELECT ?s WHERE { ?s <level> ?l MINUS { ?s <near> {P} } }", subjects.clone()),
+        };
+        // A pick past the pool is a term the store has never seen.
+        let term = |pick: usize| -> Term {
+            if iris.is_empty() {
+                Term::lit(pick.to_string()) // levels are 0..5, counts small
+            } else {
+                iris.get(pick).map_or_else(|| Term::iri(format!("absent{pick}")), |i| Term::iri(i.clone()))
+            }
+        };
+        let hole = if positional { "?" } else { "$p" };
+        let prepared = prepare(&template.replace("{P}", hole)).unwrap();
+        for pick in [picks.0, picks.1] {
+            let t = term(pick);
+            let params = if positional {
+                SparqlParams::new().push(t.clone())
+            } else {
+                SparqlParams::new().set("p", t.clone())
+            };
+            let bound = prepared.execute(&store, &["kb"], &params, &EvalOptions::default()).unwrap();
+            let text = match &t {
+                Term::Iri(i) => format!("<{i}>"),
+                other => format!("\"{}\"", other.lexical_form()),
+            };
+            let textual = crosse::rdf::sparql::eval::query(&store, &["kb"], &template.replace("{P}", &text))
+                .unwrap();
+            prop_assert_eq!(&bound, &textual, "shape {} bound to {:?}", shape, t);
+        }
     }
 }
 
