@@ -146,11 +146,11 @@ impl SesqlEngine {
     /// entries age out instead of accumulating). A handle never goes
     /// stale: each execution resolves it against the store afresh.
     fn compiled_leg(&self, sparql: &str) -> Result<Arc<PreparedSparql>> {
-        if let Some(p) = self.parsed.lock().get(sparql) {
+        if let Some(p) = self.compiled_legs.lock().get(sparql) {
             return Ok(p.clone());
         }
         let p = Arc::new(crosse_rdf::sparql::prepare(sparql)?);
-        self.parsed.lock().put(sparql.to_string(), p.clone());
+        self.compiled_legs.lock().put(sparql.to_string(), p.clone());
         Ok(p)
     }
 

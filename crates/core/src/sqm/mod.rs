@@ -194,7 +194,7 @@ pub struct SesqlEngine {
     /// tree. The result cache above is version-checked; this one never
     /// needs invalidation, because a compiled leg holds no data (its
     /// constants are resolved against the store per execution).
-    parsed: Arc<Mutex<Lru<String, Arc<PreparedSparql>>>>,
+    compiled_legs: Arc<Mutex<Lru<String, Arc<PreparedSparql>>>>,
     /// Prepared SESQL queries keyed by normalized text (bounded LRU):
     /// repeated `prepare` traffic skips the scanner + both parsers.
     prepared: Arc<Mutex<Lru<String, CachedSesql>>>,
@@ -209,7 +209,7 @@ impl SesqlEngine {
             mapping: ResourceMapping::new(),
             options: EnrichOptions::default(),
             cache: Arc::default(),
-            parsed: Arc::new(Mutex::new_labeled("sesql.ast_cache", Lru::new(DEFAULT_CACHE_CAPACITY))),
+            compiled_legs: Arc::new(Mutex::new_labeled("sesql.ast_cache", Lru::new(DEFAULT_CACHE_CAPACITY))),
             prepared: Arc::new(Mutex::new_labeled("sesql.prepared_cache", Lru::new(DEFAULT_CACHE_CAPACITY))),
         }
     }
@@ -298,7 +298,7 @@ impl SesqlEngine {
     /// Compiled-SPARQL-leg cache statistics (the LRU of generated legs'
     /// compiled operator trees; the name predates the operator tree).
     pub fn ast_cache_stats(&self) -> CacheStats {
-        self.parsed.lock().stats()
+        self.compiled_legs.lock().stats()
     }
 
     /// Prepared-SESQL cache statistics.
@@ -315,7 +315,7 @@ impl SesqlEngine {
         // Evicted pairs tables leave the catalog after the cache lock.
         let evicted = self.cache.pairs.lock().set_capacity(capacity);
         drop(evicted);
-        self.parsed.lock().set_capacity(capacity);
+        self.compiled_legs.lock().set_capacity(capacity);
         self.prepared.lock().set_capacity(capacity);
     }
 

@@ -255,9 +255,9 @@ impl Compiler {
     /// others in first-appearance order.
     fn new(projected: &[String], pattern: &GraphPattern, params: Vec<String>) -> Self {
         let mut vars: Vec<String> = Vec::new();
-        for v in projected.iter().chain(pattern.variables().iter()) {
-            if !vars.contains(v) {
-                vars.push(v.clone());
+        for v in projected.iter().cloned().chain(pattern.variables()) {
+            if !vars.contains(&v) {
+                vars.push(v);
             }
         }
         Compiler { vars, params, consts: Vec::new(), const_index: HashMap::new(), bgps: 0 }
@@ -283,10 +283,14 @@ impl Compiler {
     }
 
     fn constant(&mut self, t: &Term) -> usize {
-        let k = *self.const_index.entry(t.clone()).or_insert_with(|| {
-            self.consts.push(t.clone());
-            self.consts.len() - 1
-        });
+        let k = match self.const_index.get(t) {
+            Some(&k) => k,
+            None => {
+                self.consts.push(t.clone());
+                self.const_index.insert(t.clone(), self.consts.len() - 1);
+                self.consts.len() - 1
+            }
+        };
         self.params.len() + k
     }
 

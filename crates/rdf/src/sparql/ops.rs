@@ -11,10 +11,11 @@
 //! reading never grows the dictionary; the store holds no triple with
 //! such an id, so a probe for it matches nothing.
 //!
-//! The operator tree then runs over id rows. Each BGP leaf takes its
-//! cardinality estimates once per execution and chooses its greedy probe
-//! order once per distinct set of input-bound slots, so the right side of
-//! an OPTIONAL, evaluated once per left row, is planned once. Probes are
+//! The operator tree then runs over id rows. Each BGP leaf of more than
+//! one triple takes its cardinality estimates once per execution and
+//! chooses its greedy probe order once per distinct set of input-bound
+//! slots, so the right side of an OPTIONAL, evaluated once per left row,
+//! is planned once. Probes are
 //! index-nested-loop: input rows are sorted on their bound probe prefix so
 //! consecutive range scans hit warm B-tree nodes, an identical consecutive
 //! probe reuses the previous scan, and with a worker budget
@@ -270,8 +271,15 @@ impl<'a> Exec<'a> {
         {
             return Ok(Vec::new());
         }
-        let bound: Vec<bool> = rows[0].iter().map(Option::is_some).collect();
-        for &i in self.probe_order(bgp, bound).iter() {
+        // One triple has one order; only a conjunction needs estimates.
+        let planned;
+        let order: &[usize] = if bgp.triples.len() == 1 {
+            &[0]
+        } else {
+            planned = self.probe_order(bgp, &rows[0]);
+            &planned
+        };
+        for &i in order {
             // Probe-batch boundary: each extension walks the whole batch,
             // so a cancelled query stops here with a typed error.
             self.cancel.check()?;
@@ -288,17 +296,19 @@ impl<'a> Exec<'a> {
         Ok(rows)
     }
 
-    /// The greedy probe order for input rows binding `bound`, chosen once
-    /// per execution and bound set.
-    fn probe_order(&self, bgp: &Bgp, bound: Vec<bool>) -> Rc<[usize]> {
+    /// The greedy probe order for input rows binding the slots `first`
+    /// binds, chosen once per execution and set of bound slots.
+    fn probe_order(&self, bgp: &Bgp, first: &Bindings) -> Rc<[usize]> {
         let mut plans = self.bgps.borrow_mut();
         let plan = &mut plans[bgp.id];
-        if let Some((_, order)) = plan.orders.iter().find(|(b, _)| *b == bound) {
+        let same = |b: &[bool]| b.iter().zip(first).all(|(b, v)| *b == v.is_some());
+        if let Some((_, order)) = plan.orders.iter().find(|(b, _)| same(b)) {
             return order.clone();
         }
         let estimates = plan
             .estimates
             .get_or_insert_with(|| bgp.triples.iter().map(|t| self.estimate(t)).collect());
+        let bound: Vec<bool> = first.iter().map(Option::is_some).collect();
         let order = greedy_order(&bgp.triples, estimates, bound.clone());
         plan.orders.push((bound, order.clone()));
         order
