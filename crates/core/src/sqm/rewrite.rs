@@ -9,13 +9,14 @@ use super::*;
 /// FROM clause and rewrites the tagged condition so the enriched
 /// attribute matches *through* a pair. With `include_self` the emitted
 /// statement is the native compound `Q1 UNION Q2` — no longer an opaque
-/// second copy of the original query: the relational optimizer's
-/// common-subplan pass fingerprints the base-table subtrees both members
-/// read and rewrites them to one shared, spooled scan per table, so Q1's
-/// scan work runs once per execution (visible as `Shared spool` nodes in
-/// `EXPLAIN`). Without `include_self`, Q2 runs alone under DISTINCT (the
-/// expansion can hit several KB pairs per row; the paper's replacement
-/// semantics are set-oriented).
+/// second copy of the original query: the relational optimizer's dedup
+/// pushdown factors it over the input both members join and
+/// deduplicates that join's inputs rather than its output, and its
+/// common-subplan pass reads each base table once per execution through
+/// a spool (both visible in `EXPLAIN`). Without `include_self`, Q2 runs
+/// alone under DISTINCT (the expansion can hit several KB pairs per row;
+/// the paper's replacement semantics are set-oriented), which the same
+/// pass moves below the join.
 pub(super) fn variable_expansion_select(
     select: &Select,
     cond_expr: &Expr,

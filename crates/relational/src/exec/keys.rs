@@ -6,8 +6,8 @@
 //! grouping semantics (see `Value::group_eq`), so the operator's hash
 //! table stores and hashes words instead of cloned rows and string bytes.
 //! NULL, booleans and numbers are packed by value — every number through
-//! its `f64` bit pattern, which is what makes `1` and `1.0` one key and a
-//! NaN a stable one. A string becomes a small integer code, local to the
+//! its `f64` bit pattern (`Value::as_f64_bits`), which is what makes `1`
+//! and `1.0` one key, `0` and `-0.0` one key, and a NaN a stable one. A string becomes a small integer code, local to the
 //! coder, found by the address of its allocation; only an address not seen
 //! before pays for a lookup by content, which is what makes two equal
 //! strings from different allocations one key. See `DESIGN.md`, "Value as
@@ -140,8 +140,7 @@ impl KeyCoder {
             let (class, value, bits) = match v.borrow() {
                 Value::Null => (0, 0, 0),
                 Value::Bool(b) => (1, u64::from(*b), 1),
-                Value::Int(i) => (2, (*i as f64).to_bits(), 64),
-                Value::Float(f) => (2, f.to_bits(), 64),
+                n @ (Value::Int(_) | Value::Float(_)) => (2, n.as_f64_bits().unwrap_or_default(), 64),
                 Value::Str(s) => (3, u64::from(self.string_code(s)?), 32),
             };
             key.push(class, 2);
@@ -215,7 +214,8 @@ mod tests {
                 assert_eq!(a == b, i == j, "{:?} vs {:?}", zeros[i], zeros[j]);
             }
         }
-        assert_ne!(k(&mut c, Value::Float(0.0)), k(&mut c, Value::Float(-0.0)));
+        assert_eq!(k(&mut c, Value::Float(0.0)), k(&mut c, Value::Float(-0.0)));
+        assert_eq!(k(&mut c, Value::Int(0)), k(&mut c, Value::Float(-0.0)));
         assert_ne!(k(&mut c, Value::Bool(true)), k(&mut c, Value::Int(1)));
     }
 

@@ -107,6 +107,15 @@ fn prune_single_reader_spools(plan: Plan) -> (Plan, usize, usize) {
     (out, spools, shared_refs)
 }
 
+/// The fingerprint of `plan`, equal for two subtrees exactly when this
+/// pass would share them; `None` when the subtree holds a node the pass
+/// never shares (literal rows, an existing spool).
+pub(crate) fn fingerprint_of(plan: &Plan) -> Option<String> {
+    let mut counter = Counter::default();
+    let key = counter.count(plan);
+    (counter.uniq == 0).then_some(key)
+}
+
 /// First walk: count subtree fingerprints.
 #[derive(Default)]
 struct Counter {

@@ -11,10 +11,15 @@
 //! 2. **projection pruning** ([`rules::prune_projections`]) — composes
 //!    adjacent `Project` nodes and narrows `Aggregate` inputs to the
 //!    columns the group/aggregate expressions actually reference.
-//! 3. **limit pushdown** ([`rules::pushdown_limits`]) — sinks `Limit`
+//! 3. **dedup pushdown** ([`dedup::push_dedup_below_joins`]) — removes
+//!    duplicates from a join's inputs instead of its output: a DISTINCT
+//!    over an inner equi-join whose output determines both inputs, and a
+//!    deduplicating UNION of joins over one common input (Ex. 4.6's
+//!    REPLACEVARIABLE compound). Never beneath a `LIMIT`.
+//! 4. **limit pushdown** ([`rules::pushdown_limits`]) — sinks `Limit`
 //!    beneath row-preserving `Project`s and caps the members of
 //!    `UNION ALL` compounds, so `LIMIT k` stops each member's scan early.
-//! 4. **common-subplan elimination** ([`cse::share_common_subplans`]) —
+//! 5. **common-subplan elimination** ([`cse::share_common_subplans`]) —
 //!    fingerprints structurally equal subtrees and rewrites duplicates to
 //!    one [`Plan::Shared`] spool, evaluated once per execution.
 //!
@@ -24,6 +29,7 @@
 //! surfaced by `EXPLAIN`.
 
 pub mod cse;
+pub mod dedup;
 pub mod rules;
 pub mod validate;
 
@@ -40,6 +46,8 @@ pub struct OptimizerConfig {
     pub filter_pushdown: bool,
     /// Compose adjacent projections; narrow aggregate inputs.
     pub prune_projections: bool,
+    /// Deduplicate a join's inputs instead of its output.
+    pub dedup_pushdown: bool,
     /// Sink LIMIT below projections and into `UNION ALL` members.
     pub limit_pushdown: bool,
     /// Deduplicate structurally equal subtrees through shared spools.
@@ -69,6 +77,9 @@ pub enum Sabotage {
     /// outermost projection — the validator must flag the changed output
     /// signature.
     DropProjectColumn,
+    /// After dedup pushdown, remove the outermost DISTINCT without pushing
+    /// it anywhere — the validator must flag the lost duplicate-freedom.
+    DropDistinct,
 }
 
 impl Default for OptimizerConfig {
@@ -76,6 +87,7 @@ impl Default for OptimizerConfig {
         OptimizerConfig {
             filter_pushdown: true,
             prune_projections: true,
+            dedup_pushdown: true,
             limit_pushdown: true,
             shared_subplans: true,
             validate: cfg!(debug_assertions),
@@ -91,6 +103,7 @@ impl OptimizerConfig {
         OptimizerConfig {
             filter_pushdown: false,
             prune_projections: false,
+            dedup_pushdown: false,
             limit_pushdown: false,
             shared_subplans: false,
             validate: cfg!(debug_assertions),
@@ -153,6 +166,9 @@ pub fn optimize(plan: Plan, cfg: &OptimizerConfig) -> Result<Optimized, PlanInva
     if cfg.prune_projections {
         plan = run_pass(plan, "prune_projections", &mut notes, &mut rules::prune_projections)?;
     }
+    if cfg.dedup_pushdown {
+        plan = run_pass(plan, "dedup_pushdown", &mut notes, &mut dedup::push_dedup_below_joins)?;
+    }
     if cfg.limit_pushdown {
         plan = run_pass(plan, "limit_pushdown", &mut notes, &mut rules::pushdown_limits)?;
     }
@@ -172,6 +188,7 @@ fn apply_sabotage(plan: Plan, pass: &str, cfg: &OptimizerConfig) -> Plan {
     match cfg.sabotage {
         Sabotage::WidenLimit if pass == "limit_pushdown" => widen_first_limit(plan),
         Sabotage::DropProjectColumn if pass == "prune_projections" => drop_project_column(plan),
+        Sabotage::DropDistinct if pass == "dedup_pushdown" => drop_first_distinct(plan),
         _ => plan,
     }
 }
@@ -202,6 +219,14 @@ fn drop_project_column(plan: Plan) -> Plan {
             Plan::Project { input, exprs, schema }
         }
         other => map_children(other, &mut drop_project_column),
+    }
+}
+
+#[cfg(debug_assertions)]
+fn drop_first_distinct(plan: Plan) -> Plan {
+    match plan {
+        Plan::Distinct { input } => *input,
+        other => map_children(other, &mut drop_first_distinct),
     }
 }
 

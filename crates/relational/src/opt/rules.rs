@@ -353,9 +353,6 @@ fn walk_prune(plan: Plan, composed: &mut usize, narrowed: &mut usize) -> Plan {
                 return Plan::Aggregate { input, group, aggs, schema };
             }
             *narrowed += 1;
-            let narrow_schema = Schema::new(
-                used.iter().map(|&i| input.schema().columns[i].clone()).collect(),
-            );
             let remap: std::collections::HashMap<usize, usize> =
                 used.iter().enumerate().map(|(new, &old)| (old, new)).collect();
             let group = group
@@ -371,16 +368,22 @@ fn walk_prune(plan: Plan, composed: &mut usize, narrowed: &mut usize) -> Plan {
                     a
                 })
                 .collect();
-            let narrow = Plan::Project {
-                input,
-                exprs: used.iter().map(|&i| BoundExpr::Column(i)).collect(),
-                schema: narrow_schema,
-            };
+            let narrow = project_columns(*input, used);
             // The inserted projection may itself sit on a projection.
             let narrow = walk_prune(narrow, composed, narrowed);
             Plan::Aggregate { input: Box::new(narrow), group, aggs, schema }
         }
         other => other,
+    }
+}
+
+/// `plan` narrowed to the columns `cols`, in that order.
+pub(crate) fn project_columns(plan: Plan, cols: Vec<usize>) -> Plan {
+    let schema = Schema::new(cols.iter().map(|&i| plan.schema().columns[i].clone()).collect());
+    Plan::Project {
+        input: Box::new(plan),
+        exprs: cols.into_iter().map(BoundExpr::Column).collect(),
+        schema,
     }
 }
 

@@ -12,8 +12,8 @@
 //! * [`check_pass`] — invariants relating a plan *before* and *after* one
 //!   rewrite pass: the output arity and column types are preserved
 //!   end-to-end, the conservative row bound never increases (a pass must
-//!   not weaken a `LIMIT`), and no filter was moved beneath the padded
-//!   side of a LEFT join.
+//!   not weaken a `LIMIT`), no filter was moved beneath the padded side of
+//!   a LEFT join, and an output that was provably duplicate-free still is.
 //!
 //! Violations carry the offending pass name and an `EXPLAIN` rendering of
 //! the bad (sub)tree. Validation runs when
@@ -28,6 +28,7 @@ use crate::plan::Plan;
 use crate::sql::ast::{Expr, JoinKind, Select, SelectItem, TableRef};
 use crate::value::DataType;
 
+use super::dedup::{determined, projected_columns};
 use super::rules::visit_cols;
 
 /// A violated plan invariant: which pass produced the bad plan, what is
@@ -370,6 +371,46 @@ fn padded_side_filters(plan: &Plan) -> usize {
     below + children(plan).into_iter().map(padded_side_filters).sum::<usize>()
 }
 
+/// Whether `plan`'s output provably holds no duplicate rows: a DISTINCT,
+/// a deduplicating UNION or a grouped aggregate at the top (under
+/// filters, sorts, limits and projections that keep every column), or a
+/// projected inner join of duplicate-free inputs whose every column the
+/// projection determines (dedup pushdown's covering condition).
+fn duplicate_free(plan: &Plan) -> bool {
+    match plan {
+        Plan::Distinct { .. } | Plan::Union { all: false, .. } | Plan::Aggregate { .. } => true,
+        Plan::Values { rows, .. } => rows.len() <= 1,
+        Plan::Filter { input, .. } | Plan::Sort { input, .. } | Plan::Limit { input, .. } => {
+            duplicate_free(input)
+        }
+        Plan::Shared { input, .. } => duplicate_free(input),
+        Plan::Project { input, exprs, .. } => {
+            let Some(proj) = projected_columns(exprs) else {
+                return false;
+            };
+            let keeps_every_column = (0..input.schema().len()).all(|c| proj.contains(&c));
+            match &**input {
+                Plan::HashJoin {
+                    left,
+                    right,
+                    kind: JoinKind::Inner,
+                    left_keys,
+                    right_keys,
+                    schema,
+                    ..
+                } => {
+                    let every: Vec<usize> = (0..schema.len()).collect();
+                    duplicate_free(left)
+                        && duplicate_free(right)
+                        && determined(&every, &proj, left.schema().len(), left_keys, right_keys)
+                }
+                other => keeps_every_column && duplicate_free(other),
+            }
+        }
+        _ => false,
+    }
+}
+
 /// Invariants relating the plans before and after one rewrite pass, plus
 /// the structural checks on the rewritten plan.
 pub fn check_pass(before: &Plan, after: &Plan, pass: &str) -> CheckResult {
@@ -403,6 +444,13 @@ pub fn check_pass(before: &Plan, after: &Plan, pass: &str) -> CheckResult {
                 "pass pushed a filter beneath the padded side of a LEFT join \
                  ({bf} -> {af} padded-side filters)"
             ),
+            after,
+        ));
+    }
+    if duplicate_free(before) && !duplicate_free(after) {
+        return Err(PlanInvariantError::new(
+            pass,
+            "pass lost the output's freedom from duplicates".to_string(),
             after,
         ));
     }

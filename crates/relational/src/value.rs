@@ -342,8 +342,9 @@ impl Value {
     }
 
     /// Total ordering used for ORDER BY and index structures: NULLs sort
-    /// first, then booleans, numbers, strings. Unlike [`Value::sql_cmp`]
-    /// this never fails, so sorting mixed columns is deterministic.
+    /// first, then booleans, numbers, strings; `-0.0` sorts as `0.0`, as
+    /// it groups. Unlike [`Value::sql_cmp`] this never fails, so sorting
+    /// mixed columns is deterministic.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         let (ra, rb) = (self.rank(), other.rank());
         if ra != rb {
@@ -353,9 +354,9 @@ impl Value {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
-            (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
-            (Value::Int(a), Value::Float(b)) => (*a as f64).total_cmp(b),
-            (Value::Float(a), Value::Int(b)) => a.total_cmp(&(*b as f64)),
+            (Value::Float(a), Value::Float(b)) => unsigned_zero(*a).total_cmp(&unsigned_zero(*b)),
+            (Value::Int(a), Value::Float(b)) => (*a as f64).total_cmp(&unsigned_zero(*b)),
+            (Value::Float(a), Value::Int(b)) => unsigned_zero(*a).total_cmp(&(*b as f64)),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
             _ => unreachable!("rank() guarantees same class"),
         }
@@ -378,8 +379,9 @@ impl Value {
     }
 
     /// Equality for grouping / DISTINCT / hash joins: NULL equals NULL,
-    /// and *all* numbers compare through their `f64` value (bit pattern),
-    /// so `1 = 1.0` groups together and NaN keys are stable. This is what
+    /// and *all* numbers compare through their `f64` value (bit pattern,
+    /// `-0.0` read as `0.0`), so `1 = 1.0` and `0 = -0.0` group together
+    /// and NaN keys are stable. This is what
     /// `==` (and the `Eq`/`Hash` impls) mean for `Value`.
     ///
     /// Numbers must go through `f64` on *both* sides — an exact Int/Int
@@ -399,11 +401,13 @@ impl Value {
     }
 
     /// The `f64` bit pattern of a numeric value (`None` otherwise) — the
-    /// shared key through which Int and Float unify in `Eq`/`Hash`.
-    fn as_f64_bits(&self) -> Option<u64> {
+    /// shared key through which Int and Float unify in `Eq`/`Hash` and in
+    /// the executor's coded keys. `-0.0` takes the bits of `0.0`: SQL has
+    /// `0 = -0.0`, and grouping must not tell apart what `=` equates.
+    pub(crate) fn as_f64_bits(&self) -> Option<u64> {
         match self {
             Value::Int(i) => Some((*i as f64).to_bits()),
-            Value::Float(f) => Some(f.to_bits()),
+            Value::Float(f) => Some(unsigned_zero(*f).to_bits()),
             _ => None,
         }
     }
@@ -430,6 +434,16 @@ impl Value {
     /// Owned form of [`Value::lexical`].
     pub fn lexical_form(&self) -> String {
         self.lexical().into_owned()
+    }
+}
+
+/// `f` with `-0.0` read as `0.0`, so the two zeros are one value to
+/// grouping, hashing and the total order alike.
+fn unsigned_zero(f: f64) -> f64 {
+    if f == 0.0 {
+        0.0
+    } else {
+        f
     }
 }
 
@@ -472,8 +486,7 @@ impl Hash for Value {
         match self {
             Value::Null => {}
             Value::Bool(b) => b.hash(state),
-            Value::Int(i) => (*i as f64).to_bits().hash(state),
-            Value::Float(f) => f.to_bits().hash(state),
+            Value::Int(_) | Value::Float(_) => self.as_f64_bits().hash(state),
             Value::Str(s) => s.hash(state),
         }
     }
@@ -583,6 +596,20 @@ mod tests {
         assert_eq!(Value::Int(1), Value::Float(1.0));
         assert_eq!(hash_of(&Value::Int(1)), hash_of(&Value::Float(1.0)));
         assert_ne!(Value::Int(1), Value::Float(1.25));
+    }
+
+    #[test]
+    fn the_two_zeros_are_one_value() {
+        // `0 = -0.0` in SQL, so grouping, hashing and the total order
+        // agree that they are one value.
+        let (pos, neg) = (Value::Float(0.0), Value::Float(-0.0));
+        assert_eq!(pos.sql_eq(&neg), Some(true));
+        assert_eq!(pos, neg);
+        assert_eq!(Value::Int(0), neg);
+        assert_eq!(hash_of(&pos), hash_of(&neg));
+        assert_eq!(hash_of(&Value::Int(0)), hash_of(&neg));
+        assert_eq!(pos.total_cmp(&neg), Ordering::Equal);
+        assert_eq!(Value::Int(0).total_cmp(&neg), Ordering::Equal);
     }
 
     #[test]

@@ -324,7 +324,7 @@ proptest! {
 
     /// Hash joins (inner with and without a residual, LEFT) and the
     /// nested-loop join (inner and LEFT) equal a nested loop written
-    /// here — over NULL keys, an INT column joined to a FLOAT one, and
+    /// here — over NULL keys, an INT column joined to a FLOAT one, both zeros and
     /// text keys from different allocations.
     #[test]
     fn hash_join_equals_cross_filter(
@@ -334,12 +334,11 @@ proptest! {
         let db = Database::new();
         db.execute("CREATE TABLE l (i INT, f FLOAT, s TEXT)").unwrap();
         db.execute("CREATE TABLE r (i INT, f FLOAT, s TEXT)").unwrap();
-        // NaN and -0.0 are grouping keys, not join keys: `NaN = NaN` is an
-        // error in SQL comparison, and `0 = -0.0` holds there while the
-        // hash join's `Value` keys tell the two zeros apart (as they did
-        // before keys were coded; see ROADMAP), so neither is drawn here.
+        // NaN is a grouping key, not a join key: `NaN = NaN` is an error in
+        // SQL comparison, so it is not drawn here. `-0.0` is: `0 = -0.0`
+        // holds in SQL, and the hash join's keys agree.
         let finite = |cells: &[KeyCells]| -> Vec<KeyCells> {
-            cells.iter().map(|&(i, f, s)| (i, f.filter(|f| !f.is_nan()).map(|f| f + 0.0), s)).collect()
+            cells.iter().map(|&(i, f, s)| (i, f.filter(|f| !f.is_nan()), s)).collect()
         };
         let (l_rows, r_rows) = (key_rows(&db, &finite(&left)), key_rows(&db, &finite(&right)));
         db.catalog().get_table("l").unwrap().insert_many(l_rows.clone()).unwrap();
