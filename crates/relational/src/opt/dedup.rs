@@ -53,10 +53,7 @@ pub fn push_dedup_below_joins(plan: Plan, notes: &mut Vec<String>) -> Plan {
     let out = walk(plan, false, &mut fired);
     let mut parts = Vec::new();
     if fired.distincts > 0 {
-        parts.push(format!(
-            "{} DISTINCT(s) moved below a join",
-            fired.distincts
-        ));
+        parts.push(format!("{} DISTINCT(s) moved below a join", fired.distincts));
     }
     if fired.unions > 0 {
         parts.push(format!(
@@ -94,20 +91,12 @@ fn walk(plan: Plan, under_limit: bool, fired: &mut Fired) -> Plan {
             }
             None => Plan::Distinct { input },
         },
-        Plan::Union {
-            inputs,
-            all: false,
-            schema,
-        } => match factor_union(&inputs, &schema) {
+        Plan::Union { inputs, all: false, schema } => match factor_union(&inputs, &schema) {
             Some(rewritten) => {
                 fired.unions += 1;
                 rewritten
             }
-            None => Plan::Union {
-                inputs,
-                all: false,
-                schema,
-            },
+            None => Plan::Union { inputs, all: false, schema },
         },
         other => other,
     }
@@ -146,13 +135,7 @@ impl Join {
 /// keys read only `LR`. Both keep the combined row's column order.
 fn join_forms(plan: &Plan) -> Vec<Join> {
     let Plan::HashJoin {
-        left,
-        right,
-        kind: JoinKind::Inner,
-        left_keys,
-        right_keys,
-        residual,
-        ..
+        left, right, kind: JoinKind::Inner, left_keys, right_keys, residual, ..
     } = plan
     else {
         return Vec::new();
@@ -205,11 +188,9 @@ fn join_forms(plan: &Plan) -> Vec<Join> {
 
 fn conjoin(a: Option<BoundExpr>, b: Option<BoundExpr>) -> Option<BoundExpr> {
     match (a, b) {
-        (Some(a), Some(b)) => Some(BoundExpr::Binary {
-            left: Box::new(a),
-            op: BinaryOp::And,
-            right: Box::new(b),
-        }),
+        (Some(a), Some(b)) => {
+            Some(BoundExpr::Binary { left: Box::new(a), op: BinaryOp::And, right: Box::new(b) })
+        }
         (a, b) => a.or(b),
     }
 }
@@ -253,18 +234,11 @@ pub(crate) fn projected_columns(exprs: &[BoundExpr]) -> Option<Vec<usize>> {
 
 /// Rewrite (B) on `Distinct(input)`; `None` when it does not apply.
 fn distinct_below_join(input: &Plan) -> Option<Plan> {
-    let Plan::Project {
-        input: join,
-        exprs,
-        schema,
-    } = input
-    else {
+    let Plan::Project { input: join, exprs, schema } = input else {
         return None;
     };
     let proj = projected_columns(exprs)?;
-    join_forms(join)
-        .into_iter()
-        .find_map(|j| dedup_join_inputs(j, &proj, schema))
+    join_forms(join).into_iter().find_map(|j| dedup_join_inputs(j, &proj, schema))
 }
 
 /// `Project(proj)(Distinct(π(L)) ⋈ Distinct(π(R)))` for the join `j`, when
@@ -299,25 +273,13 @@ fn dedup_join_inputs(j: Join, proj: &[usize], schema: &Schema) -> Option<Plan> {
         map_cols(e, &mut |i| BoundExpr::Column(new_index(i + offset) - base))
     };
     let left_keys = j.left_keys.into_iter().map(|k| remap(k, 0, 0)).collect();
-    let right_keys = j
-        .right_keys
-        .into_iter()
-        .map(|k| remap(k, lw, used_left.len()))
-        .collect();
+    let right_keys = j.right_keys.into_iter().map(|k| remap(k, lw, used_left.len())).collect();
     let residual = j.residual.map(|r| remap(r, 0, 0));
-    let exprs = proj
-        .iter()
-        .map(|&i| BoundExpr::Column(new_index(i)))
-        .collect();
+    let exprs = proj.iter().map(|&i| BoundExpr::Column(new_index(i))).collect();
     let dedup_input = |side: Plan, cols: Vec<usize>| -> Plan {
-        let narrow = if cols.len() == side.schema().len() {
-            side
-        } else {
-            project_columns(side, cols)
-        };
-        Plan::Distinct {
-            input: Box::new(narrow),
-        }
+        let narrow =
+            if cols.len() == side.schema().len() { side } else { project_columns(side, cols) };
+        Plan::Distinct { input: Box::new(narrow) }
     };
     let right_cols = used_right.iter().map(|&i| i - lw).collect();
     let join = Join {
@@ -327,11 +289,7 @@ fn dedup_join_inputs(j: Join, proj: &[usize], schema: &Schema) -> Option<Plan> {
         right_keys,
         residual,
     };
-    Some(Plan::Project {
-        input: Box::new(join.into_plan()),
-        exprs,
-        schema: schema.clone(),
-    })
+    Some(Plan::Project { input: Box::new(join.into_plan()), exprs, schema: schema.clone() })
 }
 
 /// Whether a filter or index lookup narrows `plan`'s rows (a union only
@@ -371,7 +329,10 @@ impl Member {
     /// Read `Project(exprs)(join)` as `C ⋈ O`, if `O`'s keys are plain
     /// columns and `C` has a fingerprint.
     fn read(j: Join, exprs: &[BoundExpr]) -> Option<Member> {
-        if !j.right_keys.iter().all(|k| column_of(k).is_some()) {
+        // A narrowed `C` needs every `O_i` narrowed to pass the guard.
+        if !j.right_keys.iter().all(|k| column_of(k).is_some())
+            || (narrowed(&j.left) && !narrowed(&j.right))
+        {
             return None;
         }
         let c_signature = format!("{}{:?}", fingerprint_of(&j.left)?, j.left_keys);
@@ -389,20 +350,11 @@ impl Member {
             Some(slot) => BoundExpr::Column(lw + key_count + slot),
             None => BoundExpr::Column(i),
         };
-        let exprs: Vec<BoundExpr> = exprs
-            .iter()
-            .map(|e| map_cols(e.clone(), &mut rename))
-            .collect();
+        let exprs: Vec<BoundExpr> =
+            exprs.iter().map(|e| map_cols(e.clone(), &mut rename)).collect();
         let residual = j.residual.clone().map(|r| map_cols(r, &mut rename));
         let shape = format!("{exprs:?}{residual:?}");
-        Some(Member {
-            join: j,
-            c_signature,
-            shape,
-            exprs,
-            residual,
-            o_cols,
-        })
+        Some(Member { join: j, c_signature, shape, exprs, residual, o_cols })
     }
 
     /// `π(O)`: the `O` keys, then the `O` columns the member reads.
@@ -416,10 +368,9 @@ impl Member {
 /// Every way to read a UNION member as `C ⋈ O` (see [`join_forms`]).
 fn members(plan: &Plan) -> Vec<Member> {
     match plan {
-        Plan::Project { input, exprs, .. } => join_forms(input)
-            .into_iter()
-            .filter_map(|j| Member::read(j, exprs))
-            .collect(),
+        Plan::Project { input, exprs, .. } => {
+            join_forms(input).into_iter().filter_map(|j| Member::read(j, exprs)).collect()
+        }
         _ => Vec::new(),
     }
 }
@@ -427,32 +378,26 @@ fn members(plan: &Plan) -> Vec<Member> {
 /// Rewrite (A) on a deduplicating `UNION`; `None` when it (or the (B)
 /// that must follow it) does not apply.
 fn factor_union(inputs: &[Plan], schema: &Schema) -> Option<Plan> {
-    let readings: Vec<Vec<Member>> = inputs.iter().map(members).collect();
-    let (first, rest) = readings.split_first()?;
-    if rest.is_empty() {
+    let (first, rest) = inputs.split_first()?;
+    let first = members(first);
+    if first.is_empty() || rest.is_empty() {
         return None;
     }
+    let rest: Vec<Vec<Member>> = rest.iter().map(members).collect();
     first.iter().find_map(|head| {
         let chosen: Vec<&Member> = std::iter::once(Some(head))
             .chain(rest.iter().map(|readings| {
-                readings
-                    .iter()
-                    .find(|m| m.c_signature == head.c_signature && m.shape == head.shape)
+                readings.iter().find(|m| m.c_signature == head.c_signature && m.shape == head.shape)
             }))
             .collect::<Option<_>>()?;
         let narrowed: Vec<Plan> = chosen.iter().map(|m| m.narrow_o()).collect();
-        let union = Plan::Union {
-            schema: narrowed[0].schema().clone(),
-            inputs: narrowed,
-            all: true,
-        };
+        let union =
+            Plan::Union { schema: narrowed[0].schema().clone(), inputs: narrowed, all: true };
         let join = Join {
             left: head.join.left.clone(),
             right: union,
             left_keys: head.join.left_keys.clone(),
-            right_keys: (0..head.join.right_keys.len())
-                .map(BoundExpr::Column)
-                .collect(),
+            right_keys: (0..head.join.right_keys.len()).map(BoundExpr::Column).collect(),
             residual: head.residual.clone(),
         };
         dedup_join_inputs(join, &projected_columns(&head.exprs)?, schema)

@@ -372,10 +372,11 @@ fn padded_side_filters(plan: &Plan) -> usize {
 }
 
 /// Whether `plan`'s output provably holds no duplicate rows: a DISTINCT,
-/// a deduplicating UNION or a grouped aggregate at the top (under
-/// filters, sorts, limits and projections that keep every column), or a
-/// projected inner join of duplicate-free inputs whose every column the
-/// projection determines (dedup pushdown's covering condition).
+/// a deduplicating UNION or an aggregate at the top, under filters,
+/// sorts, limits, inner hash joins of such inputs, and projections of
+/// plain columns that determine every input column — projecting it, or,
+/// over an inner hash join, projecting a column a key equates it with
+/// (dedup pushdown's covering condition).
 fn duplicate_free(plan: &Plan) -> bool {
     match plan {
         Plan::Distinct { .. } | Plan::Union { all: false, .. } | Plan::Aggregate { .. } => true,
@@ -384,28 +385,21 @@ fn duplicate_free(plan: &Plan) -> bool {
             duplicate_free(input)
         }
         Plan::Shared { input, .. } => duplicate_free(input),
+        Plan::HashJoin { left, right, kind: JoinKind::Inner, .. } => {
+            duplicate_free(left) && duplicate_free(right)
+        }
         Plan::Project { input, exprs, .. } => {
             let Some(proj) = projected_columns(exprs) else {
                 return false;
             };
-            let keeps_every_column = (0..input.schema().len()).all(|c| proj.contains(&c));
-            match &**input {
-                Plan::HashJoin {
-                    left,
-                    right,
-                    kind: JoinKind::Inner,
-                    left_keys,
-                    right_keys,
-                    schema,
-                    ..
-                } => {
-                    let every: Vec<usize> = (0..schema.len()).collect();
-                    duplicate_free(left)
-                        && duplicate_free(right)
-                        && determined(&every, &proj, left.schema().len(), left_keys, right_keys)
+            let every: Vec<usize> = (0..input.schema().len()).collect();
+            let determines_every_column = match &**input {
+                Plan::HashJoin { left, kind: JoinKind::Inner, left_keys, right_keys, .. } => {
+                    determined(&every, &proj, left.schema().len(), left_keys, right_keys)
                 }
-                other => keeps_every_column && duplicate_free(other),
-            }
+                _ => determined(&every, &proj, 0, &[], &[]),
+            };
+            determines_every_column && duplicate_free(input)
         }
         _ => false,
     }
