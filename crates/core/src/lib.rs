@@ -11,6 +11,9 @@
 //!   from the enrichment syntax tree, runs the SQL and SPARQL legs,
 //!   combines them through the JoinManager and an output projection
 //!   (Fig. 6), and reports per-stage timings.
+//! * [`session`] — the one statement handle for SESQL, SQL and SPARQL:
+//!   `Session::prepare(Lang, text)` → `Statement::execute(&params)` → a
+//!   [`Rows`] cursor; the CLI and the server both run on it.
 //! * [`platform`] — users, annotation scenarios (integrated / independent /
 //!   crowdsourced, Sec. III-A) and the query log.
 //! * [`recommend`] — the Sec. I-B vision services: peer discovery,
@@ -32,7 +35,7 @@ pub use crosse_relational::LockSiteStats;
 pub use storage::{SyncPolicy, WalOptions, WalStats};
 pub use sesql::ast::{Enrichment, SesqlQuery};
 pub use sesql::parser::parse_sesql;
-pub use session::{EnrichedRows, Rows, Session, SparqlRows};
+pub use session::{is_write, EnrichedRows, Lang, Rows, Session, Statement};
 pub use sqm::{
     EnrichOptions, EnrichedResult, MultiValuePolicy, PipelineReport, PreparedSesql,
     SesqlEngine,

@@ -77,12 +77,7 @@ impl CrossePlatform {
     // ---- user management -------------------------------------------------
 
     pub fn register_user(&self, user: &str) -> Result<()> {
-        if user.is_empty() || !user.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-        {
-            return Err(Error::platform(format!(
-                "invalid user name `{user}` (alphanumeric and `_` only)"
-            )));
-        }
+        check_user_name(user)?;
         self.knowledge_base().register_user(user);
         Ok(())
     }
@@ -214,6 +209,18 @@ impl CrossePlatform {
         }
         profile
     }
+}
+
+/// The user-name rule of every surface that creates users (the platform,
+/// [`Session::login`](crate::session::Session::login), the server's
+/// `HELLO`): one or more of `[A-Za-z0-9_]`.
+pub fn check_user_name(user: &str) -> Result<()> {
+    if user.is_empty() || !user.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
+        return Err(Error::platform(format!(
+            "invalid user name `{user}` (alphanumeric and `_` only)"
+        )));
+    }
+    Ok(())
 }
 
 /// Extract the concept vocabulary of a SESQL query: table names, column

@@ -1,34 +1,44 @@
-//! Sessions and the unified streaming cursor API.
+//! Sessions and the one statement handle for SESQL, SQL and SPARQL.
 //!
-//! The platform serves three query languages — SESQL, plain SQL and
-//! SPARQL — that historically returned three incompatible result shapes
-//! (`EnrichedResult`, `RowSet`, `Solutions`). A [`Session`] ties a user's
-//! knowledge context to the engine and exposes one lifecycle for all
-//! three:
+//! A [`Session`] ties a user's knowledge context to the engine and runs
+//! all three languages through one lifecycle:
 //!
 //! ```text
-//! Session::new(engine, user)
-//!   └─ prepare(text)        → Prepared handle (compiled, typed params)
-//!        └─ execute(params) → Rows cursor (lazy)
-//!             └─ collect()  → the legacy materialised shape
+//! Session::new(engine, user)         (Session::login / Session::open register)
+//!   └─ prepare(Lang, text)   → Statement (compiled once, typed parameter slots)
+//!        └─ execute(&Params) → Box<dyn Rows> (lazy cursor)
 //! ```
 //!
-//! The [`Rows`] trait is the common cursor: uniform `columns()` /
-//! `next_row()` over relational execution (fully streaming — `LIMIT`
-//! stops the scan), SPARQL solutions (term→value rendered lazily per
-//! row), and SESQL enrichment (un-enriched queries stream end-to-end;
-//! enriched ones stream out of the pipeline). `collect_rows()` and the
-//! per-language collect adapters keep every pre-cursor call site working
-//! mechanically.
+//! [`Lang`] picks the front-end: SESQL runs the enrichment pipeline (an
+//! un-enriched query streams straight off the relational executor, so
+//! `LIMIT` stops the scan), SQL runs on the databank, and SPARQL of any
+//! form runs over the user's context graphs on the engine's thread
+//! budget. DDL/DML text ([`is_write`]) in SESQL or SQL becomes a write
+//! statement: the relational engine executes it, and its cursor yields no
+//! rows but reports [`Rows::affected`]. One [`Params`] binds all three
+//! languages; a SPARQL parameter takes a string written `<…>` as an IRI
+//! and any other value as a literal.
+//!
+//! [`Session::explain`] and [`Session::lint`] take text, not a statement:
+//! lint's `L006` (a literal where a parameter would do) fires only on
+//! ad-hoc text.
+
+use std::sync::Arc;
+use std::time::Instant;
 
 use crosse_federation::join_manager::term_to_value_in;
 use crosse_lint::Diagnostic;
-use crosse_relational::Interner;
-use crosse_rdf::sparql::eval::{EvalOptions, Solutions};
-use crosse_rdf::sparql::{Prepared as PreparedSparql, SolutionCursor, SparqlParams};
-use crosse_relational::{Column, DataType, Params, Prepared as PreparedSql, RowSet, Schema, Value};
+use crosse_rdf::sparql::eval::{EvalOptions, QueryOutcome};
+use crosse_rdf::sparql::{Prepared as PreparedSparql, SparqlParams};
+use crosse_rdf::term::Term;
+use crosse_relational::sql::ast::Statement as SqlStatement;
+use crosse_relational::{
+    Column, DataType, ExecOutcome, Interner, Params, Prepared as PreparedSql, RowSet, Schema,
+    SlotInfo, Value,
+};
 
 use crate::error::{Error, Result};
+use crate::platform::check_user_name;
 use crate::sqm::{EnrichedResult, PipelineReport, PreparedSesql, SesqlEngine};
 
 /// The uniform streaming cursor over all three query languages.
@@ -55,13 +65,36 @@ pub trait Rows {
 
     /// Drain the remaining rows into a materialised row set.
     fn collect_rows(&mut self) -> Result<RowSet> {
-        let schema = self.schema();
-        let mut rows = Vec::new();
-        while let Some(r) = self.next_row() {
-            rows.push(r?);
-        }
-        Ok(RowSet { schema, rows })
+        drain(self)
     }
+
+    /// Base-table rows fetched so far, on the paths that count them
+    /// (relational and un-enriched SESQL cursors); `None` elsewhere.
+    fn rows_scanned(&self) -> Option<u64> {
+        None
+    }
+
+    /// The Fig. 6 pipeline report of a SESQL execution. An un-enriched
+    /// query executes while it is drained, so its report (the drain as
+    /// the SQL leg) exists once the cursor is exhausted.
+    fn report(&self) -> Option<&PipelineReport> {
+        None
+    }
+
+    /// The affected-row count of a write statement, whose cursor yields
+    /// no columns and no rows.
+    fn affected(&self) -> Option<u64> {
+        None
+    }
+}
+
+fn drain<R: Rows + ?Sized>(cursor: &mut R) -> Result<RowSet> {
+    let schema = cursor.schema();
+    let mut rows = Vec::new();
+    while let Some(r) = cursor.next_row() {
+        rows.push(r?);
+    }
+    Ok(RowSet { schema, rows })
 }
 
 /// The relational cursor is already the right shape; adapt errors.
@@ -77,40 +110,80 @@ impl Rows for crosse_relational::Rows {
     fn schema(&self) -> Schema {
         crosse_relational::Rows::schema(self).clone()
     }
+
+    fn rows_scanned(&self) -> Option<u64> {
+        Some(crosse_relational::Rows::rows_scanned(self))
+    }
 }
 
-/// SPARQL solutions as a cursor: variables become columns, terms render
-/// to values lazily per pulled row (unbound → NULL). A cursor-local
-/// interner makes a term that occurs in many rows cost one allocation.
-#[derive(Debug)]
-pub struct SparqlRows {
-    cursor: SolutionCursor,
+/// A SPARQL result as a cursor: SELECT variables become columns, ASK is
+/// one BOOL column `ask`, CONSTRUCT yields `(subject, predicate, object)`
+/// rows. Terms render to values lazily per pulled row (unbound → NULL);
+/// a cursor-local interner makes a term that occurs in many rows cost
+/// one allocation.
+struct SparqlRows {
+    schema: Schema,
+    rows: std::vec::IntoIter<Vec<Option<Term>>>,
     interner: Interner,
 }
 
 impl SparqlRows {
-    pub fn new(sols: Solutions) -> Self {
-        SparqlRows { cursor: SolutionCursor::new(sols), interner: Interner::new() }
+    fn new(outcome: QueryOutcome) -> Self {
+        let text = |names: Vec<String>| {
+            Schema::new(names.into_iter().map(|n| Column::new(n, DataType::Text)).collect())
+        };
+        let (schema, rows) = match outcome {
+            QueryOutcome::Solutions(sols) => (text(sols.variables), sols.rows),
+            QueryOutcome::Boolean(b) => (
+                Schema::new(vec![Column::new("ask", DataType::Bool)]),
+                vec![vec![Some(Term::lit(b.to_string()))]],
+            ),
+            QueryOutcome::Graph(triples) => (
+                text(vec!["subject".into(), "predicate".into(), "object".into()]),
+                triples
+                    .into_iter()
+                    .map(|t| vec![Some(t.subject), Some(t.predicate), Some(t.object)])
+                    .collect(),
+            ),
+        };
+        SparqlRows { schema, rows: rows.into_iter(), interner: Interner::new() }
     }
 }
 
 impl Rows for SparqlRows {
     fn columns(&self) -> Vec<String> {
-        self.cursor.variables().to_vec()
+        self.schema.columns.iter().map(|c| c.name.clone()).collect()
     }
 
     fn next_row(&mut self) -> Option<Result<Vec<Value>>> {
         let interner = &self.interner;
-        self.cursor.next().map(|row| {
+        self.rows.next().map(|row| {
             Ok(row
                 .iter()
-                .map(|t| {
-                    t.as_ref()
-                        .map(|t| term_to_value_in(t, interner))
-                        .unwrap_or(Value::Null)
-                })
+                .map(|t| t.as_ref().map_or(Value::Null, |t| term_to_value_in(t, interner)))
                 .collect())
         })
+    }
+
+    fn schema(&self) -> Schema {
+        self.schema.clone()
+    }
+}
+
+/// A write statement's outcome: no columns, no rows, a count.
+struct Affected(u64);
+
+impl Rows for Affected {
+    fn columns(&self) -> Vec<String> {
+        Vec::new()
+    }
+
+    fn next_row(&mut self) -> Option<Result<Vec<Value>>> {
+        None
+    }
+
+    fn affected(&self) -> Option<u64> {
+        Some(self.0)
     }
 }
 
@@ -118,72 +191,45 @@ enum EnrichedInner {
     /// Un-enriched query streaming straight off the relational executor.
     Streaming(crosse_relational::Rows),
     /// Enrichment pipeline output, streamed from the materialised result.
-    Materialized {
-        schema: Schema,
-        rows: std::vec::IntoIter<Vec<Value>>,
-        report: PipelineReport,
-    },
+    Materialized { schema: Schema, rows: std::vec::IntoIter<Vec<Value>> },
 }
 
-/// SESQL execution as a cursor, with the pipeline report retained for the
+/// SESQL execution as a cursor, with the pipeline report for the
 /// [`EnrichedResult`] collect adapter.
 pub struct EnrichedRows {
     inner: EnrichedInner,
+    report: PipelineReport,
+    /// When a streaming cursor opened; taken when it is exhausted, and
+    /// the elapsed drain becomes the report's SQL leg.
+    draining: Option<Instant>,
 }
 
 impl EnrichedRows {
     pub(crate) fn streaming(rows: crosse_relational::Rows) -> Self {
-        EnrichedRows { inner: EnrichedInner::Streaming(rows) }
+        EnrichedRows {
+            inner: EnrichedInner::Streaming(rows),
+            report: PipelineReport::default(),
+            draining: Some(Instant::now()),
+        }
     }
 
-    pub fn from_result(result: EnrichedResult) -> Self {
+    pub(crate) fn from_result(result: EnrichedResult) -> Self {
         EnrichedRows {
             inner: EnrichedInner::Materialized {
                 schema: result.rows.schema,
                 rows: result.rows.rows.into_iter(),
-                report: result.report,
             },
+            report: result.report,
+            draining: None,
         }
     }
 
-    /// The Fig. 6 pipeline report (`None` while streaming un-enriched
-    /// queries, which never enter the pipeline).
-    pub fn report(&self) -> Option<&PipelineReport> {
-        match &self.inner {
-            EnrichedInner::Streaming(_) => None,
-            EnrichedInner::Materialized { report, .. } => Some(report),
-        }
-    }
-
-    /// Base-table rows fetched so far on the streaming path (proof of the
-    /// `LIMIT` short-circuit); `None` once materialised.
-    pub fn rows_scanned(&self) -> Option<u64> {
-        match &self.inner {
-            EnrichedInner::Streaming(rows) => Some(rows.rows_scanned()),
-            EnrichedInner::Materialized { .. } => None,
-        }
-    }
-
-    /// Drain into the legacy [`EnrichedResult`] shape. A streaming cursor
+    /// Drain into the [`EnrichedResult`] shape. A streaming cursor
     /// reports its drain time as the SQL leg (lowering is lazy, so the
     /// drain is where an un-enriched query's execution happens).
-    pub fn collect(self) -> Result<EnrichedResult> {
-        match self.inner {
-            EnrichedInner::Streaming(rows) => {
-                let t = std::time::Instant::now();
-                let rows = rows.collect_rows()?;
-                let report = PipelineReport {
-                    sql_exec: t.elapsed(),
-                    base_rows: rows.len(),
-                    result_rows: rows.len(),
-                    ..PipelineReport::default()
-                };
-                Ok(EnrichedResult { rows, report })
-            }
-            EnrichedInner::Materialized { schema, rows, report } => {
-                Ok(EnrichedResult { rows: RowSet { schema, rows: rows.collect() }, report })
-            }
-        }
+    pub fn collect(mut self) -> Result<EnrichedResult> {
+        let rows = self.collect_rows()?;
+        Ok(EnrichedResult { rows, report: self.report })
     }
 }
 
@@ -199,8 +245,20 @@ impl Rows for EnrichedRows {
 
     fn next_row(&mut self) -> Option<Result<Vec<Value>>> {
         match &mut self.inner {
-            EnrichedInner::Streaming(rows) => Rows::next_row(rows),
             EnrichedInner::Materialized { rows, .. } => rows.next().map(Ok),
+            EnrichedInner::Streaming(rows) => {
+                let next = Rows::next_row(rows);
+                match (&next, self.draining) {
+                    (Some(Ok(_)), _) => self.report.result_rows += 1,
+                    (None, Some(t0)) => {
+                        self.report.sql_exec = t0.elapsed();
+                        self.report.base_rows = self.report.result_rows;
+                        self.draining = None;
+                    }
+                    _ => {}
+                }
+                next
+            }
         }
     }
 
@@ -210,10 +268,83 @@ impl Rows for EnrichedRows {
             EnrichedInner::Materialized { schema, .. } => schema.clone(),
         }
     }
+
+    fn collect_rows(&mut self) -> Result<RowSet> {
+        match &mut self.inner {
+            // Hand the pipeline's row vector over whole.
+            EnrichedInner::Materialized { schema, rows } => {
+                Ok(RowSet { schema: schema.clone(), rows: std::mem::take(rows).collect() })
+            }
+            EnrichedInner::Streaming(_) => drain(self),
+        }
+    }
+
+    fn rows_scanned(&self) -> Option<u64> {
+        match &self.inner {
+            EnrichedInner::Streaming(rows) => Some(rows.rows_scanned()),
+            EnrichedInner::Materialized { .. } => None,
+        }
+    }
+
+    fn report(&self) -> Option<&PipelineReport> {
+        self.draining.is_none().then_some(&self.report)
+    }
 }
 
-/// A user session: the engine plus the user's knowledge context, with the
-/// prepare → execute → cursor lifecycle for all three languages.
+/// The language of a statement's text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lang {
+    /// SESQL: SQL plus ENRICH clauses, run through the enrichment
+    /// pipeline in the session's knowledge context.
+    Sesql,
+    /// Plain SQL against the databank.
+    Sql,
+    /// SPARQL (SELECT, ASK or CONSTRUCT) over the session's context
+    /// graphs.
+    Sparql,
+}
+
+/// Whether `text` is DDL/DML (`CREATE`, `INSERT`, `UPDATE`, `DELETE`,
+/// `DROP`), which runs on the relational engine as a write whether it
+/// arrives as SESQL or SQL.
+pub fn is_write(text: &str) -> bool {
+    let head = text.split_whitespace().next().unwrap_or_default();
+    ["CREATE", "INSERT", "UPDATE", "DELETE", "DROP"]
+        .iter()
+        .any(|k| head.eq_ignore_ascii_case(k))
+}
+
+/// Bind `params` as SPARQL terms: a string written `<…>` is an IRI, any
+/// other value a (typed) literal; NULL cannot bind.
+fn sparql_params(params: &Params) -> Result<SparqlParams> {
+    const XSD: &str = "http://www.w3.org/2001/XMLSchema#";
+    let term = |name: &str, value: &Value| -> Result<Term> {
+        Ok(match value {
+            Value::Null => {
+                return Err(Error::platform(format!(
+                    "SPARQL parameter `{name}` cannot be NULL"
+                )))
+            }
+            Value::Bool(v) => Term::typed_lit(v.to_string(), format!("{XSD}boolean")),
+            Value::Int(v) => Term::typed_lit(v.to_string(), format!("{XSD}integer")),
+            Value::Float(v) => Term::typed_lit(v.to_string(), format!("{XSD}double")),
+            Value::Str(s) => match s.strip_prefix('<').and_then(|rest| rest.strip_suffix('>')) {
+                Some(iri) => Term::iri(iri),
+                None => Term::lit(&**s),
+            },
+        })
+    };
+    let mut out = SparqlParams::new();
+    for (name, value) in params.named() {
+        out = out.set(name, term(&format!("${name}"), value)?);
+    }
+    for value in params.positional() {
+        out = out.push(term("?", value)?);
+    }
+    Ok(out)
+}
+
+/// A user session: the engine plus the user's knowledge context.
 #[derive(Clone)]
 pub struct Session {
     engine: SesqlEngine,
@@ -229,16 +360,23 @@ impl Session {
         Ok(Session { engine: engine.clone(), user: user.to_string() })
     }
 
-    /// Open a durable engine at `dir` and start a session for `user` in
-    /// one step, registering the user on first contact (registration is
-    /// idempotent and — like every mutation on a durable engine — logged,
-    /// so the user survives restarts).
-    pub fn open(dir: impl AsRef<std::path::Path>, user: &str) -> Result<Session> {
-        let engine = SesqlEngine::open(dir)?;
-        if !engine.knowledge_base().is_registered(user) {
-            engine.knowledge_base().register_user(user);
+    /// Open a session for `user`, registering the name on first contact
+    /// (the server's `HELLO`). The name must pass
+    /// [`check_user_name`].
+    pub fn login(engine: &SesqlEngine, user: &str) -> Result<Session> {
+        check_user_name(user)?;
+        let kb = engine.knowledge_base();
+        if !kb.is_registered(user) {
+            kb.register_user(user);
         }
-        Session::new(&engine, user)
+        Session::new(engine, user)
+    }
+
+    /// Open a durable engine at `dir` and [`Session::login`] to it.
+    /// Registration, like every mutation on a durable engine, is logged,
+    /// so the user survives restarts.
+    pub fn open(dir: impl AsRef<std::path::Path>, user: &str) -> Result<Session> {
+        Session::login(&SesqlEngine::open(dir)?, user)
     }
 
     pub fn user(&self) -> &str {
@@ -262,104 +400,121 @@ impl Session {
         self.engine.exec_threads()
     }
 
-    /// Explain a SESQL (or plain SQL) statement without executing it: the
-    /// cleaned SQL, the optimized relational plan with its rewrite-pass
-    /// annotations (shared spools, pushdowns), and — for enriched queries
-    /// — the SPARQL legs the SQM would issue plus the rewritten
-    /// REPLACEVARIABLE compound. The session-level face of `EXPLAIN`.
-    pub fn explain(&self, text: &str) -> Result<String> {
-        self.engine.explain(&self.user, text)
+    /// Compile `text` once into a [`Statement`]. SESQL goes through the
+    /// engine's prepared cache and SQL through the databank's; SPARQL of
+    /// any form is parsed and compiled here; DDL/DML ([`is_write`]) is
+    /// parsed now and executed by each [`Statement::execute`].
+    pub fn prepare(&self, lang: Lang, text: &str) -> Result<Statement> {
+        let compiled = match lang {
+            Lang::Sparql => Compiled::Sparql(crosse_rdf::sparql::prepare_any(text)?),
+            _ if is_write(text) => {
+                Compiled::Write(crosse_relational::sql::parser::parse_statement(text)?)
+            }
+            Lang::Sesql => Compiled::Sesql(Box::new(self.engine.prepare(text)?)),
+            Lang::Sql => Compiled::Sql(self.engine.database().prepare(text)?),
+        };
+        Ok(Statement { session: self.clone(), lang, text: text.to_string(), compiled })
     }
 
-    /// Explain a plain SQL SELECT against the databank: the optimized
-    /// plan tree plus pass annotations (`EXPLAIN <stmt>` as a string).
-    pub fn explain_sql(&self, sql: &str) -> Result<String> {
-        let prepared = self.prepare_sql(sql)?;
-        Ok(prepared.explain()?)
+    /// Explain a statement without executing it. SESQL (which covers
+    /// plain SQL) shows the cleaned SQL, the optimized relational plan
+    /// with its rewrite-pass annotations and, for enriched queries, the
+    /// SPARQL legs the SQM would issue; SQL shows the `EXPLAIN` tree.
+    /// SPARQL has no plan rendering.
+    pub fn explain(&self, lang: Lang, text: &str) -> Result<String> {
+        match lang {
+            Lang::Sesql => self.engine.explain(&self.user, text),
+            Lang::Sql => Ok(self.engine.database().prepare(text)?.explain()?),
+            Lang::Sparql => Err(Error::platform("EXPLAIN covers SESQL and SQL, not SPARQL")),
+        }
     }
 
-    /// Lint a SESQL (or plain SQL) statement in this session's knowledge
-    /// context without executing it. See [`SesqlEngine::lint`] for the
-    /// rule set.
-    pub fn lint(&self, text: &str) -> Result<Vec<Diagnostic>> {
-        self.engine.lint(&self.user, text)
+    /// Lint statement text in this session's knowledge context without
+    /// executing it: SESQL runs every rule family (see
+    /// [`SesqlEngine::lint`]), SQL the `L…` rules, SPARQL the `S…` rules.
+    /// Parse errors are errors; findings are the returned list.
+    pub fn lint(&self, lang: Lang, text: &str) -> Result<Vec<Diagnostic>> {
+        match lang {
+            Lang::Sesql => self.engine.lint(&self.user, text),
+            Lang::Sql => Ok(self.engine.database().lint(text)?),
+            Lang::Sparql => {
+                let parsed = crosse_rdf::sparql::parser::parse_any(text)?;
+                Ok(crosse_rdf::sparql::lint::lint_parsed(&parsed, text))
+            }
+        }
+    }
+}
+
+#[derive(Clone)]
+enum Compiled {
+    Sesql(Box<PreparedSesql>),
+    Sql(PreparedSql),
+    Sparql(PreparedSparql),
+    /// DDL/DML, executed by the relational engine.
+    Write(SqlStatement),
+}
+
+/// A compiled statement of any language, bound to its session: the one
+/// handle behind the CLI, the server's `Query`/`Prepare`/`Execute` and
+/// library callers. Cheap to clone.
+#[derive(Clone)]
+pub struct Statement {
+    session: Session,
+    lang: Lang,
+    text: String,
+    compiled: Compiled,
+}
+
+impl Statement {
+    pub fn lang(&self) -> Lang {
+        self.lang
     }
 
-    /// Lint a plain SQL statement against the databank (`L…` rules only).
-    pub fn lint_sql(&self, sql: &str) -> Result<Vec<Diagnostic>> {
-        Ok(self.engine.database().lint(sql)?)
+    /// The statement text as prepared.
+    pub fn text(&self) -> &str {
+        &self.text
     }
 
-    /// Lint a SPARQL query (`S…` rules). Parse errors are real errors;
-    /// lint findings are the returned list.
-    pub fn lint_sparql(&self, sparql: &str) -> Result<Vec<Diagnostic>> {
-        let parsed = crosse_rdf::sparql::parser::parse_any(sparql)?;
-        Ok(crosse_rdf::sparql::lint::lint_parsed(&parsed, sparql))
+    /// The parameter slots, in binding order. SQL and SESQL slots are
+    /// typed against the live catalog; SPARQL slots take any value.
+    pub fn param_slots(&self) -> Arc<Vec<SlotInfo>> {
+        match &self.compiled {
+            Compiled::Sesql(p) => p.param_slots(),
+            Compiled::Sql(p) => p.param_slots(),
+            Compiled::Sparql(p) => Arc::new(
+                p.params()
+                    .iter()
+                    .map(|slot| SlotInfo {
+                        name: (!slot.starts_with('#')).then(|| slot.clone()),
+                        expected: None,
+                    })
+                    .collect(),
+            ),
+            Compiled::Write(_) => Arc::default(),
+        }
     }
 
-    // ---- SESQL ----------------------------------------------------------
-
-    /// Prepare a SESQL query (LRU-cached compilation).
-    pub fn prepare(&self, sesql: &str) -> Result<PreparedSesql> {
-        self.engine.prepare(sesql)
-    }
-
-    /// Execute a prepared SESQL query, materialising the enriched result.
-    pub fn execute(
-        &self,
-        prepared: &PreparedSesql,
-        params: &Params,
-    ) -> Result<EnrichedResult> {
-        prepared.execute(&self.user, params)
-    }
-
-    /// Execute a prepared SESQL query as a streaming cursor.
-    pub fn execute_cursor(
-        &self,
-        prepared: &PreparedSesql,
-        params: &Params,
-    ) -> Result<EnrichedRows> {
-        prepared.execute_cursor(&self.user, params)
-    }
-
-    // ---- plain SQL (databank, no enrichment context) ---------------------
-
-    /// Prepare a plain SQL SELECT against the databank (plan-cached).
-    pub fn prepare_sql(&self, sql: &str) -> Result<PreparedSql> {
-        Ok(self.engine.database().prepare(sql)?)
-    }
-
-    /// Execute a prepared SQL statement as a streaming cursor.
-    pub fn execute_sql(
-        &self,
-        prepared: &PreparedSql,
-        params: &Params,
-    ) -> Result<crosse_relational::Rows> {
-        Ok(prepared.execute(params)?)
-    }
-
-    // ---- SPARQL (the user's knowledge context) ---------------------------
-
-    /// Prepare a SPARQL SELECT: parse and compile it once; execution binds
-    /// the parameters and the user's context graphs.
-    pub fn prepare_sparql(&self, sparql: &str) -> Result<PreparedSparql> {
-        Ok(crosse_rdf::sparql::prepare(sparql)?)
-    }
-
-    /// Execute a prepared SPARQL query in this session's context graphs,
-    /// returning the uniform cursor. Evaluation uses the session's
-    /// worker-thread budget for partition-parallel probing.
-    pub fn execute_sparql(
-        &self,
-        prepared: &PreparedSparql,
-        params: &SparqlParams,
-    ) -> Result<SparqlRows> {
-        let kb = self.engine.knowledge_base();
-        let graphs = kb.context_graphs(&self.user);
-        let refs: Vec<&str> = graphs.iter().map(String::as_str).collect();
-        let opts = EvalOptions { threads: self.engine.exec_threads(), ..Default::default() };
-        let sols = prepared.execute(kb.store(), &refs, params, &opts)?;
-        Ok(SparqlRows::new(sols))
+    /// Bind `params` and execute in the session's context, returning the
+    /// cursor. A write runs here, to completion.
+    pub fn execute(&self, params: &Params) -> Result<Box<dyn Rows>> {
+        let Session { engine, user } = &self.session;
+        Ok(match &self.compiled {
+            Compiled::Sesql(p) => Box::new(p.execute_cursor(user, params)?),
+            Compiled::Sql(p) => Box::new(p.execute(params)?),
+            Compiled::Sparql(p) => {
+                let kb = engine.knowledge_base();
+                let graphs = kb.context_graphs(user);
+                let refs: Vec<&str> = graphs.iter().map(String::as_str).collect();
+                let opts = EvalOptions { threads: engine.exec_threads(), ..Default::default() };
+                let outcome = p.run(kb.store(), &refs, &sparql_params(params)?, &opts)?;
+                Box::new(SparqlRows::new(outcome))
+            }
+            Compiled::Write(stmt) => match engine.database().execute_statement(stmt.clone())? {
+                ExecOutcome::Affected(n) => Box::new(Affected(n as u64)),
+                // DDL; only SELECT and EXPLAIN, never writes, return rows.
+                _ => Box::new(Affected(0)),
+            },
+        })
     }
 }
 
@@ -397,6 +552,7 @@ mod tests {
         let s = Session::new(&e, "director").unwrap();
         let diags = s
             .lint(
+                Lang::Sesql,
                 "SELECT elem_name FROM elem_contained WHERE ${amount > 10:cond1} \
                  ENRICH SCHEMAEXTENSION(elem_name, dangerLevel) \
                  REPLACEVARIABLE(cond1, elem_name, dangerLevel)",
@@ -412,6 +568,7 @@ mod tests {
         // cond1 tagged but never referenced → E001.
         let diags = s
             .lint(
+                Lang::Sesql,
                 "SELECT elem_name FROM elem_contained WHERE ${amount > 10:cond1} \
                  ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)",
             )
@@ -423,6 +580,7 @@ mod tests {
         // programmatically (covered in `sqm::tests`).
         let err = s
             .lint(
+                Lang::Sesql,
                 "SELECT elem_name FROM elem_contained WHERE ${amount > 10:cond1} \
                  ENRICH REPLACEVARIABLE(ghost, elem_name, dangerLevel)",
             )
@@ -436,6 +594,7 @@ mod tests {
         let s = Session::new(&e, "director").unwrap();
         let diags = s
             .lint(
+                Lang::Sesql,
                 "SELECT elem_name FROM elem_contained \
                  ENRICH SCHEMAEXTENSION(elem_name, noSuchProperty)",
             )
@@ -444,6 +603,7 @@ mod tests {
         // A verbatim IRI is deliberate — never flagged.
         let diags = s
             .lint(
+                Lang::Sesql,
                 "SELECT elem_name FROM elem_contained \
                  ENRICH SCHEMAEXTENSION(elem_name, urn://no-such-property)",
             )
@@ -460,6 +620,7 @@ mod tests {
         let s = Session::new(&e, "director").unwrap();
         let diags = s
             .lint(
+                Lang::Sesql,
                 "SELECT elem_name FROM elem_contained WHERE ${elem_name = 'Hg':c1} \
                  ENRICH REPLACECONSTANT(c1, Hg, deadFilter)",
             )
@@ -472,13 +633,10 @@ mod tests {
     #[test]
     fn prepared_sesql_carries_warnings() {
         let e = engine();
-        let s = Session::new(&e, "director").unwrap();
-        let p = s
-            .prepare("SELECT elem_name FROM elem_contained WHERE 1 = 2")
-            .unwrap();
+        let p = e.prepare("SELECT elem_name FROM elem_contained WHERE 1 = 2").unwrap();
         assert_eq!(p.warnings().iter().map(|d| d.code).collect::<Vec<_>>(), vec!["L001"]);
         // Clean parameterised query: params are fine at prepare time.
-        let p = s
+        let p = e
             .prepare("SELECT elem_name FROM elem_contained WHERE landfill_name = $lf")
             .unwrap();
         assert!(p.warnings().is_empty());
@@ -489,7 +647,7 @@ mod tests {
         let e = engine();
         let s = Session::new(&e, "director").unwrap();
         let diags = s
-            .lint_sparql("SELECT ?s ?ghost WHERE { ?s <urn:p> ?o . ?o <urn:q> <urn:x> }")
+            .lint(Lang::Sparql, "SELECT ?s ?ghost WHERE { ?s <urn:p> ?o . ?o <urn:q> <urn:x> }")
             .unwrap();
         assert!(diags.iter().map(|d| d.code).any(|c| c == "S002"), "got {diags:?}");
     }
@@ -500,13 +658,14 @@ mod tests {
         let s = Session::new(&e, "director").unwrap();
         let out = s
             .explain(
+                Lang::Sesql,
                 "SELECT elem_name FROM elem_contained WHERE ${amount > 10:cond1} \
                  ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)",
             )
             .unwrap();
         assert!(out.contains("-- lint: warning[E001]"), "got:\n{out}");
         // Clean statements keep their EXPLAIN output footer-free.
-        let out = s.explain("SELECT elem_name FROM elem_contained").unwrap();
+        let out = s.explain(Lang::Sesql, "SELECT elem_name FROM elem_contained").unwrap();
         assert!(!out.contains("-- lint:"), "got:\n{out}");
     }
 
@@ -518,23 +677,41 @@ mod tests {
     }
 
     #[test]
+    fn login_checks_the_user_name_and_registers() {
+        let e = engine();
+        assert!(Session::login(&e, "bad name").is_err());
+        assert!(!e.knowledge_base().is_registered("bad name"));
+        assert_eq!(Session::login(&e, "newcomer").unwrap().user(), "newcomer");
+        assert!(e.knowledge_base().is_registered("newcomer"));
+    }
+
+    #[test]
+    fn open_rejects_a_bad_user_name() {
+        let dir = std::env::temp_dir().join(format!("crosse-session-open-{}", std::process::id()));
+        let err = Session::open(&dir, "bad name").err().expect("bad name must not log in");
+        assert!(err.to_string().contains("invalid user name"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn sesql_prepare_execute_with_params() {
         let e = engine();
         let s = Session::new(&e, "director").unwrap();
         let p = s
             .prepare(
+                Lang::Sesql,
                 "SELECT elem_name FROM elem_contained WHERE landfill_name = $lf \
                  ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)",
             )
             .unwrap();
         assert_eq!(p.param_slots().len(), 1);
-        let r = s.execute(&p, &Params::new().set("lf", "a")).unwrap();
-        assert_eq!(r.rows.len(), 2);
-        assert_eq!(r.rows.schema.columns[1].name, "dangerLevel");
+        let r = p.execute(&Params::new().set("lf", "a")).unwrap().collect_rows().unwrap();
+        assert_eq!(r.len(), 2);
+        assert_eq!(r.schema.columns[1].name, "dangerLevel");
         // Execute-many: same handle, new binding, no re-parse.
-        let r = s.execute(&p, &Params::new().set("lf", "b")).unwrap();
-        assert_eq!(r.rows.len(), 1);
-        assert!(r.rows.rows[0][1].is_null(), "Cu has no danger level");
+        let r = p.execute(&Params::new().set("lf", "b")).unwrap().collect_rows().unwrap();
+        assert_eq!(r.len(), 1);
+        assert!(r.rows[0][1].is_null(), "Cu has no danger level");
     }
 
     #[test]
@@ -542,8 +719,10 @@ mod tests {
         let e = engine();
         let s = Session::new(&e, "director").unwrap();
         let q = "SELECT elem_name FROM elem_contained WHERE landfill_name = $lf";
-        let _p1 = s.prepare(q).unwrap();
-        let _p2 = s.prepare("SELECT elem_name  FROM elem_contained WHERE landfill_name = $lf").unwrap();
+        let _p1 = s.prepare(Lang::Sesql, q).unwrap();
+        let _p2 = s
+            .prepare(Lang::Sesql, "SELECT elem_name  FROM elem_contained WHERE landfill_name = $lf")
+            .unwrap();
         let stats = e.prepared_cache_stats();
         assert_eq!(stats.hits, 1, "{stats:?}");
         assert_eq!(stats.misses, 1, "{stats:?}");
@@ -553,28 +732,49 @@ mod tests {
     fn unified_cursor_over_all_three_languages() {
         let e = engine();
         let s = Session::new(&e, "director").unwrap();
+        let none = Params::new();
 
         // SESQL (un-enriched → streaming).
-        let p = s.prepare("SELECT elem_name FROM elem_contained ORDER BY elem_name").unwrap();
-        let mut cur = s.execute_cursor(&p, &Params::new()).unwrap();
-        assert_eq!(Rows::columns(&cur), vec!["elem_name"]);
-        let first = cur.next_row().unwrap().unwrap();
-        assert_eq!(first[0], Value::from("Cu"));
+        let p = s
+            .prepare(Lang::Sesql, "SELECT elem_name FROM elem_contained ORDER BY elem_name")
+            .unwrap();
+        let mut cur = p.execute(&none).unwrap();
+        assert_eq!(cur.columns(), vec!["elem_name"]);
+        assert_eq!(cur.next_row().unwrap().unwrap()[0], Value::from("Cu"));
 
         // SQL.
-        let p = s.prepare_sql("SELECT COUNT(*) AS n FROM elem_contained").unwrap();
-        let mut cur = s.execute_sql(&p, &Params::new()).unwrap();
-        assert_eq!(Rows::columns(&cur), vec!["n"]);
-        assert_eq!(Rows::next_row(&mut cur).unwrap().unwrap()[0], Value::Int(3));
+        let p = s.prepare(Lang::Sql, "SELECT COUNT(*) AS n FROM elem_contained").unwrap();
+        let mut cur = p.execute(&none).unwrap();
+        assert_eq!(cur.columns(), vec!["n"]);
+        assert_eq!(cur.next_row().unwrap().unwrap()[0], Value::Int(3));
 
-        // SPARQL.
-        let p = s.prepare_sparql("SELECT ?o WHERE { $e <dangerLevel> ?o }").unwrap();
-        let mut cur = s
-            .execute_sparql(&p, &SparqlParams::new().set("e", Term::iri("Hg")))
-            .unwrap();
-        assert_eq!(Rows::columns(&cur), vec!["o"]);
-        let row = cur.next_row().unwrap().unwrap();
-        assert_eq!(row[0], Value::Int(5));
+        // SPARQL: the same `Params`, a `<…>` string binding an IRI.
+        let p = s.prepare(Lang::Sparql, "SELECT ?o WHERE { $e <dangerLevel> ?o }").unwrap();
+        assert_eq!(p.param_slots()[0].display(), "$e");
+        let mut cur = p.execute(&Params::new().set("e", "<Hg>")).unwrap();
+        assert_eq!(cur.columns(), vec!["o"]);
+        assert_eq!(cur.next_row().unwrap().unwrap()[0], Value::Int(5));
+        // Any other string binds a literal, which no subject is.
+        let mut cur = p.execute(&Params::new().set("e", "Hg")).unwrap();
+        assert!(cur.next_row().is_none());
+    }
+
+    #[test]
+    fn write_statements_report_affected_rows() {
+        let e = engine();
+        let s = Session::new(&e, "director").unwrap();
+        assert!(is_write("  insert INTO t VALUES (1)") && !is_write("SELECT 1"));
+        for lang in [Lang::Sesql, Lang::Sql] {
+            let create = s.prepare(lang, "CREATE OR REPLACE TABLE w (a INT)").unwrap();
+            let mut cur = create.execute(&Params::new()).unwrap();
+            assert_eq!((cur.affected(), cur.columns().len()), (Some(0), 0));
+            assert!(cur.next_row().is_none());
+            let insert = s.prepare(lang, "INSERT INTO w VALUES (1), (2)").unwrap();
+            assert!(insert.param_slots().is_empty());
+            assert_eq!(insert.execute(&Params::new()).unwrap().affected(), Some(2));
+        }
+        // A prepared write runs once per execution.
+        assert_eq!(e.database().query("SELECT a FROM w").unwrap().len(), 2);
     }
 
     #[test]
@@ -583,11 +783,11 @@ mod tests {
         let s = Session::new(&e, "director").unwrap();
         let text = "SELECT elem_name FROM elem_contained \
                     ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)";
-        let p = s.prepare(text).unwrap();
-        let via_cursor = s.execute_cursor(&p, &Params::new()).unwrap().collect().unwrap();
-        let legacy = e.execute("director", text).unwrap();
-        assert_eq!(via_cursor.rows.rows, legacy.rows.rows);
-        assert!(via_cursor.report.result_rows == legacy.report.result_rows);
+        let mut cur = s.prepare(Lang::Sesql, text).unwrap().execute(&Params::new()).unwrap();
+        let via_cursor = cur.collect_rows().unwrap();
+        let ad_hoc = e.execute("director", text).unwrap();
+        assert_eq!(via_cursor.rows, ad_hoc.rows.rows);
+        assert_eq!(cur.report().unwrap().result_rows, ad_hoc.report.result_rows);
     }
 
     #[test]
@@ -604,8 +804,8 @@ mod tests {
         }
         t.insert_many(rows).unwrap();
         let s = Session::new(&e, "director").unwrap();
-        let p = s.prepare("SELECT elem_name FROM elem_contained LIMIT 5").unwrap();
-        let mut cur = s.execute_cursor(&p, &Params::new()).unwrap();
+        let p = s.prepare(Lang::Sesql, "SELECT elem_name FROM elem_contained LIMIT 5").unwrap();
+        let mut cur = p.execute(&Params::new()).unwrap();
         let mut n = 0;
         while let Some(r) = cur.next_row() {
             r.unwrap();
@@ -619,8 +819,10 @@ mod tests {
         );
     }
 
-    /// Drain a cursor, returning how many base-table rows it fetched.
-    fn drain_scanned(mut cur: EnrichedRows) -> u64 {
+    /// Execute a statement and drain it, returning how many base-table
+    /// rows it fetched.
+    fn drain_scanned(stmt: &Statement) -> u64 {
+        let mut cur = stmt.execute(&Params::new()).unwrap();
         while let Some(r) = cur.next_row() {
             r.unwrap();
         }
@@ -652,16 +854,9 @@ mod tests {
         let e = engine_with_big_table();
         let db = e.database();
         let s = Session::new(&e, "director").unwrap();
-        let sql = s.prepare_sql(FOUR_SCANS).unwrap();
-        let sesql = s.prepare(FOUR_SCANS).unwrap();
-        let scanned = || {
-            let mut cur = s.execute_sql(&sql, &Params::new()).unwrap();
-            while let Some(r) = Rows::next_row(&mut cur) {
-                r.unwrap();
-            }
-            let through_sesql = drain_scanned(s.execute_cursor(&sesql, &Params::new()).unwrap());
-            (cur.rows_scanned(), through_sesql)
-        };
+        let sql = s.prepare(Lang::Sql, FOUR_SCANS).unwrap();
+        let sesql = s.prepare(Lang::Sesql, FOUR_SCANS).unwrap();
+        let scanned = || (drain_scanned(&sql), drain_scanned(&sesql));
         assert_eq!(scanned(), (10_000, 10_000));
         // A live handle must not keep replaying the template it optimized
         // under the old configuration.
@@ -680,25 +875,20 @@ mod tests {
         // The optimizer passes run: four structurally equal scans share
         // one spool, exactly as for the relational `prepare` of the clean
         // SQL, and the scan counter shows the cursor executed that plan.
-        let p = s.prepare(FOUR_SCANS).unwrap();
-        let sql = s.prepare_sql(&p.query().clean_sql).unwrap();
-        let plan = sql.explain().unwrap();
+        let query = e.prepare(FOUR_SCANS).unwrap().query().clone();
+        let plan = s.explain(Lang::Sql, &query.clean_sql).unwrap();
         assert!(plan.contains("Shared spool #"), "{plan}");
-        assert_eq!(db.plan_optimized(&p.query().select).unwrap().render(), plan);
-        let mut sql_cur = s.execute_sql(&sql, &Params::new()).unwrap();
-        while let Some(r) = Rows::next_row(&mut sql_cur) {
-            r.unwrap();
-        }
-        assert_eq!(sql_cur.rows_scanned(), 10_000);
-        assert_eq!(drain_scanned(s.execute_cursor(&p, &Params::new()).unwrap()), 10_000);
+        assert_eq!(db.plan_optimized(&query.select).unwrap().render(), plan);
+        assert_eq!(drain_scanned(&s.prepare(Lang::Sql, &query.clean_sql).unwrap()), 10_000);
+        assert_eq!(drain_scanned(&s.prepare(Lang::Sesql, FOUR_SCANS).unwrap()), 10_000);
 
         // The thread budget is honoured: a filtered scan is dispatched in
         // waves of `threads` batches, so a LIMIT that one batch satisfies
         // still fetches one batch per worker — and no more than that.
-        let p = s.prepare("SELECT x FROM big WHERE x >= 0 LIMIT 5").unwrap();
-        let sequential = drain_scanned(s.execute_cursor(&p, &Params::new()).unwrap());
+        let p = s.prepare(Lang::Sesql, "SELECT x FROM big WHERE x >= 0 LIMIT 5").unwrap();
+        let sequential = drain_scanned(&p);
         s.set_threads(4);
-        let parallel = drain_scanned(s.execute_cursor(&p, &Params::new()).unwrap());
+        let parallel = drain_scanned(&p);
         assert_eq!(parallel, 4 * sequential, "one scan batch per worker");
         assert!(parallel < 10_000, "LIMIT still stops the scan early");
     }
@@ -707,11 +897,19 @@ mod tests {
     fn unenriched_collect_reports_the_drain_as_the_sql_leg() {
         let e = engine();
         let s = Session::new(&e, "director").unwrap();
-        let p = s.prepare("SELECT elem_name FROM elem_contained ORDER BY elem_name").unwrap();
-        let r = s.execute_cursor(&p, &Params::new()).unwrap().collect().unwrap();
-        assert_eq!((r.report.base_rows, r.report.result_rows), (3, 3));
-        assert!(r.report.sql_exec > std::time::Duration::ZERO);
-        assert_eq!(r.report.total(), r.report.sql_exec, "no other stage ran");
+        let p = s
+            .prepare(Lang::Sesql, "SELECT elem_name FROM elem_contained ORDER BY elem_name")
+            .unwrap();
+        let mut cur = p.execute(&Params::new()).unwrap();
+        assert!(cur.report().is_none(), "nothing has executed yet");
+        cur.collect_rows().unwrap();
+        let report = cur.report().expect("drained");
+        assert_eq!((report.base_rows, report.result_rows), (3, 3));
+        assert!(report.sql_exec > std::time::Duration::ZERO);
+        assert_eq!(report.total(), report.sql_exec, "no other stage ran");
+        // The collect adapter reports the same drain.
+        let r = e.prepare(p.text()).unwrap().execute("director", &Params::new()).unwrap();
+        assert_eq!((r.report.base_rows, r.report.total()), (3, r.report.sql_exec));
     }
 
     #[test]
@@ -720,12 +918,13 @@ mod tests {
         let s = Session::new(&e, "director").unwrap();
         let p = s
             .prepare(
+                Lang::Sesql,
                 "SELECT elem_name FROM elem_contained \
                  ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)",
             )
             .unwrap();
-        let cur = s.execute_cursor(&p, &Params::new()).unwrap();
-        assert!(cur.report().is_some());
+        let cur = p.execute(&Params::new()).unwrap();
         assert_eq!(cur.report().unwrap().sparql_runs.len(), 1);
+        assert_eq!(cur.rows_scanned(), None);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Every query runs the same way: [`prepare`] (or [`prepare_any`] for ASK
 //! and CONSTRUCT) compiles the text once into a
-//! [`Prepared`](super::Prepared) operator tree, and
-//! [`Prepared::execute`](super::Prepared::execute) runs it. The helpers
+//! [`Prepared`] operator tree, and [`Prepared::execute`] runs it
+//! ([`Prepared::run`] shapes the result by the query's form). The helpers
 //! here are that pair for callers holding nothing but text.
 
 use std::collections::HashSet;
@@ -14,7 +14,7 @@ use crate::term::Term;
 
 use super::ast::{PatternTerm, PatternTriple};
 use super::compile::Form;
-use super::prepared::{prepare, prepare_any, SparqlParams};
+use super::prepared::{prepare, prepare_any, Prepared, SparqlParams};
 
 /// A set of solutions: variable names plus one row of optional bindings per
 /// solution.
@@ -86,15 +86,27 @@ pub enum QueryOutcome {
 
 /// Prepare and execute a parameter-free query of any form.
 pub fn query_any(store: &TripleStore, graphs: &[&str], sparql: &str) -> Result<QueryOutcome> {
-    let prepared = prepare_any(sparql)?;
-    let sols =
-        prepared.execute(store, graphs, &SparqlParams::new(), &EvalOptions::default())?;
-    Ok(match prepared.form() {
-        Form::Select => QueryOutcome::Solutions(sols),
-        // An ASK plan projects nothing and stops at the first solution.
-        Form::Ask => QueryOutcome::Boolean(!sols.is_empty()),
-        Form::Construct(template) => QueryOutcome::Graph(construct(template, &sols)),
-    })
+    prepare_any(sparql)?.run(store, graphs, &SparqlParams::new(), &EvalOptions::default())
+}
+
+impl Prepared {
+    /// [`Prepared::execute`], with the solutions shaped by the query's
+    /// form: SELECT solutions, the ASK boolean or the CONSTRUCT graph.
+    pub fn run(
+        &self,
+        store: &TripleStore,
+        graphs: &[&str],
+        params: &SparqlParams,
+        options: &EvalOptions,
+    ) -> Result<QueryOutcome> {
+        let sols = self.execute(store, graphs, params, options)?;
+        Ok(match self.form() {
+            Form::Select => QueryOutcome::Solutions(sols),
+            // An ASK plan projects nothing and stops at the first solution.
+            Form::Ask => QueryOutcome::Boolean(!sols.is_empty()),
+            Form::Construct(template) => QueryOutcome::Graph(construct(template, &sols)),
+        })
+    }
 }
 
 /// Instantiate a CONSTRUCT template once per solution. Triples with unbound

@@ -94,6 +94,16 @@ impl Params {
         self.named.is_empty() && self.positional.is_empty()
     }
 
+    /// The named bindings, in binding order.
+    pub fn named(&self) -> &[(String, Value)] {
+        &self.named
+    }
+
+    /// The positional bindings, in order.
+    pub fn positional(&self) -> &[Value] {
+        &self.positional
+    }
+
     fn named_value(&self, name: &str) -> Option<&Value> {
         self.named.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }

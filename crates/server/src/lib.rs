@@ -35,7 +35,7 @@ pub mod stats;
 pub use admit::{AdmissionGate, AdmitError, Permit};
 pub use client::{Client, ClientError, QueryOutcome, QueryResult};
 pub use frame::{protocol_error_of, read_frame, write_frame, FrameRead, ProtocolError, MAGIC};
-pub use proto::{ErrorCode, Lang, ParamBinding, Request, Response};
+pub use proto::{params_of, ErrorCode, Lang, ParamBinding, Request, Response};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use stats::ServerStats;
 

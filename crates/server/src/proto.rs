@@ -5,36 +5,28 @@
 //! via [`Reader`], so malformed bytes always surface as a typed
 //! [`ProtocolError`].
 
-use crosse_relational::Value;
+use crosse_relational::{Params, Value};
 
 use crate::frame::{put_str, put_value, ProtocolError, Reader};
 
-/// Which query language a `QUERY` / `PREPARE` frame carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lang {
-    /// SESQL (ENRICH-capable; DDL/DML statements are routed to the
-    /// relational engine exactly like the local CLI does).
-    Sesql,
-    Sql,
-    Sparql,
+/// Which query language a `QUERY` / `PREPARE` frame carries: the
+/// engine's own [`Lang`], one byte on the wire.
+pub use crosse_core::Lang;
+
+fn lang_to_byte(lang: Lang) -> u8 {
+    match lang {
+        Lang::Sesql => 0,
+        Lang::Sql => 1,
+        Lang::Sparql => 2,
+    }
 }
 
-impl Lang {
-    pub fn to_byte(self) -> u8 {
-        match self {
-            Lang::Sesql => 0,
-            Lang::Sql => 1,
-            Lang::Sparql => 2,
-        }
-    }
-
-    pub fn from_byte(b: u8) -> Result<Lang, ProtocolError> {
-        match b {
-            0 => Ok(Lang::Sesql),
-            1 => Ok(Lang::Sql),
-            2 => Ok(Lang::Sparql),
-            other => Err(ProtocolError::BadLang(other)),
-        }
+fn lang_from_byte(b: u8) -> Result<Lang, ProtocolError> {
+    match b {
+        0 => Ok(Lang::Sesql),
+        1 => Ok(Lang::Sql),
+        2 => Ok(Lang::Sparql),
+        other => Err(ProtocolError::BadLang(other)),
     }
 }
 
@@ -99,6 +91,18 @@ pub struct ParamBinding {
     pub value: Value,
 }
 
+/// Bind an `EXECUTE` frame's parameters as one [`Params`]: an empty
+/// name is positional, in frame order.
+pub fn params_of(bindings: &[ParamBinding]) -> Params {
+    bindings.iter().fold(Params::new(), |params, b| {
+        if b.name.is_empty() {
+            params.push(b.value.clone())
+        } else {
+            params.set(&b.name, b.value.clone())
+        }
+    })
+}
+
 /// Client → server messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -141,13 +145,13 @@ impl Request {
             }
             Request::Query { lang, deadline_ms, text } => {
                 buf.push(REQ_QUERY);
-                buf.push(lang.to_byte());
+                buf.push(lang_to_byte(*lang));
                 buf.extend_from_slice(&deadline_ms.to_le_bytes());
                 put_str(&mut buf, text);
             }
             Request::Prepare { lang, name, text } => {
                 buf.push(REQ_PREPARE);
-                buf.push(lang.to_byte());
+                buf.push(lang_to_byte(*lang));
                 put_str(&mut buf, name);
                 put_str(&mut buf, text);
             }
@@ -181,12 +185,12 @@ impl Request {
         let req = match r.take_u8()? {
             REQ_HELLO => Request::Hello { user: r.take_str()? },
             REQ_QUERY => Request::Query {
-                lang: Lang::from_byte(r.take_u8()?)?,
+                lang: lang_from_byte(r.take_u8()?)?,
                 deadline_ms: r.take_u32()?,
                 text: r.take_str()?,
             },
             REQ_PREPARE => Request::Prepare {
-                lang: Lang::from_byte(r.take_u8()?)?,
+                lang: lang_from_byte(r.take_u8()?)?,
                 name: r.take_str()?,
                 text: r.take_str()?,
             },

@@ -36,15 +36,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crosse_core::session::{Rows, Session};
+use crosse_core::session::{Lang, Rows, Session, Statement};
 use crosse_core::sqm::SesqlEngine;
 use crosse_exec::CancelToken;
-use crosse_relational::{ExecOutcome, Params, Value};
+use crosse_relational::{Params, Value};
 use parking_lot::Mutex;
 
 use crate::admit::{AdmissionGate, AdmitError};
 use crate::frame::{write_frame, ProtocolError, MAGIC};
-use crate::proto::{ErrorCode, Lang, ParamBinding, Request, Response};
+use crate::proto::{params_of, ErrorCode, Request, Response};
 use crate::stats::ServerStats;
 
 /// Server identity sent in `HELLO_OK`.
@@ -348,13 +348,6 @@ fn send_error(stream: &mut TcpStream, code: ErrorCode, message: impl Into<String
     send(stream, &Response::Error { code, message: message.into() })
 }
 
-/// A per-connection prepared statement (client-named cursor).
-enum PreparedAny {
-    Sesql(Box<crosse_core::sqm::PreparedSesql>),
-    Sql(crosse_relational::Prepared),
-    Sparql(crosse_rdf::sparql::Prepared),
-}
-
 fn handle_conn(mut stream: TcpStream, shared: &Shared, conn_id: u64) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
@@ -393,7 +386,8 @@ fn handle_conn(mut stream: TcpStream, shared: &Shared, conn_id: u64) {
     }
 
     let mut session: Option<Session> = None;
-    let mut prepared: HashMap<String, PreparedAny> = HashMap::new();
+    // Client-named prepared statements.
+    let mut prepared: HashMap<String, Statement> = HashMap::new();
 
     loop {
         let payload = match recv_frame(&mut stream, shared) {
@@ -444,38 +438,15 @@ fn handle_conn(mut stream: TcpStream, shared: &Shared, conn_id: u64) {
 
         match request {
             Request::Hello { user } => {
-                // Same user-name rules as the local platform surface.
-                if user.is_empty()
-                    || !user.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-                {
-                    if !send_error(
-                        &mut stream,
-                        ErrorCode::Query,
-                        format!("invalid user name `{user}` (alphanumeric and `_` only)"),
-                    ) {
-                        return;
-                    }
-                    continue;
-                }
-                let kb = shared.engine.knowledge_base();
-                if !kb.is_registered(&user) {
-                    kb.register_user(&user);
-                }
-                match Session::new(&shared.engine, &user) {
+                let reply = match Session::login(&shared.engine, &user) {
                     Ok(s) => {
                         session = Some(s);
-                        if !send(
-                            &mut stream,
-                            &Response::HelloOk { server: SERVER_IDENT.into() },
-                        ) {
-                            return;
-                        }
+                        Response::HelloOk { server: SERVER_IDENT.into() }
                     }
-                    Err(e) => {
-                        if !send_error(&mut stream, ErrorCode::Query, e.to_string()) {
-                            return;
-                        }
-                    }
+                    Err(e) => Response::Error { code: ErrorCode::Query, message: e.to_string() },
+                };
+                if !send(&mut stream, &reply) {
+                    return;
                 }
             }
             Request::Ping => {
@@ -506,48 +477,34 @@ fn handle_conn(mut stream: TcpStream, shared: &Shared, conn_id: u64) {
                     continue;
                 };
                 let keep_going = match other {
-                    Request::Query { lang, deadline_ms, text } => run_query(
-                        &mut stream,
-                        shared,
-                        conn_id,
-                        sess,
-                        QueryJob::Text { lang, text },
-                        deadline_ms,
-                    ),
-                    Request::Execute { name, deadline_ms, params } => {
-                        match prepared.get(&name) {
-                            Some(p) => run_query(
-                                &mut stream,
-                                shared,
-                                conn_id,
-                                sess,
-                                QueryJob::Prepared { prepared: p, params },
-                                deadline_ms,
-                            ),
-                            None => send_error(
-                                &mut stream,
-                                ErrorCode::Query,
-                                format!("no prepared statement named `{name}`"),
-                            ),
-                        }
+                    Request::Query { lang, deadline_ms, text } => {
+                        run_query(&mut stream, shared, conn_id, deadline_ms, || {
+                            sess.prepare(lang, &text)?.execute(&Params::new())
+                        })
                     }
-                    Request::Prepare { lang, name, text } => {
-                        match do_prepare(sess, lang, &text) {
-                            Ok((p, nparams)) => {
-                                prepared.insert(name.clone(), p);
-                                send(
-                                    &mut stream,
-                                    &Response::PreparedOk { name, params: nparams },
-                                )
-                            }
-                            Err(msg) => send_error(&mut stream, ErrorCode::Query, msg),
+                    Request::Execute { name, deadline_ms, params } => match prepared.get(&name) {
+                        Some(stmt) => run_query(&mut stream, shared, conn_id, deadline_ms, || {
+                            stmt.execute(&params_of(&params))
+                        }),
+                        None => send_error(
+                            &mut stream,
+                            ErrorCode::Query,
+                            format!("no prepared statement named `{name}`"),
+                        ),
+                    },
+                    Request::Prepare { lang, name, text } => match sess.prepare(lang, &text) {
+                        Ok(stmt) => {
+                            let params = stmt.param_slots().len() as u16;
+                            prepared.insert(name.clone(), stmt);
+                            send(&mut stream, &Response::PreparedOk { name, params })
                         }
-                    }
-                    Request::Explain { text } => match sess.explain(&text) {
+                        Err(e) => send_error(&mut stream, ErrorCode::Query, e.to_string()),
+                    },
+                    Request::Explain { text } => match sess.explain(Lang::Sesql, &text) {
                         Ok(t) => send(&mut stream, &Response::Text { text: t }),
                         Err(e) => send_error(&mut stream, ErrorCode::Query, e.to_string()),
                     },
-                    Request::Lint { text } => match sess.lint(&text) {
+                    Request::Lint { text } => match sess.lint(Lang::Sesql, &text) {
                         Ok(diags) => {
                             let rendered = diags
                                 .iter()
@@ -569,35 +526,6 @@ fn handle_conn(mut stream: TcpStream, shared: &Shared, conn_id: u64) {
     }
 }
 
-fn do_prepare(
-    sess: &Session,
-    lang: Lang,
-    text: &str,
-) -> Result<(PreparedAny, u16), String> {
-    match lang {
-        Lang::Sesql => {
-            let p = sess.prepare(text).map_err(|e| e.to_string())?;
-            let n = p.param_slots().len() as u16;
-            Ok((PreparedAny::Sesql(Box::new(p)), n))
-        }
-        Lang::Sql => {
-            let p = sess.prepare_sql(text).map_err(|e| e.to_string())?;
-            let n = p.param_slots().len() as u16;
-            Ok((PreparedAny::Sql(p), n))
-        }
-        Lang::Sparql => {
-            let p = sess.prepare_sparql(text).map_err(|e| e.to_string())?;
-            let n = p.params().len() as u16;
-            Ok((PreparedAny::Sparql(p), n))
-        }
-    }
-}
-
-enum QueryJob<'a> {
-    Text { lang: Lang, text: String },
-    Prepared { prepared: &'a PreparedAny, params: Vec<ParamBinding> },
-}
-
 /// Clamp/choose the effective deadline for a query frame.
 fn effective_deadline(shared: &Shared, requested_ms: u32) -> Option<Duration> {
     let max = shared.config.max_deadline_ms;
@@ -610,15 +538,18 @@ fn effective_deadline(shared: &Shared, requested_ms: u32) -> Option<Duration> {
     Some(Duration::from_millis(u64::from(ms)))
 }
 
-/// Admission → execution → streaming for one query. Returns `false` when
-/// the connection should close (peer gone).
+/// Admission → execution → streaming for one query, whether a `QUERY`
+/// (`open` prepares the text) or an `EXECUTE` (`open` binds a held
+/// statement). `open` runs after admission under the query's token, so
+/// its failures — an enriched statement runs its pipeline when the cursor
+/// opens — are reported by their own code. Returns `false` when the
+/// connection should close (peer gone).
 fn run_query(
     stream: &mut TcpStream,
     shared: &Shared,
     conn_id: u64,
-    sess: &Session,
-    job: QueryJob<'_>,
     deadline_ms: u32,
+    open: impl FnOnce() -> crosse_core::Result<Box<dyn Rows>>,
 ) -> bool {
     if shared.shutdown.load(Ordering::SeqCst) {
         return send_error(stream, ErrorCode::ShuttingDown, "server is shutting down");
@@ -651,7 +582,15 @@ fn run_query(
     ServerStats::bump(&shared.stats.accepted_queries);
     shared.active_tokens.lock().insert(conn_id, token.clone());
 
-    let keep_going = execute_and_stream(stream, shared, sess, &job, &token);
+    let keep_going = {
+        // The ambient token reaches every layer — relational cursors, SQM
+        // pipeline phases, SPARQL legs — without explicit plumbing.
+        let _ambient = token.make_current();
+        match open() {
+            Ok(cursor) => stream_cursor(stream, shared, cursor),
+            Err(e) => report_engine_error(stream, shared, &e),
+        }
+    };
 
     shared.active_tokens.lock().remove(&conn_id);
     drop(permit);
@@ -696,160 +635,6 @@ fn report_engine_error(
     }
 }
 
-/// Execute one admitted query and stream its result. The token is
-/// installed as the thread's ambient cancel token, so every layer —
-/// relational cursors, SQM pipeline phases, SPARQL legs — picks it up
-/// without explicit plumbing.
-fn execute_and_stream(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    sess: &Session,
-    job: &QueryJob<'_>,
-    token: &CancelToken,
-) -> bool {
-    let _ambient = token.make_current();
-    match job {
-        QueryJob::Text { lang, text } => match lang {
-            Lang::Sesql | Lang::Sql => {
-                // DDL/DML routes straight to the relational engine, like
-                // the local CLI (that is how a wire client mutates durable
-                // state). SELECT-shaped statements stream.
-                let head = text
-                    .split_whitespace()
-                    .next()
-                    .map(|w| w.to_ascii_uppercase())
-                    .unwrap_or_default();
-                if matches!(
-                    head.as_str(),
-                    "CREATE" | "INSERT" | "UPDATE" | "DELETE" | "DROP" | "TRUNCATE"
-                ) {
-                    return match sess.engine().database().execute(text) {
-                        Ok(ExecOutcome::Affected(n)) => {
-                            ServerStats::bump(&shared.stats.completed);
-                            send_done(stream, n as u64, u64::MAX, Instant::now())
-                        }
-                        Ok(ExecOutcome::Done) => {
-                            ServerStats::bump(&shared.stats.completed);
-                            send_done(stream, 0, u64::MAX, Instant::now())
-                        }
-                        Ok(ExecOutcome::Rows(rows)) => {
-                            let cursor = crosse_relational::Rows::from_rowset(rows);
-                            stream_cursor(stream, shared, cursor)
-                        }
-                        Err(e) => report_engine_error(stream, shared, &e.into()),
-                    };
-                }
-                if *lang == Lang::Sql {
-                    match sess
-                        .prepare_sql(text)
-                        .and_then(|p| sess.execute_sql(&p, &Params::new()))
-                    {
-                        Ok(rows) => stream_cursor(stream, shared, rows),
-                        Err(e) => report_engine_error(stream, shared, &e),
-                    }
-                } else {
-                    match sess
-                        .prepare(text)
-                        .and_then(|p| sess.execute_cursor(&p, &Params::new()))
-                    {
-                        Ok(rows) => stream_cursor(stream, shared, rows),
-                        Err(e) => report_engine_error(stream, shared, &e),
-                    }
-                }
-            }
-            Lang::Sparql => {
-                match sess.prepare_sparql(text).and_then(|p| {
-                    sess.execute_sparql(&p, &crosse_rdf::sparql::SparqlParams::new())
-                }) {
-                    Ok(rows) => stream_cursor(stream, shared, rows),
-                    Err(e) => report_engine_error(stream, shared, &e),
-                }
-            }
-        },
-        QueryJob::Prepared { prepared, params } => match prepared {
-            PreparedAny::Sesql(p) => {
-                match relational_params(params)
-                    .and_then(|ps| sess.execute_cursor(p, &ps).map_err(|e| e.to_string()))
-                {
-                    Ok(rows) => stream_cursor(stream, shared, rows),
-                    Err(msg) => {
-                        ServerStats::bump(&shared.stats.query_errors);
-                        send_error(stream, ErrorCode::Query, msg)
-                    }
-                }
-            }
-            PreparedAny::Sql(p) => {
-                match relational_params(params)
-                    .and_then(|ps| sess.execute_sql(p, &ps).map_err(|e| e.to_string()))
-                {
-                    Ok(rows) => stream_cursor(stream, shared, rows),
-                    Err(msg) => {
-                        ServerStats::bump(&shared.stats.query_errors);
-                        send_error(stream, ErrorCode::Query, msg)
-                    }
-                }
-            }
-            PreparedAny::Sparql(p) => {
-                match sparql_params(params)
-                    .and_then(|ps| sess.execute_sparql(p, &ps).map_err(|e| e.to_string()))
-                {
-                    Ok(rows) => stream_cursor(stream, shared, rows),
-                    Err(msg) => {
-                        ServerStats::bump(&shared.stats.query_errors);
-                        send_error(stream, ErrorCode::Query, msg)
-                    }
-                }
-            }
-        },
-    }
-}
-
-/// Bind wire params into relational [`Params`] (empty name = positional).
-fn relational_params(bindings: &[ParamBinding]) -> Result<Params, String> {
-    let mut params = Params::new();
-    for b in bindings {
-        if b.name.is_empty() {
-            params = params.push(b.value.clone());
-        } else {
-            params = params.set(&b.name, b.value.clone());
-        }
-    }
-    Ok(params)
-}
-
-/// Bind wire params into SPARQL terms: strings in `<...>` become IRIs,
-/// other values become (typed) literals.
-fn sparql_params(
-    bindings: &[ParamBinding],
-) -> Result<crosse_rdf::sparql::SparqlParams, String> {
-    use crosse_rdf::term::Term;
-    const XSD: &str = "http://www.w3.org/2001/XMLSchema#";
-    let mut params = crosse_rdf::sparql::SparqlParams::new();
-    for b in bindings {
-        let term = match &b.value {
-            Value::Null => {
-                return Err(format!("SPARQL parameter `{}` cannot be NULL", b.name))
-            }
-            Value::Bool(v) => Term::typed_lit(v.to_string(), format!("{XSD}boolean")),
-            Value::Int(v) => Term::typed_lit(v.to_string(), format!("{XSD}integer")),
-            Value::Float(v) => Term::typed_lit(v.to_string(), format!("{XSD}double")),
-            Value::Str(s) => {
-                let s: &str = s;
-                match s.strip_prefix('<').and_then(|rest| rest.strip_suffix('>')) {
-                    Some(iri) => Term::iri(iri),
-                    None => Term::lit(s),
-                }
-            }
-        };
-        params = if b.name.is_empty() {
-            params.push(term)
-        } else {
-            params.set(&b.name, term)
-        };
-    }
-    Ok(params)
-}
-
 fn send_done(stream: &mut TcpStream, rows: u64, rows_scanned: u64, t0: Instant) -> bool {
     send(
         stream,
@@ -862,13 +647,14 @@ fn send_done(stream: &mut TcpStream, rows: u64, rows_scanned: u64, t0: Instant) 
 }
 
 /// Stream a cursor: `SCHEMA`, row batches, then `DONE` (or a typed error
-/// mid-stream — cancellation, deadline, row budget, engine failure).
-fn stream_cursor(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    mut cursor: impl Rows + RowsScannedProbe,
-) -> bool {
+/// mid-stream — cancellation, deadline, row budget, engine failure). A
+/// write answers `DONE` with its affected-row count alone.
+fn stream_cursor(stream: &mut TcpStream, shared: &Shared, mut cursor: Box<dyn Rows>) -> bool {
     let t0 = Instant::now();
+    if let Some(n) = cursor.affected() {
+        ServerStats::bump(&shared.stats.completed);
+        return send_done(stream, n, u64::MAX, t0);
+    }
     if !send(stream, &Response::Schema { columns: cursor.columns() }) {
         return false;
     }
@@ -912,34 +698,9 @@ fn stream_cursor(
                     return false;
                 }
                 ServerStats::bump(&shared.stats.completed);
-                let scanned = cursor.rows_scanned_probe().unwrap_or(u64::MAX);
+                let scanned = cursor.rows_scanned().unwrap_or(u64::MAX);
                 return send_done(stream, sent, scanned, t0);
             }
         }
-    }
-}
-
-/// How many base rows a cursor touched, when its execution path tracks it
-/// (streamed relational/SESQL paths do; SPARQL and materialised results
-/// report `None` → `u64::MAX` on the wire).
-trait RowsScannedProbe {
-    fn rows_scanned_probe(&self) -> Option<u64>;
-}
-
-impl RowsScannedProbe for crosse_relational::Rows {
-    fn rows_scanned_probe(&self) -> Option<u64> {
-        Some(self.rows_scanned())
-    }
-}
-
-impl RowsScannedProbe for crosse_core::session::EnrichedRows {
-    fn rows_scanned_probe(&self) -> Option<u64> {
-        self.rows_scanned()
-    }
-}
-
-impl RowsScannedProbe for crosse_core::session::SparqlRows {
-    fn rows_scanned_probe(&self) -> Option<u64> {
-        None
     }
 }

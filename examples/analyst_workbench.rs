@@ -10,11 +10,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use crosse::core::session::Session;
+use crosse::core::{Lang, Session};
 use crosse::federation::{LatencyModel, RemoteSource};
-use crosse::rdf::sparql::eval::EvalOptions;
-use crosse::rdf::sparql::SparqlParams;
-use crosse::rdf::term::Term;
 use crosse::relational::{Database, Params};
 use crosse::smartground::{standard_engine, SmartGroundConfig};
 
@@ -42,7 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // bucketed by size: the floor is a `$param`, so re-running the
     // analysis with a different threshold skips parse + plan.
     let session = Session::new(&engine, "director")?;
-    let deposits = session.prepare_sql(
+    let deposits = session.prepare(
+        Lang::Sql,
         "SELECT name, CASE WHEN tons > 500000 THEN 'large' \
                            WHEN tons > 100000 THEN 'medium' \
                            ELSE 'small' END AS size \
@@ -52,64 +50,62 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
            AND tons > $floor \
          ORDER BY name LIMIT 8",
     )?;
-    let rs = deposits.query(&Params::new().set("floor", 0))?;
+    let rs = deposits.execute(&Params::new().set("floor", 0))?.collect_rows()?;
     println!("\n== Landfills with above-average element deposits ==\n{rs}");
-    let big = deposits.query(&Params::new().set("floor", 100_000))?;
+    let big = deposits.execute(&Params::new().set("floor", 100_000))?.collect_rows()?;
     println!("  (re-executed with $floor = 100k: {} row(s), no re-parse)", big.len());
 
     // ---- 3. SPARQL 1.1 on the knowledge base ----------------------------------
-    let kb = engine.knowledge_base();
-    let graphs = kb.context_graphs("director");
-    let refs: Vec<&str> = graphs.iter().map(String::as_str).collect();
-    let sols = crosse::rdf::sparql::prepare(
-        "SELECT ?d (COUNT(?e) AS ?n) WHERE { ?e <dangerLevel> ?d } \
-         GROUP BY ?d HAVING(?n >= 1) ORDER BY DESC(?d)",
-    )?
-    .execute(kb.store(), &refs, &SparqlParams::new(), &EvalOptions::default())?;
+    let levels = session
+        .prepare(
+            Lang::Sparql,
+            "SELECT ?d (COUNT(?e) AS ?n) WHERE { ?e <dangerLevel> ?d } \
+             GROUP BY ?d HAVING(?n >= 1) ORDER BY DESC(?d)",
+        )?
+        .execute(&Params::new())?
+        .collect_rows()?;
     println!("== Elements per danger level (SPARQL GROUP BY) ==");
-    for row in &sols.rows {
-        let d = row[0].as_ref().map(|t| t.lexical_form().to_string()).unwrap_or_default();
-        let n = row[1].as_ref().map(|t| t.lexical_form().to_string()).unwrap_or_default();
-        println!("  level {d}: {n} element(s)");
+    for row in &levels.rows {
+        println!("  level {}: {} element(s)", row[0].lexical_form(), row[1].lexical_form());
     }
 
     // Property path with a parameterised seed element: one prepared
     // query answers "what co-occurs with X?" for any X.
-    let cluster_of = session.prepare_sparql(
+    let cluster_of = session.prepare(
+        Lang::Sparql,
         "SELECT ?x WHERE { $seed (<oreAssemblage>|^<oreAssemblage>)+ ?x } ORDER BY ?x",
     )?;
     for seed in ["Hg", "Pb"] {
-        let sols = cluster_of.execute(
-            kb.store(),
-            &refs,
-            &SparqlParams::new().set("seed", Term::iri(seed)),
-            &EvalOptions::default(),
-        )?;
-        let cluster: Vec<String> = sols
-            .rows
-            .iter()
-            .filter_map(|r| r[0].as_ref().map(|t| t.lexical_form().to_string()))
-            .collect();
+        // A string written `<…>` binds an IRI.
+        let sols = cluster_of
+            .execute(&Params::new().set("seed", format!("<{seed}>")))?
+            .collect_rows()?;
+        let cluster: Vec<String> = sols.rows.iter().map(|r| r[0].lexical_form()).collect();
         println!("\n== {seed}'s (symmetric, transitive) ore-assemblage cluster ==");
         println!("  {}", cluster.join(", "));
     }
 
     // ---- 4. Exploration with the caches ---------------------------------------
     let explore = session.prepare(
+        Lang::Sesql,
         "SELECT elem_name, landfill_name FROM elem_contained \
          WHERE landfill_name = $lf \
          ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)",
     )?;
-    let first = session.execute(&explore, &Params::new().set("lf", "LF00000"))?;
-    let second = session.execute(&explore, &Params::new().set("lf", "LF00001"))?;
+    // The pipeline report of one execution.
+    let report = |lf: &str| -> crosse::core::Result<_> {
+        let rows = explore.execute(&Params::new().set("lf", lf))?;
+        Ok(rows.report().cloned().unwrap_or_default())
+    };
+    let (first, second) = (report("LF00000")?, report("LF00001")?);
     println!("\n== Caches across repeated exploration (one prepared handle) ==");
     println!(
         "  first run : sparql leg {:?} (cached: {})",
-        first.report.sparql_exec, first.report.sparql_runs[0].cached
+        first.sparql_exec, first.sparql_runs[0].cached
     );
     println!(
         "  second run: sparql leg {:?} (cached: {})",
-        second.report.sparql_exec, second.report.sparql_runs[0].cached
+        second.sparql_exec, second.sparql_runs[0].cached
     );
     let stats = engine.cache_stats();
     println!(

@@ -63,15 +63,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = SesqlEngine::new(db, kb);
 
     // ---- the same *prepared* SESQL query, two personal contexts --------------
-    // Compile once; each user's session executes the shared handle in
-    // their own knowledge context.
+    // Compile once; the shared handle executes in each user's own
+    // knowledge context.
     let by_field = engine.prepare(
         "SELECT title, venue FROM paper \
          ENRICH SCHEMAREPLACEMENT(venue, fieldOf)",
     )?;
     for user in ["theorist", "practitioner"] {
-        let session = Session::new(&engine, user)?;
-        let r = session.execute(&by_field, &Params::new())?;
+        let r = by_field.execute(user, &Params::new())?;
         println!("== {user}'s view (venue replaced by their own field taxonomy) ==");
         println!("{}", r.rows);
     }

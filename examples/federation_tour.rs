@@ -83,10 +83,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = SesqlEngine::new(mediator, kb);
     let session = Session::new(&engine, "analyst")?;
     let enrich = session.prepare(
+        Lang::Sesql,
         "SELECT name, city FROM it__landfill \
          ENRICH SCHEMAREPLACEMENT(city, inCountry)",
     )?;
-    let result = session.execute(&enrich, &Params::new())?;
-    println!("\nSESQL over the federation (Example 4.2 shape):\n{}", result.rows);
+    let result = enrich.execute(&Params::new())?.collect_rows()?;
+    println!("\nSESQL over the federation (Example 4.2 shape):\n{result}");
     Ok(())
 }

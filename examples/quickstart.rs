@@ -36,6 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = SesqlEngine::new(db, kb);
     let session = Session::new(&engine, "director")?;
     let by_landfill = session.prepare(
+        Lang::Sesql,
         "SELECT elem_name, landfill_name \
          FROM elem_contained \
          WHERE landfill_name = $lf \
@@ -43,16 +44,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          SCHEMAEXTENSION( elem_name, dangerLevel)",
     )?;
 
-    let result = session.execute(&by_landfill, &Params::new().set("lf", "a"))?;
+    let mut cursor = by_landfill.execute(&Params::new().set("lf", "a"))?;
     println!("Enriched result (Example 4.1, landfill a):");
-    println!("{}", result.rows);
+    println!("{}", cursor.collect_rows()?);
 
     // Execute-many: same compiled handle, different binding.
-    let other = session.execute(&by_landfill, &Params::new().set("lf", "b"))?;
-    println!("Same prepared query for landfill b ({} row(s)).", other.rows.len());
+    let other = by_landfill.execute(&Params::new().set("lf", "b"))?.collect_rows()?;
+    println!("Same prepared query for landfill b ({} row(s)).", other.len());
 
     println!("Pipeline (Fig. 6 stages):");
-    let r = &result.report;
+    let r = cursor.report().ok_or("an enriched cursor carries its report")?;
     println!("  SQP parse     : {:?}", r.parse);
     println!("  SQL leg       : {:?} ({} rows)", r.sql_exec, r.base_rows);
     println!("  SPARQL leg(s) : {:?}", r.sparql_exec);

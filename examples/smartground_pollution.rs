@@ -59,14 +59,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== copper-rich landfills, hazard-annotated ===");
     let session = Session::new(&engine, "director")?;
     let acquire = session.prepare(
+        Lang::Sesql,
         "SELECT landfill_name, elem_name, amount FROM elem_contained \
          WHERE elem_name = $elem AND amount > $floor \
          ENRICH SCHEMAEXTENSION(elem_name, dangerLevel) \
                 BOOLSCHEMAEXTENSION(elem_name, isA, HazardousWaste)",
     )?;
-    let result = session.execute(&acquire, &Params::new().set("elem", "Cu").set("floor", 1000))?;
-    println!("{}", result.rows);
-    let zinc = session.execute(&acquire, &Params::new().set("elem", "Zn").set("floor", 1000))?;
-    println!("(same handle for zinc: {} row(s))", zinc.rows.len());
+    let bind = |elem: &str| Params::new().set("elem", elem).set("floor", 1000);
+    println!("{}", acquire.execute(&bind("Cu"))?.collect_rows()?);
+    let zinc = acquire.execute(&bind("Zn"))?.collect_rows()?;
+    println!("(same handle for zinc: {} row(s))", zinc.len());
     Ok(())
 }

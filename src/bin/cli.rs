@@ -1,6 +1,8 @@
 // srclint: allow(R002): the unwrap follows an is_some() branch guard and a never-returning workload call
 //! Interactive CroSSE shell: a SESQL REPL over a generated SmartGround
-//! databank with per-user knowledge bases.
+//! databank with per-user knowledge bases, run in process or, with
+//! `--connect`, against a CROSNET1 server (`--serve`). Both modes share
+//! one input loop, one command dispatcher and one result printer.
 //!
 //! ```text
 //! cargo run --bin crosse-cli                # default databank (50 landfills)
@@ -9,44 +11,25 @@
 //! ```
 //!
 //! SQL/SESQL statements end with `;` and may span lines; everything else is
-//! a dot-command (`.help` lists them).
+//! a one-line `.` or `\` command (`.help` lists them).
 
 #![forbid(unsafe_code)]
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufRead, Write};
 use std::time::{Duration, Instant};
 
 use crosse::core::platform::CrossePlatform;
-use crosse::core::sqm::{EnrichedResult, PreparedSesql, SesqlEngine};
-use crosse::core::{SyncPolicy, WalOptions};
-use crosse::rdf::sparql::eval::{query_any, QueryOutcome};
+use crosse::core::sqm::{PipelineReport, SesqlEngine};
+use crosse::core::{is_write, Lang, Session, Statement, SyncPolicy, WalOptions};
+use crosse::rdf::provenance::StatementId;
 use crosse::rdf::store::Triple;
 use crosse::rdf::term::Term;
-use crosse::relational::{ExecOutcome, Params, Value};
-use crosse::server::{Client, Lang, QueryOutcome as WireOutcome, Server, ServerConfig};
+use crosse::relational::{Column, DataType, Params, RowSet, Schema, Value};
+use crosse::server::{
+    params_of, Client, ClientError, ParamBinding, QueryOutcome, QueryResult, Server, ServerConfig,
+};
 use crosse::smartground::{standard_engine, standard_engine_at_with, SmartGroundConfig};
-
-struct Shell {
-    platform: CrossePlatform,
-    user: String,
-    show_report: bool,
-    /// `--timing`: report prepare vs execute wall time separately.
-    timing: bool,
-    /// `--explain`: print the optimized plan (with rewrite-pass
-    /// annotations) before each statement's results.
-    explain: bool,
-    /// `--lint`: run the semantic linter on each statement and print its
-    /// findings before the results.
-    lint: bool,
-    /// `--deny-warnings`: refuse to execute statements with warning-or-
-    /// worse lint findings; the process exits non-zero at the end.
-    deny_warnings: bool,
-    /// Whether any statement was refused under `--deny-warnings`.
-    lint_failed: bool,
-    /// Named prepared statements (`\prepare` / `\exec`).
-    prepared: HashMap<String, PreparedSesql>,
-}
 
 fn fmt_duration(d: Duration) -> String {
     if d >= Duration::from_millis(10) {
@@ -191,13 +174,16 @@ fn main() {
                      \x20              admission control + per-query deadlines; see\n\
                      \x20              crates/server/DESIGN.md). Prints the bound address,\n\
                      \x20              then runs until stdin closes (graceful drain).\n\
-                     --connect ADDR open the shell against a remote server instead of a\n\
-                     \x20              local databank (adds the \\server-stats command)\n\
-                     --user NAME    session user for --connect (default director)\n\
+                     --connect ADDR run the same shell against a remote server instead of a\n\
+                     \x20              local databank (.help marks the commands that need\n\
+                     \x20              one mode or the other)\n\
+                     --user NAME    session user (default director; registered on first use)\n\
                      --max-active N --serve: concurrent query limit (default 4)\n\
                      --queue-depth N --serve: admission queue depth (default 16)\n\
                      --deadline-ms N --serve: default per-query deadline (0 = none);\n\
-                     \x20              --connect: per-query deadline sent with each query"
+                     \x20              --connect: per-query deadline sent with each query\n\
+                     \n\
+                     {HELP}"
                 );
                 return;
             }
@@ -205,17 +191,94 @@ fn main() {
         }
     }
 
-    if let Some(addr) = connect {
-        run_connect_shell(&addr, &user, deadline_ms.unwrap_or(0));
-        return;
+    let backend: Box<dyn Backend> = match connect {
+        Some(addr) => {
+            let mut client = Client::connect(addr.as_str())
+                .unwrap_or_else(|e| die(&format!("--connect {addr}: {e}")));
+            let server =
+                client.hello(&user).unwrap_or_else(|e| die(&format!("--connect {addr}: {e}")));
+            if is_tty() {
+                println!("connected to {server} at {addr} as {user}");
+            }
+            let label = format!("{user}@{addr}");
+            Box::new(Remote { client, label, deadline_ms: deadline_ms.unwrap_or(0) })
+        }
+        None => {
+            let engine = open_engine(landfills, seed, data_dir.as_deref(), wal_sync.as_deref());
+            engine.set_exec_threads(threads);
+            if crash_workload || verify_crash.is_some() {
+                if data_dir.is_none() {
+                    die("--crash-workload / --verify-crash require --data-dir");
+                }
+                if crash_workload {
+                    run_crash_workload(&engine);
+                }
+                verify_crash_state(&engine, verify_crash.unwrap());
+            }
+            if let Some(addr) = serve {
+                let mut config = ServerConfig { addr, ..ServerConfig::default() };
+                if let Some(n) = max_active {
+                    config.max_active = n;
+                }
+                if let Some(n) = queue_depth {
+                    config.queue_depth = n;
+                }
+                if let Some(ms) = deadline_ms {
+                    config.default_deadline_ms = ms;
+                }
+                if let Some(ms) = read_timeout_ms {
+                    config.read_timeout = Duration::from_millis(ms);
+                }
+                run_server(engine, config);
+                return;
+            }
+            if is_tty() {
+                println!(
+                    "CroSSE shell — SmartGround databank with {landfills} landfills (seed {seed})."
+                );
+            }
+            let session =
+                Session::login(&engine, &user).unwrap_or_else(|e| die(&format!("--user: {e}")));
+            let platform = CrossePlatform::from_engine(engine);
+            Box::new(Local { platform, session, prepared: HashMap::new() })
+        }
+    };
+    if is_tty() {
+        println!("SESQL statements end with `;`. Type `.help` for commands.");
     }
+    let mut shell = Shell {
+        backend,
+        show_report: false,
+        timing,
+        explain,
+        lint,
+        deny_warnings,
+        lint_failed: false,
+        prepared: BTreeMap::new(),
+    };
+    shell.repl();
+    if let Some(client) = shell.backend.remote() {
+        let _ = client.close();
+    }
+    if shell.lint_failed {
+        std::process::exit(1);
+    }
+}
 
+/// Build the SmartGround databank in memory, or open it durably at
+/// `data_dir` (seeding it on first use).
+fn open_engine(
+    landfills: usize,
+    seed: u64,
+    data_dir: Option<&std::path::Path>,
+    wal_sync: Option<&str>,
+) -> SesqlEngine {
     let config = SmartGroundConfig::default()
         .with_landfills(landfills)
         .with_seed(seed);
-    let engine = match &data_dir {
+    match data_dir {
         Some(dir) => {
-            let opts = match &wal_sync {
+            let opts = match wal_sync {
                 Some(p) => WalOptions {
                     sync: SyncPolicy::parse(p).unwrap_or_else(|| {
                         die("--wal-sync needs always, every_n:<N> or off")
@@ -240,97 +303,6 @@ fn main() {
                 die(&format!("failed to build the databank: {e}"));
             })
         }
-    };
-    engine.set_exec_threads(threads);
-    if crash_workload || verify_crash.is_some() {
-        if data_dir.is_none() {
-            die("--crash-workload / --verify-crash require --data-dir");
-        }
-        if crash_workload {
-            run_crash_workload(&engine);
-        }
-        verify_crash_state(&engine, verify_crash.unwrap());
-    }
-    if let Some(addr) = serve {
-        let mut config = ServerConfig { addr, ..ServerConfig::default() };
-        if let Some(n) = max_active {
-            config.max_active = n;
-        }
-        if let Some(n) = queue_depth {
-            config.queue_depth = n;
-        }
-        if let Some(ms) = deadline_ms {
-            config.default_deadline_ms = ms;
-        }
-        if let Some(ms) = read_timeout_ms {
-            config.read_timeout = Duration::from_millis(ms);
-        }
-        run_server(engine, config);
-        return;
-    }
-    let platform = CrossePlatform::from_engine(engine);
-    let mut shell = Shell {
-        platform,
-        user: "director".to_string(),
-        show_report: false,
-        timing,
-        explain,
-        lint,
-        deny_warnings,
-        lint_failed: false,
-        prepared: HashMap::new(),
-    };
-
-    let interactive = is_tty();
-    if interactive {
-        println!(
-            "CroSSE shell — SmartGround databank with {landfills} landfills (seed {seed})."
-        );
-        println!("SESQL statements end with `;`. Type `.help` for commands.");
-    }
-
-    let stdin = io::stdin();
-    let mut buffer = String::new();
-    loop {
-        if interactive {
-            if buffer.is_empty() {
-                print!("crosse:{}> ", shell.user);
-            } else {
-                print!("   ...> ");
-            }
-            let _ = io::stdout().flush();
-        }
-        let mut line = String::new();
-        match stdin.lock().read_line(&mut line) {
-            Ok(0) => break, // EOF
-            Ok(_) => {}
-            Err(e) => die(&format!("stdin: {e}")),
-        }
-        let trimmed = line.trim();
-        if buffer.is_empty() && trimmed.starts_with('.') {
-            if !shell.dot_command(trimmed) {
-                break;
-            }
-            continue;
-        }
-        if buffer.is_empty() && trimmed.starts_with('\\') {
-            shell.meta_command(trimmed.trim_end_matches(';'));
-            continue;
-        }
-        if trimmed.is_empty() && buffer.is_empty() {
-            continue;
-        }
-        buffer.push_str(&line);
-        if trimmed.ends_with(';') {
-            let stmt = buffer.trim().trim_end_matches(';').trim().to_string();
-            buffer.clear();
-            if !stmt.is_empty() {
-                shell.run_statement(&stmt);
-            }
-        }
-    }
-    if shell.lint_failed {
-        std::process::exit(1);
     }
 }
 
@@ -500,226 +472,335 @@ fn run_server(engine: SesqlEngine, config: ServerConfig) {
     }
 }
 
-/// `--connect`: the remote shell. Statements end with `;` like the local
-/// shell; they travel over the wire as SESQL (a strict SQL superset, and
-/// the server routes DDL/DML itself). `.sparql` sends SPARQL. Results
-/// stream back as row batches.
-fn run_connect_shell(addr: &str, user: &str, deadline_ms: u32) {
-    let mut client = match Client::connect(addr) {
-        Ok(c) => c,
-        Err(e) => die(&format!("--connect {addr}: {e}")),
-    };
-    let server = match client.hello(user) {
-        Ok(s) => s,
-        Err(e) => die(&format!("--connect {addr}: {e}")),
-    };
-    let interactive = is_tty();
-    if interactive {
-        println!("connected to {server} at {addr} as {user}");
-        println!("SESQL statements end with `;`. Type `.help` for commands.");
-    }
-    let stdin = io::stdin();
-    let mut buffer = String::new();
-    loop {
-        if interactive {
-            if buffer.is_empty() {
-                print!("crosse:{user}@{addr}> ");
-            } else {
-                print!("   ...> ");
-            }
-            let _ = io::stdout().flush();
-        }
-        let mut line = String::new();
-        match stdin.lock().read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e) => die(&format!("stdin: {e}")),
-        }
-        let trimmed = line.trim();
-        if buffer.is_empty() && (trimmed.starts_with('.') || trimmed.starts_with('\\')) {
-            if !remote_command(&mut client, trimmed.trim_end_matches(';'), deadline_ms) {
-                break;
-            }
-            continue;
-        }
-        if trimmed.is_empty() && buffer.is_empty() {
-            continue;
-        }
-        buffer.push_str(&line);
-        if trimmed.ends_with(';') {
-            let stmt = buffer.trim().trim_end_matches(';').trim().to_string();
-            buffer.clear();
-            if !stmt.is_empty() {
-                run_remote_query(&mut client, Lang::Sesql, &stmt, deadline_ms);
-            }
-        }
-    }
-    let _ = client.close();
-}
-
-/// Execute one statement over the wire and print the streamed result.
-/// `deadline_ms == 0` defers to the server's default deadline.
-fn run_remote_query(client: &mut Client, lang: Lang, stmt: &str, deadline_ms: u32) {
-    match client.query(lang, stmt, deadline_ms) {
-        Ok(result) => {
-            if !result.columns.is_empty() {
-                println!("{}", result.columns.join(" | "));
-            }
-            for row in &result.rows {
-                let cells: Vec<String> = row.iter().map(fmt_wire_value).collect();
-                println!("{}", cells.join(" | "));
-            }
-            match result.outcome {
-                WireOutcome::Done { rows, elapsed_us, .. } => {
-                    println!("({rows} row(s) in {:.2} ms)", elapsed_us as f64 / 1e3);
-                }
-                WireOutcome::Error { code, message } => {
-                    println!("error [{code:?}]: {message}");
-                }
-            }
-        }
-        Err(e) => die(&format!("connection lost: {e}")),
-    }
-}
-
-fn fmt_wire_value(v: &Value) -> String {
-    match v {
-        Value::Null => "NULL".to_string(),
-        Value::Str(s) => s.to_string(),
-        other => other.to_string(),
-    }
-}
-
-/// Dot/backslash commands in `--connect` mode. Returns false to exit.
-fn remote_command(client: &mut Client, cmd: &str, deadline_ms: u32) -> bool {
-    let (head, rest) = match cmd.split_once(char::is_whitespace) {
+/// Split a command line into its head word and the trimmed rest.
+fn split_head(cmd: &str) -> (&str, &str) {
+    match cmd.split_once(char::is_whitespace) {
         Some((h, r)) => (h, r.trim()),
         None => (cmd, ""),
-    };
-    match head {
-        ".quit" | ".exit" => return false,
-        ".help" => {
-            println!(
-                "\
-Remote shell (--connect): statements end with `;` and run on the server.
-  .sparql QUERY             run a SPARQL query in your session context
-  \\explain STMT             show the server's optimized plan
-  \\lint STMT                run the server's semantic linter
-  \\server-stats             server counters: admissions, sheds, cancels,
-                            deadline hits, queue depth, p50/p95 latency
-  \\ping                     liveness round-trip
-  .quit                      exit"
-            );
-        }
-        ".sparql" => {
-            if rest.is_empty() {
-                println!("usage: .sparql <query>");
-            } else {
-                run_remote_query(client, Lang::Sparql, rest, deadline_ms);
-            }
-        }
-        "\\explain" => match client.explain(rest) {
-            Ok(Ok(text)) => print!("{text}"),
-            Ok(Err(msg)) => println!("explain error: {msg}"),
-            Err(e) => die(&format!("connection lost: {e}")),
-        },
-        "\\lint" => match client.lint(rest) {
-            Ok(Ok(text)) if text.is_empty() => println!("(no lint findings)"),
-            Ok(Ok(text)) => println!("{text}"),
-            Ok(Err(msg)) => println!("error: {msg}"),
-            Err(e) => die(&format!("connection lost: {e}")),
-        },
-        "\\server-stats" => match client.stats() {
-            Ok(entries) => {
-                for (k, v) in entries {
-                    println!("{k:<18} {v}");
-                }
-            }
-            Err(e) => die(&format!("connection lost: {e}")),
-        },
-        "\\ping" => match client.ping() {
-            Ok(()) => println!("pong"),
-            Err(e) => die(&format!("connection lost: {e}")),
-        },
-        other => println!("unknown command `{other}` in --connect mode (try .help)"),
     }
-    true
+}
+
+fn lost<T>(e: ClientError) -> T {
+    die(&format!("connection lost: {e}"))
+}
+
+/// One statement's result, as both backends deliver it.
+struct Output {
+    columns: Vec<String>,
+    rows: Vec<Vec<Value>>,
+    /// A write's affected-row count (a write has no table).
+    affected: Option<u64>,
+    /// The Fig. 6 pipeline report (in-process SESQL only).
+    report: Option<PipelineReport>,
+    /// What `--timing` prints: how long preparing and executing took.
+    timing: String,
+}
+
+/// Where the shell's commands run: in process over a [`Session`], or on a
+/// CROSNET1 server through a [`Client`]. Everything the two share goes
+/// through this trait, so local and remote output agree by construction.
+trait Backend {
+    /// `crosse:<label>> ` is the prompt.
+    fn label(&self) -> String;
+    /// Prepare and execute statement text.
+    fn run(&mut self, lang: Lang, text: &str) -> Result<Output, String>;
+    /// Prepare SESQL text under `name`; returns its parameter count.
+    fn prepare(&mut self, name: &str, text: &str) -> Result<usize, String>;
+    /// Execute the statement prepared under `name`.
+    fn exec(&mut self, name: &str, params: &[ParamBinding]) -> Result<Output, String>;
+    fn explain(&mut self, text: &str) -> Result<String, String>;
+    /// Lint findings, one rendered diagnostic each.
+    fn lint(&mut self, text: &str) -> Result<Vec<String>, String>;
+    /// The in-process side, for the commands that need it.
+    fn local(&mut self) -> Option<&mut Local> {
+        None
+    }
+    /// The connection, for the commands that need it.
+    fn remote(&mut self) -> Option<&mut Client> {
+        None
+    }
+}
+
+/// The in-process backend: the platform (users, annotations) and a
+/// session over its engine.
+struct Local {
+    platform: CrossePlatform,
+    session: Session,
+    prepared: HashMap<String, Statement>,
+}
+
+/// Execute a statement and drain its cursor.
+fn drain(stmt: &Statement, params: &Params) -> Result<Output, String> {
+    let t0 = Instant::now();
+    let mut cursor = stmt.execute(params).map_err(|e| e.to_string())?;
+    let table = cursor.collect_rows().map_err(|e| e.to_string())?;
+    Ok(Output {
+        columns: table.schema.columns.iter().map(|c| c.display_name()).collect(),
+        rows: table.rows,
+        affected: cursor.affected(),
+        report: cursor.report().cloned(),
+        timing: format!("execute {}", fmt_duration(t0.elapsed())),
+    })
+}
+
+impl Backend for Local {
+    fn label(&self) -> String {
+        self.session.user().to_string()
+    }
+
+    fn run(&mut self, lang: Lang, text: &str) -> Result<Output, String> {
+        let t0 = Instant::now();
+        let stmt = self.session.prepare(lang, text).map_err(|e| e.to_string())?;
+        let prepared_in = t0.elapsed();
+        let mut out = drain(&stmt, &Params::new())?;
+        let stats = self.session.engine().prepared_cache_stats();
+        out.timing = format!(
+            "prepare {} (cache: {} hits / {} misses) | {}",
+            fmt_duration(prepared_in),
+            stats.hits,
+            stats.misses,
+            out.timing
+        );
+        Ok(out)
+    }
+
+    fn prepare(&mut self, name: &str, text: &str) -> Result<usize, String> {
+        let stmt = self.session.prepare(Lang::Sesql, text).map_err(|e| e.to_string())?;
+        let params = stmt.param_slots().len();
+        self.prepared.insert(name.to_string(), stmt);
+        Ok(params)
+    }
+
+    fn exec(&mut self, name: &str, params: &[ParamBinding]) -> Result<Output, String> {
+        let stmt = self.prepared.get(name).ok_or("no such prepared statement")?;
+        let mut out = drain(stmt, &params_of(params))?;
+        out.timing = format!("prepare (cached handle) | {}", out.timing);
+        Ok(out)
+    }
+
+    fn explain(&mut self, text: &str) -> Result<String, String> {
+        self.session.explain(Lang::Sesql, text).map_err(|e| e.to_string())
+    }
+
+    fn lint(&mut self, text: &str) -> Result<Vec<String>, String> {
+        let diags = self.session.lint(Lang::Sesql, text).map_err(|e| e.to_string())?;
+        Ok(diags.iter().map(ToString::to_string).collect())
+    }
+
+    fn local(&mut self) -> Option<&mut Local> {
+        Some(self)
+    }
+}
+
+/// The `--connect` backend. `deadline_ms == 0` defers to the server's
+/// default deadline.
+struct Remote {
+    client: Client,
+    label: String,
+    deadline_ms: u32,
+}
+
+impl Remote {
+    fn output(result: QueryResult) -> Result<Output, String> {
+        match result.outcome {
+            QueryOutcome::Error { message, .. } => Err(message),
+            QueryOutcome::Done { rows, elapsed_us, .. } => Ok(Output {
+                // A write answers DONE without a SCHEMA.
+                affected: result.columns.is_empty().then_some(rows),
+                columns: result.columns,
+                rows: result.rows,
+                report: None,
+                timing: format!(
+                    "execute {} (server)",
+                    fmt_duration(Duration::from_micros(elapsed_us))
+                ),
+            }),
+        }
+    }
+}
+
+impl Backend for Remote {
+    fn label(&self) -> String {
+        self.label.clone()
+    }
+
+    fn run(&mut self, lang: Lang, text: &str) -> Result<Output, String> {
+        Remote::output(self.client.query(lang, text, self.deadline_ms).unwrap_or_else(lost))
+    }
+
+    fn prepare(&mut self, name: &str, text: &str) -> Result<usize, String> {
+        let reply = self.client.prepare(Lang::Sesql, name, text).unwrap_or_else(lost);
+        reply.map(usize::from)
+    }
+
+    fn exec(&mut self, name: &str, params: &[ParamBinding]) -> Result<Output, String> {
+        let result = self.client.execute(name, params.to_vec(), self.deadline_ms);
+        Remote::output(result.unwrap_or_else(lost))
+    }
+
+    fn explain(&mut self, text: &str) -> Result<String, String> {
+        self.client.explain(text).unwrap_or_else(lost)
+    }
+
+    fn lint(&mut self, text: &str) -> Result<Vec<String>, String> {
+        let text = self.client.lint(text).unwrap_or_else(lost)?;
+        Ok(text.lines().map(str::to_string).collect())
+    }
+
+    fn remote(&mut self) -> Option<&mut Client> {
+        Some(&mut self.client)
+    }
+}
+
+/// Commands that need the in-process backend.
+const LOCAL_COMMANDS: &[&str] = &[
+    ".user", ".users", ".tables", ".schema", ".assert", ".kb", ".browse", ".import", ".stored",
+    "\\checkpoint", "\\wal-stats", "\\lock-stats",
+];
+
+const HELP: &str = "\
+SQL/SESQL statements end with `;` and may span lines. Commands take one line.
+`$name` / `?` placeholders bind at \\exec time. [local] commands need the
+in-process shell, [remote] ones need --connect; the rest run in both.
+  \\prepare NAME QUERY       compile a SESQL query once under a name
+  \\exec NAME [$k=v | v]...  execute it with named/positional bindings
+                            (single-quote values with spaces/=/$: $k='a b',
+                             '' escapes a quote inside a quoted value)
+  \\explain STMT|NAME        show the optimized plan (pass annotations,
+                            shared spools) for a statement or a prepared name
+  .explain STMT             the same
+  \\lint STMT|NAME           run the semantic linter on a statement or a
+                            prepared name and list its findings
+  \\prepared                 list prepared statements
+  .sparql QUERY             run SPARQL (SELECT, ASK, CONSTRUCT) in your context
+  .report on|off            print per-stage pipeline timings after each query
+  .help                     this text
+  .quit                     exit
+  .user [NAME]              [local] show or switch the user (registers new users)
+  .users                    [local] list registered users
+  .tables                   [local] list databank tables
+  .schema TABLE             [local] show a table's columns
+  .assert S P O             [local] add an RDF statement to your KB
+  .kb                       [local] list your statements
+  .browse                   [local] browse peers' public statements
+  .import ID                [local] accept a peer statement as your own
+  .stored NAME QUERY        [local] register a stored SPARQL query
+                            (for REPLACECONSTANT)
+  \\checkpoint               [local] write a snapshot and truncate the WAL
+                            (--data-dir)
+  \\wal-stats                [local] WAL state: LSNs, log bytes, checkpoint age
+  \\lock-stats               [local] per-site lock acquisition/contention/hold
+                            counters (debug builds with CROSSE_LOCK_TRACK=1)
+  \\server-stats             [remote] server counters: admissions, sheds,
+                            cancels, deadline hits, queue depth, p50/p95
+  \\ping                     [remote] liveness round-trip";
+
+/// The shell: one input loop, one dispatcher and one result printer over
+/// either backend.
+struct Shell {
+    backend: Box<dyn Backend>,
+    show_report: bool,
+    /// `--timing`: report prepare vs execute wall time separately.
+    timing: bool,
+    /// `--explain`: print the optimized plan (with rewrite-pass
+    /// annotations) before each statement's results.
+    explain: bool,
+    /// `--lint`: run the semantic linter on each statement and print its
+    /// findings before the results.
+    lint: bool,
+    /// `--deny-warnings`: refuse to execute statements with warning-or-
+    /// worse lint findings; the process exits non-zero at the end.
+    deny_warnings: bool,
+    /// Whether any statement was refused under `--deny-warnings`.
+    lint_failed: bool,
+    /// `\prepare`d statements: name → (text, parameter count).
+    prepared: BTreeMap<String, (String, usize)>,
 }
 
 impl Shell {
-    /// Run a SQL/SESQL statement (already stripped of its terminator).
-    /// With `--timing`, the statement goes through the prepare → execute
-    /// lifecycle so the two phases are reported separately (and repeated
-    /// statements hit the prepared cache).
-    fn run_statement(&mut self, stmt: &str) {
-        // DDL/DML go straight to the relational engine: they have no
-        // enrichment pipeline, and with `--data-dir` they are how a user
-        // mutates durable state from the shell.
-        let head = stmt
-            .split_whitespace()
-            .next()
-            .map(|w| w.to_ascii_uppercase())
-            .unwrap_or_default();
-        if matches!(head.as_str(), "CREATE" | "INSERT" | "UPDATE" | "DELETE" | "DROP") {
-            match self.platform.engine().database().execute(stmt) {
-                Ok(ExecOutcome::Rows(rows)) => print!("{}", rows.to_ascii_table()),
-                Ok(ExecOutcome::Affected(n)) => println!("({n} rows affected)"),
-                Ok(ExecOutcome::Done) => println!("ok"),
-                Err(e) => println!("error: {e}"),
+    /// Read statements and commands from stdin until EOF or `.quit`.
+    fn repl(&mut self) {
+        let interactive = is_tty();
+        let stdin = io::stdin();
+        let mut buffer = String::new();
+        loop {
+            if interactive {
+                if buffer.is_empty() {
+                    print!("crosse:{}> ", self.backend.label());
+                } else {
+                    print!("   ...> ");
+                }
+                let _ = io::stdout().flush();
             }
-            return;
+            let mut line = String::new();
+            match stdin.lock().read_line(&mut line) {
+                Ok(0) => break, // EOF
+                Ok(_) => {}
+                Err(e) => die(&format!("stdin: {e}")),
+            }
+            let trimmed = line.trim();
+            if buffer.is_empty() && (trimmed.starts_with('.') || trimmed.starts_with('\\')) {
+                if !self.command(trimmed.trim_end_matches(';')) {
+                    break;
+                }
+                continue;
+            }
+            if trimmed.is_empty() && buffer.is_empty() {
+                continue;
+            }
+            buffer.push_str(&line);
+            if trimmed.ends_with(';') {
+                let stmt = buffer.trim().trim_end_matches(';').trim().to_string();
+                buffer.clear();
+                if !stmt.is_empty() {
+                    self.run_statement(&stmt);
+                }
+            }
         }
-        if (self.lint || self.deny_warnings) && !self.lint_statement(stmt) {
-            return;
+    }
+
+    /// Run a SQL/SESQL statement (already stripped of its terminator).
+    fn run_statement(&mut self, stmt: &str) {
+        // DDL/DML has no plan to show and nothing to lint.
+        if !is_write(stmt) {
+            if (self.lint || self.deny_warnings) && !self.lint_statement(stmt) {
+                return;
+            }
+            if self.explain {
+                self.print_explain(stmt);
+            }
         }
-        if self.explain {
-            self.print_explain(stmt);
+        let out = self.backend.run(Lang::Sesql, stmt);
+        self.print(out);
+    }
+
+    /// The one result printer: the table (or the affected count), then
+    /// what `--timing` and `.report on` ask for.
+    fn print(&self, out: Result<Output, String>) {
+        let out = match out {
+            Ok(out) => out,
+            Err(e) => return println!("error: {e}"),
+        };
+        match out.affected {
+            Some(n) => println!("({n} rows affected)"),
+            None => {
+                let schema = Schema::new(
+                    out.columns.into_iter().map(|c| Column::new(c, DataType::Text)).collect(),
+                );
+                print!("{}", RowSet { schema, rows: out.rows }.to_ascii_table());
+            }
         }
         if self.timing {
-            let t0 = Instant::now();
-            let prepared = match self.platform.engine().prepare(stmt) {
-                Ok(p) => p,
-                Err(e) => {
-                    println!("error: {e}");
-                    return;
-                }
-            };
-            let t_prepare = t0.elapsed();
-            let t1 = Instant::now();
-            match self.platform.query_prepared(&self.user, &prepared, &Params::new()) {
-                Ok(EnrichedResult { rows, report }) => {
-                    let t_execute = t1.elapsed();
-                    print!("{}", rows.to_ascii_table());
-                    let stats = self.platform.engine().prepared_cache_stats();
-                    println!(
-                        "-- prepare {} (cache: {} hits / {} misses) | execute {}",
-                        fmt_duration(t_prepare),
-                        stats.hits,
-                        stats.misses,
-                        fmt_duration(t_execute),
-                    );
-                    // With --timing, how each SPARQL leg was served
-                    // (recomputed / cached / shared pairs table) is part
-                    // of the picture even without `.report on`.
-                    if !self.show_report {
-                        self.print_legs(&report);
-                    }
-                    if self.show_report {
-                        self.print_report(&report);
-                    }
-                }
-                Err(e) => println!("error: {e}"),
-            }
-            return;
+            println!("-- {}", out.timing);
         }
-        match self.platform.query(&self.user, stmt) {
-            Ok(EnrichedResult { rows, report }) => {
-                print!("{}", rows.to_ascii_table());
-                if self.show_report {
-                    self.print_report(&report);
-                }
+        if let Some(report) = &out.report {
+            if self.show_report {
+                print_report(report);
+            } else if self.timing {
+                // How each SPARQL leg was served is part of the timing
+                // picture even without `.report on`.
+                print_legs(report);
             }
-            Err(e) => println!("error: {e}"),
         }
     }
 
@@ -727,20 +808,19 @@ impl Shell {
     /// may proceed (false only under `--deny-warnings` with warning-or-
     /// worse findings).
     fn lint_statement(&mut self, stmt: &str) -> bool {
-        use crosse::core::Severity;
-        let diags = match self.platform.engine().lint(&self.user, stmt) {
-            Ok(d) => d,
-            // A statement the linter cannot parse will fail identically at
-            // execution, which reports the error in context.
-            Err(_) => return true,
+        // A statement the linter cannot parse will fail identically at
+        // execution, which reports the error in context.
+        let Ok(findings) = self.backend.lint(stmt) else {
+            return true;
         };
-        for d in &diags {
-            println!("-- lint: {d}");
+        for f in &findings {
+            println!("-- lint: {f}");
         }
-        if self.deny_warnings && diags.iter().any(|d| d.severity >= Severity::Warning) {
+        let severe = |f: &String| f.starts_with("warning") || f.starts_with("error");
+        if self.deny_warnings && findings.iter().any(severe) {
             println!(
                 "error: statement refused under --deny-warnings ({} lint finding(s))",
-                diags.len()
+                findings.len()
             );
             self.lint_failed = true;
             return false;
@@ -748,219 +828,229 @@ impl Shell {
         true
     }
 
-    /// Print the optimized plan of a statement (SESQL superset — covers
-    /// plain SQL too): the `EXPLAIN` tree with rewrite-pass annotations,
-    /// shared spools included.
-    fn print_explain(&self, stmt: &str) {
-        match self.platform.engine().explain(&self.user, stmt) {
+    fn print_explain(&mut self, stmt: &str) {
+        match self.backend.explain(stmt) {
             Ok(text) => print!("{text}"),
-            Err(e) => println!("explain error: {e}"),
+            Err(e) => println!("error: {e}"),
         }
     }
 
-    fn print_report(&self, report: &crosse::core::sqm::PipelineReport) {
-        println!(
-            "-- parse {:?} | sql {:?} | sparql {:?} | join {:?} | final {:?} | total {:?}",
-            report.parse,
-            report.sql_exec,
-            report.sparql_exec,
-            report.join,
-            report.final_sql,
-            report.total()
-        );
-        self.print_legs(report);
+    /// A prepared statement's text for `\explain NAME` / `\lint NAME`;
+    /// anything else is statement text.
+    fn statement_text(&self, arg: &str) -> String {
+        self.prepared.get(arg).map_or(arg, |(text, _)| text.as_str()).to_string()
     }
 
-    /// One line per SPARQL leg, tagging how it was served: `shared` =
-    /// the persistent REPLACEVARIABLE pairs table (the spooled relational
-    /// leg); `cached` alone = SPARQL solution-cache hit; no tag =
-    /// recomputed.
-    fn print_legs(&self, report: &crosse::core::sqm::PipelineReport) {
-        for run in &report.sparql_runs {
-            let origin = match (run.shared, run.cached) {
-                (true, _) => ", shared",
-                (false, true) => ", cached",
-                (false, false) => "",
-            };
-            println!(
-                "--   leg [{}{origin}] {} solution(s): {}",
-                run.purpose,
-                run.solutions,
-                run.sparql.replace('\n', " ")
-            );
-        }
-    }
-
-    /// Split a `\exec` argument string into whitespace-separated tokens,
-    /// honouring single-quoted spans: a quoted span may contain spaces,
-    /// `=`, `$` and doubled `''` quote escapes, and may appear anywhere in
-    /// a token (`$city='Basse di Stura'` is one token). Quotes are kept
-    /// verbatim — [`Shell::parse_value`] unwraps them — so quoted numerics
-    /// still bind as strings. Errors on an unterminated quote.
-    fn split_exec_args(rest: &str) -> std::result::Result<Vec<String>, String> {
-        let mut out = Vec::new();
-        let mut cur = String::new();
-        let mut in_quote = false;
-        for c in rest.chars() {
-            match c {
-                '\'' => {
-                    in_quote = !in_quote;
-                    cur.push(c);
-                }
-                c if c.is_whitespace() && !in_quote => {
-                    if !cur.is_empty() {
-                        out.push(std::mem::take(&mut cur));
-                    }
-                }
-                c => cur.push(c),
-            }
-        }
-        if in_quote {
-            return Err(format!("unterminated quoted string in `{rest}`"));
-        }
-        if !cur.is_empty() {
-            out.push(cur);
-        }
-        Ok(out)
-    }
-
-    /// Parse a `\exec` argument value: quoted string, integer, float,
-    /// boolean, NULL, or bare string.
-    fn parse_value(text: &str) -> Value {
-        let t = text.trim();
-        if let Some(stripped) = t.strip_prefix('\'') {
-            // Strip exactly one closing quote, then undo `''` escapes —
-            // `'abc'''` binds `abc'`.
-            let inner = stripped.strip_suffix('\'').unwrap_or(stripped);
-            return Value::from(inner.replace("''", "'"));
-        }
-        if t.eq_ignore_ascii_case("null") {
-            return Value::Null;
-        }
-        if t.eq_ignore_ascii_case("true") {
-            return Value::Bool(true);
-        }
-        if t.eq_ignore_ascii_case("false") {
-            return Value::Bool(false);
-        }
-        if let Ok(i) = t.parse::<i64>() {
-            return Value::Int(i);
-        }
-        if let Ok(f) = t.parse::<f64>() {
-            return Value::Float(f);
-        }
-        Value::from(t)
-    }
-
-    /// Handle a backslash meta-command (`\prepare`, `\exec`, `\prepared`).
-    fn meta_command(&mut self, cmd: &str) {
-        let (head, rest) = match cmd.split_once(char::is_whitespace) {
-            Some((h, r)) => (h, r.trim()),
-            None => (cmd, ""),
-        };
+    /// Run one `.` or `\` command; returns false to exit the shell.
+    fn command(&mut self, cmd: &str) -> bool {
+        let (head, rest) = split_head(cmd);
         match head {
+            ".quit" | ".exit" => return false,
+            ".help" => println!("{HELP}"),
+            ".report" => match rest {
+                "on" | "off" => {
+                    self.show_report = rest == "on";
+                    println!("pipeline report {rest}");
+                }
+                _ => println!("usage: .report on|off"),
+            },
+            ".sparql" if rest.is_empty() => println!("usage: .sparql <query>"),
+            ".sparql" => {
+                let out = self.backend.run(Lang::Sparql, rest);
+                self.print(out);
+            }
             "\\prepare" => {
                 let Some((name, query)) = rest.split_once(char::is_whitespace) else {
                     println!("usage: \\prepare <name> <query>");
-                    return;
+                    return true;
                 };
                 let t0 = Instant::now();
-                match self.platform.engine().prepare(query.trim()) {
-                    Ok(p) => {
-                        let elapsed = t0.elapsed();
-                        let slots: Vec<String> =
-                            p.param_slots().iter().map(|s| s.display()).collect();
-                        println!(
-                            "prepared `{name}` in {} ({} parameter(s){}{})",
-                            fmt_duration(elapsed),
-                            slots.len(),
-                            if slots.is_empty() { "" } else { ": " },
-                            slots.join(", "),
-                        );
-                        self.prepared.insert(name.to_string(), p);
-                    }
-                    Err(e) => println!("error: {e}"),
-                }
-            }
-            "\\exec" => {
-                let tokens = match Self::split_exec_args(rest) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        println!("error: {e}");
-                        return;
-                    }
-                };
-                let mut parts = tokens.into_iter();
-                let Some(name) = parts.next() else {
-                    println!("usage: \\exec <name> [$k=v ...] [v ...]   (quote values with spaces: $k='a b')");
-                    return;
-                };
-                let Some(prepared) = self.prepared.get(&name).cloned() else {
-                    println!("no prepared statement `{name}` (see \\prepare)");
-                    return;
-                };
-                let mut params = Params::new();
-                for arg in parts {
-                    if let Some(named) = arg.strip_prefix('$') {
-                        let Some((k, v)) = named.split_once('=') else {
-                            println!("bad binding `{arg}` (expected $name=value)");
-                            return;
+                match self.backend.prepare(name, query.trim()) {
+                    Ok(n) => {
+                        let took = if self.timing {
+                            format!(" in {}", fmt_duration(t0.elapsed()))
+                        } else {
+                            String::new()
                         };
-                        params = params.set(k, Self::parse_value(v));
-                    } else {
-                        params = params.push(Self::parse_value(&arg));
-                    }
-                }
-                let t0 = Instant::now();
-                match self.platform.query_prepared(&self.user, &prepared, &params) {
-                    Ok(EnrichedResult { rows, report }) => {
-                        let t_execute = t0.elapsed();
-                        print!("{}", rows.to_ascii_table());
-                        if self.timing {
-                            println!(
-                                "-- prepare (cached handle) | execute {}",
-                                fmt_duration(t_execute)
-                            );
-                        }
-                        if self.show_report {
-                            self.print_report(&report);
-                        }
+                        println!("prepared `{name}` ({n} parameter(s)){took}");
+                        self.prepared.insert(name.to_string(), (query.trim().to_string(), n));
                     }
                     Err(e) => println!("error: {e}"),
                 }
             }
-            "\\lint" => {
-                if rest.is_empty() {
-                    println!("usage: \\lint <statement>   (or \\lint <prepared-name>)");
-                    return;
+            "\\exec" => self.exec(rest),
+            "\\explain" | ".explain" if rest.is_empty() => {
+                println!("usage: \\explain <statement>   (or \\explain <prepared-name>)")
+            }
+            "\\explain" | ".explain" => self.print_explain(&self.statement_text(rest)),
+            "\\lint" if rest.is_empty() => {
+                println!("usage: \\lint <statement>   (or \\lint <prepared-name>)")
+            }
+            "\\lint" => match self.backend.lint(&self.statement_text(rest)) {
+                Ok(findings) if findings.is_empty() => println!("(no lint findings)"),
+                Ok(findings) => findings.iter().for_each(|f| println!("{f}")),
+                Err(e) => println!("error: {e}"),
+            },
+            "\\prepared" => {
+                if self.prepared.is_empty() {
+                    println!("(no prepared statements)");
                 }
-                let stmt = match self.prepared.get(rest) {
-                    Some(p) => p.text().to_string(),
-                    None => rest.trim_end_matches(';').to_string(),
-                };
-                match self.platform.engine().lint(&self.user, &stmt) {
-                    Ok(diags) if diags.is_empty() => println!("(no lint findings)"),
-                    Ok(diags) => {
-                        for d in &diags {
-                            println!("{d}");
-                        }
+                for (name, (text, n)) in &self.prepared {
+                    println!("{name} ({n} parameter(s)) — {text}");
+                }
+            }
+            "\\server-stats" | "\\ping" => match self.backend.remote() {
+                Some(client) if head == "\\ping" => {
+                    client.ping().unwrap_or_else(lost);
+                    println!("pong");
+                }
+                Some(client) => {
+                    for (k, v) in client.stats().unwrap_or_else(lost) {
+                        println!("{k:<18} {v}");
                     }
+                }
+                None => println!("`{head}` needs a server (--connect)"),
+            },
+            _ => match self.backend.local() {
+                Some(local) => local.command(head, rest),
+                None if LOCAL_COMMANDS.contains(&head) => {
+                    println!("`{head}` needs the in-process shell (without --connect)")
+                }
+                None => println!("unknown command `{head}` (try .help)"),
+            },
+        }
+        true
+    }
+
+    /// `\exec NAME [$k=v | v]...`.
+    fn exec(&mut self, rest: &str) {
+        let tokens = match split_exec_args(rest) {
+            Ok(t) => t,
+            Err(e) => return println!("error: {e}"),
+        };
+        let mut parts = tokens.into_iter();
+        let Some(name) = parts.next() else {
+            return println!(
+                "usage: \\exec <name> [$k=v ...] [v ...]   (quote values with spaces: $k='a b')"
+            );
+        };
+        if !self.prepared.contains_key(&name) {
+            return println!("no prepared statement `{name}` (see \\prepare)");
+        }
+        let mut params = Vec::new();
+        for arg in parts {
+            let (name, value) = match arg.strip_prefix('$') {
+                None => (String::new(), parse_value(&arg)),
+                Some(named) => match named.split_once('=') {
+                    Some((k, v)) => (k.to_string(), parse_value(v)),
+                    None => return println!("bad binding `{arg}` (expected $name=value)"),
+                },
+            };
+            params.push(ParamBinding { name, value });
+        }
+        let out = self.backend.exec(&name, &params);
+        self.print(out);
+    }
+}
+
+impl Local {
+    /// The commands only the in-process shell has.
+    fn command(&mut self, head: &str, rest: &str) {
+        let user = self.session.user().to_string();
+        match head {
+            ".user" if rest.is_empty() => println!("current user: {user}"),
+            ".user" => {
+                if !self.platform.knowledge_base().is_registered(rest) {
+                    match self.platform.register_user(rest) {
+                        Ok(()) => println!("registered new user `{rest}`"),
+                        Err(e) => return println!("error: {e}"),
+                    }
+                }
+                match Session::new(self.platform.engine(), rest) {
+                    Ok(session) => self.session = session,
+                    Err(e) => return println!("error: {e}"),
+                }
+                // Held statements run in the new user's context from now
+                // on (preparing again hits the engine's caches).
+                for stmt in self.prepared.values_mut() {
+                    if let Ok(again) = self.session.prepare(stmt.lang(), stmt.text()) {
+                        *stmt = again;
+                    }
+                }
+            }
+            ".users" => self.platform.users().iter().for_each(|u| println!("{u}")),
+            ".tables" => {
+                for t in self.platform.database().catalog().table_names() {
+                    println!("{t}");
+                }
+            }
+            ".schema" => match self.platform.database().catalog().get_table(rest) {
+                Ok(t) => {
+                    for c in &t.schema.columns {
+                        println!("{} {}", c.name, c.data_type);
+                    }
+                }
+                Err(e) => println!("error: {e}"),
+            },
+            ".assert" => {
+                let parts: Vec<&str> = rest.split_whitespace().collect();
+                if parts.len() != 3 {
+                    return println!("usage: .assert <subject> <property> <object>");
+                }
+                let object = if parts[2].chars().next().is_some_and(|c| c.is_ascii_digit())
+                    || parts[2].starts_with('"')
+                {
+                    Term::lit(parts[2].trim_matches('"'))
+                } else {
+                    Term::iri(parts[2])
+                };
+                match self.platform.independent_annotation(
+                    &user,
+                    Term::iri(parts[0]),
+                    Term::iri(parts[1]),
+                    object,
+                ) {
+                    Ok(id) => println!("asserted statement #{}", id.0),
                     Err(e) => println!("error: {e}"),
                 }
             }
-            "\\explain" => {
-                if rest.is_empty() {
-                    println!("usage: \\explain <statement>   (or \\explain <prepared-name>)");
-                    return;
+            ".kb" => {
+                let kb = self.platform.knowledge_base();
+                for id in kb.statements_by(&user) {
+                    match kb.statement_triple(id) {
+                        Ok(t) => println!("#{}: {} {} {}", id.0, t.subject, t.predicate, t.object),
+                        Err(e) => println!("#{}: <error: {e}>", id.0),
+                    }
                 }
-                // A bare prepared-statement name explains its compiled
-                // text; anything else is explained as statement text.
-                let stmt = match self.prepared.get(rest) {
-                    Some(p) => p.text().to_string(),
-                    None => rest.trim_end_matches(';').to_string(),
-                };
-                self.print_explain(&stmt);
             }
+            ".browse" => {
+                for info in self.platform.browse_peer_statements(&user) {
+                    println!(
+                        "#{}: {} {} {} (by {})",
+                        info.id.0,
+                        info.triple.subject,
+                        info.triple.predicate,
+                        info.triple.object,
+                        info.author
+                    );
+                }
+            }
+            ".import" => match rest.parse::<u64>() {
+                Ok(raw) => match self.platform.import_statement(&user, StatementId(raw)) {
+                    Ok(()) => println!("imported statement #{raw}"),
+                    Err(e) => println!("error: {e}"),
+                },
+                Err(_) => println!("usage: .import <statement-id>"),
+            },
+            ".stored" => match rest.split_once(char::is_whitespace) {
+                Some((name, sparql)) => {
+                    match self.platform.engine().stored_queries().register(name, sparql.trim()) {
+                        Ok(()) => println!("registered stored query `{name}`"),
+                        Err(e) => println!("error: {e}"),
+                    }
+                }
+                None => println!("usage: .stored <name> <sparql>"),
+            },
             "\\checkpoint" => {
                 let engine = self.platform.engine();
                 match engine.checkpoint().and_then(|lsn| {
@@ -990,11 +1080,10 @@ impl Shell {
             "\\lock-stats" => {
                 let stats = self.platform.engine().lock_stats();
                 if stats.is_empty() {
-                    println!(
+                    return println!(
                         "no lock tracking data (needs a debug build with \
                          CROSSE_LOCK_TRACK=1; the layer compiles out of release)"
                     );
-                    return;
                 }
                 println!(
                     "{:<24} {:>12} {:>10} {:>12} {:>12}",
@@ -1011,218 +1100,100 @@ impl Shell {
                     );
                 }
             }
-            "\\prepared" => {
-                if self.prepared.is_empty() {
-                    println!("(no prepared statements)");
-                }
-                let mut names: Vec<&String> = self.prepared.keys().collect();
-                names.sort();
-                for n in names {
-                    let p = &self.prepared[n];
-                    let slots: Vec<String> =
-                        p.param_slots().iter().map(|s| s.display()).collect();
-                    println!("{n}({}) — {}", slots.join(", "), p.text());
-                }
-            }
-            other => println!("unknown meta-command `{other}` (try .help)"),
-        }
-    }
-
-    /// Handle a dot-command; returns false to exit the shell.
-    fn dot_command(&mut self, cmd: &str) -> bool {
-        let (head, rest) = match cmd.split_once(char::is_whitespace) {
-            Some((h, r)) => (h, r.trim()),
-            None => (cmd, ""),
-        };
-        match head {
-            ".quit" | ".exit" => return false,
-            ".help" => self.help(),
-            ".user" => {
-                if rest.is_empty() {
-                    println!("current user: {}", self.user);
-                } else {
-                    let kb = self.platform.knowledge_base();
-                    if !kb.is_registered(rest) {
-                        match self.platform.register_user(rest) {
-                            Ok(()) => println!("registered new user `{rest}`"),
-                            Err(e) => {
-                                println!("error: {e}");
-                                return true;
-                            }
-                        }
-                    }
-                    self.user = rest.to_string();
-                }
-            }
-            ".users" => {
-                for u in self.platform.users() {
-                    println!("{u}");
-                }
-            }
-            ".tables" => {
-                for t in self.platform.database().catalog().table_names() {
-                    println!("{t}");
-                }
-            }
-            ".schema" => match self.platform.database().catalog().get_table(rest) {
-                Ok(t) => {
-                    for c in &t.schema.columns {
-                        println!("{} {}", c.name, c.data_type);
-                    }
-                }
-                Err(e) => println!("error: {e}"),
-            },
-            ".sparql" => {
-                let kb = self.platform.knowledge_base();
-                let graphs = kb.context_graphs(&self.user);
-                let refs: Vec<&str> = graphs.iter().map(String::as_str).collect();
-                match query_any(kb.store(), &refs, rest) {
-                    Ok(QueryOutcome::Solutions(sols)) => {
-                        println!("?{}", sols.variables.join(" ?"));
-                        for row in &sols.rows {
-                            let cells: Vec<String> = row
-                                .iter()
-                                .map(|t| match t {
-                                    Some(term) => term.to_string(),
-                                    None => "UNDEF".to_string(),
-                                })
-                                .collect();
-                            println!("{}", cells.join(" | "));
-                        }
-                        println!("({} solution(s))", sols.len());
-                    }
-                    Ok(QueryOutcome::Boolean(b)) => println!("{b}"),
-                    Ok(QueryOutcome::Graph(ts)) => {
-                        for t in &ts {
-                            println!("{} {} {} .", t.subject, t.predicate, t.object);
-                        }
-                        println!("({} triple(s))", ts.len());
-                    }
-                    Err(e) => println!("error: {e}"),
-                }
-            }
-            ".assert" => {
-                let parts: Vec<&str> = rest.split_whitespace().collect();
-                if parts.len() != 3 {
-                    println!("usage: .assert <subject> <property> <object>");
-                    return true;
-                }
-                let object = if parts[2].chars().next().is_some_and(|c| c.is_ascii_digit())
-                    || parts[2].starts_with('"')
-                {
-                    Term::lit(parts[2].trim_matches('"'))
-                } else {
-                    Term::iri(parts[2])
-                };
-                match self.platform.independent_annotation(
-                    &self.user,
-                    Term::iri(parts[0]),
-                    Term::iri(parts[1]),
-                    object,
-                ) {
-                    Ok(id) => println!("asserted statement #{}", id.0),
-                    Err(e) => println!("error: {e}"),
-                }
-            }
-            ".kb" => {
-                let kb = self.platform.knowledge_base();
-                for id in kb.statements_by(&self.user) {
-                    match kb.statement_triple(id) {
-                        Ok(t) => println!("#{}: {} {} {}", id.0, t.subject, t.predicate, t.object),
-                        Err(e) => println!("#{}: <error: {e}>", id.0),
-                    }
-                }
-            }
-            ".browse" => {
-                for info in self.platform.browse_peer_statements(&self.user) {
-                    println!(
-                        "#{}: {} {} {} (by {})",
-                        info.id.0,
-                        info.triple.subject,
-                        info.triple.predicate,
-                        info.triple.object,
-                        info.author
-                    );
-                }
-            }
-            ".import" => match rest.parse::<u64>() {
-                Ok(raw) => {
-                    match self.platform.import_statement(
-                        &self.user,
-                        crosse::rdf::provenance::StatementId(raw),
-                    ) {
-                        Ok(()) => println!("imported statement #{raw}"),
-                        Err(e) => println!("error: {e}"),
-                    }
-                }
-                Err(_) => println!("usage: .import <statement-id>"),
-            },
-            ".stored" => match rest.split_once(char::is_whitespace) {
-                Some((name, sparql)) => {
-                    match self.platform.engine().stored_queries().register(name, sparql.trim())
-                    {
-                        Ok(()) => println!("registered stored query `{name}`"),
-                        Err(e) => println!("error: {e}"),
-                    }
-                }
-                None => println!("usage: .stored <name> <sparql>"),
-            },
-            ".explain" => {
-                let stmt = rest.trim_end_matches(';');
-                match self.platform.engine().explain(&self.user, stmt) {
-                    Ok(text) => print!("{text}"),
-                    Err(e) => println!("error: {e}"),
-                }
-            }
-            ".report" => match rest {
-                "on" => {
-                    self.show_report = true;
-                    println!("pipeline report on");
-                }
-                "off" => {
-                    self.show_report = false;
-                    println!("pipeline report off");
-                }
-                _ => println!("usage: .report on|off"),
-            },
             other => println!("unknown command `{other}` (try .help)"),
         }
-        true
     }
+}
 
-    fn help(&self) {
+fn print_report(report: &PipelineReport) {
+    println!(
+        "-- parse {:?} | sql {:?} | sparql {:?} | join {:?} | final {:?} | total {:?}",
+        report.parse,
+        report.sql_exec,
+        report.sparql_exec,
+        report.join,
+        report.final_sql,
+        report.total()
+    );
+    print_legs(report);
+}
+
+/// One line per SPARQL leg, tagging how it was served: `shared` = the
+/// persistent REPLACEVARIABLE pairs table (the spooled relational leg);
+/// `cached` alone = SPARQL solution-cache hit; no tag = recomputed.
+fn print_legs(report: &PipelineReport) {
+    for run in &report.sparql_runs {
+        let origin = match (run.shared, run.cached) {
+            (true, _) => ", shared",
+            (false, true) => ", cached",
+            (false, false) => "",
+        };
         println!(
-            "\
-SQL/SESQL statements end with `;` and may span lines.
-Meta-commands (one line; `$name` / `?` placeholders bind at \\exec time):
-  \\prepare NAME QUERY       compile a SESQL query once under a name
-  \\exec NAME [$k=v | v]...  execute it with named/positional bindings
-                            (single-quote values with spaces/=/$: $k='a b',
-                             '' escapes a quote inside a quoted value)
-  \\explain STMT|NAME        show the optimized plan (pass annotations,
-                            shared spools) for a statement or a prepared name
-  \\lint STMT|NAME           run the semantic linter on a statement or a
-                            prepared name and list its findings
-  \\prepared                 list prepared statements
-  \\checkpoint               write a snapshot and truncate the WAL (--data-dir)
-  \\wal-stats                show WAL state: LSNs, log bytes, checkpoint age
-  \\lock-stats               per-site lock acquisition/contention/hold-time
-                            counters (debug builds with CROSSE_LOCK_TRACK=1)
-Dot-commands:
-  .help                      this text
-  .user [NAME]               show or switch the active user (registers new users)
-  .users                     list registered users
-  .tables                    list databank tables
-  .schema TABLE              show a table's columns
-  .sparql QUERY              run SPARQL against the active user's context
-  .assert S P O              add an RDF statement to the active user's KB
-  .kb                        list the active user's statements
-  .browse                    browse peers' public statements
-  .import ID                 accept a peer statement as your own
-  .stored NAME QUERY         register a stored SPARQL query (for REPLACECONSTANT)
-  .explain SESQL             show the pipeline plan without executing
-  .report on|off             print per-stage pipeline timings after each query
-  .quit                      exit"
+            "--   leg [{}{origin}] {} solution(s): {}",
+            run.purpose,
+            run.solutions,
+            run.sparql.replace('\n', " ")
         );
     }
+}
+
+/// Split a `\exec` argument string into whitespace-separated tokens,
+/// honouring single-quoted spans: a quoted span may contain spaces, `=`,
+/// `$` and doubled `''` quote escapes, and may appear anywhere in a token
+/// (`$city='Basse di Stura'` is one token). Quotes are kept verbatim —
+/// [`parse_value`] unwraps them — so quoted numerics still bind as
+/// strings. Errors on an unterminated quote.
+fn split_exec_args(rest: &str) -> std::result::Result<Vec<String>, String> {
+    let mut out = Vec::new();
+    let mut cur = String::new();
+    let mut in_quote = false;
+    for c in rest.chars() {
+        match c {
+            '\'' => {
+                in_quote = !in_quote;
+                cur.push(c);
+            }
+            c if c.is_whitespace() && !in_quote => {
+                if !cur.is_empty() {
+                    out.push(std::mem::take(&mut cur));
+                }
+            }
+            c => cur.push(c),
+        }
+    }
+    if in_quote {
+        return Err(format!("unterminated quoted string in `{rest}`"));
+    }
+    if !cur.is_empty() {
+        out.push(cur);
+    }
+    Ok(out)
+}
+
+/// Parse a `\exec` argument value: quoted string, integer, float,
+/// boolean, NULL, or bare string.
+fn parse_value(text: &str) -> Value {
+    let t = text.trim();
+    if let Some(stripped) = t.strip_prefix('\'') {
+        // Strip exactly one closing quote, then undo `''` escapes —
+        // `'abc'''` binds `abc'`.
+        let inner = stripped.strip_suffix('\'').unwrap_or(stripped);
+        return Value::from(inner.replace("''", "'"));
+    }
+    if t.eq_ignore_ascii_case("null") {
+        return Value::Null;
+    }
+    if t.eq_ignore_ascii_case("true") {
+        return Value::Bool(true);
+    }
+    if t.eq_ignore_ascii_case("false") {
+        return Value::Bool(false);
+    }
+    if let Ok(i) = t.parse::<i64>() {
+        return Value::Int(i);
+    }
+    if let Ok(f) = t.parse::<f64>() {
+        return Value::Float(f);
+    }
+    Value::from(t)
 }

@@ -49,7 +49,7 @@ pub use crosse_smartground as smartground;
 /// The most common imports in one place.
 pub mod prelude {
     pub use crosse_core::platform::CrossePlatform;
-    pub use crosse_core::session::{Rows, Session};
+    pub use crosse_core::session::{Lang, Rows, Session, Statement};
     pub use crosse_core::sqm::{EnrichOptions, MultiValuePolicy, PreparedSesql, SesqlEngine};
     pub use crosse_core::{parse_sesql, Enrichment, SesqlQuery};
     pub use crosse_federation::{LatencyModel, LocalSource, RemoteSource};

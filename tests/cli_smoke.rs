@@ -413,10 +413,50 @@ fn connect_mode_round_trips_queries_over_the_wire() {
         let stdout = String::from_utf8(out.stdout).expect("utf8");
         assert!(stdout.contains("LF00000"), "{stdout}");
         assert!(stdout.contains("dangerLevel"), "{stdout}");
-        assert!(stdout.contains("(2 row(s) in"), "{stdout}");
-        assert!(stdout.contains("error [Query]"), "{stdout}");
+        assert!(stdout.contains("(2 rows)"), "{stdout}");
+        assert!(stdout.contains("error:"), "{stdout}");
         assert!(stdout.contains("accepted_queries"), "{stdout}");
         assert!(stdout.contains("pong"), "{stdout}");
+    });
+}
+
+/// The shell runs every command through one dispatcher and one printer
+/// over either backend, so a script prints the same in process and over
+/// the wire.
+#[test]
+fn local_and_remote_shells_agree() {
+    let script = "SELECT name FROM landfill ORDER BY name LIMIT 2;\n\
+                  SELECT elem_name FROM elem_contained WHERE landfill_name = 'LF00000' \
+                  ENRICH SCHEMAEXTENSION(elem_name, dangerLevel);\n\
+                  CREATE TABLE parity_t (a INT);\n\
+                  INSERT INTO parity_t VALUES (1), (2);\n\
+                  SELECT nope FROM landfill;\n\
+                  .sparql SELECT ?s ?d WHERE { ?s <dangerLevel> ?d } ORDER BY ?s LIMIT 3\n\
+                  .sparql ASK { ?s <dangerLevel> ?d }\n\
+                  \\prepare q SELECT COUNT(*) AS n FROM landfill WHERE $c = 'Basse di Stura';\n\
+                  \\exec q $c='Basse di Stura'\n\
+                  \\explain SELECT name FROM landfill LIMIT 1\n\
+                  \\lint SELECT name FROM landfill WHERE 1 = 2\n";
+    let local = run_script(script);
+    // The script exercises every part it names.
+    for expected in ["LF00001", "dangerLevel", "(2 rows affected)", "error:", "| true |"] {
+        assert!(local.contains(expected), "{expected}:\n{local}");
+    }
+    for expected in ["prepared `q`", "| 10 |", "SESQL plan", "error[L001]"] {
+        assert!(local.contains(expected), "{expected}:\n{local}");
+    }
+    with_server(&[], |addr| {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_crosse-cli"))
+            .args(["--connect", addr])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn client");
+        child.stdin.as_mut().expect("stdin").write_all(script.as_bytes()).expect("write");
+        let out = child.wait_with_output().expect("client wait");
+        assert!(out.status.success(), "client exit: {:?}", out.status);
+        assert_eq!(String::from_utf8(out.stdout).expect("utf8"), local);
     });
 }
 

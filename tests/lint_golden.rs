@@ -19,7 +19,6 @@
 
 use std::fmt::Write as _;
 
-use crosse::core::session::Session;
 use crosse::prelude::*;
 use crosse::smartground::paper_examples;
 
@@ -69,7 +68,7 @@ fn corpus_lints_clean() {
     let s = session();
     let mut out = String::new();
     for q in paper_examples("LF00000") {
-        let diags = s.lint(&q.sesql).unwrap();
+        let diags = s.lint(Lang::Sesql, &q.sesql).unwrap();
         let _ = writeln!(out, "== {} ==", q.name);
         out.push_str(&render(&diags));
         assert!(
@@ -139,17 +138,17 @@ fn rule_fixtures() {
     ];
     for (label, stmt) in sesql_fixtures {
         let _ = writeln!(out, "== {label} ==");
-        out.push_str(&render(&s.lint(stmt).unwrap()));
+        out.push_str(&render(&s.lint(Lang::Sesql, stmt).unwrap()));
     }
 
     // L006 fires on ad-hoc SQL lint (prepare-time linting allows params).
     let _ = writeln!(out, "== L006 unbound params (ad-hoc SQL) ==");
     out.push_str(&render(
-        &s.lint_sql("SELECT name FROM landfill WHERE city = $city").unwrap(),
+        &s.lint(Lang::Sql, "SELECT name FROM landfill WHERE city = $city").unwrap(),
     ));
     let _ = writeln!(out, "== L006 clean twin ==");
     out.push_str(&render(
-        &s.lint_sql("SELECT name FROM landfill WHERE city = 'Torino'").unwrap(),
+        &s.lint(Lang::Sql, "SELECT name FROM landfill WHERE city = 'Torino'").unwrap(),
     ));
 
     // SPARQL rules in the session's context.
@@ -178,14 +177,14 @@ fn rule_fixtures() {
     ];
     for (label, sparql) in sparql_fixtures {
         let _ = writeln!(out, "== {label} ==");
-        out.push_str(&render(&s.lint_sparql(sparql).unwrap()));
+        out.push_str(&render(&s.lint(Lang::Sparql, sparql).unwrap()));
     }
 
     check("lint_fixtures", &out);
 
     // Beyond the snapshot: the seeded always-false fixture must keep
     // producing an error-severity L001 — the gate's canary.
-    let diags = s.lint("SELECT name FROM landfill WHERE 1 = 2").unwrap();
+    let diags = s.lint(Lang::Sesql, "SELECT name FROM landfill WHERE 1 = 2").unwrap();
     assert_eq!(diags.iter().map(|d| d.code).collect::<Vec<_>>(), vec!["L001"]);
     assert_eq!(
         crosse::relational::Severity::Error,

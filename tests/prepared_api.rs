@@ -37,23 +37,27 @@ fn engine() -> SesqlEngine {
 
 // ---- round-trips in all three languages ------------------------------------
 
+/// Execute a statement and drain it into a row set.
+fn run(stmt: &Statement, params: &Params) -> crosse::core::Result<RowSet> {
+    stmt.execute(params)?.collect_rows()
+}
+
 #[test]
 fn sesql_prepare_execute_round_trip() {
     let e = engine();
     let session = Session::new(&e, "director").unwrap();
     let p = session
         .prepare(
+            Lang::Sesql,
             "SELECT elem_name FROM elem_contained WHERE landfill_name = $lf \
              ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)",
         )
         .unwrap();
-    let r1 = session.execute(&p, &Params::new().set("lf", "Gerbido")).unwrap();
-    assert_eq!(r1.rows.len(), 2);
-    let r2 = session
-        .execute(&p, &Params::new().set("lf", "Basse di Stura"))
-        .unwrap();
-    assert_eq!(r2.rows.len(), 2);
-    assert_ne!(r1.rows.rows, r2.rows.rows, "bindings change results");
+    let r1 = run(&p, &Params::new().set("lf", "Gerbido")).unwrap();
+    assert_eq!(r1.len(), 2);
+    let r2 = run(&p, &Params::new().set("lf", "Basse di Stura")).unwrap();
+    assert_eq!(r2.len(), 2);
+    assert_ne!(r1.rows, r2.rows, "bindings change results");
 }
 
 #[test]
@@ -61,13 +65,9 @@ fn sql_prepare_execute_round_trip() {
     let e = engine();
     let session = Session::new(&e, "director").unwrap();
     let p = session
-        .prepare_sql("SELECT name FROM landfill WHERE city = $c AND tons > ? ORDER BY name")
+        .prepare(Lang::Sql, "SELECT name FROM landfill WHERE city = $c AND tons > ? ORDER BY name")
         .unwrap();
-    let rs = session
-        .execute_sql(&p, &Params::new().set("c", "Torino").push(500))
-        .unwrap()
-        .collect_rows()
-        .unwrap();
+    let rs = run(&p, &Params::new().set("c", "Torino").push(500)).unwrap();
     assert_eq!(rs.len(), 1);
     assert_eq!(rs.rows[0][0], Value::from("Basse di Stura"));
 }
@@ -77,14 +77,44 @@ fn sparql_prepare_execute_round_trip() {
     let e = engine();
     let session = Session::new(&e, "director").unwrap();
     let p = session
-        .prepare_sparql("SELECT ?o WHERE { $elem <dangerLevel> ?o }")
+        .prepare(Lang::Sparql, "SELECT ?o WHERE { $elem <dangerLevel> ?o }")
         .unwrap();
-    let mut cur = session
-        .execute_sparql(&p, &SparqlParams::new().set("elem", Term::iri("Pb")))
-        .unwrap();
+    // One `Params` binds every language: `<…>` is an IRI.
+    let mut cur = p.execute(&Params::new().set("elem", "<Pb>")).unwrap();
     let row = cur.next_row().unwrap().unwrap();
     assert_eq!(row[0], Value::Int(4));
     assert!(cur.next_row().is_none());
+}
+
+#[test]
+fn sparql_ask_and_construct_through_one_handle() {
+    let e = engine();
+    let session = Session::new(&e, "director").unwrap();
+    let ask = session.prepare(Lang::Sparql, "ASK { $elem <dangerLevel> ?o }").unwrap();
+    for (elem, expected) in [("<Hg>", true), ("<Zn>", false)] {
+        let rs = run(&ask, &Params::new().set("elem", elem)).unwrap();
+        assert_eq!(rs.schema.columns[0].name, "ask");
+        assert_eq!(rs.schema.columns[0].data_type, DataType::Bool);
+        assert_eq!(rs.rows, vec![vec![Value::Bool(expected)]], "{elem}");
+    }
+
+    let construct = session
+        .prepare(
+            Lang::Sparql,
+            "CONSTRUCT { ?e <hazard> ?o } WHERE { ?e <dangerLevel> ?o . FILTER(?o >= 4) }",
+        )
+        .unwrap();
+    let mut rs = run(&construct, &Params::new()).unwrap();
+    rs.rows.sort();
+    let names: Vec<String> = rs.schema.columns.iter().map(|c| c.name.clone()).collect();
+    assert_eq!(names, ["subject", "predicate", "object"]);
+    assert_eq!(
+        rs.rows,
+        vec![
+            vec![Value::from("Hg"), Value::from("hazard"), Value::Int(5)],
+            vec![Value::from("Pb"), Value::from("hazard"), Value::Int(4)],
+        ]
+    );
 }
 
 // ---- cached Prepared skips parsing -----------------------------------------
@@ -183,12 +213,10 @@ fn type_mismatch_errors_across_layers() {
     // SESQL inherits the same typed slots.
     let session = Session::new(&e, "director").unwrap();
     let p = session
-        .prepare("SELECT elem_name FROM elem_contained WHERE amount > $min")
+        .prepare(Lang::Sesql, "SELECT elem_name FROM elem_contained WHERE amount > $min")
         .unwrap();
     assert_eq!(p.param_slots()[0].expected, Some(DataType::Float));
-    let err = session
-        .execute(&p, &Params::new().set("min", "lots"))
-        .unwrap_err();
+    let err = run(&p, &Params::new().set("min", "lots")).unwrap_err();
     assert!(err.to_string().contains("expects FLOAT"), "{err}");
 }
 
@@ -197,15 +225,13 @@ fn missing_and_excess_bindings_error() {
     let e = engine();
     let session = Session::new(&e, "director").unwrap();
     let p = session
-        .prepare("SELECT elem_name FROM elem_contained WHERE landfill_name = $lf")
+        .prepare(Lang::Sesql, "SELECT elem_name FROM elem_contained WHERE landfill_name = $lf")
         .unwrap();
-    assert!(session.execute(&p, &Params::new()).is_err());
+    assert!(run(&p, &Params::new()).is_err());
     let p = session
-        .prepare("SELECT elem_name FROM elem_contained WHERE landfill_name = ?")
+        .prepare(Lang::Sesql, "SELECT elem_name FROM elem_contained WHERE landfill_name = ?")
         .unwrap();
-    let err = session
-        .execute(&p, &Params::new().push("a").push("b"))
-        .unwrap_err();
+    let err = run(&p, &Params::new().push("a").push("b")).unwrap_err();
     assert!(err.to_string().contains("positional"), "{err}");
 }
 
@@ -240,18 +266,11 @@ fn collect_adapters_match_legacy_apis() {
 
     let text = "SELECT elem_name FROM elem_contained WHERE landfill_name = 'Gerbido' \
                 ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)";
-    let p = session.prepare(text).unwrap();
-    let via_cursor = session
-        .execute_cursor(&p, &Params::new())
-        .unwrap()
-        .collect()
-        .unwrap();
+    let p = session.prepare(Lang::Sesql, text).unwrap();
+    let via_cursor = run(&p, &Params::new()).unwrap();
     let legacy = e.execute("director", text).unwrap();
-    assert_eq!(via_cursor.rows.rows, legacy.rows.rows);
-    assert_eq!(
-        via_cursor.rows.schema.columns.last().unwrap().name,
-        "dangerLevel"
-    );
+    assert_eq!(via_cursor.rows, legacy.rows.rows);
+    assert_eq!(via_cursor.schema.columns.last().unwrap().name, "dangerLevel");
 }
 
 #[test]

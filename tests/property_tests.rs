@@ -1213,7 +1213,7 @@ proptest! {
     #[test]
     fn sql_linter_total_on_parseable_statements(sql in arb_lint_sql()) {
         let s = lint_fixture_session();
-        let diags = s.lint_sql(&sql).unwrap();
+        let diags = s.lint(Lang::Sql, &sql).unwrap();
         for d in &diags {
             let rendered = d.to_string();
             prop_assert!(!rendered.is_empty());
@@ -1236,7 +1236,7 @@ proptest! {
     ) {
         let s = lint_fixture_session();
         let stmt = format!("{sql}{enrich}");
-        let diags = s.lint(&stmt).unwrap();
+        let diags = s.lint(Lang::Sesql, &stmt).unwrap();
         for d in &diags {
             let rendered = d.to_string();
             prop_assert!(!rendered.is_empty());
@@ -1247,7 +1247,7 @@ proptest! {
     #[test]
     fn sparql_linter_total(sparql in arb_lint_sparql()) {
         let s = lint_fixture_session();
-        let diags = s.lint_sparql(&sparql).unwrap();
+        let diags = s.lint(Lang::Sparql, &sparql).unwrap();
         for d in &diags {
             let rendered = d.to_string();
             prop_assert!(!rendered.is_empty());

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use crosse::exec::{CancelToken, Interrupt};
 use crosse::relational::{Error as RelError, Params, Value};
 use crosse::server::{
-    Client, ErrorCode, Lang, ProtocolError, QueryOutcome, Request, Response, Server,
+    Client, ErrorCode, Lang, ParamBinding, ProtocolError, QueryOutcome, Request, Response, Server,
     ServerConfig, ServerHandle, MAGIC,
 };
 use crosse::smartground::{standard_engine, SmartGroundConfig};
@@ -495,4 +495,94 @@ fn shutdown_drains_then_stops() {
         QueryOutcome::Done { .. } => {}
         QueryOutcome::Error { code, .. } => assert_eq!(code, ErrorCode::Cancelled),
     }
+}
+
+// ---- prepared statements ------------------------------------------------------
+
+/// A prepared enriched statement runs its pipeline when the cursor opens,
+/// so a deadline that passes there is reported like any other: by its own
+/// code, counted as a deadline hit, not as a query error.
+#[test]
+fn prepared_execute_reports_interrupts_by_their_own_code() {
+    let mut handle = start(ServerConfig {
+        default_deadline_ms: 0,
+        ..ServerConfig::default()
+    });
+    let mut c = connect(&handle);
+    let prepared = c
+        .prepare(
+            Lang::Sesql,
+            "slow",
+            "SELECT a.x AS elem_name FROM big a, big b WHERE a.x + b.x = -1 \
+             ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)",
+        )
+        .expect("prepare frame");
+    assert_eq!(prepared, Ok(0));
+    let r = c.execute("slow", Vec::new(), 40).expect("execute frame");
+    match r.outcome {
+        QueryOutcome::Error { code, ref message } => {
+            assert_eq!(code, ErrorCode::DeadlineExceeded, "{message}")
+        }
+        ref other => panic!("expected deadline error, got {other:?}"),
+    }
+    assert!(stat(&handle, "deadline_exceeded") >= 1);
+    assert_eq!(stat(&handle, "query_errors"), 0);
+    handle.shutdown();
+}
+
+/// Every SPARQL form runs over the wire, ad hoc and prepared: ASK is one
+/// BOOL column, CONSTRUCT is `(subject, predicate, object)` rows, and a
+/// `<…>` string parameter binds an IRI.
+#[test]
+fn sparql_forms_over_the_wire() {
+    let mut handle = start(ServerConfig::default());
+    let mut c = connect(&handle);
+    let ask = |c: &mut Client, text: &str| {
+        let r = c.query(Lang::Sparql, text, 0).expect("ask");
+        assert!(r.error().is_none(), "{:?}", r.outcome);
+        assert_eq!(r.columns, vec!["ask"]);
+        r.rows
+    };
+    assert_eq!(ask(&mut c, "ASK { <Hg> <dangerLevel> ?d }"), vec![vec![Value::Bool(true)]]);
+    assert_eq!(ask(&mut c, "ASK { <Nothing> <dangerLevel> ?d }"), vec![vec![Value::Bool(false)]]);
+
+    let construct = "CONSTRUCT { ?s <hazard> ?d } \
+                     WHERE { <Hg> <dangerLevel> ?d . ?s <dangerLevel> ?d }";
+    let r = c.query(Lang::Sparql, construct, 0).expect("construct");
+    assert!(r.error().is_none(), "{:?}", r.outcome);
+    assert_eq!(r.columns, vec!["subject", "predicate", "object"]);
+    let hg = vec![Value::from("Hg"), Value::from("hazard"), Value::Int(5)];
+    assert!(r.rows.contains(&hg), "{:?}", r.rows);
+
+    assert_eq!(
+        c.prepare(Lang::Sparql, "has_level", "ASK { $e <dangerLevel> ?d }").expect("prepare"),
+        Ok(1)
+    );
+    for (bound, expected) in [("<Hg>", true), ("Hg", false)] {
+        let param = ParamBinding { name: "e".into(), value: Value::from(bound) };
+        let r = c.execute("has_level", vec![param], 0).expect("execute");
+        assert_eq!(r.rows, vec![vec![Value::Bool(expected)]], "{bound}: {:?}", r.outcome);
+    }
+    handle.shutdown();
+}
+
+/// A write answers `DONE` with its affected-row count and no `SCHEMA`,
+/// ad hoc or prepared.
+#[test]
+fn writes_answer_done_without_schema() {
+    let mut handle = start(ServerConfig::default());
+    let mut c = connect(&handle);
+    let r = c.query(Lang::Sesql, "CREATE TABLE w (a INT)", 0).expect("create");
+    assert!(r.columns.is_empty() && r.rows.is_empty(), "{r:?}");
+    assert!(matches!(r.outcome, QueryOutcome::Done { rows: 0, .. }), "{:?}", r.outcome);
+    let prepared = c.prepare(Lang::Sql, "ins", "INSERT INTO w VALUES (1), (2)").expect("prepare");
+    assert_eq!(prepared, Ok(0));
+    for _ in 0..2 {
+        let r = c.execute("ins", Vec::new(), 0).expect("execute");
+        assert!(r.columns.is_empty(), "{r:?}");
+        assert!(matches!(r.outcome, QueryOutcome::Done { rows: 2, .. }), "{:?}", r.outcome);
+    }
+    let r = c.query(Lang::Sql, "SELECT COUNT(*) FROM w", 0).expect("count");
+    assert_eq!(r.rows, vec![vec![Value::Int(4)]]);
+    handle.shutdown();
 }
