@@ -10,11 +10,13 @@
 //!
 //! The pool is built on [`std::thread::scope`] — no crates.io
 //! dependencies, no unsafe, no global state (its only dep is the
-//! workspace's std-backed `parking_lot` shim, for lock-order tracking). Threads are spawned per call;
-//! that costs tens of microseconds, which is why every entry point falls
-//! back to the caller's thread for single-threaded pools, single tasks, or
-//! when the caller's partitioning produced one chunk. Engines gate the
-//! parallel path on input size so small queries never pay the spawn cost.
+//! workspace's std-backed `parking_lot` shim, for lock-order tracking).
+//! Threads are spawned per call, and the calling thread works alongside
+//! them, so a call on `n` threads spawns `n − 1`. A spawn costs tens of
+//! microseconds, which is why every entry point falls back to the
+//! caller's thread for single-threaded pools, single tasks, or when the
+//! caller's partitioning produced one chunk. Engines gate the parallel
+//! path on input size so small queries never pay the spawn cost.
 //!
 //! ```
 //! use crosse_exec::WorkerPool;
@@ -87,26 +89,28 @@ impl WorkerPool {
         {
             let collected: Mutex<&mut Vec<(usize, R)>> =
                 Mutex::new_labeled("exec.results", &mut merged);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        let mut local: Vec<(usize, R)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let task = slots[i]
-                                .lock()
-                                .take()
-                                .expect("task claimed twice");
-                            local.push((i, f(i, task)));
-                        }
-                        if !local.is_empty() {
-                            collected.lock().append(&mut local);
-                        }
-                    });
+            let work = || {
+                let mut local: Vec<(usize, R)> = Vec::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let task = slots[i]
+                        .lock()
+                        .take()
+                        .expect("task claimed twice");
+                    local.push((i, f(i, task)));
                 }
+                if !local.is_empty() {
+                    collected.lock().append(&mut local);
+                }
+            };
+            std::thread::scope(|scope| {
+                for _ in 1..workers {
+                    scope.spawn(work);
+                }
+                work();
             });
         }
         merged.sort_unstable_by_key(|(i, _)| *i);

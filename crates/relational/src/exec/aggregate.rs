@@ -8,7 +8,7 @@ use crate::error::{Error, Result};
 use crate::plan::AggSpec;
 use crate::value::{Row, Value};
 
-use super::expr::BoundExpr;
+use super::expr::{BoundExpr, RowView};
 use super::fasthash::FastBuild;
 use super::keys::{Key, KeyCoder};
 
@@ -149,12 +149,14 @@ impl Accumulator {
 }
 
 /// Drain `child` and aggregate it (first-seen group order, one row for a
-/// global aggregate over empty input). The group index is keyed by coded
-/// keys; a group's key values are cloned out of their expressions once,
-/// by the row that opens the group, and aggregate arguments are read by
-/// reference.
-pub(super) fn aggregate_rows(
-    child: impl Iterator<Item = Result<Row>>,
+/// global aggregate over empty input). The input is any [`RowView`] — an
+/// operator's owned rows, or rows read in place in a pinned snapshot. The
+/// group index is keyed by coded keys; a group's key values are cloned
+/// out of their expressions once, by the row that opens the group, and
+/// aggregate arguments are read by reference, so a row that joins an
+/// existing group allocates nothing.
+pub(super) fn aggregate_rows<R: RowView>(
+    child: impl Iterator<Item = Result<R>>,
     group: &[BoundExpr],
     aggs: &[AggSpec],
 ) -> Result<Vec<Row>> {

@@ -9,6 +9,7 @@ pub mod aggregate;
 pub mod expr;
 pub mod fasthash;
 mod keys;
+mod scan;
 pub mod stream;
 
 use crate::error::Result;

@@ -10,20 +10,32 @@
 //! join) still drain their input, exactly as a production Volcano engine
 //! would.
 //!
-//! Base-table access pins a [`TableSnapshot`] once per cursor: the scan
-//! streams from an immutable copy-on-write heap, so a cursor opened
-//! before a concurrent `DELETE`/`INSERT`/`TRUNCATE` sees exactly the rows
-//! of its snapshot — no skipped rows, no double reads, and no lock held
-//! between batches.
+//! Base-table access pins a [`TableSnapshot`](crate::storage::TableSnapshot)
+//! once per cursor: the scan streams from an immutable copy-on-write
+//! heap, so a cursor opened before a concurrent `DELETE`/`INSERT`/
+//! `TRUNCATE` sees exactly the rows of its snapshot — no skipped rows, no
+//! double reads, and no lock held between batches.
 //!
-//! When the executor runs with a parallel [`WorkerPool`] (see
-//! `Database::set_exec_threads`), scan→filter→project pipelines and the
-//! probe side of hash joins are executed as **morsels**: one wave of
-//! `threads × SCAN_BATCH` snapshot rows is partitioned across the pool
-//! and merged back in snapshot order, so parallel execution is
-//! deterministic and `LIMIT k` still stops the scan after at most one
-//! wave. The pinned snapshot is what makes this safe — workers share
-//! borrowed slices without any locking.
+//! Rows are read in place, never copied to be looked at. A `Scan` or
+//! `IndexScan` leaf under an optional `Filter` and `Project` is one
+//! *fragment* (module `scan`), lowered to a single row step that
+//! evaluates the predicate and the projection on the snapshot row
+//! itself; the probe side of a hash join and the input of an aggregate
+//! read the snapshot the same way. A row's first allocation is therefore the output row: the
+//! projection, or the clone of a row that survives an unprojected filter
+//! — and an aggregate over a scan, a filter, or a column-only projection
+//! allocates nothing per row at all.
+//!
+//! The worker pool (see `Database::set_exec_threads`) decides only how a
+//! fragment is driven. With one thread, or a snapshot under
+//! [`PARALLEL_MIN_ROWS`] rows, the step runs inline, one row per pull.
+//! Otherwise it runs as **morsels**: one wave of `threads × SCAN_BATCH`
+//! snapshot rows is partitioned across the pool and merged back in
+//! snapshot order, so parallel execution is deterministic and `LIMIT k`
+//! still stops the scan after at most one wave. Both drivers run the same
+//! kernels and yield the same rows, and a row that fails yields, in both,
+//! every row before it and then the error. The pinned snapshot is what
+//! makes this safe — workers share borrowed slices without any locking.
 //!
 //! The executor *consumes* its plan (operators own their state), which is
 //! why [`Plan`] is `Clone`: a cached prepared statement clones its plan
@@ -44,14 +56,14 @@ use parking_lot::Mutex;
 
 use crate::db::RowSet;
 use crate::error::{Error, Result};
-use crate::plan::{IndexLookup, Plan, SortKey};
+use crate::plan::{Plan, SortKey};
 use crate::schema::Schema;
 use crate::sql::ast::JoinKind;
-use crate::storage::{Table, TableSnapshot};
 use crate::value::{Row, Value};
 
 use super::aggregate::aggregate_rows;
 use super::expr::{BoundExpr, Pair, RowView};
+use super::scan::{aggregate_fragment, drive, fragment, is_identity, open_leaf, Fragment, MorselWork};
 use super::fasthash::FastBuild;
 use super::keys::{Key, KeyCoder};
 
@@ -70,15 +82,17 @@ type JoinTable = HashMap<JoinKey<'static>, Vec<usize>, FastBuild>;
 /// `(spool id, key-expression fingerprint)`.
 type BuildRegistry = HashMap<(usize, String), Arc<BuiltSide>>;
 
-/// Rows copied out of a pinned snapshot per cursor step; also the morsel
-/// size for parallel pipelines.
+/// Snapshot rows per scan step: a scan charges its rows-scanned counter
+/// and polls for cancellation once per batch. Also the morsel size for
+/// parallel pipelines.
 pub const SCAN_BATCH: usize = 1024;
 
-/// Minimum snapshot size before a parallel pipeline spawns workers —
-/// below this the per-wave thread spawn costs more than the scan.
+/// Minimum snapshot size before a fragment runs as morsel waves instead
+/// of inline — below this the per-wave thread spawn costs more than the
+/// scan. It picks the driver only: both read the snapshot in place.
 pub const PARALLEL_MIN_ROWS: usize = 4096;
 
-type BoxRowIter = Box<dyn Iterator<Item = Result<Row>> + Send>;
+pub(super) type BoxRowIter = Box<dyn Iterator<Item = Result<Row>> + Send>;
 
 /// Shared execution state threaded through plan lowering: the scanned-rows
 /// counter, the worker pool for morsel-parallel operators, and the spool
@@ -86,8 +100,8 @@ type BoxRowIter = Box<dyn Iterator<Item = Result<Row>> + Send>;
 /// id per execution).
 #[derive(Clone)]
 pub struct ExecCtx {
-    scanned: Arc<AtomicU64>,
-    pool: Arc<WorkerPool>,
+    pub(super) scanned: Arc<AtomicU64>,
+    pub(super) pool: Arc<WorkerPool>,
     spools: Arc<Mutex<HashMap<usize, Arc<Spool>>>>,
     /// Hash-join build sides over shared spools, keyed by
     /// `(spool id, key-expression fingerprint)` — joins that hash the
@@ -98,7 +112,7 @@ pub struct ExecCtx {
     /// blocks). Captured from the ambient thread-local token at context
     /// construction, so the token set by a serving layer reaches every
     /// operator without parameter threading.
-    cancel: CancelToken,
+    pub(super) cancel: CancelToken,
 }
 
 impl ExecCtx {
@@ -329,63 +343,50 @@ impl std::fmt::Debug for Rows {
     }
 }
 
-/// Incremental base-table scan over a snapshot pinned at cursor open: a
-/// point-in-time view, streamed in [`SCAN_BATCH`] steps without holding
-/// any lock.
-struct TableCursor {
-    snap: TableSnapshot,
-    pos: usize,
-    scanned: Arc<AtomicU64>,
-    cancel: CancelToken,
-    interrupted: bool,
+/// The input of a [`StepStream`], lent one row at a time: a scan lends
+/// its snapshot's rows, any other operator the row it just produced.
+pub(super) trait Outer: Send {
+    fn next_outer(&mut self) -> Option<Result<&[Value]>>;
 }
 
-impl TableCursor {
-    fn new(table: &Table, scanned: Arc<AtomicU64>, cancel: CancelToken) -> Self {
-        TableCursor { snap: table.snapshot(), pos: 0, scanned, cancel, interrupted: false }
+/// An operator's output as outer rows, each held while it is expanded.
+struct Pulled {
+    child: BoxRowIter,
+    row: Row,
+}
+
+impl Pulled {
+    fn new(child: BoxRowIter) -> Self {
+        Pulled { child, row: Row::new() }
     }
 }
 
-impl Iterator for TableCursor {
-    type Item = Result<Row>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.interrupted || self.pos >= self.snap.len() {
-            return None;
-        }
-        if self.pos.is_multiple_of(SCAN_BATCH) {
-            // Batch boundary: poll the cancel token before charging the
-            // next batch, so an interrupted scan leaves the fetched-rows
-            // counter strictly short of the table.
-            if let Err(i) = self.cancel.check() {
-                self.interrupted = true;
-                return Some(Err(Error::Interrupted(i)));
+impl Outer for Pulled {
+    fn next_outer(&mut self) -> Option<Result<&[Value]>> {
+        match self.child.next()? {
+            Ok(row) => {
+                self.row = row;
+                Some(Ok(&self.row))
             }
-            // Charge a whole batch as it starts (the pre-snapshot executor
-            // copied out per batch; the counter's granularity is kept).
-            let n = (self.snap.len() - self.pos).min(SCAN_BATCH);
-            self.scanned.fetch_add(n as u64, AtomicOrdering::Relaxed);
+            Err(e) => Some(Err(e)),
         }
-        let row = self.snap.rows()[self.pos].clone();
-        self.pos += 1;
-        Some(Ok(row))
     }
 }
 
-// ---- morsel-parallel pipelines ---------------------------------------------
+// ---- row steps ---------------------------------------------------------------
 
-/// The row step of `[Filter] → [Project]`, the one kernel under both the
-/// sequential `Filter`/`Project` operators and the morsel workers.
-struct FilterProject {
-    predicate: Option<BoundExpr>,
-    exprs: Option<Vec<BoundExpr>>,
+/// The row step of `[Filter] → [Project]`, the one kernel under the
+/// `Filter`/`Project` operators and both drivers of a scan fragment.
+pub(super) struct FilterProject {
+    pub(super) predicate: Option<BoundExpr>,
+    pub(super) exprs: Option<Vec<BoundExpr>>,
 }
 
 impl FilterProject {
     /// `None` when the predicate rejects `row`; otherwise the projected
     /// row, or without a projection `row` itself (cloned only if the
     /// caller could not give it away).
-    fn apply(&self, row: Cow<'_, [Value]>) -> Result<Option<Row>> {
+    pub(super) fn apply(&self, row: Cow<'_, [Value]>) -> Result<Option<Row>> {
         if let Some(p) = &self.predicate {
             if !p.eval_predicate(&*row)? {
                 return Ok(None);
@@ -395,6 +396,11 @@ impl FilterProject {
             Some(exprs) => project_row(exprs, &*row)?,
             None => row.into_owned(),
         }))
+    }
+
+    /// Whether the step does anything but pass rows through.
+    pub(super) fn does_work(&self) -> bool {
+        self.predicate.is_some() || self.exprs.is_some()
     }
 
     /// Drive the step over an owning row stream.
@@ -489,7 +495,7 @@ impl BuiltSide {
 
 /// The probe side of a hash join: the one probe loop, called per outer
 /// row by the sequential [`JoinStream`] and per morsel row by the workers.
-struct HashProbe {
+pub(super) struct HashProbe {
     built: Arc<BuiltSide>,
     left_keys: Vec<BoundExpr>,
     emit: JoinEmit,
@@ -497,7 +503,7 @@ struct HashProbe {
 
 impl HashProbe {
     /// Append the join output of outer row `left` to `out`.
-    fn expand(&self, left: &[Value], out: &mut Vec<Row>) -> Result<()> {
+    pub(super) fn expand(&self, left: &[Value], out: &mut Vec<Row>) -> Result<()> {
         let from = out.len();
         if let Some(matches) = self.matches(left)? {
             for &ri in matches {
@@ -522,251 +528,21 @@ impl HashProbe {
     }
 }
 
-/// The per-morsel work of a parallelised pipeline fragment. Workers apply
-/// it to disjoint slices of one pinned snapshot; the results are merged
-/// back in snapshot order.
-enum MorselWork {
-    /// `Scan → [Filter] → [Project]` collapsed into one pass.
-    FilterProject(FilterProject),
-    /// The probe side of a hash join (optionally pre-filtered): each
-    /// snapshot row probes the shared build table.
-    HashProbe { prefilter: Option<BoundExpr>, probe: HashProbe },
-}
-
-impl MorselWork {
-    fn apply(&self, morsel: &[Row]) -> Result<Vec<Row>> {
-        let mut out = Vec::new();
-        match self {
-            MorselWork::FilterProject(step) => {
-                for row in morsel {
-                    out.extend(step.apply(Cow::Borrowed(row))?);
-                }
-            }
-            MorselWork::HashProbe { prefilter, probe } => {
-                for l in morsel {
-                    if let Some(p) = prefilter {
-                        if !p.eval_predicate(l)? {
-                            continue;
-                        }
-                    }
-                    probe.expand(l, &mut out)?;
-                }
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// Wave-based morsel scan: pulls `threads × SCAN_BATCH` snapshot rows per
-/// wave, partitions them across the pool, and yields the merged results in
-/// snapshot order. Lazy between waves, so `LIMIT k` consumers stop the
-/// scan after the wave that satisfied them. Rows produced before a failing
-/// morsel are still yielded (sequential-order error semantics); the error
-/// then ends the stream.
-struct MorselScan {
-    snap: TableSnapshot,
-    pos: usize,
-    pool: Arc<WorkerPool>,
-    work: Arc<MorselWork>,
-    scanned: Arc<AtomicU64>,
-    cancel: CancelToken,
-    buf: std::vec::IntoIter<Row>,
-    pending_err: Option<Error>,
-    done: bool,
-}
-
-impl MorselScan {
-    fn new(
-        snap: TableSnapshot,
-        pool: Arc<WorkerPool>,
-        work: MorselWork,
-        scanned: Arc<AtomicU64>,
-        cancel: CancelToken,
-    ) -> Self {
-        MorselScan {
-            snap,
-            pos: 0,
-            pool,
-            work: Arc::new(work),
-            scanned,
-            cancel,
-            buf: Vec::new().into_iter(),
-            pending_err: None,
-            done: false,
-        }
-    }
-}
-
-impl Iterator for MorselScan {
-    type Item = Result<Row>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(row) = self.buf.next() {
-                return Some(Ok(row));
-            }
-            if let Some(e) = self.pending_err.take() {
-                self.done = true;
-                return Some(Err(e));
-            }
-            if self.done || self.pos >= self.snap.len() {
-                return None;
-            }
-            // Wave boundary: poll the cancel token before dispatching the
-            // next `threads × SCAN_BATCH` rows to the pool.
-            if let Err(i) = self.cancel.check() {
-                self.done = true;
-                return Some(Err(Error::Interrupted(i)));
-            }
-            let wave = self.pool.threads() * SCAN_BATCH;
-            let hi = (self.pos + wave).min(self.snap.len());
-            let slice = &self.snap.rows()[self.pos..hi];
-            self.scanned.fetch_add(slice.len() as u64, AtomicOrdering::Relaxed);
-            self.pos = hi;
-            let work = Arc::clone(&self.work);
-            let results: Vec<Result<Vec<Row>>> =
-                self.pool.map_chunks(slice, SCAN_BATCH, |_, morsel| work.apply(morsel));
-            let mut out: Vec<Row> = Vec::new();
-            for r in results {
-                match r {
-                    Ok(mut rows) => out.append(&mut rows),
-                    Err(e) => {
-                        // Keep rows of in-order earlier morsels, then fail.
-                        self.pending_err = Some(e);
-                        break;
-                    }
-                }
-            }
-            self.buf = out.into_iter();
-        }
-    }
-}
-
-/// Try to lower `plan` as a morsel-parallel pipeline fragment. Returns the
-/// plan unchanged when it is not a recognised fragment (or the pool is
-/// sequential, or the table is too small to be worth partitioning).
-// The "error" is the unconsumed plan handed back to the sequential path —
-// its size is irrelevant (one move, never propagated).
-#[allow(clippy::result_large_err)]
-fn try_parallel(plan: Plan, ctx: &ExecCtx) -> std::result::Result<BoxRowIter, Plan> {
-    if !ctx.pool.is_parallel() {
-        return Err(plan);
-    }
-    // Decompose Scan / Filter(Scan) into (table, scan schema, prefilter);
-    // the schema is kept so an undersized fragment reassembles exactly.
-    type ScanParts = (Arc<Table>, Schema, Option<BoundExpr>);
-    let scan_parts = |p: Plan| -> std::result::Result<ScanParts, Plan> {
-        match p {
-            Plan::Scan { table, schema } => Ok((table, schema, None)),
-            Plan::Filter { input, predicate } => match *input {
-                Plan::Scan { table, schema } => Ok((table, schema, Some(predicate))),
-                other => Err(Plan::Filter { input: Box::new(other), predicate }),
-            },
-            other => Err(other),
-        }
-    };
-    // Reassemble a decomposed fragment for the sequential path.
-    let reassemble = |table: Arc<Table>, schema: Schema, prefilter: Option<BoundExpr>| {
-        let scan = Plan::Scan { table, schema };
-        match prefilter {
-            Some(predicate) => Plan::Filter { input: Box::new(scan), predicate },
-            None => scan,
-        }
-    };
-    match plan {
-        Plan::Project { input, exprs, schema } => match scan_parts(*input) {
-            Ok((table, scan_schema, prefilter)) => {
-                let snap = table.snapshot();
-                if snap.len() < PARALLEL_MIN_ROWS {
-                    return Err(Plan::Project {
-                        input: Box::new(reassemble(table, scan_schema, prefilter)),
-                        exprs,
-                        schema,
-                    });
-                }
-                Ok(Box::new(MorselScan::new(
-                    snap,
-                    Arc::clone(&ctx.pool),
-                    MorselWork::FilterProject(FilterProject {
-                        predicate: prefilter,
-                        exprs: Some(exprs),
-                    }),
-                    Arc::clone(&ctx.scanned),
-                    ctx.cancel.clone(),
-                )))
-            }
-            Err(other) => Err(Plan::Project { input: Box::new(other), exprs, schema }),
-        },
-        other => match scan_parts(other) {
-            // A bare Scan (no filter) gains nothing from workers — every
-            // "morsel" would be a plain copy — so only filtered scans run
-            // parallel here.
-            Ok((table, scan_schema, Some(predicate))) => {
-                let snap = table.snapshot();
-                if snap.len() < PARALLEL_MIN_ROWS {
-                    return Err(reassemble(table, scan_schema, Some(predicate)));
-                }
-                Ok(Box::new(MorselScan::new(
-                    snap,
-                    Arc::clone(&ctx.pool),
-                    MorselWork::FilterProject(FilterProject {
-                        predicate: Some(predicate),
-                        exprs: None,
-                    }),
-                    Arc::clone(&ctx.scanned),
-                    ctx.cancel.clone(),
-                )))
-            }
-            Ok((table, scan_schema, None)) => Err(reassemble(table, scan_schema, None)),
-            Err(other) => Err(other),
-        },
-    }
-}
-
 /// Lower a plan into a lazy row iterator, charging base-table fetches to
-/// the context's scanned counter and running recognised pipeline fragments
-/// on the context's worker pool. Only [`Rows::lower`] calls in from
-/// outside, after it has fetched the plan's foreign leaves.
+/// the context's scanned counter and driving scan fragments inline or on
+/// the context's worker pool. Only [`Rows::lower`] calls in from outside,
+/// after it has fetched the plan's foreign leaves.
 fn stream_plan(plan: Plan, ctx: ExecCtx) -> Result<BoxRowIter> {
-    let plan = match try_parallel(plan, &ctx) {
-        Ok(iter) => return Ok(iter),
+    let plan = match fragment(plan) {
+        Ok(Fragment { leaf, step }) => {
+            return Ok(drive(open_leaf(leaf, &ctx), MorselWork::FilterProject(step), &ctx))
+        }
         Err(plan) => plan,
     };
     match plan {
         Plan::Values { rows, .. } => Ok(Box::new(rows.into_iter().map(Ok))),
-        Plan::Scan { table, .. } => Ok(Box::new(TableCursor::new(
-            &table,
-            Arc::clone(&ctx.scanned),
-            ctx.cancel.clone(),
-        ))),
-        Plan::IndexScan { table, column, lookup, .. } => {
-            let via_index = match &lookup {
-                IndexLookup::Eq(keys) => table.index_lookup_eq(column, keys),
-                IndexLookup::Range { low, high } => {
-                    table.index_lookup_range(column, as_ref_bound(low), as_ref_bound(high))
-                }
-            };
-            match via_index {
-                Some(rows) => {
-                    // The index already narrowed the fetch; charge only
-                    // what it returned.
-                    ctx.scanned.fetch_add(rows.len() as u64, AtomicOrdering::Relaxed);
-                    Ok(Box::new(rows.into_iter().map(Ok)))
-                }
-                // Index dropped between planning and execution: degrade to
-                // a filtered streaming scan with identical semantics.
-                None => {
-                    let cursor = TableCursor::new(
-                        &table,
-                        Arc::clone(&ctx.scanned),
-                        ctx.cancel.clone(),
-                    );
-                    Ok(Box::new(cursor.filter(move |r| match r {
-                        Ok(row) => lookup.matches(&row[column]),
-                        Err(_) => true,
-                    })))
-                }
-            }
+        Plan::Scan { .. } | Plan::IndexScan { .. } => {
+            unreachable!("a scan leaf is a fragment")
         }
         Plan::ForeignScan { .. } => unreachable!("Rows::lower fetches every foreign leaf"),
         Plan::Filter { input, predicate } => {
@@ -777,12 +553,7 @@ fn stream_plan(plan: Plan, ctx: ExecCtx) -> Result<BoxRowIter> {
             // Identity projection: the rows pass through unchanged (output
             // names live on the plan node's schema, not in the rows), so
             // skip the per-row rebuild entirely.
-            if exprs.len() == input.schema().len()
-                && exprs
-                    .iter()
-                    .enumerate()
-                    .all(|(i, e)| matches!(e, BoundExpr::Column(c) if *c == i))
-            {
+            if is_identity(&exprs, input.schema().len()) {
                 return stream_plan(*input, ctx);
             }
             match *input {
@@ -819,8 +590,8 @@ fn stream_plan(plan: Plan, ctx: ExecCtx) -> Result<BoxRowIter> {
             let right_rows: Vec<Row> =
                 stream_plan(*right, ctx.clone())?.collect::<Result<_>>()?;
             let cancel = ctx.cancel.clone();
-            let left_iter = stream_plan(*left, ctx)?;
-            Ok(Box::new(JoinStream::new(left_iter, cancel, move |l, out| {
+            let outer = Pulled::new(stream_plan(*left, ctx)?);
+            Ok(Box::new(StepStream::new(outer, cancel, move |l, out| {
                 let from = out.len();
                 for r in &right_rows {
                     emit.pair(l, r, out)?;
@@ -833,8 +604,10 @@ fn stream_plan(plan: Plan, ctx: ExecCtx) -> Result<BoxRowIter> {
             lower_hash_join(*left, *right, kind, left_keys, right_keys, residual, None, ctx)
         }
         Plan::Aggregate { input, group, aggs, .. } => {
-            let child = stream_plan(*input, ctx)?;
-            let out = aggregate_rows(child, &group, &aggs)?;
+            let out = match fragment(*input) {
+                Ok(f) => aggregate_fragment(f, &group, &aggs, &ctx)?,
+                Err(input) => aggregate_rows(stream_plan(input, ctx)?, &group, &aggs)?,
+            };
             Ok(Box::new(out.into_iter().map(Ok)))
         }
         Plan::Sort { input, keys } => {
@@ -1061,44 +834,33 @@ fn lower_hash_join(
         }
     };
     let probe = HashProbe { built, left_keys, emit };
-    // Partition-parallel probe: when the probe side is a (filtered) scan
-    // of a big enough table, workers probe the shared build table over
-    // disjoint snapshot morsels, in snapshot order.
-    if ctx.pool.is_parallel() && matches!(kind, JoinKind::Inner | JoinKind::Left) {
-        let probe_scan = match left {
-            Plan::Scan { ref table, .. } => Some((Arc::clone(table), None)),
-            Plan::Filter { ref input, ref predicate } => match **input {
-                Plan::Scan { ref table, .. } => {
-                    Some((Arc::clone(table), Some(predicate.clone())))
-                }
-                _ => None,
-            },
-            _ => None,
-        };
-        if let Some((probe_table, prefilter)) = probe_scan {
-            let snap = probe_table.snapshot();
-            if snap.len() >= PARALLEL_MIN_ROWS {
-                return Ok(Box::new(MorselScan::new(
-                    snap,
-                    Arc::clone(&ctx.pool),
-                    MorselWork::HashProbe { prefilter, probe },
-                    Arc::clone(&ctx.scanned),
-                    ctx.cancel.clone(),
-                )));
-            }
+    // A probe side that is a (filtered) scan probes with its snapshot rows
+    // in place — inline, or by workers over disjoint morsels.
+    let left = match fragment(left) {
+        Ok(Fragment { leaf, step: FilterProject { predicate, exprs: None } })
+            if matches!(kind, JoinKind::Inner | JoinKind::Left) =>
+        {
+            let work = MorselWork::HashProbe { prefilter: predicate, probe };
+            return Ok(drive(open_leaf(leaf, &ctx), work, &ctx));
         }
-    }
+        Ok(Fragment { leaf, step }) => {
+            drive(open_leaf(leaf, &ctx), MorselWork::FilterProject(step), &ctx)
+        }
+        Err(left) => stream_plan(left, ctx.clone())?,
+    };
     let cancel = ctx.cancel.clone();
-    let left_iter = stream_plan(left, ctx)?;
-    Ok(Box::new(JoinStream::new(left_iter, cancel, move |l, out| probe.expand(l, out))))
+    Ok(Box::new(StepStream::new(Pulled::new(left), cancel, move |l, out| probe.expand(l, out))))
 }
 
-/// Streams a join: pulls one outer row at a time and expands it into zero
-/// or more output rows via `expand` (which also pads an unmatched outer
-/// row of a LEFT join).
-struct JoinStream<F> {
-    left: BoxRowIter,
-    expand: F,
+/// The inline driver: takes one outer row at a time and expands it into
+/// zero or more output rows via `step` — a scan fragment's row step, or a
+/// join's probe (which also pads an unmatched outer row of a LEFT join).
+/// Lazy per outer row, so a `LIMIT k` consumer stops the input right after
+/// its k-th row. Every row produced before a failing outer row is
+/// yielded, none of that row's own output, and the error ends the stream.
+pub(super) struct StepStream<S, F> {
+    outer: S,
+    step: F,
     /// Output of the current outer row; `pending[next..]` is still to be
     /// yielded. The buffer is reused across outer rows.
     pending: Vec<Row>,
@@ -1108,19 +870,36 @@ struct JoinStream<F> {
     /// produces many rows per outer pull, so the scan-level checks alone
     /// would be too coarse here.
     since_check: usize,
+    done: bool,
 }
 
-impl<F> JoinStream<F>
+impl<S, F> StepStream<S, F>
 where
+    S: Outer,
     F: FnMut(&[Value], &mut Vec<Row>) -> Result<()>,
 {
-    fn new(left: BoxRowIter, cancel: CancelToken, expand: F) -> Self {
-        JoinStream { left, expand, pending: Vec::new(), next: 0, cancel, since_check: 0 }
+    pub(super) fn new(outer: S, cancel: CancelToken, step: F) -> Self {
+        StepStream {
+            outer,
+            step,
+            pending: Vec::new(),
+            next: 0,
+            cancel,
+            since_check: 0,
+            done: false,
+        }
+    }
+
+    fn fail(&mut self, e: Error) -> Option<Result<Row>> {
+        self.pending.clear();
+        self.done = true;
+        Some(Err(e))
     }
 }
 
-impl<F> Iterator for JoinStream<F>
+impl<S, F> Iterator for StepStream<S, F>
 where
+    S: Outer,
     F: FnMut(&[Value], &mut Vec<Row>) -> Result<()>,
 {
     type Item = Result<Row>;
@@ -1134,25 +913,26 @@ where
                 if self.since_check >= SCAN_BATCH {
                     self.since_check = 0;
                     if let Err(i) = self.cancel.check() {
-                        self.pending.clear();
-                        return Some(Err(Error::Interrupted(i)));
+                        return self.fail(Error::Interrupted(i));
                     }
                 }
                 return Some(Ok(row));
             }
+            if self.done {
+                return None;
+            }
             self.pending.clear();
             self.next = 0;
-            match self.left.next()? {
-                Err(e) => return Some(Err(e)),
-                Ok(l) => {
-                    if let Err(e) = (self.expand)(&l, &mut self.pending) {
-                        // Drop any partial expansion of the failed row: a
-                        // consumer that keeps pulling past the error must
-                        // not see its half-joined output.
-                        self.pending.clear();
-                        return Some(Err(e));
-                    }
+            let outcome = match self.outer.next_outer() {
+                None => {
+                    self.done = true;
+                    return None;
                 }
+                Some(Ok(row)) => (self.step)(row, &mut self.pending),
+                Some(Err(e)) => Err(e),
+            };
+            if let Err(e) = outcome {
+                return self.fail(e);
             }
         }
     }
@@ -1180,12 +960,4 @@ fn sort_rows(child: BoxRowIter, keys: &[SortKey]) -> Result<Vec<Row>> {
         std::cmp::Ordering::Equal
     });
     Ok(keyed.into_iter().map(|(_, r)| r).collect())
-}
-
-fn as_ref_bound(b: &std::ops::Bound<Value>) -> std::ops::Bound<&Value> {
-    match b {
-        std::ops::Bound::Included(v) => std::ops::Bound::Included(v),
-        std::ops::Bound::Excluded(v) => std::ops::Bound::Excluded(v),
-        std::ops::Bound::Unbounded => std::ops::Bound::Unbounded,
-    }
 }

@@ -165,6 +165,33 @@ impl TableSnapshot {
     }
 }
 
+/// What an index lookup found: the snapshot pinned while the index was
+/// read, and the heap positions of the matching rows in it, in heap order.
+/// The rows stay in the snapshot; `hits[i]` reads the `i`-th in place.
+#[derive(Debug, Clone)]
+pub struct IndexHits {
+    pub snap: TableSnapshot,
+    pub positions: Vec<usize>,
+}
+
+impl IndexHits {
+    pub fn len(&self) -> usize {
+        self.positions.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.positions.is_empty()
+    }
+}
+
+impl std::ops::Index<usize> for IndexHits {
+    type Output = Row;
+
+    fn index(&self, i: usize) -> &Row {
+        &self.snap.rows()[self.positions[i]]
+    }
+}
+
 /// A heap-organised table.
 #[derive(Debug)]
 pub struct Table {
@@ -238,9 +265,13 @@ impl Table {
     /// holds no lock afterwards; concurrent writers copy-on-write around
     /// the pinned rows.
     pub fn snapshot(&self) -> TableSnapshot {
-        let rows = self.rows.read();
+        self.pin(&self.rows.read())
+    }
+
+    /// Pin `rows`, the heap under a held rows lock, as a snapshot.
+    fn pin(&self, rows: &Arc<Vec<Row>>) -> TableSnapshot {
         TableSnapshot {
-            rows: Arc::clone(&*rows),
+            rows: Arc::clone(rows),
             generation: self.generation.load(AtomicOrdering::Acquire),
         }
     }
@@ -579,17 +610,16 @@ impl Table {
     /// index covers the column — callers fall back to a scan.
     ///
     /// The lookup pins the live heap as a snapshot while resolving entry
-    /// positions under the read lock, then materialises matching rows from
-    /// the pinned snapshot off-lock — the same pin-once discipline as the
-    /// scan path, so index results are point-in-time consistent.
-    pub fn index_lookup_eq(&self, column: usize, keys: &[Value]) -> Option<Vec<Row>> {
+    /// positions under the read lock and returns both: the caller reads
+    /// the matching rows in place, off-lock — the same pin-once discipline
+    /// as the scan path, so index results are point-in-time consistent.
+    pub fn index_lookup_eq(&self, column: usize, keys: &[Value]) -> Option<IndexHits> {
         let idx = self.index_for(column)?;
         let rows = self.rows.read();
         self.ensure_clean(&idx, &rows);
         // Entry positions are resolved while the rows read lock is held, so
-        // they are guaranteed consistent with the heap we pin; row
-        // materialisation then happens off-lock from the snapshot. Probes
-        // borrow the caller's keys — no per-lookup clone.
+        // they are guaranteed consistent with the heap we pin. Probes borrow
+        // the caller's keys — no per-lookup clone.
         let entries = idx.entries.read();
         let mut positions: Vec<usize> = Vec::new();
         for key in keys {
@@ -601,13 +631,13 @@ impl Table {
             }
         }
         drop(entries);
-        let snap = Arc::clone(&*rows);
+        let snap = self.pin(&rows);
         drop(rows);
         // Dedupe positions in case the key list itself contains duplicates,
         // and restore heap order for deterministic output.
         positions.sort_unstable();
         positions.dedup();
-        Some(positions.into_iter().filter_map(|p| snap.get(p).cloned()).collect())
+        Some(IndexHits { snap, positions })
     }
 
     /// Range lookup through an index on `column` (NULL values are never in
@@ -618,7 +648,7 @@ impl Table {
         column: usize,
         low: Bound<&Value>,
         high: Bound<&Value>,
-    ) -> Option<Vec<Row>> {
+    ) -> Option<IndexHits> {
         let idx = self.index_for(column)?;
         let rows = self.rows.read();
         self.ensure_clean(&idx, &rows);
@@ -630,10 +660,10 @@ impl Table {
             positions.extend_from_slice(ps);
         }
         drop(entries);
-        let snap = Arc::clone(&*rows);
+        let snap = self.pin(&rows);
         drop(rows);
         positions.sort_unstable();
-        Some(positions.into_iter().filter_map(|p| snap.get(p).cloned()).collect())
+        Some(IndexHits { snap, positions })
     }
 
     /// Rebuild a dirty index. Safe against concurrent mutation because the

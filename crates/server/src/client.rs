@@ -7,7 +7,7 @@
 //! ended in a typed server error mid-stream — both carry whatever rows
 //! were received first, mirroring how the server streams.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -78,9 +78,11 @@ impl QueryResult {
     }
 }
 
-/// One CROSNET1 connection.
+/// One CROSNET1 connection. Replies are read through a buffer, so a
+/// small frame costs one `read`, not one for its length and one for its
+/// payload.
 pub struct Client {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
     max_frame: u32,
 }
 
@@ -98,18 +100,18 @@ impl Client {
                 "bad magic echo {echo:?} — not a CROSNET1 server"
             )));
         }
-        Ok(Client { stream, max_frame: crate::frame::ABSOLUTE_MAX_FRAME })
+        Ok(Client { stream: BufReader::new(stream), max_frame: crate::frame::ABSOLUTE_MAX_FRAME })
     }
 
     /// Limit how long any single receive may block (useful in tests and
     /// the chaos harness; the default is to block indefinitely).
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ClientError> {
-        self.stream.set_read_timeout(timeout)?;
+        self.stream.get_ref().set_read_timeout(timeout)?;
         Ok(())
     }
 
     fn send(&mut self, req: &Request) -> Result<(), ClientError> {
-        write_frame(&mut self.stream, &req.encode())?;
+        write_frame(self.stream.get_mut(), &mut req.frame())?;
         Ok(())
     }
 

@@ -89,6 +89,14 @@ pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
+/// Append one row: its `u16` column count, then each tagged [`Value`].
+pub fn put_row(buf: &mut Vec<u8>, row: &[Value]) {
+    buf.extend_from_slice(&(row.len() as u16).to_le_bytes());
+    for v in row {
+        put_value(buf, v);
+    }
+}
+
 /// Append one tagged [`Value`].
 pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
@@ -174,9 +182,13 @@ impl<'a> Reader<'a> {
     }
 
     pub fn take_str(&mut self) -> Result<String, ProtocolError> {
+        self.take_str_ref().map(String::from)
+    }
+
+    /// A length-prefixed string, borrowed from the frame.
+    pub fn take_str_ref(&mut self) -> Result<&'a str, ProtocolError> {
         let len = self.take_u32()? as usize;
-        let bytes = self.take_bytes(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::BadUtf8)
+        std::str::from_utf8(self.take_bytes(len)?).map_err(|_| ProtocolError::BadUtf8)
     }
 
     pub fn take_bool(&mut self) -> Result<bool, ProtocolError> {
@@ -193,7 +205,7 @@ impl<'a> Reader<'a> {
             1 => Ok(Value::Bool(self.take_bool()?)),
             2 => Ok(Value::Int(self.take_i64()?)),
             3 => Ok(Value::Float(f64::from_bits(self.take_u64()?))),
-            4 => Ok(Value::Str(self.take_str()?.into())),
+            4 => Ok(Value::Str(self.take_str_ref()?.into())),
             t => Err(ProtocolError::BadValueTag(t)),
         }
     }
@@ -201,11 +213,19 @@ impl<'a> Reader<'a> {
 
 // ---- framed I/O -------------------------------------------------------------
 
-/// Write one frame (length prefix + payload) and flush.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = payload.len() as u32;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+/// Start a frame in `buf`: clear it and reserve the 4-byte length prefix,
+/// which [`write_frame`] fills in once the payload after it is complete.
+pub fn begin_frame(buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.extend_from_slice(&[0; 4]);
+}
+
+/// Send one frame begun with [`begin_frame`]: fill in its length prefix,
+/// write prefix and payload with one `write_all`, and flush.
+pub fn write_frame(w: &mut impl Write, frame: &mut [u8]) -> io::Result<()> {
+    let len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    w.write_all(frame)?;
     w.flush()
 }
 

@@ -5,9 +5,11 @@
 //! via [`Reader`], so malformed bytes always surface as a typed
 //! [`ProtocolError`].
 
+use std::io::{self, Write};
+
 use crosse_relational::{Params, Value};
 
-use crate::frame::{put_str, put_value, ProtocolError, Reader};
+use crate::frame::{begin_frame, put_row, put_str, put_value, write_frame, ProtocolError, Reader};
 
 /// Which query language a `QUERY` / `PREPARE` frame carries: the
 /// engine's own [`Lang`], one byte on the wire.
@@ -136,48 +138,61 @@ const REQ_PING: u8 = 0x08;
 const REQ_CLOSE: u8 = 0x09;
 
 impl Request {
+    /// The message's frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// The whole frame, length prefix included, ready for [`write_frame`].
+    pub fn frame(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        begin_frame(&mut buf);
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Request::Hello { user } => {
                 buf.push(REQ_HELLO);
-                put_str(&mut buf, user);
+                put_str(buf, user);
             }
             Request::Query { lang, deadline_ms, text } => {
                 buf.push(REQ_QUERY);
                 buf.push(lang_to_byte(*lang));
                 buf.extend_from_slice(&deadline_ms.to_le_bytes());
-                put_str(&mut buf, text);
+                put_str(buf, text);
             }
             Request::Prepare { lang, name, text } => {
                 buf.push(REQ_PREPARE);
                 buf.push(lang_to_byte(*lang));
-                put_str(&mut buf, name);
-                put_str(&mut buf, text);
+                put_str(buf, name);
+                put_str(buf, text);
             }
             Request::Execute { name, deadline_ms, params } => {
                 buf.push(REQ_EXECUTE);
-                put_str(&mut buf, name);
+                put_str(buf, name);
                 buf.extend_from_slice(&deadline_ms.to_le_bytes());
                 buf.extend_from_slice(&(params.len() as u16).to_le_bytes());
                 for p in params {
-                    put_str(&mut buf, &p.name);
-                    put_value(&mut buf, &p.value);
+                    put_str(buf, &p.name);
+                    put_value(buf, &p.value);
                 }
             }
             Request::Explain { text } => {
                 buf.push(REQ_EXPLAIN);
-                put_str(&mut buf, text);
+                put_str(buf, text);
             }
             Request::Lint { text } => {
                 buf.push(REQ_LINT);
-                put_str(&mut buf, text);
+                put_str(buf, text);
             }
             Request::Stats => buf.push(REQ_STATS),
             Request::Ping => buf.push(REQ_PING),
             Request::Close => buf.push(REQ_CLOSE),
         }
-        buf
     }
 
     pub fn decode(payload: &[u8]) -> Result<Request, ProtocolError> {
@@ -250,28 +265,39 @@ const RSP_PONG: u8 = 0x88;
 const RSP_STATS: u8 = 0x89;
 
 impl Response {
+    /// The message's frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// The whole frame, length prefix included, ready for [`write_frame`].
+    pub fn frame(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        begin_frame(&mut buf);
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Response::HelloOk { server } => {
                 buf.push(RSP_HELLO_OK);
-                put_str(&mut buf, server);
+                put_str(buf, server);
             }
             Response::Schema { columns } => {
                 buf.push(RSP_SCHEMA);
                 buf.extend_from_slice(&(columns.len() as u16).to_le_bytes());
                 for c in columns {
-                    put_str(&mut buf, c);
+                    put_str(buf, c);
                 }
             }
             Response::RowBatch { rows } => {
                 buf.push(RSP_ROW_BATCH);
                 buf.extend_from_slice(&(rows.len() as u32).to_le_bytes());
                 for row in rows {
-                    buf.extend_from_slice(&(row.len() as u16).to_le_bytes());
-                    for v in row {
-                        put_value(&mut buf, v);
-                    }
+                    put_row(buf, row);
                 }
             }
             Response::Done { rows, rows_scanned, elapsed_us } => {
@@ -283,15 +309,15 @@ impl Response {
             Response::Error { code, message } => {
                 buf.push(RSP_ERROR);
                 buf.push(code.to_byte());
-                put_str(&mut buf, message);
+                put_str(buf, message);
             }
             Response::Text { text } => {
                 buf.push(RSP_TEXT);
-                put_str(&mut buf, text);
+                put_str(buf, text);
             }
             Response::PreparedOk { name, params } => {
                 buf.push(RSP_PREPARED_OK);
-                put_str(&mut buf, name);
+                put_str(buf, name);
                 buf.extend_from_slice(&params.to_le_bytes());
             }
             Response::Pong => buf.push(RSP_PONG),
@@ -299,12 +325,11 @@ impl Response {
                 buf.push(RSP_STATS);
                 buf.extend_from_slice(&(entries.len() as u16).to_le_bytes());
                 for (k, v) in entries {
-                    put_str(&mut buf, k);
+                    put_str(buf, k);
                     buf.extend_from_slice(&v.to_le_bytes());
                 }
             }
         }
-        buf
     }
 
     pub fn decode(payload: &[u8]) -> Result<Response, ProtocolError> {
@@ -358,6 +383,61 @@ impl Response {
         };
         r.finish()?;
         Ok(rsp)
+    }
+}
+
+/// A `ROW_BATCH` frame encoded in place as a cursor yields its rows: the
+/// bytes of `Response::RowBatch { rows }.frame()` without first collecting
+/// the rows. The buffer is reused from one batch to the next.
+pub struct RowBatchFrame {
+    buf: Vec<u8>,
+    rows: u32,
+}
+
+/// Where the row count sits in a `ROW_BATCH` frame: after the length
+/// prefix and the tag byte.
+const ROW_COUNT_AT: usize = 5;
+
+impl RowBatchFrame {
+    pub fn new() -> Self {
+        let mut batch = RowBatchFrame { buf: Vec::new(), rows: 0 };
+        batch.clear();
+        batch
+    }
+
+    fn clear(&mut self) {
+        begin_frame(&mut self.buf);
+        self.buf.push(RSP_ROW_BATCH);
+        self.buf.extend_from_slice(&0u32.to_le_bytes());
+        self.rows = 0;
+    }
+
+    pub fn push(&mut self, row: &[Value]) {
+        put_row(&mut self.buf, row);
+        self.rows += 1;
+    }
+
+    /// Rows in the batch so far.
+    pub fn len(&self) -> usize {
+        self.rows as usize
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// Send the batch as one frame and start the next, empty.
+    pub fn write_to(&mut self, w: &mut impl Write) -> io::Result<()> {
+        self.buf[ROW_COUNT_AT..ROW_COUNT_AT + 4].copy_from_slice(&self.rows.to_le_bytes());
+        let sent = write_frame(w, &mut self.buf);
+        self.clear();
+        sent
+    }
+}
+
+impl Default for RowBatchFrame {
+    fn default() -> Self {
+        Self::new()
     }
 }
 

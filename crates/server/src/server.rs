@@ -39,12 +39,12 @@ use std::time::{Duration, Instant};
 use crosse_core::session::{Lang, Rows, Session, Statement};
 use crosse_core::sqm::SesqlEngine;
 use crosse_exec::CancelToken;
-use crosse_relational::{Params, Value};
+use crosse_relational::Params;
 use parking_lot::Mutex;
 
 use crate::admit::{AdmissionGate, AdmitError};
 use crate::frame::{write_frame, ProtocolError, MAGIC};
-use crate::proto::{params_of, ErrorCode, Request, Response};
+use crate::proto::{params_of, ErrorCode, Request, Response, RowBatchFrame};
 use crate::stats::ServerStats;
 
 /// Server identity sent in `HELLO_OK`.
@@ -112,6 +112,20 @@ struct Shared {
     next_conn_id: AtomicU64,
 }
 
+impl Shared {
+    fn new(engine: SesqlEngine, config: ServerConfig) -> Self {
+        Shared {
+            gate: AdmissionGate::new(config.max_active, config.queue_depth),
+            stats: ServerStats::new(),
+            shutdown: AtomicBool::new(false),
+            active_tokens: Mutex::new_labeled("server.active_tokens", HashMap::new()),
+            next_conn_id: AtomicU64::new(0),
+            engine,
+            config,
+        }
+    }
+}
+
 /// A running server; dropping the handle does **not** stop it — call
 /// [`ServerHandle::shutdown`].
 pub struct Server;
@@ -129,15 +143,7 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            gate: AdmissionGate::new(config.max_active, config.queue_depth),
-            stats: ServerStats::new(),
-            shutdown: AtomicBool::new(false),
-            active_tokens: Mutex::new_labeled("server.active_tokens", HashMap::new()),
-            next_conn_id: AtomicU64::new(0),
-            engine,
-            config,
-        });
+        let shared = Arc::new(Shared::new(engine, config));
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
             .name("crosse-accept".into())
@@ -248,7 +254,7 @@ fn refuse_over_capacity(mut stream: TcpStream) {
         code: ErrorCode::Busy,
         message: "server at connection capacity".into(),
     };
-    let _ = write_frame(&mut stream, &rsp.encode());
+    let _ = write_frame(&mut stream, &mut rsp.frame());
 }
 
 /// How one attempt to receive a frame ended.
@@ -339,12 +345,18 @@ fn recv_frame(stream: &mut TcpStream, shared: &Shared) -> Recv {
 
 /// Send a response frame; `false` means the peer is gone (socket writes
 /// are a tracked blocking region — no engine lock may be held here).
-fn send(stream: &mut TcpStream, rsp: &Response) -> bool {
+fn send(stream: &mut impl Write, rsp: &Response) -> bool {
     parking_lot::tracking::blocking_region("server.socket.write");
-    write_frame(stream, &rsp.encode()).is_ok()
+    write_frame(stream, &mut rsp.frame()).is_ok()
 }
 
-fn send_error(stream: &mut TcpStream, code: ErrorCode, message: impl Into<String>) -> bool {
+/// Send a row batch as one frame and empty it (see [`send`]).
+fn send_batch(stream: &mut impl Write, batch: &mut RowBatchFrame) -> bool {
+    parking_lot::tracking::blocking_region("server.socket.write");
+    batch.write_to(stream).is_ok()
+}
+
+fn send_error(stream: &mut impl Write, code: ErrorCode, message: impl Into<String>) -> bool {
     send(stream, &Response::Error { code, message: message.into() })
 }
 
@@ -612,7 +624,7 @@ fn interrupt_code(i: crosse_exec::Interrupt) -> ErrorCode {
 
 /// Map an engine error to its wire code and record it in the stats.
 fn report_engine_error(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     shared: &Shared,
     e: &crosse_core::error::Error,
 ) -> bool {
@@ -635,7 +647,7 @@ fn report_engine_error(
     }
 }
 
-fn send_done(stream: &mut TcpStream, rows: u64, rows_scanned: u64, t0: Instant) -> bool {
+fn send_done(stream: &mut impl Write, rows: u64, rows_scanned: u64, t0: Instant) -> bool {
     send(
         stream,
         &Response::Done {
@@ -648,8 +660,10 @@ fn send_done(stream: &mut TcpStream, rows: u64, rows_scanned: u64, t0: Instant) 
 
 /// Stream a cursor: `SCHEMA`, row batches, then `DONE` (or a typed error
 /// mid-stream — cancellation, deadline, row budget, engine failure). A
-/// write answers `DONE` with its affected-row count alone.
-fn stream_cursor(stream: &mut TcpStream, shared: &Shared, mut cursor: Box<dyn Rows>) -> bool {
+/// write answers `DONE` with its affected-row count alone. Each row is
+/// encoded into the batch frame as the cursor yields it, and each frame
+/// leaves in one write.
+fn stream_cursor(stream: &mut impl Write, shared: &Shared, mut cursor: Box<dyn Rows>) -> bool {
     let t0 = Instant::now();
     if let Some(n) = cursor.affected() {
         ServerStats::bump(&shared.stats.completed);
@@ -659,17 +673,15 @@ fn stream_cursor(stream: &mut TcpStream, shared: &Shared, mut cursor: Box<dyn Ro
         return false;
     }
     let mut sent: u64 = 0;
-    let mut batch: Vec<Vec<Value>> = Vec::with_capacity(BATCH_ROWS);
+    let mut batch = RowBatchFrame::new();
     loop {
         match cursor.next_row() {
             Some(Ok(row)) => {
-                batch.push(row);
+                batch.push(&row);
                 sent += 1;
                 if sent >= shared.config.row_budget {
                     ServerStats::bump(&shared.stats.row_budget_hits);
-                    if !batch.is_empty()
-                        && !send(stream, &Response::RowBatch { rows: std::mem::take(&mut batch) })
-                    {
+                    if !send_batch(stream, &mut batch) {
                         return false;
                     }
                     return send_error(
@@ -681,20 +693,15 @@ fn stream_cursor(stream: &mut TcpStream, shared: &Shared, mut cursor: Box<dyn Ro
                         ),
                     );
                 }
-                if batch.len() >= BATCH_ROWS {
-                    if !send(stream, &Response::RowBatch { rows: std::mem::take(&mut batch) }) {
-                        return false;
-                    }
-                    batch.reserve(BATCH_ROWS);
+                if batch.len() >= BATCH_ROWS && !send_batch(stream, &mut batch) {
+                    return false;
                 }
             }
             Some(Err(e)) => {
                 return report_engine_error(stream, shared, &e);
             }
             None => {
-                if !batch.is_empty()
-                    && !send(stream, &Response::RowBatch { rows: std::mem::take(&mut batch) })
-                {
+                if !batch.is_empty() && !send_batch(stream, &mut batch) {
                     return false;
                 }
                 ServerStats::bump(&shared.stats.completed);
@@ -702,5 +709,74 @@ fn stream_cursor(stream: &mut TcpStream, shared: &Shared, mut cursor: Box<dyn Ro
                 return send_done(stream, sent, scanned, t0);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crosse_relational::Value;
+    use crosse_smartground::{standard_engine, SmartGroundConfig};
+
+    /// A sink that counts the `write` calls reaching it.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The reference framing: a little-endian length, then the payload.
+    fn framed(rsp: &Response) -> Vec<u8> {
+        let payload = rsp.encode();
+        let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&payload);
+        out
+    }
+
+    #[test]
+    fn streamed_result_is_one_write_per_frame_with_unchanged_bytes() {
+        let engine = standard_engine(&SmartGroundConfig::tiny(), "director").unwrap();
+        let db = engine.database().clone();
+        db.execute("CREATE TABLE wire_t (k INT, s TEXT, f FLOAT, b BOOLEAN)").unwrap();
+        let rows: Vec<Vec<Value>> = (0..300i64)
+            .map(|i| {
+                vec![
+                    Value::Int(i - 150),
+                    if i % 11 == 0 { Value::Null } else { Value::from(format!("row-{i}-é")) },
+                    Value::Float(i as f64 / 8.0),
+                    Value::Bool(i % 3 == 0),
+                ]
+            })
+            .collect();
+        db.catalog().get_table("wire_t").unwrap().insert_many(rows.clone()).unwrap();
+        let shared = Shared::new(engine, ServerConfig::default());
+        let cursor = db.query_cursor("SELECT k, s, f, b FROM wire_t").unwrap();
+        let columns = crosse_core::session::Rows::columns(&cursor);
+
+        let mut out = CountingWriter::default();
+        assert!(stream_cursor(&mut out, &shared, Box::new(cursor)));
+
+        let mut expected = framed(&Response::Schema { columns });
+        expected.extend(framed(&Response::RowBatch { rows: rows[..BATCH_ROWS].to_vec() }));
+        expected.extend(framed(&Response::RowBatch { rows: rows[BATCH_ROWS..].to_vec() }));
+        // DONE carries the server's elapsed time; take that one field from
+        // the stream and compare the rest byte for byte.
+        let done = Response::decode(&out.bytes[expected.len() + 4..]).unwrap();
+        let Response::Done { elapsed_us, .. } = done else { panic!("expected DONE, got {done:?}") };
+        expected.extend(framed(&Response::Done { rows: 300, rows_scanned: 300, elapsed_us }));
+        assert_eq!(out.bytes, expected);
+        assert_eq!(out.writes, 4, "one write per frame: SCHEMA, two ROW_BATCHes, DONE");
     }
 }

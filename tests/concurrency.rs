@@ -623,14 +623,60 @@ fn parallel_execution_matches_sequential() {
          WHERE b.v < 30.0 GROUP BY d.label ORDER BY d.label",
         // LEFT join padding must survive partition-parallel probing
         "SELECT COUNT(*) FROM big b LEFT JOIN dim d ON b.grp = d.grp WHERE d.label IS NULL",
+        // aggregate reading an unfiltered scan
+        "SELECT grp, COUNT(*), SUM(v), MIN(k), MAX(k) FROM big GROUP BY grp",
+        // a bare scan, in heap order
+        "SELECT * FROM big",
+        // LEFT join whose probe side is a filtered scan, in probe order
+        "SELECT b.k, d.label FROM big b LEFT JOIN dim d ON b.grp = d.grp WHERE b.v < 10.0",
     ];
-    for q in queries {
+    let check = |q: &str| {
         db.set_exec_threads(1);
         let sequential = db.query(q).unwrap();
         db.set_exec_threads(stress_threads(4));
         let parallel = db.query(q).unwrap();
         assert_eq!(sequential.rows, parallel.rows, "parallel != sequential for `{q}`");
+    };
+    for q in queries {
+        check(q);
     }
+    // Index scans with a projection, last: the indexes would turn the
+    // range filters above into index scans.
+    db.execute("CREATE INDEX big_grp ON big (grp)").unwrap();
+    db.execute("CREATE INDEX big_k ON big (k)").unwrap();
+    for q in [
+        "SELECT k, v FROM big WHERE grp = 'g3'",
+        "SELECT k, grp FROM big WHERE k BETWEEN 5000 AND 12000",
+    ] {
+        let plan = db.query(&format!("EXPLAIN {q}")).unwrap();
+        let plan: Vec<String> = plan.rows.iter().map(|r| r[0].lexical_form()).collect();
+        assert!(plan.iter().any(|l| l.contains("IndexScan")), "`{q}` uses no index: {plan:?}");
+        check(q);
+    }
+}
+
+#[test]
+fn failing_row_yields_the_same_rows_before_it_at_every_thread_count() {
+    // Row x = 5000 divides by zero. Every row before it must come out
+    // first, whether the scan steps inline or in morsel waves — a wave
+    // must not drop the rows its failing morsel produced before the error.
+    let db = Database::new();
+    int_table(&db, 8 * SCAN_BATCH);
+    let drain = |threads: usize| {
+        db.set_exec_threads(threads);
+        let mut cur = db.query_cursor("SELECT 100 / (x - 5000) FROM snap_t").unwrap();
+        let mut n = 0usize;
+        loop {
+            match cur.next_row() {
+                Some(Ok(_)) => n += 1,
+                Some(Err(e)) => return (n, e.to_string()),
+                None => panic!("no error after {n} rows"),
+            }
+        }
+    };
+    let sequential = drain(1);
+    assert_eq!(sequential.0, 5000, "{sequential:?}");
+    assert_eq!(drain(stress_threads(4)), sequential);
 }
 
 #[test]
