@@ -120,7 +120,7 @@ fn bench_sparql_probe(c: &mut Criterion) {
                     Term::iri("linksTo"),
                     Term::iri(format!("leaf{i}_{j}")),
                 ),
-            );
+            ).unwrap();
             store.insert(
                 "kb",
                 &Triple::new(
@@ -128,7 +128,7 @@ fn bench_sparql_probe(c: &mut Criterion) {
                     Term::iri("weight"),
                     Term::lit(((i + j) % 23).to_string()),
                 ),
-            );
+            ).unwrap();
         }
     }
     let q = prepare(
@@ -138,7 +138,7 @@ fn bench_sparql_probe(c: &mut Criterion) {
     let mut group = c.benchmark_group("e11_sparql_probe");
     for threads in [1usize, 4] {
         group.bench_with_input(BenchmarkId::new("two_hop_star", threads), &threads, |b, &t| {
-            let opts = EvalOptions { threads: t, ..Default::default() };
+            let opts = EvalOptions { threads: t };
             let params = SparqlParams::new();
             b.iter(|| black_box(q.execute(&store, &["kb"], &params, &opts).unwrap().len()))
         });

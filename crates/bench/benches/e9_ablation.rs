@@ -155,7 +155,7 @@ fn bench_provenance_overhead(c: &mut Criterion) {
     group.bench_function("reified_assert", |b| {
         b.iter(|| {
             let kb = KnowledgeBase::new();
-            kb.register_user("u");
+            kb.register_user("u").unwrap();
             for t in &triples {
                 black_box(kb.assert_statement("u", t).unwrap());
             }
@@ -174,7 +174,7 @@ fn hierarchy_store(classes: usize, instances: usize) -> TripleStore {
                 rdfschema::rdfs_subclass_of(),
                 Term::iri(format!("C{}", i - 1)),
             ),
-        );
+        ).unwrap();
     }
     for j in 0..instances {
         store.insert(
@@ -184,7 +184,7 @@ fn hierarchy_store(classes: usize, instances: usize) -> TripleStore {
                 rdfschema::rdf_type(),
                 Term::iri(format!("C{}", classes - 1)),
             ),
-        );
+        ).unwrap();
     }
     store
 }
@@ -205,7 +205,7 @@ fn bgp_store(entities: usize, props: usize) -> TripleStore {
                     Term::iri(format!("attr{p}")),
                     Term::lit(format!("v{}", (e * 31 + p * 7) % 50)),
                 ),
-            );
+            ).unwrap();
         }
         store.insert(
             "kb",
@@ -214,7 +214,7 @@ fn bgp_store(entities: usize, props: usize) -> TripleStore {
                 Term::iri("link"),
                 Term::iri(format!("ent{}", (e * 7 + 1) % entities)),
             ),
-        );
+        ).unwrap();
     }
     store
 }
@@ -269,7 +269,7 @@ fn bench_bgp_join(c: &mut Criterion) {
 fn rdfs_workload(n: usize) -> TripleStore {
     let store = TripleStore::new();
     let triples = random_kb(n, n / 20 + 1, 16, 42).expect("fixture kb");
-    store.insert_all("kb", triples.iter());
+    store.insert_all("kb", triples.iter()).unwrap();
     for i in 0..8 {
         store.insert(
             "kb",
@@ -278,7 +278,7 @@ fn rdfs_workload(n: usize) -> TripleStore {
                 rdfschema::rdfs_subproperty_of(),
                 Term::iri(format!("prop{}", i + 8)),
             ),
-        );
+        ).unwrap();
     }
     for i in 0..4 {
         store.insert(
@@ -288,7 +288,7 @@ fn rdfs_workload(n: usize) -> TripleStore {
                 rdfschema::rdfs_domain(),
                 Term::iri(format!("Class{i}")),
             ),
-        );
+        ).unwrap();
         store.insert(
             "kb",
             &Triple::new(
@@ -296,7 +296,7 @@ fn rdfs_workload(n: usize) -> TripleStore {
                 rdfschema::rdfs_subclass_of(),
                 Term::iri(format!("Class{}", i + 4)),
             ),
-        );
+        ).unwrap();
     }
     store
 }
@@ -310,10 +310,10 @@ fn bench_rdfs_materialise(c: &mut Criterion) {
         // Workload sanity: the closure derives facts, and re-running over
         // source + inferences reaches a fixpoint.
         let fresh = rdfs_workload(1_000);
-        let added = materialize_rdfs(&fresh, &["kb"], "inf");
+        let added = materialize_rdfs(&fresh, &["kb"], "inf").unwrap();
         assert!(added > 0, "rdfs workload must derive new facts, got {added}");
         assert_eq!(
-            materialize_rdfs(&fresh, &["kb", "inf"], "inf"),
+            materialize_rdfs(&fresh, &["kb", "inf"], "inf").unwrap(),
             0,
             "closure must be a fixpoint"
         );
@@ -340,13 +340,13 @@ fn bench_inference_strategy(c: &mut Criterion) {
     group.bench_function("materialise_then_lookup", |b| {
         b.iter(|| {
             let s = hierarchy_store(10, 200);
-            materialize_rdfs(&s, &["kb"], "inf");
+            materialize_rdfs(&s, &["kb"], "inf").unwrap();
             black_box(instances_of(&s, &["kb", "inf"], &root))
         })
     });
     // Amortised: materialise once, look up repeatedly.
     let store2 = hierarchy_store(10, 200);
-    materialize_rdfs(&store2, &["kb"], "inf");
+    materialize_rdfs(&store2, &["kb"], "inf").unwrap();
     group.bench_function("lookup_after_materialise", |b| {
         b.iter(|| black_box(instances_of(&store2, &["kb", "inf"], &root)))
     });

@@ -347,7 +347,7 @@ fn e9() {
     });
     let t_reified = median_time(5, || {
         let kb = crosse_rdf::provenance::KnowledgeBase::new();
-        kb.register_user("u");
+        kb.register_user("u").unwrap();
         for t in &triples {
             kb.assert_statement("u", t).unwrap();
         }
@@ -371,7 +371,7 @@ fn e9() {
                     rdfschema::rdfs_subclass_of(),
                     Term::iri(format!("C{}", i - 1)),
                 ),
-            );
+            ).unwrap();
         }
         for j in 0..200 {
             store.insert(
@@ -381,7 +381,7 @@ fn e9() {
                     rdfschema::rdf_type(),
                     Term::iri("C9"),
                 ),
-            );
+            ).unwrap();
         }
         store
     };
@@ -390,11 +390,11 @@ fn e9() {
     let t_walk = median_time(5, || instances_of(&store, &["kb"], &root));
     let t_mat = median_time(3, || {
         let s = mk();
-        materialize_rdfs(&s, &["kb"], "inf");
+        materialize_rdfs(&s, &["kb"], "inf").unwrap();
         instances_of(&s, &["kb", "inf"], &root)
     });
     let warm = mk();
-    materialize_rdfs(&warm, &["kb"], "inf");
+    materialize_rdfs(&warm, &["kb"], "inf").unwrap();
     let t_lookup = median_time(5, || instances_of(&warm, &["kb", "inf"], &root));
     println!("{:<36} {:>14}", "rdfs: query-time subclass walk", fmt(t_walk));
     println!("{:<36} {:>14}", "rdfs: materialise + lookup (cold)", fmt(t_mat));
@@ -839,7 +839,7 @@ fn e13() -> Vec<E13Run> {
         let db = engine.database();
         let kb = engine.knowledge_base();
         db.execute("CREATE TABLE wal_bench (batch INT, item INT)").unwrap();
-        kb.register_user("bench");
+        kb.register_user("bench").unwrap();
         // One untimed batch to warm the plan cache and interner.
         let batch = |b: usize| {
             let values: Vec<String> =

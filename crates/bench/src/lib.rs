@@ -62,7 +62,7 @@ pub fn engine_with_kb(landfills: usize, extra_kb: usize) -> SesqlEngine {
         // need per-statement reification overhead.
         let graph = crosse_rdf::provenance::user_graph("director");
         let triples = random_kb(extra_kb, extra_kb / 10 + 1, 20, 99).expect("fixture kb");
-        engine.knowledge_base().store().insert_all(&graph, triples.iter());
+        engine.knowledge_base().store().insert_all(&graph, triples.iter()).expect("in-memory store");
     }
     engine
 }
@@ -71,7 +71,7 @@ pub fn engine_with_kb(landfills: usize, extra_kb: usize) -> SesqlEngine {
 pub fn store_with_triples(n: usize) -> TripleStore {
     let store = TripleStore::new();
     let triples = random_kb(n, n / 20 + 1, 16, 7).expect("fixture kb");
-    store.insert_all("kb", triples.iter());
+    store.insert_all("kb", triples.iter()).expect("in-memory store");
     store
 }
 
@@ -81,7 +81,7 @@ pub fn store_with_users(users: usize, total: usize) -> TripleStore {
     let store = TripleStore::new();
     let triples = random_kb(total, total / 10 + 1, 8, 7).expect("fixture kb");
     for (i, t) in triples.iter().enumerate() {
-        store.insert(&format!("user{}", i % users.max(1)), t);
+        store.insert(&format!("user{}", i % users.max(1)), t).expect("in-memory store");
     }
     store
 }
@@ -163,7 +163,7 @@ pub fn bloat_danger_kb(engine: &SesqlEngine, user: &str, n: usize) {
             )
         })
         .collect();
-    engine.knowledge_base().store().insert_all(&graph, triples.iter());
+    engine.knowledge_base().store().insert_all(&graph, triples.iter()).expect("in-memory store");
 }
 
 /// Simulate KB churn: flip one element's danger level (E7).
@@ -186,7 +186,7 @@ pub fn churn_kb(engine: &SesqlEngine, user: &str, round: u64) {
 /// A knowledge base with the director ontology for `user` (E6 helper).
 pub fn director_kb(user: &str) -> KnowledgeBase {
     let kb = KnowledgeBase::new();
-    kb.register_user(user);
+    kb.register_user(user).unwrap();
     director_ontology(&kb, user).expect("ontology");
     kb
 }

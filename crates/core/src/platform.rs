@@ -78,8 +78,7 @@ impl CrossePlatform {
 
     pub fn register_user(&self, user: &str) -> Result<()> {
         check_user_name(user)?;
-        self.knowledge_base().register_user(user);
-        Ok(())
+        Ok(self.knowledge_base().register_user(user)?)
     }
 
     pub fn users(&self) -> Vec<String> {

@@ -367,7 +367,7 @@ impl Session {
         check_user_name(user)?;
         let kb = engine.knowledge_base();
         if !kb.is_registered(user) {
-            kb.register_user(user);
+            kb.register_user(user)?;
         }
         Session::new(engine, user)
     }
@@ -505,7 +505,7 @@ impl Statement {
                 let kb = engine.knowledge_base();
                 let graphs = kb.context_graphs(user);
                 let refs: Vec<&str> = graphs.iter().map(String::as_str).collect();
-                let opts = EvalOptions { threads: engine.exec_threads(), ..Default::default() };
+                let opts = EvalOptions { threads: engine.exec_threads() };
                 let outcome = p.run(kb.store(), &refs, &sparql_params(params)?, &opts)?;
                 Box::new(SparqlRows::new(outcome))
             }
@@ -535,7 +535,7 @@ mod tests {
         )
         .unwrap();
         let kb = KnowledgeBase::new();
-        kb.register_user("director");
+        kb.register_user("director").unwrap();
         for (s, o) in [("Hg", "5"), ("Pb", "4")] {
             kb.assert_statement(
                 "director",

@@ -86,10 +86,9 @@ impl SesqlEngine {
             // with zero DDL — no catalog-version churn, no cache-stat
             // perturbation: `peek` bypasses recency and counters); cold
             // engines plan against an ephemeral empty stand-in.
-            let prop_key = format!("{property}\u{1f}{:?}", self.options.expand);
             let live_table = self
                 .cache
-                .peek_pairs(&refs, &prop_key, self.kb.store().version())
+                .peek_pairs(&refs, property, self.kb.store().version())
                 .map(|c| c.table)
                 .filter(|t| self.db.catalog().has_table(&t.name));
             let (tmp_name, ephemeral) = match &live_table {

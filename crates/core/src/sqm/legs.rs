@@ -16,8 +16,8 @@ use super::*;
 #[derive(Debug)]
 pub(super) struct SparqlLegCache {
     pub(super) entries: Mutex<Lru<(String, String), (u64, Solutions)>>,
-    /// REPLACEVARIABLE pairs tables, keyed by (context graphs, property +
-    /// expansion direction) and version-checked like `entries`: a hit
+    /// REPLACEVARIABLE pairs tables, keyed by (context graphs, property)
+    /// and version-checked like `entries`: a hit
     /// skips the SPARQL leg *and* the term→value conversion + dedup that
     /// builds the relational pairs table. Only hits touch the counters —
     /// a pairs miss falls through to the solution-cache path, which
@@ -106,15 +106,15 @@ impl SparqlLegCache {
     /// counts a *hit* once it has seen the table is still there, and
     /// otherwise falls through to `run_sparql_leg`, whose own cache lookup
     /// counts the event (one leg executed = one hit-or-miss, warm or cold).
-    fn get_pairs(&self, graphs: &[&str], prop_key: &str, version: u64) -> Option<CachedPairs> {
-        let key = Self::key(graphs, prop_key);
+    fn get_pairs(&self, graphs: &[&str], property: &str, version: u64) -> Option<CachedPairs> {
+        let key = Self::key(graphs, property);
         self.pairs.lock().get(&key).filter(|c| c.version == version).cloned()
     }
 
     /// Version-valid cached pairs without touching recency or the
     /// hit/miss counters — the diagnostic (`EXPLAIN`) lookup.
-    pub(super) fn peek_pairs(&self, graphs: &[&str], prop_key: &str, version: u64) -> Option<CachedPairs> {
-        match self.pairs.lock().peek(&Self::key(graphs, prop_key)) {
+    pub(super) fn peek_pairs(&self, graphs: &[&str], property: &str, version: u64) -> Option<CachedPairs> {
+        match self.pairs.lock().peek(&Self::key(graphs, property)) {
             Some(cached) if cached.version == version => Some(cached.clone()),
             _ => None,
         }
@@ -125,8 +125,8 @@ impl SparqlLegCache {
     /// the catalog lock. The caller still holds its own clone of the new
     /// entry's guard, so nothing is dropped under the lock at capacity 0
     /// either.
-    fn put_pairs(&self, graphs: &[&str], prop_key: &str, cached: CachedPairs) {
-        let displaced = self.pairs.lock().put_evicting(Self::key(graphs, prop_key), cached);
+    fn put_pairs(&self, graphs: &[&str], property: &str, cached: CachedPairs) {
+        let displaced = self.pairs.lock().put_evicting(Self::key(graphs, property), cached);
         drop(displaced);
     }
 
@@ -170,7 +170,7 @@ impl SesqlEngine {
         let (sols, cached) = match self.cache.get(graphs, sparql, version) {
             Some(s) => (s, true),
             None => {
-                let opts = EvalOptions { threads: self.exec_threads(), ..Default::default() };
+                let opts = EvalOptions { threads: self.exec_threads() };
                 let s = prepared.execute(self.kb.store(), graphs, &SparqlParams::new(), &opts)?;
                 self.cache.put(graphs, sparql, version, &s);
                 (s, false)
@@ -304,9 +304,9 @@ impl SesqlEngine {
     /// The materialised relational pairs table for `property` in `user`'s
     /// context — the oriented, deduplicated KB pairs rows of the
     /// REPLACEVARIABLE expansion. A row (a, b) means "a value equal to
-    /// `a` may also match as `b`"; the expansion direction decides the
-    /// orientation(s). The cache entry (keyed by context graphs,
-    /// property + direction, KB version) keeps the table alive in the
+    /// `a` may also match as `b`"; the expansion is symmetric, so every KB
+    /// pair appears in both orientations. The cache entry (keyed by
+    /// context graphs, property, KB version) keeps the table alive in the
     /// catalog across executions: a warm run skips the SPARQL leg, the
     /// term→value conversion *and* the re-materialisation (no catalog
     /// version churn), reporting the leg as `cached + shared`. The caller
@@ -321,12 +321,11 @@ impl SesqlEngine {
         let graphs = self.kb.context_graphs(user);
         let refs: Vec<&str> = graphs.iter().map(String::as_str).collect();
         let version = self.kb.store().version();
-        let prop_key = format!("{property}\u{1f}{:?}", self.options.expand);
         // A table a user dropped by name is a miss: the leg cache still
         // holds the solutions to rebuild it from.
         if let Some(cached) = self
             .cache
-            .get_pairs(&refs, &prop_key, version)
+            .get_pairs(&refs, property, version)
             .filter(|c| self.db.catalog().has_table(&c.table.name))
         {
             self.cache.hits.fetch_add(1, AtomicOrdering::Relaxed);
@@ -349,8 +348,7 @@ impl SesqlEngine {
         let s_idx = sols.var_index("s").expect("pairs query binds ?s");
         let o_idx = sols.var_index("o").expect("pairs query binds ?o");
         let interner = self.db.interner();
-        let symmetric = self.options.expand == ExpandDirection::Symmetric;
-        let capacity = sols.rows.len() * if symmetric { 2 } else { 1 };
+        let capacity = sols.rows.len() * 2;
         // Hash-dedup (first-seen order) instead of sort+dedup: O(n) with
         // cheap interned keys, and no O(n log n) comparison pass.
         let mut seen: std::collections::HashSet<(Value, Value)> =
@@ -364,14 +362,8 @@ impl SesqlEngine {
         for r in &sols.rows {
             if let (Some(s), Some(o)) = (&r[s_idx], &r[o_idx]) {
                 let (sv, ov) = (term_to_value_in(s, interner), term_to_value_in(o, interner));
-                match self.options.expand {
-                    ExpandDirection::Forward => push(sv, ov, &mut rows),
-                    ExpandDirection::Inverse => push(ov, sv, &mut rows),
-                    ExpandDirection::Symmetric => {
-                        push(sv.clone(), ov.clone(), &mut rows);
-                        push(ov, sv, &mut rows);
-                    }
-                }
+                push(sv.clone(), ov.clone(), &mut rows);
+                push(ov, sv, &mut rows);
             }
         }
         // Unique per materialisation: concurrent REPLACEVARIABLE queries
@@ -386,7 +378,7 @@ impl SesqlEngine {
         let table = Arc::new(PairsTable { catalog: self.db.catalog().clone(), name });
         self.cache.put_pairs(
             &refs,
-            &prop_key,
+            property,
             CachedPairs { version, sparql, solutions: sols.len(), table: Arc::clone(&table) },
         );
         Ok(table)
@@ -590,7 +582,7 @@ mod tests {
     #[test]
     fn cache_is_per_user_context() {
         let e = engine();
-        e.knowledge_base().register_user("other");
+        e.knowledge_base().register_user("other").unwrap();
         e.execute("director", CACHED_QUERY).unwrap();
         let r = e.execute("other", CACHED_QUERY).unwrap();
         // `other` has an empty context — different graphs, no false hit.

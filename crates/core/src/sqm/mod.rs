@@ -36,6 +36,7 @@ use crosse_relational::{Column, DataType, Database, Row, RowSet, Schema, Value};
 
 use crate::error::{Error, Result};
 use crate::session::EnrichedRows;
+use crate::storage::EngineDurability;
 use crate::sesql::ast::{Enrichment, SesqlQuery};
 use crate::sesql::parser::parse_sesql;
 
@@ -66,21 +67,6 @@ pub enum MultiValuePolicy {
     Concatenate,
 }
 
-/// Direction in which `REPLACEVARIABLE` walks the property edges when
-/// expanding a variable (paper Ex. 4.6 uses `oreAssemblage`, a co-
-/// occurrence relation that is naturally symmetric; directional properties
-/// like `inCountry` want `Forward`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExpandDirection {
-    /// `x` expands to the objects of `<x, p, ?o>`.
-    Forward,
-    /// `x` expands to the subjects of `<?s, p, x>`.
-    Inverse,
-    /// Both directions.
-    #[default]
-    Symmetric,
-}
-
 /// User-tunable enrichment behaviour ("which may or may not contain the
 /// initial value according to the user preferences", paper Sec. III-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,8 +75,6 @@ pub struct EnrichOptions {
     /// For the WHERE enrichments: whether the original value/condition is
     /// kept alongside the ontology-derived expansion.
     pub include_self: bool,
-    /// Edge direction for `REPLACEVARIABLE` expansion.
-    pub expand: ExpandDirection,
 }
 
 impl Default for EnrichOptions {
@@ -98,7 +82,6 @@ impl Default for EnrichOptions {
         EnrichOptions {
             multi: MultiValuePolicy::RowPerMatch,
             include_self: true,
-            expand: ExpandDirection::Symmetric,
         }
     }
 }
@@ -198,6 +181,9 @@ pub struct SesqlEngine {
     /// Prepared SESQL queries keyed by normalized text (bounded LRU):
     /// repeated `prepare` traffic skips the scanner + both parsers.
     prepared: Arc<Mutex<Lru<String, CachedSesql>>>,
+    /// The data directory's log and checkpointer when the engine was
+    /// opened from one ([`SesqlEngine::open`]); `None` in memory.
+    durability: Option<Arc<EngineDurability>>,
 }
 
 impl SesqlEngine {
@@ -211,7 +197,12 @@ impl SesqlEngine {
             cache: Arc::default(),
             compiled_legs: Arc::new(Mutex::new_labeled("sesql.ast_cache", Lru::new(DEFAULT_CACHE_CAPACITY))),
             prepared: Arc::new(Mutex::new_labeled("sesql.prepared_cache", Lru::new(DEFAULT_CACHE_CAPACITY))),
+            durability: None,
         }
+    }
+
+    pub(crate) fn with_durability(self, durability: EngineDurability) -> Self {
+        SesqlEngine { durability: Some(Arc::new(durability)), ..self }
     }
 
     /// Open (or create) a durable engine backed by the write-ahead log at
@@ -232,26 +223,30 @@ impl SesqlEngine {
 
     /// Whether this engine logs to a write-ahead log.
     pub fn is_durable(&self) -> bool {
-        self.db.is_durable()
+        self.durability.is_some()
+    }
+
+    fn durability(&self) -> Result<&EngineDurability> {
+        self.durability
+            .as_deref()
+            .ok_or_else(|| Error::storage("engine was not opened from a data directory"))
     }
 
     /// Take a checkpoint: pin the relational catalog and the triple store
     /// at one LSN under the WAL barrier, write the two-section snapshot
-    /// off-thread, truncate the log. Surfaces any parked background
-    /// storage error first. Errors if the engine is in-memory.
+    /// off-thread, truncate the log. Errors if the engine is in-memory.
     pub fn checkpoint(&self) -> Result<u64> {
-        self.storage_check()?;
-        Ok(self.db.checkpoint()?)
+        self.durability()?.checkpoint()
     }
 
     /// Wait for any in-flight checkpoint and surface its error, if any.
     pub fn checkpoint_join(&self) -> Result<()> {
-        Ok(self.db.checkpoint_join()?)
+        self.durability()?.checkpoint_join()
     }
 
     /// WAL statistics, or `None` for an in-memory engine.
     pub fn wal_stats(&self) -> Option<crate::storage::WalStats> {
-        self.db.wal_stats()
+        self.durability.as_ref().map(|d| d.wal_stats())
     }
 
     /// Per-site lock counters from the concurrency tracking layer (CLI
@@ -264,15 +259,10 @@ impl SesqlEngine {
     /// Non-fatal notes from recovery (e.g. a torn final record truncated
     /// away). Empty for in-memory engines and clean opens.
     pub fn recovery_warnings(&self) -> Vec<String> {
-        self.db.recovery_warnings()
-    }
-
-    /// Surface a storage error parked by an RDF mutator whose signature
-    /// cannot return one (`insert` → bool, `insert_all` → usize): once a
-    /// redo append fails, the store refuses further writes and this
-    /// reports why. `Ok` on healthy and in-memory engines.
-    pub fn storage_check(&self) -> Result<()> {
-        Ok(self.kb.store().storage_check()?)
+        self.durability
+            .as_ref()
+            .map(|d| d.recovery_warnings().to_vec())
+            .unwrap_or_default()
     }
 
     /// Set the engine-wide worker-thread budget for intra-query
@@ -563,7 +553,7 @@ mod tests {
         .unwrap();
 
         let kb = KnowledgeBase::new();
-        kb.register_user("director");
+        kb.register_user("director").unwrap();
         for (s, p, o) in [
             ("Hg", "dangerLevel", "5"),
             ("Pb", "dangerLevel", "4"),
@@ -1006,7 +996,7 @@ mod tests {
     fn user_contexts_differ() {
         let e = engine();
         let kb = e.knowledge_base();
-        kb.register_user("planner");
+        kb.register_user("planner").unwrap();
         kb.assert_statement(
             "planner",
             &Triple::new(iri("Cu"), iri("dangerLevel"), lit("9")),

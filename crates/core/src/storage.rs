@@ -10,7 +10,7 @@
 //!
 //! [`SesqlEngine::open`](crate::sqm::SesqlEngine::open) is the recovery
 //! entry point: load the latest valid snapshot (both sections), replay the
-//! log tail in LSN order dispatching by channel, attach the redo sinks,
+//! log tail in LSN order dispatching by channel, attach the redo logs,
 //! and rebuild the [`KnowledgeBase`] provenance counters from the
 //! recovered meta graph. Engine caches need no explicit flush on recovery:
 //! every cache (SPARQL-leg solutions, REPLACEVARIABLE pairs tables,
@@ -21,101 +21,75 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use crosse_rdf::persist::{apply_rdf_op, decode_store, encode_store, pin_store, WalRdfSink};
+use crosse_rdf::persist::{apply_rdf_op, decode_store, encode_store, pin_store};
 use crosse_rdf::provenance::KnowledgeBase;
 use crosse_rdf::store::TripleStore;
-use crosse_relational::storage::durable::{DurabilityHandle, WalRedoSink};
 use crosse_relational::storage::snapshot::{decode_catalog, encode_catalog, pin_catalog};
 use crosse_relational::storage::wal::apply_rel_op;
 use crosse_relational::storage::Catalog;
 use crosse_relational::Database;
-use crosse_wal::{WalStore, CHAN_RDF, CHAN_REL};
+use crosse_wal::{RedoLog, WalStore, CHAN_RDF, CHAN_REL};
 
 pub use crosse_wal::{SyncPolicy, WalOptions, WalStats};
 
 use crate::error::{Error, Result};
 use crate::sqm::SesqlEngine;
 
-/// Combined relational + RDF durability handle: checkpoints pin both
-/// stores in one barrier section and write a two-section snapshot.
-/// Installed on the [`Database`] so `db.checkpoint()` and the engine-level
-/// checkpoint are the same operation.
-pub struct EngineDurability {
+/// A durable engine's hold on its data directory: the shared log, and
+/// the two stores a checkpoint pins in one barrier section into a
+/// two-section snapshot.
+pub(crate) struct EngineDurability {
     wal: Arc<WalStore>,
     catalog: Catalog,
     store: TripleStore,
     warnings: Vec<String>,
 }
 
-impl std::fmt::Debug for EngineDurability {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineDurability")
-            .field("dir", &self.wal.dir())
-            .finish_non_exhaustive()
-    }
-}
-
 impl EngineDurability {
-    pub fn new(
-        wal: Arc<WalStore>,
-        catalog: Catalog,
-        store: TripleStore,
-        warnings: Vec<String>,
-    ) -> Self {
-        EngineDurability { wal, catalog, store, warnings }
-    }
-}
-
-impl DurabilityHandle for EngineDurability {
-    fn checkpoint(&self) -> crosse_relational::Result<u64> {
+    /// Take a checkpoint; returns the pinned LSN. Blocks only for the pin
+    /// phase — the snapshot is encoded and written on a background thread
+    /// (join with [`EngineDurability::checkpoint_join`]).
+    pub fn checkpoint(&self) -> Result<u64> {
         let catalog = self.catalog.clone();
         let store = self.store.clone();
         // The pin closure runs under the WAL barrier write lock: both
         // stores are frozen at the same LSN. Encoding runs off-thread.
-        self.wal
-            .checkpoint(
-                move || (pin_catalog(&catalog), pin_store(&store)),
-                |(cat, rdf)| {
-                    vec![
-                        (CHAN_REL, encode_catalog(&cat)),
-                        (CHAN_RDF, encode_store(&rdf)),
-                    ]
-                },
-            )
-            .map_err(crosse_relational::Error::from)
+        Ok(self.wal.checkpoint(
+            move || (pin_catalog(&catalog), pin_store(&store)),
+            |(cat, rdf)| vec![(CHAN_REL, encode_catalog(&cat)), (CHAN_RDF, encode_store(&rdf))],
+        )?)
     }
 
-    fn checkpoint_join(&self) -> crosse_relational::Result<()> {
-        self.wal.checkpoint_join().map_err(crosse_relational::Error::from)
+    /// Wait for any in-flight checkpoint and surface its error, if any.
+    pub fn checkpoint_join(&self) -> Result<()> {
+        Ok(self.wal.checkpoint_join()?)
     }
 
-    fn wal_stats(&self) -> WalStats {
+    pub fn wal_stats(&self) -> WalStats {
         self.wal.stats()
     }
 
-    fn recovery_warnings(&self) -> Vec<String> {
-        self.warnings.clone()
-    }
-
-    fn sync(&self) -> crosse_relational::Result<()> {
-        self.wal.sync().map_err(crosse_relational::Error::from)
+    /// Non-fatal recovery notes from open (e.g. a torn final record that
+    /// was truncated).
+    pub fn recovery_warnings(&self) -> &[String] {
+        &self.warnings
     }
 }
 
 /// Open (or create) a durable engine at `dir`: recover both stores from
-/// the latest snapshot + log tail, attach the redo sinks, and rebuild the
+/// the latest snapshot + log tail, attach the redo logs, and rebuild the
 /// knowledge base's provenance state. See
 /// [`SesqlEngine::open`](crate::sqm::SesqlEngine::open) for the public
 /// face.
 pub fn open_engine(dir: impl AsRef<Path>, opts: WalOptions) -> Result<SesqlEngine> {
     let (wal, recovered) = WalStore::open(dir, opts)?;
-    let mut db = Database::new();
+    let db = Database::new();
     let store = TripleStore::new();
 
     // 1. Restore the checkpoint snapshot, one section per substrate.
     for (tag, bytes) in &recovered.sections {
         match *tag {
-            CHAN_REL => decode_catalog(db.catalog(), bytes, Some(db.interner()))?,
+            CHAN_REL => decode_catalog(db.catalog(), bytes, db.interner())?,
             CHAN_RDF => decode_store(&store, bytes)?,
             other => {
                 return Err(Error::storage(format!(
@@ -126,10 +100,10 @@ pub fn open_engine(dir: impl AsRef<Path>, opts: WalOptions) -> Result<SesqlEngin
     }
 
     // 2. Replay the log tail in LSN order, dispatching by channel. No
-    //    sink is attached yet, so replay never re-logs.
+    //    log is attached yet, so replay never re-logs.
     for rec in &recovered.records {
         match rec.chan {
-            CHAN_REL => apply_rel_op(db.catalog(), &rec.payload, Some(db.interner()))?,
+            CHAN_REL => apply_rel_op(db.catalog(), &rec.payload, db.interner())?,
             CHAN_RDF => apply_rdf_op(&store, &rec.payload)?,
             other => {
                 return Err(Error::storage(format!(
@@ -141,21 +115,20 @@ pub fn open_engine(dir: impl AsRef<Path>, opts: WalOptions) -> Result<SesqlEngin
     }
 
     // 3. Start logging on both channels, sharing one barrier and one log.
-    db.catalog()
-        .attach_sink(Arc::new(WalRedoSink::new(Arc::clone(&wal), CHAN_REL)));
-    store.attach_sink(Arc::new(WalRdfSink::new(Arc::clone(&wal))));
-    db.set_durability(Arc::new(EngineDurability::new(
+    db.catalog().attach_sink(RedoLog::new(Arc::clone(&wal), CHAN_REL));
+    store.attach_sink(RedoLog::new(Arc::clone(&wal), CHAN_RDF));
+    let durability = EngineDurability {
         wal,
-        db.catalog().clone(),
-        store.clone(),
-        recovered.warnings.clone(),
-    )));
+        catalog: db.catalog().clone(),
+        store: store.clone(),
+        warnings: recovered.warnings,
+    };
 
     // 4. Rebuild provenance state (next statement id) from the recovered
     //    meta graph. On a fresh directory this also creates the meta and
-    //    common graphs — through the sink, so they are durable too.
-    let kb = KnowledgeBase::from_store(store);
-    Ok(SesqlEngine::new(db, kb))
+    //    common graphs — through the log, so they are durable too.
+    let kb = KnowledgeBase::from_store(store)?;
+    Ok(SesqlEngine::new(db, kb).with_durability(durability))
 }
 
 #[cfg(test)]
@@ -190,7 +163,7 @@ mod tests {
                      INSERT INTO elem VALUES ('Hg', 12.5), ('Pb', 30.0);",
                 )
                 .unwrap();
-            engine.knowledge_base().register_user("director");
+            engine.knowledge_base().register_user("director").unwrap();
             engine
                 .knowledge_base()
                 .assert_statement(
@@ -225,7 +198,7 @@ mod tests {
                 .database()
                 .execute_script("CREATE TABLE t (x INT); INSERT INTO t VALUES (1);")
                 .unwrap();
-            engine.knowledge_base().register_user("u");
+            engine.knowledge_base().register_user("u").unwrap();
             first_id = engine
                 .knowledge_base()
                 .assert_statement(
@@ -277,7 +250,7 @@ mod tests {
                      INSERT INTO elem_contained VALUES ('Hg', 12.5), ('Cu', 3.0);",
                 )
                 .unwrap();
-            engine.knowledge_base().register_user("director");
+            engine.knowledge_base().register_user("director").unwrap();
             engine
                 .knowledge_base()
                 .assert_statement(
@@ -313,7 +286,7 @@ mod tests {
         let engine = SesqlEngine::new(Database::new(), KnowledgeBase::new());
         assert!(!engine.is_durable());
         let err = engine.checkpoint().unwrap_err();
-        assert!(matches!(err, Error::Relational(_)), "{err:?}");
+        assert!(matches!(err, Error::Storage(_)), "{err:?}");
         assert!(engine.wal_stats().is_none());
         assert!(engine.recovery_warnings().is_empty());
     }

@@ -9,8 +9,8 @@
 //!
 //! Tokens travel two ways:
 //!
-//! 1. **Explicitly** — APIs like `Rows::from_plan_with` or
-//!    `EvalOptions::cancel` accept a token directly.
+//! 1. **Explicitly** — APIs like `Rows::from_plan_with` accept a token
+//!    directly.
 //! 2. **Ambiently** — a thread-local *current token* installed with
 //!    [`CancelToken::make_current`] for the duration of a query. Execution
 //!    contexts capture the ambient token once at construction (on the query

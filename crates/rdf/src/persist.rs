@@ -8,68 +8,11 @@
 //! by each graph's triples as `3×u32` ids, and restoring into a fresh
 //! store re-interns the dictionary densely so the ids line up.
 
-use std::sync::Arc;
-
-use parking_lot::RwLock;
-
-use crosse_wal::{Decoder, Encoder, WalStore, CHAN_RDF};
+use crosse_wal::{Decoder, Encoder};
 
 use crate::error::{Error, Result};
 use crate::store::{Triple, TripleStore};
 use crate::term::Term;
-
-/// Where the store's redo records go. Mirrors the relational crate's
-/// `RedoSink`; the indirection keeps the store testable without a
-/// filesystem.
-pub trait RdfRedoSink: Send + Sync + std::fmt::Debug {
-    /// The append/checkpoint barrier. Mutators hold the read side across
-    /// their whole log-then-apply critical section.
-    fn barrier(&self) -> &RwLock<()>;
-
-    /// Append one encoded [`RdfOp`] to the log buffer without forcing it
-    /// to disk.
-    fn log(&self, payload: &[u8]) -> Result<()>;
-
-    /// Apply the sink's durability policy (fsync if due). Mutators call
-    /// this **after** releasing the graph locks so no store lock is held
-    /// across the (slow, blocking) fsync. An error here means the
-    /// mutation is applied in memory but its durability is not yet
-    /// guaranteed.
-    fn flush(&self) -> Result<()> {
-        Ok(())
-    }
-}
-
-/// [`RdfRedoSink`] over a shared [`WalStore`], tagging records `CHAN_RDF`.
-pub struct WalRdfSink {
-    wal: Arc<WalStore>,
-}
-
-impl WalRdfSink {
-    pub fn new(wal: Arc<WalStore>) -> Self {
-        WalRdfSink { wal }
-    }
-}
-
-impl std::fmt::Debug for WalRdfSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WalRdfSink").field("dir", &self.wal.dir()).finish()
-    }
-}
-
-impl RdfRedoSink for WalRdfSink {
-    fn barrier(&self) -> &RwLock<()> {
-        self.wal.barrier()
-    }
-
-    fn log(&self, payload: &[u8]) -> Result<()> {
-        self.wal.append_nosync(CHAN_RDF, payload).map(drop).map_err(Error::from)
-    }
-
-    fn flush(&self) -> Result<()> {
-        self.wal.sync_policy().map_err(Error::from)
-    }
-}
 
 const OP_INSERT_ALL: u8 = 1;
 const OP_REMOVE: u8 = 2;
@@ -117,7 +60,7 @@ pub fn encode_rdf_op(op: &RdfOp<'_>) -> Vec<u8> {
 }
 
 /// Decode one payload and apply it to `store` **without re-logging** —
-/// the replay path (no sink is attached to a recovering store).
+/// the replay path (no log is attached to a recovering store).
 pub fn apply_rdf_op(store: &TripleStore, payload: &[u8]) -> Result<()> {
     let mut d = Decoder::new(payload);
     let tag = d.u8().map_err(Error::from)?;
@@ -318,9 +261,9 @@ mod tests {
 
     fn seeded() -> TripleStore {
         let store = TripleStore::new();
-        store.insert("u1", &t("Hg", "dangerLevel", "5"));
-        store.insert("u1", &t("Pb", "dangerLevel", "4"));
-        store.insert("u2", &t("Hg", "dangerLevel", "5"));
+        store.insert("u1", &t("Hg", "dangerLevel", "5")).unwrap();
+        store.insert("u1", &t("Pb", "dangerLevel", "4")).unwrap();
+        store.insert("u2", &t("Hg", "dangerLevel", "5")).unwrap();
         store.insert(
             "u2",
             &Triple::new(
@@ -328,8 +271,8 @@ mod tests {
                 Term::iri("p"),
                 Term::typed_lit("3", "http://www.w3.org/2001/XMLSchema#integer"),
             ),
-        );
-        store.ensure_graph("empty");
+        ).unwrap();
+        store.ensure_graph("empty").unwrap();
         store
     }
 
@@ -392,7 +335,7 @@ mod tests {
         let src = seeded();
         let bytes = encode_store(&pin_store(&src));
         let dst = TripleStore::new();
-        dst.insert("g", &t("a", "p", "c"));
+        dst.insert("g", &t("a", "p", "c")).unwrap();
         let err = decode_store(&dst, &bytes).unwrap_err();
         assert!(matches!(err, Error::Storage(_)), "{err}");
     }

@@ -64,8 +64,8 @@ impl Default for KnowledgeBase {
 impl KnowledgeBase {
     pub fn new() -> Self {
         let store = TripleStore::new();
-        store.ensure_graph(META_GRAPH);
-        store.ensure_graph(COMMON_GRAPH);
+        store.apply_ensure_graph(META_GRAPH);
+        store.apply_ensure_graph(COMMON_GRAPH);
         KnowledgeBase { store, next_statement: Arc::new(AtomicU64::new(0)) }
     }
 
@@ -78,9 +78,10 @@ impl KnowledgeBase {
     /// counter is not persisted separately — it is rebuilt by scanning the
     /// metadata graph for reified statement nodes and continuing after the
     /// highest id, so recovered knowledge bases never re-mint a used id.
-    pub fn from_store(store: TripleStore) -> Self {
-        store.ensure_graph(META_GRAPH);
-        store.ensure_graph(COMMON_GRAPH);
+    /// Fails if the store cannot log the two graphs it creates.
+    pub fn from_store(store: TripleStore) -> Result<Self> {
+        store.ensure_graph(META_GRAPH)?;
+        store.ensure_graph(COMMON_GRAPH)?;
         let next = store
             .match_pattern(
                 &[META_GRAPH],
@@ -95,16 +96,17 @@ impl KnowledgeBase {
             .map(|id| id.0 + 1)
             .max()
             .unwrap_or(0);
-        KnowledgeBase { store, next_statement: Arc::new(AtomicU64::new(next)) }
+        Ok(KnowledgeBase { store, next_statement: Arc::new(AtomicU64::new(next)) })
     }
 
     /// Register a user; idempotent.
-    pub fn register_user(&self, user: &str) {
-        self.store.ensure_graph(&user_graph(user));
+    pub fn register_user(&self, user: &str) -> Result<()> {
+        self.store.ensure_graph(&user_graph(user))?;
         self.store.insert(
             META_GRAPH,
             &Triple::new(schema::user_iri(user), schema::rdf_type(), schema::user_class()),
-        );
+        )?;
+        Ok(())
     }
 
     pub fn is_registered(&self, user: &str) -> bool {
@@ -166,8 +168,8 @@ impl KnowledgeBase {
                     schema::user_statement(),
                     schema::statement_iri(existing.0),
                 ),
-            );
-            self.store.insert(&user_graph(user), triple);
+            )?;
+            self.store.insert(&user_graph(user), triple)?;
             return Ok(existing);
         }
 
@@ -183,8 +185,8 @@ impl KnowledgeBase {
             Triple::new(node.clone(), schema::rdf_object(), triple.object.clone()),
             Triple::new(schema::user_iri(user), schema::user_statement(), node),
         ];
-        self.store.insert_all(META_GRAPH, &meta);
-        self.store.insert(&user_graph(user), triple);
+        self.store.insert_all(META_GRAPH, &meta)?;
+        self.store.insert(&user_graph(user), triple)?;
         Ok(id)
     }
 
@@ -253,8 +255,8 @@ impl KnowledgeBase {
                 schema::user_belief(),
                 schema::statement_iri(id.0),
             ),
-        );
-        self.store.insert(&user_graph(user), &triple);
+        )?;
+        self.store.insert(&user_graph(user), &triple)?;
         Ok(())
     }
 
@@ -264,16 +266,16 @@ impl KnowledgeBase {
     pub fn retract(&self, user: &str, id: StatementId) -> Result<()> {
         self.require_user(user)?;
         let triple = self.statement_triple(id)?;
-        self.store.remove(&user_graph(user), &triple);
+        self.store.remove(&user_graph(user), &triple)?;
         let node = schema::statement_iri(id.0);
         self.store.remove(
             META_GRAPH,
             &Triple::new(schema::user_iri(user), schema::user_statement(), node.clone()),
-        );
+        )?;
         self.store.remove(
             META_GRAPH,
             &Triple::new(schema::user_iri(user), schema::user_belief(), node),
-        );
+        )?;
         Ok(())
     }
 
@@ -378,24 +380,24 @@ impl KnowledgeBase {
         self.store.insert(
             META_GRAPH,
             &Triple::new(node.clone(), schema::rdf_type(), schema::reference_class()),
-        );
-        self.store.insert(META_GRAPH, &Triple::new(stmt, schema::stm_reference(), node.clone()));
+        )?;
+        self.store.insert(META_GRAPH, &Triple::new(stmt, schema::stm_reference(), node.clone()))?;
         self.store
-            .insert(META_GRAPH, &Triple::new(node.clone(), schema::ref_title(), Term::lit(title)));
+            .insert(META_GRAPH, &Triple::new(node.clone(), schema::ref_title(), Term::lit(title)))?;
         self.store
-            .insert(META_GRAPH, &Triple::new(node.clone(), schema::ref_author(), Term::lit(author)));
-        self.store.insert(META_GRAPH, &Triple::new(node, schema::ref_link(), Term::lit(link)));
+            .insert(META_GRAPH, &Triple::new(node.clone(), schema::ref_author(), Term::lit(author)))?;
+        self.store.insert(META_GRAPH, &Triple::new(node, schema::ref_link(), Term::lit(link)))?;
         Ok(())
     }
 
     /// Load shared ontology triples into the common graph.
-    pub fn load_common(&self, triples: &[Triple]) -> usize {
+    pub fn load_common(&self, triples: &[Triple]) -> Result<usize> {
         self.store.insert_all(COMMON_GRAPH, triples.iter())
     }
 
     /// Run RDFS materialisation over common + a user's graph into the
     /// shared inferred graph.
-    pub fn materialize_inferences(&self) -> usize {
+    pub fn materialize_inferences(&self) -> Result<usize> {
         crate::reasoner::materialize_rdfs(
             &self.store,
             &[COMMON_GRAPH],
@@ -448,8 +450,8 @@ mod tests {
 
     fn kb() -> KnowledgeBase {
         let kb = KnowledgeBase::new();
-        kb.register_user("alice");
-        kb.register_user("bob");
+        kb.register_user("alice").unwrap();
+        kb.register_user("bob").unwrap();
         kb
     }
 
@@ -591,7 +593,7 @@ mod tests {
         let b = kb.assert_statement("alice", &t("x", "p", "z")).unwrap();
         assert!(b > a);
         // Simulate recovery: rebuild the KB from the store alone.
-        let recovered = KnowledgeBase::from_store(kb.store().clone());
+        let recovered = KnowledgeBase::from_store(kb.store().clone()).unwrap();
         let c = recovered.assert_statement("alice", &t("x", "p", "w")).unwrap();
         assert!(c > b, "recovered counter must not re-mint {b:?}");
         assert_eq!(recovered.statement_triple(a).unwrap(), t("x", "p", "y"));
@@ -601,7 +603,7 @@ mod tests {
     #[test]
     fn common_graph_visible_to_all() {
         let kb = kb();
-        kb.load_common(&[t("Torino", "inCountry", "Italy")]);
+        kb.load_common(&[t("Torino", "inCountry", "Italy")]).unwrap();
         let a = kb.query_as("alice", "SELECT ?c WHERE { <Torino> <inCountry> ?c }").unwrap();
         let b = kb.query_as("bob", "SELECT ?c WHERE { <Torino> <inCountry> ?c }").unwrap();
         assert_eq!(a.len(), 1);
@@ -614,8 +616,8 @@ mod tests {
         kb.load_common(&[
             Triple::new(Term::iri("HeavyMetal"), schema::rdfs_subclass_of(), Term::iri("Hazard")),
             Triple::new(Term::iri("Hg"), schema::rdf_type(), Term::iri("HeavyMetal")),
-        ]);
-        let n = kb.materialize_inferences();
+        ]).unwrap();
+        let n = kb.materialize_inferences().unwrap();
         assert!(n >= 1);
         let sols = kb
             .query_as("alice", "SELECT ?x WHERE { ?x rdf:type <Hazard> }")

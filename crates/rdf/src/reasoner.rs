@@ -27,18 +27,19 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
+use crate::error::Result;
 use crate::schema;
 use crate::store::{IdTriple, TripleStore};
 use crate::term::{Term, TermId};
 
 /// Compute the RDFS closure of the union of `source_graphs` and write any
 /// *new* triples into `target_graph`. Returns the number of inferred
-/// triples added.
+/// triples added, or the store's redo error.
 pub fn materialize_rdfs(
     store: &TripleStore,
     source_graphs: &[&str],
     target_graph: &str,
-) -> usize {
+) -> Result<usize> {
     let dict = store.dictionary();
     // Intern the schema vocabulary exactly once. (Interning is safe: it
     // adds terms to the dictionary without asserting triples.)
@@ -261,16 +262,16 @@ mod tests {
         let g = "kb";
         let sc = schema::rdfs_subclass_of();
         let ty = schema::rdf_type();
-        store.insert(g, &Triple::new(iri("Metal"), sc.clone(), iri("Element")));
-        store.insert(g, &Triple::new(iri("HeavyMetal"), sc.clone(), iri("Metal")));
-        store.insert(g, &Triple::new(iri("Hg"), ty.clone(), iri("HeavyMetal")));
+        store.insert(g, &Triple::new(iri("Metal"), sc.clone(), iri("Element"))).unwrap();
+        store.insert(g, &Triple::new(iri("HeavyMetal"), sc.clone(), iri("Metal"))).unwrap();
+        store.insert(g, &Triple::new(iri("Hg"), ty.clone(), iri("HeavyMetal"))).unwrap();
         store
     }
 
     #[test]
     fn subclass_transitivity() {
         let store = setup();
-        let n = materialize_rdfs(&store, &["kb"], "inf");
+        let n = materialize_rdfs(&store, &["kb"], "inf").unwrap();
         assert!(n >= 1);
         assert!(store.contains(
             "inf",
@@ -281,7 +282,7 @@ mod tests {
     #[test]
     fn type_inheritance() {
         let store = setup();
-        materialize_rdfs(&store, &["kb"], "inf");
+        materialize_rdfs(&store, &["kb"], "inf").unwrap();
         let ty = schema::rdf_type();
         assert!(store.contains("inf", &Triple::new(iri("Hg"), ty.clone(), iri("Metal"))));
         assert!(store.contains("inf", &Triple::new(iri("Hg"), ty, iri("Element"))));
@@ -291,12 +292,12 @@ mod tests {
     fn subproperty_inheritance() {
         let store = TripleStore::new();
         let sp = schema::rdfs_subproperty_of();
-        store.insert("kb", &Triple::new(iri("oreAssemblage"), sp, iri("relatedTo")));
+        store.insert("kb", &Triple::new(iri("oreAssemblage"), sp, iri("relatedTo"))).unwrap();
         store.insert(
             "kb",
             &Triple::new(iri("Hg"), iri("oreAssemblage"), iri("As")),
-        );
-        materialize_rdfs(&store, &["kb"], "inf");
+        ).unwrap();
+        materialize_rdfs(&store, &["kb"], "inf").unwrap();
         assert!(store.contains("inf", &Triple::new(iri("Hg"), iri("relatedTo"), iri("As"))));
     }
 
@@ -306,13 +307,13 @@ mod tests {
         store.insert(
             "kb",
             &Triple::new(iri("analysedBy"), schema::rdfs_domain(), iri("Landfill")),
-        );
+        ).unwrap();
         store.insert(
             "kb",
             &Triple::new(iri("analysedBy"), schema::rdfs_range(), iri("Lab")),
-        );
-        store.insert("kb", &Triple::new(iri("BasseDiStura"), iri("analysedBy"), iri("ArpaLab")));
-        materialize_rdfs(&store, &["kb"], "inf");
+        ).unwrap();
+        store.insert("kb", &Triple::new(iri("BasseDiStura"), iri("analysedBy"), iri("ArpaLab"))).unwrap();
+        materialize_rdfs(&store, &["kb"], "inf").unwrap();
         let ty = schema::rdf_type();
         assert!(store.contains(
             "inf",
@@ -324,9 +325,9 @@ mod tests {
     #[test]
     fn idempotent_second_run() {
         let store = setup();
-        let n1 = materialize_rdfs(&store, &["kb", "inf"], "inf");
+        let n1 = materialize_rdfs(&store, &["kb", "inf"], "inf").unwrap();
         assert!(n1 > 0);
-        let n2 = materialize_rdfs(&store, &["kb", "inf"], "inf");
+        let n2 = materialize_rdfs(&store, &["kb", "inf"], "inf").unwrap();
         assert_eq!(n2, 0, "closure reached, nothing new");
     }
 
@@ -334,10 +335,10 @@ mod tests {
     fn cycle_terminates() {
         let store = TripleStore::new();
         let sc = schema::rdfs_subclass_of();
-        store.insert("kb", &Triple::new(iri("A"), sc.clone(), iri("B")));
-        store.insert("kb", &Triple::new(iri("B"), sc.clone(), iri("A")));
+        store.insert("kb", &Triple::new(iri("A"), sc.clone(), iri("B"))).unwrap();
+        store.insert("kb", &Triple::new(iri("B"), sc.clone(), iri("A"))).unwrap();
         // Must not loop forever.
-        materialize_rdfs(&store, &["kb"], "inf");
+        materialize_rdfs(&store, &["kb"], "inf").unwrap();
     }
 
     #[test]
@@ -353,12 +354,12 @@ mod tests {
             store.insert(
                 "kb",
                 &Triple::new(iri(&format!("C{i}")), sc.clone(), iri(&format!("C{}", i + 1))),
-            );
+            ).unwrap();
         }
         for j in 0..k {
-            store.insert("kb", &Triple::new(iri(&format!("x{j}")), ty.clone(), iri("C0")));
+            store.insert("kb", &Triple::new(iri(&format!("x{j}")), ty.clone(), iri("C0"))).unwrap();
         }
-        let added = materialize_rdfs(&store, &["kb"], "inf");
+        let added = materialize_rdfs(&store, &["kb"], "inf").unwrap();
         let expected_subclass = n * (n - 1) / 2 - (n - 1);
         let expected_types = k * (n - 1);
         assert_eq!(added, expected_subclass + expected_types);

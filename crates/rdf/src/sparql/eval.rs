@@ -47,7 +47,10 @@ impl Solutions {
     }
 }
 
-/// Evaluation knobs; [`Default`] is fully sequential and uncancellable.
+/// Evaluation knobs; [`Default`] is fully sequential. Evaluation polls
+/// the calling thread's ambient [`CancelToken`](crosse_exec::CancelToken)
+/// between BGP probe batches and inside long probe loops, so a serving
+/// layer's deadline reaches SPARQL legs without explicit plumbing.
 #[derive(Debug, Clone)]
 pub struct EvalOptions {
     /// Worker threads for partition-parallel probe batches (the BGP join
@@ -56,17 +59,11 @@ pub struct EvalOptions {
     /// chunk outputs concatenate in order — bit-identical to sequential
     /// evaluation. 1 (the default) disables the worker pool.
     pub threads: usize,
-    /// Cooperative cancellation handle, polled between BGP probe batches
-    /// and inside long probe loops. `None` (the default) falls back to the
-    /// ambient [`CancelToken`](crosse_exec::CancelToken) of the calling
-    /// thread, so a serving layer's deadline reaches SPARQL legs without
-    /// explicit plumbing.
-    pub cancel: Option<crosse_exec::CancelToken>,
 }
 
 impl Default for EvalOptions {
     fn default() -> Self {
-        EvalOptions { threads: 1, cancel: None }
+        EvalOptions { threads: 1 }
     }
 }
 
@@ -153,15 +150,15 @@ mod tests {
     fn store() -> TripleStore {
         let store = TripleStore::new();
         let g = "kb";
-        store.insert(g, &t("Hg", "dangerLevel", Term::lit("5")));
-        store.insert(g, &t("Pb", "dangerLevel", Term::lit("4")));
-        store.insert(g, &t("As", "dangerLevel", Term::lit("5")));
-        store.insert(g, &t("Cu", "dangerLevel", Term::lit("1")));
-        store.insert(g, &t("Hg", "isA", Term::iri("HazardousWaste")));
-        store.insert(g, &t("Pb", "isA", Term::iri("HazardousWaste")));
-        store.insert(g, &t("Hg", "name", Term::lit("Mercury")));
-        store.insert(g, &t("Pb", "name", Term::lit("Lead")));
-        store.insert(g, &t("Hg", "occursWith", Term::iri("As")));
+        store.insert(g, &t("Hg", "dangerLevel", Term::lit("5"))).unwrap();
+        store.insert(g, &t("Pb", "dangerLevel", Term::lit("4"))).unwrap();
+        store.insert(g, &t("As", "dangerLevel", Term::lit("5"))).unwrap();
+        store.insert(g, &t("Cu", "dangerLevel", Term::lit("1"))).unwrap();
+        store.insert(g, &t("Hg", "isA", Term::iri("HazardousWaste"))).unwrap();
+        store.insert(g, &t("Pb", "isA", Term::iri("HazardousWaste"))).unwrap();
+        store.insert(g, &t("Hg", "name", Term::lit("Mercury"))).unwrap();
+        store.insert(g, &t("Pb", "name", Term::lit("Lead"))).unwrap();
+        store.insert(g, &t("Hg", "occursWith", Term::iri("As"))).unwrap();
         store
     }
 
@@ -245,7 +242,7 @@ mod tests {
     #[test]
     fn same_variable_twice_in_pattern() {
         let store = store();
-        store.insert("kb", &t("Se", "occursWith", Term::iri("Se")));
+        store.insert("kb", &t("Se", "occursWith", Term::iri("Se"))).unwrap();
         let s = query(&store, &["kb"], "SELECT ?x WHERE { ?x <occursWith> ?x }").unwrap();
         assert_eq!(s.len(), 1);
         assert_eq!(s.rows[0][0], Some(Term::iri("Se")));
@@ -298,9 +295,9 @@ mod tests {
     fn hierarchy_store() -> TripleStore {
         let store = TripleStore::new();
         for (a, b) in [("HgS", "HeavyMetalOre"), ("HeavyMetalOre", "MetalOre"), ("MetalOre", "Ore")] {
-            store.insert("kb", &t(a, "subClassOf", Term::iri(b)));
+            store.insert("kb", &t(a, "subClassOf", Term::iri(b))).unwrap();
         }
-        store.insert("kb", &t("PbS", "subClassOf", Term::iri("HeavyMetalOre")));
+        store.insert("kb", &t("PbS", "subClassOf", Term::iri("HeavyMetalOre"))).unwrap();
         store
     }
 
@@ -363,8 +360,8 @@ mod tests {
     #[test]
     fn path_with_cycle_terminates() {
         let store = TripleStore::new();
-        store.insert("kb", &t("A", "next", Term::iri("B")));
-        store.insert("kb", &t("B", "next", Term::iri("A")));
+        store.insert("kb", &t("A", "next", Term::iri("B"))).unwrap();
+        store.insert("kb", &t("B", "next", Term::iri("A"))).unwrap();
         let s = query(&store, &["kb"], "SELECT ?x WHERE { <A> <next>+ ?x }").unwrap();
         assert_eq!(s.len(), 2); // B and A (via the cycle)
     }
@@ -372,7 +369,7 @@ mod tests {
     #[test]
     fn path_joins_with_other_patterns() {
         let store = hierarchy_store();
-        store.insert("kb", &t("HgS", "foundIn", Term::lit("LF1")));
+        store.insert("kb", &t("HgS", "foundIn", Term::lit("LF1"))).unwrap();
         let s = query(
             &store,
             &["kb"],
@@ -473,7 +470,7 @@ mod tests {
         .unwrap() else {
             panic!()
         };
-        store.insert_all("derived", ts.iter());
+        store.insert_all("derived", ts.iter()).unwrap();
         let s = query(&store, &["derived"], "SELECT ?s WHERE { ?s <suspect> ?v }").unwrap();
         assert_eq!(s.len(), 2); // Hg, As
     }
@@ -486,7 +483,7 @@ mod tests {
     #[test]
     fn cross_graph_union_evaluation() {
         let store = store();
-        store.insert("kb2", &t("Zn", "dangerLevel", Term::lit("2")));
+        store.insert("kb2", &t("Zn", "dangerLevel", Term::lit("2"))).unwrap();
         let s = query(&store, &["kb", "kb2"], "SELECT ?s WHERE { ?s <dangerLevel> ?d }")
             .unwrap();
         assert_eq!(s.len(), 5);
@@ -696,9 +693,9 @@ mod tests {
     #[test]
     fn nested_path_closure_over_alternative() {
         let store = TripleStore::new();
-        store.insert("kb", &t("A", "p", Term::iri("B")));
-        store.insert("kb", &t("B", "q", Term::iri("C")));
-        store.insert("kb", &t("C", "p", Term::iri("D")));
+        store.insert("kb", &t("A", "p", Term::iri("B"))).unwrap();
+        store.insert("kb", &t("B", "q", Term::iri("C"))).unwrap();
+        store.insert("kb", &t("C", "p", Term::iri("D"))).unwrap();
         let s = query(
             &store,
             &["kb"],

@@ -143,7 +143,7 @@ impl<'a> Exec<'a> {
             nums: RefCell::new(HashMap::new()),
             bgps: RefCell::new((0..plan.bgps).map(|_| BgpPlan::default()).collect()),
             threads: options.threads.max(1),
-            cancel: options.cancel.clone().unwrap_or_else(CancelToken::current),
+            cancel: CancelToken::current(),
         }
     }
 

@@ -190,7 +190,7 @@ mod tests {
             ("Pb", "dangerLevel", "4"),
             ("Cu", "dangerLevel", "1"),
         ] {
-            s.insert("kb", &Triple::new(Term::iri(sub), Term::iri(p), Term::lit(o)));
+            s.insert("kb", &Triple::new(Term::iri(sub), Term::iri(p), Term::lit(o))).unwrap();
         }
         s
     }
@@ -283,7 +283,7 @@ mod tests {
         let p = prepare("SELECT ?o WHERE { $elem <dangerLevel> ?o }").unwrap();
         let params = SparqlParams::new().set("elem", Term::iri("Zn"));
         assert!(run(&p, &s, &params).unwrap().is_empty());
-        s.insert("kb", &Triple::new(Term::iri("Zn"), Term::iri("dangerLevel"), Term::lit("2")));
+        s.insert("kb", &Triple::new(Term::iri("Zn"), Term::iri("dangerLevel"), Term::lit("2"))).unwrap();
         let sols = run(&p, &s, &params).unwrap();
         assert_eq!(sols.rows, vec![vec![Some(Term::lit("2"))]]);
     }

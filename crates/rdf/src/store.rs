@@ -14,30 +14,12 @@ use std::collections::BTreeSet;
 use std::ops::Bound;
 use std::sync::Arc;
 
+use crosse_wal::RedoLog;
 use parking_lot::RwLock;
 
 use crate::error::{Error, Result};
-use crate::persist::{encode_rdf_op, RdfOp, RdfRedoSink};
+use crate::persist::{encode_rdf_op, RdfOp};
 use crate::term::{Dictionary, Term, TermId};
-
-/// Take the sink's barrier in read mode for one log-then-apply critical
-/// section (no-op when no sink is attached). Must be acquired **before**
-/// the graphs lock — the checkpointer takes the write side and then reads
-/// the store, so acquiring in the other order deadlocks.
-fn sink_guard(
-    sink: &Option<Arc<dyn RdfRedoSink>>,
-) -> Option<parking_lot::RwLockReadGuard<'_, ()>> {
-    sink.as_ref().map(|s| s.barrier().read())
-}
-
-/// Apply the sink's durability policy (fsync if due). Called **after** the
-/// mutator's critical section so no graph lock is held across the fsync.
-fn flush_sink(sink: &Option<Arc<dyn RdfRedoSink>>) -> Result<()> {
-    match sink {
-        Some(s) => s.flush(),
-        None => Ok(()),
-    }
-}
 
 /// A concrete triple of terms.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -229,13 +211,9 @@ pub struct TripleStore {
     /// query-result caches (e.g. the SESQL engine's SPARQL-leg cache) can
     /// validate entries without diffing graphs.
     version: Arc<std::sync::atomic::AtomicU64>,
-    /// Redo sink when the store is durable; shared across clones.
-    sink: Arc<RwLock<Option<Arc<dyn RdfRedoSink>>>>,
-    /// First WAL append failure. Mutators whose signatures cannot carry a
-    /// `Result` (e.g. [`TripleStore::insert`] returning `bool`) refuse the
-    /// write and park the error here; [`TripleStore::storage_check`]
-    /// surfaces it.
-    storage_err: Arc<RwLock<Option<Error>>>,
+    /// Where mutations log (detached on an in-memory store); shared
+    /// across clones.
+    sink: Arc<RwLock<RedoLog>>,
 }
 
 impl Default for TripleStore {
@@ -247,8 +225,7 @@ impl Default for TripleStore {
                 std::collections::BTreeMap::new(),
             )),
             version: Arc::new(std::sync::atomic::AtomicU64::new(0)),
-            sink: Arc::new(RwLock::new_labeled("rdf.sink", None)),
-            storage_err: Arc::new(RwLock::new_labeled("rdf.storage_err", None)),
+            sink: Arc::new(RwLock::new_labeled("rdf.sink", RedoLog::default())),
         }
     }
 }
@@ -271,58 +248,30 @@ impl TripleStore {
         self.version.fetch_add(1, std::sync::atomic::Ordering::AcqRel);
     }
 
-    fn sink(&self) -> Option<Arc<dyn RdfRedoSink>> {
+    fn sink(&self) -> RedoLog {
         self.sink.read().clone()
     }
 
-    /// Attach a redo sink: all future mutations log through it. Called
+    /// Attach a redo log: all future mutations log through it. Called
     /// once, right after recovery has replayed the log into this store.
-    pub fn attach_sink(&self, sink: Arc<dyn RdfRedoSink>) {
-        *self.sink.write() = Some(sink);
-    }
-
-    /// Whether this store logs to a write-ahead log.
-    pub fn is_durable(&self) -> bool {
-        self.sink.read().is_some()
-    }
-
-    fn note_storage_err(&self, e: Error) {
-        self.storage_err.write().get_or_insert(e);
-    }
-
-    /// Surface the first WAL append failure, if any. Mutators returning
-    /// `bool`/`usize` cannot propagate one directly: they refuse the write
-    /// and park the error here. Engines call this after mutation batches.
-    pub fn storage_check(&self) -> Result<()> {
-        match self.storage_err.read().clone() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+    pub fn attach_sink(&self, sink: RedoLog) {
+        *self.sink.write() = sink;
     }
 
     /// Create a graph if absent (inserting into a missing graph also
     /// creates it; this is for explicitly registering empty graphs).
-    pub fn ensure_graph(&self, name: &str) {
+    pub fn ensure_graph(&self, name: &str) -> Result<()> {
         let sink = self.sink();
         {
-            let _barrier = sink_guard(&sink);
+            let _barrier = sink.guard();
             let mut graphs = self.graphs.write();
             if graphs.contains_key(name) {
-                return;
+                return Ok(());
             }
-            if let Some(s) = &sink {
-                if let Err(e) =
-                    s.log(&encode_rdf_op(&RdfOp::EnsureGraph { graph: name }))
-                {
-                    self.note_storage_err(e);
-                    return;
-                }
-            }
+            sink.log(|| encode_rdf_op(&RdfOp::EnsureGraph { graph: name }))?;
             graphs.entry(name.to_string()).or_default();
         }
-        if let Err(e) = flush_sink(&sink) {
-            self.note_storage_err(e);
-        }
+        Ok(sink.flush()?)
     }
 
     pub fn graph_names(&self) -> Vec<String> {
@@ -336,49 +285,22 @@ impl TripleStore {
     pub fn drop_graph(&self, name: &str) -> Result<()> {
         let sink = self.sink();
         {
-            let _barrier = sink_guard(&sink);
+            let _barrier = sink.guard();
             let mut graphs = self.graphs.write();
             if !graphs.contains_key(name) {
                 return Err(Error::store(format!("graph `{name}` does not exist")));
             }
-            if let Some(s) = &sink {
-                s.log(&encode_rdf_op(&RdfOp::DropGraph { graph: name }))?;
-            }
+            sink.log(|| encode_rdf_op(&RdfOp::DropGraph { graph: name }))?;
             graphs.remove(name);
             drop(graphs);
             self.bump_version();
         }
-        flush_sink(&sink)
+        Ok(sink.flush()?)
     }
 
-    /// Insert a triple into a graph; returns false if it was already there
-    /// (or if the write-ahead append failed — see
-    /// [`TripleStore::storage_check`]).
-    pub fn insert(&self, graph: &str, triple: &Triple) -> bool {
-        let sink = self.sink();
-        let fresh = {
-            let _barrier = sink_guard(&sink);
-            let t = (
-                self.dict.intern(&triple.subject),
-                self.dict.intern(&triple.predicate),
-                self.dict.intern(&triple.object),
-            );
-            self.bump_version();
-            let mut graphs = self.graphs.write();
-            if let Some(s) = &sink {
-                let op =
-                    RdfOp::InsertAll { graph, triples: std::slice::from_ref(triple) };
-                if let Err(e) = s.log(&encode_rdf_op(&op)) {
-                    self.note_storage_err(e);
-                    return false;
-                }
-            }
-            graphs.entry(graph.to_string()).or_default().insert(t)
-        };
-        if let Err(e) = flush_sink(&sink) {
-            self.note_storage_err(e);
-        }
-        fresh
+    /// Insert a triple into a graph; returns false if it was already there.
+    pub fn insert(&self, graph: &str, triple: &Triple) -> Result<bool> {
+        Ok(self.insert_all(graph, std::iter::once(triple))? == 1)
     }
 
     /// Insert many triples; returns how many were new. One redo record
@@ -387,87 +309,60 @@ impl TripleStore {
         &self,
         graph: &str,
         triples: impl IntoIterator<Item = &'t Triple>,
-    ) -> usize {
+    ) -> Result<usize> {
+        let batch: Vec<&Triple> = triples.into_iter().collect();
         let sink = self.sink();
         let fresh = {
-            let _barrier = sink_guard(&sink);
+            let _barrier = sink.guard();
             self.bump_version();
             let mut graphs = self.graphs.write();
-            if let Some(s) = &sink {
-                let batch: Vec<Triple> = triples.into_iter().cloned().collect();
-                if !batch.is_empty() {
-                    let op = RdfOp::InsertAll { graph, triples: &batch };
-                    if let Err(e) = s.log(&encode_rdf_op(&op)) {
-                        self.note_storage_err(e);
-                        return 0;
-                    }
-                }
-                let g = graphs.entry(graph.to_string()).or_default();
-                batch
-                    .iter()
-                    .filter(|triple| {
-                        g.insert((
-                            self.dict.intern(&triple.subject),
-                            self.dict.intern(&triple.predicate),
-                            self.dict.intern(&triple.object),
-                        ))
-                    })
-                    .count()
-            } else {
-                let g = graphs.entry(graph.to_string()).or_default();
-                let mut fresh = 0;
-                for triple in triples {
-                    let t = (
+            if !batch.is_empty() {
+                sink.log(|| {
+                    let triples: Vec<Triple> = batch.iter().map(|&t| t.clone()).collect();
+                    encode_rdf_op(&RdfOp::InsertAll { graph, triples: &triples })
+                })?;
+            }
+            let g = graphs.entry(graph.to_string()).or_default();
+            batch
+                .iter()
+                .filter(|triple| {
+                    g.insert((
                         self.dict.intern(&triple.subject),
                         self.dict.intern(&triple.predicate),
                         self.dict.intern(&triple.object),
-                    );
-                    if g.insert(t) {
-                        fresh += 1;
-                    }
-                }
-                fresh
-            }
+                    ))
+                })
+                .count()
         };
-        if let Err(e) = flush_sink(&sink) {
-            self.note_storage_err(e);
-        }
-        fresh
+        sink.flush()?;
+        Ok(fresh)
     }
 
     /// Remove a triple; returns true if present.
-    pub fn remove(&self, graph: &str, triple: &Triple) -> bool {
+    pub fn remove(&self, graph: &str, triple: &Triple) -> Result<bool> {
         let sink = self.sink();
-        let removed = {
-            let _barrier = sink_guard(&sink);
+        {
+            let _barrier = sink.guard();
             let (Some(s), Some(p), Some(o)) = (
                 self.dict.id_of(&triple.subject),
                 self.dict.id_of(&triple.predicate),
                 self.dict.id_of(&triple.object),
             ) else {
-                return false;
+                return Ok(false);
             };
             self.bump_version();
             let mut graphs = self.graphs.write();
             let Some(g) = graphs.get_mut(graph) else {
-                return false;
+                return Ok(false);
             };
             if !g.contains((s, p, o)) {
-                return false;
+                return Ok(false);
             }
-            if let Some(sk) = &sink {
-                let op = RdfOp::Remove { graph, triple };
-                if let Err(e) = sk.log(&encode_rdf_op(&op)) {
-                    self.note_storage_err(e);
-                    return false;
-                }
-            }
-            g.remove((s, p, o))
-        };
-        if let Err(e) = flush_sink(&sink) {
-            self.note_storage_err(e);
+            sink.log(|| encode_rdf_op(&RdfOp::Remove { graph, triple }))?;
+            g.remove((s, p, o));
         }
-        removed
+        sink.flush()?;
+        Ok(true)
     }
 
     pub fn contains(&self, graph: &str, triple: &Triple) -> bool {
@@ -592,7 +487,7 @@ impl TripleStore {
 
     /// Insert already-interned triples (ids must come from this store's
     /// dictionary); returns how many were new. The reasoner writes its
-    /// closure through this, skipping re-interning entirely. When a sink
+    /// closure through this, skipping re-interning entirely. When a log
     /// is attached the ids are resolved back to terms for the redo record
     /// (the log speaks terms, never ids — ids are not stable across
     /// recovery).
@@ -600,15 +495,15 @@ impl TripleStore {
         &self,
         graph: &str,
         triples: impl IntoIterator<Item = IdTriple>,
-    ) -> usize {
+    ) -> Result<usize> {
+        let batch: Vec<IdTriple> = triples.into_iter().collect();
         let sink = self.sink();
         let fresh = {
-            let _barrier = sink_guard(&sink);
+            let _barrier = sink.guard();
             self.bump_version();
             let mut graphs = self.graphs.write();
-            if let Some(sk) = &sink {
-                let batch: Vec<IdTriple> = triples.into_iter().collect();
-                if !batch.is_empty() {
+            if !batch.is_empty() {
+                sink.log(|| {
                     let reader = self.dict.reader();
                     let terms: Vec<Triple> = batch
                         .iter()
@@ -621,23 +516,14 @@ impl TripleStore {
                         })
                         .collect();
                     drop(reader);
-                    let op = RdfOp::InsertAll { graph, triples: &terms };
-                    if let Err(e) = sk.log(&encode_rdf_op(&op)) {
-                        self.note_storage_err(e);
-                        return 0;
-                    }
-                }
-                let g = graphs.entry(graph.to_string()).or_default();
-                batch.into_iter().filter(|&t| g.insert(t)).count()
-            } else {
-                let g = graphs.entry(graph.to_string()).or_default();
-                triples.into_iter().filter(|&t| g.insert(t)).count()
+                    encode_rdf_op(&RdfOp::InsertAll { graph, triples: &terms })
+                })?;
             }
+            let g = graphs.entry(graph.to_string()).or_default();
+            batch.into_iter().filter(|&t| g.insert(t)).count()
         };
-        if let Err(e) = flush_sink(&sink) {
-            self.note_storage_err(e);
-        }
-        fresh
+        sink.flush()?;
+        Ok(fresh)
     }
 
     // ---- replay / snapshot plumbing (no logging) --------------------------
@@ -677,7 +563,8 @@ impl TripleStore {
         self.graphs.write().remove(graph);
     }
 
-    /// Create an empty graph without logging (replay path).
+    /// Create an empty graph without logging (replay path, and the graphs
+    /// of a new in-memory knowledge base).
     pub(crate) fn apply_ensure_graph(&self, graph: &str) {
         self.graphs.write().entry(graph.to_string()).or_default();
     }
@@ -744,19 +631,19 @@ mod tests {
 
     fn store_with_data() -> TripleStore {
         let store = TripleStore::new();
-        store.insert("u1", &t("Hg", "dangerLevel", "5"));
-        store.insert("u1", &t("Pb", "dangerLevel", "4"));
-        store.insert("u1", &t("Hg", "isA", "element"));
-        store.insert("u2", &t("Hg", "dangerLevel", "5"));
-        store.insert("u2", &t("As", "dangerLevel", "5"));
+        store.insert("u1", &t("Hg", "dangerLevel", "5")).unwrap();
+        store.insert("u1", &t("Pb", "dangerLevel", "4")).unwrap();
+        store.insert("u1", &t("Hg", "isA", "element")).unwrap();
+        store.insert("u2", &t("Hg", "dangerLevel", "5")).unwrap();
+        store.insert("u2", &t("As", "dangerLevel", "5")).unwrap();
         store
     }
 
     #[test]
     fn insert_dedupes() {
         let store = TripleStore::new();
-        assert!(store.insert("g", &t("a", "b", "c")));
-        assert!(!store.insert("g", &t("a", "b", "c")));
+        assert!(store.insert("g", &t("a", "b", "c")).unwrap());
+        assert!(!store.insert("g", &t("a", "b", "c")).unwrap());
         assert_eq!(store.graph_len("g"), 1);
     }
 
@@ -826,8 +713,8 @@ mod tests {
     #[test]
     fn remove_works() {
         let store = store_with_data();
-        assert!(store.remove("u1", &t("Hg", "isA", "element")));
-        assert!(!store.remove("u1", &t("Hg", "isA", "element")));
+        assert!(store.remove("u1", &t("Hg", "isA", "element")).unwrap());
+        assert!(!store.remove("u1", &t("Hg", "isA", "element")).unwrap());
         assert_eq!(store.graph_len("u1"), 2);
         // Other indexes updated too: object lookup no longer finds it.
         let found = store.match_pattern(
@@ -865,7 +752,7 @@ mod tests {
         store.insert(
             "g",
             &Triple::new(Term::iri("a"), Term::iri("p"), Term::iri("x")),
-        );
+        ).unwrap();
         let found = store.match_pattern(
             &["g"],
             &TriplePattern {
@@ -890,14 +777,14 @@ mod tests {
         let store = TripleStore::new();
         let v0 = store.version();
         let t = Triple::new(Term::iri("a"), Term::iri("p"), Term::iri("b"));
-        store.insert("g", &t);
+        store.insert("g", &t).unwrap();
         let v1 = store.version();
         assert!(v1 > v0);
         let t2 = Triple::new(Term::iri("a"), Term::iri("p"), Term::iri("c"));
-        store.insert_all("g", std::iter::once(&t2));
+        store.insert_all("g", std::iter::once(&t2)).unwrap();
         let v2 = store.version();
         assert!(v2 > v1);
-        store.remove("g", &t);
+        store.remove("g", &t).unwrap();
         let v3 = store.version();
         assert!(v3 > v2);
         store.drop_graph("g").unwrap();
@@ -909,7 +796,7 @@ mod tests {
         let store = TripleStore::new();
         let clone = store.clone();
         let v0 = clone.version();
-        store.insert("g", &Triple::new(Term::iri("a"), Term::iri("p"), Term::iri("b")));
+        store.insert("g", &Triple::new(Term::iri("a"), Term::iri("p"), Term::iri("b"))).unwrap();
         assert!(clone.version() > v0, "caches on clones must observe mutations");
     }
 }

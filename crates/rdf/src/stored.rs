@@ -149,7 +149,7 @@ mod tests {
                 .unwrap()
         };
         assert!(run().is_empty(), "<Hazard> is not in the store yet");
-        store.insert("kb", &Triple::new(Term::iri("Hg"), Term::iri("isA"), Term::iri("Hazard")));
+        store.insert("kb", &Triple::new(Term::iri("Hg"), Term::iri("isA"), Term::iri("Hazard"))).unwrap();
         assert_eq!(run().column("e").unwrap(), vec![Term::iri("Hg")]);
     }
 

@@ -18,11 +18,6 @@ use crate::prepared::{normalize_sql, Params, Prepared, SharedMemo};
 use crate::schema::{Column, Schema};
 use crate::sql::ast::{Expr, Select, Statement};
 use crate::sql::parser::{parse_script, parse_statement, parse_statement_with_params};
-use crate::storage::durable::{
-    DurabilityHandle, RelDurability, WalOptions, WalRedoSink, WalStats,
-};
-use crate::storage::snapshot::decode_catalog;
-use crate::storage::wal::apply_rel_op;
 use crate::storage::{Catalog, Table};
 use crate::value::{Interner, Row, Value};
 
@@ -175,9 +170,6 @@ pub struct Database {
     opt: Arc<Mutex<OptimizerConfig>>,
     /// Bumped by every `set_optimizer_config`; half of [`Database::plan_tag`].
     opt_epoch: Arc<std::sync::atomic::AtomicU64>,
-    /// Durability handle when the database was opened from a data
-    /// directory ([`Database::open`]); `None` for in-memory databases.
-    durability: Option<Arc<dyn DurabilityHandle>>,
 }
 
 impl Default for Database {
@@ -189,7 +181,6 @@ impl Default for Database {
             interner: Arc::new(Interner::new()),
             opt: Arc::new(Mutex::new_labeled("db.opt_config", OptimizerConfig::default())),
             opt_epoch: Arc::default(),
-            durability: None,
         }
     }
 }
@@ -203,78 +194,6 @@ impl Database {
         &self.catalog
     }
 
-    /// Open (or create) a durable database at `path` with the default WAL
-    /// options. Loads the latest snapshot, replays the log tail, then
-    /// attaches the redo sink so every subsequent mutation is logged.
-    pub fn open(path: impl AsRef<std::path::Path>) -> Result<Database> {
-        Self::open_with(path, WalOptions::default())
-    }
-
-    /// [`Database::open`] with explicit [`WalOptions`] (sync policy).
-    pub fn open_with(
-        path: impl AsRef<std::path::Path>,
-        opts: WalOptions,
-    ) -> Result<Database> {
-        let (wal, recovered) = crosse_wal::WalStore::open(path, opts)?;
-        let mut db = Database::new();
-        // 1. Restore the checkpoint snapshot (if any).
-        for (tag, bytes) in &recovered.sections {
-            if *tag == crosse_wal::CHAN_REL {
-                decode_catalog(&db.catalog, bytes, Some(&db.interner))?;
-            }
-        }
-        // 2. Replay the log tail. No sink is attached yet, so replay never
-        //    re-logs.
-        for rec in &recovered.records {
-            if rec.chan == crosse_wal::CHAN_REL {
-                apply_rel_op(&db.catalog, &rec.payload, Some(&db.interner))?;
-            }
-        }
-        // 3. Start logging.
-        db.catalog
-            .attach_sink(Arc::new(WalRedoSink::new(Arc::clone(&wal), crosse_wal::CHAN_REL)));
-        db.durability = Some(Arc::new(RelDurability::new(
-            wal,
-            db.catalog.clone(),
-            recovered.warnings.clone(),
-        )));
-        Ok(db)
-    }
-
-    /// Install a durability handle (used by `crosse-core`, which owns a
-    /// combined relational+RDF checkpoint and shares one log).
-    pub fn set_durability(&mut self, handle: Arc<dyn DurabilityHandle>) {
-        self.durability = Some(handle);
-    }
-
-    /// Whether this database logs to a write-ahead log.
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
-    }
-
-    fn durability(&self) -> Result<&Arc<dyn DurabilityHandle>> {
-        self.durability.as_ref().ok_or_else(|| {
-            Error::storage("database was not opened from a data directory")
-        })
-    }
-
-    /// Take a checkpoint: pin both stores' state under the WAL barrier,
-    /// write the snapshot off-thread, truncate the log. Returns the pinned
-    /// LSN. Errors if the database is not durable.
-    pub fn checkpoint(&self) -> Result<u64> {
-        self.durability()?.checkpoint()
-    }
-
-    /// Wait for any in-flight checkpoint and surface its error, if any.
-    pub fn checkpoint_join(&self) -> Result<()> {
-        self.durability()?.checkpoint_join()
-    }
-
-    /// WAL statistics, or `None` for an in-memory database.
-    pub fn wal_stats(&self) -> Option<WalStats> {
-        self.durability.as_ref().map(|d| d.wal_stats())
-    }
-
     /// Per-site lock acquisition/contention/hold-time counters from the
     /// concurrency tracking layer, sorted by site label. Counters are
     /// process-global (every labeled lock in the process reports here, not
@@ -283,15 +202,6 @@ impl Database {
     /// [`parking_lot::tracking::set_enabled`] was called.
     pub fn lock_stats(&self) -> Vec<LockSiteStats> {
         parking_lot::tracking::stats()
-    }
-
-    /// Non-fatal notes from recovery (e.g. a torn final record that was
-    /// truncated away). Empty for in-memory databases and clean opens.
-    pub fn recovery_warnings(&self) -> Vec<String> {
-        self.durability
-            .as_ref()
-            .map(|d| d.recovery_warnings())
-            .unwrap_or_default()
     }
 
     /// The database's string interner (shared across clones). Layers that

@@ -50,7 +50,6 @@ pub mod value;
 
 pub use db::{Database, ExecOutcome, LockSiteStats, RowSet};
 pub use error::{Error, Result};
-pub use storage::durable::{DurabilityHandle, SyncPolicy, WalOptions, WalStats};
 pub use crosse_lint::{Diagnostic, Severity, Span};
 pub use exec::Rows;
 pub use foreign::DataSource;

@@ -15,17 +15,16 @@
 //!
 //! ## Durability hooks
 //!
-//! A catalog may carry a [`wal::RedoSink`]: when one is attached (the
-//! database was opened from a data directory), every mutation logs a redo
-//! record *before* applying — under the sink's barrier lock, so checkpoint
-//! pinning can exclude in-flight mutations — and a failed log append fails
-//! the statement without touching the heap. **Ephemeral** tables (the
+//! A catalog may carry an attached [`RedoLog`] (the engine was opened from
+//! a data directory): every mutation then logs a redo record *before*
+//! applying — under the log's barrier lock, so checkpoint pinning can
+//! exclude in-flight mutations — and a failed log append fails the
+//! statement without touching the heap. **Ephemeral** tables (the
 //! SESQL pairs tables from [`Catalog::create_ephemeral_table`], the
 //! foreign tables of [`crate::foreign`]) are excluded from both logging
-//! and snapshots. Without a sink everything behaves exactly as before: a
-//! purely in-memory engine.
+//! and snapshots. A detached log makes every hook a no-op: a purely
+//! in-memory engine.
 
-pub mod durable;
 pub mod snapshot;
 pub mod wal;
 
@@ -34,6 +33,7 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
+use crosse_wal::RedoLog;
 use parking_lot::RwLock;
 
 use crate::error::{Error, Result};
@@ -41,28 +41,7 @@ use crate::foreign::Foreign;
 use crate::schema::{Column, Schema};
 use crate::value::{Row, Value};
 
-use wal::{encode_rel_op, RedoSink, RelOp};
-
-/// Take the sink's barrier in read mode for one log-then-apply critical
-/// section (no-op when no sink is attached). Must be acquired **before**
-/// any storage lock — the checkpointer takes the write side and then reads
-/// the stores, so acquiring in the other order deadlocks.
-fn sink_guard(
-    sink: &Option<Arc<dyn RedoSink>>,
-) -> Option<parking_lot::RwLockReadGuard<'_, ()>> {
-    sink.as_ref().map(|s| s.barrier().read())
-}
-
-/// Run the sink's deferred fsync. Mutators call this **after** their
-/// log-then-apply critical section releases its heap locks — holding
-/// `table.rows` (or the barrier) across an fsync stalls every reader
-/// behind the disk, and the lock-order tracker flags exactly that.
-fn flush_sink(sink: &Option<Arc<dyn RedoSink>>) -> Result<()> {
-    match sink {
-        Some(s) => s.flush(),
-        None => Ok(()),
-    }
-}
+use wal::{encode_rel_op, RelOp};
 
 /// A secondary index over one column of a [`Table`].
 ///
@@ -202,8 +181,8 @@ pub struct Table {
     /// under the rows write lock.
     generation: AtomicU64,
     indexes: RwLock<Vec<Arc<Index>>>,
-    /// Redo sink for durability; `None` on purely in-memory tables.
-    sink: RwLock<Option<Arc<dyn RedoSink>>>,
+    /// Where mutations log; detached on purely in-memory tables.
+    sink: RwLock<RedoLog>,
     /// Ephemeral tables are excluded from logging and snapshots.
     ephemeral: bool,
     /// Set on a foreign table: its rows live at a source, and the table
@@ -219,7 +198,7 @@ impl Table {
             rows: RwLock::new_labeled("table.rows", Arc::new(Vec::new())),
             generation: AtomicU64::new(0),
             indexes: RwLock::new_labeled("table.indexes", Vec::new()),
-            sink: RwLock::new_labeled("table.sink", None),
+            sink: RwLock::new_labeled("table.sink", RedoLog::default()),
             ephemeral: false,
             foreign: None,
         }
@@ -230,19 +209,19 @@ impl Table {
         Table { ephemeral: true, foreign: Some(foreign), ..Table::new(name, schema) }
     }
 
-    /// The redo sink a mutation logs through (`None` when the table takes
+    /// The log a mutation writes through (detached when the table takes
     /// no part in durability); an error on a read-only foreign table.
-    fn write_sink(&self) -> Result<Option<Arc<dyn RedoSink>>> {
+    fn write_sink(&self) -> Result<RedoLog> {
         if self.foreign.is_some() {
             return Err(Error::catalog(format!(
                 "`{}` is a foreign table and is read-only",
                 self.name
             )));
         }
-        Ok(if self.ephemeral { None } else { self.sink.read().clone() })
+        Ok(if self.ephemeral { RedoLog::default() } else { self.sink.read().clone() })
     }
 
-    pub(crate) fn set_sink(&self, sink: Option<Arc<dyn RedoSink>>) {
+    pub(crate) fn set_sink(&self, sink: RedoLog) {
         *self.sink.write() = sink;
     }
 
@@ -282,14 +261,14 @@ impl Table {
         let coerced = self.check_row(row)?;
         let sink = self.write_sink()?;
         {
-            let _barrier = sink_guard(&sink);
+            let _barrier = sink.guard();
             let mut rows = self.rows.write();
-            if let Some(s) = &sink {
-                s.log(&encode_rel_op(&RelOp::Insert {
+            sink.log(|| {
+                encode_rel_op(&RelOp::Insert {
                     table: &self.name,
                     rows: std::slice::from_ref(&coerced),
-                }))?;
-            }
+                })
+            })?;
             let rows = Arc::make_mut(&mut *rows);
             let pos = rows.len();
             for idx in self.indexes.read().iter() {
@@ -298,7 +277,7 @@ impl Table {
             rows.push(coerced);
             self.generation.fetch_add(1, AtomicOrdering::AcqRel);
         }
-        flush_sink(&sink)
+        Ok(sink.flush()?)
     }
 
     /// Insert many rows; fails atomically (no partial insert) on the first
@@ -312,15 +291,10 @@ impl Table {
         let n = checked.len();
         let sink = self.write_sink()?;
         {
-            let _barrier = sink_guard(&sink);
+            let _barrier = sink.guard();
             let mut stored = self.rows.write();
-            if let Some(s) = &sink {
-                if !checked.is_empty() {
-                    s.log(&encode_rel_op(&RelOp::Insert {
-                        table: &self.name,
-                        rows: &checked,
-                    }))?;
-                }
+            if !checked.is_empty() {
+                sink.log(|| encode_rel_op(&RelOp::Insert { table: &self.name, rows: &checked }))?;
             }
             let stored = Arc::make_mut(&mut *stored);
             let indexes = self.indexes.read();
@@ -332,7 +306,7 @@ impl Table {
             stored.extend(checked);
             self.generation.fetch_add(1, AtomicOrdering::AcqRel);
         }
-        flush_sink(&sink)?;
+        sink.flush()?;
         Ok(n)
     }
 
@@ -424,7 +398,7 @@ impl Table {
     pub fn delete_where(&self, mut pred: impl FnMut(&Row) -> bool) -> Result<usize> {
         let sink = self.write_sink()?;
         let removed = {
-            let _barrier = sink_guard(&sink);
+            let _barrier = sink.guard();
             let mut rows = self.rows.write();
             let positions: Vec<usize> = rows
                 .iter()
@@ -434,12 +408,9 @@ impl Table {
             if positions.is_empty() {
                 return Ok(0);
             }
-            if let Some(s) = &sink {
-                s.log(&encode_rel_op(&RelOp::Delete {
-                    table: &self.name,
-                    positions: &positions,
-                }))?;
-            }
+            sink.log(|| {
+                encode_rel_op(&RelOp::Delete { table: &self.name, positions: &positions })
+            })?;
             let rows = Arc::make_mut(&mut *rows);
             let mut next = positions.iter().peekable();
             let mut i = 0usize;
@@ -455,7 +426,7 @@ impl Table {
             self.mark_indexes_dirty();
             positions.len()
         };
-        flush_sink(&sink)?;
+        sink.flush()?;
         Ok(removed)
     }
 
@@ -472,7 +443,7 @@ impl Table {
     ) -> Result<usize> {
         let sink = self.write_sink()?;
         let (updated, failed) = {
-            let _barrier = sink_guard(&sink);
+            let _barrier = sink.guard();
             let mut rows = self.rows.write();
             let mut changes: Vec<(usize, Row)> = Vec::new();
             let mut failed: Option<Error> = None;
@@ -489,12 +460,9 @@ impl Table {
             }
             let updated = changes.len();
             if !changes.is_empty() {
-                if let Some(s) = &sink {
-                    s.log(&encode_rel_op(&RelOp::Update {
-                        table: &self.name,
-                        changes: &changes,
-                    }))?;
-                }
+                sink.log(|| {
+                    encode_rel_op(&RelOp::Update { table: &self.name, changes: &changes })
+                })?;
             }
             if !changes.is_empty() || failed.is_some() {
                 let rows = Arc::make_mut(&mut *rows);
@@ -506,7 +474,7 @@ impl Table {
             }
             (updated, failed)
         };
-        flush_sink(&sink)?;
+        sink.flush()?;
         match failed {
             Some(e) => Err(e),
             None => Ok(updated),
@@ -518,18 +486,16 @@ impl Table {
     pub fn truncate(&self) -> Result<()> {
         let sink = self.write_sink()?;
         {
-            let _barrier = sink_guard(&sink);
+            let _barrier = sink.guard();
             let mut rows = self.rows.write();
-            if let Some(s) = &sink {
-                s.log(&encode_rel_op(&RelOp::Truncate { table: &self.name }))?;
-            }
+            sink.log(|| encode_rel_op(&RelOp::Truncate { table: &self.name }))?;
             // Don't clear through make_mut: dropping the reference entirely
             // is cheaper when a reader has the old heap pinned.
             *rows = Arc::new(Vec::new());
             self.generation.fetch_add(1, AtomicOrdering::AcqRel);
             self.mark_indexes_dirty();
         }
-        flush_sink(&sink)
+        Ok(sink.flush()?)
     }
 
     fn mark_indexes_dirty(&self) {
@@ -546,7 +512,7 @@ impl Table {
         let column = self.schema.resolve(None, column_name)?;
         let sink = self.write_sink()?;
         {
-            let _barrier = sink_guard(&sink);
+            let _barrier = sink.guard();
             let rows = self.rows.read();
             let mut indexes = self.indexes.write();
             if indexes.iter().any(|i| i.name.eq_ignore_ascii_case(index_name)) {
@@ -555,35 +521,33 @@ impl Table {
                     self.name
                 )));
             }
-            if let Some(s) = &sink {
-                s.log(&encode_rel_op(&RelOp::CreateIndex {
+            sink.log(|| {
+                encode_rel_op(&RelOp::CreateIndex {
                     table: &self.name,
                     index: index_name,
                     column: column_name,
-                }))?;
-            }
+                })
+            })?;
             indexes.push(Arc::new(Index::build(index_name.to_string(), column, &rows)));
         }
-        flush_sink(&sink)
+        Ok(sink.flush()?)
     }
 
     /// Drop an index by name; returns whether one was removed.
     pub fn drop_index(&self, index_name: &str) -> Result<bool> {
         let sink = self.write_sink()?;
         {
-            let _barrier = sink_guard(&sink);
+            let _barrier = sink.guard();
             let mut indexes = self.indexes.write();
             let Some(pos) =
                 indexes.iter().position(|i| i.name.eq_ignore_ascii_case(index_name))
             else {
                 return Ok(false);
             };
-            if let Some(s) = &sink {
-                s.log(&encode_rel_op(&RelOp::DropIndex { index: index_name }))?;
-            }
+            sink.log(|| encode_rel_op(&RelOp::DropIndex { index: index_name }))?;
             indexes.remove(pos);
         }
-        flush_sink(&sink)?;
+        sink.flush()?;
         Ok(true)
     }
 
@@ -693,9 +657,9 @@ pub struct Catalog {
     /// Cached query plans are valid only for the version they were
     /// planned against.
     version: Arc<std::sync::atomic::AtomicU64>,
-    /// Redo sink propagated to every (non-ephemeral) table; shared across
+    /// Redo log propagated to every (non-ephemeral) table; shared across
     /// catalog clones.
-    sink: Arc<RwLock<Option<Arc<dyn RedoSink>>>>,
+    sink: Arc<RwLock<RedoLog>>,
 }
 
 impl Default for Catalog {
@@ -703,7 +667,7 @@ impl Default for Catalog {
         Catalog {
             tables: Arc::new(RwLock::new_labeled("catalog.tables", BTreeMap::new())),
             version: Arc::new(std::sync::atomic::AtomicU64::new(0)),
-            sink: Arc::new(RwLock::new_labeled("catalog.sink", None)),
+            sink: Arc::new(RwLock::new_labeled("catalog.sink", RedoLog::default())),
         }
     }
 }
@@ -726,18 +690,18 @@ impl Catalog {
         self.version.fetch_add(1, AtomicOrdering::AcqRel);
     }
 
-    fn sink(&self) -> Option<Arc<dyn RedoSink>> {
+    fn sink(&self) -> RedoLog {
         self.sink.read().clone()
     }
 
-    /// Attach a redo sink: all future mutations (and mutations of existing
+    /// Attach a redo log: all future mutations (and mutations of existing
     /// non-ephemeral tables) log through it. Called once, right after
     /// recovery has replayed the log into this catalog.
-    pub fn attach_sink(&self, sink: Arc<dyn RedoSink>) {
-        *self.sink.write() = Some(Arc::clone(&sink));
+    pub fn attach_sink(&self, sink: RedoLog) {
+        *self.sink.write() = sink.clone();
         for table in self.tables.read().values() {
             if !table.is_ephemeral() {
-                table.set_sink(Some(Arc::clone(&sink)));
+                table.set_sink(sink.clone());
             }
         }
     }
@@ -788,27 +752,19 @@ impl Catalog {
         }
         let sink = self.sink();
         let table = {
-            let _barrier = sink_guard(&sink);
+            let _barrier = sink.guard();
             let mut tables = self.tables.write();
             let key = Self::key(name);
             if !replace && tables.contains_key(&key) {
                 return Err(Error::catalog(format!("table `{name}` already exists")));
             }
-            if let Some(s) = &sink {
-                if !ephemeral {
-                    s.log(&encode_rel_op(&RelOp::CreateTable {
-                        name,
-                        columns: &columns,
-                        replace,
-                    }))?;
-                } else if let Some(prev) = tables.get(&key) {
-                    // An ephemeral table may replace a durable one (explicit
-                    // DDL reused the name); the displacement itself must be
-                    // durable even though the new table is not.
-                    if !prev.is_ephemeral() {
-                        s.log(&encode_rel_op(&RelOp::DropTable { name }))?;
-                    }
-                }
+            if !ephemeral {
+                sink.log(|| encode_rel_op(&RelOp::CreateTable { name, columns: &columns, replace }))?;
+            } else if tables.get(&key).is_some_and(|prev| !prev.is_ephemeral()) {
+                // An ephemeral table may replace a durable one (explicit
+                // DDL reused the name); the displacement itself must be
+                // durable even though the new table is not.
+                sink.log(|| encode_rel_op(&RelOp::DropTable { name }))?;
             }
             if replace {
                 tables.remove(&key);
@@ -822,29 +778,27 @@ impl Catalog {
             self.bump_version();
             table
         };
-        flush_sink(&sink)?;
+        sink.flush()?;
         Ok(table)
     }
 
     pub fn drop_table(&self, name: &str) -> Result<()> {
         let sink = self.sink();
         {
-            let _barrier = sink_guard(&sink);
+            let _barrier = sink.guard();
             let mut tables = self.tables.write();
             let key = Self::key(name);
             let Some(table) = tables.get(&key) else {
                 return Err(Error::NoSuchTable(name.to_string()));
             };
-            if let Some(s) = &sink {
-                if !table.is_ephemeral() {
-                    s.log(&encode_rel_op(&RelOp::DropTable { name }))?;
-                }
+            if !table.is_ephemeral() {
+                sink.log(|| encode_rel_op(&RelOp::DropTable { name }))?;
             }
             tables.remove(&key);
             drop(tables);
             self.bump_version();
         }
-        flush_sink(&sink)
+        Ok(sink.flush()?)
     }
 
     pub fn get_table(&self, name: &str) -> Result<Arc<Table>> {

@@ -78,13 +78,9 @@ pub fn encode_catalog(pin: &CatalogPin) -> Vec<u8> {
 }
 
 /// Rebuild a catalog from an encoded snapshot section. The catalog must
-/// be fresh (no sink attached, no tables) — this is the first step of
+/// be fresh (no log attached, no tables) — this is the first step of
 /// recovery, before the log tail is replayed.
-pub fn decode_catalog(
-    catalog: &Catalog,
-    bytes: &[u8],
-    interner: Option<&Interner>,
-) -> Result<()> {
+pub fn decode_catalog(catalog: &Catalog, bytes: &[u8], interner: &Interner) -> Result<()> {
     let mut d = Decoder::new(bytes);
     let ntables = d.u32().map_err(Error::from)?;
     for _ in 0..ntables {
@@ -145,7 +141,7 @@ mod tests {
         let cat = seed();
         let bytes = encode_catalog(&pin_catalog(&cat));
         let restored = Catalog::new();
-        decode_catalog(&restored, &bytes, None).unwrap();
+        decode_catalog(&restored, &bytes, &Interner::new()).unwrap();
         assert!(restored.has_table("landfill"));
         assert!(restored.has_table("empty"));
         assert!(restored.has_index("idx_name"));
@@ -164,7 +160,7 @@ mod tests {
         let pin = pin_catalog(&cat);
         assert!(pin.tables.iter().all(|t| !t.name.eq_ignore_ascii_case("foreign")));
         let restored = Catalog::new();
-        decode_catalog(&restored, &encode_catalog(&pin), None).unwrap();
+        decode_catalog(&restored, &encode_catalog(&pin), &Interner::new()).unwrap();
         assert!(!restored.has_table("foreign"));
     }
 
@@ -174,7 +170,7 @@ mod tests {
         let pin = pin_catalog(&cat);
         cat.get_table("landfill").unwrap().insert(row!["c", 3.0]).unwrap();
         let restored = Catalog::new();
-        decode_catalog(&restored, &encode_catalog(&pin), None).unwrap();
+        decode_catalog(&restored, &encode_catalog(&pin), &Interner::new()).unwrap();
         assert_eq!(restored.get_table("landfill").unwrap().row_count(), 2);
     }
 
@@ -184,7 +180,7 @@ mod tests {
         let bytes = encode_catalog(&pin_catalog(&cat));
         for cut in [1usize, 7, bytes.len() - 3] {
             let restored = Catalog::new();
-            let err = decode_catalog(&restored, &bytes[..cut], None).unwrap_err();
+            let err = decode_catalog(&restored, &bytes[..cut], &Interner::new()).unwrap_err();
             assert!(matches!(err, crate::error::Error::Storage(_)), "{err}");
         }
     }

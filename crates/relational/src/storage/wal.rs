@@ -6,8 +6,6 @@
 //! positions (never predicates or expressions), so replay is deterministic
 //! regardless of planner or evaluation changes.
 
-use parking_lot::RwLock;
-
 use crosse_wal::{Decoder, Encoder};
 
 use crate::error::{Error, Result};
@@ -15,31 +13,6 @@ use crate::schema::Column;
 use crate::value::{DataType, Interner, Row, Value};
 
 use super::Catalog;
-
-/// Where redo records go. Implemented over a `crosse_wal::WalStore` by
-/// [`super::durable::WalRedoSink`]; the indirection keeps the storage layer
-/// testable without touching a filesystem.
-pub trait RedoSink: Send + Sync + std::fmt::Debug {
-    /// The append/checkpoint barrier. Mutators hold the read side across
-    /// their whole log-then-apply critical section (see
-    /// `storage::sink_guard`).
-    fn barrier(&self) -> &RwLock<()>;
-
-    /// Append one encoded [`RelOp`] to the log *without* forcing it to
-    /// disk. An error here fails the statement *before* it touches the
-    /// heap.
-    fn log(&self, payload: &[u8]) -> Result<()>;
-
-    /// Make previously logged records durable per the sink's sync policy.
-    /// Mutators call this *after* releasing their heap locks, so no
-    /// engine lock is ever held across an fsync (the lock-order tracker
-    /// flags exactly that). An error means the mutation is applied in
-    /// memory but its durability is not yet guaranteed — callers surface
-    /// it like any other statement failure.
-    fn flush(&self) -> Result<()> {
-        Ok(())
-    }
-}
 
 const OP_CREATE_TABLE: u8 = 1;
 const OP_DROP_TABLE: u8 = 2;
@@ -130,14 +103,10 @@ pub fn encode_rel_op(op: &RelOp<'_>) -> Vec<u8> {
 }
 
 /// Decode one payload and apply it to `catalog` **without re-logging** —
-/// this is the replay path; no sink is attached to a recovering catalog.
-/// Text values are interned through `interner` when given, so recovered
-/// rows share allocations exactly like freshly loaded ones.
-pub fn apply_rel_op(
-    catalog: &Catalog,
-    payload: &[u8],
-    interner: Option<&Interner>,
-) -> Result<()> {
+/// this is the replay path; no log is attached to a recovering catalog.
+/// Text values are interned through `interner`, so recovered rows share
+/// allocations exactly like freshly loaded ones.
+pub fn apply_rel_op(catalog: &Catalog, payload: &[u8], interner: &Interner) -> Result<()> {
     let mut d = Decoder::new(payload);
     let tag = d.u8().map_err(Error::from)?;
     match tag {
@@ -291,22 +260,13 @@ pub(crate) fn encode_value(e: &mut Encoder, v: &Value) {
     }
 }
 
-pub(crate) fn decode_value(
-    d: &mut Decoder<'_>,
-    interner: Option<&Interner>,
-) -> Result<Value> {
+pub(crate) fn decode_value(d: &mut Decoder<'_>, interner: &Interner) -> Result<Value> {
     Ok(match d.u8().map_err(Error::from)? {
         VAL_NULL => Value::Null,
         VAL_BOOL => Value::Bool(d.u8().map_err(Error::from)? != 0),
         VAL_INT => Value::Int(d.i64().map_err(Error::from)?),
         VAL_FLOAT => Value::Float(d.f64().map_err(Error::from)?),
-        VAL_STR => {
-            let s = d.str().map_err(Error::from)?;
-            match interner {
-                Some(i) => Value::Str(i.intern_owned(s)),
-                None => Value::from(s),
-            }
-        }
+        VAL_STR => Value::Str(interner.intern_owned(d.str().map_err(Error::from)?)),
         other => return Err(Error::storage(format!("unknown value tag {other}"))),
     })
 }
@@ -318,7 +278,7 @@ pub(crate) fn encode_row(e: &mut Encoder, row: &Row) {
     }
 }
 
-pub(crate) fn decode_row(d: &mut Decoder<'_>, interner: Option<&Interner>) -> Result<Row> {
+pub(crate) fn decode_row(d: &mut Decoder<'_>, interner: &Interner) -> Result<Row> {
     let n = d.u32().map_err(Error::from)?;
     let mut row = Vec::with_capacity(n as usize);
     for _ in 0..n {
@@ -350,14 +310,14 @@ mod tests {
         ];
         drop(src);
         for op in &ops {
-            apply_rel_op(&dst, op, None).unwrap();
+            apply_rel_op(&dst, op, &Interner::new()).unwrap();
         }
         assert!(dst.has_table("landfill"));
         assert!(dst.has_index("idx_n"));
 
-        apply_rel_op(&dst, &encode_rel_op(&RelOp::DropIndex { index: "idx_n" }), None).unwrap();
+        apply_rel_op(&dst, &encode_rel_op(&RelOp::DropIndex { index: "idx_n" }), &Interner::new()).unwrap();
         assert!(!dst.has_index("idx_n"));
-        apply_rel_op(&dst, &encode_rel_op(&RelOp::DropTable { name: "landfill" }), None)
+        apply_rel_op(&dst, &encode_rel_op(&RelOp::DropTable { name: "landfill" }), &Interner::new())
             .unwrap();
         assert!(!dst.has_table("landfill"));
     }
@@ -368,29 +328,29 @@ mod tests {
         apply_rel_op(
             &dst,
             &encode_rel_op(&RelOp::CreateTable { name: "t", columns: &cols(), replace: false }),
-            None,
+            &Interner::new(),
         )
         .unwrap();
         let rows = vec![row!["a", 1.0], row!["b", 2.0], row!["c", 3.0]];
-        apply_rel_op(&dst, &encode_rel_op(&RelOp::Insert { table: "t", rows: &rows }), None)
+        apply_rel_op(&dst, &encode_rel_op(&RelOp::Insert { table: "t", rows: &rows }), &Interner::new())
             .unwrap();
         let changes = vec![(1usize, row!["B", 20.0])];
         apply_rel_op(
             &dst,
             &encode_rel_op(&RelOp::Update { table: "t", changes: &changes }),
-            None,
+            &Interner::new(),
         )
         .unwrap();
         apply_rel_op(
             &dst,
             &encode_rel_op(&RelOp::Delete { table: "t", positions: &[0] }),
-            None,
+            &Interner::new(),
         )
         .unwrap();
         let t = dst.get_table("t").unwrap();
         let got = t.scan();
         assert_eq!(got, vec![row!["B", 20.0], row!["c", 3.0]]);
-        apply_rel_op(&dst, &encode_rel_op(&RelOp::Truncate { table: "t" }), None).unwrap();
+        apply_rel_op(&dst, &encode_rel_op(&RelOp::Truncate { table: "t" }), &Interner::new()).unwrap();
         assert_eq!(t.row_count(), 0);
     }
 
@@ -406,14 +366,14 @@ mod tests {
         apply_rel_op(
             &dst,
             &encode_rel_op(&RelOp::CreateTable { name: "v", columns: &columns, replace: false }),
-            None,
+            &Interner::new(),
         )
         .unwrap();
         let rows = vec![
             vec![Value::Bool(true), Value::Int(-7), Value::Float(2.5), Value::from("héllo")],
             vec![Value::Null, Value::Null, Value::Null, Value::Null],
         ];
-        apply_rel_op(&dst, &encode_rel_op(&RelOp::Insert { table: "v", rows: &rows }), None)
+        apply_rel_op(&dst, &encode_rel_op(&RelOp::Insert { table: "v", rows: &rows }), &Interner::new())
             .unwrap();
         assert_eq!(dst.get_table("v").unwrap().scan(), rows);
     }
@@ -425,14 +385,14 @@ mod tests {
         apply_rel_op(
             &dst,
             &encode_rel_op(&RelOp::CreateTable { name: "t", columns: &cols(), replace: false }),
-            Some(&interner),
+            &interner,
         )
         .unwrap();
         let rows = vec![row!["Torino", 1.0], row!["Torino", 2.0]];
         apply_rel_op(
             &dst,
             &encode_rel_op(&RelOp::Insert { table: "t", rows: &rows }),
-            Some(&interner),
+            &interner,
         )
         .unwrap();
         let got = dst.get_table("t").unwrap().scan();
@@ -449,11 +409,11 @@ mod tests {
         let dst = Catalog::new();
         dst.create_table("t", cols()).unwrap();
         for cut in [1, 3, payload.len() - 2] {
-            let err = apply_rel_op(&dst, &payload[..cut], None).unwrap_err();
+            let err = apply_rel_op(&dst, &payload[..cut], &Interner::new()).unwrap_err();
             assert!(matches!(err, Error::Storage(_)), "{err}");
         }
         // Unknown op tag.
-        let err = apply_rel_op(&dst, &[99], None).unwrap_err();
+        let err = apply_rel_op(&dst, &[99], &Interner::new()).unwrap_err();
         assert!(err.to_string().contains("unknown"), "{err}");
     }
 
@@ -465,7 +425,7 @@ mod tests {
         apply_rel_op(
             &dst,
             &encode_rel_op(&RelOp::CreateTable { name: "t", columns: &cols(), replace: true }),
-            None,
+            &Interner::new(),
         )
         .unwrap();
         assert_eq!(dst.get_table("t").unwrap().row_count(), 0);

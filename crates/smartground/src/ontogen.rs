@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn ontologies_load_into_kb() {
         let kb = KnowledgeBase::new();
-        kb.register_user("director");
+        kb.register_user("director").unwrap();
         let n = director_ontology(&kb, "director").unwrap();
         assert_eq!(kb.personal_size("director"), n);
         // dangerLevel of Hg queryable in the user's context
@@ -263,11 +263,11 @@ mod tests {
     #[test]
     fn rdfs_hierarchy_materialises() {
         let kb = KnowledgeBase::new();
-        kb.register_user("director");
+        kb.register_user("director").unwrap();
         danger_ontology(&kb, "director").unwrap();
         // Move the hierarchy triples into the common graph for inference.
-        kb.load_common(&danger_triples());
-        let n = kb.materialize_inferences();
+        kb.load_common(&danger_triples()).unwrap();
+        let n = kb.materialize_inferences().unwrap();
         assert!(n > 0);
         let sols = kb
             .query_as("director", "SELECT ?x WHERE { ?x rdf:type <Metal> }")

@@ -93,7 +93,7 @@ pub const DANGER_QUERY_SPARQL: &str =
 pub fn standard_engine(config: &SmartGroundConfig, user: &str) -> crosse_core::Result<SesqlEngine> {
     let db: Database = generate(config)?;
     let kb = KnowledgeBase::new();
-    kb.register_user(user);
+    kb.register_user(user)?;
     director_ontology(&kb, user)?;
     let engine = SesqlEngine::new(db, kb);
     engine.stored_queries().register("dangerQuery", DANGER_QUERY_SPARQL)?;
@@ -128,7 +128,7 @@ pub fn standard_engine_at_with(
     }
     let kb = engine.knowledge_base();
     if !kb.is_registered(user) {
-        kb.register_user(user);
+        kb.register_user(user)?;
         director_ontology(kb, user)?;
     }
     engine.stored_queries().register("dangerQuery", DANGER_QUERY_SPARQL)?;

@@ -22,7 +22,8 @@
 //! ## Protocol
 //!
 //! Appenders hold the [`WalStore::barrier`] read lock across their whole
-//! log-then-apply critical section; a checkpoint takes the write lock
+//! log-then-apply critical section (a store does this through its
+//! [`RedoLog`]); a checkpoint takes the write lock
 //! only long enough to read the pin LSN and rotate the segment, then
 //! serialises the pinned state *off-thread* while writers proceed.
 //! Recovery loads the newest valid snapshot, replays both segments
@@ -35,10 +36,12 @@
 mod enc;
 mod error;
 mod log;
+mod redo;
 
 pub use enc::{crc32, Decoder, Encoder};
 pub use error::{Result, WalError};
 pub use log::{Record, Recovered, SyncPolicy, WalOptions, WalStats, WalStore};
+pub use redo::RedoLog;
 
 /// Channel tag for relational redo records (also used as the snapshot
 /// section tag for the relational catalog).

@@ -286,25 +286,11 @@ impl WalStore {
     }
 
     /// The append/checkpoint barrier. Mutators MUST hold the read side
-    /// across their whole append-then-apply critical section (the sink
-    /// adapters in the engine crates do this); the checkpointer takes the
+    /// across their whole append-then-apply critical section
+    /// ([`crate::RedoLog::guard`] takes it); the checkpointer takes the
     /// write side while pinning.
     pub fn barrier(&self) -> &RwLock<()> {
         &self.barrier
-    }
-
-    /// Append one redo record; returns its LSN. The caller is expected to
-    /// hold the [`WalStore::barrier`] read lock.
-    ///
-    /// Applies the sync policy inline — the record is durable (per policy)
-    /// when this returns. Callers that hold their own data locks across
-    /// the append-then-apply critical section should prefer
-    /// [`WalStore::append_nosync`] + [`WalStore::sync_policy`] *after*
-    /// releasing them, so no engine lock is ever held across an fsync.
-    pub fn append(&self, chan: u8, payload: &[u8]) -> Result<u64> {
-        let lsn = self.append_nosync(chan, payload)?;
-        self.sync_policy()?;
-        Ok(lsn)
     }
 
     /// Append one redo record to the OS without fsyncing; returns its
@@ -348,15 +334,6 @@ impl WalStore {
             app.file.sync_data().map_err(|e| WalError::io("fsync wal.log", e))?;
             app.since_sync = 0;
         }
-        Ok(())
-    }
-
-    /// Force an fsync of the live segment regardless of policy.
-    pub fn sync(&self) -> Result<()> {
-        let mut app = self.appender.lock();
-        let _io = tracking::blocking_region_allowing("wal.fsync", FSYNC_EXPECTED);
-        app.file.sync_data().map_err(|e| WalError::io("fsync wal.log", e))?;
-        app.since_sync = 0;
         Ok(())
     }
 
@@ -654,6 +631,24 @@ fn read_snapshot(path: &Path) -> Result<(u64, SnapshotSections)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The tests write records directly: append-and-sync in one call, and
+    /// a forced fsync.
+    impl WalStore {
+        fn append(&self, chan: u8, payload: &[u8]) -> Result<u64> {
+            let lsn = self.append_nosync(chan, payload)?;
+            self.sync_policy()?;
+            Ok(lsn)
+        }
+
+        fn sync(&self) -> Result<()> {
+            let mut app = self.appender.lock();
+            let _io = tracking::blocking_region_allowing("wal.fsync", FSYNC_EXPECTED);
+            app.file.sync_data().map_err(|e| WalError::io("fsync wal.log", e))?;
+            app.since_sync = 0;
+            Ok(())
+        }
+    }
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()

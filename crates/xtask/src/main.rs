@@ -24,8 +24,9 @@
 //! * `lint` — regenerate the corpus lint snapshots (`lint_golden`) and
 //!   fail on drift against the committed ones.
 //! * `check` — the aggregate gate: clippy + rustdoc + srclint + lint +
-//!   explain-snapshots + the full test suite + every example binary, with
-//!   a per-gate recap.
+//!   explain-snapshots + the full test suite + every example binary +
+//!   crash + chaos `--quick` + the benchmark package, with a per-gate
+//!   recap.
 //! * `srclint` — the in-process Rust source linter (R001–R006: lock
 //!   discipline, panic discipline, determinism; see `crosse-lint`):
 //!   lint the workspace, then regenerate and drift-check the rule
@@ -591,8 +592,8 @@ fn examples() {
 
 /// The aggregate static-analysis + test gate: clippy (warnings are
 /// errors), srclint on our own sources, the corpus lint gate, the
-/// EXPLAIN plan snapshots, the full test suite, the examples, chaos quick
-/// mode and the benchmark package. One command ≈ "is
+/// EXPLAIN plan snapshots, the full test suite, the examples, the crash
+/// harness, chaos quick mode and the benchmark package. One command ≈ "is
 /// this tree healthy". Each sub-gate prints its own one-line verdict;
 /// the trailing block recaps them.
 fn check() {
@@ -603,6 +604,7 @@ fn check() {
     explain_snapshots();
     run("cargo test --workspace", cargo().args(["test", "--workspace", "--quiet"]));
     examples();
+    crash();
     chaos(&["--quick".to_string()]);
     crossebench();
     println!("xtask: check OK");
@@ -614,6 +616,7 @@ fn check() {
         "explain-snapshots OK (plan snapshots match)",
         "tests             OK (cargo test --workspace)",
         "examples          OK (every examples/*.rs binary exits 0)",
+        "crash             OK (2 kill -9 rounds of SQL + KB writes and a checkpoint, no acked write lost)",
         "chaos             OK (--quick: frame abuse + kill -9 recovery, lock-tracked)",
         "crossebench       OK (harness tests + --smoke: golden and differential digests)",
     ] {
@@ -1126,7 +1129,8 @@ fn main() {
                                  discipline, lock labels, forbid(unsafe_code), planner wall-clock)\n\
                                  and gate the fixture corpus snapshot\n\
                  check           aggregate gate: clippy + rustdoc + srclint + lint + explain-snapshots + full tests\n\
-                                 + examples + chaos --quick + the crossebench package's tests and --smoke\n\
+                                 + examples + crash + chaos --quick + the crossebench package's tests\n\
+                                 and --smoke\n\
                  loc             non-test Rust lines under crates/ + src/ (no tests/ files, no\n\
                                  #[cfg(test)] items), per crate and total: the size to report per PR\n\
                  clippy          cargo clippy --workspace --all-targets -- -D warnings\n\

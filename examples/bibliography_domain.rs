@@ -36,8 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // an e-government practitioner (the paper's Sec. I-B(a) scenario,
     // transplanted).
     let kb = KnowledgeBase::new();
-    kb.register_user("theorist");
-    kb.register_user("practitioner");
+    kb.register_user("theorist")?;
+    kb.register_user("practitioner")?;
     for (venue, field) in [
         ("Computer", "SystemsVision"),
         ("JIIS", "DataIntegration"),

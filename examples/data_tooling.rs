@@ -73,7 +73,7 @@ Gerbido,Torino,450.0,municipal";
 
     // 6. Knowledge export: the director's KB as N-Triples and DOT.
     let kb = KnowledgeBase::new();
-    kb.register_user("director");
+    kb.register_user("director")?;
     for (s, p, o) in [
         ("Hg", "dangerLevel", "5"),
         ("Pb", "dangerLevel", "4"),

@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Database, so the engine plugs straight in (and its SQL leg gets the
     // same pushdown).
     let kb = KnowledgeBase::new();
-    kb.register_user("analyst");
+    kb.register_user("analyst")?;
     for (city, country) in [("Torino", "Italy"), ("Collegno", "Italy")] {
         kb.assert_statement(
             "analyst",

@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. The user's personal contextual knowledge (the "semantic
     //    platform"): RDF statements about danger levels.
     let kb = KnowledgeBase::new();
-    kb.register_user("director");
+    kb.register_user("director")?;
     for (elem, level) in [("Hg", "5"), ("Pb", "4"), ("Cu", "1")] {
         kb.assert_statement(
             "director",

@@ -49,7 +49,7 @@ fn parallel_triple_store_writers_land_all_triples() {
                         Term::iri("p"),
                         Term::lit(i.to_string()),
                     ),
-                );
+                ).unwrap();
             }
         }));
     }
@@ -66,7 +66,7 @@ fn parallel_triple_store_writers_land_all_triples() {
 #[test]
 fn readers_run_during_writes() {
     let store = TripleStore::new();
-    store.insert("kb", &Triple::new(Term::iri("a"), Term::iri("p"), Term::lit("0")));
+    store.insert("kb", &Triple::new(Term::iri("a"), Term::iri("p"), Term::lit("0"))).unwrap();
     let writer = {
         let store = store.clone();
         thread::spawn(move || {
@@ -74,7 +74,7 @@ fn readers_run_during_writes() {
                 store.insert(
                     "kb",
                     &Triple::new(Term::iri(format!("s{i}")), Term::iri("p"), Term::lit("x")),
-                );
+                ).unwrap();
             }
         })
     };
@@ -780,7 +780,7 @@ fn parallel_sparql_probe_matches_sequential() {
                     Term::iri("linksTo"),
                     Term::iri(format!("leaf{i}_{j}")),
                 ),
-            );
+            ).unwrap();
             store.insert(
                 "kb",
                 &Triple::new(
@@ -788,7 +788,7 @@ fn parallel_sparql_probe_matches_sequential() {
                     Term::iri("weight"),
                     Term::lit(((i * j) % 17).to_string()),
                 ),
-            );
+            ).unwrap();
         }
     }
     let q = prepare(
@@ -796,7 +796,7 @@ fn parallel_sparql_probe_matches_sequential() {
     )
     .unwrap();
     let run = |threads| {
-        q.execute(&store, &["kb"], &SparqlParams::new(), &EvalOptions { threads, ..Default::default() })
+        q.execute(&store, &["kb"], &SparqlParams::new(), &EvalOptions { threads })
             .unwrap()
     };
     let sequential = run(1);
@@ -860,7 +860,6 @@ fn parallel_session_queries_under_kb_writer() {
 #[cfg(debug_assertions)]
 mod lock_tracking {
     use super::*;
-    use crosse::relational::Database;
     use parking_lot::tracking::{self, Violation};
     use parking_lot::Mutex;
 
@@ -966,18 +965,19 @@ mod lock_tracking {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let db = Database::open_with(
+        let engine = SesqlEngine::open_with(
             &dir,
-            crosse::relational::WalOptions { sync: crosse::relational::SyncPolicy::Always },
+            crosse::core::WalOptions { sync: crosse::core::SyncPolicy::Always },
         )
         .unwrap();
+        let db = engine.database();
         db.execute("CREATE TABLE t (n INT)").unwrap();
 
         let m = Mutex::new_labeled("sabotage.wal_holder", ());
         let g = m.lock();
         db.execute("INSERT INTO t VALUES (1)").unwrap();
         drop(g);
-        drop(db);
+        drop(engine);
         let _ = std::fs::remove_dir_all(&dir);
 
         let hit = tracking::violations().into_iter().any(|v| {
@@ -1007,18 +1007,17 @@ mod lock_tracking {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let db = Database::open_with(
+            let engine = SesqlEngine::open_with(
                 &dir,
-                crosse::relational::WalOptions {
-                    sync: crosse::relational::SyncPolicy::EveryN(4),
-                },
+                crosse::core::WalOptions { sync: crosse::core::SyncPolicy::EveryN(4) },
             )
             .unwrap();
+            let db = engine.database();
             db.execute("CREATE TABLE gate (n INT, s TEXT)").unwrap();
             for i in 0..stress_iters(40) {
                 db.execute(&format!("INSERT INTO gate VALUES ({i}, 'v{i}')")).unwrap();
             }
-            db.checkpoint().unwrap();
+            engine.checkpoint().unwrap();
             assert_eq!(db.query("SELECT COUNT(*) AS c FROM gate").unwrap().len(), 1);
         }
         let _ = std::fs::remove_dir_all(&dir);

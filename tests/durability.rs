@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 
 use crosse::core::sqm::SesqlEngine;
-use crosse::core::Error as CoreError;
+use crosse::core::{Error as CoreError, WalOptions};
 use crosse::rdf::provenance::KnowledgeBase;
 use crosse::rdf::store::Triple;
 use crosse::rdf::term::Term;
@@ -178,7 +178,7 @@ fn stale_snapshot_with_long_tail_recovers() {
     let dir = tmp_dir("stale");
     {
         let engine = seeded(&dir);
-        engine.knowledge_base().register_user("u");
+        engine.knowledge_base().register_user("u").unwrap();
         engine.checkpoint().unwrap();
         engine.checkpoint_join().unwrap();
         // A long post-checkpoint tail on both channels.
@@ -225,6 +225,153 @@ fn corrupt_snapshot_is_a_typed_error_not_a_panic() {
         SesqlEngine::open(&dir).is_err(),
         "a snapshot failing its CRC must be rejected, not half-loaded"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn open_default(dir: &Path) -> SesqlEngine {
+    SesqlEngine::open_with(dir, WalOptions::default()).unwrap()
+}
+
+fn count(engine: &SesqlEngine, table: &str) -> i64 {
+    let rs = engine.database().query(&format!("SELECT COUNT(*) AS n FROM {table}")).unwrap();
+    match rs.rows[0][0] {
+        Value::Int(n) => n,
+        ref other => panic!("expected int, got {other:?}"),
+    }
+}
+
+#[test]
+fn open_log_reopen_roundtrip() {
+    let dir = tmp_dir("roundtrip");
+    {
+        let engine = open_default(&dir);
+        assert!(engine.is_durable());
+        engine
+            .database()
+            .execute_script(
+                "CREATE TABLE t (name TEXT, tons FLOAT);
+                 INSERT INTO t VALUES ('a', 1.0), ('b', 2.0);
+                 CREATE INDEX idx_t ON t (name);
+                 UPDATE t SET tons = 20.0 WHERE name = 'b';
+                 DELETE FROM t WHERE name = 'a';",
+            )
+            .unwrap();
+    }
+    let engine = open_default(&dir);
+    assert!(engine.recovery_warnings().is_empty());
+    let rs = engine.database().query("SELECT name, tons FROM t").unwrap();
+    assert_eq!(rs.rows, vec![crosse::relational::row!["b", 20.0]]);
+    assert!(engine.database().catalog().has_index("idx_t"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn checkpoint_then_tail_replay() {
+    let dir = tmp_dir("ckpt");
+    {
+        let engine = open_default(&dir);
+        engine.database().execute("CREATE TABLE t (x INT)").unwrap();
+        engine.database().execute("INSERT INTO t VALUES (1), (2)").unwrap();
+        let lsn = engine.checkpoint().unwrap();
+        assert!(lsn > 0);
+        engine.checkpoint_join().unwrap();
+        // Post-checkpoint traffic lands in the fresh log tail.
+        engine.database().execute("INSERT INTO t VALUES (3)").unwrap();
+        let stats = engine.wal_stats().unwrap();
+        assert_eq!(stats.snapshot_lsn, lsn);
+        assert!(stats.last_lsn > lsn);
+    }
+    let engine = open_default(&dir);
+    assert_eq!(count(&engine, "t"), 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn delete_all_and_ddl_survive_reopen() {
+    let dir = tmp_dir("ddl");
+    {
+        let engine = open_default(&dir);
+        engine
+            .database()
+            .execute_script(
+                "CREATE TABLE a (x INT);
+                 CREATE TABLE b (y TEXT);
+                 INSERT INTO a VALUES (1), (2), (3);
+                 DELETE FROM a;
+                 DROP TABLE b;",
+            )
+            .unwrap();
+    }
+    let engine = open_default(&dir);
+    assert_eq!(count(&engine, "a"), 0);
+    assert!(!engine.database().catalog().has_table("b"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A KB write the log cannot take is refused, never acknowledged. The
+/// shell runs under a file-size limit a few KiB above the log's size (with
+/// `SIGXFSZ` ignored, so an append past it fails with `EFBIG`), so the
+/// log fills partway through a run of `.assert`s. Some of them must report
+/// an error, and every statement the shell did acknowledge must be there
+/// after a reopen without the limit.
+#[cfg(target_os = "linux")]
+#[test]
+fn acknowledged_kb_writes_survive_or_are_refused() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+
+    let dir = tmp_dir("xfsz");
+    let cli = env!("CARGO_BIN_EXE_crosse-cli");
+    let dir_arg = dir.to_str().unwrap();
+    let args = ["--landfills", "5", "--data-dir", dir_arg];
+    let run = |limit_blocks: Option<u64>, script: &str| -> String {
+        let mut cmd = match limit_blocks {
+            None => Command::new(cli),
+            Some(n) => {
+                // `ulimit -f` counts 512-byte blocks in a POSIX `sh`.
+                let mut sh = Command::new("sh");
+                sh.args(["-c", &format!("trap '' XFSZ; ulimit -f {n}; exec \"$0\" \"$@\""), cli]);
+                sh
+            }
+        };
+        let mut child = cmd
+            .args(args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn crosse-cli");
+        child.stdin.as_mut().unwrap().write_all(script.as_bytes()).unwrap();
+        let out = child.wait_with_output().unwrap();
+        String::from_utf8(out.stdout).unwrap()
+    };
+
+    run(None, "");
+    let size = std::fs::metadata(dir.join("wal.log")).unwrap().len();
+    let mut script: String =
+        (0..100).map(|i| format!(".assert Xfsz{i} dangerLevel {i}\n")).collect();
+    script.push_str("CREATE TABLE after_full (x INT);\n");
+    let limited = run(Some(size / 512 + 8), &script);
+
+    // One reply line per `.assert`, then the CREATE TABLE's.
+    let replies: Vec<&str> = limited.lines().take(100).collect();
+    let acked: Vec<String> = replies
+        .iter()
+        .filter_map(|l| l.strip_prefix("asserted statement #"))
+        .map(|id| format!("#{id}:"))
+        .collect();
+    let refused = replies.iter().filter(|l| l.starts_with("error:")).count();
+    assert_eq!(acked.len() + refused, 100, "one reply per .assert:\n{limited}");
+    assert!(refused > 0, "no .assert was refused under the limit:\n{limited}");
+    assert!(!acked.is_empty(), "the limit left no room for any write:\n{limited}");
+
+    let listed = run(None, ".kb\n");
+    for id in &acked {
+        assert!(
+            listed.lines().any(|l| l.starts_with(id.as_str())),
+            "acknowledged statement {id} lost after reopen:\n{listed}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -308,7 +455,7 @@ proptest! {
                 crosse::core::WalOptions { sync: crosse::core::SyncPolicy::Off },
             ).unwrap();
             engine.database().execute("CREATE TABLE t (x INT)").unwrap();
-            engine.knowledge_base().register_user("u");
+            engine.knowledge_base().register_user("u").unwrap();
             cut_points.push(std::fs::metadata(dir.join("wal.log")).unwrap().len() as usize);
             for op in &ops {
                 apply(op, engine.database(), engine.knowledge_base());
@@ -327,7 +474,7 @@ proptest! {
         let ref_db = Database::new();
         let ref_kb = KnowledgeBase::new();
         ref_db.execute("CREATE TABLE t (x INT)").unwrap();
-        ref_kb.register_user("u");
+        ref_kb.register_user("u").unwrap();
         for op in &ops[..k] {
             apply(op, &ref_db, &ref_kb);
         }

@@ -134,7 +134,7 @@ fn replace_variable_supersets_baseline() {
 fn contexts_isolate_users_end_to_end() {
     let engine = tiny_engine();
     let kb = engine.knowledge_base();
-    kb.register_user("skeptic"); // no knowledge at all
+    kb.register_user("skeptic").unwrap(); // no knowledge at all
     let sesql = format!(
         "SELECT elem_name FROM elem_contained WHERE landfill_name = '{}' \
          ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)",
@@ -151,7 +151,7 @@ fn contexts_isolate_users_end_to_end() {
 fn belief_import_changes_query_results() {
     let engine = tiny_engine();
     let kb = engine.knowledge_base();
-    kb.register_user("apprentice");
+    kb.register_user("apprentice").unwrap();
     let sesql = format!(
         "SELECT elem_name FROM elem_contained WHERE landfill_name = '{}' \
          ENRICH BOOLSCHEMAEXTENSION(elem_name, isA, HazardousWaste)",
@@ -198,7 +198,7 @@ fn rdfs_inference_feeds_enrichment() {
     )
     .unwrap();
     let kb = KnowledgeBase::new();
-    kb.register_user("u");
+    kb.register_user("u").unwrap();
     kb.load_common(&[
         Triple::new(
             Term::iri("HeavyMetal"),
@@ -210,8 +210,8 @@ fn rdfs_inference_feeds_enrichment() {
             crosse::rdf::schema::rdf_type(),
             Term::iri("HeavyMetal"),
         ),
-    ]);
-    kb.materialize_inferences();
+    ]).unwrap();
+    kb.materialize_inferences().unwrap();
     let engine = SesqlEngine::new(db, kb);
     let r = engine
         .execute(
@@ -248,7 +248,7 @@ fn federation_feeds_sesql() {
     )))
     .unwrap();
     let kb = KnowledgeBase::new();
-    kb.register_user("u");
+    kb.register_user("u").unwrap();
     kb.assert_statement(
         "u",
         &Triple::new(Term::iri("Torino"), Term::iri("inCountry"), Term::iri("Italy")),

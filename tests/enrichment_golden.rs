@@ -31,7 +31,7 @@ fn engine() -> SesqlEngine {
     .unwrap();
 
     let kb = KnowledgeBase::new();
-    kb.register_user("director");
+    kb.register_user("director").unwrap();
     for (s, p, o) in [
         ("Hg", "dangerLevel", "5"),
         ("Pb", "dangerLevel", "4"),

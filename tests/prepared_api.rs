@@ -24,7 +24,7 @@ fn engine() -> SesqlEngine {
     )
     .unwrap();
     let kb = KnowledgeBase::new();
-    kb.register_user("director");
+    kb.register_user("director").unwrap();
     for (s, o) in [("Hg", "5"), ("Pb", "4"), ("Cu", "1")] {
         kb.assert_statement(
             "director",

@@ -439,7 +439,7 @@ proptest! {
                 Term::iri(format!("s{s}")),
                 Term::iri(format!("p{p}")),
                 Term::iri(format!("o{o}")),
-            ));
+            )).unwrap();
         }
         let pattern = TriplePattern {
             subject: (mask & 1 != 0).then(|| Term::iri(format!("s{qs}"))),
@@ -469,9 +469,9 @@ proptest! {
             Term::iri(format!("p{p}")),
             Term::lit(format!("o{o}")),
         );
-        prop_assert!(store.insert("g", &t));
+        prop_assert!(store.insert("g", &t).unwrap());
         prop_assert!(store.contains("g", &t));
-        prop_assert!(store.remove("g", &t));
+        prop_assert!(store.remove("g", &t).unwrap());
         prop_assert!(!store.contains("g", &t));
         prop_assert_eq!(store.graph_len("g"), 0);
     }
@@ -497,7 +497,7 @@ proptest! {
         ).unwrap();
 
         let kb = KnowledgeBase::new();
-        kb.register_user("u");
+        kb.register_user("u").unwrap();
         let mut seen = std::collections::HashSet::new();
         for (e, l) in &kb_levels {
             if seen.insert((*e, *l)) {
@@ -532,7 +532,7 @@ proptest! {
             elems.iter().map(|e| vec![RValue::from(format!("E{e}"))]).collect()
         ).unwrap();
         let kb = KnowledgeBase::new();
-        kb.register_user("u");
+        kb.register_user("u").unwrap();
         for h in &hazards {
             kb.assert_statement("u", &Triple::new(
                 Term::iri(format!("E{h}")),
@@ -675,7 +675,7 @@ proptest! {
                 Term::iri(format!("S{s}")),
                 Term::iri("p"),
                 Term::iri(format!("O{o}")),
-            ));
+            )).unwrap();
         }
         let distinct: std::collections::HashSet<(u8, u8)> = edges.iter().copied().collect();
         let sols = crosse::rdf::sparql::eval::query(
@@ -707,7 +707,7 @@ proptest! {
                 Term::iri(format!("S{s}")),
                 Term::iri("p"),
                 Term::iri(format!("O{o}")),
-            ));
+            )).unwrap();
         }
         let all = crosse::rdf::sparql::eval::query(
             &store, &["g"], "SELECT ?s ?o WHERE { ?s <p> ?o }").unwrap();
@@ -731,10 +731,10 @@ proptest! {
         let store = TripleStore::new();
         let node = |n: u8| Term::iri(format!("N{n}"));
         for (s, o) in &p_edges {
-            store.insert("g", &Triple::new(node(*s), Term::iri("p"), node(*o)));
+            store.insert("g", &Triple::new(node(*s), Term::iri("p"), node(*o))).unwrap();
         }
         for (s, o) in &q_edges {
-            store.insert("g", &Triple::new(node(*s), Term::iri("q"), node(*o)));
+            store.insert("g", &Triple::new(node(*s), Term::iri("q"), node(*o))).unwrap();
         }
         let pset: std::collections::HashSet<(u8, u8)> = p_edges.iter().copied().collect();
         let qset: std::collections::HashSet<(u8, u8)> = q_edges.iter().copied().collect();
@@ -893,7 +893,7 @@ proptest! {
 
         let triples = crosse::smartground::random_kb(n, 5, 3, seed).unwrap();
         let store = TripleStore::new();
-        store.insert_all("g", triples.iter());
+        store.insert_all("g", triples.iter()).unwrap();
 
         let body: Vec<String> = patterns
             .iter()
@@ -942,7 +942,7 @@ proptest! {
         );
         let triples = crosse::smartground::random_kb(n, 5, 3, seed).unwrap();
         let store = TripleStore::new();
-        store.insert_all("g", triples.iter());
+        store.insert_all("g", triples.iter()).unwrap();
         let sparql = format!(
             "SELECT * WHERE {{ {} {} {} }}",
             pattern.0.to_sparql(),
@@ -1021,7 +1021,7 @@ proptest! {
 
         // Same property through the SESQL engine's prepare path.
         let kb = crosse::rdf::provenance::KnowledgeBase::new();
-        kb.register_user("u");
+        kb.register_user("u").unwrap();
         let engine = crosse::core::SesqlEngine::new(db, kb);
         let sesql_shape = format!(
             "SELECT x, tag FROM t WHERE x {op} $n ORDER BY x, tag{limit_clause}"
@@ -1092,7 +1092,7 @@ proptest! {
                 ("kind", Term::iri(format!("k{}", i % 3))),
                 ("near", Term::iri(next.clone())),
             ] {
-                store.insert("kb", &Triple::new(Term::iri(s.clone()), Term::iri(p), o));
+                store.insert("kb", &Triple::new(Term::iri(s.clone()), Term::iri(p), o)).unwrap();
             }
         }
         // (template with one `{P}` hole, what the hole holds)
@@ -1202,7 +1202,7 @@ fn lint_fixture_session() -> crosse::core::session::Session {
     )
     .unwrap();
     let kb = KnowledgeBase::new();
-    kb.register_user("u");
+    kb.register_user("u").unwrap();
     crosse::core::session::Session::new(&SesqlEngine::new(db, kb), "u").unwrap()
 }
 
