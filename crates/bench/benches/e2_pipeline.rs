@@ -1,7 +1,7 @@
 //! E2 (paper Fig. 6): end-to-end SESQL pipeline latency across databank
 //! and knowledge-base scales. The per-stage breakdown (SQP, SQL leg,
-//! SPARQL leg, JoinManager, final SQL) is printed by the `experiments`
-//! binary; Criterion measures the end-to-end figure.
+//! SPARQL leg, enrichment pass) is printed by the `experiments` binary;
+//! Criterion measures the end-to-end figure.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

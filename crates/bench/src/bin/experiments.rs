@@ -59,8 +59,8 @@ fn e2() {
     let sesql = "SELECT elem_name, landfill_name FROM elem_contained \
                  ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)";
     println!(
-        "{:>9} {:>9} | {:>10} {:>10} {:>10} {:>10} {:>10} | {:>10} {:>7}",
-        "rows", "kb", "parse", "sql", "sparql", "join", "final", "total", "out"
+        "{:>9} {:>9} | {:>10} {:>10} {:>10} {:>10} | {:>10} {:>7}",
+        "rows", "kb", "parse", "sql", "sparql", "join", "total", "out"
     );
     for (landfills, kb) in [
         (50usize, 1_000usize),
@@ -77,14 +77,13 @@ fn e2() {
         reports.sort_by_key(|r| r.total());
         let r = &reports[1];
         println!(
-            "{:>9} {:>9} | {:>10} {:>10} {:>10} {:>10} {:>10} | {:>10} {:>7}",
+            "{:>9} {:>9} | {:>10} {:>10} {:>10} {:>10} | {:>10} {:>7}",
             r.base_rows,
             kb,
             fmt(r.parse),
             fmt(r.sql_exec),
             fmt(r.sparql_exec),
             fmt(r.join),
-            fmt(r.final_sql),
             fmt(r.total()),
             r.result_rows,
         );

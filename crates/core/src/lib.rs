@@ -9,8 +9,8 @@
 //!   Parser.
 //! * [`sqm::SesqlEngine`] — the Semantic Query Module: generates SPARQL
 //!   from the enrichment syntax tree, runs the SQL and SPARQL legs,
-//!   combines them through the JoinManager and an output projection
-//!   (Fig. 6), and reports per-stage timings.
+//!   combines them in one enrichment pass through the resource mapping
+//!   ([`sqm::ResourceMapping`]) (Fig. 6), and reports per-stage timings.
 //! * [`session`] — the one statement handle for SESQL, SQL and SPARQL:
 //!   `Session::prepare(Lang, text)` → `Statement::execute(&params)` → a
 //!   [`Rows`] cursor; the CLI and the server both run on it.
@@ -22,6 +22,7 @@
 
 pub mod error;
 pub mod explore;
+mod mapping;
 pub mod platform;
 pub mod recommend;
 pub mod sesql;

@@ -1,9 +1,11 @@
-//! Resource mapping between relational values and RDF terms.
+//! Resource mapping between relational values and RDF terms, exported
+//! from [`crate::sqm`].
 //!
 //! Fig. 6 of the paper: "A JoinManager module combines the partial results
 //! returned by the two independent queries, leveraging the resource mapping
-//! described in an XML file." The mapping says, per relational column, how
-//! its values denote RDF resources. We keep the declarative spirit with a
+//! described in an XML file." Here the enrichment pass (`sqm::enrich`)
+//! does that combining. The mapping says, per relational column, how its
+//! values denote RDF resources. We keep the declarative spirit with a
 //! plain-text format instead of XML:
 //!
 //! ```text
@@ -51,6 +53,28 @@ impl MapStrategy {
                 Term::Iri(i) if i.strip_prefix(ns.as_str()) == Some(v.as_ref())
             ),
         }
+    }
+
+    /// The lexical keys `term` is found under: `matches(value, term)`
+    /// holds exactly when `value` is not NULL and `value.lexical()` is one
+    /// of them. `LocalName` gives the lexical form plus an IRI's local
+    /// name, `Literal` a literal's lexical form, `IriPrefix(ns)` the IRI
+    /// with `ns` removed. This turns the match into one hash lookup per
+    /// value.
+    pub fn keys<'t>(&self, term: &'t Term) -> impl Iterator<Item = &'t str> {
+        let (key, local) = match self {
+            MapStrategy::Literal => (term.is_literal().then(|| term.lexical_form()), None),
+            MapStrategy::LocalName => {
+                let lexical = term.lexical_form();
+                let local = Some(term.local_name()).filter(|l| term.is_iri() && *l != lexical);
+                (Some(lexical), local)
+            }
+            MapStrategy::IriPrefix(ns) => match term {
+                Term::Iri(i) => (i.strip_prefix(ns.as_str()), None),
+                _ => (None, None),
+            },
+        };
+        key.into_iter().chain(local)
     }
 
     /// The canonical term a value denotes (used to *construct* SPARQL
@@ -119,40 +143,22 @@ impl ResourceMapping {
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let (lhs, rhs) = line.split_once("->").ok_or_else(|| {
-                Error::parse(format!("line {}: missing `->`", lineno + 1), 0)
-            })?;
-            let (table, column) = lhs.trim().split_once('.').ok_or_else(|| {
-                Error::parse(
-                    format!("line {}: expected `table.column`", lineno + 1),
-                    0,
-                )
-            })?;
+            let err = |what: String| Error::parse(format!("line {}: {what}", lineno + 1), 0);
+            let (lhs, rhs) = line.split_once("->").ok_or_else(|| err("missing `->`".into()))?;
+            let (table, column) =
+                lhs.trim().split_once('.').ok_or_else(|| err("expected `table.column`".into()))?;
             let mut parts = rhs.split_whitespace();
             let strategy = match parts.next() {
                 Some("literal") => MapStrategy::Literal,
                 Some("local-name") => MapStrategy::LocalName,
                 Some("iri") => {
-                    let ns = parts.next().ok_or_else(|| {
-                        Error::parse(
-                            format!("line {}: `iri` needs a namespace", lineno + 1),
-                            0,
-                        )
-                    })?;
+                    let ns = parts.next().ok_or_else(|| err("`iri` needs a namespace".into()))?;
                     MapStrategy::IriPrefix(ns.to_string())
                 }
-                other => {
-                    return Err(Error::parse(
-                        format!("line {}: unknown strategy {other:?}", lineno + 1),
-                        0,
-                    ))
-                }
+                other => return Err(err(format!("unknown strategy {other:?}"))),
             };
             if parts.next().is_some() {
-                return Err(Error::parse(
-                    format!("line {}: trailing tokens", lineno + 1),
-                    0,
-                ));
+                return Err(err("trailing tokens".into()));
             }
             mapping.set(table.trim(), column.trim(), strategy);
         }

@@ -26,7 +26,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crosse_federation::join_manager::term_to_value_in;
 use crosse_lint::Diagnostic;
 use crosse_rdf::sparql::eval::{EvalOptions, QueryOutcome};
 use crosse_rdf::sparql::{Prepared as PreparedSparql, SparqlParams};
@@ -39,7 +38,7 @@ use crosse_relational::{
 
 use crate::error::{Error, Result};
 use crate::platform::check_user_name;
-use crate::sqm::{EnrichedResult, PipelineReport, PreparedSesql, SesqlEngine};
+use crate::sqm::{term_to_value_in, EnrichedResult, PipelineReport, PreparedSesql, SesqlEngine};
 
 /// The uniform streaming cursor over all three query languages.
 ///

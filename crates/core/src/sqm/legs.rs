@@ -513,25 +513,6 @@ pub(super) fn apply_multi_policy(sols: Solutions, policy: MultiValuePolicy) -> S
     Solutions { variables: sols.variables, rows }
 }
 
-/// Subjects related to `concept` in (s, o) solutions.
-pub(super) fn concept_subjects(sols: &Solutions, concept: &str) -> Result<Vec<Term>> {
-    let s_idx = sols
-        .var_index("s")
-        .ok_or_else(|| Error::sqm("pairs query must bind ?s"))?;
-    let o_idx = sols
-        .var_index("o")
-        .ok_or_else(|| Error::sqm("pairs query must bind ?o"))?;
-    let mut out = Vec::new();
-    for row in &sols.rows {
-        if let (Some(s), Some(o)) = (&row[s_idx], &row[o_idx]) {
-            if o.matches_lexical(concept) && !out.contains(s) {
-                out.push(s.clone());
-            }
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::tests::*;

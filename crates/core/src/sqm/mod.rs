@@ -2,19 +2,18 @@
 //!
 //! Execution follows the paper's architecture: the Semantic Query Parser
 //! splits the query; the SQM derives SPARQL queries from the enrichment
-//! syntax tree; SQL and SPARQL legs run independently; the JoinManager
-//! combines partial results using the resource mapping. Phase D, the
-//! paper's "temporary support database" and "final SQL query", is an
-//! output projection here: the last stage only renames and reorders the
-//! JoinManager's columns, so `finalize` moves each row's values into the
-//! output order — no second database, no SQL text. Every stage is
-//! timed in [`PipelineReport`] so the E2 experiment can regenerate the
-//! Fig. 6 pipeline breakdown.
+//! syntax tree; SQL and SPARQL legs run independently; one enrichment pass
+//! (`enrich`) combines their results through the resource mapping and
+//! writes each enriched row once, in its final column order. The paper's
+//! JoinManager, its "temporary support database" and its "final SQL
+//! query" are that one pass here — no second database, no SQL text, no
+//! second move of the rows. Every stage is timed in [`PipelineReport`] so
+//! the E2 experiment can regenerate the Fig. 6 pipeline breakdown.
 //!
 //! Every SESQL execution enters through [`SesqlEngine::prepare`] and
 //! [`PreparedSesql::execute_cursor`]; `SesqlEngine::run` is the one place
 //! that checks the user, decides between streaming and the pipeline, and
-//! holds Phases A–D.
+//! holds Phases A–C.
 
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -23,8 +22,6 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use crosse_cache::Lru;
-use crosse_federation::join_manager::{combine_in, term_to_value_in, CombineKind, JoinSpec};
-use crosse_federation::mapping::{MapStrategy, ResourceMapping};
 use crosse_rdf::provenance::KnowledgeBase;
 use crosse_rdf::sparql::eval::{EvalOptions, Solutions};
 use crosse_rdf::sparql::{Prepared as PreparedSparql, SparqlParams};
@@ -34,12 +31,15 @@ use crosse_lint::Diagnostic;
 use crosse_relational::sql::ast::{BinaryOp, Expr, Select, TableRef};
 use crosse_relational::{Column, DataType, Database, Row, RowSet, Schema, Value};
 
+pub use crate::mapping::{MapStrategy, ResourceMapping};
+
 use crate::error::{Error, Result};
 use crate::session::EnrichedRows;
 use crate::storage::EngineDurability;
 use crate::sesql::ast::{Enrichment, SesqlQuery};
 use crate::sesql::parser::parse_sesql;
 
+mod enrich;
 mod explain;
 mod legs;
 mod prepared;
@@ -47,12 +47,10 @@ mod rewrite;
 
 pub use prepared::{normalize_sesql, PreparedSesql};
 
-use legs::{apply_multi_policy, concept_subjects, SparqlLegCache};
+pub(crate) use enrich::term_to_value_in;
+use legs::{apply_multi_policy, SparqlLegCache};
 use prepared::CachedSesql;
-use rewrite::{
-    append_bool_column, finalize, local_label, replace_condition, resolve_attr,
-    rewrite_constant,
-};
+use rewrite::{replace_condition, rewrite_constant};
 
 /// How multi-valued enrichments materialise (a subject may have several
 /// objects for the chosen property; the paper leaves this open).
@@ -116,11 +114,12 @@ pub struct PipelineReport {
     pub sql_exec: Duration,
     /// All SPARQL legs on the knowledge base.
     pub sparql_exec: Duration,
-    /// JoinManager combination work.
+    /// The enrichment pass: keying the SPARQL legs' solutions and writing
+    /// every enriched row (the paper's JoinManager and final SQL query).
     pub join: Duration,
-    /// The output projection: moving the JoinManager's rows into the
-    /// enriched result's column order and names (the paper's "final SQL
-    /// query"; the field keeps that name).
+    /// Always zero: the enrichment pass writes the rows in their output
+    /// order, so nothing is left for the paper's "final SQL query". Kept
+    /// because the benchmark harness reads every field of this report.
     pub final_sql: Duration,
     pub sparql_runs: Vec<SparqlRun>,
     /// Rows returned by the SQL leg before enrichment.
@@ -141,18 +140,6 @@ impl PipelineReport {
 pub struct EnrichedResult {
     pub rows: RowSet,
     pub report: PipelineReport,
-}
-
-/// Internal record of a schema-level enrichment applied to the base rows.
-struct AppliedColumn {
-    /// Position of the enriched attr in the base schema (for replacements).
-    attr_index: usize,
-    /// Index of the appended enrichment column in the working row set.
-    added_index: usize,
-    /// Final output name of the enrichment column.
-    output_name: String,
-    /// Replacement ops remove the original attr from the output.
-    replaces_attr: bool,
 }
 
 /// Default capacity of the engine's bounded caches (SPARQL-leg solutions,
@@ -385,7 +372,7 @@ impl SesqlEngine {
         }
         let mut report = PipelineReport::default();
 
-        let mut rows = if !query.enrichments.iter().any(Enrichment::is_where_enrichment) {
+        let rows = if !query.enrichments.iter().any(Enrichment::is_where_enrichment) {
             // -------- Phase B alone: the statement's own SQL leg ----------
             let t = Instant::now();
             let rows = stmt.sql.query(params)?;
@@ -447,81 +434,11 @@ impl SesqlEngine {
         };
         report.base_rows = rows.len();
 
-        // -------- Phase C: schema enrichments (SPARQL + JoinManager) ------
-        let mut applied: Vec<AppliedColumn> = Vec::new();
-        for e in &query.enrichments {
-            match e {
-                Enrichment::SchemaExtension { attr, property }
-                | Enrichment::SchemaReplacement { attr, property } => {
-                    let replaces = matches!(e, Enrichment::SchemaReplacement { .. });
-                    let attr_index = resolve_attr(&rows, attr)?;
-                    let sols =
-                        self.property_pairs(user, property, e.to_string(), &mut report)?;
-                    let sols = apply_multi_policy(sols, self.options.multi);
-                    let added_index = rows.schema.len();
-                    let tmp_col = format!("__enr{added_index}");
-                    let spec = JoinSpec {
-                        column: rows.schema.columns[attr_index].display_name(),
-                        variable: "s".into(),
-                        kind: CombineKind::LeftOuter,
-                        take: vec![("o".into(), tmp_col)],
-                        strategy: self.attr_strategy(&rows.schema, attr_index),
-                    };
-                    let t = Instant::now();
-                    rows = combine_in(&rows, &sols, &spec, self.db.interner())?;
-                    report.join += t.elapsed();
-                    applied.push(AppliedColumn {
-                        attr_index,
-                        added_index,
-                        output_name: local_label(property),
-                        replaces_attr: replaces,
-                    });
-                }
-                Enrichment::BoolSchemaExtension { attr, property, concept }
-                | Enrichment::BoolSchemaReplacement { attr, property, concept } => {
-                    let replaces =
-                        matches!(e, Enrichment::BoolSchemaReplacement { .. });
-                    let attr_index = resolve_attr(&rows, attr)?;
-                    let sols =
-                        self.property_pairs(user, property, e.to_string(), &mut report)?;
-                    let t = Instant::now();
-                    let subjects = concept_subjects(&sols, concept)?;
-                    let strategy = self.attr_strategy(&rows.schema, attr_index);
-                    let added_index = rows.schema.len();
-                    rows = append_bool_column(
-                        rows,
-                        attr_index,
-                        &subjects,
-                        &strategy,
-                        &format!("__enr{added_index}"),
-                    );
-                    report.join += t.elapsed();
-                    applied.push(AppliedColumn {
-                        attr_index,
-                        added_index,
-                        output_name: local_label(concept),
-                        replaces_attr: replaces,
-                    });
-                }
-                Enrichment::ReplaceConstant { .. } | Enrichment::ReplaceVariable { .. } => {}
-            }
-        }
+        // -------- Phase C: schema enrichments (SPARQL legs + one pass) -----
+        let rows = self.enrich(user, query, rows, &mut report)?;
+        report.result_rows = rows.len();
 
-        // -------- Phase D: output projection ------------------------------
-        let t = Instant::now();
-        let final_rows = if applied.is_empty() { rows } else { finalize(rows, &applied) };
-        report.final_sql = t.elapsed();
-        report.result_rows = final_rows.len();
-
-        Ok(EnrichedRows::from_result(EnrichedResult { rows: final_rows, report }))
-    }
-
-    /// Strategy for matching an output column against RDF terms, from the
-    /// resource mapping (qualifier stands in for the table name).
-    fn attr_strategy(&self, schema: &Schema, attr_index: usize) -> MapStrategy {
-        let col = &schema.columns[attr_index];
-        self.mapping
-            .strategy(col.qualifier.as_deref().unwrap_or(""), &col.name)
+        Ok(EnrichedRows::from_result(EnrichedResult { rows, report }))
     }
 }
 

@@ -1,6 +1,6 @@
-//! AST and row-set rewrites: the REPLACEVARIABLE expansion SELECT, the
-//! REPLACECONSTANT condition rewrite, the boolean enrichment column and
-//! Phase D's output projection.
+//! AST rewrites of Phase A — the REPLACEVARIABLE expansion SELECT and the
+//! REPLACECONSTANT condition rewrite — and the attribute and label
+//! helpers the enrichment pass shares.
 
 use super::*;
 
@@ -92,84 +92,6 @@ pub(super) fn resolve_attr(rows: &RowSet, attr: &str) -> Result<usize> {
 /// name for IRIs, the text itself otherwise.
 pub(super) fn local_label(arg: &str) -> String {
     Term::iri(arg).local_name().to_string()
-}
-
-/// Append a boolean column: true iff the row's attr value denotes one of
-/// `subjects` (paper Sec. IV-A.3: "all the other values will be associated
-/// to the value false").
-pub(super) fn append_bool_column(
-    rows: RowSet,
-    attr_index: usize,
-    subjects: &[Term],
-    strategy: &MapStrategy,
-    name: &str,
-) -> RowSet {
-    let mut schema = rows.schema;
-    schema.columns.push(Column::new(name.to_string(), DataType::Bool));
-    let rows_out = rows
-        .rows
-        .into_iter()
-        .map(|mut r| {
-            let hit = !r[attr_index].is_null()
-                && subjects.iter().any(|s| strategy.matches(&r[attr_index], s));
-            r.push(Value::Bool(hit));
-            r
-        })
-        .collect();
-    RowSet { schema, rows: rows_out }
-}
-
-/// Phase D: arrange the working rows into the enriched result. Every base
-/// column keeps its position, a replacement substitutes its enrichment
-/// column at the attr's position, and extensions append in clause order.
-/// Values are moved, not cloned — no working column is output twice.
-pub(super) fn finalize(rows: RowSet, applied: &[AppliedColumn]) -> RowSet {
-    let columns = &rows.schema.columns;
-    let base_len = columns.len() - applied.len();
-    // (working column index, output name)
-    let mut items: Vec<(usize, String)> = (0..base_len)
-        .map(|i| match applied.iter().find(|a| a.replaces_attr && a.attr_index == i) {
-            Some(a) => (a.added_index, a.output_name.clone()),
-            None => (i, columns[i].display_name()),
-        })
-        .collect();
-    items.extend(
-        applied
-            .iter()
-            .filter(|a| !a.replaces_attr)
-            .map(|a| (a.added_index, a.output_name.clone())),
-    );
-    // De-duplicate output names (SQL result sets may repeat names, but
-    // the enriched result is easier to consume with unique ones).
-    for k in 1..items.len() {
-        let (earlier, rest) = items.split_at_mut(k);
-        let name = &mut rest[0].1;
-        let base_len = name.len();
-        let mut n = 1;
-        while earlier.iter().any(|(_, s)| s.eq_ignore_ascii_case(name)) {
-            n += 1;
-            name.truncate(base_len);
-            name.push_str(&format!("_{n}"));
-        }
-    }
-
-    let schema = Schema::new(
-        items
-            .iter()
-            .map(|(i, name)| Column::new(name.clone(), columns[*i].data_type))
-            .collect(),
-    );
-    let rows = rows
-        .rows
-        .into_iter()
-        .map(|mut row| {
-            items
-                .iter()
-                .map(|(i, _)| std::mem::replace(&mut row[*i], Value::Null))
-                .collect()
-        })
-        .collect();
-    RowSet { schema, rows }
 }
 
 /// Rewrite an ontology constant inside a tagged condition into the
@@ -267,7 +189,7 @@ mod tests {
     use super::super::tests::*;
     use super::*;
 
-    /// The output projection's contract: base columns keep their position,
+    /// The enriched output's contract: base columns keep their position,
     /// a replacement takes its attr's position, extensions append in
     /// clause order, clashing names get `_2`, and every column's reported
     /// type is the type of its values.

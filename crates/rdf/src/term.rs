@@ -49,9 +49,9 @@ impl Term {
 
     /// The lexical form: literal value, IRI text, or blank label.
     ///
-    /// The SESQL JoinManager compares relational values against RDF terms
-    /// through this form, and for IRIs falls back to the *local name* (the
-    /// part after the last `#` or `/`) — see
+    /// SESQL's enrichment pass compares relational values against RDF
+    /// terms through this form, and for IRIs falls back to the *local
+    /// name* (the part after the last `#` or `/`) — see
     /// [`Term::matches_lexical`].
     pub fn lexical_form(&self) -> &str {
         match self {

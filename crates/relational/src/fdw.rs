@@ -1,11 +1,10 @@
-//! The `postgres_fdw` pattern end to end: the databanks of
-//! [`crate::source`] registered as foreign tables of a mediator
+//! The `postgres_fdw` pattern end to end: the simulated databanks of
+//! [`crate::foreign`] registered as foreign tables of a mediator
 //! `Database`. The mediator itself is `Database::register_source` plus
-//! the planner's `Plan::ForeignScan` leaf (see `crosse_relational::foreign`);
-//! the tests below pin what it guarantees — every read is live, filters
-//! bound to one foreign table travel to its source, the leaves of one
-//! query are fetched concurrently, and a failing or changed source is a
-//! typed error.
+//! the planner's `Plan::ForeignScan` leaf; the tests below pin what it
+//! guarantees — every read is live, filters bound to one foreign table
+//! travel to its source, the leaves of one query are fetched
+//! concurrently, and a failing or changed source is a typed error.
 
 #[cfg(test)]
 mod tests {
@@ -13,9 +12,8 @@ mod tests {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    use crosse_relational::{DataSource, Database, Error, Params, Result, RowSet, Schema, Value};
-
-    use crate::source::{LatencyModel, LocalSource, RemoteSource};
+    use crate::foreign::{DataSource, LatencyModel, LocalSource, RemoteSource};
+    use crate::{Database, Error, Params, Result, RowSet, Schema, Value};
 
     fn national_db() -> Database {
         let db = Database::new();

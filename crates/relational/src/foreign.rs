@@ -12,6 +12,31 @@
 //! transfer but never change a result. Every cursor fetches all foreign
 //! leaves of its plan concurrently when it opens, never at plan time, so
 //! every read is live (a replayed plan template fetches again).
+//!
+//! The databanks themselves are simulated: [`LocalSource`] is colocated
+//! with the mediator, [`RemoteSource`] charges a [`LatencyModel`], and
+//! both count what crossed in [`SourceStats`].
+//!
+//! ```
+//! use std::sync::Arc;
+//! use crosse_relational::foreign::LocalSource;
+//! use crosse_relational::Database;
+//!
+//! let national = Database::new();
+//! national.execute_script(
+//!     "CREATE TABLE landfill (name TEXT, city TEXT);
+//!      INSERT INTO landfill VALUES ('a','Torino'), ('b','Milano');",
+//! ).unwrap();
+//! let source = LocalSource::new("it", national);
+//! let mediator = Database::new();
+//! mediator.register_source(Arc::new(source.clone())).unwrap();
+//!
+//! let rows = mediator
+//!     .query("SELECT name FROM it__landfill WHERE city = 'Torino'")
+//!     .unwrap();
+//! assert_eq!(rows.len(), 1);
+//! assert_eq!(source.stats().rows_transferred, 1); // only the match moved
+//! ```
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,6 +48,8 @@ use crate::schema::Schema;
 use crate::sql::ast::{Expr, Select, SelectItem, TableRef};
 use crate::storage::Table;
 use crate::value::Row;
+
+pub use crate::source::{LatencyModel, LocalSource, RemoteSource, SourceStats};
 
 /// A databank behind the integration layer: a queryable source of tables.
 pub trait DataSource: Send + Sync {

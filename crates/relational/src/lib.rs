@@ -15,7 +15,9 @@
 //!   sargable predicates ([`db::Database`]),
 //! * foreign tables: the tables of a registered [`DataSource`], read live
 //!   through the same plans with their filters shipped to the source
-//!   ([`foreign`], [`db::Database::register_source`]),
+//!   ([`foreign`], [`db::Database::register_source`]), and the simulated
+//!   databanks behind them ([`foreign::LocalSource`],
+//!   [`foreign::RemoteSource`] with its latency model),
 //! * a reusable SQL parser ([`sql::parser`]) whose AST the SESQL layer
 //!   rewrites when applying WHERE-clause enrichments, and
 //! * result materialisation back into ephemeral tables
@@ -38,12 +40,15 @@ pub mod csv;
 pub mod db;
 pub mod error;
 pub mod exec;
+#[cfg(test)]
+mod fdw;
 pub mod foreign;
 pub mod lint;
 pub mod opt;
 pub mod plan;
 pub mod prepared;
 pub mod schema;
+mod source;
 pub mod sql;
 pub mod storage;
 pub mod value;

@@ -449,6 +449,11 @@ pub(crate) struct Memo {
     /// parameterised statement is planned per binding, so value-dependent
     /// access paths (index eq/range scans) are chosen per execution.
     template: Option<Arc<Plan>>,
+    /// Whether `template` may be kept: the statement has no parameters
+    /// and no subquery. The planner runs subqueries and inlines their
+    /// rows, so a kept plan would answer from the rows of its first
+    /// execution after the subquery's tables changed.
+    replayable: bool,
 }
 
 pub(crate) type SharedMemo = Arc<Mutex<Option<Memo>>>;
@@ -479,7 +484,8 @@ impl Prepared {
                 let raw = crate::sql::parser::collect_params(&self.select);
                 let slots =
                     Arc::new(infer_slot_types(self.db.catalog(), &self.select, &raw));
-                memo.insert(Memo { tag, slots, template: None }).clone()
+                let replayable = slots.is_empty() && !self.select.has_subquery();
+                memo.insert(Memo { tag, slots, template: None, replayable }).clone()
             }
         }
     }
@@ -518,8 +524,9 @@ impl Prepared {
     ///
     /// A parameterless statement replays its plan template (no parse, no
     /// plan; bindings are ignored); a parameterised one substitutes
-    /// literals and plans. Execution inherits the database's worker-thread
-    /// budget (see `Database::set_exec_threads`).
+    /// literals and plans, and one with a subquery plans every time (its
+    /// subqueries run at plan time). Execution inherits the database's
+    /// worker-thread budget (see `Database::set_exec_threads`).
     pub fn execute(&self, params: &Params) -> Result<Rows> {
         Rows::from_plan_parallel(self.plan(params, true)?, self.db.exec_threads())
     }
@@ -532,7 +539,7 @@ impl Prepared {
     }
 
     /// The plan one execution with `params` runs: the only place a
-    /// statement is planned for execution. `keep` stores a parameterless
+    /// statement is planned for execution. `keep` stores a replayable
     /// statement's plan as the template (at the price of one clone).
     pub(crate) fn plan(&self, params: &Params, keep: bool) -> Result<Plan> {
         let memo = self.memo();
@@ -544,7 +551,7 @@ impl Prepared {
             // Templates are kept post-optimization: later executions
             // replay the rewritten (pushed-down, spooled) shape directly.
             let plan = self.db.plan_optimized(&self.select)?.plan;
-            if keep {
+            if keep && memo.replayable {
                 if let Some(m) = self.memo.lock().as_mut().filter(|m| m.tag == memo.tag) {
                     m.template = Some(Arc::new(plan.clone()));
                 }
@@ -722,6 +729,36 @@ mod tests {
         let rs = p.query(&Params::new().set("e", "Hg")).unwrap();
         assert_eq!(rs.len(), 1);
         assert_eq!(rs.rows[0][0], Value::from("Gerbido"));
+    }
+
+    #[test]
+    fn subquery_results_are_not_frozen_into_a_template() {
+        // The planner runs subqueries and inlines their rows, so a kept
+        // template would keep answering from the first execution's rows.
+        for (sql, before, after) in [
+            ("SELECT name FROM t WHERE x IN (SELECT y FROM u) ORDER BY name", "a", "a b"),
+            ("SELECT name FROM t WHERE EXISTS (SELECT y FROM u WHERE y = 2) ORDER BY name", "", "a b"),
+            ("SELECT (SELECT COUNT(*) FROM u) FROM t WHERE name = 'a'", "1", "2"),
+        ] {
+            let d = Database::new();
+            d.execute_script(
+                "CREATE TABLE t (name TEXT, x INT);
+                 INSERT INTO t VALUES ('a', 1), ('b', 2);
+                 CREATE TABLE u (y INT);
+                 INSERT INTO u VALUES (1);",
+            )
+            .unwrap();
+            let read = |p: &Prepared| {
+                let rows = p.query(&Params::new()).unwrap().rows;
+                rows.iter().map(|r| r[0].lexical_form()).collect::<Vec<_>>().join(" ")
+            };
+            let held = d.prepare(sql).unwrap();
+            assert_eq!(read(&held), before, "{sql}");
+            assert_eq!(read(&held), before, "{sql}: second execution");
+            d.execute("INSERT INTO u VALUES (2)").unwrap();
+            assert_eq!(read(&held), after, "{sql}: held handle");
+            assert_eq!(read(&d.prepare(sql).unwrap()), after, "{sql}: prepared again");
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Simulated databanks behind the integration layer.
+//! Simulated databanks behind the integration layer, exported from
+//! [`crate::foreign`].
 //!
 //! The SmartGround platform "integrates existing information from national
 //! and international databanks" over `postgres_fdw` (paper Sec. I-A). Each
@@ -12,7 +13,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crosse_relational::{DataSource, Database, Result, RowSet, Schema};
+use crate::db::{Database, RowSet};
+use crate::error::Result;
+use crate::foreign::DataSource;
+use crate::schema::Schema;
 
 /// Transfer statistics of a source.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -118,22 +122,21 @@ impl LatencyModel {
 }
 
 /// A remote databank reached over a (simulated) network link —
-/// the `postgres_fdw` peer of the paper's Fig. 1.
+/// the `postgres_fdw` peer of the paper's Fig. 1: a [`LocalSource`] that
+/// charges its [`LatencyModel`] on every fetch.
 #[derive(Clone)]
 pub struct RemoteSource {
-    name: String,
-    db: Database,
+    local: LocalSource,
     latency: LatencyModel,
-    stats: Arc<StatCounters>,
 }
 
 impl RemoteSource {
     pub fn new(name: impl Into<String>, db: Database, latency: LatencyModel) -> Self {
-        RemoteSource { name: name.into(), db, latency, stats: Arc::default() }
+        RemoteSource { local: LocalSource::new(name, db), latency }
     }
 
     pub fn database(&self) -> &Database {
-        &self.db
+        self.local.database()
     }
 
     pub fn latency(&self) -> LatencyModel {
@@ -142,38 +145,30 @@ impl RemoteSource {
 
     /// Cumulative transfer statistics (shared by clones).
     pub fn stats(&self) -> SourceStats {
-        self.stats.snapshot()
-    }
-
-    fn charge(&self, rows: usize) {
-        let cost = self.latency.cost(rows);
-        self.stats
-            .nanos
-            .fetch_add(cost.as_nanos() as u64, Ordering::Relaxed);
-        if self.latency.realtime && !cost.is_zero() {
-            std::thread::sleep(cost);
-        }
+        self.local.stats()
     }
 }
 
 impl DataSource for RemoteSource {
     fn name(&self) -> &str {
-        &self.name
+        self.local.name()
     }
 
     fn table_names(&self) -> Vec<String> {
-        self.db.catalog().table_names()
+        self.local.table_names()
     }
 
     fn table_schema(&self, table: &str) -> Result<Schema> {
-        Ok(self.db.catalog().get_table(table)?.schema.clone())
+        self.local.table_schema(table)
     }
 
     fn fetch_query(&self, sql: &str) -> Result<RowSet> {
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let rs = self.db.query(sql)?;
-        self.stats.rows.fetch_add(rs.len() as u64, Ordering::Relaxed);
-        self.charge(rs.len());
+        let rs = self.local.fetch_query(sql)?;
+        let cost = self.latency.cost(rs.len());
+        self.local.stats.nanos.fetch_add(cost.as_nanos() as u64, Ordering::Relaxed);
+        if self.latency.realtime && !cost.is_zero() {
+            std::thread::sleep(cost);
+        }
         Ok(rs)
     }
 }

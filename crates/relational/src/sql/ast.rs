@@ -90,6 +90,45 @@ pub struct Select {
 }
 
 impl Select {
+    /// Call `f` on each top-level expression of every clause of this
+    /// SELECT and of its UNION members, join conditions included.
+    /// Subquery bodies are not entered.
+    pub(crate) fn visit_clauses(&self, f: &mut impl FnMut(&Expr)) {
+        fn table_ref(tr: &TableRef, f: &mut impl FnMut(&Expr)) {
+            if let TableRef::Join { left, right, on, .. } = tr {
+                table_ref(left, f);
+                table_ref(right, f);
+                on.iter().for_each(&mut *f);
+            }
+        }
+        for p in &self.projections {
+            if let SelectItem::Expr { expr, .. } = p {
+                f(expr);
+            }
+        }
+        self.from.iter().for_each(|tr| table_ref(tr, f));
+        let order = self.order_by.iter().map(|o| &o.expr);
+        self.filter.iter().chain(&self.group_by).chain(&self.having).chain(order).for_each(&mut *f);
+        for (_, member) in &self.union {
+            member.visit_clauses(f);
+        }
+    }
+
+    /// Whether any clause of this SELECT or of a UNION member holds an
+    /// `IN (SELECT …)`, `EXISTS` or scalar subquery.
+    pub(crate) fn has_subquery(&self) -> bool {
+        let mut found = false;
+        self.visit_clauses(&mut |e| {
+            e.visit(&mut |node| {
+                found |= matches!(
+                    node,
+                    Expr::InSubquery { .. } | Expr::Exists { .. } | Expr::ScalarSubquery(_)
+                );
+            })
+        });
+        found
+    }
+
     /// An empty SELECT skeleton, useful for programmatic construction.
     pub fn empty() -> Self {
         Select {

@@ -83,68 +83,17 @@ pub fn collect_params(select: &Select) -> Vec<ParamSlot> {
             slots[index].name = name.clone();
         }
     }
-    fn walk_expr(e: &Expr, slots: &mut Vec<ParamSlot>) {
-        e.visit(&mut |node| {
-            if let Expr::Param { index, name } = node {
-                note(slots, *index, name);
-            }
-        });
-        // `visit` treats subquery bodies as separate scopes; descend.
-        match e {
-            Expr::InSubquery { query, .. }
-            | Expr::Exists { query, .. }
-            | Expr::ScalarSubquery(query) => walk_select(query, slots),
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => walk_expr(expr, slots),
-            Expr::Binary { left, right, .. } => {
-                walk_expr(left, slots);
-                walk_expr(right, slots);
-            }
-            Expr::InList { expr, list, .. } => {
-                walk_expr(expr, slots);
-                list.iter().for_each(|e| walk_expr(e, slots));
-            }
-            Expr::Between { expr, low, high, .. } => {
-                walk_expr(expr, slots);
-                walk_expr(low, slots);
-                walk_expr(high, slots);
-            }
-            Expr::Like { expr, pattern, .. } => {
-                walk_expr(expr, slots);
-                walk_expr(pattern, slots);
-            }
-            Expr::Function { args, .. } => args.iter().for_each(|e| walk_expr(e, slots)),
-            Expr::Case { operand, branches, else_expr } => {
-                operand.iter().for_each(|e| walk_expr(e, slots));
-                for (w, t) in branches {
-                    walk_expr(w, slots);
-                    walk_expr(t, slots);
-                }
-                else_expr.iter().for_each(|e| walk_expr(e, slots));
-            }
-            Expr::Literal(_) | Expr::Column { .. } | Expr::Param { .. } => {}
-        }
-    }
-    fn walk_table_ref(tr: &super::ast::TableRef, slots: &mut Vec<ParamSlot>) {
-        if let super::ast::TableRef::Join { left, right, on, .. } = tr {
-            walk_table_ref(left, slots);
-            walk_table_ref(right, slots);
-            on.iter().for_each(|e| walk_expr(e, slots));
-        }
-    }
     fn walk_select(select: &Select, slots: &mut Vec<ParamSlot>) {
-        for p in &select.projections {
-            if let super::ast::SelectItem::Expr { expr, .. } = p {
-                walk_expr(expr, slots);
-            }
-        }
-        select.from.iter().for_each(|tr| walk_table_ref(tr, slots));
-        select.filter.iter().for_each(|e| walk_expr(e, slots));
-        select.group_by.iter().for_each(|e| walk_expr(e, slots));
-        select.having.iter().for_each(|e| walk_expr(e, slots));
-        select.order_by.iter().for_each(|o| walk_expr(&o.expr, slots));
-        for (_, member) in &select.union {
-            walk_select(member, slots);
-        }
+        // `visit` meets a subquery node but not its body; descend.
+        select.visit_clauses(&mut |e| {
+            e.visit(&mut |node| match node {
+                Expr::Param { index, name } => note(slots, *index, name),
+                Expr::InSubquery { query, .. }
+                | Expr::Exists { query, .. }
+                | Expr::ScalarSubquery(query) => walk_select(query, slots),
+                _ => {}
+            })
+        });
     }
     let mut slots = Vec::new();
     walk_select(select, &mut slots);

@@ -201,7 +201,7 @@ pub const DEFAULT_INTERNER_CAPACITY: usize = 1 << 18;
 /// equality between interned values is a pointer comparison and N
 /// occurrences of a term cost one allocation total. One lives on each
 /// `Database`; hot conversion paths (CSV import, RDF term decoding in the
-/// enrichment JoinManager) intern through it. Bounded (see
+/// enrichment pass) intern through it. Bounded (see
 /// [`DEFAULT_INTERNER_CAPACITY`]): at capacity, lookups still hit but new
 /// strings are returned un-shared instead of being remembered.
 #[derive(Debug)]

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crosse::core::{Lang, Session};
-use crosse::federation::{LatencyModel, RemoteSource};
+use crosse::relational::foreign::{LatencyModel, RemoteSource};
 use crosse::relational::{Database, Params};
 use crosse::smartground::{standard_engine, SmartGroundConfig};
 

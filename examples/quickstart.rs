@@ -61,7 +61,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("    {} -> {} solutions", run.purpose, run.solutions);
         println!("    generated: {}", run.sparql);
     }
-    println!("  JoinManager   : {:?}", r.join);
-    println!("  projection    : {:?} ({} rows)", r.final_sql, r.result_rows);
+    println!("  enrichment    : {:?} ({} rows)", r.join, r.result_rows);
     Ok(())
 }

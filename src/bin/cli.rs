@@ -1104,12 +1104,11 @@ impl Local {
 
 fn print_report(report: &PipelineReport) {
     println!(
-        "-- parse {:?} | sql {:?} | sparql {:?} | join {:?} | final {:?} | total {:?}",
+        "-- parse {:?} | sql {:?} | sparql {:?} | join {:?} | total {:?}",
         report.parse,
         report.sql_exec,
         report.sparql_exec,
         report.join,
-        report.final_sql,
         report.total()
     );
     print_legs(report);

@@ -9,10 +9,9 @@
 //!
 //! | module | crate | role |
 //! |---|---|---|
-//! | [`relational`] | `crosse-relational` | in-memory SQL engine (the "main platform") |
+//! | [`relational`] | `crosse-relational` | in-memory SQL engine (the "main platform"), foreign tables and the simulated databanks behind them |
 //! | [`rdf`] | `crosse-rdf` | triple store + SPARQL + RDFS (the "semantic platform") |
-//! | [`federation`] | `crosse-federation` | simulated databanks (foreign-table sources), JoinManager, resource mapping |
-//! | [`core`] | `crosse-core` | SESQL language + Semantic Query Module + platform services |
+//! | [`core`] | `crosse-core` | SESQL language + Semantic Query Module (enrichment pass, resource mapping) + platform services |
 //! | [`server`] | `crosse-server` | CROSNET1 TCP front-end: wire protocol, admission control, deadlines |
 //! | [`smartground`] | `crosse-smartground` | use-case schema, data generators, workloads |
 //!
@@ -40,7 +39,6 @@
 
 pub use crosse_core as core;
 pub use crosse_exec as exec;
-pub use crosse_federation as federation;
 pub use crosse_rdf as rdf;
 pub use crosse_relational as relational;
 pub use crosse_server as server;
@@ -52,12 +50,12 @@ pub mod prelude {
     pub use crosse_core::session::{Lang, Rows, Session, Statement};
     pub use crosse_core::sqm::{EnrichOptions, MultiValuePolicy, PreparedSesql, SesqlEngine};
     pub use crosse_core::{parse_sesql, Enrichment, SesqlQuery};
-    pub use crosse_federation::{LatencyModel, LocalSource, RemoteSource};
     pub use crosse_rdf::provenance::KnowledgeBase;
     pub use crosse_rdf::sparql::SparqlParams;
     pub use crosse_rdf::store::Triple;
     pub use crosse_rdf::term::Term;
     pub use crosse_core::{Diagnostic, Severity};
+    pub use crosse_relational::foreign::{LatencyModel, LocalSource, RemoteSource};
     pub use crosse_relational::{DataSource, Database, Params, RowSet, Value};
     pub use crosse_smartground::{SmartGroundConfig, standard_engine, standard_engine_at, standard_engine_at_with};
 }

@@ -157,7 +157,7 @@ fn foreign_tables_stay_out_of_the_log_and_the_snapshot() {
         national
             .execute_script("CREATE TABLE landfill (name TEXT); INSERT INTO landfill VALUES ('a');")
             .unwrap();
-        let source = crosse::federation::LocalSource::new("it", national);
+        let source = crosse::relational::foreign::LocalSource::new("it", national);
         engine.database().register_source(std::sync::Arc::new(source)).unwrap();
         let rows = engine.database().query("SELECT COUNT(*) FROM it__landfill").unwrap();
         assert_eq!(rows.rows[0][0], Value::Int(1));

@@ -586,3 +586,47 @@ fn writes_answer_done_without_schema() {
     assert_eq!(r.rows, vec![vec![Value::Int(4)]]);
     handle.shutdown();
 }
+
+/// A statement with a subquery answers from the live tables on every
+/// execution, ad hoc (one shared prepared-statement memo per text) and
+/// prepared: a kept plan template must not freeze the subquery's rows.
+#[test]
+fn subquery_answers_follow_writes_over_the_wire() {
+    let mut handle = start(ServerConfig::default());
+    let mut c = connect(&handle);
+    let setup = "CREATE TABLE t (name TEXT, x INT); \
+                 INSERT INTO t VALUES ('a', 1), ('b', 2); \
+                 CREATE TABLE u (y INT); \
+                 INSERT INTO u VALUES (1)";
+    for statement in setup.split("; ") {
+        let r = c.query(Lang::Sql, statement, 0).expect("setup");
+        assert!(r.error().is_none(), "{statement}: {:?}", r.outcome);
+    }
+    let queries = [
+        "SELECT name FROM t WHERE x IN (SELECT y FROM u) ORDER BY name",
+        "SELECT name FROM t WHERE EXISTS (SELECT y FROM u WHERE y = 2) ORDER BY name",
+        "SELECT (SELECT COUNT(*) FROM u) FROM t WHERE name = 'a'",
+    ];
+    for (i, q) in queries.iter().enumerate() {
+        assert_eq!(c.prepare(Lang::Sql, &format!("q{i}"), q).expect("prepare"), Ok(0));
+    }
+    let read = |c: &mut Client| -> Vec<Vec<Vec<Value>>> {
+        let mut out = Vec::new();
+        for (i, q) in queries.iter().enumerate() {
+            let ad_hoc = c.query(Lang::Sql, q, 0).expect("query");
+            let prepared = c.execute(&format!("q{i}"), Vec::new(), 0).expect("execute");
+            assert_eq!(ad_hoc.rows, prepared.rows, "{q}");
+            out.push(ad_hoc.rows);
+        }
+        out
+    };
+    let (a, b) = (Value::from("a"), Value::from("b"));
+    let before = vec![vec![vec![a.clone()]], vec![], vec![vec![Value::Int(1)]]];
+    assert_eq!(read(&mut c), before);
+    assert_eq!(read(&mut c), before, "second execution");
+    let r = c.query(Lang::Sql, "INSERT INTO u VALUES (2)", 0).expect("insert");
+    assert!(r.error().is_none(), "{:?}", r.outcome);
+    let after = vec![vec![vec![a.clone()], vec![b.clone()]], vec![vec![a], vec![b]], vec![vec![Value::Int(2)]]];
+    assert_eq!(read(&mut c), after);
+    handle.shutdown();
+}

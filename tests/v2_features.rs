@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use crosse::federation::{LatencyModel, RemoteSource};
+use crosse::relational::foreign::{LatencyModel, RemoteSource};
 use crosse::prelude::*;
 use crosse::smartground::{landfill_name, standard_engine, SmartGroundConfig};
 
