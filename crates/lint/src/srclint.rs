@@ -349,9 +349,8 @@ pub enum FileClass {
     /// `crates/compat/**`: vendored API stand-ins; only `R005` applies
     /// (the shims hold the `std::sync` primitives everything wraps).
     Compat,
-    /// `crates/xtask/**`, `crates/bench/**`, `**/benches/**`,
-    /// `**/examples/**`: developer tooling and demos may unwrap and
-    /// panic, but still must not use raw `std::sync` locks.
+    /// `crates/xtask/**` and `**/examples/**`: developer tooling and demos
+    /// may unwrap and panic, but still must not use raw `std::sync` locks.
     Tooling,
     /// `tests/**` integration tests and lint fixtures.
     TestCode,
@@ -365,9 +364,7 @@ pub fn classify(path: &str) -> FileClass {
     if p.starts_with("crates/compat/") {
         FileClass::Compat
     } else if p.starts_with("crates/xtask/")
-        || p.starts_with("crates/bench/")
         || p.starts_with("examples/")
-        || p.contains("/benches/")
         || p.contains("/examples/")
     {
         FileClass::Tooling
@@ -950,6 +947,17 @@ mod tests {
         assert_eq!(codes("crates/core/src/x.rs", without), vec!["R000", "R002"]);
         let unknown = "// srclint: allow(R099): nope\nfn f() {}";
         assert_eq!(codes("crates/core/src/x.rs", unknown), vec!["R000"]);
+    }
+
+    #[test]
+    fn classify_pins_one_path_per_class() {
+        assert_eq!(classify("crates/compat/rand/src/lib.rs"), FileClass::Compat);
+        assert_eq!(classify("crates/xtask/src/main.rs"), FileClass::Tooling);
+        assert_eq!(classify("examples/federation_tour.rs"), FileClass::Tooling);
+        assert_eq!(classify("tests/durability.rs"), FileClass::TestCode);
+        assert_eq!(classify("crates/core/src/sqm/enrich.rs"), FileClass::Engine);
+        // No path class exempts benches: a bench file gets the engine rules.
+        assert_eq!(classify("crates/core/benches/enrich.rs"), FileClass::Engine);
     }
 
     #[test]

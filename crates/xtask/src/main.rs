@@ -1,20 +1,5 @@
-//! Workspace automation tasks (`cargo xtask <task>` / `cargo bench-smoke`).
+//! Workspace automation tasks (`cargo xtask <task>`).
 //!
-//! * `bench-smoke` — run every Criterion bench in `--test` mode (each
-//!   benchmark body executes once, no measurement), then the clippy gate.
-//!   The cheap CI gate for "the benches still run and the workspace is
-//!   lint-clean".
-//! * `bench-baseline` — regenerate `BENCH_e3.json` from the experiments
-//!   binary (release build) so future PRs have a perf trajectory to
-//!   compare against. Includes the e11 concurrency record (QPS + latency
-//!   percentiles at 1 vs 4 worker threads) and the e14 over-the-wire
-//!   record (closed-loop TCP clients + overload shed rate).
-//! * `bench-diff` — re-run the E3 experiments (plus the E12 ex4.6
-//!   REPLACEVARIABLE record) and compare each `sesql_median_s` against
-//!   the committed `BENCH_e3.json`, printing per-experiment deltas.
-//!   Exits non-zero when any experiment regresses beyond the threshold
-//!   (default 25%; `--threshold 0.4` or `CROSSE_BENCH_THRESHOLD=0.4` to
-//!   tune).
 //! * `explain-snapshots` — regenerate the golden EXPLAIN snapshots
 //!   (`tests/snapshots/*.snap`) and `git diff --exit-code` them against
 //!   the committed ones.
@@ -100,289 +85,6 @@ fn rustdoc() {
             .env("RUSTDOCFLAGS", "-D warnings"),
     );
     println!("xtask: rustdoc OK");
-}
-
-fn bench_smoke() {
-    run(
-        "bench smoke (all benches, --test mode)",
-        cargo().args(["bench", "-p", "crosse-bench", "--benches", "--", "--test"]),
-    );
-    clippy();
-    println!("xtask: bench-smoke OK");
-}
-
-fn bench_baseline() {
-    run(
-        "regenerate BENCH_e3.json (e3 + e11 concurrency + e12 enrichment + e13 durability \
-         + e14 server)",
-        cargo().args([
-            "run",
-            "--release",
-            "-p",
-            "crosse-bench",
-            "--bin",
-            "experiments",
-            "--",
-            "e3",
-            "e11",
-            "e12",
-            "e13",
-            "e14",
-            "--json",
-            "BENCH_e3.json",
-        ]),
-    );
-    println!("xtask: baseline written to BENCH_e3.json");
-}
-
-/// Extract the e3 `(name, sesql_median_s)` pairs from a BENCH_e3.json.
-/// Hand-rolled (the workspace has no serde): scans the flat, generated
-/// schema `{"name": "...", "sesql_median_s": <f64>, ...}` line by line.
-fn parse_e3_medians(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(rest) = line.trim().strip_prefix("{\"name\": \"") else {
-            continue;
-        };
-        let Some((name, rest)) = rest.split_once('"') else { continue };
-        let Some(rest) = rest.split_once("\"sesql_median_s\": ").map(|(_, r)| r) else {
-            continue;
-        };
-        let num: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-            .collect();
-        if let Ok(v) = num.parse::<f64>() {
-            out.push((name.to_string(), v));
-        }
-    }
-    out
-}
-
-/// Extract the e12 `(scale label, sesql_median_s)` pairs from a
-/// BENCH_e3.json (flat generated schema, same hand-rolled parsing as e3).
-fn parse_e12_medians(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(rest) = line.trim().strip_prefix("{\"scale\": ") else {
-            continue;
-        };
-        let Some((scale, rest)) = rest.split_once(',') else { continue };
-        let Some(rest) = rest.split_once("\"sesql_median_s\": ").map(|(_, r)| r) else {
-            continue;
-        };
-        let num: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-            .collect();
-        if let Ok(v) = num.parse::<f64>() {
-            out.push((format!("e12/ex4.6 scale {}", scale.trim()), v));
-        }
-    }
-    out
-}
-
-/// Extract the e13 `(mode, batches_per_s)` pairs from a BENCH_e3.json
-/// (flat generated schema, same hand-rolled parsing as e3/e12).
-fn parse_e13_qps(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(rest) = line.trim().strip_prefix("{\"mode\": \"") else {
-            continue;
-        };
-        let Some((mode, rest)) = rest.split_once('"') else { continue };
-        let Some(rest) = rest.split_once("\"batches_per_s\": ").map(|(_, r)| r) else {
-            continue;
-        };
-        let num: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-            .collect();
-        if let Ok(v) = num.parse::<f64>() {
-            out.push((mode.to_string(), v));
-        }
-    }
-    out
-}
-
-/// Extract the e14 `(clients, qps)` pairs from a BENCH_e3.json (flat
-/// generated schema, same hand-rolled parsing as e3/e12/e13). Only the
-/// closed-loop runs match — the overload record's object is nested after
-/// `"overload": ` and so never starts a trimmed line with `{"clients": `.
-fn parse_e14_qps(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(rest) = line.trim().strip_prefix("{\"clients\": ") else {
-            continue;
-        };
-        let Some((clients, rest)) = rest.split_once(',') else { continue };
-        let Some(rest) = rest.split_once("\"qps\": ").map(|(_, r)| r) else {
-            continue;
-        };
-        let num: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-            .collect();
-        if let Ok(v) = num.parse::<f64>() {
-            out.push((format!("e14/server {} client(s)", clients.trim()), v));
-        }
-    }
-    out
-}
-
-fn bench_diff(args: &[String]) {
-    let threshold: f64 = args
-        .iter()
-        .position(|a| a == "--threshold")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .or_else(|| std::env::var("CROSSE_BENCH_THRESHOLD").ok())
-        .map(|s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("xtask: invalid threshold `{s}` (want a fraction, e.g. 0.25)");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(0.25);
-
-    let committed = std::fs::read_to_string("BENCH_e3.json").unwrap_or_else(|e| {
-        eprintln!("xtask: cannot read committed BENCH_e3.json: {e}");
-        std::process::exit(1);
-    });
-    let mut baseline = parse_e3_medians(&committed);
-    if baseline.is_empty() {
-        eprintln!("xtask: no e3 records in the committed BENCH_e3.json");
-        std::process::exit(1);
-    }
-    // e12 (the ex4.6 REPLACEVARIABLE scaling record) rides along when the
-    // committed baseline has it.
-    let baseline_e12 = parse_e12_medians(&committed);
-    baseline.extend(baseline_e12.iter().cloned());
-
-    let fresh_path = "target/bench-diff-e3.json";
-    run(
-        "re-run e3 + e12 + e13 + e14 experiments",
-        cargo().args([
-            "run",
-            "--release",
-            "-p",
-            "crosse-bench",
-            "--bin",
-            "experiments",
-            "--",
-            "e3",
-            "e12",
-            "e13",
-            "e14",
-            "--json",
-            fresh_path,
-        ]),
-    );
-    let fresh_json = std::fs::read_to_string(fresh_path).unwrap_or_else(|e| {
-        eprintln!("xtask: experiments run produced no {fresh_path}: {e}");
-        std::process::exit(1);
-    });
-    let mut fresh = parse_e3_medians(&fresh_json);
-    fresh.extend(parse_e12_medians(&fresh_json));
-
-    println!("\nbench-diff vs committed BENCH_e3.json (threshold {:.0}%)", threshold * 100.0);
-    println!(
-        "{:<28} {:>14} {:>14} {:>9}",
-        "experiment", "committed", "fresh", "delta"
-    );
-    let mut regressions = Vec::new();
-    for (name, old) in &baseline {
-        let Some((_, new)) = fresh.iter().find(|(n, _)| n == name) else {
-            println!("{name:<28} {:>14.6} {:>14} {:>9}", old, "MISSING", "-");
-            regressions.push(format!("{name}: missing from fresh run"));
-            continue;
-        };
-        let delta = new / old - 1.0;
-        let marker = if delta > threshold { "  << REGRESSION" } else { "" };
-        println!(
-            "{:<28} {:>12.2}µs {:>12.2}µs {:>+8.1}%{}",
-            name,
-            old * 1e6,
-            new * 1e6,
-            delta * 100.0,
-            marker
-        );
-        if delta > threshold {
-            regressions.push(format!("{name}: {:+.1}%", delta * 100.0));
-        }
-    }
-    for (name, _) in &fresh {
-        if !baseline.iter().any(|(n, _)| n == name) {
-            println!("{name:<28} (new experiment, no committed baseline)");
-        }
-    }
-    // e13 durability guard: group-commit (`every_n:256`) must stay within
-    // 10% write throughput of the WAL-off baseline, measured fresh. A
-    // slack of half the time threshold absorbs fsync jitter.
-    let fresh_e13 = parse_e13_qps(&fresh_json);
-    let off = fresh_e13.iter().find(|(m, _)| m == "wal-off");
-    let group = fresh_e13.iter().find(|(m, _)| m == "every_n:256");
-    if let (Some((_, off)), Some((_, group))) = (off, group) {
-        let cost = 1.0 - group / off;
-        let budget = 0.10 + threshold / 2.0;
-        let marker = if cost > budget { "  << REGRESSION" } else { "" };
-        println!(
-            "\ne13 durability: wal-off {off:.0} batches/s, every_n:256 {group:.0} batches/s \
-             — cost {:.1}% (budget {:.0}%){marker}",
-            cost * 100.0,
-            budget * 100.0,
-        );
-        if cost > budget {
-            regressions.push(format!(
-                "e13 durability: every_n:256 costs {:.1}% throughput (> {:.0}%)",
-                cost * 100.0,
-                budget * 100.0
-            ));
-        }
-    }
-    // e14 over-the-wire QPS guard: fresh closed-loop throughput must stay
-    // within budget of the committed record at every client count.
-    // Loopback scheduling is noisier than single-thread medians, so the
-    // budget gets an extra 15 points of slack on top of the threshold.
-    let baseline_e14 = parse_e14_qps(&committed);
-    let fresh_e14 = parse_e14_qps(&fresh_json);
-    if !baseline_e14.is_empty() && !fresh_e14.is_empty() {
-        let budget = threshold + 0.15;
-        println!();
-        for (name, old) in &baseline_e14 {
-            let Some((_, new)) = fresh_e14.iter().find(|(n, _)| n == name) else {
-                println!("{name:<28} {old:>12.1}qps {:>14} {:>9}", "MISSING", "-");
-                regressions.push(format!("{name}: missing from fresh run"));
-                continue;
-            };
-            let loss = 1.0 - new / old;
-            let marker = if loss > budget { "  << REGRESSION" } else { "" };
-            println!(
-                "{:<28} {:>11.1}qps {:>11.1}qps {:>+8.1}%{}",
-                name,
-                old,
-                new,
-                (new / old - 1.0) * 100.0,
-                marker
-            );
-            if loss > budget {
-                regressions.push(format!(
-                    "{name}: {:.1}% QPS loss (> {:.0}%)",
-                    loss * 100.0,
-                    budget * 100.0
-                ));
-            }
-        }
-    }
-    if regressions.is_empty() {
-        println!("\nxtask: bench-diff OK (no experiment slower than {:.0}%)", threshold * 100.0);
-    } else {
-        eprintln!("\nxtask: bench-diff FAILED — {} regression(s):", regressions.len());
-        for r in &regressions {
-            eprintln!("  {r}");
-        }
-        std::process::exit(1);
-    }
 }
 
 /// Regenerate the golden EXPLAIN snapshots (tests/snapshots/*.snap) and
@@ -1102,9 +804,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let task = args.first().cloned().unwrap_or_default();
     match task.as_str() {
-        "bench-smoke" => bench_smoke(),
-        "bench-baseline" => bench_baseline(),
-        "bench-diff" => bench_diff(&args[1..]),
         "explain-snapshots" => explain_snapshots(),
         "lint" => lint_gate(),
         "srclint" => srclint(),
@@ -1118,11 +817,7 @@ fn main() {
         other => {
             eprintln!(
                 "unknown task `{other}`\n\nusage: cargo xtask <task>\n\
-                 tasks:\n  bench-smoke     run all benches in --test mode + clippy -D warnings on the workspace\n\
-                 bench-baseline  regenerate BENCH_e3.json via the experiments binary (e3 + e11 + e12)\n\
-                 bench-diff      re-run e3 + e12 (ex4.6) and diff against the committed BENCH_e3.json\n\
-                                 (--threshold 0.25 / CROSSE_BENCH_THRESHOLD; non-zero exit on regression)\n\
-                 explain-snapshots  regenerate tests/snapshots/*.snap and diff against the committed ones\n\
+                 tasks:\n  explain-snapshots  regenerate tests/snapshots/*.snap and diff against the committed ones\n\
                  lint            regenerate the corpus lint snapshots (lint_golden) and diff against\n\
                                  the committed ones (non-zero exit on drift)\n\
                  srclint         lint our own Rust sources (R001-R006: std::sync locks, unwrap/panic\n\

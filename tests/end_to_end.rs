@@ -369,3 +369,46 @@ fn concurrent_queries_share_one_engine() {
         h.join().unwrap();
     }
 }
+
+/// A star BGP of 64 patterns over 500 entities that each carry all 64
+/// attributes: every pattern after the first is a bound-subject probe,
+/// and every entity satisfies the whole star.
+#[test]
+fn star_of_64_patterns_answers_every_entity() {
+    let (entities, props) = (500usize, 64usize);
+    let store = crosse::rdf::store::TripleStore::new();
+    for e in 0..entities {
+        for p in 0..props {
+            store
+                .insert(
+                    "kb",
+                    &Triple::new(
+                        Term::iri(format!("ent{e}")),
+                        Term::iri(format!("attr{p}")),
+                        Term::lit(format!("v{}", (e * 31 + p * 7) % 50)),
+                    ),
+                )
+                .unwrap();
+        }
+        store
+            .insert(
+                "kb",
+                &Triple::new(
+                    Term::iri(format!("ent{e}")),
+                    Term::iri("link"),
+                    Term::iri(format!("ent{}", (e * 7 + 1) % entities)),
+                ),
+            )
+            .unwrap();
+    }
+    let mut star64 = String::from("SELECT ?s WHERE { ");
+    for p in 0..props {
+        star64.push_str(&format!("?s <attr{p}> ?o{p} . "));
+    }
+    star64.push('}');
+    assert_eq!(
+        crosse::rdf::sparql::eval::query(&store, &["kb"], &star64).unwrap().len(),
+        500,
+        "every entity satisfies the 64-pattern star"
+    );
+}

@@ -297,3 +297,58 @@ fn ex46_cache_invalidates_on_kb_change() {
     );
     assert!(got.contains(&rows(&[&["c", "a", "Sn"]])[0]));
 }
+
+/// SCHEMAEXTENSION equals its hand-written join: export the user's
+/// `dangerLevel` knowledge into a relational table, join it to
+/// `elem_contained` in plain SQL, and compare that multiset of
+/// `(elem_name, danger)` with the enriched rows whose `dangerLevel` is
+/// not NULL (the enrichment also keeps the unmatched rows, padded).
+#[test]
+fn materialised_baseline_matches_enrichment() {
+    let engine = standard_engine(&SmartGroundConfig::default().with_landfills(10), "director")
+        .unwrap();
+    let sols = engine
+        .knowledge_base()
+        .query_as("director", "SELECT ?s ?o WHERE { ?s <dangerLevel> ?o }")
+        .unwrap();
+    let db = engine.database();
+    db.execute("CREATE TABLE kb_danger (elem TEXT, danger INT)").unwrap();
+    let kb_rows: Vec<Vec<Value>> = sols
+        .rows
+        .iter()
+        .filter_map(|r| match (&r[0], &r[1]) {
+            (Some(s), Some(o)) => Some(vec![
+                Value::from(s.local_name()),
+                Value::Int(o.lexical_form().parse().unwrap_or(0)),
+            ]),
+            _ => None,
+        })
+        .collect();
+    db.catalog().get_table("kb_danger").unwrap().insert_many(kb_rows).unwrap();
+
+    let pairs = |rows: &[Vec<Value>]| -> Vec<(String, String)> {
+        let mut out: Vec<(String, String)> = rows
+            .iter()
+            .filter(|r| !r[1].is_null())
+            .map(|r| (r[0].lexical_form(), r[1].lexical_form()))
+            .collect();
+        out.sort();
+        out
+    };
+    let manual = db
+        .query(
+            "SELECT e.elem_name, k.danger FROM elem_contained e \
+             JOIN kb_danger k ON e.elem_name = k.elem",
+        )
+        .unwrap();
+    let enriched = engine
+        .execute(
+            "director",
+            "SELECT elem_name FROM elem_contained \
+             ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)",
+        )
+        .unwrap();
+    let manual = pairs(&manual.rows);
+    assert!(!manual.is_empty());
+    assert_eq!(manual, pairs(&enriched.rows.rows));
+}
