@@ -30,7 +30,7 @@ use crosse_rdf::term::Term;
 use crosse_relational::{Error, Result, Value};
 
 /// How a column's values denote RDF terms.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum MapStrategy {
     Literal,
     LocalName,

@@ -6,14 +6,19 @@
 //! The pass works out the output schema first: every base column keeps
 //! its position, a replacement takes its attribute's position, extensions
 //! follow in clause order, and a name that clashes with an earlier one
-//! gets `_2`, `_3`, …. Each clause's SPARQL leg then becomes one map from
-//! lexical key to terms ([`MapStrategy::keys`]), so a row's attribute
-//! value finds its matches with one lookup of `Value::lexical`; a BOOL
-//! leg becomes the key set of the subjects related to its concept. Each
-//! output row is written once, at its final width: the cross product of
-//! the clauses' matches, earlier clauses varying slowest, a value without
-//! a match padded with NULL, and a term converted to a value only when a
-//! row takes it.
+//! gets `_2`, `_3`, …. Each clause's SPARQL leg is then a [`KeyedLeg`]:
+//! one map from lexical key ([`MapStrategy::keys`]) to the objects,
+//! already converted to values, so a row's attribute value finds its
+//! matches with one lookup of `Value::lexical`; a BOOL leg is the key set
+//! of the subjects related to its concept. Keyed legs are cached beside
+//! the leg solutions (`SparqlLegCache`) under the same KB version stamp,
+//! so a warm clause costs one cache lookup, not the size of its leg. A
+//! base row whose clauses each yield one value is written in place: each
+//! replaced column overwritten, the extensions appended. Only a row with
+//! several matches takes the cross product, earlier clauses varying
+//! slowest, a value without a match padded with NULL. Either way an
+//! enrichment column's type is the type of the values written to it in
+//! this execution.
 
 use std::collections::{HashMap, HashSet};
 
@@ -49,8 +54,9 @@ pub(super) enum Source {
 
 impl SesqlEngine {
     /// Phase C of `run`: resolve the schema enrichments of `query`
-    /// against `rows`, run their SPARQL legs, and write the enriched rows.
-    /// `report.join` times the pass alone (the legs are `sparql_exec`).
+    /// against `rows`, fetch their keyed legs, and write the enriched rows.
+    /// `report.join` times the pass and any keying of cold legs (the legs
+    /// themselves are `sparql_exec`).
     pub(super) fn enrich(
         &self,
         user: &str,
@@ -85,17 +91,14 @@ impl SesqlEngine {
             return Ok(rows);
         }
         let columns = output_columns(&rows.schema, &clauses)?;
+        let graphs = self.kb.context_graphs(user).join("\u{1f}");
         let mut legs = Vec::with_capacity(clauses.len());
         for (clause, purpose) in clauses.iter().zip(purposes) {
-            let sols = self.property_pairs(user, clause.property, purpose, report)?;
-            legs.push(match clause.concept {
-                None => apply_multi_policy(sols, self.options.multi),
-                Some(_) => sols,
-            });
+            legs.push(self.keyed_leg(user, &graphs, clause, purpose, report)?);
         }
         let t = Instant::now();
-        let rows = write_rows(rows, &clauses, &columns, &legs, self.db.interner());
-        report.join = t.elapsed();
+        let rows = write_rows(rows, &clauses, &columns, &legs);
+        report.join += t.elapsed();
         Ok(rows)
     }
 
@@ -153,32 +156,40 @@ pub(super) fn output_columns(base: &Schema, clauses: &[Clause]) -> Result<Vec<(S
     Ok(columns)
 }
 
-/// One clause's leg, keyed for lookups by a row's attribute value.
-enum Matches<'s> {
+/// One clause's leg, keyed for lookups by a row's attribute value. It
+/// owns its keys and values, so the leg cache holds it across executions
+/// while the KB version stands.
+#[derive(Debug)]
+pub(super) enum KeyedLeg {
     /// Lexical key → the objects of the subjects found under it, in
-    /// solution order (an unbound object is `None`).
-    Objects(HashMap<&'s str, Vec<Option<&'s Term>>>),
+    /// solution order, as values (an unbound object is NULL).
+    Objects(HashMap<String, Vec<Value>>),
     /// The keys of the subjects related to the BOOL clause's concept.
-    Keys(HashSet<&'s str>),
+    Keys(HashSet<String>),
 }
 
-impl<'s> Matches<'s> {
-    fn new(clause: &Clause, sols: &'s Solutions) -> Self {
+impl KeyedLeg {
+    /// Key `sols`, a pairs leg (`?s ?o`) that has already taken the
+    /// multi-value policy if `clause` is SCHEMA*.
+    pub(super) fn new(clause: &Clause, sols: &Solutions, interner: &Interner) -> Self {
         let s = sols.var_index("s").expect("pairs query binds ?s");
         let o = sols.var_index("o").expect("pairs query binds ?o");
         match clause.concept {
             None => {
-                let mut objects: HashMap<&str, Vec<Option<&Term>>> = HashMap::new();
+                let mut objects: HashMap<String, Vec<Value>> = HashMap::new();
                 for row in &sols.rows {
                     if let Some(subject) = &row[s] {
+                        let value = row[o]
+                            .as_ref()
+                            .map_or(Value::Null, |t| term_to_value_in(t, interner));
                         for key in clause.strategy.keys(subject) {
-                            objects.entry(key).or_default().push(row[o].as_ref());
+                            objects.entry(key.to_string()).or_default().push(value.clone());
                         }
                     }
                 }
-                Matches::Objects(objects)
+                KeyedLeg::Objects(objects)
             }
-            Some(concept) => Matches::Keys(
+            Some(concept) => KeyedLeg::Keys(
                 sols.rows
                     .iter()
                     .filter_map(|row| match (&row[s], &row[o]) {
@@ -188,8 +199,29 @@ impl<'s> Matches<'s> {
                         _ => None,
                     })
                     .flat_map(|subject| clause.strategy.keys(subject))
+                    .map(str::to_string)
                     .collect(),
             ),
+        }
+    }
+
+    /// The values `value` takes from this leg: its objects, or one NULL
+    /// when it has none; a BOOL leg's one answer.
+    fn values(&self, value: &Value) -> &[Value] {
+        const NULL: &[Value] = &[Value::Null];
+        const TRUE: &[Value] = &[Value::Bool(true)];
+        const FALSE: &[Value] = &[Value::Bool(false)];
+        if value.is_null() {
+            return match self {
+                KeyedLeg::Objects(_) => NULL,
+                KeyedLeg::Keys(_) => FALSE,
+            };
+        }
+        let key = value.lexical();
+        match self {
+            KeyedLeg::Objects(objects) => objects.get(key.as_ref()).map_or(NULL, Vec::as_slice),
+            KeyedLeg::Keys(keys) if keys.contains(key.as_ref()) => TRUE,
+            KeyedLeg::Keys(_) => FALSE,
         }
     }
 }
@@ -229,41 +261,37 @@ pub(super) fn write_rows(
     rows: RowSet,
     clauses: &[Clause],
     columns: &[(Source, String)],
-    legs: &[Solutions],
-    interner: &Interner,
+    legs: &[Arc<KeyedLeg>],
 ) -> RowSet {
-    const UNMATCHED: &[Option<&Term>] = &[None];
-    let matches: Vec<Matches> = clauses
-        .iter()
-        .zip(legs)
-        .map(|(c, l)| Matches::new(c, l))
-        .collect();
+    let width = rows.schema.len();
     let mut types = vec![ColumnType::default(); clauses.len()];
-    // Per clause, for the current base row: the objects it matched (an
-    // unmatched value takes one NULL), or the BOOL clause's answer.
-    let mut picks: Vec<&[Option<&Term>]> = vec![UNMATCHED; clauses.len()];
-    let mut hits = vec![false; clauses.len()];
+    // Per clause, for the current base row: the values it takes.
+    let mut picks: Vec<&[Value]> = vec![&[]; clauses.len()];
     let mut at = vec![0usize; clauses.len()];
     let mut out: Vec<Row> = Vec::with_capacity(rows.rows.len());
     for mut row in rows.rows {
         let mut combinations = 1;
-        for (k, (clause, m)) in clauses.iter().zip(&matches).enumerate() {
-            let value = &row[clause.index];
-            match m {
-                Matches::Objects(objects) => {
-                    picks[k] = if value.is_null() {
-                        UNMATCHED
+        for (k, (clause, leg)) in clauses.iter().zip(legs).enumerate() {
+            picks[k] = leg.values(&row[clause.index]);
+            combinations *= picks[k].len();
+        }
+        if combinations == 1 {
+            // One value per clause: overwrite the replaced columns and
+            // append the extensions, in column order.
+            row.reserve_exact(columns.len() - width);
+            for (p, &(source, _)) in columns.iter().enumerate() {
+                if let Source::Clause(k) = source {
+                    let v = picks[k][0].clone();
+                    types[k].note(&v);
+                    if p < width {
+                        row[p] = v;
                     } else {
-                        objects
-                            .get(value.lexical().as_ref())
-                            .map_or(UNMATCHED, Vec::as_slice)
-                    };
-                    combinations *= picks[k].len();
-                }
-                Matches::Keys(keys) => {
-                    hits[k] = !value.is_null() && keys.contains(value.lexical().as_ref());
+                        row.push(v);
+                    }
                 }
             }
+            out.push(row);
+            continue;
         }
         at.fill(0);
         for n in 0..combinations {
@@ -274,15 +302,11 @@ pub(super) fn write_rows(
                 .map(|&(source, _)| match source {
                     Source::Base(i) if last => std::mem::replace(&mut row[i], Value::Null),
                     Source::Base(i) => row[i].clone(),
-                    Source::Clause(k) => match matches[k] {
-                        Matches::Keys(_) => Value::Bool(hits[k]),
-                        Matches::Objects(_) => {
-                            let v = picks[k][at[k]]
-                                .map_or(Value::Null, |t| term_to_value_in(t, interner));
-                            types[k].note(&v);
-                            v
-                        }
-                    },
+                    Source::Clause(k) => {
+                        let v = picks[k][at[k]].clone();
+                        types[k].note(&v);
+                        v
+                    }
                 })
                 .collect();
             out.push(enriched);
@@ -361,6 +385,7 @@ pub(crate) fn term_to_value_in(term: &Term, interner: &Interner) -> Value {
 
 #[cfg(test)]
 mod tests {
+    use super::super::legs::apply_multi_policy;
     use super::super::tests::{engine, iri, lit};
     use super::*;
     use proptest::prelude::*;
@@ -409,9 +434,17 @@ mod tests {
         }
     }
 
+    /// The pass over `legs` keyed by [`KeyedLeg::new`], as `enrich` keys
+    /// them on a leg-cache miss.
     fn run(rows: RowSet, clauses: &[Clause], legs: &[Solutions]) -> Result<RowSet> {
         let columns = output_columns(&rows.schema, clauses)?;
-        Ok(write_rows(rows, clauses, &columns, legs, &Interner::new()))
+        let interner = Interner::new();
+        let legs: Vec<Arc<KeyedLeg>> = clauses
+            .iter()
+            .zip(legs)
+            .map(|(c, sols)| Arc::new(KeyedLeg::new(c, sols, &interner)))
+            .collect();
+        Ok(write_rows(rows, clauses, &columns, &legs))
     }
 
     fn extend(sols: Solutions) -> RowSet {

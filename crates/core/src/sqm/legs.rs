@@ -1,9 +1,11 @@
 // srclint: allow(R002): the generated SPARQL always projects the ?s/?o variables the expects look up
 //! The SPARQL legs of the pipeline and the caches in front of them: the
-//! version-checked leg (solutions) cache, the REPLACEVARIABLE pairs cache
-//! whose entries own their materialised tables, the generated SPARQL text
-//! and the predicate/subject resolution behind it.
+//! version-checked leg (solutions) cache, the keyed SCHEMA*/BOOL* legs
+//! built from it, the REPLACEVARIABLE pairs cache whose entries own their
+//! materialised tables, the generated SPARQL text and the
+//! predicate/subject resolution behind it.
 
+use super::enrich::{Clause, KeyedLeg};
 use super::rewrite::variable_expansion_select;
 use super::*;
 
@@ -15,18 +17,49 @@ use super::*;
 /// distinct generated legs) from growing memory without limit.
 #[derive(Debug)]
 pub(super) struct SparqlLegCache {
-    pub(super) entries: Mutex<Lru<(String, String), (u64, Solutions)>>,
+    entries: Mutex<Lru<(String, String), (u64, Solutions)>>,
+    /// Keyed SCHEMA*/BOOL* legs, version-checked like `entries`: a hit
+    /// serves the clause without resolving predicates, formatting SPARQL,
+    /// probing the compiled-leg LRU or re-keying solutions, and counts
+    /// one hit. A miss counts nothing and falls through to the solution
+    /// cache, which counts the leg itself.
+    keyed: Mutex<Lru<LegKey, CachedLeg>>,
     /// REPLACEVARIABLE pairs tables, keyed by (context graphs, property)
     /// and version-checked like `entries`: a hit
     /// skips the SPARQL leg *and* the term→value conversion + dedup that
     /// builds the relational pairs table. Only hits touch the counters —
     /// a pairs miss falls through to the solution-cache path, which
     /// counts the leg itself, keeping "one leg, one counter event".
-    pub(super) pairs: Mutex<Lru<(String, String), CachedPairs>>,
+    pairs: Mutex<Lru<(String, String), CachedPairs>>,
     // Hit/miss counters live outside the LRUs: a version-stale entry is a
     // *miss* for the caller even though the LRU lookup succeeded.
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// What a keyed leg depends on besides the KB version. Engine clones made
+/// by `with_options` / `with_mapping` share the cache, so the multi-value
+/// policy and the attribute's mapping strategy are part of the key.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct LegKey {
+    /// The user's context graphs, `\u{1f}`-joined.
+    graphs: String,
+    property: String,
+    concept: Option<String>,
+    strategy: MapStrategy,
+    policy: MultiValuePolicy,
+}
+
+/// One cached keyed leg.
+#[derive(Debug, Clone)]
+struct CachedLeg {
+    /// KB version the leg was built against.
+    version: u64,
+    /// The SPARQL leg text and its solution count, reported on hits so
+    /// warm and cold runs of one query show the same `SparqlRun`.
+    sparql: String,
+    solutions: usize,
+    leg: Arc<KeyedLeg>,
 }
 
 /// One cached REPLACEVARIABLE pairs table.
@@ -70,6 +103,7 @@ impl Default for SparqlLegCache {
     fn default() -> Self {
         SparqlLegCache {
             entries: Mutex::new_labeled("sqm.leg_cache", Lru::new(DEFAULT_CACHE_CAPACITY)),
+            keyed: Mutex::new_labeled("sqm.keyed_cache", Lru::new(DEFAULT_CACHE_CAPACITY)),
             pairs: Mutex::new_labeled("sqm.pairs_cache", Lru::new(DEFAULT_CACHE_CAPACITY)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -130,13 +164,41 @@ impl SparqlLegCache {
         drop(displaced);
     }
 
+    /// A version-valid keyed leg, counted as a hit. A miss counts
+    /// nothing: the caller runs the leg through `run_sparql_leg`, whose
+    /// lookup counts it.
+    fn get_keyed(&self, key: &LegKey, version: u64) -> Option<CachedLeg> {
+        let cached = self.keyed.lock().get(key).filter(|c| c.version == version).cloned()?;
+        self.hits.fetch_add(1, AtomicOrdering::Relaxed);
+        Some(cached)
+    }
+
     pub(super) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(AtomicOrdering::Relaxed),
             misses: self.misses.load(AtomicOrdering::Relaxed),
             evictions: self.entries.lock().stats().evictions
+                + self.keyed.lock().stats().evictions
                 + self.pairs.lock().stats().evictions,
         }
+    }
+
+    /// Resize the solution, keyed-leg and pairs LRUs. Evicted pairs tables
+    /// leave the catalog after the cache lock.
+    pub(super) fn set_capacity(&self, capacity: usize) {
+        self.entries.lock().set_capacity(capacity);
+        self.keyed.lock().set_capacity(capacity);
+        let evicted = self.pairs.lock().set_capacity(capacity);
+        drop(evicted);
+    }
+
+    /// Drop every entry; a cleared pairs table leaves the catalog once no
+    /// running query reads it.
+    pub(super) fn clear(&self) {
+        self.entries.lock().clear();
+        self.keyed.lock().clear();
+        let cleared = self.pairs.lock().clear();
+        drop(cleared);
     }
 }
 
@@ -190,20 +252,74 @@ impl SesqlEngine {
     }
 
     /// Generate + run the SPARQL leg returning (subject, object) pairs for
-    /// a property name in the user's context.
-    pub(super) fn property_pairs(
+    /// a property name in the user's context; returns the leg's text too.
+    fn property_pairs(
         &self,
         user: &str,
         property: &str,
         purpose: String,
         report: &mut PipelineReport,
-    ) -> Result<Solutions> {
+    ) -> Result<(String, Solutions)> {
         let graphs = self.kb.context_graphs(user);
         let refs: Vec<&str> = graphs.iter().map(String::as_str).collect();
         let predicates = self.resolve_predicates(&refs, property);
         let sparql = sparql_pairs_query(&predicates, property);
         let prepared = self.compiled_leg(&sparql)?;
-        self.run_sparql_leg(&refs, &sparql, &prepared, purpose, report)
+        let sols = self.run_sparql_leg(&refs, &sparql, &prepared, purpose, report)?;
+        Ok((sparql, sols))
+    }
+
+    /// Clause `clause`'s keyed leg over the context graphs `graphs`
+    /// (`\u{1f}`-joined). Warm, it is one lookup. Cold, the pairs leg runs
+    /// through `property_pairs` (which counts its hit or miss), takes the
+    /// engine's multi-value policy if the clause is SCHEMA*, and is keyed
+    /// and published under the KB version read before it ran. Keying
+    /// counts towards `report.join`.
+    pub(super) fn keyed_leg(
+        &self,
+        user: &str,
+        graphs: &str,
+        clause: &Clause,
+        purpose: String,
+        report: &mut PipelineReport,
+    ) -> Result<Arc<KeyedLeg>> {
+        let policy = self.options.multi;
+        let key = LegKey {
+            graphs: graphs.to_string(),
+            property: clause.property.to_string(),
+            concept: clause.concept.map(str::to_string),
+            strategy: clause.strategy.clone(),
+            policy,
+        };
+        let version = self.kb.store().version();
+        let t = Instant::now();
+        if let Some(hit) = self.cache.get_keyed(&key, version) {
+            let duration = t.elapsed();
+            report.sparql_exec += duration;
+            report.sparql_runs.push(SparqlRun {
+                purpose,
+                sparql: hit.sparql,
+                solutions: hit.solutions,
+                duration,
+                cached: true,
+                shared: false,
+            });
+            return Ok(hit.leg);
+        }
+        let (sparql, sols) = self.property_pairs(user, clause.property, purpose, report)?;
+        let t = Instant::now();
+        let solutions = sols.len();
+        let sols = match clause.concept {
+            None => apply_multi_policy(sols, policy),
+            Some(_) => sols,
+        };
+        let leg = Arc::new(KeyedLeg::new(clause, &sols, self.db.interner()));
+        self.cache.keyed.lock().put(
+            key,
+            CachedLeg { version, sparql, solutions, leg: Arc::clone(&leg) },
+        );
+        report.join += t.elapsed();
+        Ok(leg)
     }
 
     /// Resolve a property argument to concrete predicate IRIs: an argument
@@ -339,12 +455,7 @@ impl SesqlEngine {
             });
             return Ok(cached.table);
         }
-        let sols = self.property_pairs(user, property, purpose, report)?;
-        let sparql = report
-            .sparql_runs
-            .last()
-            .map(|r| r.sparql.clone())
-            .unwrap_or_default();
+        let (sparql, sols) = self.property_pairs(user, property, purpose, report)?;
         let s_idx = sols.var_index("s").expect("pairs query binds ?s");
         let o_idx = sols.var_index("o").expect("pairs query binds ?o");
         let interner = self.db.interner();
@@ -517,15 +628,19 @@ pub(super) fn apply_multi_policy(sols: Solutions, policy: MultiValuePolicy) -> S
 mod tests {
     use super::super::tests::*;
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn repeated_query_hits_sparql_cache() {
         let e = engine();
         let r1 = e.execute("director", CACHED_QUERY).unwrap();
         assert!(!r1.report.sparql_runs[0].cached);
+        let compiled = e.ast_cache_stats();
         let r2 = e.execute("director", CACHED_QUERY).unwrap();
         assert!(r2.report.sparql_runs[0].cached);
         assert_eq!(r1.rows.rows, r2.rows.rows);
+        // The warm clause is one keyed-leg lookup: no compiled-leg probe.
+        assert_eq!(e.ast_cache_stats(), compiled);
         let stats = e.cache_stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
@@ -575,7 +690,9 @@ mod tests {
     fn clear_cache_forces_reevaluation() {
         let e = engine();
         e.execute("director", CACHED_QUERY).unwrap();
+        assert_eq!(e.cache.keyed.lock().len(), 1);
         e.clear_cache();
+        assert_eq!(e.cache.keyed.lock().len(), 0);
         let r = e.execute("director", CACHED_QUERY).unwrap();
         assert!(!r.report.sparql_runs[0].cached);
     }
@@ -637,5 +754,168 @@ mod tests {
         let r2 = e.execute("director", q).unwrap();
         assert!(r2.report.sparql_runs[0].cached);
         assert_eq!(r1.rows.rows, r2.rows.rows);
+    }
+
+    /// A result's column names and types, and its rows as a multiset.
+    type Canonical = (Vec<(String, DataType)>, Vec<String>);
+
+    /// The rows are sorted by their debug form, so `Int(1)` and
+    /// `Float(1.0)` stay apart.
+    fn canonical(r: &EnrichedResult) -> Canonical {
+        let columns = r.rows.schema.columns.iter().map(|c| (c.name.clone(), c.data_type)).collect();
+        let mut rows: Vec<String> = r.rows.rows.iter().map(|row| format!("{row:?}")).collect();
+        rows.sort();
+        (columns, rows)
+    }
+
+    fn with_policy(e: &SesqlEngine, multi: MultiValuePolicy) -> SesqlEngine {
+        e.clone().with_options(EnrichOptions { multi, ..EnrichOptions::default() })
+    }
+
+    const SCHEMA_QUERIES: [&str; 4] = [
+        "SELECT elem_name, landfill_name FROM elem_contained \
+         ENRICH SCHEMAEXTENSION(elem_name, dangerLevel) \
+                BOOLSCHEMAEXTENSION(elem_name, isA, HazardousWaste)",
+        "SELECT elem_name FROM elem_contained ENRICH SCHEMAREPLACEMENT(elem_name, dangerLevel)",
+        "SELECT name, city FROM landfill ENRICH SCHEMAREPLACEMENT(city, inCountry)",
+        "SELECT name, city FROM landfill \
+         ENRICH BOOLSCHEMAREPLACEMENT(city, inCountry, Italy) SCHEMAEXTENSION(city, inCountry)",
+    ];
+
+    #[test]
+    fn clones_never_serve_each_others_keyed_legs() {
+        // Hg has two danger levels, and a namespaced IRI carries a third
+        // that only an `IriPrefix` mapping of elem_name reads.
+        let e = engine();
+        for (s, o) in [("Hg", "6"), ("http://smg.eu/elem/Hg", "7")] {
+            e.knowledge_base()
+                .assert_statement("director", &Triple::new(iri(s), iri("dangerLevel"), lit(o)))
+                .unwrap();
+        }
+        let mapping = ResourceMapping::parse("elem_contained.elem_name -> iri http://smg.eu/elem/")
+            .unwrap();
+        // The mapping applies to a column by the qualifier it is selected
+        // under.
+        let q = "SELECT elem_contained.elem_name FROM elem_contained WHERE landfill_name = 'a' \
+                 ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)";
+        let levels = |r: &EnrichedResult| {
+            let mut hg: Vec<String> = r
+                .rows
+                .rows
+                .iter()
+                .filter(|row| row[0] == Value::from("Hg"))
+                .map(|row| row[1].lexical_form())
+                .collect();
+            hg.sort();
+            hg
+        };
+        let engines = [
+            e.clone(),
+            with_policy(&e, MultiValuePolicy::Concatenate),
+            e.clone().with_mapping(mapping),
+        ];
+        // Concatenate joins each subject's objects; the namespaced IRI is
+        // a subject of its own.
+        let expected: [&[&str]; 3] = [&["5", "6", "7"], &["5; 6", "7"], &["7"]];
+        for round in 0..2 {
+            for (engine, want) in engines.iter().zip(expected) {
+                let r = engine.execute("director", q).unwrap();
+                assert_eq!(levels(&r), want, "round {round}");
+            }
+        }
+        assert_eq!(e.cache.keyed.lock().len(), 3, "one keyed leg per clone");
+    }
+
+    #[test]
+    fn zero_capacity_evaluates_every_leg() {
+        let e = engine();
+        e.set_cache_capacity(0);
+        for _ in 0..2 {
+            let r = e.execute("director", SCHEMA_QUERIES[0]).unwrap();
+            assert!(r.report.sparql_runs.iter().all(|run| !run.cached));
+        }
+        assert_eq!(e.cache.keyed.lock().len(), 0);
+        let stats = e.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (0, 4));
+    }
+
+    #[test]
+    fn keyed_leg_evictions_are_counted() {
+        // Two policies over one SPARQL leg: the solution cache keeps its
+        // one entry, the keyed LRU (capacity 1) evicts on every switch.
+        let e = engine();
+        e.set_cache_capacity(1);
+        let concatenate = with_policy(&e, MultiValuePolicy::Concatenate);
+        for engine in [&e, &concatenate, &e] {
+            engine.execute("director", CACHED_QUERY).unwrap();
+        }
+        assert_eq!(e.cache.entries.lock().stats().evictions, 0);
+        assert_eq!(e.cache_stats().evictions, 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Warm SCHEMA*/BOOL* results equal cold ones (after
+        /// `clear_cache()`) as exact multisets with equal column types,
+        /// under every multi-value policy, after each step of an
+        /// interleaving of the director's asserts, retractions and
+        /// acceptances of a second user's statements. Each step runs every
+        /// query twice warm: the first may find legs stale, the second
+        /// finds them valid.
+        #[test]
+        fn warm_keyed_legs_equal_cold_under_kb_writes(
+            steps in prop::collection::vec((0..4usize, 0..12usize), 1..8),
+        ) {
+            let pool = [
+                ("Hg", "dangerLevel", lit("5")),
+                ("Hg", "dangerLevel", lit("4.5")),
+                ("Cu", "dangerLevel", lit("extreme")),
+                ("Sn", "dangerLevel", lit("3")),
+                ("http://smg.eu/elem/Sn", "dangerLevel", lit("2")),
+                ("Pb", "isA", iri("HazardousWaste")),
+                ("Cu", "isA", iri("HazardousWaste")),
+                ("Sn", "isA", iri("http://smg.eu/class#HazardousWaste")),
+                ("Torino", "inCountry", iri("Italy")),
+                ("Lyon", "inCountry", iri("Italy")),
+                ("Torino", "inCountry", iri("France")),
+                ("Collegno", "inCountry", lit("1")),
+            ];
+            let e = engine();
+            let kb = e.knowledge_base();
+            kb.register_user("crowd").unwrap();
+            let engines: Vec<SesqlEngine> = [
+                MultiValuePolicy::RowPerMatch,
+                MultiValuePolicy::FirstMatch,
+                MultiValuePolicy::Concatenate,
+            ]
+            .into_iter()
+            .map(|policy| with_policy(&e, policy))
+            .collect();
+            let run_all = || -> Vec<Canonical> {
+                engines
+                    .iter()
+                    .flat_map(|engine| {
+                        SCHEMA_QUERIES.iter().map(move |q| canonical(&engine.execute("director", q).unwrap()))
+                    })
+                    .collect()
+            };
+            for &(op, t) in &steps {
+                let (s, p, o) = &pool[t];
+                let triple = Triple::new(iri(s), iri(p), o.clone());
+                match (op, kb.find_statement(&triple)) {
+                    (0, _) => drop(kb.assert_statement("director", &triple).unwrap()),
+                    (1, _) => drop(kb.assert_statement("crowd", &triple).unwrap()),
+                    (2, Some(id)) => kb.accept_statement("director", id).unwrap(),
+                    (3, Some(id)) => kb.retract("director", id).unwrap(),
+                    _ => {}
+                }
+                let stale = run_all();
+                let warm = run_all();
+                e.clear_cache();
+                let cold = run_all();
+                prop_assert_eq!(&stale, &cold);
+                prop_assert_eq!(&warm, &cold);
+            }
+        }
     }
 }

@@ -48,13 +48,13 @@ mod rewrite;
 pub use prepared::{normalize_sesql, PreparedSesql};
 
 pub(crate) use enrich::term_to_value_in;
-use legs::{apply_multi_policy, SparqlLegCache};
+use legs::SparqlLegCache;
 use prepared::CachedSesql;
 use rewrite::{replace_condition, rewrite_constant};
 
 /// How multi-valued enrichments materialise (a subject may have several
 /// objects for the chosen property; the paper leaves this open).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MultiValuePolicy {
     /// One output row per (row, object) pair — natural join semantics.
     #[default]
@@ -114,8 +114,9 @@ pub struct PipelineReport {
     pub sql_exec: Duration,
     /// All SPARQL legs on the knowledge base.
     pub sparql_exec: Duration,
-    /// The enrichment pass: keying the SPARQL legs' solutions and writing
-    /// every enriched row (the paper's JoinManager and final SQL query).
+    /// The enrichment pass: keying the SPARQL legs' solutions (cold legs
+    /// only; a warm leg is cached keyed) and writing every enriched row
+    /// (the paper's JoinManager and final SQL query).
     pub join: Duration,
     /// Always zero: the enrichment pass writes the rows in their output
     /// order, so nothing is left for the paper's "final SQL query". Kept
@@ -267,13 +268,17 @@ impl SesqlEngine {
         self.db.exec_threads()
     }
 
-    /// SPARQL-leg solution cache statistics.
+    /// SPARQL-leg cache statistics: one hit or miss per leg an execution
+    /// runs, whichever of the solution, keyed-leg and pairs caches served
+    /// it; evictions summed over the three.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
 
     /// Compiled-SPARQL-leg cache statistics (the LRU of generated legs'
-    /// compiled operator trees; the name predates the operator tree).
+    /// compiled operator trees; the name predates the operator tree). It
+    /// serves only legs that miss the keyed-leg and pairs caches, so a
+    /// warm SCHEMA*/BOOL* or REPLACEVARIABLE run never probes it.
     pub fn ast_cache_stats(&self) -> CacheStats {
         self.compiled_legs.lock().stats()
     }
@@ -283,26 +288,22 @@ impl SesqlEngine {
         self.prepared.lock().stats()
     }
 
-    /// Resize every engine-level cache (solutions, pairs tables, compiled
-    /// SPARQL legs, prepared queries). Capacity 0 is the way to switch caching
-    /// off: every leg is evaluated, and a REPLACEVARIABLE query's pairs
-    /// table lives exactly as long as the query.
+    /// Resize every engine-level cache (solutions, keyed legs, pairs
+    /// tables, compiled SPARQL legs, prepared queries). Capacity 0 is the
+    /// way to switch caching off: every leg is evaluated and counts as a
+    /// miss, and a REPLACEVARIABLE query's pairs table lives exactly as
+    /// long as the query.
     pub fn set_cache_capacity(&self, capacity: usize) {
-        self.cache.entries.lock().set_capacity(capacity);
-        // Evicted pairs tables leave the catalog after the cache lock.
-        let evicted = self.cache.pairs.lock().set_capacity(capacity);
-        drop(evicted);
+        self.cache.set_capacity(capacity);
         self.compiled_legs.lock().set_capacity(capacity);
         self.prepared.lock().set_capacity(capacity);
     }
 
-    /// Drop all cached SPARQL-leg results, including REPLACEVARIABLE
-    /// pairs entries; each pairs table leaves the catalog once no running
-    /// query reads it.
+    /// Drop all cached SPARQL-leg results: solutions, keyed SCHEMA*/BOOL*
+    /// legs and REPLACEVARIABLE pairs entries; each pairs table leaves the
+    /// catalog once no running query reads it.
     pub fn clear_cache(&self) {
-        self.cache.entries.lock().clear();
-        let cleared = self.cache.pairs.lock().clear();
-        drop(cleared);
+        self.cache.clear();
     }
 
     pub fn with_options(mut self, options: EnrichOptions) -> Self {

@@ -13,8 +13,8 @@
 //! log tail in LSN order dispatching by channel, attach the redo logs,
 //! and rebuild the [`KnowledgeBase`] provenance counters from the
 //! recovered meta graph. Engine caches need no explicit flush on recovery:
-//! every cache (SPARQL-leg solutions, REPLACEVARIABLE pairs tables,
-//! prepared plans) is version-checked against the recovered stores, and a
+//! every cache (SPARQL-leg solutions, keyed SCHEMA*/BOOL* legs,
+//! REPLACEVARIABLE pairs tables, prepared plans) is version-checked against the recovered stores, and a
 //! freshly opened engine starts with empty caches keyed by the recovered
 //! KB/catalog versions.
 

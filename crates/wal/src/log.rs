@@ -91,8 +91,10 @@ impl Default for WalOptions {
     fn default() -> Self {
         // Group-commit default: one fsync per 256 records. On ordinary
         // disks an fsync costs low milliseconds, so a narrower window
-        // taxes bulk writes hard (see the E13 bench) while `kill -9`
-        // safety is unaffected — only power loss can drop the window.
+        // taxes bulk writes hard (`crossebench --workload live-mix
+        // --trace 1` reports it as `wal.write_overhead_us`) while
+        // `kill -9` safety is unaffected — only power loss can drop the
+        // window (`tests/durability.rs`).
         WalOptions { sync: SyncPolicy::EveryN(256) }
     }
 }
