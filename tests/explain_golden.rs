@@ -245,3 +245,47 @@ fn explain_federated_pushdown() {
     }
     snapshot("explain_federated", &got);
 }
+
+#[test]
+fn explain_indexed_access_paths() {
+    // Which conjunct becomes an index scan: every sargable shape, an INT
+    // key on a FLOAT column, and the two sides of a LEFT join (the
+    // preserved side takes its index, the padded side keeps its filter
+    // above the join).
+    let db = Database::new();
+    db.execute_script(
+        "CREATE TABLE landfill (name TEXT, city TEXT, tons FLOAT);
+         INSERT INTO landfill VALUES ('a', 'Torino', 12.5), ('b', 'Lyon', 100.0),
+           ('c', 'Collegno', 250.0);
+         CREATE INDEX idx_city ON landfill (city);
+         CREATE INDEX idx_tons ON landfill (tons);
+         CREATE TABLE elem_contained (elem_name TEXT, landfill_name TEXT, amount FLOAT);
+         INSERT INTO elem_contained VALUES ('Hg', 'a', 12.5), ('Pb', 'a', 30.0),
+           ('As', 'b', 5.2);
+         CREATE INDEX idx_landfill_name ON elem_contained (landfill_name);",
+    )
+    .unwrap();
+    let mut got = String::new();
+    for sql in [
+        "SELECT name FROM landfill WHERE city = 'Torino'",
+        "SELECT name FROM landfill WHERE city IN ('Torino', 'Lyon')",
+        "SELECT name FROM landfill WHERE tons BETWEEN 10.5 AND 20.5",
+        "SELECT name FROM landfill WHERE tons >= 100.5",
+        "SELECT name FROM landfill WHERE 100.5 < tons",
+        "SELECT name FROM landfill WHERE city = NULL",
+        "SELECT name FROM landfill WHERE tons = 100",
+        "SELECT name FROM landfill WHERE name LIKE 'a%' AND city = 'Torino'",
+        "SELECT l.name, e.elem_name FROM landfill l, elem_contained e \
+         WHERE l.name = e.landfill_name AND e.landfill_name = 'a'",
+        "SELECT l.name, e.elem_name FROM landfill l \
+         LEFT JOIN elem_contained e ON l.name = e.landfill_name WHERE l.city = 'Torino'",
+        "SELECT l.name, e.elem_name FROM landfill l \
+         LEFT JOIN elem_contained e ON l.name = e.landfill_name WHERE e.landfill_name = 'a'",
+    ] {
+        got.push_str(&format!("EXPLAIN {sql}\n"));
+        for row in db.query(&format!("EXPLAIN {sql}")).unwrap().rows {
+            got.push_str(&format!("{}\n", row[0].lexical_form()));
+        }
+    }
+    snapshot("explain_indexed", &got);
+}
