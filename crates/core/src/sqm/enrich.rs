@@ -8,11 +8,12 @@
 //! follow in clause order, and a name that clashes with an earlier one
 //! gets `_2`, `_3`, …. Each clause's SPARQL leg is then a [`KeyedLeg`]:
 //! one map from lexical key ([`MapStrategy::keys`]) to the objects,
-//! already converted to values, so a row's attribute value finds its
-//! matches with one lookup of `Value::lexical`; a BOOL leg is the key set
-//! of the subjects related to its concept. Keyed legs are cached beside
-//! the leg solutions (`SparqlLegCache`) under the same KB version stamp,
-//! so a warm clause costs one cache lookup, not the size of its leg. A
+//! already converted to values and taken by the multi-value policy per
+//! key, so a row's attribute value finds its matches with one lookup of
+//! `Value::lexical`; a BOOL leg is the key set of the subjects related to
+//! its concept. Keyed legs are cached beside the leg solutions
+//! (`SparqlLegCache`) under the same KB version stamp, so a warm clause
+//! costs one cache lookup, not the size of its leg. A
 //! base row whose clauses each yield one value is written in place: each
 //! replaced column overwritten, the extensions appended. Only a row with
 //! several matches takes the cross product, earlier clauses varying
@@ -83,7 +84,7 @@ impl SesqlEngine {
                 Enrichment::ReplaceConstant { .. } | Enrichment::ReplaceVariable { .. } => continue,
             };
             let index = resolve_attr(&rows, attr)?;
-            let strategy = self.attr_strategy(&rows.schema, index);
+            let strategy = self.attr_strategy(&query.select, &rows.schema.columns[index]);
             clauses.push(Clause { attr, index, property, concept, replaces, strategy });
             purposes.push(e.to_string());
         }
@@ -102,12 +103,34 @@ impl SesqlEngine {
         Ok(rows)
     }
 
-    /// Strategy for matching an output column against RDF terms, from the
-    /// resource mapping (qualifier stands in for the table name).
-    fn attr_strategy(&self, schema: &Schema, attr_index: usize) -> MapStrategy {
-        let col = &schema.columns[attr_index];
-        self.mapping
-            .strategy(col.qualifier.as_deref().unwrap_or(""), &col.name)
+    /// Strategy for matching output column `col` of `select` against RDF
+    /// terms: the resource mapping's rule for the table the column comes
+    /// from — its qualifier's FROM item, or for an unqualified column the
+    /// FROM table that has it (one, or the statement would not have
+    /// planned).
+    fn attr_strategy(&self, select: &Select, col: &Column) -> MapStrategy {
+        fn table_of<'s>(tr: &'s TableRef, owns: &impl Fn(&str, &str) -> bool) -> Option<&'s str> {
+            match tr {
+                TableRef::Table { name, alias } => {
+                    owns(name, alias.as_ref().unwrap_or(name)).then_some(name.as_str())
+                }
+                TableRef::Join { left, right, .. } => {
+                    table_of(left, owns).or_else(|| table_of(right, owns))
+                }
+            }
+        }
+        if self.mapping.is_empty() {
+            return MapStrategy::LocalName;
+        }
+        let owns = |name: &str, qualifier: &str| match &col.qualifier {
+            Some(q) => qualifier.eq_ignore_ascii_case(q),
+            None => {
+                let table = self.db.catalog().get_table(name);
+                table.is_ok_and(|t| t.schema.index_of_output(&col.name).is_some())
+            }
+        };
+        let table = select.from.iter().find_map(|tr| table_of(tr, &owns));
+        self.mapping.strategy(table.or(col.qualifier.as_deref()).unwrap_or(""), &col.name)
     }
 }
 
@@ -169,25 +192,38 @@ pub(super) enum KeyedLeg {
 }
 
 impl KeyedLeg {
-    /// Key `sols`, a pairs leg (`?s ?o`) that has already taken the
-    /// multi-value policy if `clause` is SCHEMA*.
-    pub(super) fn new(clause: &Clause, sols: &Solutions, interner: &Interner) -> Self {
+    /// Key `sols`, a pairs leg (`?s ?o`). A SCHEMA* clause takes the
+    /// multi-value `policy` over each key's objects, from every subject
+    /// the key finds: under `LocalName`, `Hg` and `http://smg.eu/elem/Hg`
+    /// give a value of `Hg` one object list, so `FirstMatch` and
+    /// `Concatenate` write one row for it.
+    pub(super) fn new(
+        clause: &Clause,
+        sols: &Solutions,
+        policy: MultiValuePolicy,
+        interner: &Interner,
+    ) -> Self {
         let s = sols.var_index("s").expect("pairs query binds ?s");
         let o = sols.var_index("o").expect("pairs query binds ?o");
         match clause.concept {
             None => {
-                let mut objects: HashMap<String, Vec<Value>> = HashMap::new();
+                let mut found: HashMap<String, Vec<Option<&Term>>> = HashMap::new();
                 for row in &sols.rows {
                     if let Some(subject) = &row[s] {
-                        let value = row[o]
-                            .as_ref()
-                            .map_or(Value::Null, |t| term_to_value_in(t, interner));
                         for key in clause.strategy.keys(subject) {
-                            objects.entry(key.to_string()).or_default().push(value.clone());
+                            found.entry(key.to_string()).or_default().push(row[o].as_ref());
                         }
                     }
                 }
-                KeyedLeg::Objects(objects)
+                KeyedLeg::Objects(
+                    found
+                        .into_iter()
+                        .filter_map(|(key, objects)| {
+                            let values = policy_values(&objects, policy, interner);
+                            (!values.is_empty()).then_some((key, values))
+                        })
+                        .collect(),
+                )
             }
             Some(concept) => KeyedLeg::Keys(
                 sols.rows
@@ -222,6 +258,30 @@ impl KeyedLeg {
             KeyedLeg::Objects(objects) => objects.get(key.as_ref()).map_or(NULL, Vec::as_slice),
             KeyedLeg::Keys(keys) if keys.contains(key.as_ref()) => TRUE,
             KeyedLeg::Keys(_) => FALSE,
+        }
+    }
+}
+
+/// The values one attribute value takes from its objects (in solution
+/// order, `None` unbound) under `policy`: every object, an unbound one
+/// NULL; or, of the bound ones, the first, or all their lexical forms
+/// joined by `"; "`. Empty when the policy keeps nothing.
+fn policy_values(
+    objects: &[Option<&Term>],
+    policy: MultiValuePolicy,
+    interner: &Interner,
+) -> Vec<Value> {
+    let value = |t: &Term| term_to_value_in(t, interner);
+    let bound: Vec<&Term> = objects.iter().flatten().copied().collect();
+    match (policy, bound.as_slice()) {
+        (MultiValuePolicy::RowPerMatch, _) => {
+            objects.iter().map(|t| t.map_or(Value::Null, value)).collect()
+        }
+        (_, []) => Vec::new(),
+        (MultiValuePolicy::FirstMatch, [first, ..]) | (_, [first]) => vec![value(first)],
+        (_, many) => {
+            let forms: Vec<&str> = many.iter().map(|t| t.lexical_form()).collect();
+            vec![interner.value(&forms.join("; "))]
         }
     }
 }
@@ -385,9 +445,9 @@ pub(crate) fn term_to_value_in(term: &Term, interner: &Interner) -> Value {
 
 #[cfg(test)]
 mod tests {
-    use super::super::legs::apply_multi_policy;
     use super::super::tests::{engine, iri, lit};
     use super::*;
+    use crosse_rdf::store::Triple;
     use proptest::prelude::*;
 
     fn rowset() -> RowSet {
@@ -437,12 +497,21 @@ mod tests {
     /// The pass over `legs` keyed by [`KeyedLeg::new`], as `enrich` keys
     /// them on a leg-cache miss.
     fn run(rows: RowSet, clauses: &[Clause], legs: &[Solutions]) -> Result<RowSet> {
+        run_under(MultiValuePolicy::RowPerMatch, rows, clauses, legs)
+    }
+
+    fn run_under(
+        policy: MultiValuePolicy,
+        rows: RowSet,
+        clauses: &[Clause],
+        legs: &[Solutions],
+    ) -> Result<RowSet> {
         let columns = output_columns(&rows.schema, clauses)?;
         let interner = Interner::new();
         let legs: Vec<Arc<KeyedLeg>> = clauses
             .iter()
             .zip(legs)
-            .map(|(c, sols)| Arc::new(KeyedLeg::new(c, sols, &interner)))
+            .map(|(c, sols)| Arc::new(KeyedLeg::new(c, sols, policy, &interner)))
             .collect();
         Ok(write_rows(rows, clauses, &columns, &legs))
     }
@@ -624,6 +693,38 @@ mod tests {
         assert_eq!(names, ["name", "inCountry", "Italy"]);
     }
 
+    #[test]
+    fn mapping_rule_applies_by_the_table_a_column_comes_from() {
+        // The rule reads only the namespaced IRI (level 7), never the bare
+        // `Hg` (level 5), however the column is spelled: unqualified,
+        // table-qualified, alias-qualified, or in Ex. 4.6's self-join.
+        let e = engine();
+        let triple = Triple::new(iri("http://smg.eu/elem/Hg"), iri("dangerLevel"), lit("7"));
+        e.knowledge_base().assert_statement("director", &triple).unwrap();
+        let rule = "elem_contained.elem_name -> iri http://smg.eu/elem/";
+        let mapped = e.clone().with_mapping(ResourceMapping::parse(rule).unwrap());
+        for sql in [
+            "SELECT elem_name FROM elem_contained WHERE landfill_name = 'a'",
+            "SELECT elem_contained.elem_name FROM elem_contained WHERE landfill_name = 'a'",
+            "SELECT e.elem_name FROM elem_contained e WHERE e.landfill_name = 'a'",
+            "SELECT e1.landfill_name AS l1, e2.landfill_name AS l2, e1.elem_name \
+             FROM elem_contained AS e1, elem_contained AS e2 \
+             WHERE e1.landfill_name <> e2.landfill_name AND e1.elem_name = e2.elem_name",
+        ] {
+            let sesql = format!("{sql} ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)");
+            let rows = mapped.execute("director", &sesql).unwrap().rows;
+            let columns = &rows.schema.columns;
+            let name = columns.iter().position(|c| c.name.ends_with("elem_name")).unwrap();
+            let levels: Vec<String> = rows
+                .rows
+                .iter()
+                .filter(|row| row[name] == Value::from("Hg"))
+                .map(|row| row[row.len() - 1].lexical_form())
+                .collect();
+            assert!(!levels.is_empty() && levels.iter().all(|l| l == "7"), "{sql}: {levels:?}");
+        }
+    }
+
     // ---- the pass against a nested-loop oracle ------------------------------
 
     fn values() -> Vec<Value> {
@@ -691,10 +792,11 @@ mod tests {
 
     /// The specification the pass must meet, written as the slowest thing
     /// that could work: every row against every solution through
-    /// `MapStrategy::matches`, then the cross product, then the layout,
-    /// then the column types. `None` when two clauses replace one
-    /// attribute.
+    /// `MapStrategy::matches`, the multi-value policy over each value's
+    /// matches, then the cross product, then the layout, then the column
+    /// types. `None` when two clauses replace one attribute.
     fn oracle(
+        policy: MultiValuePolicy,
         rows: &RowSet,
         clauses: &[Clause],
         legs: &[Solutions],
@@ -721,19 +823,34 @@ mod tests {
                             if o.matches_lexical(concept) && c.strategy.matches(v, s))
                     }))],
                     None => {
-                        let m: Vec<Value> = sols
+                        let m: Vec<Option<&Term>> = sols
                             .rows
                             .iter()
                             .filter(|r| r[0].as_ref().is_some_and(|s| c.strategy.matches(v, s)))
-                            .map(|r| {
-                                r[1].as_ref()
-                                    .map_or(Value::Null, |t| term_to_value_in(t, &interner))
-                            })
+                            .map(|r| r[1].as_ref())
                             .collect();
-                        if m.is_empty() {
+                        let bound: Vec<&Term> = m.iter().flatten().copied().collect();
+                        let value = |t: &Term| term_to_value_in(t, &interner);
+                        let chosen: Vec<Value> = match policy {
+                            MultiValuePolicy::RowPerMatch => {
+                                m.iter().map(|t| t.map_or(Value::Null, value)).collect()
+                            }
+                            MultiValuePolicy::FirstMatch => {
+                                bound.first().map(|t| value(t)).into_iter().collect()
+                            }
+                            MultiValuePolicy::Concatenate if bound.len() > 1 => {
+                                let forms: Vec<&str> =
+                                    bound.iter().map(|t| t.lexical_form()).collect();
+                                vec![Value::from(forms.join("; "))]
+                            }
+                            MultiValuePolicy::Concatenate => {
+                                bound.iter().map(|t| value(t)).collect()
+                            }
+                        };
+                        if chosen.is_empty() {
                             vec![Value::Null]
                         } else {
-                            m
+                            chosen
                         }
                     }
                 };
@@ -845,25 +962,18 @@ mod tests {
                 .collect();
             for policy in POLICIES {
                 // Index 12 / 7 is an unbound subject / object.
-                let legs: Vec<Solutions> = clauses
+                let legs: Vec<Solutions> = leg_rows
                     .iter()
-                    .zip(&leg_rows)
-                    .map(|(c, rows)| {
-                        let sols = Solutions {
-                            variables: vec!["s".into(), "o".into()],
-                            rows: rows
-                                .iter()
-                                .map(|&(s, o)| vec![subjects.get(s).cloned(), objects.get(o).cloned()])
-                                .collect(),
-                        };
-                        match c.concept {
-                            None => apply_multi_policy(sols, policy),
-                            Some(_) => sols,
-                        }
+                    .map(|rows| Solutions {
+                        variables: vec!["s".into(), "o".into()],
+                        rows: rows
+                            .iter()
+                            .map(|&(s, o)| vec![subjects.get(s).cloned(), objects.get(o).cloned()])
+                            .collect(),
                     })
                     .collect();
-                let expected = oracle(&rows, &clauses, &legs);
-                match (run(rows.clone(), &clauses, &legs), expected) {
+                let expected = oracle(policy, &rows, &clauses, &legs);
+                match (run_under(policy, rows.clone(), &clauses, &legs), expected) {
                     (Err(Error::Sqm(_)), None) => {}
                     (Ok(got), Some((types, rows))) => {
                         let got_types: Vec<DataType> = got.schema.columns.iter().map(|c| c.data_type).collect();

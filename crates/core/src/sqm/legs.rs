@@ -271,10 +271,10 @@ impl SesqlEngine {
 
     /// Clause `clause`'s keyed leg over the context graphs `graphs`
     /// (`\u{1f}`-joined). Warm, it is one lookup. Cold, the pairs leg runs
-    /// through `property_pairs` (which counts its hit or miss), takes the
-    /// engine's multi-value policy if the clause is SCHEMA*, and is keyed
-    /// and published under the KB version read before it ran. Keying
-    /// counts towards `report.join`.
+    /// through `property_pairs` (which counts its hit or miss), is keyed
+    /// (a SCHEMA* clause's objects per key under the engine's multi-value
+    /// policy) and published under the KB version read before it ran.
+    /// Keying counts towards `report.join`.
     pub(super) fn keyed_leg(
         &self,
         user: &str,
@@ -309,11 +309,7 @@ impl SesqlEngine {
         let (sparql, sols) = self.property_pairs(user, clause.property, purpose, report)?;
         let t = Instant::now();
         let solutions = sols.len();
-        let sols = match clause.concept {
-            None => apply_multi_policy(sols, policy),
-            Some(_) => sols,
-        };
-        let leg = Arc::new(KeyedLeg::new(clause, &sols, self.db.interner()));
+        let leg = Arc::new(KeyedLeg::new(clause, &sols, policy, self.db.interner()));
         self.cache.keyed.lock().put(
             key,
             CachedLeg { version, sparql, solutions, leg: Arc::clone(&leg) },
@@ -576,54 +572,6 @@ pub(super) fn sparql_objects_query(subjects: &[Term], predicates: &[Term]) -> St
     }
 }
 
-/// Apply the multi-value policy to (s, o) solutions.
-pub(super) fn apply_multi_policy(sols: Solutions, policy: MultiValuePolicy) -> Solutions {
-    if policy == MultiValuePolicy::RowPerMatch {
-        return sols;
-    }
-    let s_idx = sols.var_index("s").expect("pairs query binds ?s");
-    let o_idx = sols.var_index("o").expect("pairs query binds ?o");
-    let mut order: Vec<Term> = Vec::new();
-    let mut objects: std::collections::HashMap<Term, Vec<Term>> =
-        std::collections::HashMap::new();
-    for row in &sols.rows {
-        if let (Some(s), Some(o)) = (&row[s_idx], &row[o_idx]) {
-            let entry = objects.entry(s.clone()).or_insert_with(|| {
-                order.push(s.clone());
-                Vec::new()
-            });
-            entry.push(o.clone());
-        }
-    }
-    let rows = order
-        .into_iter()
-        .map(|s| {
-            let os = &objects[&s];
-            let o = match policy {
-                MultiValuePolicy::FirstMatch => os[0].clone(),
-                MultiValuePolicy::Concatenate => {
-                    if os.len() == 1 {
-                        os[0].clone()
-                    } else {
-                        Term::lit(
-                            os.iter()
-                                .map(|t| t.lexical_form().to_string())
-                                .collect::<Vec<_>>()
-                                .join("; "),
-                        )
-                    }
-                }
-                MultiValuePolicy::RowPerMatch => unreachable!(),
-            };
-            let mut row = vec![None; sols.variables.len()];
-            row[s_idx] = Some(s);
-            row[o_idx] = Some(o);
-            row
-        })
-        .collect();
-    Solutions { variables: sols.variables, rows }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::tests::*;
@@ -794,8 +742,7 @@ mod tests {
         }
         let mapping = ResourceMapping::parse("elem_contained.elem_name -> iri http://smg.eu/elem/")
             .unwrap();
-        // The mapping applies to a column by the qualifier it is selected
-        // under.
+        // The mapping applies to a column by the table it comes from.
         let q = "SELECT elem_contained.elem_name FROM elem_contained WHERE landfill_name = 'a' \
                  ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)";
         let levels = |r: &EnrichedResult| {
@@ -814,9 +761,9 @@ mod tests {
             with_policy(&e, MultiValuePolicy::Concatenate),
             e.clone().with_mapping(mapping),
         ];
-        // Concatenate joins each subject's objects; the namespaced IRI is
-        // a subject of its own.
-        let expected: [&[&str]; 3] = [&["5", "6", "7"], &["5; 6", "7"], &["7"]];
+        // Concatenate joins the objects of every subject `Hg` keys to:
+        // under `LocalName` that includes the namespaced IRI.
+        let expected: [&[&str]; 3] = [&["5", "6", "7"], &["5; 6; 7"], &["7"]];
         for round in 0..2 {
             for (engine, want) in engines.iter().zip(expected) {
                 let r = engine.execute("director", q).unwrap();

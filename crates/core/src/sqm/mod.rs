@@ -59,9 +59,11 @@ pub enum MultiValuePolicy {
     /// One output row per (row, object) pair — natural join semantics.
     #[default]
     RowPerMatch,
-    /// Keep only the first object per subject.
+    /// Keep only the first object an attribute value finds, over every
+    /// subject it denotes.
     FirstMatch,
-    /// Concatenate all objects into one `"; "`-separated value.
+    /// Concatenate all objects an attribute value finds into one
+    /// `"; "`-separated value.
     Concatenate,
 }
 

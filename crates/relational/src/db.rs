@@ -266,8 +266,9 @@ impl Database {
     /// layers (the SESQL engine's `EXPLAIN`, tooling) can inspect the
     /// exact plan a statement would run as.
     pub fn plan_optimized(&self, select: &Select) -> Result<crate::opt::Optimized> {
-        let plan = plan_select(&self.catalog, select)?;
-        Ok(optimize(plan, &self.optimizer_config())?)
+        let cfg = self.optimizer_config();
+        let plan = plan_select(&self.catalog, select, &cfg)?;
+        Ok(optimize(plan, &cfg)?)
     }
 
     /// Compile a parsed SELECT into its executable form. Nothing is
@@ -554,7 +555,8 @@ impl Database {
         filter: Expr,
         schema: &Schema,
     ) -> Result<crate::exec::expr::BoundExpr> {
-        let resolved = crate::plan::resolve_expr_subqueries(&self.catalog, filter)?;
+        let resolved =
+            crate::plan::resolve_expr_subqueries(&self.catalog, filter, &self.optimizer_config())?;
         bind(&resolved, schema)
     }
 
@@ -1060,7 +1062,7 @@ mod tests {
         else {
             panic!("not a select")
         };
-        let plan = plan_select(d.catalog(), &s).unwrap();
+        let plan = d.plan_optimized(&s).unwrap().plan;
         assert!(plan.explain().contains("IndexScan"));
         d.execute("DROP INDEX idx_city").unwrap();
         let rows = crate::exec::execute_plan(&plan).unwrap();

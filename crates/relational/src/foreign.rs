@@ -6,10 +6,11 @@
 //! [`Database::register_source`](crate::Database::register_source) adds
 //! each source table to the catalog as `<source>__<table>`: a [`Table`]
 //! that holds no rows, is neither logged nor snapshotted, and rejects
-//! writes. The planner scans it as a [`Plan::ForeignScan`] leaf, and
-//! `push_conjunct` ships each WHERE conjunct bound to that leaf to the
-//! source while keeping it as a local filter, so a source can save
-//! transfer but never change a result. Every cursor fetches all foreign
+//! writes. The planner scans it as a [`Plan::ForeignScan`] leaf, and the
+//! optimizer's filter pushdown ([`crate::opt::rules::pushdown_filters`])
+//! ships each conjunct that sinks to that leaf to the source while keeping
+//! it as a local filter, so a source can save transfer but never change a
+//! result. Every cursor fetches all foreign
 //! leaves of its plan concurrently when it opens, never at plan time, so
 //! every read is live (a replayed plan template fetches again).
 //!
@@ -43,6 +44,7 @@ use std::sync::Arc;
 
 use crate::db::RowSet;
 use crate::error::{Error, Result};
+use crate::exec::expr::BoundExpr;
 use crate::plan::Plan;
 use crate::schema::Schema;
 use crate::sql::ast::{Expr, Select, SelectItem, TableRef};
@@ -77,7 +79,7 @@ pub struct Foreign {
 
 impl Foreign {
     /// The SELECT shipped to the source: every column, filtered by the
-    /// conjunction the planner pushed to the leaf.
+    /// conjunction filter pushdown shipped to the leaf.
     pub(crate) fn remote_sql(&self, pushed: Option<&Expr>) -> String {
         let mut select = Select::empty();
         select.projections.push(SelectItem::Wildcard);
@@ -93,18 +95,59 @@ impl std::fmt::Debug for Foreign {
     }
 }
 
-/// Conjunct `c` of one foreign leaf as the source's own SELECT states it
-/// (column qualifiers stripped: `c` binds against that leaf alone), or
+/// Conjunct `c`, bound against one foreign leaf's `schema`, as the
+/// source's own SELECT states it (columns by their unqualified names), or
 /// `None` when its SQL text would not parse back to the same expression
 /// with the same literal types — `2.0` renders as the integer `2`, and
 /// `i / 2.0` is not `i / 2`. Such a conjunct stays local only.
-pub(crate) fn remote_conjunct(c: &Expr) -> Option<Expr> {
-    let stripped = c.clone().rewrite(&mut |e| match e {
-        Expr::Column { name, .. } => Expr::Column { qualifier: None, name },
-        other => other,
-    });
-    let back = crate::sql::parser::parse_expr(&stripped.to_string()).ok()?;
-    (format!("{back:?}") == format!("{stripped:?}")).then_some(stripped)
+pub(crate) fn remote_conjunct(c: &BoundExpr, schema: &Schema) -> Option<Expr> {
+    let expr = unbind(c, schema);
+    let back = crate::sql::parser::parse_expr(&expr.to_string()).ok()?;
+    (format!("{back:?}") == format!("{expr:?}")).then_some(expr)
+}
+
+/// The expression `e` binds from, with every column unqualified.
+fn unbind(e: &BoundExpr, schema: &Schema) -> Expr {
+    let boxed = |e: &BoundExpr| Box::new(unbind(e, schema));
+    let all = |es: &[BoundExpr]| es.iter().map(|e| unbind(e, schema)).collect();
+    match e {
+        BoundExpr::Literal(v) => Expr::Literal(v.clone()),
+        BoundExpr::Column(i) => {
+            Expr::Column { qualifier: None, name: schema.columns[*i].name.clone() }
+        }
+        BoundExpr::Unary { op, expr } => Expr::Unary { op: *op, expr: boxed(expr) },
+        BoundExpr::Binary { left, op, right } => {
+            Expr::Binary { left: boxed(left), op: *op, right: boxed(right) }
+        }
+        BoundExpr::IsNull { expr, negated } => {
+            Expr::IsNull { expr: boxed(expr), negated: *negated }
+        }
+        BoundExpr::InList { expr, list, negated } => {
+            Expr::InList { expr: boxed(expr), list: all(list), negated: *negated }
+        }
+        BoundExpr::Between { expr, low, high, negated } => Expr::Between {
+            expr: boxed(expr),
+            low: boxed(low),
+            high: boxed(high),
+            negated: *negated,
+        },
+        BoundExpr::Like { expr, pattern, negated } => {
+            Expr::Like { expr: boxed(expr), pattern: boxed(pattern), negated: *negated }
+        }
+        // Each variant is named after its SQL function.
+        BoundExpr::ScalarFn { func, args } => {
+            let name = format!("{func:?}");
+            Expr::Function { name, args: all(args), distinct: false, star: false }
+        }
+        BoundExpr::Case { operand, branches, else_expr } => Expr::Case {
+            operand: operand.as_deref().map(boxed),
+            branches: branches
+                .iter()
+                .map(|(w, t)| (unbind(w, schema), unbind(t, schema)))
+                .collect(),
+            else_expr: else_expr.as_deref().map(boxed),
+        },
+    }
 }
 
 /// Fetch every foreign leaf of `plan`, one thread per leaf (a query over

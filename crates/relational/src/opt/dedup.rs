@@ -186,7 +186,7 @@ fn join_forms(plan: &Plan) -> Vec<Join> {
     forms
 }
 
-fn conjoin(a: Option<BoundExpr>, b: Option<BoundExpr>) -> Option<BoundExpr> {
+pub(super) fn conjoin(a: Option<BoundExpr>, b: Option<BoundExpr>) -> Option<BoundExpr> {
     match (a, b) {
         (Some(a), Some(b)) => {
             Some(BoundExpr::Binary { left: Box::new(a), op: BinaryOp::And, right: Box::new(b) })

@@ -1,13 +1,20 @@
 //! The plan-rewrite optimizer: an explicit pass pipeline over [`Plan`].
 //!
 //! Planning is split into **build → optimize → execute**: the planner
-//! ([`crate::plan::plan_select`]) lowers the AST into a correct bound plan,
-//! and this module rewrites that plan through a sequence of independent
-//! passes before execution:
+//! ([`crate::plan::plan_select`]) lowers the AST into a correct bound plan
+//! — each WHERE conjunct filters the FROM item or join that first has its
+//! columns, every table is scanned sequentially, nothing is shipped to a
+//! foreign source — and this module rewrites that plan through a sequence
+//! of independent passes before execution:
 //!
-//! 1. **filter pushdown** ([`rules::pushdown_filters`]) — moves `Filter`
-//!    nodes below projections (substituting column references), below
-//!    sorts, into `UNION` members and into the children of inner joins.
+//! 1. **filter pushdown** ([`rules::pushdown_filters`]) — the one pass that
+//!    places filters: splits each into conjuncts and sinks them below
+//!    projections (substituting column references), sorts, other filters,
+//!    into `UNION` members and into join children (never the padded side
+//!    of a LEFT join); at a scan a sargable conjunct on an indexed column
+//!    becomes an [`Plan::IndexScan`], and at a foreign leaf it is shipped
+//!    to the source as well. Join order and join algorithm are still the
+//!    planner's.
 //! 2. **projection pruning** ([`rules::prune_projections`]) — composes
 //!    adjacent `Project` nodes and narrows `Aggregate` inputs to the
 //!    columns the group/aggregate expressions actually reference.
@@ -39,10 +46,14 @@ pub use validate::PlanInvariantError;
 
 /// Which rewrite passes run. The default enables everything; `none()` is
 /// the identity pipeline (used as the baseline in equivalence tests).
+/// Subqueries, which run while their statement is planned, run under the
+/// same configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptimizerConfig {
-    /// Move filters below projections/sorts and into union members and
-    /// inner-join children.
+    /// Sink filters below projections, sorts and other filters and into
+    /// union members and join children; answer a sargable conjunct on an
+    /// indexed column with an index scan; ship conjuncts to foreign
+    /// sources.
     pub filter_pushdown: bool,
     /// Compose adjacent projections; narrow aggregate inputs.
     pub prune_projections: bool,
@@ -98,7 +109,9 @@ impl Default for OptimizerConfig {
 
 impl OptimizerConfig {
     /// The identity pipeline: no pass runs, the plan is returned as built
-    /// (still validated once under `debug_assertions`).
+    /// (still validated once under `debug_assertions`) — filters at their
+    /// FROM scope, sequential scans only, nothing shipped to a foreign
+    /// source; the planner's join order and join algorithms stay.
     pub fn none() -> Self {
         OptimizerConfig {
             filter_pushdown: false,

@@ -1,19 +1,25 @@
 //! Structural rewrite passes: filter pushdown, projection pruning and
 //! limit pushdown.
 //!
-//! These generalise what used to be inline special cases of
-//! `plan_select`: the planner still pushes *AST-level* WHERE conjuncts
-//! while it assembles the FROM clause (it has the name resolution context
-//! to pick index scans), and the passes here rewrite the *bound* plan —
-//! so filters produced by later planning stages (or by the SESQL layer's
-//! rewrites) sink just as far, limits cap union members, and redundant
-//! projections collapse, no matter which front-end built the plan.
+//! The planner places each WHERE conjunct by FROM scope alone and scans
+//! every table sequentially. Filter pushdown is the only code that moves
+//! a filter after that: it sinks conjuncts into the FROM items, turns a
+//! sargable one on an indexed column into an index scan, and ships
+//! conjuncts to foreign sources. Limit pushdown caps union members, and
+//! projection pruning collapses redundant projections, whichever
+//! front-end built the plan.
+
+use std::ops::Bound;
+use std::sync::Arc;
 
 use crate::exec::expr::BoundExpr;
-use crate::plan::Plan;
+use crate::plan::{IndexLookup, Plan};
 use crate::schema::Schema;
-use crate::sql::ast::JoinKind;
+use crate::sql::ast::{BinaryOp, Expr, JoinKind};
+use crate::storage::Table;
+use crate::value::Value;
 
+use super::dedup::conjoin;
 use super::map_children;
 
 // ---- bound-expression column analysis --------------------------------------
@@ -132,137 +138,234 @@ fn used_cols(exprs: &[&BoundExpr]) -> Vec<usize> {
 
 // ---- filter pushdown -------------------------------------------------------
 
-/// Push every `Filter` as deep as the operator algebra allows: through
-/// projections (substituting column references with the projected
-/// expressions), through sorts and DISTINCT, into each UNION member
-/// (bound predicates are positional, and members share the compound's
-/// column layout), and into join children when the predicate references
-/// only one side (never beneath the NULL-padded side of a LEFT join).
+/// What filter pushdown decided, for its `EXPLAIN` note: operators a
+/// conjunct moved below, conjuncts an index scan now answers, conjuncts
+/// shipped to a foreign source.
+#[derive(Default)]
+struct Placed {
+    moved: usize,
+    indexed: usize,
+    shipped: usize,
+}
+
+/// The one pass that decides where a filter runs. Each `Filter` is split
+/// into its conjuncts, and each conjunct sinks as deep as the operator
+/// algebra allows: through existing filters, through projections
+/// (substituting column references with the projected expressions),
+/// through sorts and DISTINCT, into each UNION member (bound predicates
+/// are positional, and members share the compound's column layout), and
+/// into a join child when it references only that side (never beneath
+/// the NULL-padded side of a LEFT join). At a table scan a sargable
+/// conjunct on an indexed column becomes an [`Plan::IndexScan`]; at a
+/// foreign leaf a conjunct whose SQL text round-trips is also shipped to
+/// the source (ANDed into `pushed`) and stays as a local filter, so a
+/// source can save transfer but never change a result. Conjuncts that
+/// cannot move stay together where their filter was.
 pub fn pushdown_filters(plan: Plan, notes: &mut Vec<String>) -> Plan {
-    let mut moved = 0usize;
-    let out = walk_filters(plan, &mut moved);
-    if moved > 0 {
-        notes.push(format!("filter-pushdown: {moved} filter(s) moved below other operators"));
+    let mut placed = Placed::default();
+    let out = walk_filters(plan, &mut placed);
+    let parts: Vec<String> = [
+        (placed.moved, "filter(s) moved below other operators"),
+        (placed.indexed, "index scan(s) chosen"),
+        (placed.shipped, "conjunct(s) shipped to a foreign source"),
+    ]
+    .iter()
+    .filter(|(n, _)| *n > 0)
+    .map(|(n, what)| format!("{n} {what}"))
+    .collect();
+    if !parts.is_empty() {
+        notes.push(format!("filter-pushdown: {}", parts.join(", ")));
     }
     out
 }
 
-fn walk_filters(plan: Plan, moved: &mut usize) -> Plan {
-    let plan = map_children(plan, &mut |c| walk_filters(c, moved));
-    if let Plan::Filter { input, predicate } = plan {
-        sink_filter(*input, predicate, moved)
-    } else {
-        plan
+fn walk_filters(plan: Plan, placed: &mut Placed) -> Plan {
+    let plan = map_children(plan, &mut |c| walk_filters(c, placed));
+    let Plan::Filter { input, predicate } = plan else {
+        return plan;
+    };
+    let mut conjuncts = Vec::new();
+    split_bound(predicate, &mut conjuncts);
+    let (mut input, mut kept) = (*input, None);
+    for c in conjuncts {
+        input = match sink(input, c, placed) {
+            Ok(sunk) => sunk,
+            Err((input, c)) => {
+                kept = conjoin(kept, Some(c));
+                input
+            }
+        };
+    }
+    match kept {
+        Some(predicate) => Plan::Filter { input: Box::new(input), predicate },
+        None => input,
     }
 }
 
-/// Return a plan equivalent to `Filter(predicate) over input`, with the
-/// filter sunk as deep as possible.
-fn sink_filter(input: Plan, predicate: BoundExpr, moved: &mut usize) -> Plan {
-    match input {
-        Plan::Project { input, exprs, schema } => {
-            *moved += 1;
-            let pred = map_cols(predicate, &mut |i| exprs[i].clone());
-            Plan::Project {
-                input: Box::new(sink_filter(*input, pred, moved)),
-                exprs,
-                schema,
+/// Flatten nested ANDs into a conjunct list, left to right.
+fn split_bound(e: BoundExpr, out: &mut Vec<BoundExpr>) {
+    match e {
+        BoundExpr::Binary { left, op: BinaryOp::And, right } => {
+            split_bound(*left, out);
+            split_bound(*right, out);
+        }
+        other => out.push(other),
+    }
+}
+
+/// Move conjunct `c` of a filter over `plan` below `plan`'s root, or hand
+/// both back when `c` has to stay above it (a foreign leaf comes back
+/// with `c` shipped).
+// The "error" is the plan handed back to the caller, moved once.
+#[allow(clippy::result_large_err)]
+fn sink(mut plan: Plan, c: BoundExpr, placed: &mut Placed) -> Result<Plan, (Plan, BoundExpr)> {
+    match &mut plan {
+        Plan::Filter { input, .. } => {
+            let (sunk, rest) = match sink(take(input), c, placed) {
+                Ok(sunk) => (sunk, None),
+                Err((input, c)) => (input, Some(c)),
+            };
+            **input = sunk;
+            return match rest {
+                None => Ok(plan),
+                Some(c) => Err((plan, c)),
+            };
+        }
+        Plan::Project { input, exprs, .. } => {
+            let c = map_cols(c, &mut |i| exprs[i].clone());
+            **input = place(take(input), c, placed);
+        }
+        Plan::Sort { input, .. } | Plan::Distinct { input } => {
+            **input = place(take(input), c, placed);
+        }
+        Plan::Union { inputs, .. } => {
+            for member in inputs.iter_mut() {
+                *member = place(take(member), c.clone(), placed);
             }
         }
-        Plan::Sort { input, keys } => {
-            *moved += 1;
-            Plan::Sort { input: Box::new(sink_filter(*input, predicate, moved)), keys }
-        }
-        Plan::Distinct { input } => {
-            *moved += 1;
-            Plan::Distinct { input: Box::new(sink_filter(*input, predicate, moved)) }
-        }
-        Plan::Union { inputs, all, schema } => {
-            *moved += 1;
-            Plan::Union {
-                inputs: inputs
-                    .into_iter()
-                    .map(|m| sink_filter(m, predicate.clone(), moved))
-                    .collect(),
-                all,
-                schema,
+        Plan::HashJoin { left, right, kind, .. }
+        | Plan::NestedLoopJoin { left, right, kind, .. } => {
+            match join_side(&c, left.schema(), *kind) {
+                JoinSide::Left => **left = place(take(left), c, placed),
+                JoinSide::Right(shifted) => **right = place(take(right), shifted, placed),
+                JoinSide::Neither => return Err((plan, c)),
             }
         }
-        Plan::HashJoin { left, right, kind, left_keys, right_keys, residual, schema } => {
-            match join_side(&predicate, left.schema(), kind) {
-                JoinSide::Left => {
-                    *moved += 1;
-                    Plan::HashJoin {
-                        left: Box::new(sink_filter(*left, predicate, moved)),
-                        right,
-                        kind,
-                        left_keys,
-                        right_keys,
-                        residual,
-                        schema,
-                    }
+        Plan::Scan { table, schema } => {
+            return match index_lookup(table, &c) {
+                Some((column, lookup)) => {
+                    placed.indexed += 1;
+                    let (table, schema) = (Arc::clone(table), std::mem::take(schema));
+                    Ok(Plan::IndexScan { table, schema, column, lookup })
                 }
-                JoinSide::Right(shifted) => {
-                    *moved += 1;
-                    Plan::HashJoin {
-                        left,
-                        right: Box::new(sink_filter(*right, shifted, moved)),
-                        kind,
-                        left_keys,
-                        right_keys,
-                        residual,
-                        schema,
-                    }
-                }
-                JoinSide::Neither => Plan::Filter {
-                    input: Box::new(Plan::HashJoin {
-                        left,
-                        right,
-                        kind,
-                        left_keys,
-                        right_keys,
-                        residual,
-                        schema,
-                    }),
-                    predicate,
-                },
-            }
+                None => Err((plan, c)),
+            };
         }
-        Plan::NestedLoopJoin { left, right, kind, predicate: on, schema } => {
-            match join_side(&predicate, left.schema(), kind) {
-                JoinSide::Left => {
-                    *moved += 1;
-                    Plan::NestedLoopJoin {
-                        left: Box::new(sink_filter(*left, predicate, moved)),
-                        right,
-                        kind,
-                        predicate: on,
-                        schema,
-                    }
-                }
-                JoinSide::Right(shifted) => {
-                    *moved += 1;
-                    Plan::NestedLoopJoin {
-                        left,
-                        right: Box::new(sink_filter(*right, shifted, moved)),
-                        kind,
-                        predicate: on,
-                        schema,
-                    }
-                }
-                JoinSide::Neither => Plan::Filter {
-                    input: Box::new(Plan::NestedLoopJoin {
-                        left,
-                        right,
-                        kind,
-                        predicate: on,
-                        schema,
-                    }),
-                    predicate,
-                },
+        Plan::ForeignScan { schema, pushed, .. } => {
+            if let Some(remote) = crate::foreign::remote_conjunct(&c, schema) {
+                placed.shipped += 1;
+                *pushed = Some(match pushed.take() {
+                    Some(p) => Expr::and(p, remote),
+                    None => remote,
+                });
             }
+            return Err((plan, c));
         }
-        other => Plan::Filter { input: Box::new(other), predicate },
+        _ => return Err((plan, c)),
+    }
+    placed.moved += 1;
+    Ok(plan)
+}
+
+/// `plan` with conjunct `c` sunk into it, or filtering it from above.
+fn place(plan: Plan, c: BoundExpr, placed: &mut Placed) -> Plan {
+    match sink(plan, c, placed) {
+        Ok(plan) => plan,
+        Err((input, predicate)) => Plan::Filter { input: Box::new(input), predicate },
+    }
+}
+
+/// Move the plan out of `slot`, leaving an empty `Values` to be
+/// overwritten.
+fn take(slot: &mut Plan) -> Plan {
+    std::mem::replace(slot, Plan::Values { schema: Schema::default(), rows: Vec::new() })
+}
+
+/// If `c` is a sargable conjunct on an indexed column of `table` — the
+/// column compared with a literal on either side (not `<>`), `IN` a list
+/// of literals, or `BETWEEN` two literals — the index lookup that
+/// answers it. Literals are coerced to the column type, so the index's
+/// total order agrees with SQL comparison on the stored (already
+/// coerced) values; a literal that does not coerce leaves `c` a filter.
+/// A NULL comparand matches nothing: an empty key set.
+fn index_lookup(table: &Table, c: &BoundExpr) -> Option<(usize, IndexLookup)> {
+    let indexed = |e: &BoundExpr| match e {
+        BoundExpr::Column(i) if table.has_index_on(*i) => Some(*i),
+        _ => None,
+    };
+    let literal = |e: &BoundExpr| match e {
+        BoundExpr::Literal(v) => Some(v.clone()),
+        _ => None,
+    };
+    let key = |pos: usize, v: Value| v.coerce(table.schema.columns[pos].data_type).ok();
+    let nothing = |pos| Some((pos, IndexLookup::Eq(Vec::new())));
+    match c {
+        BoundExpr::Binary { left, op, right } if op.is_comparison() && *op != BinaryOp::NotEq => {
+            let (pos, v, op) = if let (Some(pos), Some(v)) = (indexed(left), literal(right)) {
+                (pos, v, *op)
+            } else if let (Some(pos), Some(v)) = (indexed(right), literal(left)) {
+                let flipped = match op {
+                    BinaryOp::Lt => BinaryOp::Gt,
+                    BinaryOp::LtEq => BinaryOp::GtEq,
+                    BinaryOp::Gt => BinaryOp::Lt,
+                    BinaryOp::GtEq => BinaryOp::LtEq,
+                    other => *other,
+                };
+                (pos, v, flipped)
+            } else {
+                return None;
+            };
+            if v.is_null() {
+                return nothing(pos);
+            }
+            let k = key(pos, v)?;
+            let (low, high) = match op {
+                BinaryOp::Eq => return Some((pos, IndexLookup::Eq(vec![k]))),
+                BinaryOp::Lt => (Bound::Unbounded, Bound::Excluded(k)),
+                BinaryOp::LtEq => (Bound::Unbounded, Bound::Included(k)),
+                BinaryOp::Gt => (Bound::Excluded(k), Bound::Unbounded),
+                BinaryOp::GtEq => (Bound::Included(k), Bound::Unbounded),
+                _ => return None,
+            };
+            Some((pos, IndexLookup::Range { low, high }))
+        }
+        BoundExpr::InList { expr, list, negated: false } => {
+            let pos = indexed(expr)?;
+            let mut keys = Vec::with_capacity(list.len());
+            for item in list {
+                // NULL list members never match.
+                match literal(item)? {
+                    Value::Null => {}
+                    v => keys.push(key(pos, v)?),
+                }
+            }
+            Some((pos, IndexLookup::Eq(keys)))
+        }
+        BoundExpr::Between { expr, low, high, negated: false } => {
+            let pos = indexed(expr)?;
+            let (lo, hi) = (literal(low)?, literal(high)?);
+            if lo.is_null() || hi.is_null() {
+                return nothing(pos);
+            }
+            let (low, high) = (key(pos, lo)?, key(pos, hi)?);
+            if low > high {
+                // Empty, and an index range probe refuses a reversed range.
+                return nothing(pos);
+            }
+            let (low, high) = (Bound::Included(low), Bound::Included(high));
+            Some((pos, IndexLookup::Range { low, high }))
+        }
+        _ => None,
     }
 }
 

@@ -4,14 +4,20 @@
 //! The planner lowers a parsed [`Select`] into a tree of [`Plan`] nodes with
 //! all expressions bound (column references resolved to row indexes). Joins
 //! whose ON condition is a conjunction of cross-side equalities are lowered
-//! to hash joins; everything else falls back to nested loops.
+//! to hash joins; everything else falls back to nested loops. A WHERE
+//! conjunct is placed by FROM scope only, and every scan is sequential:
+//! the optimizer's filter pushdown
+//! ([`crate::opt::rules::pushdown_filters`]) sinks filters, chooses index
+//! scans and ships conjuncts to foreign sources.
 
+use std::borrow::Cow;
 use std::ops::Bound;
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::exec::aggregate::AggFn;
 use crate::exec::expr::{bind, BoundExpr, ScalarFn};
+use crate::opt::{optimize, OptimizerConfig};
 use crate::schema::{Column, Schema};
 use crate::sql::ast::{
     is_aggregate_name, BinaryOp, Expr, JoinKind, OrderItem, Select, SelectItem, TableRef,
@@ -407,20 +413,23 @@ pub fn infer_type(expr: &Expr, schema: &Schema) -> DataType {
     }
 }
 
-/// Plan a SELECT statement against a catalog.
-pub fn plan_select(catalog: &Catalog, select: &Select) -> Result<Plan> {
-    Planner { catalog }.select(select)
+/// Plan a SELECT statement against a catalog. Its subqueries run at plan
+/// time, each optimized under `cfg` like any other statement; the plan
+/// returned is not optimized yet.
+pub fn plan_select(catalog: &Catalog, select: &Select, cfg: &OptimizerConfig) -> Result<Plan> {
+    Planner { catalog, cfg }.select(select)
 }
 
 /// Materialise every (uncorrelated) subquery inside `e` into literal form —
 /// the same pass SELECT planning applies to its WHERE clause, exposed so
 /// DELETE/UPDATE filters accept subqueries too.
-pub fn resolve_expr_subqueries(catalog: &Catalog, e: Expr) -> Result<Expr> {
-    Planner { catalog }.resolve_subqueries(e)
+pub fn resolve_expr_subqueries(catalog: &Catalog, e: Expr, cfg: &OptimizerConfig) -> Result<Expr> {
+    Planner { catalog, cfg }.resolve_subqueries(e)
 }
 
 struct Planner<'a> {
     catalog: &'a Catalog,
+    cfg: &'a OptimizerConfig,
 }
 
 impl<'a> Planner<'a> {
@@ -507,9 +516,9 @@ impl<'a> Planner<'a> {
         Ok(plan)
     }
 
-    /// Execute one uncorrelated subquery and return its rows.
+    /// Optimize and execute one uncorrelated subquery and return its rows.
     fn subquery_rows(&self, query: &Select) -> Result<(Schema, Vec<Vec<Value>>)> {
-        let plan = self.select(query)?;
+        let plan = optimize(self.select(query)?, self.cfg)?.plan;
         let rows = crate::exec::execute_plan(&plan)?;
         Ok((plan.schema().clone(), rows))
     }
@@ -595,62 +604,39 @@ impl<'a> Planner<'a> {
     }
 
     /// Apply subquery resolution to every expression position of a SELECT
-    /// core (WHERE, projections, GROUP BY, HAVING, ORDER BY).
-    fn resolve_select(&self, select: &Select) -> Result<Select> {
+    /// core (WHERE, projections, GROUP BY, HAVING, ORDER BY); a core
+    /// without subqueries is borrowed as it is.
+    fn resolve_select<'s>(&self, select: &'s Select) -> Result<Cow<'s, Select>> {
+        if !select.has_subquery() {
+            return Ok(Cow::Borrowed(select));
+        }
         let mut s = select.clone();
-        if let Some(f) = s.filter.take() {
-            s.filter = Some(self.resolve_subqueries(f)?);
+        let items = s.projections.iter_mut().filter_map(|item| match item {
+            SelectItem::Expr { expr, .. } => Some(expr),
+            _ => None,
+        });
+        let order = s.order_by.iter_mut().map(|o| &mut o.expr);
+        let clauses = s.filter.iter_mut().chain(items).chain(&mut s.group_by);
+        for e in clauses.chain(&mut s.having).chain(order) {
+            *e = self.resolve_subqueries(std::mem::replace(e, Expr::Literal(Value::Null)))?;
         }
-        for item in &mut s.projections {
-            if let SelectItem::Expr { expr, .. } = item {
-                *expr = self.resolve_subqueries(std::mem::replace(
-                    expr,
-                    Expr::Literal(Value::Null),
-                ))?;
-            }
-        }
-        for g in &mut s.group_by {
-            *g = self.resolve_subqueries(std::mem::replace(
-                g,
-                Expr::Literal(Value::Null),
-            ))?;
-        }
-        if let Some(h) = s.having.take() {
-            s.having = Some(self.resolve_subqueries(h)?);
-        }
-        for o in &mut s.order_by {
-            o.expr = self.resolve_subqueries(std::mem::replace(
-                &mut o.expr,
-                Expr::Literal(Value::Null),
-            ))?;
-        }
-        Ok(s)
+        Ok(Cow::Owned(s))
     }
 
     fn select_core(&self, select: &Select) -> Result<Plan> {
         let select = &self.resolve_select(select)?;
-        // FROM + WHERE with predicate pushdown: single-table conjuncts
-        // filter their table before any join; cross-table conjuncts become
-        // join conditions (hash-joinable when they contain equalities);
-        // whatever remains is a residual filter on top.
-        let mut conjuncts: Vec<Expr> = Vec::new();
+        // FROM + WHERE, lowered by scope: a conjunct that binds against one
+        // FROM item filters that item, one that needs two items becomes the
+        // condition of the first join that has both (hash-joinable when it
+        // is an equality), and whatever remains filters the joined rows.
+        // Where a filter finally runs — deeper inside an item, as an index
+        // lookup, shipped to a foreign source — is the optimizer's
+        // `filter_pushdown` pass's decision.
+        let mut conjuncts: Vec<&Expr> = Vec::new();
         if let Some(filter) = &select.filter {
-            let mut parts = Vec::new();
-            split_conjuncts(filter, &mut parts);
-            conjuncts = parts.into_iter().cloned().collect();
+            split_conjuncts(filter, &mut conjuncts);
         }
         let mut used = vec![false; conjuncts.len()];
-
-        let push_single =
-            |mut plan: Plan, conjuncts: &[Expr], used: &mut [bool]| -> Result<Plan> {
-                for (i, c) in conjuncts.iter().enumerate() {
-                    if !used[i] && bind(c, plan.schema()).is_ok() {
-                        used[i] = true;
-                        plan = push_conjunct(plan, c)?;
-                    }
-                }
-                Ok(plan)
-            };
 
         // Schema in *declared* FROM order, kept for wildcard expansion:
         // the greedy join ordering below may join items in a different
@@ -659,25 +645,35 @@ impl<'a> Planner<'a> {
         let mut plan = if select.from.is_empty() {
             Plan::Values { schema: Schema::default(), rows: vec![vec![]] }
         } else {
+            // A conjunct binds against two items only if it names no
+            // column; the first item takes it.
             let item_plans: Vec<Plan> = select
                 .from
                 .iter()
-                .map(|tr| self.table_ref(tr))
+                .map(|tr| {
+                    let mut item = self.table_ref(tr)?;
+                    for (c, u) in conjuncts.iter().zip(used.iter_mut()).filter(|(_, u)| !**u) {
+                        if let Ok(predicate) = bind(c, item.schema()) {
+                            *u = true;
+                            item = Plan::Filter { input: Box::new(item), predicate };
+                        }
+                    }
+                    Ok(item)
+                })
                 .collect::<Result<_>>()?;
             let full = item_plans
                 .iter()
                 .skip(1)
                 .fold(item_plans[0].schema().clone(), |s, p| s.join(p.schema()));
-            // Validate the original WHERE against the full FROM schema
-            // before any pushdown, so ambiguous references error exactly as
-            // they would without the optimisation.
+            // Validate the original WHERE against the full FROM schema, so
+            // a reference that is ambiguous across items errors even though
+            // it binds against one of them alone.
             if let Some(filter) = &select.filter {
                 bind(filter, &full)?;
             }
             declared_schema = Some(full);
             let mut remaining: std::collections::VecDeque<Plan> = item_plans.into();
             let mut acc = remaining.pop_front().expect("non-empty");
-            acc = push_single(acc, &conjuncts, &mut used)?;
             while !remaining.is_empty() {
                 // Greedy equi-aware ordering: prefer the FROM item that an
                 // unused cross-table equality links to what is already
@@ -696,8 +692,7 @@ impl<'a> Planner<'a> {
                         })
                     })
                     .unwrap_or(0);
-                let mut right = remaining.remove(pick).expect("position in bounds");
-                right = push_single(right, &conjuncts, &mut used)?;
+                let right = remaining.remove(pick).expect("position in bounds");
                 // Cross-table conjuncts that become resolvable once both
                 // sides are in scope turn the cross join into a predicated
                 // (and usually hash) join.
@@ -706,7 +701,7 @@ impl<'a> Planner<'a> {
                 for (i, c) in conjuncts.iter().enumerate() {
                     if !used[i] && bind(c, &joint).is_ok() {
                         used[i] = true;
-                        on_parts.push(c.clone());
+                        on_parts.push((*c).clone());
                     }
                 }
                 let on = on_parts.into_iter().reduce(Expr::and);
@@ -718,13 +713,13 @@ impl<'a> Planner<'a> {
             acc
         };
 
-        // Residual WHERE conjuncts (e.g. referencing no table, or left
-        // unbindable until the full schema — resolve errors surface here).
+        // Residual WHERE conjuncts: with a FROM clause every conjunct has
+        // found an item or a join above, so these filter a FROM-less row.
         let residual: Vec<Expr> = conjuncts
             .iter()
             .zip(&used)
             .filter(|(_, u)| !**u)
-            .map(|(c, _)| c.clone())
+            .map(|(c, _)| (*c).clone())
             .collect();
         if let Some(combined) = residual.into_iter().reduce(Expr::and) {
             let predicate = bind(&combined, plan.schema())?;
@@ -1175,177 +1170,6 @@ impl AggRewriter {
     }
 }
 
-/// Push a WHERE conjunct as deep into `plan` as semantics allow: through
-/// the left side of any join, through the right side of inner/cross joins
-/// (never below the preserved side of a LEFT join), and through filters.
-/// At a leaf it becomes an index lookup when it can, and at a foreign
-/// leaf it is also shipped to the source. The conjunct must already bind
-/// against `plan`'s schema.
-fn push_conjunct(plan: Plan, c: &Expr) -> Result<Plan> {
-    /// Apply the conjunct as a filter at this level (binding re-resolves
-    /// column indexes against the sub-plan's own schema).
-    fn wrap(plan: Plan, c: &Expr) -> Result<Plan> {
-        let predicate = bind(c, plan.schema())?;
-        Ok(Plan::Filter { input: Box::new(plan), predicate })
-    }
-    match plan {
-        Plan::HashJoin { left, right, kind, left_keys, right_keys, residual, schema } => {
-            if bind(c, left.schema()).is_ok() {
-                let left = Box::new(push_conjunct(*left, c)?);
-                Ok(Plan::HashJoin { left, right, kind, left_keys, right_keys, residual, schema })
-            } else if kind != JoinKind::Left && bind(c, right.schema()).is_ok() {
-                let right = Box::new(push_conjunct(*right, c)?);
-                Ok(Plan::HashJoin { left, right, kind, left_keys, right_keys, residual, schema })
-            } else {
-                wrap(
-                    Plan::HashJoin { left, right, kind, left_keys, right_keys, residual, schema },
-                    c,
-                )
-            }
-        }
-        Plan::NestedLoopJoin { left, right, kind, predicate, schema } => {
-            if bind(c, left.schema()).is_ok() {
-                let left = Box::new(push_conjunct(*left, c)?);
-                Ok(Plan::NestedLoopJoin { left, right, kind, predicate, schema })
-            } else if kind != JoinKind::Left && bind(c, right.schema()).is_ok() {
-                let right = Box::new(push_conjunct(*right, c)?);
-                Ok(Plan::NestedLoopJoin { left, right, kind, predicate, schema })
-            } else {
-                wrap(Plan::NestedLoopJoin { left, right, kind, predicate, schema }, c)
-            }
-        }
-        Plan::Filter { input, predicate } => {
-            let input = Box::new(push_conjunct(*input, c)?);
-            Ok(Plan::Filter { input, predicate })
-        }
-        Plan::Scan { table, schema } => {
-            if let Some(lookup) = index_lookup_for(&table, &schema, c) {
-                let (column, lookup) = lookup;
-                return Ok(Plan::IndexScan { table, schema, column, lookup });
-            }
-            wrap(Plan::Scan { table, schema }, c)
-        }
-        Plan::ForeignScan { table, schema, mut pushed } => {
-            if let Some(remote) = crate::foreign::remote_conjunct(c) {
-                pushed = Some(match pushed {
-                    Some(p) => Expr::and(p, remote),
-                    None => remote,
-                });
-            }
-            wrap(Plan::ForeignScan { table, schema, pushed }, c)
-        }
-        other => wrap(other, c),
-    }
-}
-
-/// If `c` is a sargable predicate (`col <cmp> literal`, `col IN (literals)`,
-/// `col BETWEEN literal AND literal`) on an indexed column of `table`,
-/// translate it into an index lookup. Literals are coerced to the column
-/// type so the index's total-order comparison agrees with SQL comparison on
-/// the stored (already coerced) values; a coercion failure falls back to a
-/// plain filter.
-fn index_lookup_for(
-    table: &Table,
-    schema: &Schema,
-    c: &Expr,
-) -> Option<(usize, IndexLookup)> {
-    let col_pos = |e: &Expr| -> Option<usize> {
-        if let Expr::Column { qualifier, name } = e {
-            let pos = schema.resolve(qualifier.as_deref(), name).ok()?;
-            table.has_index_on(pos).then_some(pos)
-        } else {
-            None
-        }
-    };
-    fn lit(e: &Expr) -> Option<&Value> {
-        if let Expr::Literal(v) = e {
-            Some(v)
-        } else {
-            None
-        }
-    }
-    let coerced = |pos: usize, v: &Value| -> Option<Value> {
-        if v.is_null() {
-            return None; // NULL comparisons never match; empty Eq handles it
-        }
-        v.clone().coerce(table.schema.columns[pos].data_type).ok()
-    };
-
-    match c {
-        Expr::Binary { left, op, right } if op.is_comparison() && *op != BinaryOp::NotEq => {
-            // Normalise to column-on-the-left.
-            let (pos, v, op) = if let (Some(pos), Some(v)) = (col_pos(left), lit(right)) {
-                (pos, v, *op)
-            } else if let (Some(pos), Some(v)) = (col_pos(right), lit(left)) {
-                let flipped = match op {
-                    BinaryOp::Lt => BinaryOp::Gt,
-                    BinaryOp::LtEq => BinaryOp::GtEq,
-                    BinaryOp::Gt => BinaryOp::Lt,
-                    BinaryOp::GtEq => BinaryOp::LtEq,
-                    other => *other,
-                };
-                (pos, v, flipped)
-            } else {
-                return None;
-            };
-            if v.is_null() {
-                // `col <cmp> NULL` is never true: an empty key set encodes
-                // the guaranteed-empty result without a special plan node.
-                return Some((pos, IndexLookup::Eq(Vec::new())));
-            }
-            let key = coerced(pos, v)?;
-            let lookup = match op {
-                BinaryOp::Eq => IndexLookup::Eq(vec![key]),
-                BinaryOp::Lt => IndexLookup::Range {
-                    low: Bound::Unbounded,
-                    high: Bound::Excluded(key),
-                },
-                BinaryOp::LtEq => IndexLookup::Range {
-                    low: Bound::Unbounded,
-                    high: Bound::Included(key),
-                },
-                BinaryOp::Gt => IndexLookup::Range {
-                    low: Bound::Excluded(key),
-                    high: Bound::Unbounded,
-                },
-                BinaryOp::GtEq => IndexLookup::Range {
-                    low: Bound::Included(key),
-                    high: Bound::Unbounded,
-                },
-                _ => return None,
-            };
-            Some((pos, lookup))
-        }
-        Expr::InList { expr, list, negated: false } => {
-            let pos = col_pos(expr)?;
-            let mut keys = Vec::with_capacity(list.len());
-            for item in list {
-                let v = lit(item)?;
-                if v.is_null() {
-                    continue; // NULL list members never match
-                }
-                keys.push(coerced(pos, v)?);
-            }
-            Some((pos, IndexLookup::Eq(keys)))
-        }
-        Expr::Between { expr, low, high, negated: false } => {
-            let pos = col_pos(expr)?;
-            let (lo, hi) = (lit(low)?, lit(high)?);
-            if lo.is_null() || hi.is_null() {
-                return Some((pos, IndexLookup::Eq(Vec::new())));
-            }
-            Some((
-                pos,
-                IndexLookup::Range {
-                    low: Bound::Included(coerced(pos, lo)?),
-                    high: Bound::Included(coerced(pos, hi)?),
-                },
-            ))
-        }
-        _ => None,
-    }
-}
-
 /// Flatten nested ANDs into a conjunct list.
 pub fn split_conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
     if let Expr::Binary { left, op: BinaryOp::And, right } = e {
@@ -1415,7 +1239,7 @@ mod tests {
         let Statement::Select(s) = parse_statement(sql).unwrap() else {
             panic!("not a select")
         };
-        plan_select(&catalog(), &s)
+        plan_select(&catalog(), &s, &OptimizerConfig::none())
     }
 
     #[test]
@@ -1661,11 +1485,11 @@ mod tests {
 
     #[test]
     fn single_table_conjunct_pushed_below_join() {
-        let p = plan(
+        let p = plan_on(
+            &catalog(),
             "SELECT l.name FROM landfill l, elem_contained e \
              WHERE l.name = e.landfill_name AND l.tons > 100",
-        )
-        .unwrap();
+        );
         // The tons filter must sit below the join (on the landfill side).
         fn has_filter_below_join(p: &Plan) -> bool {
             match p {
@@ -1706,11 +1530,14 @@ mod tests {
         cat
     }
 
+    /// `sql` planned over `cat` and run through the default passes: filter
+    /// pushdown places the filters and chooses the index scans.
     fn plan_on(cat: &Catalog, sql: &str) -> Plan {
         let Statement::Select(s) = parse_statement(sql).unwrap() else {
             panic!("not a select")
         };
-        plan_select(cat, &s).unwrap()
+        let cfg = OptimizerConfig::default();
+        optimize(plan_select(cat, &s, &cfg).unwrap(), &cfg).unwrap().plan
     }
 
     fn find_index_scan(p: &Plan) -> Option<&IndexLookup> {

@@ -9,11 +9,17 @@ use crosse::relational::{Database, OptimizerConfig, Row, Value};
 
 /// Two small tables with duplicate rows, NULL join keys, both zeros in
 /// the FLOAT column, and integral floats that an INT key can match.
+/// `t1.a` (INT), `t1.c` (FLOAT) and `t2.e` (TEXT, with NULLs) are indexed,
+/// so the optimized side of every comparison answers a sargable conjunct
+/// with an index scan and the unoptimized side with a filtered scan.
 fn db_two_tables() -> Database {
     let db = Database::new();
     db.execute_script(
         "CREATE TABLE t1 (a INT, b TEXT, c FLOAT);
-         CREATE TABLE t2 (d INT, e TEXT);",
+         CREATE TABLE t2 (d INT, e TEXT);
+         CREATE INDEX t1_a ON t1 (a);
+         CREATE INDEX t1_c ON t1 (c);
+         CREATE INDEX t2_e ON t2 (e);",
     )
     .unwrap();
     let t1 = db.catalog().get_table("t1").unwrap();
@@ -220,6 +226,75 @@ fn dedup_pushdown_fires_on_covered_joins_and_respects_its_guards() {
     }
 }
 
+// ---- access paths and subqueries -------------------------------------------
+
+/// Access-path choice is a pass of its own: the unoptimized plan scans
+/// every table and ships nothing, so the oracle above checks the index
+/// scans and the shipped conjuncts the default passes pick.
+#[test]
+fn access_paths_are_chosen_only_by_filter_pushdown() {
+    use crosse::relational::foreign::LocalSource;
+    let db = db_two_tables();
+    let source = Database::new();
+    source
+        .execute_script("CREATE TABLE s (k INT, v TEXT); INSERT INTO s VALUES (1, 'x'), (2, 'y');")
+        .unwrap();
+    db.register_source(std::sync::Arc::new(LocalSource::new("src", source))).unwrap();
+    let statements = [
+        "SELECT b FROM t1 WHERE a = 3",
+        "SELECT d FROM t2 WHERE 'x' <= e AND d > 2",
+        "SELECT t1.b, t2.d FROM t1, t2 WHERE t1.a = t2.d AND t1.c BETWEEN 1 AND 3",
+        "SELECT t1.b, s.v FROM t1 JOIN src__s s ON t1.a = s.k WHERE s.v = 'x' AND t1.a IN (1, 2)",
+    ];
+    for (cfg, chosen) in [(OptimizerConfig::none(), false), (OptimizerConfig::default(), true)] {
+        db.set_optimizer_config(cfg);
+        for sql in statements {
+            let text = explain(&db, sql);
+            assert_eq!(text.contains("IndexScan"), chosen, "{sql}:\n{text}");
+        }
+        let text = explain(&db, statements[3]);
+        assert_eq!(
+            text.contains("(remote: SELECT * FROM s WHERE (v = 'x'))"),
+            chosen,
+            "{text}"
+        );
+        assert_eq!(text.contains("(remote: SELECT * FROM s)"), !chosen, "{text}");
+    }
+    db.set_optimizer_config(OptimizerConfig::default());
+}
+
+#[test]
+fn reversed_between_on_an_indexed_column_matches_nothing() {
+    // An index range probe panics on a range that ends before it starts.
+    let db = db_two_tables();
+    for cfg in [OptimizerConfig::none(), OptimizerConfig::default()] {
+        assert!(run_with(&db, cfg, "SELECT a FROM t1 WHERE c BETWEEN 5 AND 2").is_empty());
+    }
+    assert!(explain(&db, "SELECT a FROM t1 WHERE c BETWEEN 5 AND 2").contains("(eq, 0 key(s))"));
+}
+
+/// A subquery runs while its statement is planned, through the passes and
+/// the validator the statement itself gets: a limit pushdown sabotaged
+/// inside the subquery of a SELECT or a DELETE is caught and named.
+#[test]
+fn subquery_bodies_run_the_configured_passes() {
+    use crosse::relational::opt::Sabotage;
+    let db = db_two_tables();
+    let sql = "SELECT a FROM t1 WHERE b IN (SELECT e FROM t2 UNION ALL SELECT b FROM t1 LIMIT 3)";
+    let want = run_with(&db, OptimizerConfig::none(), sql);
+    assert_eq!(sorted(run_with(&db, OptimizerConfig::default(), sql)), sorted(want));
+    db.set_optimizer_config(OptimizerConfig {
+        validate: true,
+        sabotage: Sabotage::WidenLimit,
+        ..OptimizerConfig::default()
+    });
+    for statement in [sql, "DELETE FROM t2 WHERE e IN (SELECT b FROM t1 LIMIT 2)"] {
+        let err = db.execute(statement).unwrap_err();
+        assert!(err.to_string().contains("limit_pushdown"), "{statement}: {err}");
+    }
+    db.set_optimizer_config(OptimizerConfig::default());
+}
+
 // ---- equivalence property tests --------------------------------------------
 
 /// Every subset of passes worth distinguishing, all with the plan-
@@ -310,8 +385,62 @@ fn sabotage_is_a_real_bug_without_validation() {
     db.set_optimizer_config(OptimizerConfig::default());
 }
 
+/// A comparison operator, and the one that means the same with its
+/// operands swapped.
+fn arb_cmp() -> impl Strategy<Value = (&'static str, &'static str)> {
+    prop_oneof![
+        Just(("=", "=")),
+        Just(("<", ">")),
+        Just(("<=", ">=")),
+        Just((">", "<")),
+        Just((">=", "<=")),
+    ]
+}
+
+/// A conjunct an index on `t1.a` or `t1.c` can answer: a comparison with
+/// the literal on either side, IN, BETWEEN, a NULL literal, an INT literal
+/// against the FLOAT column (whose zeros are both signs), or IN over a
+/// subquery, which is planned into a literal list.
+fn arb_sargable_t1() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (prop_oneof![Just("a"), Just("c")], arb_cmp(), -1i64..25, any::<bool>()).prop_map(
+            |(col, (op, flipped), n, swap)| {
+                if swap {
+                    format!("{n} {flipped} {col}")
+                } else {
+                    format!("{col} {op} {n}")
+                }
+            }
+        ),
+        (0i64..25, 0i64..25).prop_map(|(x, y)| format!("a IN ({x}, {y}, NULL)")),
+        (0i64..10, 0i64..10).prop_map(|(x, y)| format!("c BETWEEN {x} AND {y}.5")),
+        (prop_oneof![Just("a"), Just("c")], arb_cmp())
+            .prop_map(|(col, (op, _))| format!("{col} {op} NULL")),
+        (0i64..10).prop_map(|n| format!("c IN ({n}, 1.5, -0.0)")),
+        "[wxyz]".prop_map(|s| format!("a IN (SELECT d FROM t2 WHERE e = '{s}')")),
+    ]
+}
+
+/// A conjunct an index on the TEXT column `t2.e`, which holds NULLs, can
+/// answer.
+fn arb_sargable_t2() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (arb_cmp(), "[wxyz]", any::<bool>()).prop_map(|((op, flipped), s, swap)| {
+            if swap {
+                format!("'{s}' {flipped} e")
+            } else {
+                format!("e {op} '{s}'")
+            }
+        }),
+        ("[wxyz]", "[wxyz]").prop_map(|(x, y)| format!("e IN ('{x}', NULL, '{y}')")),
+        ("[wx]", "[yz]").prop_map(|(x, y)| format!("e BETWEEN '{x}' AND '{y}'")),
+        Just("e = NULL".to_string()),
+    ]
+}
+
 /// A generated SELECT core over t1/t2 that is type-correct by
-/// construction (comparisons stay within one column's type).
+/// construction (comparisons stay within one column's type, or compare
+/// an INT literal with the FLOAT column).
 fn arb_core() -> impl Strategy<Value = String> {
     let filter = prop_oneof![
         Just(String::new()),
@@ -319,6 +448,9 @@ fn arb_core() -> impl Strategy<Value = String> {
         "[wxyz]".prop_map(|s| format!(" WHERE b = '{s}'")),
         (0i64..25, "[wxyz]").prop_map(|(n, s)| format!(" WHERE a < {n} AND b <> '{s}'")),
         (0i64..10).prop_map(|n| format!(" WHERE c >= {n}.0 OR b IS NULL")),
+        arb_sargable_t1().prop_map(|c| format!(" WHERE {c}")),
+        (arb_sargable_t1(), arb_sargable_t1()).prop_map(|(x, y)| format!(" WHERE {x} AND {y}")),
+        (arb_sargable_t1(), "[wxyz]").prop_map(|(c, s)| format!(" WHERE b <> '{s}' AND {c}")),
     ];
     // Single-table shapes take the random filter; join shapes carry
     // their own complete WHERE (extra unqualified conjuncts would be
@@ -333,6 +465,12 @@ fn arb_core() -> impl Strategy<Value = String> {
             filter,
         )
             .prop_map(|(shape, filter)| format!("{shape}{filter}")),
+        arb_sargable_t2().prop_map(|c| format!("SELECT d, e FROM t2 WHERE {c}")),
+        (arb_sargable_t1(), arb_sargable_t2()).prop_map(|(x, y)| {
+            // Both columns of a conjunct come from one table, so the
+            // unqualified names bind against the join unambiguously.
+            format!("SELECT t1.a, t2.e FROM t1 LEFT JOIN t2 ON t1.a = t2.d WHERE {x} AND {y}")
+        }),
         prop_oneof![
             Just("SELECT t1.a, t2.e FROM t1, t2 WHERE t1.a = t2.d".to_string()),
             // Dedup pushdown fires on these two (the second on an INT key
