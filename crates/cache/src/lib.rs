@@ -78,27 +78,22 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
         self.capacity
     }
 
-    /// Change the capacity, evicting LRU entries if the cache shrank. The
-    /// evicted values are handed back so a caller whose values own
-    /// resources can release them after it has let go of its lock.
-    pub fn set_capacity(&mut self, capacity: usize) -> Vec<V> {
+    /// Change the capacity, evicting LRU entries if the cache shrank.
+    pub fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
-        let mut evicted = Vec::new();
         while self.map.len() > self.capacity {
-            evicted.extend(self.evict_one().map(|(_, v)| v));
+            self.evict_one();
         }
-        evicted
     }
 
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
 
-    /// Remove every entry (does not count as evictions), handing the
-    /// values back for the same reason as [`Lru::set_capacity`].
-    pub fn clear(&mut self) -> Vec<V> {
+    /// Remove every entry (does not count as evictions).
+    pub fn clear(&mut self) {
         self.order.clear();
-        self.map.drain().map(|(_, e)| e.value).collect()
+        self.map.clear();
     }
 
     fn next_stamp(&mut self) -> u64 {
@@ -106,15 +101,11 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
         self.stamp
     }
 
-    fn evict_one(&mut self) -> Option<(K, V)> {
-        if let Some((&oldest, _)) = self.order.iter().next() {
-            if let Some(key) = self.order.remove(&oldest) {
-                let entry = self.map.remove(&key);
-                self.stats.evictions += 1;
-                return entry.map(|e| (key, e.value));
-            }
+    fn evict_one(&mut self) {
+        if let Some((_, key)) = self.order.pop_first() {
+            self.map.remove(&key);
+            self.stats.evictions += 1;
         }
-        None
     }
 
     /// Look up `key` without touching recency or the hit/miss counters —
@@ -153,30 +144,19 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
 
     /// Insert (or refresh) an entry, evicting the LRU entry if full.
     pub fn put(&mut self, key: K, value: V) {
-        self.put_evicting(key, value);
-    }
-
-    /// [`Lru::put`], returning the entries this insert displaced — the
-    /// replaced value under the same key and/or capacity evictions — so
-    /// callers owning resources tied to cached values (e.g. materialised
-    /// tables) can release them.
-    pub fn put_evicting(&mut self, key: K, value: V) -> Vec<(K, V)> {
         if self.capacity == 0 {
-            return Vec::new();
+            return;
         }
-        let mut displaced = Vec::new();
         let stamp = self.next_stamp();
         if let Some(old) = self.map.remove(&key) {
             self.order.remove(&old.stamp);
-            displaced.push((key.clone(), old.value));
         } else {
             while self.map.len() >= self.capacity {
-                displaced.extend(self.evict_one());
+                self.evict_one();
             }
         }
         self.order.insert(stamp, key.clone());
         self.map.insert(key.clone(), Entry { stamp, key, value });
-        displaced
     }
 }
 
@@ -226,9 +206,7 @@ mod tests {
         for i in 0..4 {
             lru.put(i, i);
         }
-        let mut evicted = lru.set_capacity(1);
-        evicted.sort_unstable();
-        assert_eq!(evicted, vec![0, 1, 2]);
+        lru.set_capacity(1);
         assert_eq!(lru.len(), 1);
         assert_eq!(lru.stats().evictions, 3);
         // The survivor is the most recently used.
@@ -240,9 +218,11 @@ mod tests {
         let mut lru: Lru<u32, u32> = Lru::new(2);
         lru.put(1, 1);
         assert_eq!(lru.get(&1), Some(&1));
-        assert_eq!(lru.clear(), vec![1]);
+        lru.clear();
+        assert!(lru.is_empty());
         assert!(lru.get(&1).is_none());
         assert_eq!(lru.stats().hits, 1);
+        assert_eq!(lru.stats().evictions, 0);
     }
 
     #[test]

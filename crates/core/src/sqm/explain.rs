@@ -1,7 +1,7 @@
 //! `EXPLAIN` and lint for SESQL: what the SQM would run, without running
 //! the enrichment.
 
-use super::legs::{pairs_table_schema, sparql_objects_query, sparql_pairs_query};
+use super::legs::{sparql_objects_query, sparql_pairs_query};
 use super::prepared::lint_sesql_static;
 use super::rewrite::variable_expansion_select;
 use super::*;
@@ -72,57 +72,33 @@ impl SesqlEngine {
             }
         }
         // REPLACEVARIABLE rewrites the relational side into a compound
-        // (`Q1 UNION Q2` with include_self) over a materialised pairs
-        // table. Show the optimized compound the engine will actually run
-        // — its `Shared spool` nodes are how the optimizer de-duplicates
-        // the base-table work both members read. The real pairs table
-        // only exists during execution; plan against an empty stand-in.
+        // (`Q1 UNION Q2` with include_self) over a pairs table bound to
+        // the rewritten statement's handle. Show the optimized compound
+        // the engine will actually run — its `Shared spool` nodes are how
+        // the optimizer de-duplicates the base-table work both members
+        // read — planned against the cached pairs table, or an empty one.
         for e in &query.enrichments {
             let Enrichment::ReplaceVariable { cond, attr, property } = e else {
                 continue;
             };
             let cond_expr = &query.conditions[cond.as_str()];
-            // Prefer the live cached pairs table (a warm engine plans
-            // with zero DDL — no catalog-version churn, no cache-stat
-            // perturbation: `peek` bypasses recency and counters); cold
-            // engines plan against an ephemeral empty stand-in.
-            let live_table = self
-                .cache
-                .peek_pairs(&refs, property, self.kb.store().version())
-                .map(|c| c.table)
-                .filter(|t| self.db.catalog().has_table(&t.name));
-            let (tmp_name, ephemeral) = match &live_table {
-                Some(t) => (t.name.as_str(), false),
-                None => ("__kb_pairs_explain", true),
-            };
-            let planned = if ephemeral {
-                self.db
-                    .materialise_owned(tmp_name, &pairs_table_schema(), Vec::new())
-                    .map_err(crate::error::Error::from)
-            } else {
-                Ok(())
-            }
-            .and_then(|()| {
-                let q = variable_expansion_select(
-                    &query.select,
-                    cond_expr,
-                    attr,
-                    tmp_name,
-                    self.options.include_self,
-                )?;
-                Ok(self.db.plan_optimized(&q)?)
-            });
-            if ephemeral {
-                let _ = self.db.catalog().drop_table(tmp_name);
-            }
+            let table = self.explain_pairs_table(&refs, property);
+            let planned = variable_expansion_select(
+                &query.select,
+                cond_expr,
+                attr,
+                &table.name,
+                self.options.include_self,
+            )
+            .and_then(|q| Ok(self.db.compile(Arc::new(q)).with_table(table).explain()?));
             match planned {
-                Ok(optimized) => {
+                Ok(rendered) => {
                     let _ = writeln!(
                         out,
                         "rewritten plan (REPLACEVARIABLE, include_self={}):",
                         self.options.include_self
                     );
-                    for line in optimized.render().lines() {
+                    for line in rendered.lines() {
                         let _ = writeln!(out, "  {line}");
                     }
                 }

@@ -1,110 +1,78 @@
 // srclint: allow(R002): the generated SPARQL always projects the ?s/?o variables the expects look up
-//! The SPARQL legs of the pipeline and the caches in front of them: the
-//! version-checked leg (solutions) cache, the keyed SCHEMA*/BOOL* legs
-//! built from it, the REPLACEVARIABLE pairs cache whose entries own their
-//! materialised tables, the generated SPARQL text and the
-//! predicate/subject resolution behind it.
+//! The SPARQL legs of the pipeline and the cache in front of them: one
+//! version-checked LRU holding each leg's solutions, the keyed
+//! SCHEMA*/BOOL* legs built from them and the REPLACEVARIABLE pairs
+//! tables (standalone relational tables that no catalog holds), the
+//! generated SPARQL text and the predicate/subject resolution behind it.
+
+use crosse_relational::storage::Table;
 
 use super::enrich::{Clause, KeyedLeg};
 use super::rewrite::variable_expansion_select;
 use super::*;
 
-/// Version-checked, LRU-bounded cache of SPARQL-leg solutions, keyed by
-/// the user's context graphs and the generated SPARQL text. Entries are
+/// The FROM name a REPLACEVARIABLE rewrite gives its pairs table. The
+/// table is bound to the rewritten statement's handle, never to the
+/// catalog; an unquoted identifier cannot spell the name, and a catalog
+/// table a quoted one spells makes the rewrite a planning error rather
+/// than a shadow.
+const PAIRS_TABLE: &str = "kb:pairs";
+
+/// Version-checked, LRU-bounded cache of SPARQL legs in every form the
+/// pipeline reuses one, keyed by the user's context graphs. Entries are
 /// valid only while the triple store's mutation version is unchanged, so
 /// any annotation, import or retraction invalidates the whole view at
 /// zero bookkeeping cost; the LRU bound keeps adversarial traffic (many
-/// distinct generated legs) from growing memory without limit.
+/// distinct generated legs) from growing memory without limit. Entries
+/// hold `Arc`s, so a hit copies no rows.
+///
+/// One counting rule: a valid entry counts a hit, an evaluated leg counts
+/// a miss. A keyed or pairs lookup that finds nothing valid counts
+/// nothing itself; its leg then runs through the solutions entry, so one
+/// leg is one hit or one miss, warm or cold.
 #[derive(Debug)]
 pub(super) struct SparqlLegCache {
-    entries: Mutex<Lru<(String, String), (u64, Solutions)>>,
-    /// Keyed SCHEMA*/BOOL* legs, version-checked like `entries`: a hit
-    /// serves the clause without resolving predicates, formatting SPARQL,
-    /// probing the compiled-leg LRU or re-keying solutions, and counts
-    /// one hit. A miss counts nothing and falls through to the solution
-    /// cache, which counts the leg itself.
-    keyed: Mutex<Lru<LegKey, CachedLeg>>,
-    /// REPLACEVARIABLE pairs tables, keyed by (context graphs, property)
-    /// and version-checked like `entries`: a hit
-    /// skips the SPARQL leg *and* the term→value conversion + dedup that
-    /// builds the relational pairs table. Only hits touch the counters —
-    /// a pairs miss falls through to the solution-cache path, which
-    /// counts the leg itself, keeping "one leg, one counter event".
-    pairs: Mutex<Lru<(String, String), CachedPairs>>,
-    // Hit/miss counters live outside the LRUs: a version-stale entry is a
+    entries: Mutex<Lru<LegKey, (u64, Leg)>>,
+    // Hit/miss counters live outside the LRU: a version-stale entry is a
     // *miss* for the caller even though the LRU lookup succeeded.
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-/// What a keyed leg depends on besides the KB version. Engine clones made
-/// by `with_options` / `with_mapping` share the cache, so the multi-value
-/// policy and the attribute's mapping strategy are part of the key.
+/// What a cached leg depends on besides the KB version. `graphs` is the
+/// user's context graphs, `\u{1f}`-joined.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct LegKey {
-    /// The user's context graphs, `\u{1f}`-joined.
-    graphs: String,
-    property: String,
-    concept: Option<String>,
-    strategy: MapStrategy,
-    policy: MultiValuePolicy,
+enum LegKey {
+    /// A leg's solutions, by its SPARQL text.
+    Solutions { graphs: String, sparql: String },
+    /// A keyed SCHEMA*/BOOL* leg. Engine clones made by `with_options` /
+    /// `with_mapping` share the cache, so the multi-value policy and the
+    /// attribute's mapping strategy are part of the key.
+    Keyed {
+        graphs: String,
+        property: String,
+        concept: Option<String>,
+        strategy: MapStrategy,
+        policy: MultiValuePolicy,
+    },
+    /// A REPLACEVARIABLE leg's pairs table.
+    Pairs { graphs: String, property: String },
 }
 
-/// One cached keyed leg.
+/// One cached leg. A keyed leg and a pairs table carry the SPARQL text
+/// and solution count of the leg they were built from, reported on hits
+/// so warm and cold runs of one query show the same `SparqlRun`.
 #[derive(Debug, Clone)]
-struct CachedLeg {
-    /// KB version the leg was built against.
-    version: u64,
-    /// The SPARQL leg text and its solution count, reported on hits so
-    /// warm and cold runs of one query show the same `SparqlRun`.
-    sparql: String,
-    solutions: usize,
-    leg: Arc<KeyedLeg>,
-}
-
-/// One cached REPLACEVARIABLE pairs table.
-#[derive(Debug, Clone)]
-pub(super) struct CachedPairs {
-    /// KB version the rows were built against.
-    version: u64,
-    /// The SPARQL leg text that produced them (for reporting).
-    sparql: String,
-    /// Solution count of that leg (reported on hits, so warm and cold
-    /// runs of one query show the same `SparqlRun::solutions`).
-    solutions: usize,
-    /// The relational table the oriented, deduplicated pairs rows are
-    /// materialised under. It stays in the catalog while this entry (or a
-    /// query reading it) holds the guard, so a warm REPLACEVARIABLE run
-    /// joins against it directly — no re-materialisation, no catalog
-    /// version churn (which would invalidate every plan template
-    /// engine-wide).
-    pub(super) table: Arc<PairsTable>,
-}
-
-/// A materialised `__kb_pairs_N` table, owned by whoever holds this guard
-/// — the pairs-cache entry and every query reading the table. The last
-/// holder to let go drops the table from the catalog, so a query never
-/// loses its table to an eviction, a replacement or `clear_cache`, and no
-/// path (capacity 0, a shrunk cache) can strand one.
-#[derive(Debug)]
-pub(super) struct PairsTable {
-    catalog: crosse_relational::storage::Catalog,
-    pub(super) name: String,
-}
-
-impl Drop for PairsTable {
-    fn drop(&mut self) {
-        // Already gone only if a user dropped it by name.
-        let _ = self.catalog.drop_table(&self.name);
-    }
+enum Leg {
+    Solutions(Arc<Solutions>),
+    Keyed { sparql: String, solutions: usize, leg: Arc<KeyedLeg> },
+    Pairs { sparql: String, solutions: usize, table: Arc<Table> },
 }
 
 impl Default for SparqlLegCache {
     fn default() -> Self {
         SparqlLegCache {
             entries: Mutex::new_labeled("sqm.leg_cache", Lru::new(DEFAULT_CACHE_CAPACITY)),
-            keyed: Mutex::new_labeled("sqm.keyed_cache", Lru::new(DEFAULT_CACHE_CAPACITY)),
-            pairs: Mutex::new_labeled("sqm.pairs_cache", Lru::new(DEFAULT_CACHE_CAPACITY)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -112,94 +80,42 @@ impl Default for SparqlLegCache {
 }
 
 impl SparqlLegCache {
-    fn key(graphs: &[&str], second: &str) -> (String, String) {
-        (graphs.join("\u{1f}"), second.to_string())
-    }
-
-    fn get(&self, graphs: &[&str], sparql: &str, version: u64) -> Option<Solutions> {
-        let key = Self::key(graphs, sparql);
-        match self.entries.lock().get(&key) {
-            Some((v, sols)) if *v == version => {
-                self.hits.fetch_add(1, AtomicOrdering::Relaxed);
-                Some(sols.clone())
-            }
-            _ => {
-                self.misses.fetch_add(1, AtomicOrdering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn put(&self, graphs: &[&str], sparql: &str, version: u64, sols: &Solutions) {
-        self.entries
-            .lock()
-            .put(Self::key(graphs, sparql), (version, sols.clone()));
-    }
-
-    /// Version-valid cached pairs. Nothing is counted here: the caller
-    /// counts a *hit* once it has seen the table is still there, and
-    /// otherwise falls through to `run_sparql_leg`, whose own cache lookup
-    /// counts the event (one leg executed = one hit-or-miss, warm or cold).
-    fn get_pairs(&self, graphs: &[&str], property: &str, version: u64) -> Option<CachedPairs> {
-        let key = Self::key(graphs, property);
-        self.pairs.lock().get(&key).filter(|c| c.version == version).cloned()
-    }
-
-    /// Version-valid cached pairs without touching recency or the
-    /// hit/miss counters — the diagnostic (`EXPLAIN`) lookup.
-    pub(super) fn peek_pairs(&self, graphs: &[&str], property: &str, version: u64) -> Option<CachedPairs> {
-        match self.pairs.lock().peek(&Self::key(graphs, property)) {
-            Some(cached) if cached.version == version => Some(cached.clone()),
-            _ => None,
-        }
-    }
-
-    /// Publish a pairs entry. What it displaces (the replaced entry, LRU
-    /// evictions) is released after the cache lock: a guard's drop takes
-    /// the catalog lock. The caller still holds its own clone of the new
-    /// entry's guard, so nothing is dropped under the lock at capacity 0
-    /// either.
-    fn put_pairs(&self, graphs: &[&str], property: &str, cached: CachedPairs) {
-        let displaced = self.pairs.lock().put_evicting(Self::key(graphs, property), cached);
-        drop(displaced);
-    }
-
-    /// A version-valid keyed leg, counted as a hit. A miss counts
-    /// nothing: the caller runs the leg through `run_sparql_leg`, whose
-    /// lookup counts it.
-    fn get_keyed(&self, key: &LegKey, version: u64) -> Option<CachedLeg> {
-        let cached = self.keyed.lock().get(key).filter(|c| c.version == version).cloned()?;
+    /// A version-valid entry, refreshed and counted as a hit.
+    fn get(&self, key: &LegKey, version: u64) -> Option<Leg> {
+        let leg = self.entries.lock().get(key).filter(|(v, _)| *v == version)?.1.clone();
         self.hits.fetch_add(1, AtomicOrdering::Relaxed);
-        Some(cached)
+        Some(leg)
+    }
+
+    /// A version-valid entry without touching recency or the counters —
+    /// the diagnostic (`EXPLAIN`) lookup.
+    fn peek(&self, key: &LegKey, version: u64) -> Option<Leg> {
+        Some(self.entries.lock().peek(key).filter(|(v, _)| *v == version)?.1.clone())
+    }
+
+    fn put(&self, key: LegKey, version: u64, leg: Leg) {
+        self.entries.lock().put(key, (version, leg));
     }
 
     pub(super) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(AtomicOrdering::Relaxed),
             misses: self.misses.load(AtomicOrdering::Relaxed),
-            evictions: self.entries.lock().stats().evictions
-                + self.keyed.lock().stats().evictions
-                + self.pairs.lock().stats().evictions,
+            evictions: self.entries.lock().stats().evictions,
         }
     }
 
-    /// Resize the solution, keyed-leg and pairs LRUs. Evicted pairs tables
-    /// leave the catalog after the cache lock.
     pub(super) fn set_capacity(&self, capacity: usize) {
         self.entries.lock().set_capacity(capacity);
-        self.keyed.lock().set_capacity(capacity);
-        let evicted = self.pairs.lock().set_capacity(capacity);
-        drop(evicted);
     }
 
-    /// Drop every entry; a cleared pairs table leaves the catalog once no
-    /// running query reads it.
     pub(super) fn clear(&self) {
         self.entries.lock().clear();
-        self.keyed.lock().clear();
-        let cleared = self.pairs.lock().clear();
-        drop(cleared);
     }
+}
+
+fn graphs_key(graphs: &[&str]) -> String {
+    graphs.join("\u{1f}")
 }
 
 impl SesqlEngine {
@@ -226,15 +142,18 @@ impl SesqlEngine {
         prepared: &PreparedSparql,
         purpose: String,
         report: &mut PipelineReport,
-    ) -> Result<Solutions> {
+    ) -> Result<Arc<Solutions>> {
         let version = self.kb.store().version();
         let t = Instant::now();
-        let (sols, cached) = match self.cache.get(graphs, sparql, version) {
-            Some(s) => (s, true),
-            None => {
+        let key = LegKey::Solutions { graphs: graphs_key(graphs), sparql: sparql.to_string() };
+        let (sols, cached) = match self.cache.get(&key, version) {
+            Some(Leg::Solutions(s)) => (s, true),
+            _ => {
+                self.cache.misses.fetch_add(1, AtomicOrdering::Relaxed);
                 let opts = EvalOptions { threads: self.exec_threads() };
                 let s = prepared.execute(self.kb.store(), graphs, &SparqlParams::new(), &opts)?;
-                self.cache.put(graphs, sparql, version, &s);
+                let s = Arc::new(s);
+                self.cache.put(key, version, Leg::Solutions(Arc::clone(&s)));
                 (s, false)
             }
         };
@@ -259,7 +178,7 @@ impl SesqlEngine {
         property: &str,
         purpose: String,
         report: &mut PipelineReport,
-    ) -> Result<(String, Solutions)> {
+    ) -> Result<(String, Arc<Solutions>)> {
         let graphs = self.kb.context_graphs(user);
         let refs: Vec<&str> = graphs.iter().map(String::as_str).collect();
         let predicates = self.resolve_predicates(&refs, property);
@@ -284,7 +203,7 @@ impl SesqlEngine {
         report: &mut PipelineReport,
     ) -> Result<Arc<KeyedLeg>> {
         let policy = self.options.multi;
-        let key = LegKey {
+        let key = LegKey::Keyed {
             graphs: graphs.to_string(),
             property: clause.property.to_string(),
             concept: clause.concept.map(str::to_string),
@@ -293,27 +212,24 @@ impl SesqlEngine {
         };
         let version = self.kb.store().version();
         let t = Instant::now();
-        if let Some(hit) = self.cache.get_keyed(&key, version) {
+        if let Some(Leg::Keyed { sparql, solutions, leg }) = self.cache.get(&key, version) {
             let duration = t.elapsed();
             report.sparql_exec += duration;
             report.sparql_runs.push(SparqlRun {
                 purpose,
-                sparql: hit.sparql,
-                solutions: hit.solutions,
+                sparql,
+                solutions,
                 duration,
                 cached: true,
                 shared: false,
             });
-            return Ok(hit.leg);
+            return Ok(leg);
         }
         let (sparql, sols) = self.property_pairs(user, clause.property, purpose, report)?;
         let t = Instant::now();
         let solutions = sols.len();
         let leg = Arc::new(KeyedLeg::new(clause, &sols, policy, self.db.interner()));
-        self.cache.keyed.lock().put(
-            key,
-            CachedLeg { version, sparql, solutions, leg: Arc::clone(&leg) },
-        );
+        self.cache.put(key, version, Leg::Keyed { sparql, solutions, leg: Arc::clone(&leg) });
         report.join += t.elapsed();
         Ok(leg)
     }
@@ -413,43 +329,35 @@ impl SesqlEngine {
         Ok(out)
     }
 
-    /// The materialised relational pairs table for `property` in `user`'s
-    /// context — the oriented, deduplicated KB pairs rows of the
-    /// REPLACEVARIABLE expansion. A row (a, b) means "a value equal to
-    /// `a` may also match as `b`"; the expansion is symmetric, so every KB
-    /// pair appears in both orientations. The cache entry (keyed by
-    /// context graphs, property, KB version) keeps the table alive in the
-    /// catalog across executions: a warm run skips the SPARQL leg, the
-    /// term→value conversion *and* the re-materialisation (no catalog
-    /// version churn), reporting the leg as `cached + shared`. The caller
-    /// holds the returned guard for as long as it reads the table.
+    /// The relational pairs table for `property` in `user`'s context —
+    /// the oriented, deduplicated KB pairs rows of the REPLACEVARIABLE
+    /// expansion, in a standalone table no catalog holds. A row (a, b)
+    /// means "a value equal to `a` may also match as `b`"; the expansion
+    /// is symmetric, so every KB pair appears in both orientations. The
+    /// leg cache keeps the table across executions: a warm run skips the
+    /// SPARQL leg, the term→value conversion *and* the table build,
+    /// reporting the leg as `cached + shared`.
     fn pairs_table(
         &self,
         user: &str,
         property: &str,
         purpose: String,
         report: &mut PipelineReport,
-    ) -> Result<Arc<PairsTable>> {
+    ) -> Result<Arc<Table>> {
         let graphs = self.kb.context_graphs(user);
         let refs: Vec<&str> = graphs.iter().map(String::as_str).collect();
         let version = self.kb.store().version();
-        // A table a user dropped by name is a miss: the leg cache still
-        // holds the solutions to rebuild it from.
-        if let Some(cached) = self
-            .cache
-            .get_pairs(&refs, property, version)
-            .filter(|c| self.db.catalog().has_table(&c.table.name))
-        {
-            self.cache.hits.fetch_add(1, AtomicOrdering::Relaxed);
+        let key = LegKey::Pairs { graphs: graphs_key(&refs), property: property.to_string() };
+        if let Some(Leg::Pairs { sparql, solutions, table }) = self.cache.get(&key, version) {
             report.sparql_runs.push(SparqlRun {
                 purpose,
-                sparql: cached.sparql,
-                solutions: cached.solutions,
+                sparql,
+                solutions,
                 duration: Duration::ZERO,
                 cached: true,
                 shared: true,
             });
-            return Ok(cached.table);
+            return Ok(table);
         }
         let (sparql, sols) = self.property_pairs(user, property, purpose, report)?;
         let s_idx = sols.var_index("s").expect("pairs query binds ?s");
@@ -473,29 +381,31 @@ impl SesqlEngine {
                 push(ov, sv, &mut rows);
             }
         }
-        // Unique per materialisation: concurrent REPLACEVARIABLE queries
-        // (and successive KB versions) never collide on a table name.
-        static PAIRS_SEQ: std::sync::atomic::AtomicU64 =
-            std::sync::atomic::AtomicU64::new(0);
-        let name = format!(
-            "__kb_pairs_{}",
-            PAIRS_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        );
-        self.db.materialise_owned(&name, &pairs_table_schema(), rows)?;
-        let table = Arc::new(PairsTable { catalog: self.db.catalog().clone(), name });
-        self.cache.put_pairs(
-            &refs,
-            property,
-            CachedPairs { version, sparql, solutions: sols.len(), table: Arc::clone(&table) },
-        );
+        let table = Arc::new(Table::new(PAIRS_TABLE, pairs_table_schema()));
+        table.insert_many(rows)?;
+        let solutions = sols.len();
+        self.cache.put(key, version, Leg::Pairs { sparql, solutions, table: Arc::clone(&table) });
         Ok(table)
     }
 
+    /// The pairs table an `EXPLAIN` of a REPLACEVARIABLE query plans
+    /// against: the cached one while it is valid (found without touching
+    /// recency or the counters), else an empty standalone table. Either
+    /// way nothing is evaluated and the catalog is not touched.
+    pub(super) fn explain_pairs_table(&self, graphs: &[&str], property: &str) -> Arc<Table> {
+        let key = LegKey::Pairs { graphs: graphs_key(graphs), property: property.to_string() };
+        match self.cache.peek(&key, self.kb.store().version()) {
+            Some(Leg::Pairs { table, .. }) => table,
+            _ => Arc::new(Table::new(PAIRS_TABLE, pairs_table_schema())),
+        }
+    }
+
     /// REPLACEVARIABLE execution strategy: the ontology pairs for `prop`
-    /// are materialised as a relational table; a rewritten query joins
-    /// through it so the tagged condition also matches through related
-    /// values; when `include_self` is set the original query's rows are
-    /// united in (deduplicated).
+    /// are built into a standalone relational table; a rewritten query,
+    /// compiled with that table bound to its handle, joins through it so
+    /// the tagged condition also matches through related values; when
+    /// `include_self` is set the original query's rows are united in
+    /// (deduplicated).
     pub(super) fn execute_with_variable_expansion(
         &self,
         user: &str,
@@ -506,8 +416,6 @@ impl SesqlEngine {
         report: &mut PipelineReport,
     ) -> Result<RowSet> {
         let purpose = format!("REPLACEVARIABLE(_, {attr}, {property})");
-        // Held until the rows are collected: the table cannot leave the
-        // catalog under this query, whatever happens to its cache entry.
         let table = self.pairs_table(user, property, purpose, report)?;
         let query = variable_expansion_select(
             select,
@@ -516,13 +424,17 @@ impl SesqlEngine {
             &table.name,
             self.options.include_self,
         )?;
-        let rows = self.db.compile(Arc::new(query)).execute_once(&crosse_relational::Params::new())?;
+        let rows = self
+            .db
+            .compile(Arc::new(query))
+            .with_table(table)
+            .execute_once(&crosse_relational::Params::new())?;
         Ok(rows.collect_rows()?)
     }
 }
 
-/// Schema of a materialised REPLACEVARIABLE pairs table.
-pub(super) fn pairs_table_schema() -> Schema {
+/// Schema of a REPLACEVARIABLE pairs table.
+fn pairs_table_schema() -> Schema {
     Schema::new(vec![
         Column::new("subj", DataType::Text),
         Column::new("obj", DataType::Text),
@@ -638,9 +550,10 @@ mod tests {
     fn clear_cache_forces_reevaluation() {
         let e = engine();
         e.execute("director", CACHED_QUERY).unwrap();
-        assert_eq!(e.cache.keyed.lock().len(), 1);
+        // The leg's solutions and the keyed leg built from them.
+        assert_eq!(e.cache.entries.lock().len(), 2);
         e.clear_cache();
-        assert_eq!(e.cache.keyed.lock().len(), 0);
+        assert_eq!(e.cache.entries.lock().len(), 0);
         let r = e.execute("director", CACHED_QUERY).unwrap();
         assert!(!r.report.sparql_runs[0].cached);
     }
@@ -770,7 +683,9 @@ mod tests {
                 assert_eq!(levels(&r), want, "round {round}");
             }
         }
-        assert_eq!(e.cache.keyed.lock().len(), 3, "one keyed leg per clone");
+        // One solutions entry for the shared SPARQL leg, one keyed leg per
+        // clone.
+        assert_eq!(e.cache.entries.lock().len(), 4);
     }
 
     #[test]
@@ -781,22 +696,24 @@ mod tests {
             let r = e.execute("director", SCHEMA_QUERIES[0]).unwrap();
             assert!(r.report.sparql_runs.iter().all(|run| !run.cached));
         }
-        assert_eq!(e.cache.keyed.lock().len(), 0);
+        assert_eq!(e.cache.entries.lock().len(), 0);
         let stats = e.cache_stats();
         assert_eq!((stats.hits, stats.misses), (0, 4));
     }
 
     #[test]
     fn keyed_leg_evictions_are_counted() {
-        // Two policies over one SPARQL leg: the solution cache keeps its
-        // one entry, the keyed LRU (capacity 1) evicts on every switch.
+        // Two policies over one SPARQL leg in a cache of two entries: the
+        // solutions entry, read on every run, stays; the keyed leg of the
+        // other policy is evicted on every switch.
         let e = engine();
-        e.set_cache_capacity(1);
+        e.set_cache_capacity(2);
         let concatenate = with_policy(&e, MultiValuePolicy::Concatenate);
-        for engine in [&e, &concatenate, &e] {
-            engine.execute("director", CACHED_QUERY).unwrap();
-        }
-        assert_eq!(e.cache.entries.lock().stats().evictions, 0);
+        let runs: Vec<bool> = [&e, &concatenate, &e]
+            .into_iter()
+            .map(|engine| engine.execute("director", CACHED_QUERY).unwrap().report.sparql_runs[0].cached)
+            .collect();
+        assert_eq!(runs, [false, true, true], "the solutions entry serves every switch");
         assert_eq!(e.cache_stats().evictions, 2);
     }
 

@@ -271,16 +271,17 @@ impl SesqlEngine {
     }
 
     /// SPARQL-leg cache statistics: one hit or miss per leg an execution
-    /// runs, whichever of the solution, keyed-leg and pairs caches served
-    /// it; evictions summed over the three.
+    /// runs, whether its solutions, its keyed leg or its pairs table
+    /// served it, and the leg cache's LRU evictions.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
 
     /// Compiled-SPARQL-leg cache statistics (the LRU of generated legs'
     /// compiled operator trees; the name predates the operator tree). It
-    /// serves only legs that miss the keyed-leg and pairs caches, so a
-    /// warm SCHEMA*/BOOL* or REPLACEVARIABLE run never probes it.
+    /// serves only legs whose keyed leg or pairs table the leg cache
+    /// misses, so a warm SCHEMA*/BOOL* or REPLACEVARIABLE run never
+    /// probes it.
     pub fn ast_cache_stats(&self) -> CacheStats {
         self.compiled_legs.lock().stats()
     }
@@ -290,11 +291,11 @@ impl SesqlEngine {
         self.prepared.lock().stats()
     }
 
-    /// Resize every engine-level cache (solutions, keyed legs, pairs
-    /// tables, compiled SPARQL legs, prepared queries). Capacity 0 is the
-    /// way to switch caching off: every leg is evaluated and counts as a
-    /// miss, and a REPLACEVARIABLE query's pairs table lives exactly as
-    /// long as the query.
+    /// Resize every engine-level cache (the leg cache's solutions, keyed
+    /// legs and pairs tables together, compiled SPARQL legs, prepared
+    /// queries). Capacity 0 is the way to switch caching off: every leg is
+    /// evaluated and counts as a miss, and a REPLACEVARIABLE query's pairs
+    /// table lives exactly as long as the query.
     pub fn set_cache_capacity(&self, capacity: usize) {
         self.cache.set_capacity(capacity);
         self.compiled_legs.lock().set_capacity(capacity);
@@ -302,8 +303,8 @@ impl SesqlEngine {
     }
 
     /// Drop all cached SPARQL-leg results: solutions, keyed SCHEMA*/BOOL*
-    /// legs and REPLACEVARIABLE pairs entries; each pairs table leaves the
-    /// catalog once no running query reads it.
+    /// legs and REPLACEVARIABLE pairs tables (a running query keeps the
+    /// pairs table it reads).
     pub fn clear_cache(&self) {
         self.cache.clear();
     }

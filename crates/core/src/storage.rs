@@ -262,6 +262,7 @@ mod tests {
                     ),
                 )
                 .unwrap();
+            let before = engine.database().catalog().table_names();
             let r = engine
                 .execute(
                     "director",
@@ -271,13 +272,11 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(r.rows.len(), 2, "expansion matches Hg and Cu");
+            assert_eq!(engine.database().catalog().table_names(), before);
         }
         let engine = open(&dir);
         let names = engine.database().catalog().table_names();
-        assert!(
-            !names.iter().any(|n| n.starts_with("__kb_pairs")),
-            "ephemeral pairs table leaked into the WAL: {names:?}"
-        );
+        assert_eq!(names, ["elem_contained"], "a pairs table leaked into the WAL");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

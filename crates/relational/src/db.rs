@@ -266,8 +266,18 @@ impl Database {
     /// layers (the SESQL engine's `EXPLAIN`, tooling) can inspect the
     /// exact plan a statement would run as.
     pub fn plan_optimized(&self, select: &Select) -> Result<crate::opt::Optimized> {
+        self.plan_scoped(select, &[])
+    }
+
+    /// [`Database::plan_optimized`] with the query-scoped relations of a
+    /// [`Prepared`] handle (see [`Prepared::with_table`]).
+    pub(crate) fn plan_scoped(
+        &self,
+        select: &Select,
+        scoped: &[Arc<Table>],
+    ) -> Result<crate::opt::Optimized> {
         let cfg = self.optimizer_config();
-        let plan = plan_select(&self.catalog, select, &cfg)?;
+        let plan = plan_select(&self.catalog, scoped, select, &cfg)?;
         Ok(optimize(plan, &cfg)?)
     }
 
@@ -301,6 +311,7 @@ impl Database {
                 text: key,
                 warnings: Some(c.warnings),
                 memo: c.memo,
+                scoped: Vec::new(),
             });
         }
         let (stmt, _) = parse_statement_with_params(sql)?;
@@ -585,21 +596,6 @@ impl Database {
         self.catalog.add_foreign_tables(tables)?;
         Ok(names)
     }
-
-    /// Materialise owned rows as a new table (the SESQL engine's
-    /// REPLACEVARIABLE pairs tables). Materialised tables are
-    /// **ephemeral**: derived intermediates are rebuildable, so they stay
-    /// out of the write-ahead log and checkpoint snapshots.
-    pub fn materialise_owned(&self, name: &str, schema: &Schema, rows: Vec<Row>) -> Result<()> {
-        let cols: Vec<Column> = schema
-            .columns
-            .iter()
-            .map(|c| Column::new(c.name.clone(), c.data_type))
-            .collect();
-        let table = self.catalog.create_ephemeral_table(name, cols)?;
-        table.insert_many(rows)?;
-        Ok(())
-    }
 }
 
 /// Table positions an INSERT's values land in: the listed columns, or
@@ -811,12 +807,26 @@ mod tests {
     }
 
     #[test]
-    fn materialise_round_trip() {
+    fn scoped_table_round_trip() {
+        // A query's rows, kept in a table no catalog holds, feed a second
+        // query through its handle and leave the catalog untouched.
         let d = db();
         let rs = d.query("SELECT name, tons FROM landfill WHERE tons > 100").unwrap();
-        d.materialise_owned("tmp_big", &rs.schema, rs.rows).unwrap();
-        let rs2 = d.query("SELECT COUNT(*) FROM tmp_big").unwrap();
-        assert_eq!(rs2.rows[0][0], Value::Int(3));
+        let big = Arc::new(Table::new("tmp_big", rs.schema.clone()));
+        big.insert_many(rs.rows).unwrap();
+        let before = (d.catalog().version(), d.catalog().table_names());
+        let count = || {
+            let sql = "SELECT COUNT(*) FROM tmp_big";
+            let Statement::Select(s) = parse_statement(sql).unwrap() else { unreachable!() };
+            d.compile(Arc::from(s)).with_table(Arc::clone(&big)).query(&Params::new())
+        };
+        assert_eq!(count().unwrap().rows[0][0], Value::Int(3));
+        assert_eq!((d.catalog().version(), d.catalog().table_names()), before);
+        assert!(d.query("SELECT COUNT(*) FROM tmp_big").is_err(), "not in the catalog");
+        // A FROM name both a scoped and a catalog table spell is an error.
+        d.execute("CREATE TABLE \"TMP_BIG\" (x INT)").unwrap();
+        let err = count().unwrap_err();
+        assert!(matches!(&err, Error::Plan(m) if m.contains("ambiguous")), "{err}");
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //!   [`foreign::RemoteSource`] with its latency model),
 //! * a reusable SQL parser ([`sql::parser`]) whose AST the SESQL layer
 //!   rewrites when applying WHERE-clause enrichments, and
-//! * result materialisation back into ephemeral tables
-//!   ([`db::Database::materialise_owned`]), which holds the SESQL engine's
-//!   REPLACEVARIABLE pairs tables.
+//! * query-scoped relations: a standalone [`storage::Table`] bound to one
+//!   [`Prepared`] handle ([`Prepared::with_table`]) and read through the
+//!   same plans as a catalog table, which is how the SESQL engine's
+//!   REPLACEVARIABLE pairs join a query without entering the catalog.
 //!
 //! ```
 //! use crosse_relational::db::Database;

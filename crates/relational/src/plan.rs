@@ -413,22 +413,30 @@ pub fn infer_type(expr: &Expr, schema: &Schema) -> DataType {
     }
 }
 
-/// Plan a SELECT statement against a catalog. Its subqueries run at plan
-/// time, each optimized under `cfg` like any other statement; the plan
-/// returned is not optimized yet.
-pub fn plan_select(catalog: &Catalog, select: &Select, cfg: &OptimizerConfig) -> Result<Plan> {
-    Planner { catalog, cfg }.select(select)
+/// Plan a SELECT statement against a catalog and the query-scoped
+/// relations `scoped` (tables no catalog holds, resolved by name before
+/// the catalog; see [`crate::Prepared::with_table`]). Its subqueries run
+/// at plan time, each optimized under `cfg` like any other statement; the
+/// plan returned is not optimized yet.
+pub fn plan_select(
+    catalog: &Catalog,
+    scoped: &[Arc<Table>],
+    select: &Select,
+    cfg: &OptimizerConfig,
+) -> Result<Plan> {
+    Planner { catalog, scoped, cfg }.select(select)
 }
 
 /// Materialise every (uncorrelated) subquery inside `e` into literal form —
 /// the same pass SELECT planning applies to its WHERE clause, exposed so
 /// DELETE/UPDATE filters accept subqueries too.
 pub fn resolve_expr_subqueries(catalog: &Catalog, e: Expr, cfg: &OptimizerConfig) -> Result<Expr> {
-    Planner { catalog, cfg }.resolve_subqueries(e)
+    Planner { catalog, scoped: &[], cfg }.resolve_subqueries(e)
 }
 
 struct Planner<'a> {
     catalog: &'a Catalog,
+    scoped: &'a [Arc<Table>],
     cfg: &'a OptimizerConfig,
 }
 
@@ -919,7 +927,7 @@ impl<'a> Planner<'a> {
     fn table_ref(&self, tr: &TableRef) -> Result<Plan> {
         match tr {
             TableRef::Table { name, alias } => {
-                let table = self.catalog.get_table(name)?;
+                let table = self.resolve_table(name)?;
                 let qualifier = alias.clone().unwrap_or_else(|| name.clone());
                 let schema = table.schema.clone().with_qualifier(&qualifier);
                 Ok(if table.foreign().is_some() {
@@ -934,6 +942,22 @@ impl<'a> Planner<'a> {
                 self.join(l, r, *kind, on.as_ref())
             }
         }
+    }
+
+    /// The table a FROM name denotes: a query-scoped relation, else a
+    /// catalog table. A name that denotes both is an error rather than a
+    /// silent shadow (a quoted identifier can spell any scoped name).
+    fn resolve_table(&self, name: &str) -> Result<Arc<Table>> {
+        let Some(scoped) = self.scoped.iter().find(|t| t.name.eq_ignore_ascii_case(name)) else {
+            return self.catalog.get_table(name);
+        };
+        if self.catalog.has_table(name) {
+            return Err(Error::plan(format!(
+                "table `{name}` is ambiguous: it names both a query-scoped relation \
+                 and a catalog table"
+            )));
+        }
+        Ok(Arc::clone(scoped))
     }
 
     fn join(
@@ -1239,7 +1263,7 @@ mod tests {
         let Statement::Select(s) = parse_statement(sql).unwrap() else {
             panic!("not a select")
         };
-        plan_select(&catalog(), &s, &OptimizerConfig::none())
+        plan_select(&catalog(), &[], &s, &OptimizerConfig::none())
     }
 
     #[test]
@@ -1537,7 +1561,7 @@ mod tests {
             panic!("not a select")
         };
         let cfg = OptimizerConfig::default();
-        optimize(plan_select(cat, &s, &cfg).unwrap(), &cfg).unwrap().plan
+        optimize(plan_select(cat, &[], &s, &cfg).unwrap(), &cfg).unwrap().plan
     }
 
     fn find_index_scan(p: &Plan) -> Option<&IndexLookup> {

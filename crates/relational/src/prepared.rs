@@ -33,7 +33,7 @@ use crate::sql::ast::{Expr, Select, SelectItem, TableRef};
 use crate::sql::lexer::tokenize;
 use crate::sql::parser::ParamSlot;
 use crate::sql::token::TokenKind;
-use crate::storage::Catalog;
+use crate::storage::{Catalog, Table};
 use crate::value::{DataType, Value};
 
 /// One parameter slot with its (best-effort) inferred type.
@@ -432,6 +432,8 @@ pub struct Prepared {
     /// Shared by the handle's clones and, for a prepared text, by the plan
     /// cache's entry and every handle made from it.
     pub(crate) memo: SharedMemo,
+    /// Query-scoped relations bound by [`Prepared::with_table`].
+    pub(crate) scoped: Vec<Arc<Table>>,
 }
 
 /// Everything a [`Prepared`] derives from the catalog, valid while
@@ -467,7 +469,19 @@ impl Prepared {
         warnings: Option<Arc<Vec<crosse_lint::Diagnostic>>>,
     ) -> Self {
         let memo = Arc::new(Mutex::new_labeled("prepared.memo", None));
-        Prepared { db, select, text, warnings, memo }
+        Prepared { db, select, text, warnings, memo, scoped: Vec::new() }
+    }
+
+    /// Bind `table`, a table no catalog holds, as a query-scoped
+    /// relation: the statement's FROM clause names it by `table.name`,
+    /// and planning resolves a FROM name against the handle's scoped
+    /// tables before the catalog (a name that denotes both is an error).
+    /// Nothing is created, logged or versioned, so binding a table
+    /// invalidates no other plan. The handle gets a memo of its own.
+    pub fn with_table(self, table: Arc<Table>) -> Self {
+        let mut scoped = self.scoped;
+        scoped.push(table);
+        Prepared { scoped, ..Prepared::new(self.db, self.text, self.select, self.warnings) }
     }
 
     /// The memo for the live catalog and optimizer configuration,
@@ -544,13 +558,13 @@ impl Prepared {
     pub(crate) fn plan(&self, params: &Params, keep: bool) -> Result<Plan> {
         let memo = self.memo();
         Ok(if !memo.slots.is_empty() {
-            self.db.plan_optimized(&self.bind(params)?)?.plan
+            self.db.plan_scoped(&self.bind(params)?, &self.scoped)?.plan
         } else if let Some(template) = &memo.template {
             (**template).clone()
         } else {
             // Templates are kept post-optimization: later executions
             // replay the rewritten (pushed-down, spooled) shape directly.
-            let plan = self.db.plan_optimized(&self.select)?.plan;
+            let plan = self.db.plan_scoped(&self.select, &self.scoped)?.plan;
             if keep && memo.replayable {
                 if let Some(m) = self.memo.lock().as_mut().filter(|m| m.tag == memo.tag) {
                     m.template = Some(Arc::new(plan.clone()));
@@ -572,13 +586,13 @@ impl Prepared {
                  value-dependent access paths can be chosen",
             ));
         }
-        Ok(self.db.plan_optimized(&self.select)?.render())
+        Ok(self.db.plan_scoped(&self.select, &self.scoped)?.render())
     }
 
     /// [`Prepared::explain`] with parameters bound — shows the plan the
     /// next [`Prepared::execute`] with these values would run.
     pub fn explain_with(&self, params: &Params) -> Result<String> {
-        Ok(self.db.plan_optimized(&self.bind(params)?)?.render())
+        Ok(self.db.plan_scoped(&self.bind(params)?, &self.scoped)?.render())
     }
 
     /// Execute and materialise (the `collect()` adapter over

@@ -20,9 +20,11 @@
 //! applying — under the log's barrier lock, so checkpoint pinning can
 //! exclude in-flight mutations — and a failed log append fails the
 //! statement without touching the heap. **Ephemeral** tables (the
-//! SESQL pairs tables from [`Catalog::create_ephemeral_table`], the
 //! foreign tables of [`crate::foreign`]) are excluded from both logging
-//! and snapshots. A detached log makes every hook a no-op: a purely
+//! and snapshots. A table built with [`Table::new`] that no catalog
+//! holds (a query-scoped relation, see
+//! [`Prepared::with_table`](crate::Prepared::with_table)) has a detached
+//! log of its own. A detached log makes every hook a no-op: a purely
 //! in-memory engine.
 
 pub mod snapshot;
@@ -183,10 +185,9 @@ pub struct Table {
     indexes: RwLock<Vec<Arc<Index>>>,
     /// Where mutations log; detached on purely in-memory tables.
     sink: RwLock<RedoLog>,
-    /// Ephemeral tables are excluded from logging and snapshots.
-    ephemeral: bool,
     /// Set on a foreign table: its rows live at a source, and the table
-    /// itself is ephemeral, empty and read-only.
+    /// itself is ephemeral (never logged or snapshotted), empty and
+    /// read-only.
     foreign: Option<Foreign>,
 }
 
@@ -199,14 +200,13 @@ impl Table {
             generation: AtomicU64::new(0),
             indexes: RwLock::new_labeled("table.indexes", Vec::new()),
             sink: RwLock::new_labeled("table.sink", RedoLog::default()),
-            ephemeral: false,
             foreign: None,
         }
     }
 
     /// A foreign table named `name` over `foreign` (see [`crate::foreign`]).
     pub(crate) fn new_foreign(name: String, schema: Schema, foreign: Foreign) -> Self {
-        Table { ephemeral: true, foreign: Some(foreign), ..Table::new(name, schema) }
+        Table { foreign: Some(foreign), ..Table::new(name, schema) }
     }
 
     /// The log a mutation writes through (detached when the table takes
@@ -218,15 +218,17 @@ impl Table {
                 self.name
             )));
         }
-        Ok(if self.ephemeral { RedoLog::default() } else { self.sink.read().clone() })
+        Ok(self.sink.read().clone())
     }
 
     pub(crate) fn set_sink(&self, sink: RedoLog) {
         *self.sink.write() = sink;
     }
 
+    /// Whether the table is excluded from the write-ahead log and from
+    /// snapshots: only a foreign table is.
     pub fn is_ephemeral(&self) -> bool {
-        self.ephemeral
+        self.foreign.is_some()
     }
 
     /// Where a foreign table's rows live; `None` for a table of this
@@ -618,10 +620,21 @@ impl Table {
         self.ensure_clean(&idx, &rows);
         let entries = idx.entries.read();
         // The bounds are borrowed as-is: `BTreeMap::range` accepts
-        // `Bound<&Value>` directly, so range probes allocate nothing.
+        // `Bound<&Value>` directly, so range probes allocate nothing. It
+        // panics on bounds that hold no key (low above high, or equal
+        // bounds not both included), so those probe nothing.
         let mut positions: Vec<usize> = Vec::new();
-        for (_, ps) in entries.range::<Value, _>((low, high)) {
-            positions.extend_from_slice(ps);
+        let holds_none = match (low, high) {
+            (Bound::Included(l), Bound::Included(h)) => l > h,
+            (Bound::Included(l) | Bound::Excluded(l), Bound::Included(h) | Bound::Excluded(h)) => {
+                l >= h
+            }
+            _ => false,
+        };
+        if !holds_none {
+            for (_, ps) in entries.range::<Value, _>((low, high)) {
+                positions.extend_from_slice(ps);
+            }
         }
         drop(entries);
         let snap = self.pin(&rows);
@@ -708,7 +721,7 @@ impl Catalog {
 
     /// Create a table; errors if the name is taken.
     pub fn create_table(&self, name: &str, columns: Vec<Column>) -> Result<Arc<Table>> {
-        self.create_table_impl(name, columns, false, false)
+        self.create_table_impl(name, columns, false)
     }
 
     /// Create, replacing any existing table of the same name.
@@ -717,20 +730,7 @@ impl Catalog {
         name: &str,
         columns: Vec<Column>,
     ) -> Result<Arc<Table>> {
-        self.create_table_impl(name, columns, true, false)
-    }
-
-    /// Create (replacing) an **ephemeral** table: a materialised
-    /// intermediate that is excluded from the write-ahead log and from
-    /// checkpoint snapshots, like a foreign table. Query-cache spools
-    /// (REPLACEVARIABLE pairs tables) are derived state — rebuildable from
-    /// the durable stores — so persisting them would only bloat the log.
-    pub fn create_ephemeral_table(
-        &self,
-        name: &str,
-        columns: Vec<Column>,
-    ) -> Result<Arc<Table>> {
-        self.create_table_impl(name, columns, true, true)
+        self.create_table_impl(name, columns, true)
     }
 
     fn create_table_impl(
@@ -738,7 +738,6 @@ impl Catalog {
         name: &str,
         columns: Vec<Column>,
         replace: bool,
-        ephemeral: bool,
     ) -> Result<Arc<Table>> {
         let mut seen: Vec<&str> = Vec::new();
         for c in &columns {
@@ -758,21 +757,9 @@ impl Catalog {
             if !replace && tables.contains_key(&key) {
                 return Err(Error::catalog(format!("table `{name}` already exists")));
             }
-            if !ephemeral {
-                sink.log(|| encode_rel_op(&RelOp::CreateTable { name, columns: &columns, replace }))?;
-            } else if tables.get(&key).is_some_and(|prev| !prev.is_ephemeral()) {
-                // An ephemeral table may replace a durable one (explicit
-                // DDL reused the name); the displacement itself must be
-                // durable even though the new table is not.
-                sink.log(|| encode_rel_op(&RelOp::DropTable { name }))?;
-            }
-            if replace {
-                tables.remove(&key);
-            }
-            let table = Arc::new(Table { ephemeral, ..Table::new(name, Schema::new(columns)) });
-            if !ephemeral {
-                table.set_sink(sink.clone());
-            }
+            sink.log(|| encode_rel_op(&RelOp::CreateTable { name, columns: &columns, replace }))?;
+            let table = Arc::new(Table::new(name, Schema::new(columns)));
+            table.set_sink(sink.clone());
             tables.insert(key, Arc::clone(&table));
             drop(tables);
             self.bump_version();
@@ -1160,6 +1147,26 @@ mod tests {
             .index_lookup_range(col, Bound::Included(&lo), Bound::Excluded(&hi))
             .unwrap();
         assert_eq!(rows.len(), 2); // 20.0 and 30.0
+    }
+
+    #[test]
+    fn index_range_with_no_keys_between_its_bounds_is_empty() {
+        let (cat, t) = indexed_table();
+        cat.create_index("idx_tons", "landfill", "tons").unwrap();
+        let col = t.schema.resolve(None, "tons").unwrap();
+        let (lo, hi) = (Value::from(35.0), Value::from(15.0));
+        let at = Value::from(20.0);
+        for (low, high) in [
+            (Bound::Included(&lo), Bound::Included(&hi)),
+            (Bound::Excluded(&lo), Bound::Excluded(&hi)),
+            (Bound::Excluded(&at), Bound::Excluded(&at)),
+            (Bound::Included(&at), Bound::Excluded(&at)),
+            (Bound::Excluded(&at), Bound::Included(&at)),
+        ] {
+            assert!(t.index_lookup_range(col, low, high).unwrap().is_empty(), "{low:?}..{high:?}");
+        }
+        let rows = t.index_lookup_range(col, Bound::Included(&at), Bound::Included(&at)).unwrap();
+        assert_eq!(rows.len(), 1);
     }
 
     #[test]

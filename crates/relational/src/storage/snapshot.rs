@@ -156,7 +156,16 @@ mod tests {
     #[test]
     fn ephemeral_tables_excluded() {
         let cat = seed();
-        cat.create_ephemeral_table("foreign", vec![Column::new("x", DataType::Int)]).unwrap();
+        let remote = crate::Database::new();
+        remote.execute("CREATE TABLE t (x INT)").unwrap();
+        let foreign = crate::foreign::Foreign {
+            source: std::sync::Arc::new(crate::foreign::LocalSource::new("src", remote)),
+            table: "t".into(),
+        };
+        let schema = Schema::new(vec![Column::new("x", DataType::Int)]);
+        cat.add_foreign_tables(vec![crate::storage::Table::new_foreign("foreign".into(), schema, foreign)])
+            .unwrap();
+        assert!(cat.has_table("foreign"));
         let pin = pin_catalog(&cat);
         assert!(pin.tables.iter().all(|t| !t.name.eq_ignore_ascii_case("foreign")));
         let restored = Catalog::new();

@@ -1115,7 +1115,7 @@ fn print_report(report: &PipelineReport) {
 }
 
 /// One line per SPARQL leg, tagging how it was served: `shared` = the
-/// persistent REPLACEVARIABLE pairs table (the spooled relational leg);
+/// cached REPLACEVARIABLE pairs table (the spooled relational leg);
 /// `cached` alone = SPARQL solution-cache hit; no tag = recomputed.
 fn print_legs(report: &PipelineReport) {
     for run in &report.sparql_runs {

@@ -235,14 +235,18 @@ fn concurrent_sesql_execution_with_kb_updates() {
 
 #[test]
 fn concurrent_replace_variable_queries_do_not_collide() {
-    // REPLACEVARIABLE materialises a KB-pairs table in the main database;
-    // parallel executions must not corrupt each other. The cache keeps
-    // one table alive per (graphs, property) for warm reuse — after
-    // `clear_cache` nothing may remain.
+    // REPLACEVARIABLE builds a KB-pairs table that the leg cache shares
+    // across executions; parallel executions must not corrupt each other,
+    // and none may put a table into (or take one out of) the catalog.
     let engine = Arc::new(
         crosse::smartground::standard_engine(&SmartGroundConfig::tiny(), "director")
             .unwrap(),
     );
+    let catalog = || {
+        let c = engine.database().catalog();
+        (c.version(), c.table_names())
+    };
+    let before = catalog();
     let sesql = "SELECT e1.landfill_name AS l1, e2.landfill_name AS l2 \
                  FROM elem_contained AS e1, elem_contained AS e2 \
                  WHERE e1.landfill_name <> e2.landfill_name AND \
@@ -262,21 +266,10 @@ fn concurrent_replace_variable_queries_do_not_collide() {
     for h in handles {
         h.join().unwrap();
     }
-    let pairs_tables = |engine: &crosse::core::sqm::SesqlEngine| -> Vec<String> {
-        engine
-            .database()
-            .catalog()
-            .table_names()
-            .into_iter()
-            .filter(|t| t.starts_with("__kb_pairs"))
-            .collect()
-    };
-    // The cache owns at most one persistent pairs table for this query
-    // shape; concurrent executions must not have leaked extras.
-    assert!(pairs_tables(&engine).len() <= 1, "leaked: {:?}", pairs_tables(&engine));
-    // Dropping the caches drops the persistent table too.
+    assert_eq!(catalog(), before, "no table ever appears");
     engine.clear_cache();
-    assert!(pairs_tables(&engine).is_empty(), "leaked: {:?}", pairs_tables(&engine));
+    assert_eq!(engine.execute("director", sesql).unwrap().rows.len(), expected);
+    assert_eq!(catalog(), before);
 }
 
 #[test]
@@ -285,13 +278,18 @@ fn replace_variable_readers_keep_their_pairs_table_under_cache_churn() {
     // does to the cache entry — clearing it, invalidating it through the
     // KB version, evicting it by shrinking the cache to nothing — can take
     // the table away mid-query: every answer is the uncontended one, no
-    // execution fails with `NoSuchTable`, and when the last holder lets go
-    // the catalog holds no pairs table.
+    // execution fails with `NoSuchTable`, and no table ever appears in the
+    // catalog.
     use std::sync::atomic::{AtomicBool, Ordering};
     let engine = Arc::new(
         crosse::smartground::standard_engine(&SmartGroundConfig::tiny(), "director")
             .unwrap(),
     );
+    let catalog = |engine: &crosse::core::sqm::SesqlEngine| {
+        let c = engine.database().catalog();
+        (c.version(), c.table_names())
+    };
+    let before = catalog(&engine);
     let sesql = "SELECT e1.landfill_name AS l1, e2.landfill_name AS l2 \
                  FROM elem_contained AS e1, elem_contained AS e2 \
                  WHERE e1.landfill_name <> e2.landfill_name AND \
@@ -351,14 +349,7 @@ fn replace_variable_readers_keep_their_pairs_table_under_cache_churn() {
         r.join().unwrap();
     }
     engine.clear_cache();
-    let left: Vec<String> = engine
-        .database()
-        .catalog()
-        .table_names()
-        .into_iter()
-        .filter(|t| t.starts_with("__kb_pairs"))
-        .collect();
-    assert!(left.is_empty(), "leaked: {left:?}");
+    assert_eq!(catalog(&engine), before, "no table ever appears");
 }
 
 #[test]

