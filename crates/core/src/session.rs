@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crosse_lint::Diagnostic;
-use crosse_rdf::sparql::eval::{EvalOptions, QueryOutcome};
+use crosse_rdf::sparql::eval::QueryOutcome;
 use crosse_rdf::sparql::{Prepared as PreparedSparql, SparqlParams};
 use crosse_rdf::term::Term;
 use crosse_relational::sql::ast::Statement as SqlStatement;
@@ -386,19 +386,6 @@ impl Session {
         &self.engine
     }
 
-    /// Set the worker-thread budget for intra-query parallelism (morsel
-    /// scans, hash-join probes, SPARQL probe batches). The budget lives on
-    /// the shared engine — it is a server-wide setting surfaced here (and
-    /// as the CLI's `--threads` flag) for convenience. 1 = sequential.
-    pub fn set_threads(&self, threads: usize) {
-        self.engine.set_exec_threads(threads);
-    }
-
-    /// Current worker-thread budget.
-    pub fn threads(&self) -> usize {
-        self.engine.exec_threads()
-    }
-
     /// Compile `text` once into a [`Statement`]. SESQL goes through the
     /// engine's prepared cache and SQL through the databank's; SPARQL of
     /// any form is parsed and compiled here; DDL/DML ([`is_write`]) is
@@ -504,8 +491,7 @@ impl Statement {
                 let kb = engine.knowledge_base();
                 let graphs = kb.context_graphs(user);
                 let refs: Vec<&str> = graphs.iter().map(String::as_str).collect();
-                let opts = EvalOptions { threads: engine.exec_threads() };
-                let outcome = p.run(kb.store(), &refs, &sparql_params(params)?, &opts)?;
+                let outcome = p.run(kb.store(), &refs, &sparql_params(params)?)?;
                 Box::new(SparqlRows::new(outcome))
             }
             Compiled::Write(stmt) => match engine.database().execute_statement(stmt.clone())? {
@@ -886,7 +872,7 @@ mod tests {
         // still fetches one batch per worker — and no more than that.
         let p = s.prepare(Lang::Sesql, "SELECT x FROM big WHERE x >= 0 LIMIT 5").unwrap();
         let sequential = drain_scanned(&p);
-        s.set_threads(4);
+        e.set_exec_threads(4);
         let parallel = drain_scanned(&p);
         assert_eq!(parallel, 4 * sequential, "one scan batch per worker");
         assert!(parallel < 10_000, "LIMIT still stops the scan early");

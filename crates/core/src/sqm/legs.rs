@@ -132,14 +132,16 @@ impl SesqlEngine {
         Ok(p)
     }
 
-    /// Execute one SPARQL leg (`sparql` is its text, `prepared` its
-    /// compiled form) behind the version-checked solution cache, and
-    /// record it in the pipeline report.
+    /// Execute one SPARQL leg behind the version-checked solution cache,
+    /// and record it in the pipeline report. `sparql` is its text;
+    /// `stored` is a stored query's precompiled handle. A generated leg
+    /// (`None`) is compiled through `compiled_leg` only when its solutions
+    /// miss, so a warm leg never touches the compiled-leg LRU.
     fn run_sparql_leg(
         &self,
         graphs: &[&str],
         sparql: &str,
-        prepared: &PreparedSparql,
+        stored: Option<&PreparedSparql>,
         purpose: String,
         report: &mut PipelineReport,
     ) -> Result<Arc<Solutions>> {
@@ -150,9 +152,15 @@ impl SesqlEngine {
             Some(Leg::Solutions(s)) => (s, true),
             _ => {
                 self.cache.misses.fetch_add(1, AtomicOrdering::Relaxed);
-                let opts = EvalOptions { threads: self.exec_threads() };
-                let s = prepared.execute(self.kb.store(), graphs, &SparqlParams::new(), &opts)?;
-                let s = Arc::new(s);
+                let generated;
+                let prepared = match stored {
+                    Some(p) => p,
+                    None => {
+                        generated = self.compiled_leg(sparql)?;
+                        &*generated
+                    }
+                };
+                let s = Arc::new(prepared.execute(self.kb.store(), graphs, &SparqlParams::new())?);
                 self.cache.put(key, version, Leg::Solutions(Arc::clone(&s)));
                 (s, false)
             }
@@ -183,8 +191,7 @@ impl SesqlEngine {
         let refs: Vec<&str> = graphs.iter().map(String::as_str).collect();
         let predicates = self.resolve_predicates(&refs, property);
         let sparql = sparql_pairs_query(&predicates, property);
-        let prepared = self.compiled_leg(&sparql)?;
-        let sols = self.run_sparql_leg(&refs, &sparql, &prepared, purpose, report)?;
+        let sols = self.run_sparql_leg(&refs, &sparql, None, purpose, report)?;
         Ok((sparql, sols))
     }
 
@@ -299,7 +306,7 @@ impl SesqlEngine {
             let sols = self.run_sparql_leg(
                 &refs,
                 &stored.sparql,
-                &stored.prepared,
+                Some(&stored.prepared),
                 e.to_string(),
                 report,
             )?;
@@ -312,8 +319,7 @@ impl SesqlEngine {
         let predicates = self.resolve_predicates(&refs, property);
         let subjects = self.resolve_constant_subjects(constant);
         let sparql = sparql_objects_query(&subjects, &predicates);
-        let prepared = self.compiled_leg(&sparql)?;
-        let sols = self.run_sparql_leg(&refs, &sparql, &prepared, e.to_string(), report)?;
+        let sols = self.run_sparql_leg(&refs, &sparql, None, e.to_string(), report)?;
         let o_idx = sols.var_index("o").expect("objects query binds ?o");
         let mut seen: std::collections::HashSet<Value> =
             std::collections::HashSet::with_capacity(sols.rows.len());
@@ -563,6 +569,24 @@ mod tests {
             rows.column_values(name).unwrap().iter().map(Value::lexical_form).collect();
         v.sort();
         v
+    }
+
+    #[test]
+    fn warm_replace_constant_leg_is_not_recompiled() {
+        // A generated leg is compiled only when its solutions miss: the
+        // warm run is one solutions lookup and never probes the
+        // compiled-leg LRU.
+        let e = engine();
+        let q = "SELECT landfill_name FROM elem_contained \
+                 WHERE ${elem_name = Hg:c} ENRICH REPLACECONSTANT(c, Hg, oreAssemblage)";
+        let cold = e.execute("director", q).unwrap();
+        assert!(!cold.report.sparql_runs[0].cached);
+        let compiled = e.ast_cache_stats();
+        let warm = e.execute("director", q).unwrap();
+        assert!(warm.report.sparql_runs[0].cached);
+        assert_eq!(e.ast_cache_stats(), compiled);
+        assert_eq!(col_strings(&warm.rows, "landfill_name"), vec!["b"]); // As is in b
+        assert_eq!(warm.rows.rows, cold.rows.rows);
     }
 
     #[test]

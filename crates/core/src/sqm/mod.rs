@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 
 use crosse_cache::Lru;
 use crosse_rdf::provenance::KnowledgeBase;
-use crosse_rdf::sparql::eval::{EvalOptions, Solutions};
+use crosse_rdf::sparql::eval::Solutions;
 use crosse_rdf::sparql::{Prepared as PreparedSparql, SparqlParams};
 use crosse_rdf::stored::StoredQueries;
 use crosse_rdf::term::Term;
@@ -257,10 +257,11 @@ impl SesqlEngine {
 
     /// Set the engine-wide worker-thread budget for intra-query
     /// parallelism: relational scans/filters/projections and hash-join
-    /// probes partition pinned table snapshots, and SPARQL probe batches
-    /// partition across the same pool. 1 (the default) is sequential; 0 is
-    /// clamped to 1. The budget lives on the shared [`Database`], so every
-    /// engine clone — and direct `Database` users — see one setting.
+    /// probes partition pinned table snapshots across the pool. SPARQL
+    /// legs always run on the caller's thread. 1 (the default) is
+    /// sequential; 0 is clamped to 1. The budget lives on the shared
+    /// [`Database`], so every engine clone — and direct `Database` users —
+    /// see one setting.
     pub fn set_exec_threads(&self, threads: usize) {
         self.db.set_exec_threads(threads);
     }
@@ -279,9 +280,8 @@ impl SesqlEngine {
 
     /// Compiled-SPARQL-leg cache statistics (the LRU of generated legs'
     /// compiled operator trees; the name predates the operator tree). It
-    /// serves only legs whose keyed leg or pairs table the leg cache
-    /// misses, so a warm SCHEMA*/BOOL* or REPLACEVARIABLE run never
-    /// probes it.
+    /// serves only generated legs whose solutions the leg cache misses, so
+    /// a warm run never probes it.
     pub fn ast_cache_stats(&self) -> CacheStats {
         self.compiled_legs.lock().stats()
     }

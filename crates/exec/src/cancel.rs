@@ -9,8 +9,9 @@
 //!
 //! Tokens travel two ways:
 //!
-//! 1. **Explicitly** — APIs like `Rows::from_plan_with` accept a token
-//!    directly.
+//! 1. **Explicitly** — the server's admission gate
+//!    (`crosse_server::AdmissionGate::enter`) takes the query's token, so
+//!    time queued for an execution slot counts against its deadline.
 //! 2. **Ambiently** — a thread-local *current token* installed with
 //!    [`CancelToken::make_current`] for the duration of a query. Execution
 //!    contexts capture the ambient token once at construction (on the query

@@ -6,7 +6,9 @@
 //! their input into small *morsels*, workers pull morsels from a shared
 //! atomic counter (so fast workers steal the tail from slow ones), and the
 //! results are merged back **in input order** so parallel operators stay
-//! deterministic.
+//! deterministic. Its one user is the relational executor's morsel
+//! driver; SPARQL evaluation runs on the caller's thread. The crate also
+//! holds the [`CancelToken`] every layer polls.
 //!
 //! The pool is built on [`std::thread::scope`] — no crates.io
 //! dependencies, no unsafe, no global state (its only dep is the
@@ -15,8 +17,8 @@
 //! them, so a call on `n` threads spawns `n − 1`. A spawn costs tens of
 //! microseconds, which is why every entry point falls back to the
 //! caller's thread for single-threaded pools, single tasks, or when the
-//! caller's partitioning produced one chunk. Engines gate the parallel
-//! path on input size so small queries never pay the spawn cost.
+//! caller's partitioning produced one chunk. The executor gates the
+//! parallel path on input size so small queries never pay the spawn cost.
 //!
 //! ```
 //! use crosse_exec::WorkerPool;
@@ -134,36 +136,6 @@ impl WorkerPool {
             .collect();
         self.run_tasks(ranges, |i, range| f(i, &items[range]))
     }
-
-    /// Split an owned vector into ≈`parts` contiguous chunks and run
-    /// `f(chunk_index, chunk)` over them, order-preserving. Used when the
-    /// work consumes its input (e.g. join rows extended by move).
-    pub fn map_owned_chunks<T, R, F>(&self, items: Vec<T>, parts: usize, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, Vec<T>) -> R + Sync,
-    {
-        if self.threads <= 1 || parts <= 1 || items.len() <= 1 {
-            return vec![f(0, items)];
-        }
-        let per = items.len().div_ceil(parts.max(1));
-        let mut items = items;
-        let mut chunks: Vec<Vec<T>> = Vec::new();
-        while items.len() > per {
-            let tail = items.split_off(per);
-            chunks.push(std::mem::replace(&mut items, tail));
-        }
-        chunks.push(items);
-        self.run_tasks(chunks, f)
-    }
-}
-
-impl Default for WorkerPool {
-    /// A sequential pool (1 thread): parallelism is strictly opt-in.
-    fn default() -> Self {
-        WorkerPool::new(1)
-    }
 }
 
 #[cfg(test)]
@@ -209,18 +181,6 @@ mod tests {
         let chunks = pool.map_chunks(&data, 128, |_, c| c.to_vec());
         let merged: Vec<u32> = chunks.into_iter().flatten().collect();
         assert_eq!(merged, data, "order-preserving merge");
-    }
-
-    #[test]
-    fn map_owned_chunks_round_trips() {
-        let pool = WorkerPool::new(4);
-        let data: Vec<String> = (0..997).map(|i| format!("row{i}")).collect();
-        let out: Vec<String> = pool
-            .map_owned_chunks(data.clone(), 4, |_, chunk| chunk)
-            .into_iter()
-            .flatten()
-            .collect();
-        assert_eq!(out, data);
     }
 
     #[test]

@@ -47,29 +47,9 @@ impl Solutions {
     }
 }
 
-/// Evaluation knobs; [`Default`] is fully sequential. Evaluation polls
-/// the calling thread's ambient [`CancelToken`](crosse_exec::CancelToken)
-/// between BGP probe batches and inside long probe loops, so a serving
-/// layer's deadline reaches SPARQL legs without explicit plumbing.
-#[derive(Debug, Clone)]
-pub struct EvalOptions {
-    /// Worker threads for partition-parallel probe batches (the BGP join
-    /// loop). Probe inputs are split into contiguous chunks, each worker
-    /// probes the shared store snapshot with its own scratch buffer, and
-    /// chunk outputs concatenate in order — bit-identical to sequential
-    /// evaluation. 1 (the default) disables the worker pool.
-    pub threads: usize,
-}
-
-impl Default for EvalOptions {
-    fn default() -> Self {
-        EvalOptions { threads: 1 }
-    }
-}
-
 /// Prepare and execute a parameter-free SELECT in one step.
 pub fn query(store: &TripleStore, graphs: &[&str], sparql: &str) -> Result<Solutions> {
-    prepare(sparql)?.execute(store, graphs, &SparqlParams::new(), &EvalOptions::default())
+    prepare(sparql)?.execute(store, graphs, &SparqlParams::new())
 }
 
 /// Any query form's result: SELECT solutions, an ASK boolean or a
@@ -83,7 +63,7 @@ pub enum QueryOutcome {
 
 /// Prepare and execute a parameter-free query of any form.
 pub fn query_any(store: &TripleStore, graphs: &[&str], sparql: &str) -> Result<QueryOutcome> {
-    prepare_any(sparql)?.run(store, graphs, &SparqlParams::new(), &EvalOptions::default())
+    prepare_any(sparql)?.run(store, graphs, &SparqlParams::new())
 }
 
 impl Prepared {
@@ -94,9 +74,8 @@ impl Prepared {
         store: &TripleStore,
         graphs: &[&str],
         params: &SparqlParams,
-        options: &EvalOptions,
     ) -> Result<QueryOutcome> {
-        let sols = self.execute(store, graphs, params, options)?;
+        let sols = self.execute(store, graphs, params)?;
         Ok(match self.form() {
             Form::Select => QueryOutcome::Solutions(sols),
             // An ASK plan projects nothing and stops at the first solution.

@@ -15,4 +15,4 @@ pub mod parser;
 mod paths;
 pub mod prepared;
 
-pub use prepared::{prepare, prepare_any, Prepared, SolutionCursor, SparqlParams};
+pub use prepared::{prepare, prepare_any, Prepared, SparqlParams};

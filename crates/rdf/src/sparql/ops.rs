@@ -17,9 +17,9 @@
 //! slots, so the right side of an OPTIONAL, evaluated once per left row,
 //! is planned once. Probes are
 //! index-nested-loop: input rows are sorted on their bound probe prefix so
-//! consecutive range scans hit warm B-tree nodes, an identical consecutive
-//! probe reuses the previous scan, and with a worker budget
-//! ([`EvalOptions::threads`]) large batches probe partition-parallel.
+//! consecutive range scans hit warm B-tree nodes, and an identical
+//! consecutive probe reuses the previous scan. Everything runs on the
+//! caller's thread.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -34,7 +34,7 @@ use crate::term::{DictReader, Term, TermId};
 
 use super::ast::CmpOp;
 use super::compile::{Bgp, CExpr, CTerm, CTriple, Kind, Op, Plan, Shape, Slot};
-use super::eval::{EvalOptions, Solutions};
+use super::eval::Solutions;
 
 /// A (partial) solution row: one optional binding per variable slot.
 pub(super) type Bindings = Vec<Option<TermId>>;
@@ -55,9 +55,8 @@ pub(super) enum RTerm<'t> {
     Owned(Term),
 }
 
-/// Minimum probe-batch size before [`EvalOptions::threads`] actually
-/// spawns workers: smaller batches finish faster than a thread spawn.
-const PARALLEL_PROBE_MIN: usize = 1024;
+/// Input rows the probe loop handles between two cancellation checks.
+const CANCEL_CHECK_EVERY: usize = 1024;
 
 /// A BGP leaf's plan for one execution.
 #[derive(Default)]
@@ -79,7 +78,6 @@ pub(super) struct Exec<'a> {
     /// Numeric interpretations memoised per term id (FILTER hot path).
     nums: RefCell<HashMap<TermId, Option<f64>>>,
     bgps: RefCell<Vec<BgpPlan>>,
-    threads: usize,
     cancel: CancelToken,
 }
 
@@ -89,9 +87,8 @@ pub(super) fn execute(
     store: &TripleStore,
     graphs: &[&str],
     bound: &[Term],
-    options: &EvalOptions,
 ) -> Result<Solutions> {
-    let exec = Exec::new(plan, store, graphs, bound, options);
+    let exec = Exec::new(plan, store, graphs, bound);
     let rows = exec.run(&plan.root, vec![vec![None; plan.vars.len()]])?;
     let out = &plan.output;
     let rows = match &out.shape {
@@ -114,7 +111,6 @@ impl<'a> Exec<'a> {
         store: &'a TripleStore,
         graphs: &'a [&'a str],
         bound: &[Term],
-        options: &EvalOptions,
     ) -> Self {
         let mut locals: Vec<Term> = Vec::new();
         let ids = {
@@ -142,7 +138,6 @@ impl<'a> Exec<'a> {
             locals,
             nums: RefCell::new(HashMap::new()),
             bgps: RefCell::new((0..plan.bgps).map(|_| BgpPlan::default()).collect()),
-            threads: options.threads.max(1),
             cancel: CancelToken::current(),
         }
     }
@@ -340,29 +335,13 @@ impl<'a> Exec<'a> {
 
     /// Join every input row with one plain pattern. The per-row loop is
     /// id-native: no dictionary lookups and one scratch buffer for every
-    /// probe. With a worker budget and a large enough batch the sorted
-    /// rows are split into contiguous chunks probed partition-parallel
-    /// against one shared [`Prober`]; chunk outputs concatenate in order,
-    /// bit-identical to the sequential loop.
+    /// probe.
     fn extend_simple(&self, t: &CTriple, mut rows: Vec<Bindings>) -> Vec<Bindings> {
         let pos = t.slots.map(|s| self.pos(s));
         if rows.len() > 16 && pos.iter().any(|p| matches!(p, Pos::Var(_))) {
             rows.sort_by_cached_key(|row| probe(&pos, row));
         }
-        let cancel = &self.cancel;
-        self.store.with_prober(self.graphs, |prober| {
-            if self.threads > 1 && rows.len() >= PARALLEL_PROBE_MIN {
-                let pool = crosse_exec::WorkerPool::new(self.threads);
-                pool.map_owned_chunks(rows, self.threads, |_, chunk| {
-                    probe_rows(&pos, prober, chunk, cancel)
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            } else {
-                probe_rows(&pos, prober, rows, cancel)
-            }
-        })
+        self.store.with_prober(self.graphs, |prober| probe_rows(&pos, prober, rows, &self.cancel))
     }
 
     /// Evaluate a compiled FILTER / HAVING expression, three-valued: an
@@ -557,9 +536,7 @@ fn probe(pos: &[Pos; 3], row: &Bindings) -> IdPattern {
     (v(pos[0]), v(pos[1]), v(pos[2]))
 }
 
-/// The probe loop of [`Exec::extend_simple`] over one chunk of input rows
-/// (a free function so worker threads can run it against the shared
-/// prober without borrowing the execution).
+/// The probe loop of [`Exec::extend_simple`].
 fn probe_rows(
     pos: &[Pos; 3],
     prober: &Prober<'_>,
@@ -588,7 +565,7 @@ fn probe_rows(
         // Stop early on cancellation: the partial output is discarded by
         // the typed error the BGP loop raises at its next batch boundary.
         since_check += 1;
-        if since_check >= PARALLEL_PROBE_MIN {
+        if since_check >= CANCEL_CHECK_EVERY {
             since_check = 0;
             if cancel.check().is_err() {
                 return out;

@@ -26,7 +26,7 @@ use crate::term::Term;
 
 use super::ast::ParsedQuery;
 use super::compile::{compile, Form, Plan};
-use super::eval::{EvalOptions, Solutions};
+use super::eval::Solutions;
 use super::parser::{parse_any, parse_query};
 
 /// Term bindings for the parameter slots of a prepared query.
@@ -116,13 +116,16 @@ impl Prepared {
         &self.plan.form
     }
 
-    /// Bind `params` and run the query against the union of `graphs`.
+    /// Bind `params` and run the query against the union of `graphs`, on
+    /// the caller's thread. Evaluation polls that thread's ambient
+    /// [`CancelToken`](crosse_exec::CancelToken) between BGP probe batches
+    /// and inside long probe loops, so a serving layer's deadline reaches
+    /// SPARQL legs without explicit plumbing.
     pub fn execute(
         &self,
         store: &TripleStore,
         graphs: &[&str],
         params: &SparqlParams,
-        options: &EvalOptions,
     ) -> Result<Solutions> {
         let bound = self
             .plan
@@ -130,51 +133,7 @@ impl Prepared {
             .iter()
             .map(|slot| params.lookup(slot))
             .collect::<Result<Vec<_>>>()?;
-        super::ops::execute(&self.plan, store, graphs, &bound, options)
-    }
-
-    /// Execute, returning a cursor over the solutions.
-    pub fn cursor(
-        &self,
-        store: &TripleStore,
-        graphs: &[&str],
-        params: &SparqlParams,
-        options: &EvalOptions,
-    ) -> Result<SolutionCursor> {
-        Ok(SolutionCursor::new(self.execute(store, graphs, params, options)?))
-    }
-}
-
-/// A pull-style cursor over a solution set: the uniform consumption shape
-/// shared with the relational `Rows` cursor (the SPARQL evaluator
-/// materialises solutions, so this cursor streams the hand-off, not the
-/// probe loop).
-#[derive(Debug)]
-pub struct SolutionCursor {
-    variables: Vec<String>,
-    rows: std::vec::IntoIter<Vec<Option<Term>>>,
-}
-
-impl SolutionCursor {
-    pub fn new(sols: Solutions) -> Self {
-        SolutionCursor { variables: sols.variables, rows: sols.rows.into_iter() }
-    }
-
-    pub fn variables(&self) -> &[String] {
-        &self.variables
-    }
-
-    /// Remaining solutions, materialised back into a [`Solutions`].
-    pub fn collect_solutions(self) -> Solutions {
-        Solutions { variables: self.variables, rows: self.rows.collect() }
-    }
-}
-
-impl Iterator for SolutionCursor {
-    type Item = Vec<Option<Term>>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.rows.next()
+        super::ops::execute(&self.plan, store, graphs, &bound)
     }
 }
 
@@ -196,7 +155,7 @@ mod tests {
     }
 
     fn run(p: &Prepared, s: &TripleStore, params: &SparqlParams) -> Result<Solutions> {
-        p.execute(s, &["kb"], params, &EvalOptions::default())
+        p.execute(s, &["kb"], params)
     }
 
     #[test]
@@ -310,17 +269,13 @@ mod tests {
     }
 
     #[test]
-    fn cursor_streams_solutions() {
+    fn execute_keeps_projection_order_and_row_count() {
         let s = store();
-        let p = prepare("SELECT ?s ?o WHERE { ?s <dangerLevel> ?o }").unwrap();
-        let cur = p.cursor(&s, &["kb"], &SparqlParams::new(), &EvalOptions::default()).unwrap();
-        assert_eq!(cur.variables().to_vec(), vec!["s", "o"]);
-        let mut n = 0;
-        for row in cur {
-            assert_eq!(row.len(), 2);
-            n += 1;
-        }
-        assert_eq!(n, 3);
+        let p = prepare("SELECT ?o ?s WHERE { ?s <dangerLevel> ?o }").unwrap();
+        let sols = run(&p, &s, &SparqlParams::new()).unwrap();
+        assert_eq!(sols.variables, vec!["o", "s"]);
+        assert_eq!(sols.len(), 3);
+        assert!(sols.rows.iter().all(|row| row.len() == 2));
     }
 
     #[test]

@@ -134,7 +134,6 @@ mod tests {
 
     #[test]
     fn held_stored_query_sees_terms_inserted_later() {
-        use crate::sparql::eval::EvalOptions;
         use crate::sparql::SparqlParams;
         use crate::store::{Triple, TripleStore};
         use crate::term::Term;
@@ -143,11 +142,7 @@ mod tests {
         reg.register("q", "SELECT ?e WHERE { ?e <isA> <Hazard> }").unwrap();
         let q = reg.get("q").unwrap();
         let store = TripleStore::new();
-        let run = || {
-            q.prepared
-                .execute(&store, &["kb"], &SparqlParams::new(), &EvalOptions::default())
-                .unwrap()
-        };
+        let run = || q.prepared.execute(&store, &["kb"], &SparqlParams::new()).unwrap();
         assert!(run().is_empty(), "<Hazard> is not in the store yet");
         store.insert("kb", &Triple::new(Term::iri("Hg"), Term::iri("isA"), Term::iri("Hazard"))).unwrap();
         assert_eq!(run().column("e").unwrap(), vec![Term::iri("Hg")]);

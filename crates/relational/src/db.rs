@@ -221,7 +221,9 @@ impl Database {
     /// Set the worker-thread budget for morsel-parallel query execution
     /// (scan/filter/project pipelines and hash-join probe sides partition
     /// pinned snapshots across this many threads). 1 disables parallelism;
-    /// 0 is clamped to 1. Applies to every clone of this database.
+    /// 0 is clamped to 1. Applies to every clone of this database. This is
+    /// the engine's only thread budget: SPARQL legs run on the caller's
+    /// thread.
     pub fn set_exec_threads(&self, threads: usize) {
         self.exec_threads
             .store(threads.max(1), std::sync::atomic::Ordering::Release);
@@ -266,19 +268,21 @@ impl Database {
     /// layers (the SESQL engine's `EXPLAIN`, tooling) can inspect the
     /// exact plan a statement would run as.
     pub fn plan_optimized(&self, select: &Select) -> Result<crate::opt::Optimized> {
-        self.plan_scoped(select, &[])
+        Ok(self.plan_scoped(select, &[])?.0)
     }
 
     /// [`Database::plan_optimized`] with the query-scoped relations of a
-    /// [`Prepared`] handle (see [`Prepared::with_table`]).
+    /// [`Prepared`] handle (see [`Prepared::with_table`]), plus the
+    /// base-table rows the statement's subqueries scanned while it was
+    /// planned.
     pub(crate) fn plan_scoped(
         &self,
         select: &Select,
         scoped: &[Arc<Table>],
-    ) -> Result<crate::opt::Optimized> {
+    ) -> Result<(crate::opt::Optimized, u64)> {
         let cfg = self.optimizer_config();
-        let plan = plan_select(&self.catalog, scoped, select, &cfg)?;
-        Ok(optimize(plan, &cfg)?)
+        let (plan, scanned) = plan_select(&self.catalog, scoped, select, &cfg)?;
+        Ok((optimize(plan, &cfg)?, scanned))
     }
 
     /// Compile a parsed SELECT into its executable form. Nothing is
@@ -1075,8 +1079,8 @@ mod tests {
         let plan = d.plan_optimized(&s).unwrap().plan;
         assert!(plan.explain().contains("IndexScan"));
         d.execute("DROP INDEX idx_city").unwrap();
-        let rows = crate::exec::execute_plan(&plan).unwrap();
-        assert_eq!(rows.len(), 2);
+        let rows = crate::exec::Rows::open(plan, 1, 0).unwrap().collect_rows().unwrap();
+        assert_eq!(rows.rows.len(), 2);
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub(super) type BoxRowIter = Box<dyn Iterator<Item = Result<Row>> + Send>;
 /// registry backing [`Plan::Shared`] nodes (one spool per shared-subtree
 /// id per execution).
 #[derive(Clone)]
-pub struct ExecCtx {
+pub(crate) struct ExecCtx {
     pub(super) scanned: Arc<AtomicU64>,
     pub(super) pool: Arc<WorkerPool>,
     spools: Arc<Mutex<HashMap<usize, Arc<Spool>>>>,
@@ -116,19 +116,15 @@ pub struct ExecCtx {
 }
 
 impl ExecCtx {
-    pub fn new(threads: usize) -> Self {
-        Self::with_cancel(threads, CancelToken::current())
-    }
-
-    /// A context with an explicit cancellation token (overrides the
-    /// ambient one).
-    pub fn with_cancel(threads: usize, cancel: CancelToken) -> Self {
+    /// A context on `threads` workers that starts its scanned counter at
+    /// `scanned` and polls the calling thread's ambient cancellation token.
+    fn new(threads: usize, scanned: u64) -> Self {
         ExecCtx {
-            scanned: Arc::new(AtomicU64::new(0)),
+            scanned: Arc::new(AtomicU64::new(scanned)),
             pool: Arc::new(WorkerPool::new(threads)),
             spools: Arc::new(Mutex::new_labeled("exec.spools", HashMap::new())),
             builds: Arc::new(Mutex::new_labeled("exec.builds", HashMap::new())),
-            cancel,
+            cancel: CancelToken::current(),
         }
     }
 }
@@ -257,48 +253,23 @@ pub struct Rows {
 }
 
 impl Rows {
-    /// Lower a plan into a sequential cursor. The plan is consumed; clone
-    /// a cached template first.
-    pub fn from_plan(plan: Plan) -> Result<Rows> {
-        Self::from_plan_parallel(plan, 1)
-    }
-
     /// Lower a plan into a cursor executing with up to `threads` workers
-    /// for morsel-parallel operators (1 = fully sequential). Picks up the
-    /// ambient [`CancelToken`] if one is installed on this thread.
-    pub fn from_plan_parallel(plan: Plan, threads: usize) -> Result<Rows> {
-        Self::lower(plan, ExecCtx::new(threads))
-    }
-
-    /// Lower a plan into a cursor that cooperatively honours `cancel`:
-    /// once the token trips (or its deadline passes), the cursor yields
-    /// `Error::Interrupted` at the next batch boundary instead of running
-    /// to completion — [`Rows::rows_scanned`] then proves the scan stopped
-    /// short.
-    pub fn from_plan_with(plan: Plan, threads: usize, cancel: CancelToken) -> Result<Rows> {
-        Self::lower(plan, ExecCtx::with_cancel(threads, cancel))
-    }
-
-    /// Open the cursor. Foreign leaves are fetched here, when the cursor
-    /// opens and never at plan time, so a replayed template reads live.
-    fn lower(plan: Plan, ctx: ExecCtx) -> Result<Rows> {
+    /// for morsel-parallel operators (1 = fully sequential). The plan is
+    /// consumed; clone a cached template first. The cursor polls the
+    /// ambient [`CancelToken`] installed on this thread, if any.
+    ///
+    /// Foreign leaves are fetched here, when the cursor opens and never at
+    /// plan time, so a replayed template reads live. `planned` is the
+    /// base-table rows the statement's subqueries scanned when it was
+    /// planned: the cursor's [`Rows::rows_scanned`] starts from it and adds
+    /// the foreign rows fetched, so a statement is charged for all it read.
+    pub(crate) fn open(plan: Plan, threads: usize, planned: u64) -> Result<Rows> {
         let schema = plan.schema().clone();
         let (plan, fetched) = crate::foreign::fetch_leaves(plan)?;
-        ctx.scanned.fetch_add(fetched as u64, AtomicOrdering::Relaxed);
+        let ctx = ExecCtx::new(threads, planned + fetched as u64);
         let scanned = Arc::clone(&ctx.scanned);
         let iter = stream_plan(plan, ctx)?;
         Ok(Rows { schema, iter, scanned })
-    }
-
-    /// Wrap an already-materialised result (used by layers that post-
-    /// process rows eagerly but still expose the cursor API).
-    pub fn from_rowset(rows: RowSet) -> Rows {
-        let scanned = Arc::new(AtomicU64::new(rows.rows.len() as u64));
-        Rows {
-            schema: rows.schema,
-            iter: Box::new(rows.rows.into_iter().map(Ok)),
-            scanned,
-        }
     }
 
     pub fn schema(&self) -> &Schema {
@@ -530,7 +501,7 @@ impl HashProbe {
 
 /// Lower a plan into a lazy row iterator, charging base-table fetches to
 /// the context's scanned counter and driving scan fragments inline or on
-/// the context's worker pool. Only [`Rows::lower`] calls in from outside,
+/// the context's worker pool. Only [`Rows::open`] calls in from outside,
 /// after it has fetched the plan's foreign leaves.
 fn stream_plan(plan: Plan, ctx: ExecCtx) -> Result<BoxRowIter> {
     let plan = match fragment(plan) {
@@ -544,7 +515,7 @@ fn stream_plan(plan: Plan, ctx: ExecCtx) -> Result<BoxRowIter> {
         Plan::Scan { .. } | Plan::IndexScan { .. } => {
             unreachable!("a scan leaf is a fragment")
         }
-        Plan::ForeignScan { .. } => unreachable!("Rows::lower fetches every foreign leaf"),
+        Plan::ForeignScan { .. } => unreachable!("Rows::open fetches every foreign leaf"),
         Plan::Filter { input, predicate } => {
             let step = FilterProject { predicate: Some(predicate), exprs: None };
             Ok(step.stream(stream_plan(*input, ctx)?))

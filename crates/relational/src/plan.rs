@@ -11,6 +11,7 @@
 //! scans and ships conjuncts to foreign sources.
 
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -416,28 +417,33 @@ pub fn infer_type(expr: &Expr, schema: &Schema) -> DataType {
 /// Plan a SELECT statement against a catalog and the query-scoped
 /// relations `scoped` (tables no catalog holds, resolved by name before
 /// the catalog; see [`crate::Prepared::with_table`]). Its subqueries run
-/// at plan time, each optimized under `cfg` like any other statement; the
-/// plan returned is not optimized yet.
+/// at plan time, each optimized under `cfg` like any other statement.
+/// Returns the plan, not optimized yet, and the base-table rows those
+/// subqueries scanned.
 pub fn plan_select(
     catalog: &Catalog,
     scoped: &[Arc<Table>],
     select: &Select,
     cfg: &OptimizerConfig,
-) -> Result<Plan> {
-    Planner { catalog, scoped, cfg }.select(select)
+) -> Result<(Plan, u64)> {
+    let planner = Planner { catalog, scoped, cfg, scanned: Cell::new(0) };
+    let plan = planner.select(select)?;
+    Ok((plan, planner.scanned.get()))
 }
 
 /// Materialise every (uncorrelated) subquery inside `e` into literal form —
 /// the same pass SELECT planning applies to its WHERE clause, exposed so
 /// DELETE/UPDATE filters accept subqueries too.
 pub fn resolve_expr_subqueries(catalog: &Catalog, e: Expr, cfg: &OptimizerConfig) -> Result<Expr> {
-    Planner { catalog, scoped: &[], cfg }.resolve_subqueries(e)
+    Planner { catalog, scoped: &[], cfg, scanned: Cell::new(0) }.resolve_subqueries(e)
 }
 
 struct Planner<'a> {
     catalog: &'a Catalog,
     scoped: &'a [Arc<Table>],
     cfg: &'a OptimizerConfig,
+    /// Base-table rows scanned by the subqueries run so far.
+    scanned: Cell<u64>,
 }
 
 impl<'a> Planner<'a> {
@@ -524,11 +530,15 @@ impl<'a> Planner<'a> {
         Ok(plan)
     }
 
-    /// Optimize and execute one uncorrelated subquery and return its rows.
+    /// Optimize and execute one uncorrelated subquery and return its rows,
+    /// charging the rows it scanned to the statement.
     fn subquery_rows(&self, query: &Select) -> Result<(Schema, Vec<Vec<Value>>)> {
         let plan = optimize(self.select(query)?, self.cfg)?.plan;
-        let rows = crate::exec::execute_plan(&plan)?;
-        Ok((plan.schema().clone(), rows))
+        let schema = plan.schema().clone();
+        let mut cursor = crate::exec::Rows::open(plan, 1, 0)?;
+        let rows = cursor.by_ref().collect::<Result<_>>()?;
+        self.scanned.set(self.scanned.get() + cursor.rows_scanned());
+        Ok((schema, rows))
     }
 
     /// Materialise every subquery in `e` into literal form:
@@ -1263,7 +1273,7 @@ mod tests {
         let Statement::Select(s) = parse_statement(sql).unwrap() else {
             panic!("not a select")
         };
-        plan_select(&catalog(), &[], &s, &OptimizerConfig::none())
+        plan_select(&catalog(), &[], &s, &OptimizerConfig::none()).map(|(p, _)| p)
     }
 
     #[test]
@@ -1561,7 +1571,7 @@ mod tests {
             panic!("not a select")
         };
         let cfg = OptimizerConfig::default();
-        optimize(plan_select(cat, &[], &s, &cfg).unwrap(), &cfg).unwrap().plan
+        optimize(plan_select(cat, &[], &s, &cfg).unwrap().0, &cfg).unwrap().plan
     }
 
     fn find_index_scan(p: &Plan) -> Option<&IndexLookup> {

@@ -542,35 +542,40 @@ impl Prepared {
     /// subqueries run at plan time). Execution inherits the database's
     /// worker-thread budget (see `Database::set_exec_threads`).
     pub fn execute(&self, params: &Params) -> Result<Rows> {
-        Rows::from_plan_parallel(self.plan(params, true)?, self.db.exec_threads())
+        let (plan, scanned) = self.plan(params, true)?;
+        Rows::open(plan, self.db.exec_threads(), scanned)
     }
 
     /// [`Prepared::execute`] for a handle that is dropped with the call
     /// (ad-hoc text, a rewritten SESQL leg): no later execution could
     /// replay a template, so none is kept.
     pub fn execute_once(self, params: &Params) -> Result<Rows> {
-        Rows::from_plan_parallel(self.plan(params, false)?, self.db.exec_threads())
+        let (plan, scanned) = self.plan(params, false)?;
+        Rows::open(plan, self.db.exec_threads(), scanned)
     }
 
-    /// The plan one execution with `params` runs: the only place a
+    /// The plan one execution with `params` runs, and the base-table rows
+    /// its subqueries scanned while it was planned: the only place a
     /// statement is planned for execution. `keep` stores a replayable
-    /// statement's plan as the template (at the price of one clone).
-    pub(crate) fn plan(&self, params: &Params, keep: bool) -> Result<Plan> {
+    /// statement's plan as the template (at the price of one clone); a
+    /// replayed template scanned nothing, as it has no subquery.
+    pub(crate) fn plan(&self, params: &Params, keep: bool) -> Result<(Plan, u64)> {
         let memo = self.memo();
         Ok(if !memo.slots.is_empty() {
-            self.db.plan_scoped(&self.bind(params)?, &self.scoped)?.plan
+            let (optimized, scanned) = self.db.plan_scoped(&self.bind(params)?, &self.scoped)?;
+            (optimized.plan, scanned)
         } else if let Some(template) = &memo.template {
-            (**template).clone()
+            ((**template).clone(), 0)
         } else {
             // Templates are kept post-optimization: later executions
             // replay the rewritten (pushed-down, spooled) shape directly.
-            let plan = self.db.plan_scoped(&self.select, &self.scoped)?.plan;
+            let (optimized, scanned) = self.db.plan_scoped(&self.select, &self.scoped)?;
             if keep && memo.replayable {
                 if let Some(m) = self.memo.lock().as_mut().filter(|m| m.tag == memo.tag) {
-                    m.template = Some(Arc::new(plan.clone()));
+                    m.template = Some(Arc::new(optimized.plan.clone()));
                 }
             }
-            plan
+            (optimized.plan, scanned)
         })
     }
 
@@ -586,13 +591,13 @@ impl Prepared {
                  value-dependent access paths can be chosen",
             ));
         }
-        Ok(self.db.plan_scoped(&self.select, &self.scoped)?.render())
+        Ok(self.db.plan_scoped(&self.select, &self.scoped)?.0.render())
     }
 
     /// [`Prepared::explain`] with parameters bound — shows the plan the
     /// next [`Prepared::execute`] with these values would run.
     pub fn explain_with(&self, params: &Params) -> Result<String> {
-        Ok(self.db.plan_scoped(&self.bind(params)?, &self.scoped)?.render())
+        Ok(self.db.plan_scoped(&self.bind(params)?, &self.scoped)?.0.render())
     }
 
     /// Execute and materialise (the `collect()` adapter over
@@ -773,6 +778,37 @@ mod tests {
             assert_eq!(read(&held), after, "{sql}: held handle");
             assert_eq!(read(&d.prepare(sql).unwrap()), after, "{sql}: prepared again");
         }
+    }
+
+    #[test]
+    fn subquery_scans_are_charged_to_the_statement() {
+        // Subqueries run at plan time on cursors of their own; the
+        // statement's cursor still reports every base-table row read.
+        let d = Database::new();
+        d.execute_script(
+            "CREATE TABLE a (x INT);
+             INSERT INTO a VALUES (1), (2), (3), (4), (5);
+             CREATE TABLE b (y INT);
+             INSERT INTO b VALUES (1), (3), (5);
+             CREATE TABLE c (z INT);
+             INSERT INTO c VALUES (3), (5);",
+        )
+        .unwrap();
+        let drain = |mut rows: Rows| {
+            while let Some(r) = rows.next_row() {
+                r.unwrap();
+            }
+            rows.rows_scanned()
+        };
+        let sql = "SELECT x FROM a WHERE x IN (SELECT y FROM b)";
+        assert_eq!(drain(d.query_cursor(sql).unwrap()), 5 + 3, "ad hoc");
+        let held = d.prepare(sql).unwrap();
+        for run in 0..2 {
+            assert_eq!(drain(held.execute(&Params::new()).unwrap()), 5 + 3, "run {run}");
+        }
+        // A nested subquery is charged once, through the one enclosing it.
+        let nested = "SELECT x FROM a WHERE x IN (SELECT y FROM b WHERE y IN (SELECT z FROM c))";
+        assert_eq!(drain(d.query_cursor(nested).unwrap()), 5 + 3 + 2);
     }
 
     #[test]

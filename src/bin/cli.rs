@@ -163,7 +163,7 @@ fn main() {
                      --threads N    worker threads for intra-query parallelism (default 1).\n\
                      \x20              Scans, filters, projections and hash-join probes\n\
                      \x20              partition table snapshots across N threads; SPARQL\n\
-                     \x20              probe batches use the same budget.\n\
+                     \x20              runs on the calling thread.\n\
                      --data-dir DIR persist the databank and knowledge base at DIR through\n\
                      \x20              a write-ahead log: first run seeds and logs, later\n\
                      \x20              runs recover (snapshot + log replay). Adds the\n\

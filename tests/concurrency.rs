@@ -755,48 +755,6 @@ fn parallel_scans_stay_consistent_under_concurrent_dml() {
 }
 
 #[test]
-fn parallel_sparql_probe_matches_sequential() {
-    use crosse::rdf::sparql::eval::EvalOptions;
-    use crosse::rdf::sparql::{prepare, SparqlParams};
-
-    let store = TripleStore::new();
-    // A two-hop star wide enough to push probe batches past the parallel
-    // threshold (> 1024 intermediate rows).
-    for i in 0..60 {
-        for j in 0..40 {
-            store.insert(
-                "kb",
-                &Triple::new(
-                    Term::iri(format!("hub{i}")),
-                    Term::iri("linksTo"),
-                    Term::iri(format!("leaf{i}_{j}")),
-                ),
-            ).unwrap();
-            store.insert(
-                "kb",
-                &Triple::new(
-                    Term::iri(format!("leaf{i}_{j}")),
-                    Term::iri("weight"),
-                    Term::lit(((i * j) % 17).to_string()),
-                ),
-            ).unwrap();
-        }
-    }
-    let q = prepare(
-        "SELECT ?hub ?leaf ?w WHERE { ?hub <linksTo> ?leaf . ?leaf <weight> ?w }",
-    )
-    .unwrap();
-    let run = |threads| {
-        q.execute(&store, &["kb"], &SparqlParams::new(), &EvalOptions { threads })
-            .unwrap()
-    };
-    let sequential = run(1);
-    let parallel = run(stress_threads(4));
-    assert_eq!(sequential.len(), 60 * 40);
-    assert_eq!(sequential.rows, parallel.rows, "parallel probe must be bit-identical");
-}
-
-#[test]
 fn parallel_session_queries_under_kb_writer() {
     // The full stack with a worker pool: SESQL enrichment + SPARQL legs on
     // a multi-threaded engine while the KB takes writes.

@@ -1080,7 +1080,6 @@ proptest! {
         positional in any::<bool>(),
         picks in (0usize..16, 0usize..16),
     ) {
-        use crosse::rdf::sparql::eval::EvalOptions;
         use crosse::rdf::sparql::{prepare, SparqlParams};
         use crosse::rdf::term::Term;
 
@@ -1123,7 +1122,7 @@ proptest! {
             } else {
                 SparqlParams::new().set("p", t.clone())
             };
-            let bound = prepared.execute(&store, &["kb"], &params, &EvalOptions::default()).unwrap();
+            let bound = prepared.execute(&store, &["kb"], &params).unwrap();
             let text = match &t {
                 Term::Iri(i) => format!("<{i}>"),
                 other => format!("\"{}\"", other.lexical_form()),
