@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use crosse::core::sesql::scanner::extract_tags;
 use crosse::prelude::*;
 use crosse::rdf::{TriplePattern, TripleStore};
-use crosse::relational::value::Value as RValue;
+use crosse::relational::value::{DataType, Value as RValue};
 
 // ---- relational value ordering ---------------------------------------------
 
@@ -1130,6 +1130,118 @@ proptest! {
             let textual = crosse::rdf::sparql::eval::query(&store, &["kb"], &template.replace("{P}", &text))
                 .unwrap();
             prop_assert_eq!(&bound, &textual, "shape {} bound to {:?}", shape, t);
+        }
+    }
+}
+
+// ---- held handles over changing data -----------------------------------------
+
+/// Statements of the held-handle oracle over `a (k, f, s)`, indexed on
+/// every column, and `b (k, f, s)`, indexed on none: subqueries with
+/// NULLs on both sides, EXISTS, scalar subqueries in WHERE and in the
+/// projection, and `$p` / `?` slots on indexed and unindexed INT, FLOAT
+/// and TEXT columns. Each slot names the column type it is bound for.
+const HELD_STATEMENTS: &[(&str, Option<DataType>)] = &[
+    ("SELECT k, s FROM a WHERE k IN (SELECT k FROM b)", None),
+    ("SELECT k, s FROM a WHERE k NOT IN (SELECT k FROM b)", None),
+    ("SELECT k, f FROM b WHERE s IN (SELECT s FROM a WHERE f > 1.0)", None),
+    ("SELECT k FROM b WHERE k NOT IN (SELECT k FROM a WHERE s <> 'a')", None),
+    ("SELECT k, s FROM a WHERE EXISTS (SELECT k FROM b WHERE k = 2)", None),
+    ("SELECT k FROM b WHERE NOT EXISTS (SELECT k FROM a WHERE s = 'c')", None),
+    ("SELECT k, f FROM a WHERE f > (SELECT MIN(f) FROM b)", None),
+    ("SELECT k FROM a WHERE k = (SELECT MAX(k) FROM b)", None),
+    ("SELECT k, (SELECT COUNT(*) FROM b WHERE f IS NULL) FROM a", None),
+    ("SELECT s, (SELECT MAX(s) FROM b) FROM a WHERE k < 3", None),
+    ("SELECT k, s FROM a WHERE k = $p", Some(DataType::Int)),
+    ("SELECT k, s FROM b WHERE k = ?", Some(DataType::Int)),
+    ("SELECT k, f FROM a WHERE f = $p", Some(DataType::Float)),
+    ("SELECT k, f FROM b WHERE f >= ?", Some(DataType::Float)),
+    ("SELECT k, f FROM a WHERE f < ?", Some(DataType::Float)),
+    ("SELECT k, s FROM a WHERE s = $p", Some(DataType::Text)),
+    ("SELECT k, s FROM b WHERE s = ?", Some(DataType::Text)),
+    ("SELECT k FROM a WHERE k IN (SELECT k FROM b WHERE f > $p)", Some(DataType::Float)),
+    ("SELECT k FROM a WHERE f BETWEEN $p AND 2.0", Some(DataType::Float)),
+];
+
+/// The values a slot of type `t` is bound to: NULL each time, and INT
+/// values on FLOAT slots on purpose.
+fn held_values(t: DataType) -> Vec<RValue> {
+    match t {
+        DataType::Int => vec![RValue::Null, RValue::Int(0), RValue::Int(2), RValue::Int(4)],
+        DataType::Float => vec![RValue::Null, RValue::Int(1), RValue::Float(1.5), RValue::Int(2)],
+        _ => vec![RValue::Null, RValue::from("a"), RValue::from("c"), RValue::from("z")],
+    }
+}
+
+/// One `(k, f, s)` row as SQL text, each code past its range a NULL.
+fn held_row((k, f, s): (u8, u8, u8)) -> String {
+    let k = if k >= 5 { "NULL".to_string() } else { k.to_string() };
+    let f = if f >= 5 { "NULL".to_string() } else { format!("{:?}", f as f64 / 2.0) };
+    let s = ["'a'", "'b'", "'c'", "NULL"][s as usize % 4];
+    format!("({k}, {f}, {s})")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A `prepare`d handle held across INSERT / DELETE on both tables of
+    /// its statement answers each run as the literal-substituted text
+    /// does, and as the same text does with no rewrite pass: subquery
+    /// results and bound slots are never frozen into what the handle
+    /// keeps, and index scans with open-time keys agree with sequential
+    /// scans on NULL keys and INT keys on FLOAT columns.
+    #[test]
+    fn held_handles_agree_with_substituted_text(
+        a_rows in prop::collection::vec((0u8..6, 0u8..6, 0u8..4), 0..12),
+        b_rows in prop::collection::vec((0u8..6, 0u8..6, 0u8..4), 0..12),
+        churn in prop::collection::vec((0u8..4, (0u8..6, 0u8..6, 0u8..4)), 3..5),
+        picks in prop::collection::vec(0usize..4, 5..6),
+    ) {
+        let setup = |db: &Database| {
+            db.execute_script(
+                "CREATE TABLE a (k INT, f FLOAT, s TEXT); CREATE TABLE b (k INT, f FLOAT, s TEXT);
+                 CREATE INDEX ak ON a (k); CREATE INDEX af ON a (f); CREATE INDEX as_ ON a (s);",
+            )
+            .unwrap();
+            for (t, rows) in [("a", &a_rows), ("b", &b_rows)] {
+                for &r in rows.iter() {
+                    db.execute(&format!("INSERT INTO {t} VALUES {}", held_row(r))).unwrap();
+                }
+            }
+        };
+        let db = Database::new();
+        setup(&db);
+        let plain = Database::new();
+        plain.set_optimizer_config(crosse::relational::OptimizerConfig::none());
+        setup(&plain);
+
+        let held: Vec<_> = HELD_STATEMENTS.iter().map(|(sql, _)| db.prepare(sql).unwrap()).collect();
+        for (run, pick) in picks.iter().enumerate() {
+            for ((sql, slot), handle) in HELD_STATEMENTS.iter().zip(&held) {
+                let mut params = crosse::relational::Params::new();
+                let mut text = sql.to_string();
+                if let Some(t) = slot {
+                    let v = held_values(*t).swap_remove(*pick);
+                    text = text.replace("$p", &sql_literal(&v)).replacen('?', &sql_literal(&v), 1);
+                    params = if sql.contains("$p") { params.set("p", v) } else { params.push(v) };
+                }
+                let got = sorted(handle.query(&params).unwrap().rows);
+                let want = sorted(db.query(&text).unwrap().rows);
+                prop_assert_eq!(&got, &want, "run {}: {} as {}", run, sql, text);
+                let unoptimized = sorted(plain.query(&text).unwrap().rows);
+                prop_assert_eq!(&got, &unoptimized, "run {} without rewrites: {}", run, text);
+            }
+            // Change both tables between runs.
+            let Some(&(op, row)) = churn.get(run) else { continue };
+            let (k, _, _) = row;
+            let dml = match op {
+                0 => format!("INSERT INTO a VALUES {}", held_row(row)),
+                1 => format!("INSERT INTO b VALUES {}", held_row(row)),
+                2 => format!("DELETE FROM b WHERE k = {k} OR k IS NULL"),
+                _ => "DELETE FROM a WHERE k IN (SELECT k FROM b WHERE f > 1.0)".to_string(),
+            };
+            db.execute(&dml).unwrap();
+            plain.execute(&dml).unwrap();
         }
     }
 }
