@@ -33,7 +33,7 @@
 //! | `R003` | error   | `panic!` outside tests/sabotage hooks |
 //! | `R004` | warning | unlabeled `Mutex::new`/`RwLock::new` in engine code |
 //! | `R005` | error   | crate root missing `#![forbid(unsafe_code)]` |
-//! | `R006` | error   | `Instant::now`/`SystemTime::now` in planner/optimizer code |
+//! | `R006` | error   | `Instant::now`/`SystemTime::now`, or outside tests `Rows`/`ExecCtx`/`fetch_leaves`, in planner/optimizer code |
 //!
 //! The `R`-prefixed rules are [`srclint`] — the workspace's own Rust
 //! sources linted by `cargo xtask srclint` with a hand-rolled,

@@ -19,7 +19,7 @@
 //! | `R003` | error   | `panic!` outside tests |
 //! | `R004` | warning | unlabeled `Mutex::new` / `RwLock::new` in engine code (use `new_labeled` so the lock participates in deadlock detection and `\lock-stats`) |
 //! | `R005` | error   | crate root missing `#![forbid(unsafe_code)]` |
-//! | `R006` | error   | `Instant::now` / `SystemTime::now` in planner/optimizer code (plans must be deterministic functions of catalog + query) |
+//! | `R006` | error   | `Instant::now` / `SystemTime::now` in planner/optimizer code, or, outside its tests, the executor's cursor (`Rows`), its context (`ExecCtx`) or `fetch_leaves` (plans must be deterministic functions of catalog + query, and planning runs nothing) |
 //! | `R000` | error   | malformed `srclint: allow` directive (unknown rule or missing justification) |
 //!
 //! ## Per-file allows
@@ -381,10 +381,11 @@ fn is_crate_root(path: &str) -> bool {
     p.ends_with("src/lib.rs") || p.ends_with("src/main.rs")
 }
 
-/// Planner/optimizer paths where `R006` (no wall-clock) applies: the plan
-/// builder and every rewrite pass. Plans must be deterministic functions
-/// of (catalog version, query text) — the plan cache and EXPLAIN
-/// snapshots depend on it.
+/// Planner/optimizer paths where `R006` (no wall-clock, no execution)
+/// applies: the plan builder and every rewrite pass. Plans must be
+/// deterministic functions of (catalog version, query text) — the plan
+/// cache and EXPLAIN snapshots depend on it — so planning reads no clock
+/// and runs no plan: a subquery or a foreign leaf runs when a cursor opens.
 fn is_planner_code(path: &str) -> bool {
     let p = path.replace('\\', "/");
     p.ends_with("relational/src/plan.rs") || p.contains("relational/src/opt/")
@@ -752,26 +753,23 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Diagnostic> {
             );
         }
 
-        // R006: wall-clock reads in planner/optimizer code.
-        if planner
-            && !allow("R006")
-            && (w == "Instant" || w == "SystemTime")
+        // R006: planner/optimizer code reads no clock and runs no plan.
+        let clock = (w == "Instant" || w == "SystemTime")
             && is(k + 1, ":")
             && is(k + 2, ":")
-            && is(k + 3, "now")
-        {
-            out.push(
-                Diagnostic::error(
-                    "R006",
-                    format!(
-                        "`{w}::now` in planner code on line {} — plans must be \
-                         deterministic functions of catalog + query (time the \
-                         execution, not the plan)",
-                        t.line
-                    ),
-                )
-                .with_span(t.start, t.end),
-            );
+            && is(k + 3, "now");
+        let runs = (w == "Rows" || w == "ExecCtx" || w == "fetch_leaves")
+            && !in_regions(&tests, t.start);
+        if planner && !allow("R006") && (clock || runs) {
+            let (what, why) = if clock {
+                (format!("{w}::now"), "plans must be deterministic functions of catalog + query \
+                                       (time the execution, not the plan)")
+            } else {
+                (w.to_string(), "planning runs nothing: a subquery or a foreign leaf runs when \
+                                 a cursor opens")
+            };
+            let msg = format!("`{what}` in planner code on line {} — {why}", t.line);
+            out.push(Diagnostic::error("R006", msg).with_span(t.start, t.end));
         }
     }
 
@@ -937,6 +935,19 @@ mod tests {
         let src = "fn f() { let _t = std::time::Instant::now(); }";
         assert_eq!(codes("crates/relational/src/opt/rules.rs", src), vec!["R006"]);
         assert!(codes("crates/relational/src/exec/stream.rs", src).is_empty());
+    }
+
+    #[test]
+    fn r006_flags_a_cursor_opened_by_the_planner() {
+        let src = r#"
+            fn rows(plan: Plan) { let _ = crate::exec::Rows::open(plan, 1, Vec::new()); }
+            #[cfg(test)]
+            mod tests { fn t(plan: Plan) { crate::exec::Rows::open(plan, 1, Vec::new()); } }
+        "#;
+        assert_eq!(codes("crates/relational/src/plan.rs", src), vec!["R006"]);
+        let fetch = "fn f(p: Plan) { crate::foreign::fetch_leaves(p); }";
+        assert_eq!(codes("crates/relational/src/opt/cse.rs", fetch), vec!["R006"]);
+        assert!(codes("crates/relational/src/prepared.rs", src).is_empty());
     }
 
     #[test]

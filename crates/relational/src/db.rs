@@ -9,11 +9,12 @@ use parking_lot::Mutex;
 pub use parking_lot::tracking::LockSiteStats;
 
 use crate::error::{Error, Result};
-use crate::exec::expr::bind;
+use crate::exec::expr::{bind, BoundExpr};
+use crate::exec::stream::ExecCtx;
 use crate::exec::Rows;
 use crate::foreign::{DataSource, Foreign};
 use crate::opt::{optimize, OptimizerConfig};
-use crate::plan::plan_select;
+use crate::plan::{plan_select, Plan};
 use crate::prepared::{normalize_sql, Params, Prepared, SharedMemo};
 use crate::schema::{Column, Schema};
 use crate::sql::ast::{Expr, Select, Statement};
@@ -268,21 +269,18 @@ impl Database {
     /// layers (the SESQL engine's `EXPLAIN`, tooling) can inspect the
     /// exact plan a statement would run as.
     pub fn plan_optimized(&self, select: &Select) -> Result<crate::opt::Optimized> {
-        Ok(self.plan_scoped(select, &[])?.0)
+        self.plan_scoped(select, &[])
     }
 
     /// [`Database::plan_optimized`] with the query-scoped relations of a
-    /// [`Prepared`] handle (see [`Prepared::with_table`]), plus the
-    /// base-table rows the statement's subqueries scanned while it was
-    /// planned.
+    /// [`Prepared`] handle (see [`Prepared::with_table`]).
     pub(crate) fn plan_scoped(
         &self,
         select: &Select,
         scoped: &[Arc<Table>],
-    ) -> Result<(crate::opt::Optimized, u64)> {
+    ) -> Result<crate::opt::Optimized> {
         let cfg = self.optimizer_config();
-        let (plan, scanned) = plan_select(&self.catalog, scoped, select, &cfg)?;
-        Ok((optimize(plan, &cfg)?, scanned))
+        Ok(optimize(plan_select(&self.catalog, scoped, select, &cfg)?, &cfg)?)
     }
 
     /// Compile a parsed SELECT into its executable form. Nothing is
@@ -300,8 +298,9 @@ impl Database {
     /// LRU keyed by normalized text (repeated `prepare` calls with
     /// equivalent text skip the front-end and share one plan template),
     /// plus what a caller preparing ahead of time relies on — the
-    /// statement is linted, and a parameterless one is planned now, so a
-    /// bad table is a prepare-time error.
+    /// statement is linted and planned now, so a bad table is a
+    /// prepare-time error, and the plan is kept as the template every
+    /// execution replays. Planning runs none of its subqueries.
     pub fn prepare(&self, sql: &str) -> Result<Prepared> {
         let key = normalize_sql(sql)?;
         let version = self.catalog.version();
@@ -337,9 +336,7 @@ impl Database {
         // slot outside the table we just derived (an engine bug in slot
         // collection or AST caching, not a user error).
         crate::opt::validate::check_param_slots(&select, slots.len()).map_err(Error::plan)?;
-        if slots.is_empty() {
-            prepared.plan(&Params::new(), true)?;
-        }
+        prepared.plan(true)?;
         self.plans.lock().put(
             key,
             CachedStmt { select, memo: Arc::clone(&prepared.memo), warnings, version },
@@ -511,7 +508,7 @@ impl Database {
                         n
                     }
                     Some(f) => {
-                        let pred = self.bind_dml_filter(f, &t.schema)?;
+                        let pred = self.bind_dml_filter(&t, f)?;
                         // Collect matches first so an evaluation error
                         // leaves the table untouched.
                         let rows = t.scan();
@@ -538,7 +535,7 @@ impl Database {
             Statement::Update { table, assignments, filter } => {
                 let t = self.catalog.get_table(&table)?;
                 let schema = t.schema.clone();
-                let pred = filter.map(|f| self.bind_dml_filter(f, &schema)).transpose()?;
+                let pred = filter.map(|f| self.bind_dml_filter(&t, f)).transpose()?;
                 let bound: Vec<(usize, crate::exec::expr::BoundExpr)> = assignments
                     .iter()
                     .map(|(c, e)| Ok((schema.resolve(None, c)?, bind(e, &schema)?)))
@@ -563,16 +560,16 @@ impl Database {
         }
     }
 
-    /// Bind a DELETE/UPDATE filter, first materialising any uncorrelated
-    /// subqueries it contains (e.g. `DELETE ... WHERE x IN (SELECT ...)`).
-    fn bind_dml_filter(
-        &self,
-        filter: Expr,
-        schema: &Schema,
-    ) -> Result<crate::exec::expr::BoundExpr> {
-        let resolved =
-            crate::plan::resolve_expr_subqueries(&self.catalog, filter, &self.optimizer_config())?;
-        bind(&resolved, schema)
+    /// Bind a DELETE/UPDATE filter of `table`. Its uncorrelated
+    /// subqueries (`DELETE ... WHERE x IN (SELECT ...)`) are planned as a
+    /// SELECT's are and run by the open-time step of a cursor.
+    fn bind_dml_filter(&self, table: &Arc<Table>, filter: Expr) -> Result<BoundExpr> {
+        let cfg = self.optimizer_config();
+        let plan = crate::plan::plan_filter(&self.catalog, Arc::clone(table), filter, &cfg)?;
+        let Plan::Filter { predicate, .. } = ExecCtx::new(1).resolve(plan, Vec::new())? else {
+            unreachable!("filling a filter's slots keeps the filter")
+        };
+        Ok(predicate)
     }
 
     /// Import every table of `source` as a read-only foreign table named
@@ -1079,7 +1076,7 @@ mod tests {
         let plan = d.plan_optimized(&s).unwrap().plan;
         assert!(plan.explain().contains("IndexScan"));
         d.execute("DROP INDEX idx_city").unwrap();
-        let rows = crate::exec::Rows::open(plan, 1, 0).unwrap().collect_rows().unwrap();
+        let rows = crate::exec::Rows::open(plan, 1, Vec::new()).unwrap().collect_rows().unwrap();
         assert_eq!(rows.rows.len(), 2);
     }
 

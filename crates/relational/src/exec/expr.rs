@@ -15,11 +15,15 @@ use crate::sql::ast::{BinaryOp, Expr, UnaryOp};
 use crate::value::Value;
 
 /// A fully bound scalar expression.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BoundExpr {
     Literal(Value),
     /// Index into the input row.
     Column(usize),
+    /// A value the plan reads from outside its rows — a parameter or a
+    /// subquery result, slot `i` of the plan's [`crate::plan::Plan::Bind`]
+    /// root — replaced by a literal when a cursor opens.
+    Slot(usize),
     Unary {
         op: UnaryOp,
         expr: Box<BoundExpr>,
@@ -103,14 +107,7 @@ pub fn bind(expr: &Expr, schema: &Schema) -> Result<BoundExpr> {
             let idx = schema.resolve(qualifier.as_deref(), name)?;
             Ok(BoundExpr::Column(idx))
         }
-        Expr::Param { name, .. } => Err(Error::plan(format!(
-            "unbound parameter `{}` — prepare the statement and execute it \
-             with bound values",
-            match name {
-                Some(n) => format!("${n}"),
-                None => "?".to_string(),
-            }
-        ))),
+        Expr::Param { index, .. } => Ok(BoundExpr::Slot(*index)),
         Expr::Unary { op, expr } => Ok(BoundExpr::Unary {
             op: *op,
             expr: Box::new(bind(expr, schema)?),
@@ -165,9 +162,9 @@ pub fn bind(expr: &Expr, schema: &Schema) -> Result<BoundExpr> {
                 args: args.iter().map(|e| bind(e, schema)).collect::<Result<_>>()?,
             })
         }
-        // Subqueries are materialised by the planner before binding; one
-        // reaching here sits in a context the planner does not resolve
-        // (e.g. a join ON condition).
+        // The planner turns subqueries into slots before binding; one
+        // reaching here sits in a context the planner does not lift (e.g.
+        // a join ON condition).
         Expr::InSubquery { .. } | Expr::Exists { .. } | Expr::ScalarSubquery(_) => {
             Err(Error::plan(
                 "subqueries are only supported in WHERE/HAVING/SELECT/ORDER BY \
@@ -232,6 +229,79 @@ impl RowView for Pair<'_> {
 }
 
 impl BoundExpr {
+    /// Visit each direct operand, left to right.
+    pub(crate) fn visit_operands<'e>(&'e self, f: &mut impl FnMut(&'e BoundExpr)) {
+        match self {
+            BoundExpr::Literal(_) | BoundExpr::Column(_) | BoundExpr::Slot(_) => {}
+            BoundExpr::Unary { expr, .. } | BoundExpr::IsNull { expr, .. } => f(expr),
+            BoundExpr::Binary { left, right, .. }
+            | BoundExpr::Like { expr: left, pattern: right, .. } => {
+                f(left);
+                f(right);
+            }
+            BoundExpr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter().for_each(f);
+            }
+            BoundExpr::Between { expr, low, high, .. } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            BoundExpr::ScalarFn { args, .. } => args.iter().for_each(f),
+            BoundExpr::Case { operand, branches, else_expr } => {
+                operand.iter().for_each(|o| f(o));
+                for (w, t) in branches {
+                    f(w);
+                    f(t);
+                }
+                else_expr.iter().for_each(|e| f(e));
+            }
+        }
+    }
+
+    /// Rebuild with each direct operand mapped through `f`.
+    pub(crate) fn map_operands(self, f: &mut impl FnMut(BoundExpr) -> BoundExpr) -> BoundExpr {
+        let mut boxed = |e: Box<BoundExpr>| Box::new(f(*e));
+        match self {
+            leaf @ (BoundExpr::Literal(_) | BoundExpr::Column(_) | BoundExpr::Slot(_)) => leaf,
+            BoundExpr::Unary { op, expr } => BoundExpr::Unary { op, expr: boxed(expr) },
+            BoundExpr::Binary { left, op, right } => {
+                BoundExpr::Binary { left: boxed(left), op, right: boxed(right) }
+            }
+            BoundExpr::IsNull { expr, negated } => BoundExpr::IsNull { expr: boxed(expr), negated },
+            BoundExpr::InList { expr, list, negated } => BoundExpr::InList {
+                expr: boxed(expr),
+                list: list.into_iter().map(&mut *f).collect(),
+                negated,
+            },
+            BoundExpr::Between { expr, low, high, negated } => BoundExpr::Between {
+                expr: boxed(expr),
+                low: boxed(low),
+                high: boxed(high),
+                negated,
+            },
+            BoundExpr::Like { expr, pattern, negated } => {
+                BoundExpr::Like { expr: boxed(expr), pattern: boxed(pattern), negated }
+            }
+            BoundExpr::ScalarFn { func, args } => {
+                BoundExpr::ScalarFn { func, args: args.into_iter().map(f).collect() }
+            }
+            BoundExpr::Case { operand, branches, else_expr } => BoundExpr::Case {
+                operand: operand.map(&mut boxed),
+                else_expr: else_expr.map(&mut boxed),
+                branches: branches.into_iter().map(|(w, t)| (f(w), f(t))).collect(),
+            },
+        }
+    }
+
+    /// Whether the expression reads a slot anywhere.
+    pub(crate) fn has_slot(&self) -> bool {
+        let mut found = matches!(self, BoundExpr::Slot(_));
+        self.visit_operands(&mut |e| found |= e.has_slot());
+        found
+    }
+
     /// Evaluate against a row, cloning the result out of it.
     pub fn eval<R: RowView + ?Sized>(&self, row: &R) -> Result<Value> {
         self.eval_ref(row).map(Cow::into_owned)
@@ -263,6 +333,10 @@ impl BoundExpr {
         let owned = |v: Value| Ok(Cow::Owned(v));
         match self {
             BoundExpr::Literal(_) | BoundExpr::Column(_) => self.eval_ref(row),
+            // Only a statement that never reaches a cursor keeps one.
+            BoundExpr::Slot(_) => Err(Error::plan(
+                "unbound parameter — prepare the statement and execute it with bound values",
+            )),
             BoundExpr::Unary { op, expr } => match (op, &*expr.eval_ref(row)?) {
                 (_, Value::Null) => owned(Value::Null),
                 (UnaryOp::Not, Value::Bool(b)) => owned(Value::Bool(!b)),

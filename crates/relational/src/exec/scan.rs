@@ -316,6 +316,7 @@ pub(super) fn open_leaf(leaf: Leaf, ctx: &ExecCtx) -> Heap {
                 IndexLookup::Range { low, high } => {
                     table.index_lookup_range(column, as_ref_bound(low), as_ref_bound(high))
                 }
+                IndexLookup::AtOpen(_) => unreachable!("a cursor's open builds every lookup"),
             };
             match found {
                 Some(IndexHits { snap, positions }) => {

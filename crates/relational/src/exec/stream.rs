@@ -56,7 +56,7 @@ use parking_lot::Mutex;
 
 use crate::db::RowSet;
 use crate::error::{Error, Result};
-use crate::plan::{Plan, SortKey};
+use crate::plan::{fill_slots, Plan, Slot, SortKey};
 use crate::schema::Schema;
 use crate::sql::ast::JoinKind;
 use crate::value::{Row, Value};
@@ -116,16 +116,74 @@ pub(crate) struct ExecCtx {
 }
 
 impl ExecCtx {
-    /// A context on `threads` workers that starts its scanned counter at
-    /// `scanned` and polls the calling thread's ambient cancellation token.
-    fn new(threads: usize, scanned: u64) -> Self {
+    /// A context on `threads` workers that polls the calling thread's
+    /// ambient cancellation token.
+    pub(crate) fn new(threads: usize) -> Self {
         ExecCtx {
-            scanned: Arc::new(AtomicU64::new(scanned)),
+            scanned: Arc::default(),
             pool: Arc::new(WorkerPool::new(threads)),
             spools: Arc::new(Mutex::new_labeled("exec.spools", HashMap::new())),
             builds: Arc::new(Mutex::new_labeled("exec.builds", HashMap::new())),
             cancel: CancelToken::current(),
         }
+    }
+
+    /// The one open-time step: resolve what `plan` reads from outside its
+    /// rows. The slots of a [`Plan::Bind`] root are filled in order — a
+    /// parameter from `params`, a subquery by running it once in this
+    /// context, so its scans count toward this context's rows scanned —
+    /// and put into the plan; then every foreign leaf is fetched, so a
+    /// conjunct holding a slot's value is shipped with the value. A plan
+    /// without a `Bind` root costs one walk that looks for foreign leaves.
+    pub(crate) fn resolve(&self, plan: Plan, params: Vec<Value>) -> Result<Plan> {
+        let Plan::Bind { input, slots } = plan else {
+            return self.fill(plan, &[]);
+        };
+        let mut params = params.into_iter();
+        let mut values: Vec<Vec<Value>> = Vec::with_capacity(slots.len());
+        for slot in slots {
+            let value = match slot {
+                Slot::Param(name) => {
+                    let unbound = || Error::plan(format!("unbound parameter `{name}`"));
+                    vec![params.next().ok_or_else(unbound)?]
+                }
+                Slot::In(plan) => {
+                    self.run(plan, &values)?.into_iter().map(|mut r| r.swap_remove(0)).collect()
+                }
+                Slot::Exists(plan) => vec![Value::Bool(!self.run(plan, &values)?.is_empty())],
+                Slot::Scalar(plan) => match self.run(plan, &values)?.as_mut_slice() {
+                    [] => vec![Value::Null],
+                    [row] => vec![row.swap_remove(0)],
+                    rows => {
+                        let n = rows.len();
+                        return Err(Error::plan(format!("scalar subquery returned {n} rows")));
+                    }
+                },
+            };
+            values.push(value);
+        }
+        self.fill(*input, &values)
+    }
+
+    /// Run subquery `plan` to its end with the slots filled so far, on
+    /// spools of its own (its spool ids are its own plan's).
+    fn run(&self, plan: Plan, values: &[Vec<Value>]) -> Result<Vec<Row>> {
+        let plan = self.fill(plan, values)?;
+        let scanned = Arc::clone(&self.scanned);
+        let ctx = ExecCtx { scanned, ..ExecCtx::new(self.pool.threads()) };
+        stream_plan(plan, ctx)?.collect()
+    }
+
+    /// `plan` with the slot `values` put in and its foreign leaves fetched,
+    /// their rows charged as scanned.
+    fn fill(&self, plan: Plan, values: &[Vec<Value>]) -> Result<Plan> {
+        let fetched = crate::foreign::fetch_leaves(&plan, values)?;
+        if values.is_empty() && fetched.is_empty() {
+            return Ok(plan);
+        }
+        let rows: usize = fetched.iter().map(Vec::len).sum();
+        self.scanned.fetch_add(rows as u64, AtomicOrdering::Relaxed);
+        Ok(fill_slots(plan, values, &mut fetched.into_iter(), &mut HashMap::new()))
     }
 }
 
@@ -258,15 +316,15 @@ impl Rows {
     /// consumed; clone a cached template first. The cursor polls the
     /// ambient [`CancelToken`] installed on this thread, if any.
     ///
-    /// Foreign leaves are fetched here, when the cursor opens and never at
-    /// plan time, so a replayed template reads live. `planned` is the
-    /// base-table rows the statement's subqueries scanned when it was
-    /// planned: the cursor's [`Rows::rows_scanned`] starts from it and adds
-    /// the foreign rows fetched, so a statement is charged for all it read.
-    pub(crate) fn open(plan: Plan, threads: usize, planned: u64) -> Result<Rows> {
+    /// Everything the plan reads from outside its rows — the values of
+    /// `params`, its subqueries' results, its foreign leaves — is resolved
+    /// here ([`ExecCtx::resolve`]), when the cursor opens and never at plan
+    /// time, so a replayed template reads live; [`Rows::rows_scanned`]
+    /// counts the subqueries' rows and the foreign rows fetched too.
+    pub(crate) fn open(plan: Plan, threads: usize, params: Vec<Value>) -> Result<Rows> {
         let schema = plan.schema().clone();
-        let (plan, fetched) = crate::foreign::fetch_leaves(plan)?;
-        let ctx = ExecCtx::new(threads, planned + fetched as u64);
+        let ctx = ExecCtx::new(threads);
+        let plan = ctx.resolve(plan, params)?;
         let scanned = Arc::clone(&ctx.scanned);
         let iter = stream_plan(plan, ctx)?;
         Ok(Rows { schema, iter, scanned })
@@ -516,6 +574,7 @@ fn stream_plan(plan: Plan, ctx: ExecCtx) -> Result<BoxRowIter> {
             unreachable!("a scan leaf is a fragment")
         }
         Plan::ForeignScan { .. } => unreachable!("Rows::open fetches every foreign leaf"),
+        Plan::Bind { .. } => unreachable!("Rows::open fills every slot"),
         Plan::Filter { input, predicate } => {
             let step = FilterProject { predicate: Some(predicate), exprs: None };
             Ok(step.stream(stream_plan(*input, ctx)?))

@@ -73,6 +73,38 @@ mod tests {
     }
 
     #[test]
+    fn subqueries_over_foreign_tables_run_when_a_cursor_opens() {
+        let national = national_db();
+        national.execute("INSERT INTO landfill VALUES ('Gerbido','Torino')").unwrap();
+        let it = LocalSource::new("it", national);
+        let fed = Database::new();
+        fed.register_source(Arc::new(it.clone())).unwrap();
+        fed.execute_script(
+            "CREATE TABLE watch (city TEXT); INSERT INTO watch VALUES ('Torino'), ('Milano');",
+        )
+        .unwrap();
+        let moved = || it.stats().rows_transferred;
+        // Preparing and explaining run no subquery; each execution runs
+        // it once and moves the whole 3-row table.
+        let sql = "SELECT city FROM watch WHERE city IN (SELECT city FROM it__landfill)";
+        let p = fed.prepare(sql).unwrap();
+        assert_eq!(moved(), 0, "prepare");
+        assert!(p.explain().unwrap().contains("Subquery $1"));
+        assert!(explain(&fed, sql).contains("remote: SELECT * FROM landfill)"));
+        assert_eq!(moved(), 0, "EXPLAIN");
+        for run in 1..=2 {
+            assert_eq!(p.query(&Params::new()).unwrap().len(), 1);
+            assert_eq!(moved(), 3 * run, "execution {run}");
+        }
+        // A conjunct holding a subquery's value ships with the value.
+        let sql = "SELECT name FROM it__landfill WHERE city = (SELECT MIN(city) FROM watch)";
+        assert!(explain(&fed, sql).contains("WHERE (city = $1)"), "{}", explain(&fed, sql));
+        let before = moved();
+        assert_eq!(fed.query(sql).unwrap().len(), 0, "no landfill in Milano");
+        assert_eq!(moved(), before);
+    }
+
+    #[test]
     fn import_creates_prefixed_tables() {
         let (fed, ..) = fed();
         assert_eq!(fed.catalog().table_names(), ["eu__waste_stats", "it__landfill"]);

@@ -39,17 +39,16 @@
 //! assert_eq!(source.stats().rows_transferred, 1); // only the match moved
 //! ```
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::db::RowSet;
 use crate::error::{Error, Result};
 use crate::exec::expr::BoundExpr;
-use crate::plan::Plan;
+use crate::plan::{fill_expr, Plan};
 use crate::schema::Schema;
 use crate::sql::ast::{Expr, Select, SelectItem, TableRef};
 use crate::storage::Table;
-use crate::value::Row;
+use crate::value::{Row, Value};
 
 pub use crate::source::{LatencyModel, LocalSource, RemoteSource, SourceStats};
 
@@ -79,12 +78,14 @@ pub struct Foreign {
 
 impl Foreign {
     /// The SELECT shipped to the source: every column, filtered by the
-    /// conjunction filter pushdown shipped to the leaf.
-    pub(crate) fn remote_sql(&self, pushed: Option<&Expr>) -> String {
+    /// conjunction of the conjuncts filter pushdown shipped to the leaf
+    /// whose `schema` they bind against. A conjunct whose slot values
+    /// turned out not to round-trip stays local only.
+    pub(crate) fn remote_sql(&self, schema: &Schema, pushed: &[BoundExpr]) -> String {
         let mut select = Select::empty();
         select.projections.push(SelectItem::Wildcard);
         select.from.push(TableRef::Table { name: self.table.clone(), alias: None });
-        select.filter = pushed.cloned();
+        select.filter = pushed.iter().filter_map(|c| remote_conjunct(c, schema)).reduce(Expr::and);
         select.to_string()
     }
 }
@@ -99,9 +100,14 @@ impl std::fmt::Debug for Foreign {
 /// source's own SELECT states it (columns by their unqualified names), or
 /// `None` when its SQL text would not parse back to the same expression
 /// with the same literal types — `2.0` renders as the integer `2`, and
-/// `i / 2.0` is not `i / 2`. Such a conjunct stays local only.
+/// `i / 2.0` is not `i / 2`. Such a conjunct stays local only. A conjunct
+/// holding a slot renders it as `$n` and is checked once the cursor's
+/// open has put the slot's value in.
 pub(crate) fn remote_conjunct(c: &BoundExpr, schema: &Schema) -> Option<Expr> {
     let expr = unbind(c, schema);
+    if c.has_slot() {
+        return Some(expr);
+    }
     let back = crate::sql::parser::parse_expr(&expr.to_string()).ok()?;
     (format!("{back:?}") == format!("{expr:?}")).then_some(expr)
 }
@@ -115,6 +121,7 @@ fn unbind(e: &BoundExpr, schema: &Schema) -> Expr {
         BoundExpr::Column(i) => {
             Expr::Column { qualifier: None, name: schema.columns[*i].name.clone() }
         }
+        BoundExpr::Slot(i) => Expr::Param { name: Some((i + 1).to_string()), index: *i },
         BoundExpr::Unary { op, expr } => Expr::Unary { op: *op, expr: boxed(expr) },
         BoundExpr::Binary { left, op, right } => {
             Expr::Binary { left: boxed(left), op: *op, right: boxed(right) }
@@ -150,40 +157,40 @@ fn unbind(e: &BoundExpr, schema: &Schema) -> Expr {
     }
 }
 
-/// Fetch every foreign leaf of `plan`, one thread per leaf (a query over
-/// several slow sources waits for the slowest, not for the sum), and
-/// splice each result in as a `Values` leaf. Also returns the number of
-/// rows fetched.
-pub(crate) fn fetch_leaves(plan: Plan) -> Result<(Plan, usize)> {
+/// The rows of every foreign leaf of `plan`, its shipped conjuncts holding
+/// the slot `values`, in [`crate::plan::fill_slots`]'s order: children
+/// left to right, a shared spool's subtree once. One thread per leaf, so
+/// a query over several slow sources waits for the slowest, not the sum.
+pub(crate) fn fetch_leaves(plan: &Plan, values: &[Vec<Value>]) -> Result<Vec<Vec<Row>>> {
     let mut leaves = Vec::new();
-    collect(&plan, &mut Vec::new(), &mut leaves);
+    collect(plan, &mut Vec::new(), &mut leaves);
     if leaves.is_empty() {
-        return Ok((plan, 0));
+        return Ok(Vec::new());
     }
     let fetched: Vec<Result<Vec<Row>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = leaves
             .iter()
-            .map(|&(table, pushed)| scope.spawn(move || fetch(table, pushed)))
+            .map(|&(table, schema, pushed)| {
+                let pushed: Vec<BoundExpr> =
+                    pushed.iter().map(|c| fill_expr(c.clone(), values)).collect();
+                scope.spawn(move || fetch(table, schema, &pushed))
+            })
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
             .collect()
     });
-    let fetched: Vec<Vec<Row>> = fetched.into_iter().collect::<Result<_>>()?;
-    let rows = fetched.iter().map(Vec::len).sum();
-    Ok((splice(plan, &mut fetched.into_iter(), &mut HashMap::new()), rows))
+    fetched.into_iter().collect()
 }
 
-/// The foreign leaves of `plan` in [`splice`]'s order: children left to
-/// right, a shared spool's subtree once.
 fn collect<'p>(
     plan: &'p Plan,
     spools: &mut Vec<usize>,
-    out: &mut Vec<(&'p Table, Option<&'p Expr>)>,
+    out: &mut Vec<(&'p Table, &'p Schema, &'p [BoundExpr])>,
 ) {
     match plan {
-        Plan::ForeignScan { table, pushed, .. } => out.push((table, pushed.as_ref())),
+        Plan::ForeignScan { table, schema, pushed } => out.push((table, schema, pushed)),
         Plan::Shared { id, .. } if spools.contains(id) => {}
         Plan::Shared { id, input } => {
             spools.push(*id);
@@ -193,38 +200,14 @@ fn collect<'p>(
     }
 }
 
-fn splice(
-    plan: Plan,
-    fetched: &mut impl Iterator<Item = Vec<Row>>,
-    spools: &mut HashMap<usize, Arc<Plan>>,
-) -> Plan {
-    match plan {
-        Plan::ForeignScan { schema, .. } => {
-            Plan::Values { schema, rows: fetched.next().unwrap_or_default() }
-        }
-        Plan::Shared { id, input } => {
-            let input = match spools.get(&id) {
-                Some(spliced) => Arc::clone(spliced),
-                None => {
-                    let spliced = Arc::new(splice((*input).clone(), fetched, spools));
-                    spools.insert(id, Arc::clone(&spliced));
-                    spliced
-                }
-            };
-            Plan::Shared { id, input }
-        }
-        other => crate::opt::map_children(other, &mut |child| splice(child, fetched, spools)),
-    }
-}
-
 /// One leaf's rows, checked against the schema its table was registered
 /// with, as `insert_many` checks rows: a source whose table changed shape
 /// since registration is a typed error.
-fn fetch(table: &Table, pushed: Option<&Expr>) -> Result<Vec<Row>> {
+fn fetch(table: &Table, schema: &Schema, pushed: &[BoundExpr]) -> Result<Vec<Row>> {
     let foreign = table
         .foreign()
         .ok_or_else(|| Error::catalog(format!("`{}` is not a foreign table", table.name)))?;
-    let fetched = foreign.source.fetch_query(&foreign.remote_sql(pushed))?;
+    let fetched = foreign.source.fetch_query(&foreign.remote_sql(schema, pushed))?;
     let shape = |s: &Schema| -> Vec<_> {
         s.columns.iter().map(|c| (c.name.to_ascii_lowercase(), c.data_type)).collect()
     };

@@ -252,6 +252,9 @@ fn fingerprint(plan: &Plan, children: &[String]) -> String {
         Plan::Union { all, .. } => {
             let _ = write!(s, "union({},{all})", children.join(","));
         }
+        Plan::Bind { .. } => {
+            let _ = write!(s, "bind({})", children[0]);
+        }
         Plan::Values { .. } | Plan::Shared { .. } => {
             unreachable!("handled by the callers' uniq arm")
         }

@@ -4,8 +4,12 @@
 //! ([`crate::plan::plan_select`]) lowers the AST into a correct bound plan
 //! — each WHERE conjunct filters the FROM item or join that first has its
 //! columns, every table is scanned sequentially, nothing is shipped to a
-//! foreign source — and this module rewrites that plan through a sequence
-//! of independent passes before execution:
+//! foreign source, parameters and subqueries are slots of a
+//! [`Plan::Bind`] root — and this module rewrites that plan through a
+//! sequence of independent passes before execution. Nothing here runs a
+//! plan: a conjunct whose comparands are slots becomes an index scan
+//! whose keys, or a shipped conjunct whose values, the cursor's open puts
+//! in.
 //!
 //! 1. **filter pushdown** ([`rules::pushdown_filters`]) — the one pass that
 //!    places filters: splits each into conjuncts and sinks them below
@@ -46,8 +50,8 @@ pub use validate::PlanInvariantError;
 
 /// Which rewrite passes run. The default enables everything; `none()` is
 /// the identity pipeline (used as the baseline in equivalence tests).
-/// Subqueries, which run while their statement is planned, run under the
-/// same configuration.
+/// A statement's subqueries are optimized under the same configuration
+/// when it is planned, and run when its cursor opens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptimizerConfig {
     /// Sink filters below projections, sorts and other filters and into
@@ -299,5 +303,6 @@ pub(crate) fn map_children(plan: Plan, f: &mut impl FnMut(Plan) -> Plan) -> Plan
             schema,
         },
         p @ Plan::Shared { .. } => p,
+        Plan::Bind { input, slots } => Plan::Bind { input: Box::new(f(*input)), slots },
     }
 }

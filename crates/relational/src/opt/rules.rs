@@ -15,7 +15,7 @@ use std::sync::Arc;
 use crate::exec::expr::BoundExpr;
 use crate::plan::{IndexLookup, Plan};
 use crate::schema::Schema;
-use crate::sql::ast::{BinaryOp, Expr, JoinKind};
+use crate::sql::ast::{BinaryOp, JoinKind};
 use crate::storage::Table;
 use crate::value::Value;
 
@@ -27,46 +27,8 @@ use super::map_children;
 /// Visit every column reference in a bound expression.
 pub(crate) fn visit_cols(e: &BoundExpr, f: &mut impl FnMut(usize)) {
     match e {
-        BoundExpr::Literal(_) => {}
         BoundExpr::Column(i) => f(*i),
-        BoundExpr::Unary { expr, .. } => visit_cols(expr, f),
-        BoundExpr::Binary { left, right, .. } => {
-            visit_cols(left, f);
-            visit_cols(right, f);
-        }
-        BoundExpr::IsNull { expr, .. } => visit_cols(expr, f),
-        BoundExpr::InList { expr, list, .. } => {
-            visit_cols(expr, f);
-            for item in list {
-                visit_cols(item, f);
-            }
-        }
-        BoundExpr::Between { expr, low, high, .. } => {
-            visit_cols(expr, f);
-            visit_cols(low, f);
-            visit_cols(high, f);
-        }
-        BoundExpr::Like { expr, pattern, .. } => {
-            visit_cols(expr, f);
-            visit_cols(pattern, f);
-        }
-        BoundExpr::ScalarFn { args, .. } => {
-            for a in args {
-                visit_cols(a, f);
-            }
-        }
-        BoundExpr::Case { operand, branches, else_expr } => {
-            if let Some(o) = operand {
-                visit_cols(o, f);
-            }
-            for (w, t) in branches {
-                visit_cols(w, f);
-                visit_cols(t, f);
-            }
-            if let Some(e) = else_expr {
-                visit_cols(e, f);
-            }
-        }
+        other => other.visit_operands(&mut |o| visit_cols(o, f)),
     }
 }
 
@@ -76,49 +38,8 @@ pub(crate) fn visit_cols(e: &BoundExpr, f: &mut impl FnMut(usize)) {
 /// with a shifted column reference).
 pub(crate) fn map_cols(e: BoundExpr, f: &mut impl FnMut(usize) -> BoundExpr) -> BoundExpr {
     match e {
-        BoundExpr::Literal(v) => BoundExpr::Literal(v),
         BoundExpr::Column(i) => f(i),
-        BoundExpr::Unary { op, expr } => BoundExpr::Unary {
-            op,
-            expr: Box::new(map_cols(*expr, f)),
-        },
-        BoundExpr::Binary { left, op, right } => BoundExpr::Binary {
-            left: Box::new(map_cols(*left, f)),
-            op,
-            right: Box::new(map_cols(*right, f)),
-        },
-        BoundExpr::IsNull { expr, negated } => BoundExpr::IsNull {
-            expr: Box::new(map_cols(*expr, f)),
-            negated,
-        },
-        BoundExpr::InList { expr, list, negated } => BoundExpr::InList {
-            expr: Box::new(map_cols(*expr, f)),
-            list: list.into_iter().map(|e| map_cols(e, f)).collect(),
-            negated,
-        },
-        BoundExpr::Between { expr, low, high, negated } => BoundExpr::Between {
-            expr: Box::new(map_cols(*expr, f)),
-            low: Box::new(map_cols(*low, f)),
-            high: Box::new(map_cols(*high, f)),
-            negated,
-        },
-        BoundExpr::Like { expr, pattern, negated } => BoundExpr::Like {
-            expr: Box::new(map_cols(*expr, f)),
-            pattern: Box::new(map_cols(*pattern, f)),
-            negated,
-        },
-        BoundExpr::ScalarFn { func, args } => BoundExpr::ScalarFn {
-            func,
-            args: args.into_iter().map(|e| map_cols(e, f)).collect(),
-        },
-        BoundExpr::Case { operand, branches, else_expr } => BoundExpr::Case {
-            operand: operand.map(|o| Box::new(map_cols(*o, f))),
-            branches: branches
-                .into_iter()
-                .map(|(w, t)| (map_cols(w, f), map_cols(t, f)))
-                .collect(),
-            else_expr: else_expr.map(|e| Box::new(map_cols(*e, f))),
-        },
+        other => other.map_operands(&mut |o| map_cols(o, f)),
     }
 }
 
@@ -262,12 +183,9 @@ fn sink(mut plan: Plan, c: BoundExpr, placed: &mut Placed) -> Result<Plan, (Plan
             };
         }
         Plan::ForeignScan { schema, pushed, .. } => {
-            if let Some(remote) = crate::foreign::remote_conjunct(&c, schema) {
+            if crate::foreign::remote_conjunct(&c, schema).is_some() {
                 placed.shipped += 1;
-                *pushed = Some(match pushed.take() {
-                    Some(p) => Expr::and(p, remote),
-                    None => remote,
-                });
+                pushed.push(c.clone());
             }
             return Err((plan, c));
         }
@@ -297,12 +215,19 @@ fn take(slot: &mut Plan) -> Plan {
 /// answers it. Literals are coerced to the column type, so the index's
 /// total order agrees with SQL comparison on the stored (already
 /// coerced) values; a literal that does not coerce leaves `c` a filter.
-/// A NULL comparand matches nothing: an empty key set.
-fn index_lookup(table: &Table, c: &BoundExpr) -> Option<(usize, IndexLookup)> {
+/// A NULL comparand matches nothing: an empty key set. A comparand that
+/// is a slot leaves the lookup to the cursor's open, which builds it here
+/// from the slot's values ([`IndexLookup::AtOpen`]).
+pub(crate) fn index_lookup(table: &Table, c: &BoundExpr) -> Option<(usize, IndexLookup)> {
     let indexed = |e: &BoundExpr| match e {
         BoundExpr::Column(i) if table.has_index_on(*i) => Some(*i),
         _ => None,
     };
+    if c.has_slot() {
+        // Sargable exactly when it is with every slot a NULL literal.
+        let shape = index_lookup(table, &crate::plan::fill_expr(c.clone(), &[]));
+        return shape.map(|(pos, _)| (pos, IndexLookup::AtOpen(c.clone())));
+    }
     let literal = |e: &BoundExpr| match e {
         BoundExpr::Literal(v) => Some(v.clone()),
         _ => None,

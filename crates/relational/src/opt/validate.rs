@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::plan::Plan;
-use crate::sql::ast::{Expr, JoinKind, Select, SelectItem, TableRef};
+use crate::sql::ast::{Expr, JoinKind, Select};
 use crate::value::DataType;
 
 use super::dedup::{determined, projected_columns};
@@ -249,7 +249,8 @@ fn check_node(
                 check_arity(pass, plan, "sort key", &k.expr, arity)?;
             }
         }
-        Plan::Distinct { .. } | Plan::Limit { .. } => {}
+        // A Bind's subqueries were checked when they were optimized.
+        Plan::Distinct { .. } | Plan::Limit { .. } | Plan::Bind { .. } => {}
         Plan::Union { inputs, schema, .. } => {
             for member in inputs {
                 if member.schema().len() != schema.len() {
@@ -296,22 +297,9 @@ fn check_node(
 }
 
 fn children(plan: &Plan) -> Vec<&Plan> {
-    match plan {
-        Plan::Values { .. }
-        | Plan::Scan { .. }
-        | Plan::IndexScan { .. }
-        | Plan::ForeignScan { .. } => vec![],
-        Plan::Filter { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::Aggregate { input, .. }
-        | Plan::Sort { input, .. }
-        | Plan::Distinct { input }
-        | Plan::Limit { input, .. } => vec![&**input],
-        Plan::NestedLoopJoin { left, right, .. }
-        | Plan::HashJoin { left, right, .. } => vec![&**left, &**right],
-        Plan::Union { inputs, .. } => inputs.iter().collect(),
-        Plan::Shared { input, .. } => vec![input.as_ref()],
-    }
+    let mut out = Vec::new();
+    plan.visit_children(&mut |c| out.push(c));
+    out
 }
 
 /// Output column types of `plan`, the signature a rewrite pass must
@@ -352,6 +340,7 @@ fn row_bound(plan: &Plan) -> Option<u64> {
         }
         Plan::NestedLoopJoin { .. } | Plan::HashJoin { .. } => None,
         Plan::Shared { input, .. } => row_bound(input),
+        Plan::Bind { input, .. } => row_bound(input),
     }
 }
 
@@ -385,6 +374,7 @@ fn duplicate_free(plan: &Plan) -> bool {
             duplicate_free(input)
         }
         Plan::Shared { input, .. } => duplicate_free(input),
+        Plan::Bind { input, .. } => duplicate_free(input),
         Plan::HashJoin { left, right, kind: JoinKind::Inner, .. } => {
             duplicate_free(left) && duplicate_free(right)
         }
@@ -455,72 +445,23 @@ pub fn check_pass(before: &Plan, after: &Plan, pass: &str) -> CheckResult {
 /// union member or subquery) has an index inside the slot table the
 /// statement was prepared with. Cheap enough to run unconditionally.
 pub fn check_param_slots(select: &Select, slot_count: usize) -> Result<(), String> {
-    fn walk_expr(e: &Expr, n: usize, bad: &mut Option<usize>) {
-        e.visit(&mut |node| {
-            if let Expr::Param { index, .. } = node {
-                if *index >= n && bad.is_none() {
-                    *bad = Some(*index);
-                }
-            }
+    /// The highest slot index `select` references, subqueries included.
+    fn highest(select: &Select) -> Option<usize> {
+        let mut max = None;
+        select.visit_clauses(&mut |e| {
+            e.visit(&mut |node| {
+                max = max.max(match node {
+                    Expr::Param { index, .. } => Some(*index),
+                    Expr::InSubquery { query, .. }
+                    | Expr::Exists { query, .. }
+                    | Expr::ScalarSubquery(query) => highest(query),
+                    _ => None,
+                })
+            })
         });
-        match e {
-            Expr::InSubquery { query, .. }
-            | Expr::Exists { query, .. }
-            | Expr::ScalarSubquery(query) => walk_select(query, n, bad),
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => walk_expr(expr, n, bad),
-            Expr::Binary { left, right, .. } => {
-                walk_expr(left, n, bad);
-                walk_expr(right, n, bad);
-            }
-            Expr::InList { expr, list, .. } => {
-                walk_expr(expr, n, bad);
-                list.iter().for_each(|e| walk_expr(e, n, bad));
-            }
-            Expr::Between { expr, low, high, .. } => {
-                walk_expr(expr, n, bad);
-                walk_expr(low, n, bad);
-                walk_expr(high, n, bad);
-            }
-            Expr::Like { expr, pattern, .. } => {
-                walk_expr(expr, n, bad);
-                walk_expr(pattern, n, bad);
-            }
-            Expr::Function { args, .. } => args.iter().for_each(|e| walk_expr(e, n, bad)),
-            Expr::Case { operand, branches, else_expr } => {
-                operand.iter().for_each(|e| walk_expr(e, n, bad));
-                for (w, t) in branches {
-                    walk_expr(w, n, bad);
-                    walk_expr(t, n, bad);
-                }
-                else_expr.iter().for_each(|e| walk_expr(e, n, bad));
-            }
-            _ => {}
-        }
+        max
     }
-    fn walk_table_ref(tr: &TableRef, n: usize, bad: &mut Option<usize>) {
-        if let TableRef::Join { left, right, on, .. } = tr {
-            walk_table_ref(left, n, bad);
-            walk_table_ref(right, n, bad);
-            on.iter().for_each(|e| walk_expr(e, n, bad));
-        }
-    }
-    fn walk_select(select: &Select, n: usize, bad: &mut Option<usize>) {
-        for p in &select.projections {
-            if let SelectItem::Expr { expr, .. } = p {
-                walk_expr(expr, n, bad);
-            }
-        }
-        select.from.iter().for_each(|tr| walk_table_ref(tr, n, bad));
-        select.filter.iter().for_each(|e| walk_expr(e, n, bad));
-        select.group_by.iter().for_each(|e| walk_expr(e, n, bad));
-        select.having.iter().for_each(|e| walk_expr(e, n, bad));
-        select.order_by.iter().for_each(|o| walk_expr(&o.expr, n, bad));
-        for (_, member) in &select.union {
-            walk_select(member, n, bad);
-        }
-    }
-    let mut bad = None;
-    walk_select(select, slot_count, &mut bad);
+    let bad = highest(select).filter(|&index| index >= slot_count);
     match bad {
         Some(index) => Err(format!(
             "parameter slot #{index} referenced, slot table has {slot_count} entr{}",

@@ -9,20 +9,28 @@
 //! the optimizer's filter pushdown
 //! ([`crate::opt::rules::pushdown_filters`]) sinks filters, chooses index
 //! scans and ships conjuncts to foreign sources.
+//!
+//! Planning reads no data: a plan is a function of the statement, the
+//! catalog and the optimizer configuration. What a statement needs from
+//! outside its rows — a parameter's binding, an uncorrelated subquery's
+//! result — is a slot of a [`Plan::Bind`] root, filled when a cursor opens.
 
 use std::borrow::Cow;
-use std::cell::Cell;
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::exec::aggregate::AggFn;
 use crate::exec::expr::{bind, BoundExpr, ScalarFn};
-use crate::opt::{optimize, OptimizerConfig};
+use crate::opt::{map_children, optimize, OptimizerConfig};
 use crate::schema::{Column, Schema};
 use crate::sql::ast::{
-    is_aggregate_name, BinaryOp, Expr, JoinKind, OrderItem, Select, SelectItem, TableRef,
+    is_aggregate_name, BinaryOp, Expr, JoinKind, OrderItem, Select, SelectItem, TableRef, UnaryOp,
 };
+use crate::prepared::infer_slot_types;
+use crate::sql::parser::collect_params;
 use crate::storage::{Catalog, Table};
 use crate::value::{DataType, Value};
 
@@ -49,13 +57,13 @@ pub enum Plan {
         lookup: IndexLookup,
     },
     /// A foreign table's rows, fetched from its source when a cursor
-    /// opens (see [`crate::foreign`]). `pushed` is the conjunction of the
-    /// WHERE conjuncts shipped to the source; each of them also stays in
-    /// a local `Filter` above the leaf.
+    /// opens (see [`crate::foreign`]). `pushed` holds the WHERE conjuncts
+    /// shipped to the source, bound against `schema`; each of them also
+    /// stays in a local `Filter` above the leaf.
     ForeignScan {
         table: Arc<Table>,
         schema: Schema,
-        pushed: Option<Expr>,
+        pushed: Vec<BoundExpr>,
     },
     Filter {
         input: Box<Plan>,
@@ -119,6 +127,24 @@ pub enum Plan {
         id: usize,
         input: Arc<Plan>,
     },
+    /// The root of a plan that reads values from outside its rows: each
+    /// [`BoundExpr::Slot`] `i` below stands for `slots[i]`. A cursor fills
+    /// the slots in order when it opens — a parameter from the bindings, a
+    /// subquery by running it once — and runs `input` with their values.
+    Bind { input: Box<Plan>, slots: Vec<Slot> },
+}
+
+/// One slot of a [`Plan::Bind`].
+#[derive(Debug, Clone)]
+pub enum Slot {
+    /// A parameter, as written (`$name` or `?`).
+    Param(String),
+    /// `x IN (SELECT …)`: the subquery's one column, all of its rows.
+    In(Plan),
+    /// `EXISTS (…)`: whether the subquery returns a row.
+    Exists(Plan),
+    /// A scalar subquery: its one value, NULL when it returns no row.
+    Scalar(Plan),
 }
 
 /// What an [`Plan::IndexScan`] asks of the index.
@@ -130,6 +156,9 @@ pub enum IndexLookup {
     /// Column within a (total-order) range — `>`, `>=`, `<`, `<=`,
     /// `BETWEEN`.
     Range { low: Bound<Value>, high: Bound<Value> },
+    /// The sargable conjunct whose comparands are slots: the cursor's
+    /// open builds the `Eq` or `Range` lookup from their values.
+    AtOpen(BoundExpr),
 }
 
 impl IndexLookup {
@@ -156,6 +185,7 @@ impl IndexLookup {
                 };
                 lo_ok && hi_ok
             }
+            IndexLookup::AtOpen(_) => unreachable!("a cursor's open builds every lookup"),
         }
     }
 }
@@ -199,6 +229,7 @@ impl Plan {
                 let what = match lookup {
                     IndexLookup::Eq(keys) => format!("eq, {} key(s)", keys.len()),
                     IndexLookup::Range { .. } => "range".to_string(),
+                    IndexLookup::AtOpen(_) => "keys at open".to_string(),
                 };
                 let _ = writeln!(
                     out,
@@ -206,8 +237,8 @@ impl Plan {
                     table.name
                 );
             }
-            Plan::ForeignScan { table, pushed, .. } => {
-                let remote = table.foreign().map(|f| f.remote_sql(pushed.as_ref()));
+            Plan::ForeignScan { table, schema, pushed } => {
+                let remote = table.foreign().map(|f| f.remote_sql(schema, pushed));
                 let _ = writeln!(
                     out,
                     "{pad}ForeignScan: {} (remote: {})",
@@ -283,6 +314,26 @@ impl Plan {
                     input.explain_into(depth + 1, out, seen_spools);
                 }
             }
+            Plan::Bind { input, slots } => {
+                let named: Vec<String> = slots
+                    .iter()
+                    .enumerate()
+                    .map(|(i, slot)| match slot {
+                        Slot::Param(name) => format!("${} = {name}", i + 1),
+                        Slot::In(_) => format!("${} = IN subquery", i + 1),
+                        Slot::Exists(_) => format!("${} = EXISTS subquery", i + 1),
+                        Slot::Scalar(_) => format!("${} = scalar subquery", i + 1),
+                    })
+                    .collect();
+                let _ = writeln!(out, "{pad}Bind: {}", named.join(", "));
+                for (i, slot) in slots.iter().enumerate() {
+                    if let Slot::In(plan) | Slot::Exists(plan) | Slot::Scalar(plan) = slot {
+                        let _ = writeln!(out, "{pad}  Subquery ${}", i + 1);
+                        plan.explain_into(depth + 2, out, &mut Vec::new());
+                    }
+                }
+                input.explain_into(depth + 1, out, seen_spools);
+            }
         }
     }
 
@@ -302,6 +353,7 @@ impl Plan {
             Plan::Limit { input, .. } => input.schema(),
             Plan::Union { schema, .. } => schema,
             Plan::Shared { input, .. } => input.schema(),
+            Plan::Bind { input, .. } => input.schema(),
         }
     }
 
@@ -329,13 +381,16 @@ impl Plan {
                 }
             }
             Plan::Shared { input, .. } => f(input),
+            Plan::Bind { input, .. } => f(input),
         }
     }
 }
 
 /// Infer a (best-effort) output type for an expression. Used to type
-/// result-set columns.
-pub fn infer_type(expr: &Expr, schema: &Schema) -> DataType {
+/// result-set columns. Slot `i` (a parameter or a lifted subquery) has
+/// type `slots[i]`; a slot that cannot be typed is TEXT.
+pub fn infer_type(expr: &Expr, schema: &Schema, slots: &[DataType]) -> DataType {
+    let infer_type = |e: &Expr| infer_type(e, schema, slots);
     match expr {
         Expr::Literal(v) => v.data_type().unwrap_or(DataType::Text),
         Expr::Column { qualifier, name } => schema
@@ -344,14 +399,14 @@ pub fn infer_type(expr: &Expr, schema: &Schema) -> DataType {
             .unwrap_or(DataType::Text),
         Expr::Unary { op, expr } => match op {
             crate::sql::ast::UnaryOp::Not => DataType::Bool,
-            crate::sql::ast::UnaryOp::Neg => infer_type(expr, schema),
+            crate::sql::ast::UnaryOp::Neg => infer_type(expr),
         },
         Expr::Binary { left, op, right } => match op {
             BinaryOp::And | BinaryOp::Or => DataType::Bool,
             op if op.is_comparison() => DataType::Bool,
             BinaryOp::Concat => DataType::Text,
             _ => {
-                let (l, r) = (infer_type(left, schema), infer_type(right, schema));
+                let (l, r) = (infer_type(left), infer_type(right));
                 if l == DataType::Int && r == DataType::Int {
                     DataType::Int
                 } else {
@@ -362,16 +417,15 @@ pub fn infer_type(expr: &Expr, schema: &Schema) -> DataType {
         Expr::IsNull { .. } | Expr::InList { .. } | Expr::Between { .. } | Expr::Like { .. } => {
             DataType::Bool
         }
-        // An unbound parameter's type is unknown until execute time.
-        Expr::Param { .. } => DataType::Text,
+        Expr::Param { index, .. } => slots.get(*index).copied().unwrap_or(DataType::Text),
         Expr::InSubquery { .. } | Expr::Exists { .. } => DataType::Bool,
-        // Scalar subqueries are materialised to literals before type
-        // inference runs; this arm only covers unresolved contexts.
+        // The planner lifts scalar subqueries into slots before it types
+        // anything; this arm only covers contexts it does not lift.
         Expr::ScalarSubquery(_) => DataType::Text,
         Expr::Case { branches, else_expr, .. } => branches
             .iter()
-            .map(|(_, t)| infer_type(t, schema))
-            .chain(else_expr.iter().map(|e| infer_type(e, schema)))
+            .map(|(_, t)| infer_type(t))
+            .chain(else_expr.iter().map(|e| infer_type(e)))
             .reduce(|a, b| {
                 if a == b {
                     a
@@ -395,7 +449,7 @@ pub fn infer_type(expr: &Expr, schema: &Schema) -> DataType {
                     "AVG" => DataType::Float,
                     _ => args
                         .first()
-                        .map(|a| infer_type(a, schema))
+                        .map(infer_type)
                         .unwrap_or(DataType::Float),
                 };
             }
@@ -406,7 +460,7 @@ pub fn infer_type(expr: &Expr, schema: &Schema) -> DataType {
                 }
                 Some(ScalarFn::Abs | ScalarFn::Round | ScalarFn::Coalesce) => args
                     .first()
-                    .map(|a| infer_type(a, schema))
+                    .map(infer_type)
                     .unwrap_or(DataType::Float),
                 None => DataType::Text,
             }
@@ -416,37 +470,160 @@ pub fn infer_type(expr: &Expr, schema: &Schema) -> DataType {
 
 /// Plan a SELECT statement against a catalog and the query-scoped
 /// relations `scoped` (tables no catalog holds, resolved by name before
-/// the catalog; see [`crate::Prepared::with_table`]). Its subqueries run
-/// at plan time, each optimized under `cfg` like any other statement.
-/// Returns the plan, not optimized yet, and the base-table rows those
-/// subqueries scanned.
+/// the catalog; see [`crate::Prepared::with_table`]). Its subqueries are
+/// planned and optimized under `cfg` like any other statement, and run
+/// only when a cursor opens. Returns the plan, not optimized yet.
 pub fn plan_select(
     catalog: &Catalog,
     scoped: &[Arc<Table>],
     select: &Select,
     cfg: &OptimizerConfig,
-) -> Result<(Plan, u64)> {
-    let planner = Planner { catalog, scoped, cfg, scanned: Cell::new(0) };
+) -> Result<Plan> {
+    let planner = Planner::new(catalog, scoped, cfg, select);
     let plan = planner.select(select)?;
-    Ok((plan, planner.scanned.get()))
+    Ok(planner.bind(plan))
 }
 
-/// Materialise every (uncorrelated) subquery inside `e` into literal form —
-/// the same pass SELECT planning applies to its WHERE clause, exposed so
-/// DELETE/UPDATE filters accept subqueries too.
-pub fn resolve_expr_subqueries(catalog: &Catalog, e: Expr, cfg: &OptimizerConfig) -> Result<Expr> {
-    Planner { catalog, scoped: &[], cfg, scanned: Cell::new(0) }.resolve_subqueries(e)
+/// The rows a DELETE or UPDATE of `table` changes: `filter` over a scan,
+/// its subqueries lifted into slots exactly as a SELECT's are.
+pub(crate) fn plan_filter(
+    catalog: &Catalog,
+    table: Arc<Table>,
+    filter: Expr,
+    cfg: &OptimizerConfig,
+) -> Result<Plan> {
+    let mut statement = Select::empty();
+    statement.filter = Some(filter.clone());
+    let planner = Planner::new(catalog, &[], cfg, &statement);
+    let predicate = bind(&planner.lift(filter)?, &table.schema)?;
+    let schema = table.schema.clone();
+    Ok(planner.bind(Plan::Filter { input: Box::new(Plan::Scan { table, schema }), predicate }))
+}
+
+/// `plan` as a cursor's open runs it: every slot replaced by its value —
+/// `values[i]` holds what slot `i` stands for: one value, or an IN
+/// subquery's whole column, which an IN list spreads — every
+/// [`IndexLookup::AtOpen`] built from the values (a lookup they cannot
+/// key leaves its conjunct a filter over a sequential scan, as a literal
+/// would), and each foreign leaf replaced by its `fetched` rows. Each
+/// shared spool is filled once.
+pub(crate) fn fill_slots(
+    plan: Plan,
+    values: &[Vec<Value>],
+    fetched: &mut impl Iterator<Item = Vec<Vec<Value>>>,
+    spools: &mut HashMap<usize, Arc<Plan>>,
+) -> Plan {
+    let fill = |e: BoundExpr| fill_expr(e, values);
+    let plan = match plan {
+        Plan::Shared { id, input } => {
+            let input = match spools.get(&id) {
+                Some(filled) => Arc::clone(filled),
+                None => {
+                    let filled = Arc::new(fill_slots((*input).clone(), values, fetched, spools));
+                    spools.insert(id, Arc::clone(&filled));
+                    filled
+                }
+            };
+            return Plan::Shared { id, input };
+        }
+        Plan::IndexScan { table, schema, lookup: IndexLookup::AtOpen(c), .. } => {
+            let c = fill(c);
+            return match crate::opt::rules::index_lookup(&table, &c) {
+                Some((column, lookup)) => Plan::IndexScan { table, schema, column, lookup },
+                None => {
+                    let input = Box::new(Plan::Scan { table, schema });
+                    Plan::Filter { input, predicate: c }
+                }
+            };
+        }
+        Plan::ForeignScan { schema, .. } => {
+            return Plan::Values { schema, rows: fetched.next().unwrap_or_default() }
+        }
+        other => map_children(other, &mut |child| fill_slots(child, values, fetched, spools)),
+    };
+    let all = |exprs: Vec<BoundExpr>| exprs.into_iter().map(fill).collect();
+    match plan {
+        Plan::Filter { input, predicate } => Plan::Filter { input, predicate: fill(predicate) },
+        Plan::Project { input, exprs, schema } => {
+            Plan::Project { input, exprs: all(exprs), schema }
+        }
+        Plan::NestedLoopJoin { left, right, kind, predicate, schema } => {
+            Plan::NestedLoopJoin { left, right, kind, predicate: predicate.map(fill), schema }
+        }
+        Plan::HashJoin { left, right, kind, left_keys, right_keys, residual, schema } => {
+            let (left_keys, right_keys) = (all(left_keys), all(right_keys));
+            let residual = residual.map(fill);
+            Plan::HashJoin { left, right, kind, left_keys, right_keys, residual, schema }
+        }
+        Plan::Aggregate { input, group, aggs, schema } => {
+            let aggs = aggs.into_iter().map(|a| AggSpec { arg: a.arg.map(fill), ..a }).collect();
+            Plan::Aggregate { input, group: all(group), aggs, schema }
+        }
+        Plan::Sort { input, keys } => {
+            let keys = keys.into_iter().map(|k| SortKey { expr: fill(k.expr), ..k }).collect();
+            Plan::Sort { input, keys }
+        }
+        other => other,
+    }
+}
+
+/// `e` with every slot replaced by its value, as in [`fill_slots`].
+pub(crate) fn fill_expr(e: BoundExpr, values: &[Vec<Value>]) -> BoundExpr {
+    let value = |i: usize| values.get(i).map_or(&[][..], Vec::as_slice);
+    match e {
+        BoundExpr::Slot(i) => BoundExpr::Literal(value(i).first().cloned().unwrap_or(Value::Null)),
+        BoundExpr::InList { expr, list, negated } => BoundExpr::InList {
+            expr: Box::new(fill_expr(*expr, values)),
+            list: list
+                .into_iter()
+                .flat_map(|item| match item {
+                    BoundExpr::Slot(i) => {
+                        value(i).iter().cloned().map(BoundExpr::Literal).collect()
+                    }
+                    other => vec![fill_expr(other, values)],
+                })
+                .collect(),
+            negated,
+        },
+        other => other.map_operands(&mut |o| fill_expr(o, values)),
+    }
 }
 
 struct Planner<'a> {
     catalog: &'a Catalog,
     scoped: &'a [Arc<Table>],
     cfg: &'a OptimizerConfig,
-    /// Base-table rows scanned by the subqueries run so far.
-    scanned: Cell<u64>,
+    /// The statement's slots so far, each with the type it gives an output
+    /// column: its parameters, then each subquery as it is lifted.
+    slots: RefCell<Vec<(Slot, DataType)>>,
 }
 
 impl<'a> Planner<'a> {
+    /// A planner whose first slots are the parameters of `statement`,
+    /// typed by the columns they are compared with.
+    fn new(
+        catalog: &'a Catalog,
+        scoped: &'a [Arc<Table>],
+        cfg: &'a OptimizerConfig,
+        statement: &Select,
+    ) -> Self {
+        let params = infer_slot_types(catalog, statement, &collect_params(statement));
+        let slots = params
+            .into_iter()
+            .map(|p| (Slot::Param(p.display()), p.expected.unwrap_or(DataType::Text)))
+            .collect();
+        Planner { catalog, scoped, cfg, slots: RefCell::new(slots) }
+    }
+
+    /// `plan` under a [`Plan::Bind`] of the slots it reads, if any.
+    fn bind(self, plan: Plan) -> Plan {
+        let slots: Vec<Slot> = self.slots.into_inner().into_iter().map(|(s, _)| s).collect();
+        if slots.is_empty() {
+            return plan;
+        }
+        Plan::Bind { input: Box::new(plan), slots }
+    }
+
     fn select(&self, select: &Select) -> Result<Plan> {
         if !select.union.is_empty() {
             return self.compound_select(select);
@@ -491,31 +668,12 @@ impl<'a> Planner<'a> {
             let out_schema = plan.schema().clone();
             let mut keys = Vec::new();
             for item in &select.order_by {
-                if let Expr::Literal(Value::Int(n)) = &item.expr {
-                    let idx = *n - 1;
-                    if idx < 0 || idx as usize >= out_schema.len() {
-                        return Err(Error::plan(format!(
-                            "ORDER BY position {n} is out of range"
-                        )));
+                keys.push(match output_sort_key(item, &out_schema)? {
+                    Some(key) => key,
+                    // Binding it again names why it does not bind.
+                    None => {
+                        SortKey { expr: bind(&item.expr, &out_schema)?, ascending: item.ascending }
                     }
-                    keys.push(SortKey {
-                        expr: BoundExpr::Column(idx as usize),
-                        ascending: item.ascending,
-                    });
-                    continue;
-                }
-                if let Expr::Column { qualifier: None, name } = &item.expr {
-                    if let Some(idx) = out_schema.index_of_output(name) {
-                        keys.push(SortKey {
-                            expr: BoundExpr::Column(idx),
-                            ascending: item.ascending,
-                        });
-                        continue;
-                    }
-                }
-                keys.push(SortKey {
-                    expr: bind(&item.expr, &out_schema)?,
-                    ascending: item.ascending,
                 });
             }
             plan = Plan::Sort { input: Box::new(plan), keys };
@@ -530,102 +688,68 @@ impl<'a> Planner<'a> {
         Ok(plan)
     }
 
-    /// Optimize and execute one uncorrelated subquery and return its rows,
-    /// charging the rows it scanned to the statement.
-    fn subquery_rows(&self, query: &Select) -> Result<(Schema, Vec<Vec<Value>>)> {
-        let plan = optimize(self.select(query)?, self.cfg)?.plan;
-        let schema = plan.schema().clone();
-        let mut cursor = crate::exec::Rows::open(plan, 1, 0)?;
-        let rows = cursor.by_ref().collect::<Result<_>>()?;
-        self.scanned.set(self.scanned.get() + cursor.rows_scanned());
-        Ok((schema, rows))
-    }
-
-    /// Materialise every subquery in `e` into literal form:
-    /// `IN (SELECT ...)` → literal IN-list (preserving NULL semantics and
-    /// making the predicate sargable), `EXISTS` → boolean literal, scalar
-    /// subquery → its single value (NULL when empty).
-    fn resolve_subqueries(&self, e: Expr) -> Result<Expr> {
+    /// Lift every subquery in `e` into a slot of the statement, planned
+    /// and optimized now and run when a cursor opens: `x IN (SELECT …)`
+    /// becomes `x IN ($i)`, which keeps NULL semantics and stays sargable;
+    /// `EXISTS` and a scalar subquery become `$i`.
+    fn lift(&self, e: Expr) -> Result<Expr> {
         let mut err: Option<Error> = None;
         let out = e.rewrite(&mut |node| {
-            if err.is_some() {
-                return node;
-            }
-            match node {
-                Expr::InSubquery { expr, query, negated } => {
-                    match self.subquery_rows(&query) {
-                        Ok((schema, rows)) => {
-                            if schema.len() != 1 {
-                                err = Some(Error::plan(format!(
-                                    "IN subquery must return exactly one column, got {}",
-                                    schema.len()
-                                )));
-                                return Expr::Literal(Value::Null);
-                            }
-                            Expr::InList {
-                                expr,
-                                list: rows
-                                    .into_iter()
-                                    .map(|mut r| Expr::Literal(r.swap_remove(0)))
-                                    .collect(),
-                                negated,
-                            }
-                        }
-                        Err(e) => {
-                            err = Some(e);
-                            Expr::Literal(Value::Null)
-                        }
-                    }
-                }
-                Expr::Exists { query, negated } => match self.subquery_rows(&query) {
-                    Ok((_, rows)) => {
-                        // EXISTS is true on non-empty; NOT EXISTS flips it.
-                        Expr::Literal(Value::Bool(rows.is_empty() == negated))
-                    }
-                    Err(e) => {
-                        err = Some(e);
-                        Expr::Literal(Value::Null)
-                    }
-                },
-                Expr::ScalarSubquery(query) => match self.subquery_rows(&query) {
-                    Ok((schema, mut rows)) => {
-                        if schema.len() != 1 {
-                            err = Some(Error::plan(format!(
-                                "scalar subquery must return exactly one column, got {}",
-                                schema.len()
-                            )));
-                            return Expr::Literal(Value::Null);
-                        }
-                        match rows.len() {
-                            0 => Expr::Literal(Value::Null),
-                            1 => Expr::Literal(rows.swap_remove(0).swap_remove(0)),
-                            n => {
-                                err = Some(Error::plan(format!(
-                                    "scalar subquery returned {n} rows"
-                                )));
-                                Expr::Literal(Value::Null)
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        err = Some(e);
-                        Expr::Literal(Value::Null)
-                    }
-                },
-                other => other,
-            }
+            let lifted = match node {
+                _ if err.is_some() => return node,
+                Expr::InSubquery { expr, query, negated } => self
+                    .subquery(&query, Slot::In)
+                    .map(|slot| Expr::InList { expr, list: vec![slot], negated }),
+                Expr::Exists { query, negated: false } => self.subquery(&query, Slot::Exists),
+                Expr::Exists { query, negated: true } => self
+                    .subquery(&query, Slot::Exists)
+                    .map(|slot| Expr::Unary { op: UnaryOp::Not, expr: Box::new(slot) }),
+                Expr::ScalarSubquery(query) => self.subquery(&query, Slot::Scalar),
+                other => return other,
+            };
+            lifted.unwrap_or_else(|e| {
+                err = Some(e);
+                Expr::Literal(Value::Null)
+            })
         });
-        match err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
+        err.map_or(Ok(out), Err)
     }
 
-    /// Apply subquery resolution to every expression position of a SELECT
-    /// core (WHERE, projections, GROUP BY, HAVING, ORDER BY); a core
-    /// without subqueries is borrowed as it is.
-    fn resolve_select<'s>(&self, select: &'s Select) -> Result<Cow<'s, Select>> {
-        if !select.has_subquery() {
+    /// Plan and optimize one uncorrelated subquery as the statement's next
+    /// slot, and return the reference to it.
+    fn subquery(&self, query: &Select, slot: fn(Plan) -> Slot) -> Result<Expr> {
+        let plan = optimize(self.select(query)?, self.cfg)?.plan;
+        let (width, first) = (plan.schema().len(), plan.schema().columns.first());
+        let first = first.map_or(DataType::Bool, |c| c.data_type);
+        let slot = slot(plan);
+        let ty = match (&slot, width) {
+            (Slot::Exists(_), _) => DataType::Bool,
+            (_, 1) => first,
+            (slot, n) => {
+                let what = if matches!(slot, Slot::In(_)) { "IN" } else { "scalar" };
+                let why = format!("{what} subquery must return exactly one column, got {n}");
+                return Err(Error::plan(why));
+            }
+        };
+        let mut slots = self.slots.borrow_mut();
+        slots.push((slot, ty));
+        Ok(Expr::Param { name: None, index: slots.len() - 1 })
+    }
+
+    /// Lift the subqueries of every expression position of a SELECT core
+    /// (WHERE, projections, GROUP BY, HAVING, ORDER BY). A core without
+    /// one is borrowed as it is: planning it copies and rebuilds nothing.
+    fn lift_select<'s>(&self, select: &'s Select) -> Result<Cow<'s, Select>> {
+        let mut nested = false;
+        select.visit_clauses(&mut |e| {
+            e.visit(&mut |node| {
+                nested |= matches!(
+                    node,
+                    Expr::InSubquery { .. } | Expr::Exists { .. } | Expr::ScalarSubquery(_)
+                )
+            })
+        });
+        if !nested {
             return Ok(Cow::Borrowed(select));
         }
         let mut s = select.clone();
@@ -636,13 +760,13 @@ impl<'a> Planner<'a> {
         let order = s.order_by.iter_mut().map(|o| &mut o.expr);
         let clauses = s.filter.iter_mut().chain(items).chain(&mut s.group_by);
         for e in clauses.chain(&mut s.having).chain(order) {
-            *e = self.resolve_subqueries(std::mem::replace(e, Expr::Literal(Value::Null)))?;
+            *e = self.lift(std::mem::replace(e, Expr::Literal(Value::Null)))?;
         }
         Ok(Cow::Owned(s))
     }
 
     fn select_core(&self, select: &Select) -> Result<Plan> {
-        let select = &self.resolve_select(select)?;
+        let select = &self.lift_select(select)?;
         // FROM + WHERE, lowered by scope: a conjunct that binds against one
         // FROM item filters that item, one that needs two items becomes the
         // condition of the first join that has both (hash-joinable when it
@@ -840,12 +964,8 @@ impl<'a> Planner<'a> {
             proj_input_schema = input_schema;
         }
 
-        // Pre-projection ORDER BY support: keys that don't reference output
-        // columns are evaluated against the projection input.
-        let mut pre_sort_keys: Vec<SortKey> = Vec::new();
-        let mut post_sort_keys: Vec<(OrderItem, Option<usize>)> = Vec::new();
-
         // Build output schema first (needed to resolve aliases).
+        let slot_types: Vec<DataType> = self.slots.borrow().iter().map(|(_, t)| *t).collect();
         let mut out_columns = Vec::new();
         let mut bound_projs = Vec::new();
         for ((expr, alias), (display_expr, _)) in projections.iter().zip(&display_projs) {
@@ -857,44 +977,25 @@ impl<'a> Planner<'a> {
                 }
                 (None, e) => (None, e.to_string()),
             };
-            let mut col = Column::new(name, infer_type(expr, &proj_input_schema));
+            let mut col = Column::new(name, infer_type(expr, &proj_input_schema, &slot_types));
             col.qualifier = qualifier;
             out_columns.push(col);
             bound_projs.push(bound);
         }
         let out_schema = Schema::new(out_columns);
 
+        // A key that does not bind to the output sorts the projection's
+        // input instead, before it is projected.
+        let mut pre_sort_keys = Vec::new();
+        let mut post_sort_keys = Vec::new();
         for item in &order_by {
-            // 1. positional (ORDER BY 2)
-            if let Expr::Literal(Value::Int(n)) = &item.expr {
-                let idx = *n - 1;
-                if idx < 0 || idx as usize >= out_schema.len() {
-                    return Err(Error::plan(format!(
-                        "ORDER BY position {n} is out of range"
-                    )));
-                }
-                post_sort_keys.push((item.clone(), Some(idx as usize)));
-                continue;
+            match output_sort_key(item, &out_schema)? {
+                Some(key) => post_sort_keys.push(key),
+                None => pre_sort_keys.push(SortKey {
+                    expr: bind(&item.expr, &proj_input_schema)?,
+                    ascending: item.ascending,
+                }),
             }
-            // 2. output alias / output column
-            if let Expr::Column { qualifier: None, name } = &item.expr {
-                if let Some(idx) = out_schema.index_of_output(name) {
-                    post_sort_keys.push((item.clone(), Some(idx)));
-                    continue;
-                }
-            }
-            // 3. try binding against the output schema
-            if let Ok(b) = bind(&item.expr, &out_schema) {
-                post_sort_keys.push((
-                    OrderItem { expr: item.expr.clone(), ascending: item.ascending },
-                    None,
-                ));
-                let _ = b; // re-bound below
-                continue;
-            }
-            // 4. fall back to the projection input (sort before project)
-            let b = bind(&item.expr, &proj_input_schema)?;
-            pre_sort_keys.push(SortKey { expr: b, ascending: item.ascending });
         }
 
         if !pre_sort_keys.is_empty() {
@@ -912,15 +1013,7 @@ impl<'a> Planner<'a> {
         }
 
         if !post_sort_keys.is_empty() {
-            let mut keys = Vec::new();
-            for (item, idx) in post_sort_keys {
-                let expr = match idx {
-                    Some(i) => BoundExpr::Column(i),
-                    None => bind(&item.expr, &out_schema)?,
-                };
-                keys.push(SortKey { expr, ascending: item.ascending });
-            }
-            plan = Plan::Sort { input: Box::new(plan), keys };
+            plan = Plan::Sort { input: Box::new(plan), keys: post_sort_keys };
         }
 
         if select.limit.is_some() || select.offset.is_some() {
@@ -941,7 +1034,7 @@ impl<'a> Planner<'a> {
                 let qualifier = alias.clone().unwrap_or_else(|| name.clone());
                 let schema = table.schema.clone().with_qualifier(&qualifier);
                 Ok(if table.foreign().is_some() {
-                    Plan::ForeignScan { table, schema, pushed: None }
+                    Plan::ForeignScan { table, schema, pushed: Vec::new() }
                 } else {
                     Plan::Scan { table, schema }
                 })
@@ -1087,7 +1180,7 @@ impl<'a> Planner<'a> {
         for (i, g) in select.group_by.iter().enumerate() {
             group_bound.push(bind(g, input_schema)?);
             let name = format!("#g{i}");
-            out_cols.push(Column::new(name, infer_type(g, input_schema)));
+            out_cols.push(Column::new(name, infer_type(g, input_schema, &[])));
         }
         let mut aggs = Vec::new();
         for (j, call) in agg_calls.iter().enumerate() {
@@ -1109,7 +1202,7 @@ impl<'a> Planner<'a> {
                 Some(bind(&args[0], input_schema)?)
             };
             aggs.push(AggSpec { func, distinct: *distinct, arg });
-            out_cols.push(Column::new(format!("#a{j}"), infer_type(call, input_schema)));
+            out_cols.push(Column::new(format!("#a{j}"), infer_type(call, input_schema, &[])));
         }
         let agg_schema = Schema::new(out_cols);
         let plan = Plan::Aggregate {
@@ -1146,62 +1239,25 @@ impl AggRewriter {
             Expr::Column { .. } => Err(Error::plan(format!(
                 "column `{e}` must appear in GROUP BY or inside an aggregate"
             ))),
-            Expr::Literal(_) | Expr::Param { .. } => Ok(e),
-            Expr::Unary { op, expr } => Ok(Expr::Unary {
-                op,
-                expr: Box::new(self.rewrite(*expr)?),
-            }),
-            Expr::Binary { left, op, right } => Ok(Expr::Binary {
-                left: Box::new(self.rewrite(*left)?),
-                op,
-                right: Box::new(self.rewrite(*right)?),
-            }),
-            Expr::IsNull { expr, negated } => Ok(Expr::IsNull {
-                expr: Box::new(self.rewrite(*expr)?),
-                negated,
-            }),
-            Expr::InList { expr, list, negated } => Ok(Expr::InList {
-                expr: Box::new(self.rewrite(*expr)?),
-                list: list.into_iter().map(|e| self.rewrite(e)).collect::<Result<_>>()?,
-                negated,
-            }),
-            Expr::Between { expr, low, high, negated } => Ok(Expr::Between {
-                expr: Box::new(self.rewrite(*expr)?),
-                low: Box::new(self.rewrite(*low)?),
-                high: Box::new(self.rewrite(*high)?),
-                negated,
-            }),
-            Expr::Like { expr, pattern, negated } => Ok(Expr::Like {
-                expr: Box::new(self.rewrite(*expr)?),
-                pattern: Box::new(self.rewrite(*pattern)?),
-                negated,
-            }),
-            Expr::Function { name, args, distinct, star } => Ok(Expr::Function {
-                name,
-                args: args.into_iter().map(|e| self.rewrite(e)).collect::<Result<_>>()?,
-                distinct,
-                star,
-            }),
-            // Subqueries were materialised before aggregation planning;
-            // an InSubquery's outer operand still needs the rewrite.
-            Expr::InSubquery { expr, query, negated } => Ok(Expr::InSubquery {
-                expr: Box::new(self.rewrite(*expr)?),
-                query,
-                negated,
-            }),
-            e @ (Expr::Exists { .. } | Expr::ScalarSubquery(_)) => Ok(e),
-            Expr::Case { operand, branches, else_expr } => Ok(Expr::Case {
-                operand: operand.map(|o| self.rewrite(*o).map(Box::new)).transpose()?,
-                branches: branches
-                    .into_iter()
-                    .map(|(w, t)| Ok((self.rewrite(w)?, self.rewrite(t)?)))
-                    .collect::<Result<_>>()?,
-                else_expr: else_expr
-                    .map(|e| self.rewrite(*e).map(Box::new))
-                    .transpose()?,
-            }),
+            other => other.try_map_children(&mut |c| self.rewrite(c)),
         }
     }
+}
+
+/// ORDER BY key `item` bound to the `out` columns of a SELECT: a position
+/// (`ORDER BY 2`, an error when out of range), an output name or alias,
+/// or an expression over the output columns; `None` when it binds to none.
+fn output_sort_key(item: &OrderItem, out: &Schema) -> Result<Option<SortKey>> {
+    let expr = match &item.expr {
+        Expr::Literal(Value::Int(n)) => match usize::try_from(*n - 1) {
+            Ok(i) if i < out.len() => Some(BoundExpr::Column(i)),
+            _ => return Err(Error::plan(format!("ORDER BY position {n} is out of range"))),
+        },
+        Expr::Column { qualifier: None, name } => out.index_of_output(name).map(BoundExpr::Column),
+        _ => None,
+    };
+    let expr = expr.or_else(|| bind(&item.expr, out).ok());
+    Ok(expr.map(|expr| SortKey { expr, ascending: item.ascending }))
 }
 
 /// Flatten nested ANDs into a conjunct list.
@@ -1273,7 +1329,7 @@ mod tests {
         let Statement::Select(s) = parse_statement(sql).unwrap() else {
             panic!("not a select")
         };
-        plan_select(&catalog(), &[], &s, &OptimizerConfig::none()).map(|(p, _)| p)
+        plan_select(&catalog(), &[], &s, &OptimizerConfig::none())
     }
 
     #[test]
@@ -1328,7 +1384,7 @@ mod tests {
                 scan_order(right, out);
             }
             Plan::Shared { input, .. } => scan_order(input, out),
-            Plan::Values { .. } | Plan::Union { .. } => {}
+            Plan::Values { .. } | Plan::Union { .. } | Plan::Bind { .. } => {}
         }
     }
 
@@ -1571,7 +1627,7 @@ mod tests {
             panic!("not a select")
         };
         let cfg = OptimizerConfig::default();
-        optimize(plan_select(cat, &[], &s, &cfg).unwrap().0, &cfg).unwrap().plan
+        optimize(plan_select(cat, &[], &s, &cfg).unwrap(), &cfg).unwrap().plan
     }
 
     fn find_index_scan(p: &Plan) -> Option<&IndexLookup> {
@@ -1686,6 +1742,38 @@ mod tests {
     }
 
     #[test]
+    fn slot_keys_are_coerced_at_open_as_literal_keys_are() {
+        // `tons = $t` keeps its lookup for the open, which builds it from
+        // the bound value exactly as `tons = 100` / `city = NULL` build
+        // theirs at plan time: an INT key on a FLOAT column is a FLOAT
+        // key, and a NULL key is an empty key set.
+        let cat = indexed_catalog();
+        let open = |sql: &str, value: Value| {
+            let Plan::Bind { input, .. } = plan_on(&cat, sql) else { panic!("{sql}: no slots") };
+            assert!(matches!(find_index_scan(&input), Some(IndexLookup::AtOpen(_))), "{sql}");
+            let filled = fill_slots(*input, &[vec![value]], &mut std::iter::empty(), &mut HashMap::new());
+            find_index_scan(&filled).cloned()
+        };
+        let literal = |sql: &str| find_index_scan(&plan_on(&cat, sql)).cloned();
+        assert_eq!(
+            open("SELECT name FROM landfill WHERE tons = $t", Value::Int(100)),
+            literal("SELECT name FROM landfill WHERE tons = 100")
+        );
+        assert!(matches!(
+            open("SELECT name FROM landfill WHERE tons = $t", Value::Int(100)),
+            Some(IndexLookup::Eq(k)) if matches!(k[..], [Value::Float(f)] if f == 100.0)
+        ));
+        assert_eq!(
+            open("SELECT name FROM landfill WHERE city = $c", Value::Null),
+            literal("SELECT name FROM landfill WHERE city = NULL")
+        );
+        assert_eq!(
+            open("SELECT name FROM landfill WHERE tons > $t", Value::Int(5)),
+            literal("SELECT name FROM landfill WHERE tons > 5")
+        );
+    }
+
+    #[test]
     fn explain_renders_index_scan() {
         let cat = indexed_catalog();
         let p = plan_on(&cat, "SELECT name FROM landfill WHERE city = 'Torino'");
@@ -1723,7 +1811,7 @@ mod tests {
             Column::new("i", DataType::Int),
             Column::new("f", DataType::Float),
         ]);
-        let t = |src: &str| infer_type(&parse_expr(src).unwrap(), &schema);
+        let t = |src: &str| infer_type(&parse_expr(src).unwrap(), &schema, &[]);
         assert_eq!(t("i + 1"), DataType::Int);
         assert_eq!(t("i + f"), DataType::Float);
         assert_eq!(t("i > 1"), DataType::Bool);

@@ -5,9 +5,10 @@
 //! [`Database::prepare`](crate::Database::prepare) builds it from text
 //! behind a bounded LRU keyed by [`normalize_sql`] (so repeated traffic
 //! with the same shape skips the front-end even when the submitted text
-//! differs in case or whitespace) and lints and plans it eagerly. The
-//! *execute* step binds values to slots and streams results through a
-//! [`Rows`] cursor.
+//! differs in case or whitespace) and lints and plans it eagerly. Its plan
+//! is one template, kept for every binding: the *execute* step replays it
+//! and opens a [`Rows`] cursor, which fills the plan's slots — the bound
+//! values, the results of its subqueries — when it opens.
 //!
 //! Placeholders come in two forms, shared with the SESQL and SPARQL
 //! grammars:
@@ -222,65 +223,15 @@ pub fn substitute_expr(e: Expr, values: &[Value]) -> Expr {
     })
 }
 
-fn substitute_table_ref(tr: TableRef, values: &[Value]) -> TableRef {
-    match tr {
-        t @ TableRef::Table { .. } => t,
-        TableRef::Join { left, right, kind, on } => TableRef::Join {
-            left: Box::new(substitute_table_ref(*left, values)),
-            right: Box::new(substitute_table_ref(*right, values)),
-            kind,
-            on: on.map(|e| substitute_expr(e, values)),
-        },
-    }
-}
-
 /// Substitute every parameter placeholder in a SELECT (all clauses, all
 /// union members, all subqueries). No values, nothing to substitute.
-pub fn substitute_select(select: Select, values: &[Value]) -> Select {
-    if values.is_empty() {
-        return select;
+pub fn substitute_select(mut select: Select, values: &[Value]) -> Select {
+    if !values.is_empty() {
+        select.visit_clauses_mut(&mut |e| {
+            *e = substitute_expr(std::mem::replace(e, Expr::Literal(Value::Null)), values)
+        });
     }
-    Select {
-        distinct: select.distinct,
-        projections: select
-            .projections
-            .into_iter()
-            .map(|p| match p {
-                SelectItem::Expr { expr, alias } => SelectItem::Expr {
-                    expr: substitute_expr(expr, values),
-                    alias,
-                },
-                other => other,
-            })
-            .collect(),
-        from: select
-            .from
-            .into_iter()
-            .map(|tr| substitute_table_ref(tr, values))
-            .collect(),
-        filter: select.filter.map(|e| substitute_expr(e, values)),
-        group_by: select
-            .group_by
-            .into_iter()
-            .map(|e| substitute_expr(e, values))
-            .collect(),
-        having: select.having.map(|e| substitute_expr(e, values)),
-        union: select
-            .union
-            .into_iter()
-            .map(|(all, s)| (all, substitute_select(s, values)))
-            .collect(),
-        order_by: select
-            .order_by
-            .into_iter()
-            .map(|mut o| {
-                o.expr = substitute_expr(o.expr, values);
-                o
-            })
-            .collect(),
-        limit: select.limit,
-        offset: select.offset,
-    }
+    select
 }
 
 // ---- slot type inference ---------------------------------------------------
@@ -413,8 +364,8 @@ pub fn infer_slot_types(
 /// A compiled SELECT — the only executable form of one. Every way of
 /// running a SELECT ([`Database::query`], `query_cursor`, `prepare`,
 /// `INSERT … SELECT`, the SESQL pipeline's SQL leg) builds one of these
-/// and calls [`Prepared::execute`], the one function that plans, re-plans
-/// and opens a [`Rows`] cursor.
+/// and calls [`Prepared::execute`], the one function that replays (or
+/// plans) the statement's template and opens a [`Rows`] cursor on it.
 ///
 /// Cheap to clone; clones share the memo below, and executions on one
 /// `Prepared` are independent cursors.
@@ -446,16 +397,11 @@ pub(crate) struct Memo {
     /// Slot types inferred against the catalog at `tag`, so a handle held
     /// across `DROP TABLE` + re-`CREATE` binds with fresh expectations.
     slots: Arc<Vec<SlotInfo>>,
-    /// The optimized plan of a parameterless statement, filled by its
-    /// first execution at `tag` and replayed by the later ones. A
-    /// parameterised statement is planned per binding, so value-dependent
-    /// access paths (index eq/range scans) are chosen per execution.
+    /// The optimized plan, filled by `prepare` or the first execution at
+    /// `tag` and replayed by every later one, whatever its bindings. A
+    /// plan holds no data: parameters and subquery results are slots its
+    /// cursor fills when it opens, index keys from them included.
     template: Option<Arc<Plan>>,
-    /// Whether `template` may be kept: the statement has no parameters
-    /// and no subquery. The planner runs subqueries and inlines their
-    /// rows, so a kept plan would answer from the rows of its first
-    /// execution after the subquery's tables changed.
-    replayable: bool,
 }
 
 pub(crate) type SharedMemo = Arc<Mutex<Option<Memo>>>;
@@ -498,8 +444,7 @@ impl Prepared {
                 let raw = crate::sql::parser::collect_params(&self.select);
                 let slots =
                     Arc::new(infer_slot_types(self.db.catalog(), &self.select, &raw));
-                let replayable = slots.is_empty() && !self.select.has_subquery();
-                memo.insert(Memo { tag, slots, template: None, replayable }).clone()
+                memo.insert(Memo { tag, slots, template: None }).clone()
             }
         }
     }
@@ -527,77 +472,51 @@ impl Prepared {
         &self.select
     }
 
-    /// Bind `params` into a parameter-free SELECT, coercing against the
-    /// live catalog's slot types.
-    pub fn bind(&self, params: &Params) -> Result<Select> {
-        let values = resolve_params(&self.memo().slots, params)?;
-        Ok(substitute_select((*self.select).clone(), &values))
-    }
-
     /// Execute with bound parameters, returning a streaming cursor.
     ///
-    /// A parameterless statement replays its plan template (no parse, no
-    /// plan; bindings are ignored); a parameterised one substitutes
-    /// literals and plans, and one with a subquery plans every time (its
-    /// subqueries run at plan time). Execution inherits the database's
-    /// worker-thread budget (see `Database::set_exec_threads`).
+    /// Replays the statement's plan template (no parse, no plan) and opens
+    /// a cursor on it with `params` coerced to the slot types; the cursor
+    /// runs the statement's subqueries when it opens. Execution inherits
+    /// the database's worker-thread budget (see
+    /// `Database::set_exec_threads`).
     pub fn execute(&self, params: &Params) -> Result<Rows> {
-        let (plan, scanned) = self.plan(params, true)?;
-        Rows::open(plan, self.db.exec_threads(), scanned)
+        let (plan, slots) = self.plan(true)?;
+        Rows::open(plan, self.db.exec_threads(), resolve_params(&slots, params)?)
     }
 
     /// [`Prepared::execute`] for a handle that is dropped with the call
     /// (ad-hoc text, a rewritten SESQL leg): no later execution could
     /// replay a template, so none is kept.
     pub fn execute_once(self, params: &Params) -> Result<Rows> {
-        let (plan, scanned) = self.plan(params, false)?;
-        Rows::open(plan, self.db.exec_threads(), scanned)
+        let (plan, slots) = self.plan(false)?;
+        Rows::open(plan, self.db.exec_threads(), resolve_params(&slots, params)?)
     }
 
-    /// The plan one execution with `params` runs, and the base-table rows
-    /// its subqueries scanned while it was planned: the only place a
-    /// statement is planned for execution. `keep` stores a replayable
-    /// statement's plan as the template (at the price of one clone); a
-    /// replayed template scanned nothing, as it has no subquery.
-    pub(crate) fn plan(&self, params: &Params, keep: bool) -> Result<(Plan, u64)> {
+    /// The plan every execution runs, and the slot types its bindings are
+    /// coerced to: the only place a statement is planned for execution.
+    /// `keep` stores a fresh plan as the template (at the price of one
+    /// clone), post-optimization, so later executions replay the rewritten
+    /// (pushed-down, spooled) shape directly.
+    pub(crate) fn plan(&self, keep: bool) -> Result<(Plan, Arc<Vec<SlotInfo>>)> {
         let memo = self.memo();
-        Ok(if !memo.slots.is_empty() {
-            let (optimized, scanned) = self.db.plan_scoped(&self.bind(params)?, &self.scoped)?;
-            (optimized.plan, scanned)
-        } else if let Some(template) = &memo.template {
-            ((**template).clone(), 0)
-        } else {
-            // Templates are kept post-optimization: later executions
-            // replay the rewritten (pushed-down, spooled) shape directly.
-            let (optimized, scanned) = self.db.plan_scoped(&self.select, &self.scoped)?;
-            if keep && memo.replayable {
-                if let Some(m) = self.memo.lock().as_mut().filter(|m| m.tag == memo.tag) {
-                    m.template = Some(Arc::new(optimized.plan.clone()));
-                }
+        if let Some(template) = &memo.template {
+            return Ok(((**template).clone(), memo.slots));
+        }
+        let plan = self.db.plan_scoped(&self.select, &self.scoped)?.plan;
+        if keep {
+            if let Some(m) = self.memo.lock().as_mut().filter(|m| m.tag == memo.tag) {
+                m.template = Some(Arc::new(plan.clone()));
             }
-            (optimized.plan, scanned)
-        })
+        }
+        Ok((plan, memo.slots))
     }
 
     /// Render the optimized execution plan of this statement — the
     /// `EXPLAIN` tree plus one annotation line per rewrite pass that
-    /// fired. Parameterless statements only; a parameterised statement's
-    /// plan depends on its bound values, so use
-    /// [`Prepared::explain_with`].
+    /// fired. Parameters and subquery results show as the slots of a
+    /// `Bind` root; nothing runs.
     pub fn explain(&self) -> Result<String> {
-        if !self.param_slots().is_empty() {
-            return Err(Error::plan(
-                "statement has parameters — use explain_with(params) so \
-                 value-dependent access paths can be chosen",
-            ));
-        }
-        Ok(self.db.plan_scoped(&self.select, &self.scoped)?.0.render())
-    }
-
-    /// [`Prepared::explain`] with parameters bound — shows the plan the
-    /// next [`Prepared::execute`] with these values would run.
-    pub fn explain_with(&self, params: &Params) -> Result<String> {
-        Ok(self.db.plan_scoped(&self.bind(params)?, &self.scoped)?.0.render())
+        Ok(self.db.plan_scoped(&self.select, &self.scoped)?.render())
     }
 
     /// Execute and materialise (the `collect()` adapter over
@@ -752,8 +671,8 @@ mod tests {
 
     #[test]
     fn subquery_results_are_not_frozen_into_a_template() {
-        // The planner runs subqueries and inlines their rows, so a kept
-        // template would keep answering from the first execution's rows.
+        // A template holds the subquery's plan, never its rows: each
+        // execution runs it again when its cursor opens.
         for (sql, before, after) in [
             ("SELECT name FROM t WHERE x IN (SELECT y FROM u) ORDER BY name", "a", "a b"),
             ("SELECT name FROM t WHERE EXISTS (SELECT y FROM u WHERE y = 2) ORDER BY name", "", "a b"),
@@ -782,8 +701,8 @@ mod tests {
 
     #[test]
     fn subquery_scans_are_charged_to_the_statement() {
-        // Subqueries run at plan time on cursors of their own; the
-        // statement's cursor still reports every base-table row read.
+        // Subqueries run when the statement's cursor opens, and it
+        // reports every base-table row read.
         let d = Database::new();
         d.execute_script(
             "CREATE TABLE a (x INT);
@@ -811,6 +730,58 @@ mod tests {
         assert_eq!(drain(d.query_cursor(nested).unwrap()), 5 + 3 + 2);
     }
 
+    /// The template a handle keeps, by address.
+    fn template(p: &Prepared) -> *const Plan {
+        let memo = p.memo.lock();
+        memo.as_ref().and_then(|m| m.template.as_ref()).map_or(std::ptr::null(), Arc::as_ptr)
+    }
+
+    #[test]
+    fn one_template_serves_every_binding_and_subquery_run() {
+        let d = db();
+        d.execute_script(
+            "CREATE TABLE hot (city TEXT); INSERT INTO hot VALUES ('Collegno');
+             CREATE INDEX idx_city ON landfill (city);",
+        )
+        .unwrap();
+        let names = |p: &Prepared, params: &Params| {
+            let rows = p.query(params).unwrap().rows;
+            rows.iter().map(|r| r[0].lexical_form()).collect::<Vec<_>>().join(",")
+        };
+        // Prepare plans and keeps the template; no binding plans again.
+        let by_city = d.prepare("SELECT name FROM landfill WHERE city = $c ORDER BY name").unwrap();
+        let kept = template(&by_city);
+        assert!(!kept.is_null());
+        assert_eq!(names(&by_city, &Params::new().set("c", "Torino")), "Basse di Stura,Gerbido");
+        assert_eq!(names(&by_city, &Params::new().set("c", "Collegno")), "Barricalla");
+        assert_eq!(names(&by_city, &Params::new().set("c", Value::Null)), "");
+        assert_eq!(template(&by_city), kept);
+        // A subquery runs per execution on the one template.
+        let hot = d
+            .prepare("SELECT name FROM landfill WHERE city IN (SELECT city FROM hot) ORDER BY name")
+            .unwrap();
+        assert_eq!(names(&hot, &Params::new()), "Barricalla");
+        let kept = template(&hot);
+        d.execute("INSERT INTO hot VALUES ('Torino')").unwrap();
+        assert_eq!(names(&hot, &Params::new()), "Barricalla,Basse di Stura,Gerbido");
+        assert_eq!(template(&hot), kept);
+    }
+
+    #[test]
+    fn output_slot_types() {
+        let d = db();
+        // A parameter compared with a column takes the column's type, a
+        // subquery its plan's; a parameter nothing types is TEXT, whatever
+        // value it is bound to.
+        let p = d
+            .prepare("SELECT $t, $x, (SELECT MAX(tons) FROM landfill) FROM landfill WHERE tons > $t")
+            .unwrap();
+        let rs = p.query(&Params::new().set("t", 1000).set("x", 7)).unwrap();
+        let types: Vec<DataType> = rs.schema.columns.iter().map(|c| c.data_type).collect();
+        assert_eq!(types, [DataType::Float, DataType::Text, DataType::Float]);
+        assert_eq!(rs.rows, vec![vec![Value::Float(1000.0), Value::Int(7), Value::Float(1200.0)]]);
+    }
+
     #[test]
     fn cache_hits_and_ddl_invalidation() {
         let d = db();
@@ -829,12 +800,9 @@ mod tests {
     #[test]
     fn ddl_refreshes_cached_slot_types() {
         let d = db();
-        // Parameterised statements defer planning to execute: preparing
-        // against a missing table succeeds with untyped slots and fails
-        // cleanly at execution.
-        let p = d.prepare("SELECT * FROM scores WHERE v > $p").unwrap();
-        assert_eq!(p.param_slots()[0].expected, None);
-        assert!(p.query(&Params::new().set("p", 1)).is_err());
+        // Every statement is planned at prepare, parameters or not: a
+        // missing table is a prepare-time error.
+        assert!(d.prepare("SELECT * FROM scores WHERE v > $p").is_err());
         d.execute("CREATE TABLE scores (v FLOAT)").unwrap();
         d.execute("INSERT INTO scores VALUES (1.5)").unwrap();
         let p = d.prepare("SELECT * FROM scores WHERE v > $p").unwrap();

@@ -114,19 +114,27 @@ impl Select {
         }
     }
 
-    /// Whether any clause of this SELECT or of a UNION member holds an
-    /// `IN (SELECT …)`, `EXISTS` or scalar subquery.
-    pub(crate) fn has_subquery(&self) -> bool {
-        let mut found = false;
-        self.visit_clauses(&mut |e| {
-            e.visit(&mut |node| {
-                found |= matches!(
-                    node,
-                    Expr::InSubquery { .. } | Expr::Exists { .. } | Expr::ScalarSubquery(_)
-                );
-            })
-        });
-        found
+    /// [`Select::visit_clauses`], handing each expression out to change.
+    pub(crate) fn visit_clauses_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        fn table_ref(tr: &mut TableRef, f: &mut impl FnMut(&mut Expr)) {
+            if let TableRef::Join { left, right, on, .. } = tr {
+                table_ref(left, f);
+                table_ref(right, f);
+                on.iter_mut().for_each(&mut *f);
+            }
+        }
+        for p in &mut self.projections {
+            if let SelectItem::Expr { expr, .. } = p {
+                f(expr);
+            }
+        }
+        self.from.iter_mut().for_each(|tr| table_ref(tr, f));
+        let order = self.order_by.iter_mut().map(|o| &mut o.expr);
+        let clauses = self.filter.iter_mut().chain(&mut self.group_by).chain(&mut self.having);
+        clauses.chain(order).for_each(&mut *f);
+        for (_, member) in &mut self.union {
+            member.visit_clauses_mut(f);
+        }
     }
 
     /// An empty SELECT skeleton, useful for programmatic construction.
@@ -351,55 +359,62 @@ impl Expr {
     /// replace it. The SESQL WHERE-clause enrichments (REPLACECONSTANT /
     /// REPLACEVARIABLE) are implemented as such rewrites.
     pub fn rewrite(self, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
-        let rebuilt = match self {
-            Expr::Literal(_) | Expr::Column { .. } | Expr::Param { .. } => self,
-            Expr::Unary { op, expr } => Expr::Unary { op, expr: Box::new(expr.rewrite(f)) },
-            Expr::Binary { left, op, right } => Expr::Binary {
-                left: Box::new(left.rewrite(f)),
-                op,
-                right: Box::new(right.rewrite(f)),
-            },
-            Expr::IsNull { expr, negated } => {
-                Expr::IsNull { expr: Box::new(expr.rewrite(f)), negated }
+        let mut child = |c: Expr| Ok::<_, std::convert::Infallible>(c.rewrite(f));
+        let rebuilt = self.try_map_children(&mut child).unwrap_or_else(|never| match never {});
+        f(rebuilt)
+    }
+
+    /// Rebuild this node with each direct child expression mapped through
+    /// `f`, stopping at the first error. A subquery's body is a separate
+    /// scope, not a child; an `IN (SELECT …)`'s outer operand is one.
+    pub fn try_map_children<E>(
+        self,
+        f: &mut impl FnMut(Expr) -> Result<Expr, E>,
+    ) -> Result<Expr, E> {
+        let mut boxed = |e: Box<Expr>| f(*e).map(Box::new);
+        Ok(match self {
+            Expr::Literal(_)
+            | Expr::Column { .. }
+            | Expr::Param { .. }
+            | Expr::Exists { .. }
+            | Expr::ScalarSubquery(_) => self,
+            Expr::Unary { op, expr } => Expr::Unary { op, expr: boxed(expr)? },
+            Expr::Binary { left, op, right } => {
+                Expr::Binary { left: boxed(left)?, op, right: boxed(right)? }
             }
+            Expr::IsNull { expr, negated } => Expr::IsNull { expr: boxed(expr)?, negated },
             Expr::InList { expr, list, negated } => Expr::InList {
-                expr: Box::new(expr.rewrite(f)),
-                list: list.into_iter().map(|e| e.rewrite(f)).collect(),
+                expr: boxed(expr)?,
+                list: list.into_iter().map(&mut *f).collect::<Result<_, E>>()?,
                 negated,
             },
             Expr::Between { expr, low, high, negated } => Expr::Between {
-                expr: Box::new(expr.rewrite(f)),
-                low: Box::new(low.rewrite(f)),
-                high: Box::new(high.rewrite(f)),
+                expr: boxed(expr)?,
+                low: boxed(low)?,
+                high: boxed(high)?,
                 negated,
             },
-            Expr::Like { expr, pattern, negated } => Expr::Like {
-                expr: Box::new(expr.rewrite(f)),
-                pattern: Box::new(pattern.rewrite(f)),
-                negated,
-            },
+            Expr::Like { expr, pattern, negated } => {
+                Expr::Like { expr: boxed(expr)?, pattern: boxed(pattern)?, negated }
+            }
+            Expr::InSubquery { expr, query, negated } => {
+                Expr::InSubquery { expr: boxed(expr)?, query, negated }
+            }
             Expr::Function { name, args, distinct, star } => Expr::Function {
                 name,
-                args: args.into_iter().map(|e| e.rewrite(f)).collect(),
+                args: args.into_iter().map(f).collect::<Result<_, E>>()?,
                 distinct,
                 star,
             },
-            Expr::InSubquery { expr, query, negated } => Expr::InSubquery {
-                expr: Box::new(expr.rewrite(f)),
-                query,
-                negated,
-            },
-            Expr::Exists { .. } | Expr::ScalarSubquery(_) => self,
             Expr::Case { operand, branches, else_expr } => Expr::Case {
-                operand: operand.map(|o| Box::new(o.rewrite(f))),
+                operand: operand.map(&mut boxed).transpose()?,
+                else_expr: else_expr.map(&mut boxed).transpose()?,
                 branches: branches
                     .into_iter()
-                    .map(|(w, t)| (w.rewrite(f), t.rewrite(f)))
-                    .collect(),
-                else_expr: else_expr.map(|e| Box::new(e.rewrite(f))),
+                    .map(|(w, t)| Ok((f(w)?, f(t)?)))
+                    .collect::<Result<_, E>>()?,
             },
-        };
-        f(rebuilt)
+        })
     }
 
     /// True if this expression (sub)tree contains an aggregate call.

@@ -149,7 +149,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .query("SELECT elem_name, amount FROM elem_copy WHERE landfill_name = 'LF00001'")?;
     println!("\n== Federation: filter pushdown vs a local snapshot ==");
     println!("  result rows          : {}", pushed.len());
-    print!("  plan:\n{}", by_landfill.explain_with(&lf)?);
+    print!("  plan:\n{}", by_landfill.explain()?);
     println!("  rows over the network: {moved} (the snapshot copied the whole table)");
     assert_eq!(pushed.rows, snapshot.rows, "pushdown must not change results");
     assert_eq!(moved, pushed.len() as u64, "only the matching rows crossed the network");

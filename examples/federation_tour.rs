@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("landfills with the 2017 national total:\n{rs}");
     let rs16 = totals.query(&Params::new().set("country", "Italy").set("year", 2016))?;
     println!("(same handle, 2016 binding: {} row(s))\n", rs16.len());
-    println!("plan, with the SQL each source receives:\n{}", totals.explain_with(&italy_2017)?);
+    println!("plan, with the SQL each source receives:\n{}", totals.explain()?);
 
     let t0 = std::time::Instant::now();
     mediator.query("SELECT COUNT(*) FROM eu__waste_stats")?;

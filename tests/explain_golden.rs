@@ -212,9 +212,11 @@ fn explain_ex4_6_without_include_self_deduplicates_below_the_join() {
 
 #[test]
 fn explain_federated_pushdown() {
-    // Two statements over foreign tables: a WHERE shipped to its source,
-    // and a LEFT join whose nullable-side foreign leaf ships a plain
-    // `SELECT *` while the preserved side ships its conjunct.
+    // Three statements over foreign tables: a WHERE shipped to its source,
+    // a LEFT join whose nullable-side foreign leaf ships a plain
+    // `SELECT *` while the preserved side ships its conjunct, and a
+    // subquery over a foreign table, which ships its own conjunct, while
+    // the outer conjunct ships the subquery's rows when a cursor opens.
     let national = Database::new();
     national
         .execute_script(
@@ -237,6 +239,8 @@ fn explain_federated_pushdown() {
         "SELECT l.name, w.tons FROM it__landfill l \
          LEFT JOIN eu__waste_stats w ON l.city = w.country \
          WHERE l.city = 'Torino' AND (w.tons > 30000 OR w.tons IS NULL)",
+        "SELECT name FROM it__landfill \
+         WHERE city IN (SELECT country FROM eu__waste_stats WHERE tons > 30000)",
     ] {
         got.push_str(&format!("EXPLAIN {sql}\n"));
         for row in mediator.query(&format!("EXPLAIN {sql}")).unwrap().rows {
@@ -249,9 +253,10 @@ fn explain_federated_pushdown() {
 #[test]
 fn explain_indexed_access_paths() {
     // Which conjunct becomes an index scan: every sargable shape, an INT
-    // key on a FLOAT column, and the two sides of a LEFT join (the
-    // preserved side takes its index, the padded side keeps its filter
-    // above the join).
+    // key on a FLOAT column, the two sides of a LEFT join (the preserved
+    // side takes its index, the padded side keeps its filter above the
+    // join), and comparands that are slots — parameters and subquery
+    // results, whose keys the cursor's open builds.
     let db = Database::new();
     db.execute_script(
         "CREATE TABLE landfill (name TEXT, city TEXT, tons FLOAT);
@@ -281,6 +286,11 @@ fn explain_indexed_access_paths() {
          LEFT JOIN elem_contained e ON l.name = e.landfill_name WHERE l.city = 'Torino'",
         "SELECT l.name, e.elem_name FROM landfill l \
          LEFT JOIN elem_contained e ON l.name = e.landfill_name WHERE e.landfill_name = 'a'",
+        "SELECT name FROM landfill WHERE city = $c",
+        "SELECT name FROM landfill WHERE tons = $t",
+        "SELECT name FROM landfill WHERE city IN (SELECT city FROM landfill WHERE tons > 50.5)",
+        "SELECT name FROM landfill WHERE EXISTS (SELECT elem_name FROM elem_contained)",
+        "SELECT name FROM landfill WHERE tons >= (SELECT MAX(amount) FROM elem_contained)",
     ] {
         got.push_str(&format!("EXPLAIN {sql}\n"));
         for row in db.query(&format!("EXPLAIN {sql}")).unwrap().rows {

@@ -576,11 +576,10 @@ fn prepared_explain_shows_optimized_plan() {
     let p = db.prepare("SELECT a FROM t1 ORDER BY a LIMIT 2").unwrap();
     let text = p.explain().unwrap();
     assert!(text.contains("SeqScan: t1"), "{text}");
-    // Parameterised statements defer to explain_with.
+    // A parameterised statement explains too: its parameter is a slot of
+    // a Bind root, filled when a cursor opens.
     let p = db.prepare("SELECT a FROM t1 WHERE b = $tag").unwrap();
-    assert!(p.explain().is_err());
-    let text = p
-        .explain_with(&crosse::relational::Params::new().set("tag", "x"))
-        .unwrap();
+    let text = p.explain().unwrap();
+    assert!(text.starts_with("Bind: $1 = $tag\n"), "{text}");
     assert!(text.contains("Filter") || text.contains("SeqScan"), "{text}");
 }
