@@ -13,7 +13,7 @@ use crate::exec::expr::{bind, BoundExpr};
 use crate::exec::stream::ExecCtx;
 use crate::exec::Rows;
 use crate::foreign::{DataSource, Foreign};
-use crate::opt::{optimize, OptimizerConfig};
+use crate::opt::OptimizerConfig;
 use crate::plan::{plan_select, Plan};
 use crate::prepared::{normalize_sql, Params, Prepared, SharedMemo};
 use crate::schema::{Column, Schema};
@@ -280,7 +280,7 @@ impl Database {
         scoped: &[Arc<Table>],
     ) -> Result<crate::opt::Optimized> {
         let cfg = self.optimizer_config();
-        Ok(optimize(plan_select(&self.catalog, scoped, select, &cfg)?, &cfg)?)
+        plan_select(&self.catalog, scoped, select, &cfg)
     }
 
     /// Compile a parsed SELECT into its executable form. Nothing is
@@ -509,25 +509,7 @@ impl Database {
                     }
                     Some(f) => {
                         let pred = self.bind_dml_filter(&t, f)?;
-                        // Collect matches first so an evaluation error
-                        // leaves the table untouched.
-                        let rows = t.scan();
-                        let mut keep_err: Option<Error> = None;
-                        let matches: Vec<bool> = rows
-                            .iter()
-                            .map(|r| match pred.eval_predicate(r) {
-                                Ok(b) => b,
-                                Err(e) => {
-                                    keep_err.get_or_insert(e);
-                                    false
-                                }
-                            })
-                            .collect();
-                        if let Some(e) = keep_err {
-                            return Err(e);
-                        }
-                        let mut it = matches.iter();
-                        t.delete_where(|_| *it.next().unwrap_or(&false))?
+                        t.delete_where(|r| pred.eval_predicate(r))?
                     }
                 };
                 Ok(ExecOutcome::Affected(n))
@@ -543,7 +525,7 @@ impl Database {
                 let n = t.update_where(|row| {
                     if let Some(p) = &pred {
                         if !p.eval_predicate(row)? {
-                            return Ok(false);
+                            return Ok(None);
                         }
                     }
                     let mut new_row = row.clone();
@@ -552,8 +534,7 @@ impl Database {
                         new_row[*idx] =
                             v.coerce(schema.columns[*idx].data_type)?;
                     }
-                    *row = new_row;
-                    Ok(true)
+                    Ok(Some(new_row))
                 })?;
                 Ok(ExecOutcome::Affected(n))
             }
@@ -1121,6 +1102,49 @@ mod tests {
             )
             .unwrap();
         assert!(rs.rows.is_empty());
+    }
+
+    #[test]
+    fn null_in_an_empty_subquery_is_false_and_not_in_true() {
+        let d = Database::new();
+        d.execute_script(
+            "CREATE TABLE t (k INT); INSERT INTO t VALUES (1), (NULL);
+             CREATE TABLE e (k INT);",
+        )
+        .unwrap();
+        let rows = |sql: &str| d.query(sql).unwrap().rows;
+        let not_in = "SELECT k FROM t WHERE k NOT IN (SELECT k FROM e)";
+        assert_eq!(rows(not_in), vec![vec![Value::Int(1)], vec![Value::Null]]);
+        assert!(rows("SELECT k FROM t WHERE (k IN (SELECT k FROM e)) IS NULL").is_empty());
+        assert!(rows("SELECT k FROM t WHERE k IN (SELECT k FROM e)").is_empty());
+        let both = "SELECT k IN (SELECT k FROM e), k NOT IN (SELECT k FROM e) FROM t";
+        assert_eq!(rows(both), vec![vec![Value::Bool(false), Value::Bool(true)]; 2]);
+        // The indexed IN path: the empty key set matches nothing, and the
+        // NOT IN filter still keeps the NULL row.
+        d.execute("CREATE INDEX t_k ON t (k)").unwrap();
+        let plan = d.query("EXPLAIN SELECT k FROM t WHERE k IN (SELECT k FROM e)").unwrap();
+        assert!(plan.rows.iter().any(|r| r[0].lexical_form().contains("IndexScan")));
+        assert!(rows("SELECT k FROM t WHERE k IN (SELECT k FROM e)").is_empty());
+        assert_eq!(rows(not_in), vec![vec![Value::Int(1)], vec![Value::Null]]);
+    }
+
+    #[test]
+    fn failing_delete_leaves_the_table_untouched() {
+        let d = db();
+        d.execute("CREATE INDEX idx_city ON landfill (city)").unwrap();
+        let table = d.catalog().get_table("landfill").unwrap();
+        let before = table.snapshot();
+        // The first two rows match before the third one fails: `LIKE` on
+        // a FLOAT is an evaluation error.
+        let err = d
+            .execute("DELETE FROM landfill WHERE tons > 500.0 OR city LIKE tons")
+            .unwrap_err();
+        assert!(matches!(err, Error::Eval(_)), "{err}");
+        let after = table.snapshot();
+        assert_eq!(after.generation(), before.generation(), "nothing was written");
+        assert_eq!(after.rows(), before.rows());
+        let torino = d.query("SELECT name FROM landfill WHERE city = 'Torino'").unwrap();
+        assert_eq!(torino.rows.len(), 2);
     }
 
     #[test]

@@ -353,6 +353,11 @@ impl BoundExpr {
                 owned(Value::Bool(isnull != *negated))
             }
             BoundExpr::InList { expr, list, negated } => {
+                // `x IN ()` is FALSE and `x NOT IN ()` TRUE for every `x`,
+                // NULL included: an empty list decides before the NULL check.
+                if list.is_empty() {
+                    return owned(Value::Bool(*negated));
+                }
                 let needle = expr.eval_ref(row)?;
                 if needle.is_null() {
                     return owned(Value::Null);

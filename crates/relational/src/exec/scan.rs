@@ -3,6 +3,12 @@
 //! pinned snapshot (see the `stream` module for where this sits in the
 //! executor).
 //!
+//! A leaf is pinned once per consumer, or once per execution when it sits
+//! under a `Plan::Shared` node: every consumer of that spool id walks the
+//! one `Pin` its first consumer made, and the pin charges each batch of
+//! its walk to the rows-scanned counter once, whichever walker gets there
+//! first.
+//!
 //! A fragment runs either inline, one row per pull (`drive` hands it to a
 //! `StepStream`), or as morsel waves on the worker pool (`MorselScan`).
 //! The pool's thread count and `PARALLEL_MIN_ROWS` choose between them
@@ -10,7 +16,7 @@
 //! rows, errors included.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 use crosse_exec::{CancelToken, WorkerPool};
@@ -27,17 +33,38 @@ use super::stream::{
     SCAN_BATCH,
 };
 
-/// Where a scan is in its pinned snapshot: which heap positions it
-/// visits, in heap order, and the bookkeeping at each [`SCAN_BATCH`]
-/// boundary (charge the batch to the scanned-rows counter, poll the
-/// cancel token).
-struct HeapWalk {
+/// A scan leaf pinned for one execution: the snapshot it reads, which
+/// heap positions it visits, and how far its walk has been charged to the
+/// rows-scanned counter. Every consumer of a shared leaf walks the same
+/// pin, so they all read one point-in-time snapshot.
+pub(super) struct Pin {
+    snap: TableSnapshot,
     /// The positions an index found, or `None` to visit every row.
     hits: Option<Vec<usize>>,
     /// The index fallback: visit every row, keep those whose `column`
     /// matches the lookup.
     keep: Option<(usize, IndexLookup)>,
-    /// Next entry of `hits`, or next heap position.
+    /// Walk positions charged so far. Whichever walker reaches a batch
+    /// first charges it, so a shared leaf is charged once per execution
+    /// however many consumers walk it.
+    charged: AtomicUsize,
+}
+
+impl Pin {
+    /// Charge the walk up to position `upto`, less what is charged already.
+    fn charge(&self, upto: usize, scanned: &AtomicU64) {
+        let before = self.charged.fetch_max(upto, AtomicOrdering::Relaxed);
+        if upto > before {
+            scanned.fetch_add((upto - before) as u64, AtomicOrdering::Relaxed);
+        }
+    }
+}
+
+/// Where one walker is in a [`Pin`]: the next position it visits, and the
+/// bookkeeping at each [`SCAN_BATCH`] boundary (charge the batch to the
+/// scanned-rows counter, poll the cancel token).
+struct HeapWalk {
+    /// Next entry of the pin's hits, or next heap position.
     next: usize,
     scanned: Arc<AtomicU64>,
     cancel: CancelToken,
@@ -45,11 +72,11 @@ struct HeapWalk {
 }
 
 impl HeapWalk {
-    /// The next row to visit, read in place in `snap`. An interruption
-    /// ends the walk.
-    fn next<'s>(&mut self, snap: &'s TableSnapshot) -> Option<Result<&'s Row>> {
-        let rows = snap.rows();
-        let end = self.hits.as_ref().map_or(rows.len(), Vec::len);
+    /// The heap position of the next row to visit in `pin`. An
+    /// interruption ends the walk.
+    fn next(&mut self, pin: &Pin) -> Option<Result<usize>> {
+        let rows = pin.snap.rows();
+        let end = pin.hits.as_ref().map_or(rows.len(), Vec::len);
         loop {
             if self.done || self.next >= end {
                 return None;
@@ -63,38 +90,38 @@ impl HeapWalk {
                     return Some(Err(Error::Interrupted(i)));
                 }
                 // A full scan charges a whole batch as it starts; index
-                // hits were charged when the index returned them.
-                if self.hits.is_none() {
-                    let n = (end - self.next).min(SCAN_BATCH);
-                    self.scanned.fetch_add(n as u64, AtomicOrdering::Relaxed);
+                // hits were charged when the leaf opened.
+                if pin.hits.is_none() {
+                    pin.charge((self.next + SCAN_BATCH).min(end), &self.scanned);
                 }
             }
-            let at = self.next;
+            let at = pin.hits.as_ref().map_or(self.next, |h| h[self.next]);
             self.next += 1;
-            let row = &rows[self.hits.as_ref().map_or(at, |h| h[at])];
-            match &self.keep {
-                Some((column, lookup)) if !lookup.matches(&row[*column]) => continue,
-                _ => return Some(Ok(row)),
+            match &pin.keep {
+                Some((column, lookup)) if !lookup.matches(&rows[at][*column]) => continue,
+                _ => return Some(Ok(at)),
             }
         }
     }
-
-    /// Whether the walk visits every row, unfiltered — the only walk the
-    /// morsel driver can split into slices.
-    fn is_full(&self) -> bool {
-        self.hits.is_none() && self.keep.is_none()
-    }
 }
 
-/// A scan leaf opened: its pinned snapshot and the walk over it.
+/// A scan leaf opened: its pin and this consumer's walk over it.
 pub(super) struct Heap {
-    snap: TableSnapshot,
+    pin: Arc<Pin>,
     walk: HeapWalk,
+}
+
+impl Heap {
+    /// The snapshot the leaf reads.
+    pub(super) fn snapshot(&self) -> &TableSnapshot {
+        &self.pin.snap
+    }
 }
 
 impl Outer for Heap {
     fn next_outer(&mut self) -> Option<Result<&[Value]>> {
-        Some(self.walk.next(&self.snap)?.map(Vec::as_slice))
+        let at = self.walk.next(&self.pin)?;
+        Some(at.map(|at| self.pin.snap.rows()[at].as_slice()))
     }
 }
 
@@ -156,7 +183,7 @@ impl MorselWork {
 /// failing row is still yielded — earlier morsels whole, the failing
 /// morsel up to that row — and the error then ends the stream.
 struct MorselScan<T> {
-    snap: TableSnapshot,
+    pin: Arc<Pin>,
     pos: usize,
     pool: Arc<WorkerPool>,
     work: Box<Kernel<T>>,
@@ -173,9 +200,9 @@ struct MorselScan<T> {
 type Kernel<T> = dyn Fn(usize, &[Row]) -> (Vec<T>, Option<Error>) + Send + Sync;
 
 impl<T> MorselScan<T> {
-    fn new(snap: TableSnapshot, work: Box<Kernel<T>>, ctx: &ExecCtx) -> Self {
+    fn new(pin: Arc<Pin>, work: Box<Kernel<T>>, ctx: &ExecCtx) -> Self {
         MorselScan {
-            snap,
+            pin,
             pos: 0,
             pool: Arc::clone(&ctx.pool),
             work,
@@ -200,7 +227,8 @@ impl<T: Send> Iterator for MorselScan<T> {
                 self.done = true;
                 return Some(Err(e));
             }
-            if self.done || self.pos >= self.snap.len() {
+            let len = self.pin.snap.len();
+            if self.done || self.pos >= len {
                 return None;
             }
             // Wave boundary: poll the cancel token before dispatching the
@@ -210,9 +238,9 @@ impl<T: Send> Iterator for MorselScan<T> {
                 return Some(Err(Error::Interrupted(i)));
             }
             let wave = self.pool.threads() * SCAN_BATCH;
-            let hi = (self.pos + wave).min(self.snap.len());
-            let (lo, slice) = (self.pos, &self.snap.rows()[self.pos..hi]);
-            self.scanned.fetch_add(slice.len() as u64, AtomicOrdering::Relaxed);
+            let hi = (self.pos + wave).min(len);
+            let (lo, slice) = (self.pos, &self.pin.snap.rows()[self.pos..hi]);
+            self.pin.charge(hi, &self.scanned);
             self.pos = hi;
             let work = &self.work;
             let results = self
@@ -231,10 +259,13 @@ impl<T: Send> Iterator for MorselScan<T> {
     }
 }
 
-/// A scan leaf: a whole table, or the rows an index lookup selects.
+/// A scan leaf: a whole table, or the rows an index lookup selects, read
+/// by one consumer or, behind a [`Plan::Shared`] node, by all consumers
+/// of spool `id` through one pin.
 pub(super) enum Leaf {
     Scan(Arc<Table>),
     Index { table: Arc<Table>, column: usize, lookup: IndexLookup },
+    Shared { id: usize, leaf: Box<Leaf> },
 }
 
 /// `Scan | IndexScan` under an optional `Filter` and an optional
@@ -254,6 +285,20 @@ pub(super) fn fragment(plan: Plan) -> std::result::Result<Fragment, Plan> {
             Plan::Scan { table, .. } => Ok(Leaf::Scan(table)),
             Plan::IndexScan { table, column, lookup, .. } => {
                 Ok(Leaf::Index { table, column, lookup })
+            }
+            // A shared bare leaf is a pin, not a spool: the plan under it
+            // is shared, so its table and lookup are copied out.
+            Plan::Shared { id, input } => {
+                let leaf = match &*input {
+                    Plan::Scan { table, .. } => Leaf::Scan(Arc::clone(table)),
+                    Plan::IndexScan { table, column, lookup, .. } => Leaf::Index {
+                        table: Arc::clone(table),
+                        column: *column,
+                        lookup: lookup.clone(),
+                    },
+                    _ => return Err(Plan::Shared { id, input }),
+                };
+                Ok(Leaf::Shared { id, leaf: Box::new(leaf) })
             }
             other => Err(other),
         }
@@ -296,20 +341,29 @@ pub(super) fn is_identity(exprs: &[BoundExpr], width: usize) -> bool {
             .all(|(i, e)| matches!(e, BoundExpr::Column(c) if *c == i))
 }
 
-/// Pin the snapshot a leaf reads. An index scan charges its hits here —
-/// the index already narrowed the fetch; a full scan charges per batch as
-/// it walks.
+/// Open a leaf for one consumer: pin its snapshot, or, for a shared leaf,
+/// join the pin its first consumer made in this execution. An index scan
+/// charges its hits here — the index already narrowed the fetch; a full
+/// scan charges per batch as it walks.
 pub(super) fn open_leaf(leaf: Leaf, ctx: &ExecCtx) -> Heap {
-    let mut walk = HeapWalk {
-        hits: None,
-        keep: None,
-        next: 0,
-        scanned: Arc::clone(&ctx.scanned),
-        cancel: ctx.cancel.clone(),
-        done: false,
+    let pin = match leaf {
+        Leaf::Shared { id, leaf } => ctx.shared_leaf(id, || pin(*leaf)),
+        leaf => Arc::new(pin(leaf)),
     };
+    if let Some(hits) = &pin.hits {
+        pin.charge(hits.len(), &ctx.scanned);
+    }
+    let scanned = Arc::clone(&ctx.scanned);
+    Heap { pin, walk: HeapWalk { next: 0, scanned, cancel: ctx.cancel.clone(), done: false } }
+}
+
+/// Pin the snapshot a leaf reads and, for an index scan, the positions
+/// its lookup finds in it.
+fn pin(leaf: Leaf) -> Pin {
+    let (mut hits, mut keep) = (None, None);
     let snap = match leaf {
         Leaf::Scan(table) => table.snapshot(),
+        Leaf::Shared { leaf, .. } => return pin(*leaf),
         Leaf::Index { table, column, lookup } => {
             let found = match &lookup {
                 IndexLookup::Eq(keys) => table.index_lookup_eq(column, keys),
@@ -320,20 +374,19 @@ pub(super) fn open_leaf(leaf: Leaf, ctx: &ExecCtx) -> Heap {
             };
             match found {
                 Some(IndexHits { snap, positions }) => {
-                    ctx.scanned.fetch_add(positions.len() as u64, AtomicOrdering::Relaxed);
-                    walk.hits = Some(positions);
+                    hits = Some(positions);
                     snap
                 }
                 // Index dropped between planning and execution: visit every
                 // row and keep the ones the lookup matches — the same rows.
                 None => {
-                    walk.keep = Some((column, lookup));
+                    keep = Some((column, lookup));
                     table.snapshot()
                 }
             }
         }
     };
-    Heap { snap, walk }
+    Pin { snap, hits, keep, charged: AtomicUsize::new(0) }
 }
 
 /// Whether `heap` runs as morsel waves: a step that does work, over a
@@ -342,26 +395,57 @@ pub(super) fn open_leaf(leaf: Leaf, ctx: &ExecCtx) -> Heap {
 fn waves(heap: &Heap, does_work: bool, ctx: &ExecCtx) -> bool {
     does_work
         && ctx.pool.is_parallel()
-        && heap.walk.is_full()
-        && heap.snap.len() >= PARALLEL_MIN_ROWS
+        && heap.pin.hits.is_none()
+        && heap.pin.keep.is_none()
+        && heap.pin.snap.len() >= PARALLEL_MIN_ROWS
 }
 
 /// Run `work` over the rows of an opened leaf, inline or in waves.
 pub(super) fn drive(heap: Heap, work: MorselWork, ctx: &ExecCtx) -> BoxRowIter {
     if waves(&heap, work.does_work(), ctx) {
         let kernel: Box<Kernel<Row>> = Box::new(move |_, morsel| work.apply(morsel));
-        return Box::new(MorselScan::new(heap.snap, kernel, ctx));
+        return Box::new(MorselScan::new(heap.pin, kernel, ctx));
     }
     Box::new(StepStream::new(heap, ctx.cancel.clone(), move |row, out| work.apply_row(row, out)))
+}
+
+/// The heap positions of the rows of an opened leaf that `predicate`
+/// keeps, in heap order: selected by morsel waves when the predicate is
+/// worth splitting (see `waves`), walked inline otherwise. The caller
+/// reads the rows in place in [`Heap::snapshot`].
+pub(super) fn positions(
+    heap: Heap,
+    predicate: Option<BoundExpr>,
+    ctx: &ExecCtx,
+) -> Box<dyn Iterator<Item = Result<usize>> + Send> {
+    let in_waves = waves(&heap, predicate.is_some(), ctx);
+    let Heap { pin, mut walk } = heap;
+    match predicate {
+        Some(predicate) if in_waves => {
+            let kernel: Box<Kernel<usize>> =
+                Box::new(move |base, morsel| kept(&predicate, base, morsel));
+            Box::new(MorselScan::new(pin, kernel, ctx))
+        }
+        predicate => Box::new(std::iter::from_fn(move || loop {
+            let at = match walk.next(&pin)? {
+                Ok(at) => at,
+                Err(e) => return Some(Err(e)),
+            };
+            let row = pin.snap.rows()[at].as_slice();
+            match predicate.as_ref().map_or(Ok(true), |p| p.eval_predicate(row)) {
+                Ok(true) => return Some(Ok(at)),
+                Ok(false) => {}
+                Err(e) => return Some(Err(e)),
+            }
+        })),
+    }
 }
 
 /// Aggregate a fragment, reading its input in place. A column-only
 /// projection (what projection pruning leaves under an aggregate) only
 /// renames columns, so group keys and arguments come straight off the
-/// snapshot row; the only work to split across workers is the predicate,
-/// so waves select the rows it keeps and the aggregate reads them in
-/// snapshot order. A computed projection feeds the aggregate its output
-/// rows instead.
+/// snapshot row of each position the predicate keeps (see [`positions`]).
+/// A computed projection feeds the aggregate its output rows instead.
 pub(super) fn aggregate_fragment(
     f: Fragment,
     group: &[BoundExpr],
@@ -385,31 +469,9 @@ pub(super) fn aggregate_fragment(
         return aggregate_rows(drive(heap, MorselWork::FilterProject(step), ctx), group, aggs);
     };
     let cols = cols.as_deref();
-    let in_waves = waves(&heap, step.predicate.is_some(), ctx);
-    let Heap { snap, mut walk } = heap;
-    match step.predicate {
-        Some(predicate) if in_waves => {
-            let kernel: Box<Kernel<usize>> =
-                Box::new(move |base, morsel| kept(&predicate, base, morsel));
-            let kept = MorselScan::new(snap.clone(), kernel, ctx);
-            let rows = kept.map(|at| Ok(Picked { row: &snap.rows()[at?], cols }));
-            aggregate_rows(rows, group, aggs)
-        }
-        predicate => {
-            let rows = std::iter::from_fn(|| loop {
-                let row = match walk.next(&snap)? {
-                    Ok(row) => row,
-                    Err(e) => return Some(Err(e)),
-                };
-                match predicate.as_ref().map_or(Ok(true), |p| p.eval_predicate(row.as_slice())) {
-                    Ok(true) => return Some(Ok(Picked { row, cols })),
-                    Ok(false) => {}
-                    Err(e) => return Some(Err(e)),
-                }
-            });
-            aggregate_rows(rows, group, aggs)
-        }
-    }
+    let snap = heap.snapshot().clone();
+    let rows = positions(heap, step.predicate, ctx);
+    aggregate_rows(rows.map(|at| Ok(Picked { row: &snap.rows()[at?], cols })), group, aggs)
 }
 
 /// The heap positions of the rows of `morsel` (the first at `base`) that

@@ -10,7 +10,7 @@
 //! join) still drain their input, exactly as a production Volcano engine
 //! would.
 //!
-//! Base-table access pins a [`TableSnapshot`](crate::storage::TableSnapshot)
+//! Base-table access pins a [`TableSnapshot`]
 //! once per cursor: the scan streams from an immutable copy-on-write
 //! heap, so a cursor opened before a concurrent `DELETE`/`INSERT`/
 //! `TRUNCATE` sees exactly the rows of its snapshot — no skipped rows, no
@@ -21,10 +21,19 @@
 //! *fragment* (module `scan`), lowered to a single row step that
 //! evaluates the predicate and the projection on the snapshot row
 //! itself; the probe side of a hash join and the input of an aggregate
-//! read the snapshot the same way. A row's first allocation is therefore the output row: the
-//! projection, or the clone of a row that survives an unprojected filter
-//! — and an aggregate over a scan, a filter, or a column-only projection
-//! allocates nothing per row at all.
+//! read the snapshot the same way, and so does a join's inner side (a
+//! hash build, a nested loop's inner rows): it keeps the snapshot and
+//! heap positions, and the one copy per build row is its key. A leaf
+//! shared by common-subplan elimination (`Plan::Shared` over a bare scan)
+//! is a fragment leaf too: its consumers walk one pin, not a spool. A
+//! row's first allocation is therefore the output row: the projection, or
+//! the clone of a row that survives an unprojected filter — and an
+//! aggregate over a scan, a filter, or a column-only projection allocates
+//! nothing per row at all.
+//!
+//! An operator that reads in place holds its snapshot until the cursor is
+//! dropped; a writer meanwhile copies the heap on write instead of
+//! mutating it in place.
 //!
 //! The worker pool (see `Database::set_exec_threads`) decides only how a
 //! fragment is driven. With one thread, or a snapshot under
@@ -59,11 +68,15 @@ use crate::error::{Error, Result};
 use crate::plan::{fill_slots, Plan, Slot, SortKey};
 use crate::schema::Schema;
 use crate::sql::ast::JoinKind;
+use crate::storage::TableSnapshot;
 use crate::value::{Row, Value};
 
 use super::aggregate::aggregate_rows;
 use super::expr::{BoundExpr, Pair, RowView};
-use super::scan::{aggregate_fragment, drive, fragment, is_identity, open_leaf, Fragment, MorselWork};
+use super::scan::{
+    aggregate_fragment, drive, fragment, is_identity, open_leaf, positions, Fragment, MorselWork,
+    Pin,
+};
 use super::fasthash::FastBuild;
 use super::keys::{Key, KeyCoder};
 
@@ -95,14 +108,16 @@ pub const PARALLEL_MIN_ROWS: usize = 4096;
 pub(super) type BoxRowIter = Box<dyn Iterator<Item = Result<Row>> + Send>;
 
 /// Shared execution state threaded through plan lowering: the scanned-rows
-/// counter, the worker pool for morsel-parallel operators, and the spool
-/// registry backing [`Plan::Shared`] nodes (one spool per shared-subtree
-/// id per execution).
+/// counter, the worker pool for morsel-parallel operators, and the
+/// registries backing [`Plan::Shared`] nodes (one pin per shared bare
+/// leaf, one spool per other shared subtree, per id per execution).
 #[derive(Clone)]
 pub(crate) struct ExecCtx {
     pub(super) scanned: Arc<AtomicU64>,
     pub(super) pool: Arc<WorkerPool>,
     spools: Arc<Mutex<HashMap<usize, Arc<Spool>>>>,
+    /// The pins of shared bare `Scan`/`IndexScan` leaves, by spool id.
+    leaves: Arc<Mutex<HashMap<usize, Arc<Pin>>>>,
     /// Hash-join build sides over shared spools, keyed by
     /// `(spool id, key-expression fingerprint)` — joins that hash the
     /// same spooled input on the same keys share one build.
@@ -123,6 +138,7 @@ impl ExecCtx {
             scanned: Arc::default(),
             pool: Arc::new(WorkerPool::new(threads)),
             spools: Arc::new(Mutex::new_labeled("exec.spools", HashMap::new())),
+            leaves: Arc::new(Mutex::new_labeled("exec.leaves", HashMap::new())),
             builds: Arc::new(Mutex::new_labeled("exec.builds", HashMap::new())),
             cancel: CancelToken::current(),
         }
@@ -165,6 +181,17 @@ impl ExecCtx {
         self.fill(*input, &values)
     }
 
+    /// The pin of shared leaf `id`: made by `pin` for its first consumer
+    /// in this execution, joined by every later one. Pinning takes table
+    /// locks, so it runs with the registry unlocked.
+    pub(super) fn shared_leaf(&self, id: usize, pin: impl FnOnce() -> Pin) -> Arc<Pin> {
+        if let Some(pinned) = self.leaves.lock().get(&id) {
+            return Arc::clone(pinned);
+        }
+        let pinned = Arc::new(pin());
+        Arc::clone(self.leaves.lock().entry(id).or_insert(pinned))
+    }
+
     /// Run subquery `plan` to its end with the slots filled so far, on
     /// spools of its own (its spool ids are its own plan's).
     fn run(&self, plan: Plan, values: &[Vec<Value>]) -> Result<Vec<Row>> {
@@ -189,7 +216,10 @@ impl ExecCtx {
 
 // ---- shared-subtree spools -------------------------------------------------
 
-/// The once-per-execution materialisation behind a [`Plan::Shared`] node.
+/// The once-per-execution materialisation behind a [`Plan::Shared`] node
+/// over a subtree that does work (a filter, a projection, a join…). A
+/// shared bare `Scan`/`IndexScan` has no spool: its consumers walk one
+/// pin of its snapshot (`ExecCtx::shared_leaf`) and read rows in place.
 ///
 /// The first consumer to be lowered opens the source pipeline (pinning
 /// its base-table snapshots right then, so every consumer reads the same
@@ -491,33 +521,97 @@ impl JoinEmit {
     }
 }
 
-/// A materialised hash-join build side: the right-hand rows plus the key
-/// table over them. Ref-counted so two joins whose build inputs resolve
-/// to the same shared spool (and use the same key expressions) build it
-/// once per execution and probe one table.
+/// The inner rows a join reads once per outer row: collected rows it owns,
+/// or the pinned heap of a scan fragment, read in place (see [`hold`]).
+enum Held {
+    Owned(Vec<Row>),
+    Pinned(TableSnapshot),
+}
+
+impl Held {
+    /// The row at `at`: an index into the owned rows, or a heap position.
+    fn row(&self, at: usize) -> &[Value] {
+        match self {
+            Held::Owned(rows) => &rows[at],
+            Held::Pinned(snap) => &snap.rows()[at],
+        }
+    }
+}
+
+/// Make a join's inner input readable in place for the life of the
+/// cursor, calling `visit(at, row)` on each of its rows in order, where
+/// `at` is what [`Held::row`] takes. A scan fragment with no computed
+/// projection (a leaf, shared or not, under an optional filter) keeps its
+/// pinned snapshot, and `at` is a heap position: no row is copied.
+/// Anything else is collected into owned rows.
+///
+/// The trade-off is the one an in-place probe side makes: the cursor pins
+/// the snapshot until it is dropped, so a concurrent writer copies the
+/// heap on write meanwhile.
+fn hold(
+    plan: Plan,
+    ctx: &ExecCtx,
+    mut visit: impl FnMut(usize, &[Value]) -> Result<()>,
+) -> Result<Held> {
+    let rows: Vec<Row> = match fragment(plan) {
+        Ok(Fragment { leaf, step: FilterProject { predicate, exprs: None } }) => {
+            let heap = open_leaf(leaf, ctx);
+            let snap = heap.snapshot().clone();
+            for at in positions(heap, predicate, ctx) {
+                let at = at?;
+                visit(at, &snap.rows()[at])?;
+            }
+            return Ok(Held::Pinned(snap));
+        }
+        Ok(Fragment { leaf, step }) => {
+            let rows = drive(open_leaf(leaf, ctx), MorselWork::FilterProject(step), ctx);
+            rows.collect::<Result<_>>()?
+        }
+        Err(plan) => stream_plan(plan, ctx.clone())?.collect::<Result<_>>()?,
+    };
+    for (at, row) in rows.iter().enumerate() {
+        visit(at, row)?;
+    }
+    Ok(Held::Owned(rows))
+}
+
+/// A hash-join build side: its rows, held as [`hold`] holds them, plus the
+/// key table over them. Over a scan fragment the table maps each key to
+/// heap positions in the pinned snapshot, so the only copy per build row
+/// is its key. Ref-counted so two joins whose build inputs resolve to the
+/// same shared spool (and use the same key expressions) build it once per
+/// execution and probe one table.
 pub(crate) struct BuiltSide {
     table: JoinTable,
-    rows: Vec<Row>,
+    rows: Held,
 }
 
 impl BuiltSide {
-    /// Evaluate `keys` over `rows` and index them. NULL keys never
+    /// Hold `plan`'s rows and index them by `keys`. NULL keys never
     /// participate (SQL equi-join); keys are the evaluated values
-    /// themselves — `Value`'s Eq/Hash carry grouping semantics.
-    fn build(rows: Vec<Row>, keys: &[BoundExpr]) -> Result<BuiltSide> {
+    /// themselves — `Value`'s Eq/Hash carry grouping semantics. A row's
+    /// key is evaluated into one reused buffer, which the table takes
+    /// only for a key it has not seen.
+    fn build(plan: Plan, keys: &[BoundExpr], ctx: &ExecCtx) -> Result<BuiltSide> {
         let mut table = JoinTable::default();
-        table.reserve(rows.len());
-        'rows: for (i, r) in rows.iter().enumerate() {
-            let mut key = Vec::with_capacity(keys.len());
+        let mut key: JoinKey<'static> = Vec::new();
+        let rows = hold(plan, ctx, |at, row| {
+            key.clear();
             for k in keys {
-                let v = k.eval(r)?;
+                let v = k.eval(row)?;
                 if v.is_null() {
-                    continue 'rows;
+                    return Ok(());
                 }
                 key.push(Cow::Owned(v));
             }
-            table.entry(key).or_default().push(i);
-        }
+            match table.get_mut(&key) {
+                Some(positions) => positions.push(at),
+                None => {
+                    table.insert(std::mem::take(&mut key), vec![at]);
+                }
+            }
+            Ok(())
+        })?;
         Ok(BuiltSide { table, rows })
     }
 }
@@ -536,15 +630,23 @@ impl HashProbe {
         let from = out.len();
         if let Some(matches) = self.matches(left)? {
             for &ri in matches {
-                self.emit.pair(left, &self.built.rows[ri], out)?;
+                self.emit.pair(left, self.built.rows.row(ri), out)?;
             }
         }
         self.emit.end_outer(left, from, out);
         Ok(())
     }
 
-    /// Build-row positions matching `left`'s key (none for a NULL key).
+    /// Build-row positions matching `left`'s key (none for a NULL key),
+    /// as [`Held::row`] takes them.
     fn matches<'a>(&'a self, left: &'a [Value]) -> Result<Option<&'a Vec<usize>>> {
+        // One key, the common case, is looked up as a one-element slice
+        // (a key `Vec` hashes and compares as its slice): no buffer.
+        if let [k] = self.left_keys.as_slice() {
+            let v = k.eval_ref(left)?;
+            let table = &self.built.table;
+            return Ok(if v.is_null() { None } else { table.get(std::slice::from_ref(&v)) });
+        }
         let mut key: JoinKey<'a> = Vec::with_capacity(self.left_keys.len());
         for k in &self.left_keys {
             let v = k.eval_ref(left)?;
@@ -617,14 +719,17 @@ fn stream_plan(plan: Plan, ctx: ExecCtx) -> Result<BoxRowIter> {
         Plan::NestedLoopJoin { left, right, kind, predicate, .. } => {
             let emit =
                 JoinEmit { kind, right_width: right.schema().len(), predicate, project: None };
-            let right_rows: Vec<Row> =
-                stream_plan(*right, ctx.clone())?.collect::<Result<_>>()?;
+            let mut inner = Vec::new();
+            let held = hold(*right, &ctx, |at, _| {
+                inner.push(at);
+                Ok(())
+            })?;
             let cancel = ctx.cancel.clone();
             let outer = Pulled::new(stream_plan(*left, ctx)?);
             Ok(Box::new(StepStream::new(outer, cancel, move |l, out| {
                 let from = out.len();
-                for r in &right_rows {
-                    emit.pair(l, r, out)?;
+                for &at in &inner {
+                    emit.pair(l, held.row(at), out)?;
                 }
                 emit.end_outer(l, from, out);
                 Ok(())
@@ -719,7 +824,9 @@ fn stream_plan(plan: Plan, ctx: ExecCtx) -> Result<BoxRowIter> {
             }
         }
         Plan::Shared { id, input } => {
-            // One spool per shared-subtree id per execution. Opening the
+            // A shared bare leaf never gets here: it is a fragment, read
+            // through one pin (`ExecCtx::shared_leaf`). Any other shared
+            // subtree is one spool per id per execution. Opening the
             // spool lowers the source pipeline immediately (pinning its
             // snapshots), so every consumer — even one lowered later, e.g.
             // a lazily-started UNION member — replays the same data.
@@ -825,13 +932,16 @@ impl Iterator for DedupStream {
 
 /// Lower a hash join (optionally with a projection fused over it).
 ///
-/// The build side is materialised and indexed once; when it sits behind a
-/// shared spool, the built table itself is registered in the execution
-/// context keyed by `(spool id, key fingerprint)`, so a second join over
-/// the same spooled input with the same key expressions probes the same
-/// ref-counted [`BuiltSide`] instead of rebuilding it. With `project`
-/// (inner joins only), matches are projected straight off the pair of
-/// rows — the wide combined row is never built.
+/// The build side is drained and indexed once. When it is a scan fragment
+/// with no computed projection, the key table maps heap positions of its
+/// pinned snapshot and each match is read there in place; any other build
+/// input is collected into owned rows (see [`hold`]). When the build side
+/// is a shared node, the built table itself is registered in the
+/// execution context keyed by `(spool id, key fingerprint)`, so a second
+/// join over the same shared input with the same key expressions probes
+/// the same ref-counted [`BuiltSide`] instead of rebuilding it. With
+/// `project` (inner joins only), matches are projected straight off the
+/// pair of rows — the wide combined row is never built.
 #[allow(clippy::too_many_arguments)]
 fn lower_hash_join(
     left: Plan,
@@ -854,9 +964,7 @@ fn lower_hash_join(
     let built: Arc<BuiltSide> = match cached {
         Some(b) => b,
         None => {
-            let right_rows: Vec<Row> =
-                stream_plan(right, ctx.clone())?.collect::<Result<_>>()?;
-            let b = Arc::new(BuiltSide::build(right_rows, &right_keys)?);
+            let b = Arc::new(BuiltSide::build(right, &right_keys, &ctx)?);
             if let Some(k) = build_key {
                 ctx.builds.lock().insert(k, Arc::clone(&b));
             }

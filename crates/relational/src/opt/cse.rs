@@ -9,7 +9,8 @@
 //! under different aliases yield identical rows). A fingerprint seen more
 //! than once is rewritten to a [`Plan::Shared`] spool: the subtree is
 //! evaluated once per execution against one pinned snapshot, and its rows
-//! replay to every consumer (see `exec/stream.rs`).
+//! replay to every consumer, or, for a bare scan leaf, every consumer
+//! reads the one pinned snapshot in place (see `exec/stream.rs`).
 //!
 //! The paper's `include_self` enrichment (`Q1 UNION Q2`) is the motivating
 //! shape: both members scan (and often join) the same base tables, and

@@ -198,6 +198,86 @@ pub fn optimize(plan: Plan, cfg: &OptimizerConfig) -> Result<Optimized, PlanInva
     Ok(Optimized { plan, notes })
 }
 
+/// The passes in the order [`optimize`] runs them, by the name each of
+/// their notes starts with.
+const PASS_ORDER: [&str; 5] =
+    ["filter-pushdown", "projection-pruning", "dedup_pushdown", "limit-pushdown", "cse"];
+
+/// Fold `more`, the notes of a subquery's optimization, into `notes`, its
+/// statement's, so each pass keeps one line that counts its rewrites in
+/// the whole statement. A part of a line that reads like a part of the
+/// same pass's line but for its numbers is that part with the numbers
+/// summed (`1 index scan(s) chosen` twice is `2 index scan(s) chosen`);
+/// any other part is appended, and a pass only `more` names gets its line
+/// in pass order.
+pub(crate) fn merge_notes(notes: &mut Vec<String>, more: Vec<String>) {
+    let rank = |note: &str| PASS_ORDER.iter().position(|p| note.starts_with(p));
+    for note in more {
+        let (pass, body) = note.split_once(": ").unwrap_or((&note, ""));
+        let head = format!("{pass}: ");
+        match notes.iter().position(|n| n.starts_with(&head)) {
+            Some(i) => notes[i] = format!("{head}{}", merge_body(&notes[i][head.len()..], body)),
+            None => {
+                let at = notes.iter().position(|n| rank(n) > rank(&note)).unwrap_or(notes.len());
+                notes.insert(at, note);
+            }
+        }
+    }
+}
+
+/// Two bodies of one pass's note as one, as [`merge_notes`] describes.
+fn merge_body(body: &str, more: &str) -> String {
+    let (body, tail) = split_tail(body);
+    let mut parts: Vec<String> = body.split(", ").map(String::from).collect();
+    for part in split_tail(more).0.split(", ") {
+        match parts.iter().enumerate().find_map(|(i, p)| Some((i, add_numbers(p, part)?))) {
+            Some((i, sum)) => parts[i] = sum,
+            None => parts.push(part.to_string()),
+        }
+    }
+    format!("{}{tail}", parts.join(", "))
+}
+
+/// A note body and its closing remark: a last parenthesised group that
+/// holds no number (the guards a pass names), or nothing.
+fn split_tail(body: &str) -> (&str, &str) {
+    match body.rfind(" (") {
+        Some(i) if body.ends_with(')') && !body[i..].contains(|c: char| c.is_ascii_digit()) => {
+            body.split_at(i)
+        }
+        _ => (body, ""),
+    }
+}
+
+/// `a` with the numbers of `b` added to its own, if the two read alike
+/// but for their numbers.
+fn add_numbers(a: &str, b: &str) -> Option<String> {
+    fn runs(s: &str) -> Vec<&str> {
+        let mut out = Vec::new();
+        let mut from = 0;
+        for (i, c) in s.char_indices() {
+            let digit = |c: char| c.is_ascii_digit();
+            if i > from && digit(c) != s[from..i].starts_with(digit) {
+                out.push(&s[from..i]);
+                from = i;
+            }
+        }
+        out.push(&s[from..]);
+        out
+    }
+    let (a, b) = (runs(a), runs(b));
+    if a.len() != b.len() {
+        return None;
+    }
+    a.iter()
+        .zip(&b)
+        .map(|(x, y)| match (x.parse::<u64>(), y.parse::<u64>()) {
+            (Ok(x), Ok(y)) => Some((x + y).to_string()),
+            _ => (x == y).then(|| x.to_string()),
+        })
+        .collect()
+}
+
 /// Apply the configured test-only corruption after its target pass.
 /// Compiled to the identity in release builds.
 #[cfg(debug_assertions)]
@@ -304,5 +384,41 @@ pub(crate) fn map_children(plan: Plan, f: &mut impl FnMut(Plan) -> Plan) -> Plan
         },
         p @ Plan::Shared { .. } => p,
         Plan::Bind { input, slots } => Plan::Bind { input: Box::new(f(*input)), slots },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::merge_notes;
+
+    #[test]
+    fn merged_notes_count_each_pass_once_in_pass_order() {
+        let guards = " (guards: never beneath LIMIT, never when a filter or index lookup \
+                      narrows only one join input)";
+        let mut notes = vec![
+            "filter-pushdown: 1 filter(s) moved below other operators, 1 index scan(s) chosen"
+                .to_string(),
+            format!("dedup_pushdown: 1 DISTINCT(s) moved below a join{guards}"),
+            "cse: 1 shared subtree(s) spooled (2 reference(s))".to_string(),
+        ];
+        merge_notes(
+            &mut notes,
+            vec![
+                "filter-pushdown: 2 index scan(s) chosen".to_string(),
+                "projection-pruning: 1 aggregate input(s) narrowed".to_string(),
+                format!("dedup_pushdown: 1 DISTINCT(s) moved below a join, 1 UNION(s) x{guards}"),
+                "cse: 2 shared subtree(s) spooled (5 reference(s))".to_string(),
+            ],
+        );
+        assert_eq!(
+            notes,
+            [
+                "filter-pushdown: 1 filter(s) moved below other operators, 3 index scan(s) chosen"
+                    .to_string(),
+                "projection-pruning: 1 aggregate input(s) narrowed".to_string(),
+                format!("dedup_pushdown: 2 DISTINCT(s) moved below a join, 1 UNION(s) x{guards}"),
+                "cse: 3 shared subtree(s) spooled (7 reference(s))".to_string(),
+            ]
+        );
     }
 }

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use crate::error::{Error, Result};
 use crate::exec::aggregate::AggFn;
 use crate::exec::expr::{bind, BoundExpr, ScalarFn};
-use crate::opt::{map_children, optimize, OptimizerConfig};
+use crate::opt::{map_children, merge_notes, optimize, Optimized, OptimizerConfig};
 use crate::schema::{Column, Schema};
 use crate::sql::ast::{
     is_aggregate_name, BinaryOp, Expr, JoinKind, OrderItem, Select, SelectItem, TableRef, UnaryOp,
@@ -121,7 +121,9 @@ pub enum Plan {
     /// by the optimizer's common-subplan elimination (see [`crate::opt`]).
     /// All occurrences with the same `id` read one spool: the subtree is
     /// evaluated once per execution (against one pinned snapshot) and its
-    /// rows are replayed to every consumer.
+    /// rows are replayed to every consumer. Over a bare `Scan` or
+    /// `IndexScan` there is no spool: every consumer walks one pin of the
+    /// leaf's snapshot and reads its rows in place.
     Shared {
         /// Spool identity within one optimized plan.
         id: usize,
@@ -468,20 +470,24 @@ pub fn infer_type(expr: &Expr, schema: &Schema, slots: &[DataType]) -> DataType 
     }
 }
 
-/// Plan a SELECT statement against a catalog and the query-scoped
-/// relations `scoped` (tables no catalog holds, resolved by name before
-/// the catalog; see [`crate::Prepared::with_table`]). Its subqueries are
-/// planned and optimized under `cfg` like any other statement, and run
-/// only when a cursor opens. Returns the plan, not optimized yet.
+/// Plan and optimize a SELECT statement against a catalog and the
+/// query-scoped relations `scoped` (tables no catalog holds, resolved by
+/// name before the catalog; see [`crate::Prepared::with_table`]). Its
+/// subqueries are planned and optimized under `cfg` like any other
+/// statement, and run only when a cursor opens; the notes of their passes
+/// are folded into the statement's (see `opt::merge_notes`).
 pub fn plan_select(
     catalog: &Catalog,
     scoped: &[Arc<Table>],
     select: &Select,
     cfg: &OptimizerConfig,
-) -> Result<Plan> {
+) -> Result<Optimized> {
     let planner = Planner::new(catalog, scoped, cfg, select);
     let plan = planner.select(select)?;
-    Ok(planner.bind(plan))
+    let subquery_notes = planner.notes.take();
+    let mut optimized = optimize(planner.bind(plan), cfg)?;
+    merge_notes(&mut optimized.notes, subquery_notes);
+    Ok(optimized)
 }
 
 /// The rows a DELETE or UPDATE of `table` changes: `filter` over a scan,
@@ -596,6 +602,8 @@ struct Planner<'a> {
     /// The statement's slots so far, each with the type it gives an output
     /// column: its parameters, then each subquery as it is lifted.
     slots: RefCell<Vec<(Slot, DataType)>>,
+    /// The pass notes of the subqueries optimized so far, merged.
+    notes: RefCell<Vec<String>>,
 }
 
 impl<'a> Planner<'a> {
@@ -612,7 +620,7 @@ impl<'a> Planner<'a> {
             .into_iter()
             .map(|p| (Slot::Param(p.display()), p.expected.unwrap_or(DataType::Text)))
             .collect();
-        Planner { catalog, scoped, cfg, slots: RefCell::new(slots) }
+        Planner { catalog, scoped, cfg, slots: RefCell::new(slots), notes: RefCell::default() }
     }
 
     /// `plan` under a [`Plan::Bind`] of the slots it reads, if any.
@@ -718,7 +726,8 @@ impl<'a> Planner<'a> {
     /// Plan and optimize one uncorrelated subquery as the statement's next
     /// slot, and return the reference to it.
     fn subquery(&self, query: &Select, slot: fn(Plan) -> Slot) -> Result<Expr> {
-        let plan = optimize(self.select(query)?, self.cfg)?.plan;
+        let Optimized { plan, notes } = optimize(self.select(query)?, self.cfg)?;
+        merge_notes(&mut self.notes.borrow_mut(), notes);
         let (width, first) = (plan.schema().len(), plan.schema().columns.first());
         let first = first.map_or(DataType::Bool, |c| c.data_type);
         let slot = slot(plan);
@@ -1329,7 +1338,7 @@ mod tests {
         let Statement::Select(s) = parse_statement(sql).unwrap() else {
             panic!("not a select")
         };
-        plan_select(&catalog(), &[], &s, &OptimizerConfig::none())
+        plan_select(&catalog(), &[], &s, &OptimizerConfig::none()).map(|o| o.plan)
     }
 
     #[test]
@@ -1627,7 +1636,7 @@ mod tests {
             panic!("not a select")
         };
         let cfg = OptimizerConfig::default();
-        optimize(plan_select(cat, &[], &s, &cfg).unwrap(), &cfg).unwrap().plan
+        plan_select(cat, &[], &s, &cfg).unwrap().plan
     }
 
     fn find_index_scan(p: &Plan) -> Option<&IndexLookup> {

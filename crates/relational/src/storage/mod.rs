@@ -48,11 +48,13 @@ use wal::{encode_rel_op, RelOp};
 /// A secondary index over one column of a [`Table`].
 ///
 /// The index maps column values to row positions in the heap. It is
-/// maintained incrementally on `INSERT` (appends never move rows) and marked
-/// *dirty* by `DELETE`/`UPDATE`/`TRUNCATE` (which may move or change rows);
-/// a dirty index is rebuilt lazily on the next lookup. This matches the
-/// engine's role as an analytical databank stand-in: bulk loads and reads
-/// dominate, in-place churn is rare.
+/// maintained incrementally on `INSERT` (appends never move rows) and on
+/// `DELETE` (deleted positions leave it, and each survivor shifts down by
+/// the number deleted before it, as the heap's rows do). `UPDATE` and
+/// `TRUNCATE` mark it *dirty*, and a dirty index is rebuilt lazily on the
+/// next lookup. This matches the engine's role as an analytical databank
+/// stand-in: bulk loads, reads and trimming deletes dominate, in-place
+/// rewrites are rare.
 #[derive(Debug)]
 pub struct Index {
     pub name: String,
@@ -106,6 +108,25 @@ impl Index {
         if !v.is_null() {
             self.entries.write().entry(v.clone()).or_default().push(pos);
         }
+    }
+
+    /// Record the removal of the ascending heap positions `deleted` if the
+    /// index is clean: their entries go, and every surviving position
+    /// moves down by the number of deleted positions below it.
+    fn note_delete(&self, deleted: &[usize]) {
+        if self.dirty.load(AtomicOrdering::Acquire) {
+            return;
+        }
+        self.entries.write().retain(|_, positions| {
+            positions.retain_mut(|p| match deleted.binary_search(p) {
+                Ok(_) => false,
+                Err(below) => {
+                    *p -= below;
+                    true
+                }
+            });
+            !positions.is_empty()
+        });
     }
 
     fn mark_dirty(&self) {
@@ -332,8 +353,13 @@ impl Table {
         if positions.is_empty() {
             return;
         }
-        let mut rows = self.rows.write();
-        let rows = Arc::make_mut(&mut *rows);
+        self.remove(&mut self.rows.write(), positions);
+    }
+
+    /// Remove the rows at ascending heap `positions` from `rows`, the heap
+    /// under its held write lock, and keep every clean index clean.
+    fn remove(&self, rows: &mut Arc<Vec<Row>>, positions: &[usize]) {
+        let rows = Arc::make_mut(rows);
         let mut next = positions.iter().peekable();
         let mut i = 0usize;
         rows.retain(|_| {
@@ -345,7 +371,9 @@ impl Table {
             !drop_it
         });
         self.generation.fetch_add(1, AtomicOrdering::AcqRel);
-        self.mark_indexes_dirty();
+        for idx in self.indexes.read().iter() {
+            idx.note_delete(positions);
+        }
     }
 
     /// Overwrite rows at given heap positions without logging (replay path).
@@ -380,12 +408,6 @@ impl Table {
             .collect()
     }
 
-    /// Copy of all rows (materialised scan). Streaming readers should pin
-    /// [`Table::snapshot`] instead and borrow from it.
-    pub fn scan(&self) -> Vec<Row> {
-        self.rows.read().as_ref().clone()
-    }
-
     /// Visit rows without copying the whole table. Holds the read lock for
     /// the duration; use [`Table::snapshot`] for long walks.
     pub fn for_each(&self, mut f: impl FnMut(&Row)) {
@@ -394,54 +416,46 @@ impl Table {
         }
     }
 
-    /// Delete rows matching `pred`; returns the number removed. The redo
-    /// record carries the matched heap positions, so replay removes
-    /// exactly the same rows without re-evaluating the predicate.
-    pub fn delete_where(&self, mut pred: impl FnMut(&Row) -> bool) -> Result<usize> {
+    /// Delete rows matching `pred`; returns the number removed. `pred`
+    /// runs on the heap under the write lock, so the rows it picks are the
+    /// rows removed, whatever other sessions write; if it fails on any row,
+    /// the call returns its error before anything is logged or removed.
+    /// The redo record carries the matched heap positions, so replay
+    /// removes exactly the same rows without re-evaluating the predicate.
+    pub fn delete_where(&self, mut pred: impl FnMut(&Row) -> Result<bool>) -> Result<usize> {
         let sink = self.write_sink()?;
         let removed = {
             let _barrier = sink.guard();
             let mut rows = self.rows.write();
-            let positions: Vec<usize> = rows
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| pred(r).then_some(i))
-                .collect();
+            let mut positions: Vec<usize> = Vec::new();
+            for (i, r) in rows.iter().enumerate() {
+                if pred(r)? {
+                    positions.push(i);
+                }
+            }
             if positions.is_empty() {
                 return Ok(0);
             }
             sink.log(|| {
                 encode_rel_op(&RelOp::Delete { table: &self.name, positions: &positions })
             })?;
-            let rows = Arc::make_mut(&mut *rows);
-            let mut next = positions.iter().peekable();
-            let mut i = 0usize;
-            rows.retain(|_| {
-                let drop_it = next.peek().is_some_and(|&&p| p == i);
-                if drop_it {
-                    next.next();
-                }
-                i += 1;
-                !drop_it
-            });
-            self.generation.fetch_add(1, AtomicOrdering::AcqRel);
-            self.mark_indexes_dirty();
+            self.remove(&mut rows, &positions);
             positions.len()
         };
         sink.flush()?;
         Ok(removed)
     }
 
-    /// Update rows: `f` receives a copy of each row mutably and returns
-    /// true if it modified the row; modified copies replace their heap
-    /// rows. If `f` errors mid-iteration, rows it already rewrote stay
+    /// Update rows: `f` reads each heap row in place and returns its new
+    /// value, or `None` to leave it; new values replace their heap rows.
+    /// If `f` errors mid-iteration, rows it already rewrote stay
     /// rewritten (per-statement atomicity is the executor's job) — the
     /// generation bump and the index-dirty mark still happen, so no index
     /// serves the stale keys. The redo record carries the materialised
     /// `(position, new row)` pairs, so replay is deterministic.
     pub fn update_where(
         &self,
-        mut f: impl FnMut(&mut Row) -> Result<bool>,
+        mut f: impl FnMut(&Row) -> Result<Option<Row>>,
     ) -> Result<usize> {
         let sink = self.write_sink()?;
         let (updated, failed) = {
@@ -450,10 +464,9 @@ impl Table {
             let mut changes: Vec<(usize, Row)> = Vec::new();
             let mut failed: Option<Error> = None;
             for (pos, row) in rows.iter().enumerate() {
-                let mut candidate = row.clone();
-                match f(&mut candidate) {
-                    Ok(true) => changes.push((pos, candidate)),
-                    Ok(false) => {}
+                match f(row) {
+                    Ok(Some(new)) => changes.push((pos, new)),
+                    Ok(None) => {}
                     Err(e) => {
                         failed = Some(e);
                         break;
@@ -911,7 +924,7 @@ mod tests {
         t.insert(vec![Value::from("Barricalla"), Value::from("Collegno"), Value::Null])
             .unwrap();
         assert_eq!(t.row_count(), 2);
-        let rows = t.scan();
+        let rows = t.snapshot().rows().to_vec();
         assert_eq!(rows[0][1], Value::from("Torino"));
         assert!(rows[1][2].is_null());
     }
@@ -931,7 +944,7 @@ mod tests {
         assert!(t.insert(row![1, "Torino", 1.0]).is_err());
         // Int into Float column widens.
         t.insert(row!["a", "b", 7]).unwrap();
-        assert!(matches!(t.scan()[0][2], Value::Float(f) if f == 7.0));
+        assert!(matches!(t.snapshot().rows()[0][2], Value::Float(f) if f == 7.0));
     }
 
     #[test]
@@ -976,7 +989,7 @@ mod tests {
         let t = cat.create_table("t", landfill_cols()).unwrap();
         t.insert_many(vec![row!["a", "x", 1.0], row!["b", "x", 2.0], row!["c", "y", 3.0]])
             .unwrap();
-        let n = t.delete_where(|r| r[1] == Value::from("x")).unwrap();
+        let n = t.delete_where(|r| Ok(r[1] == Value::from("x"))).unwrap();
         assert_eq!(n, 2);
         assert_eq!(t.row_count(), 1);
     }
@@ -1026,7 +1039,7 @@ mod tests {
         assert!(t.is_ephemeral());
         // Read-only: every write path refuses, before touching the heap.
         assert!(t.insert(row!["a", "b", 1.0]).is_err());
-        assert!(t.delete_where(|_| true).is_err());
+        assert!(t.delete_where(|_| Ok(true)).is_err());
         assert!(t.truncate().is_err());
         assert!(cat.create_index("i", "foreign", "city").is_err());
     }
@@ -1048,13 +1061,14 @@ mod tests {
         assert_eq!(s2.len(), 3);
 
         t.update_where(|r| {
+            let mut r = r.clone();
             r[2] = Value::from(9.0);
-            Ok(true)
+            Ok(Some(r))
         })
         .unwrap();
         assert_eq!(s2.rows()[0][2], Value::Float(1.0), "frozen across UPDATE");
 
-        t.delete_where(|r| r[0] == Value::from("a")).unwrap();
+        t.delete_where(|r| Ok(r[0] == Value::from("a"))).unwrap();
         t.truncate().unwrap();
         assert_eq!(t.row_count(), 0);
         assert_eq!(s1.len(), 2, "frozen across DELETE + TRUNCATE");
@@ -1076,12 +1090,13 @@ mod tests {
         let col = t.schema.resolve(None, "city").unwrap();
         let err = t.update_where(|r| {
             if r[0] == Value::from("a") {
+                let mut r = r.clone();
                 r[1] = Value::from("Moved");
-                Ok(true)
+                Ok(Some(r))
             } else if r[0] == Value::from("b") {
                 Err(Error::eval("boom"))
             } else {
-                Ok(false)
+                Ok(None)
             }
         });
         assert!(err.is_err());
@@ -1189,17 +1204,18 @@ mod tests {
     fn index_rebuilds_after_delete_and_update() {
         let (_cat, t) = indexed_table();
         let col = t.schema.resolve(None, "city").unwrap();
-        t.delete_where(|r| r[0] == Value::from("a")).unwrap();
+        t.delete_where(|r| Ok(r[0] == Value::from("a"))).unwrap();
         let rows = t.index_lookup_eq(col, &[Value::from("Torino")]).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0], Value::from("c"));
 
         t.update_where(|r| {
             if r[0] == Value::from("b") {
+                let mut r = r.clone();
                 r[1] = Value::from("Torino");
-                Ok(true)
+                Ok(Some(r))
             } else {
-                Ok(false)
+                Ok(None)
             }
         })
         .unwrap();

@@ -147,7 +147,7 @@ mod tests {
         assert!(restored.has_index("idx_name"));
         let t = restored.get_table("landfill").unwrap();
         assert_eq!(t.name, "Landfill", "original case preserved");
-        assert_eq!(t.scan(), vec![row!["a", 1.0], row!["b", 2.0]]);
+        assert_eq!(t.snapshot().rows(), [row!["a", 1.0], row!["b", 2.0]]);
         // The restored index works.
         let col = t.schema.resolve(None, "name").unwrap();
         assert_eq!(t.index_lookup_eq(col, &[Value::from("b")]).unwrap().len(), 1);

@@ -348,8 +348,7 @@ mod tests {
         )
         .unwrap();
         let t = dst.get_table("t").unwrap();
-        let got = t.scan();
-        assert_eq!(got, vec![row!["B", 20.0], row!["c", 3.0]]);
+        assert_eq!(t.snapshot().rows(), [row!["B", 20.0], row!["c", 3.0]]);
         apply_rel_op(&dst, &encode_rel_op(&RelOp::Truncate { table: "t" }), &Interner::new()).unwrap();
         assert_eq!(t.row_count(), 0);
     }
@@ -375,7 +374,7 @@ mod tests {
         ];
         apply_rel_op(&dst, &encode_rel_op(&RelOp::Insert { table: "v", rows: &rows }), &Interner::new())
             .unwrap();
-        assert_eq!(dst.get_table("v").unwrap().scan(), rows);
+        assert_eq!(dst.get_table("v").unwrap().snapshot().rows(), rows);
     }
 
     #[test]
@@ -395,7 +394,7 @@ mod tests {
             &interner,
         )
         .unwrap();
-        let got = dst.get_table("t").unwrap().scan();
+        let got = dst.get_table("t").unwrap().snapshot().rows().to_vec();
         let (Value::Str(a), Value::Str(b)) = (&got[0][0], &got[1][0]) else {
             panic!("expected strings");
         };

@@ -140,6 +140,49 @@ fn parallel_inserts_into_one_table_lose_nothing() {
     assert_eq!(rs.rows[0][0], Value::Int(1000));
 }
 
+/// Two sessions delete from disjoint id ranges of one indexed table while
+/// a third inserts into it: each DELETE picks its rows on the heap it
+/// removes them from, so the survivors are exactly the rows nobody
+/// deleted, and the index agrees with them.
+#[test]
+fn concurrent_deletes_remove_exactly_their_rows() {
+    let db = Database::new();
+    db.execute_script("CREATE TABLE ids (id INT); CREATE INDEX ids_id ON ids (id);").unwrap();
+    let n = stress_iters(300) as i64;
+    let rows = (0..2 * n).map(|i| vec![Value::Int(i)]).collect();
+    db.catalog().get_table("ids").unwrap().insert_many(rows).unwrap();
+    // Session 0 deletes the even ids below `n`, session 1 the odd ids
+    // from `n` up, one statement each; session 2 appends ids from 10n.
+    let mut handles = Vec::new();
+    for session in 0..3i64 {
+        let db = db.clone();
+        handles.push(thread::spawn(move || {
+            for i in 0..n / 2 {
+                let sql = match session {
+                    0 => format!("DELETE FROM ids WHERE id = {}", 2 * i),
+                    1 => format!("DELETE FROM ids WHERE id = {}", n + 2 * i + 1),
+                    _ => format!("INSERT INTO ids VALUES ({})", 10 * n + i),
+                };
+                db.execute(&sql).unwrap();
+            }
+        }));
+    }
+    for h in handles {
+        h.join().unwrap();
+    }
+    let survivor = |id: i64| if id < n { id % 2 == 1 } else { id >= 10 * n || (id - n) % 2 == 0 };
+    let want: Vec<i64> =
+        (0..2 * n).chain(10 * n..10 * n + n / 2).filter(|&id| survivor(id)).collect();
+    let ids = |sql: &str| -> Vec<i64> {
+        let rows = db.query(sql).unwrap().rows;
+        rows.iter().map(|r| if let Value::Int(i) = r[0] { i } else { panic!("{r:?}") }).collect()
+    };
+    assert_eq!(ids("SELECT id FROM ids ORDER BY id"), want);
+    let indexed = format!("SELECT id FROM ids WHERE id < {} ORDER BY id", 2 * n);
+    let below: Vec<i64> = want.iter().copied().filter(|&id| id < 2 * n).collect();
+    assert_eq!(ids(&indexed), below, "the index agrees with the heap");
+}
+
 #[test]
 fn concurrent_annotation_and_import() {
     let db = Database::new();

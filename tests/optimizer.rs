@@ -156,6 +156,43 @@ fn self_join_scans_base_table_once_through_spool() {
     );
 }
 
+/// Every consumer of one shared leaf reads one snapshot: a write that
+/// lands after the cursor opens, before its second UNION member starts,
+/// is seen by neither member, and the shared leaf is charged once.
+#[test]
+fn shared_leaf_gives_every_consumer_one_snapshot() {
+    let leaves = [
+        ("SeqScan", "", 60),
+        ("IndexScan", " AND x.b = 1 AND y.b = 1", 12),
+    ];
+    for (leaf, narrow, scanned) in leaves {
+        let db = Database::new();
+        db.execute_script("CREATE TABLE t (k INT, b INT); CREATE INDEX t_b ON t (b);").unwrap();
+        let rows = (0..60).map(|i| vec![Value::Int(i), Value::Int(i % 5)]).collect();
+        db.catalog().get_table("t").unwrap().insert_many(rows).unwrap();
+        let sql = format!(
+            "SELECT x.k, y.k FROM t x, t y WHERE x.k = y.k{narrow} \
+             UNION ALL SELECT x.k, y.k FROM t x, t y WHERE x.k = y.b{narrow}"
+        );
+        let text = explain(&db, &sql);
+        assert!(text.contains("Shared spool #0\n")
+            && text.matches("Shared spool #0 (reused)").count() == 3
+            && text.contains(leaf), "{text}");
+        let before = sorted(db.query(&sql).unwrap().rows);
+
+        let mut cur = db.query_cursor(&sql).unwrap();
+        let mut got = vec![cur.next_row().unwrap().unwrap()];
+        // Rows the second member would join, and a row both would have.
+        db.execute("INSERT INTO t VALUES (1, 1), (2, 1), (3, 1), (61, 1)").unwrap();
+        db.execute("DELETE FROM t WHERE k = 6 OR k = 1").unwrap();
+        while let Some(row) = cur.next_row() {
+            got.push(row.unwrap());
+        }
+        assert_eq!(sorted(got), before, "{leaf}: a consumer saw a later write");
+        assert_eq!(cur.rows_scanned(), scanned, "{leaf}: the shared leaf is charged once");
+    }
+}
+
 #[test]
 fn shared_spool_results_match_unshared() {
     let db = db_two_tables();

@@ -1246,6 +1246,127 @@ proptest! {
     }
 }
 
+/// Self-joins whose two sides common-subplan elimination shares: a bare
+/// `Scan` leaf (with and without a residual, probed by a later UNION
+/// member, under a LEFT join, inside a nested loop) and an `IndexScan`
+/// leaf (equality, range, and keys from a `$p` slot). Every consumer of
+/// one leaf walks one pin of its snapshot, and a hash build over it keys
+/// heap positions.
+const HELD_SELF_JOINS: &[&str] = &[
+    "SELECT x.k, y.s FROM a x, a y WHERE x.k = y.k",
+    "SELECT x.s, y.k FROM b x, b y WHERE x.k = y.f AND x.s <> y.s",
+    "SELECT x.k FROM a x, a y WHERE x.k = y.k UNION ALL SELECT x.k FROM a x, a y WHERE x.k = y.f",
+    "SELECT x.k, y.s FROM a x LEFT JOIN a y ON x.k = y.f",
+    "SELECT x.k, y.k FROM b x, b y WHERE x.k < y.k",
+    "SELECT x.k, y.f FROM a x, a y WHERE x.k = y.k AND x.s = 'a' AND y.s = 'a'",
+    "SELECT x.k FROM a x, a y WHERE x.k = y.k AND x.k < 3 AND y.k < 3",
+    "SELECT x.k, y.f FROM a x, a y WHERE x.k = y.f AND x.s = $p AND y.s = $p",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A held self-join handle answers each run, between INSERTs and
+    /// DELETEs on its table, as the same text does with no rewrite pass
+    /// (so with no shared leaf and no index scan).
+    #[test]
+    fn held_self_joins_over_shared_leaves_agree_with_unoptimized(
+        a_rows in prop::collection::vec((0u8..6, 0u8..6, 0u8..4), 0..12),
+        churn in prop::collection::vec((0u8..3, (0u8..6, 0u8..6, 0u8..4)), 3..5),
+        picks in prop::collection::vec(0usize..4, 5..6),
+    ) {
+        let setup = |db: &Database| {
+            db.execute_script(
+                "CREATE TABLE a (k INT, f FLOAT, s TEXT); CREATE TABLE b (k INT, f FLOAT, s TEXT);
+                 CREATE INDEX ak ON a (k); CREATE INDEX as_ ON a (s);",
+            )
+            .unwrap();
+            for &r in a_rows.iter() {
+                for t in ["a", "b"] {
+                    db.execute(&format!("INSERT INTO {t} VALUES {}", held_row(r))).unwrap();
+                }
+            }
+        };
+        let db = Database::new();
+        setup(&db);
+        let plain = Database::new();
+        plain.set_optimizer_config(crosse::relational::OptimizerConfig::none());
+        setup(&plain);
+        for sql in HELD_SELF_JOINS {
+            let plan = db.prepare(sql).unwrap().explain().unwrap();
+            prop_assert!(plan.contains("Shared spool #0 (reused)"), "{}:\n{}", sql, plan);
+        }
+
+        let held: Vec<_> = HELD_SELF_JOINS.iter().map(|sql| db.prepare(sql).unwrap()).collect();
+        for (run, pick) in picks.iter().enumerate() {
+            for (sql, handle) in HELD_SELF_JOINS.iter().zip(&held) {
+                let v = held_values(DataType::Text).swap_remove(*pick);
+                let mut params = crosse::relational::Params::new();
+                if sql.contains("$p") {
+                    params = params.set("p", v.clone());
+                }
+                let text = sql.replace("$p", &sql_literal(&v));
+                let got = sorted(handle.query(&params).unwrap().rows);
+                let unoptimized = sorted(plain.query(&text).unwrap().rows);
+                prop_assert_eq!(&got, &unoptimized, "run {}: {} as {}", run, sql, text);
+            }
+            let Some(&(op, row)) = churn.get(run) else { continue };
+            let (k, _, _) = row;
+            for t in ["a", "b"] {
+                let dml = match op {
+                    0 => format!("INSERT INTO {t} VALUES {}", held_row(row)),
+                    1 => format!("DELETE FROM {t} WHERE k = {k} OR k IS NULL"),
+                    _ => format!("DELETE FROM {t} WHERE s = 'b'"),
+                };
+                db.execute(&dml).unwrap();
+                plain.execute(&dml).unwrap();
+            }
+        }
+    }
+
+    /// Interleaved INSERT / DELETE / UPDATE on an indexed table keep every
+    /// index lookup equal to the full-scan filter, rows and heap order
+    /// alike: DELETE shifts a clean index's positions instead of dirtying
+    /// it, and UPDATE dirties it.
+    #[test]
+    fn index_lookups_equal_scans_under_interleaved_writes(
+        ops in prop::collection::vec((0u8..3, 0i64..8, 0i64..8), 1..24),
+    ) {
+        let setup = |db: &Database| {
+            db.execute_script("CREATE TABLE t (k INT, v INT); CREATE INDEX tk ON t (k);").unwrap();
+        };
+        let db = Database::new();
+        setup(&db);
+        let plain = Database::new();
+        plain.set_optimizer_config(crosse::relational::OptimizerConfig::none());
+        setup(&plain);
+        let lookups = [
+            "SELECT k, v FROM t WHERE k = 3",
+            "SELECT k, v FROM t WHERE k IN (0, 5, 7)",
+            "SELECT k, v FROM t WHERE k < 4",
+            "SELECT k, v FROM t WHERE k BETWEEN 2 AND 6",
+        ];
+        for sql in lookups {
+            let plan = db.prepare(sql).unwrap().explain().unwrap();
+            prop_assert!(plan.contains("IndexScan"), "{}:\n{}", sql, plan);
+        }
+        for (i, &(op, x, y)) in ops.iter().enumerate() {
+            let dml = match op {
+                0 => format!("INSERT INTO t VALUES ({x}, {i}), ({y}, {i}), (NULL, {i})"),
+                1 => format!("DELETE FROM t WHERE k = {x} OR v = {y} OR k IS NULL"),
+                _ => format!("UPDATE t SET k = {y} WHERE v = {x}"),
+            };
+            db.execute(&dml).unwrap();
+            plain.execute(&dml).unwrap();
+            for sql in lookups {
+                let indexed = db.query(sql).unwrap().rows;
+                let scanned = plain.query(sql).unwrap().rows;
+                prop_assert_eq!(&indexed, &scanned, "after `{}`: {}", dml, sql);
+            }
+        }
+    }
+}
+
 // ---- semantic linter robustness ---------------------------------------------
 
 /// A small pool of composable SQL shapes over two tables: clean queries,

@@ -102,3 +102,38 @@ fn allocations_do_not_grow_with_scanned_rows() {
         );
     }
 }
+
+/// A hash join's build side over a scan keys heap positions of the pinned
+/// snapshot, and a self-join that common-subplan elimination shares reads
+/// both sides off one pin: neither copies a row per build or shared row.
+/// Each build table below has 7 keys and neither statement returns a row,
+/// so going from 10 000 to 20 000 rows may add only what the 7 position
+/// lists take to grow: the assertion allows 32 allocations, where one
+/// copy per row would add 10 000.
+#[test]
+fn join_builds_and_shared_scans_do_not_copy_rows() {
+    let (small, large) = (table(10_000), table(20_000));
+    for db in [&small, &large] {
+        db.execute_script("CREATE TABLE p (a INT); INSERT INTO p VALUES (100);").unwrap();
+    }
+    let explain = |sql: &str| -> String {
+        let plan = small.query(&format!("EXPLAIN {sql}")).unwrap();
+        plan.rows.iter().map(|r| r[0].lexical_form().to_string() + "\n").collect()
+    };
+    let build_over_scan = "SELECT p.a FROM p, t WHERE p.a = t.g";
+    let text = explain(build_over_scan);
+    let (probe, build) = (text.find("SeqScan: p").unwrap(), text.find("SeqScan: t").unwrap());
+    assert!(text.contains("HashJoin") && probe < build, "the build side scans `t`:\n{text}");
+    let shared_self_join = "SELECT a.k FROM t a, t b WHERE a.k = b.g + 1000000";
+    let text = explain(shared_self_join);
+    assert!(text.contains("Shared spool #0 (reused)"), "both sides share one scan:\n{text}");
+    for sql in [build_over_scan, shared_self_join] {
+        let (at_small, rows_small) = allocations(&small, sql);
+        let (at_large, rows_large) = allocations(&large, sql);
+        assert_eq!((rows_small, rows_large), (0, 0), "`{sql}`");
+        assert!(
+            at_large <= at_small + 32,
+            "`{sql}` allocated {at_small} times over 10 000 rows, {at_large} over 20 000"
+        );
+    }
+}
