@@ -102,12 +102,7 @@ impl CrossePlatform {
     ) -> Result<StatementId> {
         let t = self.database().catalog().get_table(table)?;
         let idx = t.schema.resolve(None, column)?;
-        let mut found = false;
-        t.for_each(|row| {
-            if !found && row[idx].lexical_form() == subject_value {
-                found = true;
-            }
-        });
+        let found = t.snapshot().rows().iter().any(|row| row[idx].lexical_form() == subject_value);
         if !found {
             return Err(Error::platform(format!(
                 "integrated annotation requires `{subject_value}` to occur in \

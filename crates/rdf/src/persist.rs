@@ -60,7 +60,8 @@ pub fn encode_rdf_op(op: &RdfOp<'_>) -> Vec<u8> {
 }
 
 /// Decode one payload and apply it to `store` **without re-logging** —
-/// the replay path (no log is attached to a recovering store).
+/// the replay path (no log is attached to a recovering store). The record
+/// runs the same step its logged write ran (`TripleStore::apply`).
 pub fn apply_rdf_op(store: &TripleStore, payload: &[u8]) -> Result<()> {
     let mut d = Decoder::new(payload);
     let tag = d.u8().map_err(Error::from)?;
@@ -73,23 +74,23 @@ pub fn apply_rdf_op(store: &TripleStore, payload: &[u8]) -> Result<()> {
                 triples.push(decode_triple(&mut d)?);
             }
             d.finish().map_err(Error::from)?;
-            store.apply_insert(&graph, &triples);
+            store.apply(&RdfOp::InsertAll { graph: &graph, triples: &triples });
         }
         OP_REMOVE => {
             let graph = d.str().map_err(Error::from)?;
             let triple = decode_triple(&mut d)?;
             d.finish().map_err(Error::from)?;
-            store.apply_remove(&graph, &triple);
+            store.apply(&RdfOp::Remove { graph: &graph, triple: &triple });
         }
         OP_DROP_GRAPH => {
             let graph = d.str().map_err(Error::from)?;
             d.finish().map_err(Error::from)?;
-            store.apply_drop_graph(&graph);
+            store.apply(&RdfOp::DropGraph { graph: &graph });
         }
         OP_ENSURE_GRAPH => {
             let graph = d.str().map_err(Error::from)?;
             d.finish().map_err(Error::from)?;
-            store.apply_ensure_graph(&graph);
+            store.apply(&RdfOp::EnsureGraph { graph: &graph });
         }
         other => {
             return Err(Error::storage(format!("unknown RDF redo op tag {other}")))
@@ -226,7 +227,6 @@ pub fn decode_store(store: &TripleStore, bytes: &[u8]) -> Result<()> {
     let ngraphs = d.u32().map_err(Error::from)?;
     for _ in 0..ngraphs {
         let name = d.str().map_err(Error::from)?;
-        store.apply_ensure_graph(&name);
         let ntriples = d.u64().map_err(Error::from)?;
         let mut ids = Vec::with_capacity(ntriples.min(1 << 20) as usize);
         for _ in 0..ntriples {
@@ -244,7 +244,7 @@ pub fn decode_store(store: &TripleStore, bytes: &[u8]) -> Result<()> {
                 crate::term::TermId(o),
             ));
         }
-        store.apply_insert_ids(&name, ids);
+        store.restore_graph(&name, ids);
     }
     d.finish().map_err(Error::from)?;
     Ok(())
@@ -254,6 +254,7 @@ pub fn decode_store(store: &TripleStore, bytes: &[u8]) -> Result<()> {
 mod tests {
     use super::*;
     use crate::store::TriplePattern;
+    use crosse_wal::{RedoLog, WalOptions, WalStore, CHAN_RDF};
 
     fn t(s: &str, p: &str, o: &str) -> Triple {
         Triple::new(Term::iri(s), Term::iri(p), Term::lit(o))
@@ -303,6 +304,55 @@ mod tests {
         assert!(!dst.contains("u1", &t("Pb", "dangerLevel", "4")));
         apply_rdf_op(&dst, &encode_rdf_op(&RdfOp::DropGraph { graph: "u2" })).unwrap();
         assert!(!dst.has_graph("u2"));
+    }
+
+    #[test]
+    fn logged_writes_replay_to_the_same_graphs_and_version_moves() {
+        let dir = std::env::temp_dir()
+            .join(format!("crosse-rdfwal-{}-replay", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (wal, _) = WalStore::open(&dir, WalOptions::default()).unwrap();
+        let src = TripleStore::new();
+        src.attach_sink(RedoLog::new(wal, CHAN_RDF));
+        let (a, b) = (t("Hg", "dangerLevel", "5"), t("Pb", "dangerLevel", "4"));
+        let mut logged_moves: Vec<u64> = Vec::new();
+        let mut write = |write: &dyn Fn(&TripleStore)| {
+            let before = src.version();
+            write(&src);
+            logged_moves.push(src.version() - before);
+        };
+        write(&|s| s.ensure_graph("empty").unwrap());
+        write(&|s| assert_eq!(s.insert_all("g", [&a, &b]).unwrap(), 2));
+        write(&|s| assert_eq!(s.insert_all("g", [&a]).unwrap(), 0));
+        write(&|s| {
+            let id = |term| s.dictionary().id_of(term).unwrap();
+            let ids = (id(&a.subject), id(&a.predicate), id(&a.object));
+            assert_eq!(s.insert_ids("h", [ids]).unwrap(), 1);
+        });
+        write(&|s| assert!(s.remove("g", &b).unwrap()));
+        write(&|s| s.drop_graph("h").unwrap());
+        // An empty batch into a missing graph creates it, so it logs.
+        write(&|s| assert_eq!(s.insert_all("fresh", []).unwrap(), 0));
+        let (_, recovered) = WalStore::open(&dir, WalOptions::default()).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(recovered.records.len(), logged_moves.len(), "each write logs one record");
+        let replayed = TripleStore::new();
+        let replayed_moves: Vec<u64> = recovered
+            .records
+            .iter()
+            .map(|record| {
+                let before = replayed.version();
+                apply_rdf_op(&replayed, &record.payload).unwrap();
+                replayed.version() - before
+            })
+            .collect();
+        assert_eq!(replayed_moves, logged_moves);
+        assert_eq!(replayed.graph_names(), ["empty", "fresh", "g"]);
+        assert_eq!(replayed.graph_names(), src.graph_names());
+        for graph in src.graph_names() {
+            assert_eq!(replayed.graph_triples(&graph), src.graph_triples(&graph), "{graph}");
+        }
+        assert_eq!(replayed.graph_triples("g"), std::slice::from_ref(&a));
     }
 
     #[test]

@@ -18,6 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
+use crate::persist::RdfOp;
 use crate::schema;
 use crate::store::{Triple, TriplePattern, TripleStore};
 use crate::term::Term;
@@ -64,8 +65,8 @@ impl Default for KnowledgeBase {
 impl KnowledgeBase {
     pub fn new() -> Self {
         let store = TripleStore::new();
-        store.apply_ensure_graph(META_GRAPH);
-        store.apply_ensure_graph(COMMON_GRAPH);
+        store.apply(&RdfOp::EnsureGraph { graph: META_GRAPH });
+        store.apply(&RdfOp::EnsureGraph { graph: COMMON_GRAPH });
         KnowledgeBase { store, next_statement: Arc::new(AtomicU64::new(0)) }
     }
 

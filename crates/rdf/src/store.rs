@@ -194,6 +194,30 @@ fn dedup_tail(out: &mut Vec<IdTriple>, before: usize) {
     out.truncate(w);
 }
 
+// ---- write steps ------------------------------------------------------------
+//
+// One step per kind of write, each on the graph map under its held write
+// lock, so a write logs and applies under that one lock and log order is
+// apply order. A logged write checks, logs, then runs its step; redo
+// replay (`TripleStore::apply`) and snapshot restore run the same step.
+
+/// Add id-triples to `graph`, creating the graph if absent; returns how
+/// many were new.
+fn add(graphs: &mut Graphs, graph: &str, triples: impl IntoIterator<Item = IdTriple>) -> usize {
+    let g = graphs.entry(graph.to_string()).or_default();
+    triples.into_iter().filter(|&t| g.insert(t)).count()
+}
+
+/// Take one triple out of `graph`; whether it was there.
+fn take(graphs: &mut Graphs, graph: &str, triple: IdTriple) -> bool {
+    graphs.get_mut(graph).is_some_and(|g| g.remove(triple))
+}
+
+/// Drop `graph` and all its triples.
+fn discard(graphs: &mut Graphs, graph: &str) {
+    graphs.remove(graph);
+}
+
 /// A pattern of concrete terms with wildcards.
 #[derive(Debug, Clone, Default)]
 pub struct TriplePattern {
@@ -202,11 +226,14 @@ pub struct TriplePattern {
     pub object: Option<Term>,
 }
 
+/// Every graph of a store, by name.
+type Graphs = std::collections::BTreeMap<String, GraphData>;
+
 /// The multi-graph triple store. Cheap to clone (shared interior).
 #[derive(Debug, Clone)]
 pub struct TripleStore {
     dict: Dictionary,
-    graphs: Arc<RwLock<std::collections::BTreeMap<String, GraphData>>>,
+    graphs: Arc<RwLock<Graphs>>,
     /// Mutation counter: bumped by every state-changing operation, so
     /// query-result caches (e.g. the SESQL engine's SPARQL-leg cache) can
     /// validate entries without diffing graphs.
@@ -269,7 +296,7 @@ impl TripleStore {
                 return Ok(());
             }
             sink.log(|| encode_rdf_op(&RdfOp::EnsureGraph { graph: name }))?;
-            graphs.entry(name.to_string()).or_default();
+            add(&mut graphs, name, []);
         }
         Ok(sink.flush()?)
     }
@@ -291,7 +318,7 @@ impl TripleStore {
                 return Err(Error::store(format!("graph `{name}` does not exist")));
             }
             sink.log(|| encode_rdf_op(&RdfOp::DropGraph { graph: name }))?;
-            graphs.remove(name);
+            discard(&mut graphs, name);
             drop(graphs);
             self.bump_version();
         }
@@ -316,23 +343,53 @@ impl TripleStore {
             let _barrier = sink.guard();
             self.bump_version();
             let mut graphs = self.graphs.write();
-            if !batch.is_empty() {
+            if !batch.is_empty() || !graphs.contains_key(graph) {
                 sink.log(|| {
                     let triples: Vec<Triple> = batch.iter().map(|&t| t.clone()).collect();
                     encode_rdf_op(&RdfOp::InsertAll { graph, triples: &triples })
                 })?;
             }
-            let g = graphs.entry(graph.to_string()).or_default();
-            batch
-                .iter()
-                .filter(|triple| {
-                    g.insert((
-                        self.dict.intern(&triple.subject),
-                        self.dict.intern(&triple.predicate),
-                        self.dict.intern(&triple.object),
-                    ))
-                })
-                .count()
+            add(&mut graphs, graph, batch.iter().map(|t| self.intern(t)))
+        };
+        sink.flush()?;
+        Ok(fresh)
+    }
+
+    /// Insert already-interned triples (ids must come from this store's
+    /// dictionary); returns how many were new. The reasoner writes its
+    /// closure through this, skipping re-interning entirely. When a log
+    /// is attached the ids are resolved back to terms for the redo record
+    /// (the log speaks terms, never ids — ids are not stable across
+    /// recovery).
+    pub(crate) fn insert_ids(
+        &self,
+        graph: &str,
+        triples: impl IntoIterator<Item = IdTriple>,
+    ) -> Result<usize> {
+        let batch: Vec<IdTriple> = triples.into_iter().collect();
+        let sink = self.sink();
+        let fresh = {
+            let _barrier = sink.guard();
+            self.bump_version();
+            let mut graphs = self.graphs.write();
+            if !batch.is_empty() || !graphs.contains_key(graph) {
+                sink.log(|| {
+                    let reader = self.dict.reader();
+                    let terms: Vec<Triple> = batch
+                        .iter()
+                        .map(|&(s, p, o)| {
+                            Triple::new(
+                                reader.term(s).clone(),
+                                reader.term(p).clone(),
+                                reader.term(o).clone(),
+                            )
+                        })
+                        .collect();
+                    drop(reader);
+                    encode_rdf_op(&RdfOp::InsertAll { graph, triples: &terms })
+                })?;
+            }
+            add(&mut graphs, graph, batch)
         };
         sink.flush()?;
         Ok(fresh)
@@ -341,43 +398,74 @@ impl TripleStore {
     /// Remove a triple; returns true if present.
     pub fn remove(&self, graph: &str, triple: &Triple) -> Result<bool> {
         let sink = self.sink();
-        {
+        let removed = {
             let _barrier = sink.guard();
-            let (Some(s), Some(p), Some(o)) = (
-                self.dict.id_of(&triple.subject),
-                self.dict.id_of(&triple.predicate),
-                self.dict.id_of(&triple.object),
-            ) else {
+            let Some(id) = self.id_of(triple) else {
                 return Ok(false);
             };
             self.bump_version();
             let mut graphs = self.graphs.write();
-            let Some(g) = graphs.get_mut(graph) else {
-                return Ok(false);
-            };
-            if !g.contains((s, p, o)) {
+            if !graphs.get(graph).is_some_and(|g| g.contains(id)) {
                 return Ok(false);
             }
             sink.log(|| encode_rdf_op(&RdfOp::Remove { graph, triple }))?;
-            g.remove((s, p, o));
-        }
+            take(&mut graphs, graph, id)
+        };
         sink.flush()?;
-        Ok(true)
+        Ok(removed)
+    }
+
+    /// Apply one write without logging: the step its logged form runs,
+    /// with the same version move. This is redo replay (no log is
+    /// attached to a recovering store), and how a new in-memory knowledge
+    /// base registers its graphs.
+    pub(crate) fn apply(&self, op: &RdfOp<'_>) {
+        let mut graphs = self.graphs.write();
+        match *op {
+            RdfOp::InsertAll { graph, triples } => {
+                self.bump_version();
+                add(&mut graphs, graph, triples.iter().map(|t| self.intern(t)));
+            }
+            RdfOp::Remove { graph, triple } => {
+                if let Some(id) = self.id_of(triple) {
+                    self.bump_version();
+                    take(&mut graphs, graph, id);
+                }
+            }
+            RdfOp::DropGraph { graph } => {
+                discard(&mut graphs, graph);
+                self.bump_version();
+            }
+            RdfOp::EnsureGraph { graph } => {
+                add(&mut graphs, graph, []);
+            }
+        }
+    }
+
+    /// Restore one graph of a checkpoint snapshot: the insert step over
+    /// already-interned triples (ids must come from this store's
+    /// dictionary).
+    pub(crate) fn restore_graph(&self, graph: &str, triples: Vec<IdTriple>) {
+        self.bump_version();
+        add(&mut self.graphs.write(), graph, triples);
+    }
+
+    fn intern(&self, t: &Triple) -> IdTriple {
+        (self.dict.intern(&t.subject), self.dict.intern(&t.predicate), self.dict.intern(&t.object))
+    }
+
+    /// The ids of a triple's terms; `None` if one was never interned, so
+    /// no graph can hold the triple.
+    fn id_of(&self, t: &Triple) -> Option<IdTriple> {
+        let id = |term| self.dict.id_of(term);
+        Some((id(&t.subject)?, id(&t.predicate)?, id(&t.object)?))
     }
 
     pub fn contains(&self, graph: &str, triple: &Triple) -> bool {
-        let (Some(s), Some(p), Some(o)) = (
-            self.dict.id_of(&triple.subject),
-            self.dict.id_of(&triple.predicate),
-            self.dict.id_of(&triple.object),
-        ) else {
+        let Some(id) = self.id_of(triple) else {
             return false;
         };
-        self.graphs
-            .read()
-            .get(graph)
-            .map(|g| g.contains((s, p, o)))
-            .unwrap_or(false)
+        self.graphs.read().get(graph).is_some_and(|g| g.contains(id))
     }
 
     /// Triple count of one graph.
@@ -483,105 +571,6 @@ impl TripleStore {
             .filter_map(|name| store.get(*name))
             .map(|g| g.count(pat, cap))
             .sum()
-    }
-
-    /// Insert already-interned triples (ids must come from this store's
-    /// dictionary); returns how many were new. The reasoner writes its
-    /// closure through this, skipping re-interning entirely. When a log
-    /// is attached the ids are resolved back to terms for the redo record
-    /// (the log speaks terms, never ids — ids are not stable across
-    /// recovery).
-    pub(crate) fn insert_ids(
-        &self,
-        graph: &str,
-        triples: impl IntoIterator<Item = IdTriple>,
-    ) -> Result<usize> {
-        let batch: Vec<IdTriple> = triples.into_iter().collect();
-        let sink = self.sink();
-        let fresh = {
-            let _barrier = sink.guard();
-            self.bump_version();
-            let mut graphs = self.graphs.write();
-            if !batch.is_empty() {
-                sink.log(|| {
-                    let reader = self.dict.reader();
-                    let terms: Vec<Triple> = batch
-                        .iter()
-                        .map(|&(s, p, o)| {
-                            Triple::new(
-                                reader.term(s).clone(),
-                                reader.term(p).clone(),
-                                reader.term(o).clone(),
-                            )
-                        })
-                        .collect();
-                    drop(reader);
-                    encode_rdf_op(&RdfOp::InsertAll { graph, triples: &terms })
-                })?;
-            }
-            let g = graphs.entry(graph.to_string()).or_default();
-            batch.into_iter().filter(|&t| g.insert(t)).count()
-        };
-        sink.flush()?;
-        Ok(fresh)
-    }
-
-    // ---- replay / snapshot plumbing (no logging) --------------------------
-
-    /// Insert triples without logging — the redo-replay path.
-    pub(crate) fn apply_insert(&self, graph: &str, triples: &[Triple]) {
-        self.bump_version();
-        let mut graphs = self.graphs.write();
-        let g = graphs.entry(graph.to_string()).or_default();
-        for triple in triples {
-            g.insert((
-                self.dict.intern(&triple.subject),
-                self.dict.intern(&triple.predicate),
-                self.dict.intern(&triple.object),
-            ));
-        }
-    }
-
-    /// Remove a triple without logging (replay path).
-    pub(crate) fn apply_remove(&self, graph: &str, triple: &Triple) {
-        let (Some(s), Some(p), Some(o)) = (
-            self.dict.id_of(&triple.subject),
-            self.dict.id_of(&triple.predicate),
-            self.dict.id_of(&triple.object),
-        ) else {
-            return;
-        };
-        self.bump_version();
-        if let Some(g) = self.graphs.write().get_mut(graph) {
-            g.remove((s, p, o));
-        }
-    }
-
-    /// Drop a graph without logging (replay path); missing graph is a no-op.
-    pub(crate) fn apply_drop_graph(&self, graph: &str) {
-        self.bump_version();
-        self.graphs.write().remove(graph);
-    }
-
-    /// Create an empty graph without logging (replay path, and the graphs
-    /// of a new in-memory knowledge base).
-    pub(crate) fn apply_ensure_graph(&self, graph: &str) {
-        self.graphs.write().entry(graph.to_string()).or_default();
-    }
-
-    /// Insert already-interned triples without logging (snapshot-restore
-    /// path; ids must come from this store's dictionary).
-    pub(crate) fn apply_insert_ids(
-        &self,
-        graph: &str,
-        triples: impl IntoIterator<Item = IdTriple>,
-    ) {
-        self.bump_version();
-        let mut graphs = self.graphs.write();
-        let g = graphs.entry(graph.to_string()).or_default();
-        for t in triples {
-            g.insert(t);
-        }
     }
 
     /// Pin every graph's id-triples (SPO order) for a checkpoint. Runs

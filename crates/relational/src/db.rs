@@ -502,11 +502,7 @@ impl Database {
             Statement::Delete { table, filter } => {
                 let t = self.catalog.get_table(&table)?;
                 let n = match filter {
-                    None => {
-                        let n = t.row_count();
-                        t.truncate()?;
-                        n
-                    }
+                    None => t.truncate()?,
                     Some(f) => {
                         let pred = self.bind_dml_filter(&t, f)?;
                         t.delete_where(|r| pred.eval_predicate(r))?
@@ -1145,6 +1141,30 @@ mod tests {
         assert_eq!(after.rows(), before.rows());
         let torino = d.query("SELECT name FROM landfill WHERE city = 'Torino'").unwrap();
         assert_eq!(torino.rows.len(), 2);
+    }
+
+    #[test]
+    fn failing_update_leaves_the_table_untouched() {
+        let d = Database::new();
+        d.execute_script(
+            "CREATE TABLE t (id INT, y INT, x FLOAT); CREATE INDEX tx ON t (x); \
+             INSERT INTO t VALUES (1, 1, 0.0), (2, 0, 0.0), (3, 2, 0.0);",
+        )
+        .unwrap();
+        let table = d.catalog().get_table("t").unwrap();
+        let before = table.snapshot();
+        // Row 1 gets its new value before row 2 divides by zero.
+        let err = d.execute("UPDATE t SET x = 10 / y").unwrap_err();
+        assert!(matches!(err, Error::Eval(_)), "{err}");
+        let err = d.execute("DELETE FROM t WHERE 10 / y > 0").unwrap_err();
+        assert!(matches!(err, Error::Eval(_)), "{err}");
+        let after = table.snapshot();
+        assert_eq!(after.generation(), before.generation(), "nothing was written");
+        assert_eq!(after.rows(), before.rows());
+        let probe = "SELECT id FROM t WHERE x = 10.0";
+        assert!(d.prepare(probe).unwrap().explain().unwrap().contains("IndexScan"));
+        assert!(d.query(probe).unwrap().rows.is_empty(), "no index entry moved");
+        assert_eq!(d.query("SELECT id FROM t WHERE x = 0.0").unwrap().rows.len(), 3);
     }
 
     #[test]

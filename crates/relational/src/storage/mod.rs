@@ -32,7 +32,7 @@ pub mod wal;
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 use crosse_wal::RedoLog;
@@ -47,14 +47,13 @@ use wal::{encode_rel_op, RelOp};
 
 /// A secondary index over one column of a [`Table`].
 ///
-/// The index maps column values to row positions in the heap. It is
-/// maintained incrementally on `INSERT` (appends never move rows) and on
-/// `DELETE` (deleted positions leave it, and each survivor shifts down by
-/// the number deleted before it, as the heap's rows do). `UPDATE` and
-/// `TRUNCATE` mark it *dirty*, and a dirty index is rebuilt lazily on the
-/// next lookup. This matches the engine's role as an analytical databank
-/// stand-in: bulk loads, reads and trimming deletes dominate, in-place
-/// rewrites are rare.
+/// The index maps column values to row positions in the heap. Every write
+/// keeps it exact under the locks the write already holds, in the same
+/// step that changes the heap: an append adds the new positions, a
+/// removal drops the removed ones and shifts each survivor down by the
+/// number removed before it (as the heap's rows move), an overwrite moves
+/// each changed row's position from its old key to its new one, and a
+/// clear empties it. A lookup therefore only reads.
 #[derive(Debug)]
 pub struct Index {
     pub name: String,
@@ -65,7 +64,6 @@ pub struct Index {
     /// reach the index (skipped at build/insert time), so NULL's position
     /// in the total order is moot.
     entries: RwLock<BTreeMap<Value, Vec<usize>>>,
-    dirty: AtomicBool,
 }
 
 impl Index {
@@ -74,49 +72,26 @@ impl Index {
             name,
             column,
             entries: RwLock::new_labeled("table.index.entries", BTreeMap::new()),
-            dirty: AtomicBool::new(false),
         };
-        idx.rebuild(rows);
+        idx.note_append(0, rows);
         idx
     }
 
-    fn rebuild(&self, rows: &[Row]) {
+    /// Record `rows` appended at heap positions `first..`.
+    fn note_append(&self, first: usize, rows: &[Row]) {
         let mut entries = self.entries.write();
-        Self::rebuild_into(&mut entries, self.column, rows);
-    }
-
-    fn rebuild_into(
-        entries: &mut BTreeMap<Value, Vec<usize>>,
-        column: usize,
-        rows: &[Row],
-    ) {
-        entries.clear();
-        for (i, row) in rows.iter().enumerate() {
-            let v = &row[column];
+        for (pos, row) in (first..).zip(rows) {
+            let v = &row[self.column];
             if !v.is_null() {
-                entries.entry(v.clone()).or_default().push(i);
+                entries.entry(v.clone()).or_default().push(pos);
             }
         }
     }
 
-    /// Record one appended row (position `pos`) if the index is clean.
-    fn note_append(&self, pos: usize, row: &Row) {
-        if self.dirty.load(AtomicOrdering::Acquire) {
-            return;
-        }
-        let v = &row[self.column];
-        if !v.is_null() {
-            self.entries.write().entry(v.clone()).or_default().push(pos);
-        }
-    }
-
-    /// Record the removal of the ascending heap positions `deleted` if the
-    /// index is clean: their entries go, and every surviving position
-    /// moves down by the number of deleted positions below it.
+    /// Record the removal of the ascending heap positions `deleted`: their
+    /// entries go, and every surviving position moves down by the number
+    /// of deleted positions below it.
     fn note_delete(&self, deleted: &[usize]) {
-        if self.dirty.load(AtomicOrdering::Acquire) {
-            return;
-        }
         self.entries.write().retain(|_, positions| {
             positions.retain_mut(|p| match deleted.binary_search(p) {
                 Ok(_) => false,
@@ -129,8 +104,35 @@ impl Index {
         });
     }
 
-    fn mark_dirty(&self) {
-        self.dirty.store(true, AtomicOrdering::Release);
+    /// Record the overwrites `changes` (ascending positions) of `heap`'s
+    /// rows, before the heap takes them: a row whose key changes moves
+    /// from its old key to its new one. The positions leaving each key are
+    /// gathered first and dropped in one pass over that key's list, so
+    /// rewriting many rows of one key costs one pass, not one per row.
+    fn note_overwrite(&self, heap: &[Row], changes: &[(usize, Row)]) {
+        let mut entries = self.entries.write();
+        let mut leaving: BTreeMap<&Value, Vec<usize>> = BTreeMap::new();
+        for (pos, new) in changes {
+            let (old, new) = (&heap[*pos][self.column], &new[self.column]);
+            // The map's own order decides what is the same key.
+            if old.cmp(new).is_eq() {
+                continue;
+            }
+            if !old.is_null() {
+                leaving.entry(old).or_default().push(*pos);
+            }
+            if !new.is_null() {
+                entries.entry(new.clone()).or_default().push(*pos);
+            }
+        }
+        for (key, gone) in leaving {
+            if let Some(positions) = entries.get_mut(key) {
+                positions.retain(|p| gone.binary_search(p).is_err());
+                if positions.is_empty() {
+                    entries.remove(key);
+                }
+            }
+        }
     }
 }
 
@@ -278,88 +280,121 @@ impl Table {
         }
     }
 
-    /// Validate a row against the schema (arity + per-column coercion) and
-    /// append it.
-    pub fn insert(&self, row: Row) -> Result<()> {
-        let coerced = self.check_row(row)?;
-        let sink = self.write_sink()?;
-        {
-            let _barrier = sink.guard();
-            let mut rows = self.rows.write();
-            sink.log(|| {
-                encode_rel_op(&RelOp::Insert {
-                    table: &self.name,
-                    rows: std::slice::from_ref(&coerced),
-                })
-            })?;
-            let rows = Arc::make_mut(&mut *rows);
-            let pos = rows.len();
-            for idx in self.indexes.read().iter() {
-                idx.note_append(pos, &coerced);
-            }
-            rows.push(coerced);
-            self.generation.fetch_add(1, AtomicOrdering::AcqRel);
-        }
-        Ok(sink.flush()?)
-    }
-
     /// Insert many rows; fails atomically (no partial insert) on the first
     /// invalid row. One redo record covers the whole batch, so recovery
     /// replays it all-or-nothing too.
     pub fn insert_many(&self, rows: Vec<Row>) -> Result<usize> {
-        let mut checked = Vec::with_capacity(rows.len());
-        for row in rows {
-            checked.push(self.check_row(row)?);
-        }
+        let checked = rows.into_iter().map(|row| self.check_row(row)).collect::<Result<Vec<_>>>()?;
         let n = checked.len();
         let sink = self.write_sink()?;
         {
             let _barrier = sink.guard();
-            let mut stored = self.rows.write();
+            let mut heap = self.rows.write();
             if !checked.is_empty() {
                 sink.log(|| encode_rel_op(&RelOp::Insert { table: &self.name, rows: &checked }))?;
             }
-            let stored = Arc::make_mut(&mut *stored);
-            let indexes = self.indexes.read();
-            for (offset, row) in checked.iter().enumerate() {
-                for idx in indexes.iter() {
-                    idx.note_append(stored.len() + offset, row);
-                }
-            }
-            stored.extend(checked);
-            self.generation.fetch_add(1, AtomicOrdering::AcqRel);
+            self.append(&mut heap, checked);
         }
         sink.flush()?;
         Ok(n)
     }
 
-    /// Append already-validated rows without logging — the redo-replay
-    /// path (the rows come *from* the log or a snapshot).
-    pub(crate) fn apply_insert(&self, new_rows: Vec<Row>) {
-        let mut stored = self.rows.write();
-        let stored = Arc::make_mut(&mut *stored);
-        let indexes = self.indexes.read();
-        for (offset, row) in new_rows.iter().enumerate() {
-            for idx in indexes.iter() {
-                idx.note_append(stored.len() + offset, row);
+    /// Delete rows matching `pred`; returns the number removed. `pred`
+    /// runs on the heap under the write lock, so the rows it picks are the
+    /// rows removed, whatever other sessions write; if it fails on any row,
+    /// the call returns its error before anything is logged or removed.
+    /// The redo record carries the matched heap positions, so replay
+    /// removes exactly the same rows without re-evaluating the predicate.
+    pub fn delete_where(&self, mut pred: impl FnMut(&Row) -> Result<bool>) -> Result<usize> {
+        let sink = self.write_sink()?;
+        let removed = {
+            let _barrier = sink.guard();
+            let mut heap = self.rows.write();
+            let mut positions: Vec<usize> = Vec::new();
+            for (i, r) in heap.iter().enumerate() {
+                if pred(r)? {
+                    positions.push(i);
+                }
             }
+            if positions.is_empty() {
+                return Ok(0);
+            }
+            sink.log(|| {
+                encode_rel_op(&RelOp::Delete { table: &self.name, positions: &positions })
+            })?;
+            self.remove(&mut heap, &positions);
+            positions.len()
+        };
+        sink.flush()?;
+        Ok(removed)
+    }
+
+    /// Update rows: `f` reads each heap row in place and returns its new
+    /// value, or `None` to leave it. Every new row is computed, on the heap
+    /// under the write lock, before anything is logged or changed, so an
+    /// error from `f` on any row returns before the table is touched: an
+    /// UPDATE is all-or-nothing. The redo record carries the materialised
+    /// `(position, new row)` pairs, so replay is deterministic.
+    pub fn update_where(
+        &self,
+        mut f: impl FnMut(&Row) -> Result<Option<Row>>,
+    ) -> Result<usize> {
+        let sink = self.write_sink()?;
+        let updated = {
+            let _barrier = sink.guard();
+            let mut heap = self.rows.write();
+            let mut changes: Vec<(usize, Row)> = Vec::new();
+            for (pos, row) in heap.iter().enumerate() {
+                if let Some(new) = f(row)? {
+                    changes.push((pos, new));
+                }
+            }
+            if changes.is_empty() {
+                return Ok(0);
+            }
+            sink.log(|| encode_rel_op(&RelOp::Update { table: &self.name, changes: &changes }))?;
+            let n = changes.len();
+            self.overwrite(&mut heap, changes);
+            n
+        };
+        sink.flush()?;
+        Ok(updated)
+    }
+
+    /// Remove all rows, keeping the schema; returns how many there were.
+    /// Pinned snapshots keep the old rows.
+    pub fn truncate(&self) -> Result<usize> {
+        let sink = self.write_sink()?;
+        let removed = {
+            let _barrier = sink.guard();
+            let mut heap = self.rows.write();
+            sink.log(|| encode_rel_op(&RelOp::Truncate { table: &self.name }))?;
+            self.clear(&mut heap)
+        };
+        sink.flush()?;
+        Ok(removed)
+    }
+
+    // ---- mutation steps ---------------------------------------------------
+    //
+    // One step per kind of write. Each runs on `heap`, the heap under its
+    // held write lock, bumps the generation and keeps every index exact.
+    // A logged write runs its step after logging; redo replay and snapshot
+    // restore run the same step with the record's contents.
+
+    /// Append validated rows.
+    fn append(&self, heap: &mut Arc<Vec<Row>>, rows: Vec<Row>) {
+        let heap = Arc::make_mut(heap);
+        for idx in self.indexes.read().iter() {
+            idx.note_append(heap.len(), &rows);
         }
-        stored.extend(new_rows);
+        heap.extend(rows);
         self.generation.fetch_add(1, AtomicOrdering::AcqRel);
     }
 
-    /// Remove rows by ascending heap position without logging (replay path).
-    pub(crate) fn apply_delete(&self, positions: &[usize]) {
-        if positions.is_empty() {
-            return;
-        }
-        self.remove(&mut self.rows.write(), positions);
-    }
-
-    /// Remove the rows at ascending heap `positions` from `rows`, the heap
-    /// under its held write lock, and keep every clean index clean.
-    fn remove(&self, rows: &mut Arc<Vec<Row>>, positions: &[usize]) {
-        let rows = Arc::make_mut(rows);
+    /// Remove the rows at ascending heap `positions`.
+    fn remove(&self, heap: &mut Arc<Vec<Row>>, positions: &[usize]) {
+        let rows = Arc::make_mut(heap);
         let mut next = positions.iter().peekable();
         let mut i = 0usize;
         rows.retain(|_| {
@@ -376,20 +411,29 @@ impl Table {
         }
     }
 
-    /// Overwrite rows at given heap positions without logging (replay path).
-    pub(crate) fn apply_update(&self, changes: Vec<(usize, Row)>) {
-        if changes.is_empty() {
-            return;
+    /// Overwrite rows at ascending heap positions with validated rows.
+    fn overwrite(&self, heap: &mut Arc<Vec<Row>>, changes: Vec<(usize, Row)>) {
+        for idx in self.indexes.read().iter() {
+            idx.note_overwrite(heap, &changes);
         }
-        let mut rows = self.rows.write();
-        let rows = Arc::make_mut(&mut *rows);
+        let rows = Arc::make_mut(heap);
         for (pos, row) in changes {
-            if pos < rows.len() {
-                rows[pos] = row;
-            }
+            rows[pos] = row;
         }
         self.generation.fetch_add(1, AtomicOrdering::AcqRel);
-        self.mark_indexes_dirty();
+    }
+
+    /// Remove every row; returns how many there were. The heap is replaced
+    /// rather than cleared through `make_mut`: dropping the reference is
+    /// cheaper when a reader has the old heap pinned.
+    fn clear(&self, heap: &mut Arc<Vec<Row>>) -> usize {
+        let removed = heap.len();
+        *heap = Arc::new(Vec::new());
+        self.generation.fetch_add(1, AtomicOrdering::AcqRel);
+        for idx in self.indexes.read().iter() {
+            idx.entries.write().clear();
+        }
+        removed
     }
 
     /// Arity and per-column coercion of one row against the schema.
@@ -406,117 +450,6 @@ impl Table {
             .zip(&self.schema.columns)
             .map(|(v, c)| v.coerce(c.data_type))
             .collect()
-    }
-
-    /// Visit rows without copying the whole table. Holds the read lock for
-    /// the duration; use [`Table::snapshot`] for long walks.
-    pub fn for_each(&self, mut f: impl FnMut(&Row)) {
-        for row in self.rows.read().iter() {
-            f(row);
-        }
-    }
-
-    /// Delete rows matching `pred`; returns the number removed. `pred`
-    /// runs on the heap under the write lock, so the rows it picks are the
-    /// rows removed, whatever other sessions write; if it fails on any row,
-    /// the call returns its error before anything is logged or removed.
-    /// The redo record carries the matched heap positions, so replay
-    /// removes exactly the same rows without re-evaluating the predicate.
-    pub fn delete_where(&self, mut pred: impl FnMut(&Row) -> Result<bool>) -> Result<usize> {
-        let sink = self.write_sink()?;
-        let removed = {
-            let _barrier = sink.guard();
-            let mut rows = self.rows.write();
-            let mut positions: Vec<usize> = Vec::new();
-            for (i, r) in rows.iter().enumerate() {
-                if pred(r)? {
-                    positions.push(i);
-                }
-            }
-            if positions.is_empty() {
-                return Ok(0);
-            }
-            sink.log(|| {
-                encode_rel_op(&RelOp::Delete { table: &self.name, positions: &positions })
-            })?;
-            self.remove(&mut rows, &positions);
-            positions.len()
-        };
-        sink.flush()?;
-        Ok(removed)
-    }
-
-    /// Update rows: `f` reads each heap row in place and returns its new
-    /// value, or `None` to leave it; new values replace their heap rows.
-    /// If `f` errors mid-iteration, rows it already rewrote stay
-    /// rewritten (per-statement atomicity is the executor's job) — the
-    /// generation bump and the index-dirty mark still happen, so no index
-    /// serves the stale keys. The redo record carries the materialised
-    /// `(position, new row)` pairs, so replay is deterministic.
-    pub fn update_where(
-        &self,
-        mut f: impl FnMut(&Row) -> Result<Option<Row>>,
-    ) -> Result<usize> {
-        let sink = self.write_sink()?;
-        let (updated, failed) = {
-            let _barrier = sink.guard();
-            let mut rows = self.rows.write();
-            let mut changes: Vec<(usize, Row)> = Vec::new();
-            let mut failed: Option<Error> = None;
-            for (pos, row) in rows.iter().enumerate() {
-                match f(row) {
-                    Ok(Some(new)) => changes.push((pos, new)),
-                    Ok(None) => {}
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
-                    }
-                }
-            }
-            let updated = changes.len();
-            if !changes.is_empty() {
-                sink.log(|| {
-                    encode_rel_op(&RelOp::Update { table: &self.name, changes: &changes })
-                })?;
-            }
-            if !changes.is_empty() || failed.is_some() {
-                let rows = Arc::make_mut(&mut *rows);
-                for (pos, row) in changes {
-                    rows[pos] = row;
-                }
-                self.generation.fetch_add(1, AtomicOrdering::AcqRel);
-                self.mark_indexes_dirty();
-            }
-            (updated, failed)
-        };
-        sink.flush()?;
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(updated),
-        }
-    }
-
-    /// Remove all rows, keeping the schema. Pinned snapshots keep the old
-    /// rows; the table publishes a fresh empty heap.
-    pub fn truncate(&self) -> Result<()> {
-        let sink = self.write_sink()?;
-        {
-            let _barrier = sink.guard();
-            let mut rows = self.rows.write();
-            sink.log(|| encode_rel_op(&RelOp::Truncate { table: &self.name }))?;
-            // Don't clear through make_mut: dropping the reference entirely
-            // is cheaper when a reader has the old heap pinned.
-            *rows = Arc::new(Vec::new());
-            self.generation.fetch_add(1, AtomicOrdering::AcqRel);
-            self.mark_indexes_dirty();
-        }
-        Ok(sink.flush()?)
-    }
-
-    fn mark_indexes_dirty(&self) {
-        for idx in self.indexes.read().iter() {
-            idx.mark_dirty();
-        }
     }
 
     // ---- secondary indexes ------------------------------------------------
@@ -595,7 +528,6 @@ impl Table {
     pub fn index_lookup_eq(&self, column: usize, keys: &[Value]) -> Option<IndexHits> {
         let idx = self.index_for(column)?;
         let rows = self.rows.read();
-        self.ensure_clean(&idx, &rows);
         // Entry positions are resolved while the rows read lock is held, so
         // they are guaranteed consistent with the heap we pin. Probes borrow
         // the caller's keys — no per-lookup clone.
@@ -630,7 +562,6 @@ impl Table {
     ) -> Option<IndexHits> {
         let idx = self.index_for(column)?;
         let rows = self.rows.read();
-        self.ensure_clean(&idx, &rows);
         let entries = idx.entries.read();
         // The bounds are borrowed as-is: `BTreeMap::range` accepts
         // `Bound<&Value>` directly, so range probes allocate nothing. It
@@ -654,22 +585,6 @@ impl Table {
         drop(rows);
         positions.sort_unstable();
         Some(IndexHits { snap, positions })
-    }
-
-    /// Rebuild a dirty index. Safe against concurrent mutation because the
-    /// caller holds the rows read lock (mutators hold the rows write lock
-    /// while setting the dirty flag). The flag is cleared only while holding
-    /// the entries write lock, so a second concurrent reader either blocks
-    /// on that lock or observes a clean flag *after* the rebuilt entries are
-    /// published.
-    fn ensure_clean(&self, idx: &Index, rows: &[Row]) {
-        if idx.dirty.load(AtomicOrdering::Acquire) {
-            let mut entries = idx.entries.write();
-            if idx.dirty.load(AtomicOrdering::Acquire) {
-                Index::rebuild_into(&mut entries, idx.column, rows);
-                idx.dirty.store(false, AtomicOrdering::Release);
-            }
-        }
     }
 }
 
@@ -920,9 +835,11 @@ mod tests {
     fn create_insert_scan() {
         let cat = Catalog::new();
         let t = cat.create_table("landfill", landfill_cols()).unwrap();
-        t.insert(row!["Basse di Stura", "Torino", 1200.5]).unwrap();
-        t.insert(vec![Value::from("Barricalla"), Value::from("Collegno"), Value::Null])
-            .unwrap();
+        t.insert_many(vec![
+            row!["Basse di Stura", "Torino", 1200.5],
+            vec![Value::from("Barricalla"), Value::from("Collegno"), Value::Null],
+        ])
+        .unwrap();
         assert_eq!(t.row_count(), 2);
         let rows = t.snapshot().rows().to_vec();
         assert_eq!(rows[0][1], Value::from("Torino"));
@@ -933,7 +850,7 @@ mod tests {
     fn arity_mismatch_rejected() {
         let cat = Catalog::new();
         let t = cat.create_table("landfill", landfill_cols()).unwrap();
-        assert!(t.insert(row!["only-one"]).is_err());
+        assert!(t.insert_many(vec![row!["only-one"]]).is_err());
         assert_eq!(t.row_count(), 0);
     }
 
@@ -941,9 +858,9 @@ mod tests {
     fn type_mismatch_rejected_and_int_widens() {
         let cat = Catalog::new();
         let t = cat.create_table("landfill", landfill_cols()).unwrap();
-        assert!(t.insert(row![1, "Torino", 1.0]).is_err());
+        assert!(t.insert_many(vec![row![1, "Torino", 1.0]]).is_err());
         // Int into Float column widens.
-        t.insert(row!["a", "b", 7]).unwrap();
+        t.insert_many(vec![row!["a", "b", 7]]).unwrap();
         assert!(matches!(t.snapshot().rows()[0][2], Value::Float(f) if f == 7.0));
     }
 
@@ -998,7 +915,7 @@ mod tests {
     fn create_or_replace_truncates() {
         let cat = Catalog::new();
         let t = cat.create_table("t", landfill_cols()).unwrap();
-        t.insert(row!["a", "b", 1.0]).unwrap();
+        t.insert_many(vec![row!["a", "b", 1.0]]).unwrap();
         let t2 = cat.create_or_replace_table("t", landfill_cols()).unwrap();
         assert_eq!(t2.row_count(), 0);
     }
@@ -1038,7 +955,7 @@ mod tests {
         let t = cat.get_table("foreign").unwrap();
         assert!(t.is_ephemeral());
         // Read-only: every write path refuses, before touching the heap.
-        assert!(t.insert(row!["a", "b", 1.0]).is_err());
+        assert!(t.insert_many(vec![row!["a", "b", 1.0]]).is_err());
         assert!(t.delete_where(|_| Ok(true)).is_err());
         assert!(t.truncate().is_err());
         assert!(cat.create_index("i", "foreign", "city").is_err());
@@ -1054,7 +971,7 @@ mod tests {
         let s1 = t.snapshot();
         assert_eq!(s1.len(), 2);
 
-        t.insert(row!["c", "z", 3.0]).unwrap();
+        t.insert_many(vec![row!["c", "z", 3.0]]).unwrap();
         let s2 = t.snapshot();
         assert!(s2.generation() > s1.generation(), "writes bump the generation");
         assert_eq!(s1.len(), 2, "pinned snapshot frozen across INSERT");
@@ -1083,11 +1000,13 @@ mod tests {
     }
 
     #[test]
-    fn update_error_midway_still_dirties_indexes() {
-        // An UPDATE whose closure errors after mutating earlier rows must
-        // leave the index marked dirty, so no lookup serves stale keys.
+    fn update_error_midway_changes_nothing() {
+        // An UPDATE whose closure errors after it has produced a new row
+        // for an earlier one writes nothing: rows, generation and index
+        // all stay as they were.
         let (_cat, t) = indexed_table();
         let col = t.schema.resolve(None, "city").unwrap();
+        let before = t.snapshot();
         let err = t.update_where(|r| {
             if r[0] == Value::from("a") {
                 let mut r = r.clone();
@@ -1100,12 +1019,63 @@ mod tests {
             }
         });
         assert!(err.is_err());
-        // Row "a" moved out of Torino; the index must reflect that.
+        let after = t.snapshot();
+        assert_eq!(after.generation(), before.generation(), "nothing was written");
+        assert_eq!(after.rows(), before.rows());
         let rows = t.index_lookup_eq(col, &[Value::from("Torino")]).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0][0], Value::from("c"));
-        let rows = t.index_lookup_eq(col, &[Value::from("Moved")]).unwrap();
-        assert_eq!(rows.len(), 1);
+        assert_eq!(rows.len(), 2);
+        assert!(t.index_lookup_eq(col, &[Value::from("Moved")]).unwrap().is_empty());
+    }
+
+    type Entries = BTreeMap<Value, Vec<usize>>;
+
+    /// Every index entry of `t`, each position list sorted, beside the
+    /// entries an index built afresh from the heap would hold.
+    fn maintained_and_rebuilt(t: &Table) -> Vec<(Entries, Entries)> {
+        let heap = t.snapshot();
+        t.indexes
+            .read()
+            .iter()
+            .map(|idx| {
+                let mut kept = idx.entries.read().clone();
+                kept.values_mut().for_each(|ps| ps.sort_unstable());
+                let fresh = Index::build(idx.name.clone(), idx.column, heap.rows());
+                let fresh = fresh.entries.read().clone();
+                (kept, fresh)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_write_keeps_indexes_equal_to_a_rebuild() {
+        let (cat, t) = indexed_table();
+        cat.create_index("idx_tons", "landfill", "tons").unwrap();
+        let check = |what: &str| {
+            for (kept, fresh) in maintained_and_rebuilt(&t) {
+                assert_eq!(kept, fresh, "after {what}");
+            }
+        };
+        // Many rows onto one key, a key to NULL and NULL to a key, and a
+        // row rewritten to its own key.
+        t.update_where(|r| {
+            let mut r = r.clone();
+            r[1] = match r[0].lexical_form().as_str() {
+                "a" => Value::Null,
+                "d" => Value::from("Milano"),
+                "c" => return Ok(Some(r)),
+                _ => Value::from("Torino"),
+            };
+            r[2] = Value::from(1.0);
+            Ok(Some(r))
+        })
+        .unwrap();
+        check("UPDATE");
+        t.insert_many(vec![row!["e", "Torino", 2.0], row!["f", "Genova", 1.0]]).unwrap();
+        check("INSERT");
+        t.delete_where(|r| Ok(r[1] == Value::from("Milano"))).unwrap();
+        check("DELETE");
+        assert_eq!(t.truncate().unwrap(), 5);
+        check("TRUNCATE");
     }
 
     // ---- secondary indexes ------------------------------------------------
@@ -1194,14 +1164,14 @@ mod tests {
     #[test]
     fn index_sees_appends_incrementally() {
         let (_cat, t) = indexed_table();
-        t.insert(row!["e", "Torino", 50.0]).unwrap();
+        t.insert_many(vec![row!["e", "Torino", 50.0]]).unwrap();
         let col = t.schema.resolve(None, "city").unwrap();
         let rows = t.index_lookup_eq(col, &[Value::from("Torino")]).unwrap();
         assert_eq!(rows.len(), 3);
     }
 
     #[test]
-    fn index_rebuilds_after_delete_and_update() {
+    fn index_follows_delete_and_update() {
         let (_cat, t) = indexed_table();
         let col = t.schema.resolve(None, "city").unwrap();
         t.delete_where(|r| Ok(r[0] == Value::from("a"))).unwrap();
@@ -1224,7 +1194,7 @@ mod tests {
     }
 
     #[test]
-    fn truncate_dirties_index() {
+    fn truncate_empties_index() {
         let (_cat, t) = indexed_table();
         let col = t.schema.resolve(None, "city").unwrap();
         t.truncate().unwrap();

@@ -103,7 +103,7 @@ pub fn decode_catalog(catalog: &Catalog, bytes: &[u8], interner: &Interner) -> R
             rows.push(decode_row(&mut d, interner)?);
         }
         let table = catalog.create_table(&name, columns)?;
-        table.apply_insert(rows);
+        table.append(&mut table.rows.write(), rows);
         for (index, column) in indexes {
             catalog.create_index(&index, &name, &column)?;
         }
@@ -177,7 +177,7 @@ mod tests {
     fn pin_is_frozen_against_later_writes() {
         let cat = seed();
         let pin = pin_catalog(&cat);
-        cat.get_table("landfill").unwrap().insert(row!["c", 3.0]).unwrap();
+        cat.get_table("landfill").unwrap().insert_many(vec![row!["c", 3.0]]).unwrap();
         let restored = Catalog::new();
         decode_catalog(&restored, &encode_catalog(&pin), &Interner::new()).unwrap();
         assert_eq!(restored.get_table("landfill").unwrap().row_count(), 2);

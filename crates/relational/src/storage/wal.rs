@@ -104,7 +104,10 @@ pub fn encode_rel_op(op: &RelOp<'_>) -> Vec<u8> {
 
 /// Decode one payload and apply it to `catalog` **without re-logging** —
 /// this is the replay path; no log is attached to a recovering catalog.
-/// Text values are interned through `interner`, so recovered rows share
+/// DML runs the same mutation step on the locked heap that the logged
+/// write ran after logging (`Table::append` / `remove` / `overwrite` /
+/// `clear`), so indexes come out exactly as the write left them. Text
+/// values are interned through `interner`, so recovered rows share
 /// allocations exactly like freshly loaded ones.
 pub fn apply_rel_op(catalog: &Catalog, payload: &[u8], interner: &Interner) -> Result<()> {
     let mut d = Decoder::new(payload);
@@ -150,7 +153,8 @@ pub fn apply_rel_op(catalog: &Catalog, payload: &[u8], interner: &Interner) -> R
                 rows.push(decode_row(&mut d, interner)?);
             }
             d.finish().map_err(Error::from)?;
-            catalog.get_table(&table)?.apply_insert(rows);
+            let t = catalog.get_table(&table)?;
+            t.append(&mut t.rows.write(), rows);
         }
         OP_DELETE => {
             let table = d.str().map_err(Error::from)?;
@@ -160,7 +164,10 @@ pub fn apply_rel_op(catalog: &Catalog, payload: &[u8], interner: &Interner) -> R
                 positions.push(d.u64().map_err(Error::from)? as usize);
             }
             d.finish().map_err(Error::from)?;
-            catalog.get_table(&table)?.apply_delete(&positions);
+            let t = catalog.get_table(&table)?;
+            let mut heap = t.rows.write();
+            check_positions(&table, positions.iter().copied(), heap.len())?;
+            t.remove(&mut heap, &positions);
         }
         OP_UPDATE => {
             let table = d.str().map_err(Error::from)?;
@@ -171,18 +178,38 @@ pub fn apply_rel_op(catalog: &Catalog, payload: &[u8], interner: &Interner) -> R
                 changes.push((pos, decode_row(&mut d, interner)?));
             }
             d.finish().map_err(Error::from)?;
-            catalog.get_table(&table)?.apply_update(changes);
+            let t = catalog.get_table(&table)?;
+            let mut heap = t.rows.write();
+            check_positions(&table, changes.iter().map(|(pos, _)| *pos), heap.len())?;
+            t.overwrite(&mut heap, changes);
         }
         OP_TRUNCATE => {
             let table = d.str().map_err(Error::from)?;
             d.finish().map_err(Error::from)?;
-            catalog.get_table(&table)?.truncate()?;
+            let t = catalog.get_table(&table)?;
+            t.clear(&mut t.rows.write());
         }
         other => {
             return Err(Error::storage(format!(
                 "unknown relational redo op tag {other}"
             )))
         }
+    }
+    Ok(())
+}
+
+/// The heap positions of a Delete or Update record ascend strictly and lie
+/// inside the heap, as they did when the write was logged; a record that
+/// breaks this does not belong to the catalog it is replayed into.
+fn check_positions(table: &str, positions: impl Iterator<Item = usize>, len: usize) -> Result<()> {
+    let mut next = 0;
+    for p in positions {
+        if p < next || p >= len {
+            return Err(Error::storage(format!(
+                "redo record for `{table}` names row {p}, out of order or past its {len} rows"
+            )));
+        }
+        next = p + 1;
     }
     Ok(())
 }
@@ -292,6 +319,8 @@ mod tests {
     use super::*;
     use crate::row;
     use crate::value::DataType;
+    use crosse_wal::{RedoLog, WalOptions, WalStore, CHAN_REL};
+    use std::ops::Bound;
 
     fn cols() -> Vec<Column> {
         vec![
@@ -351,6 +380,78 @@ mod tests {
         assert_eq!(t.snapshot().rows(), [row!["B", 20.0], row!["c", 3.0]]);
         apply_rel_op(&dst, &encode_rel_op(&RelOp::Truncate { table: "t" }), &Interner::new()).unwrap();
         assert_eq!(t.row_count(), 0);
+
+        // Logged writes on an indexed table, read back from the log and
+        // replayed into a fresh catalog: the same rows and the same index
+        // hits as the writes left.
+        let dir = std::env::temp_dir()
+            .join(format!("crosse-relwal-{}-dml-roundtrip", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (wal, _) = WalStore::open(&dir, WalOptions::default()).unwrap();
+        let src = Catalog::new();
+        src.attach_sink(RedoLog::new(wal, CHAN_REL));
+        src.create_table("t", cols()).unwrap();
+        src.create_index("t_name", "t", "name").unwrap();
+        let t = src.get_table("t").unwrap();
+        t.insert_many(vec![row!["a", 1.0], row!["b", 2.0], row!["a", 3.0], row!["c", 4.0]])
+            .unwrap();
+        // Both `a` rows move to `b`, and `c` to NULL.
+        t.update_where(|r| {
+            let name = match r[0].lexical_form().as_str() {
+                "a" => Value::from("b"),
+                "c" => Value::Null,
+                _ => return Ok(None),
+            };
+            Ok(Some(vec![name, r[1].clone()]))
+        })
+        .unwrap();
+        t.delete_where(|r| Ok(r[1] == Value::Float(2.0))).unwrap();
+        t.insert_many(vec![row!["a", 5.0]]).unwrap();
+        let (_, recovered) = WalStore::open(&dir, WalOptions::default()).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let replayed = Catalog::new();
+        for record in &recovered.records {
+            apply_rel_op(&replayed, &record.payload, &Interner::new()).unwrap();
+        }
+        let seen = |cat: &Catalog| {
+            let t = cat.get_table("t").unwrap();
+            let rows = |hits: crate::storage::IndexHits| -> Vec<Row> {
+                (0..hits.len()).map(|i| hits[i].clone()).collect()
+            };
+            let eq: Vec<Vec<Row>> = ["a", "b", "c"]
+                .map(|k| rows(t.index_lookup_eq(0, &[Value::from(k)]).unwrap()))
+                .into();
+            let upto_b = Value::from("b");
+            let range = rows(
+                t.index_lookup_range(0, Bound::Unbounded, Bound::Included(&upto_b)).unwrap(),
+            );
+            (t.snapshot().rows().to_vec(), eq, range)
+        };
+        let logged = seen(&src);
+        let null_c = vec![Value::Null, Value::Float(4.0)];
+        assert_eq!(logged.0, [row!["b", 1.0], row!["b", 3.0], null_c, row!["a", 5.0]]);
+        let (a, b) = (vec![row!["a", 5.0]], vec![row!["b", 1.0], row!["b", 3.0]]);
+        assert_eq!(logged.1, [a, b, vec![]]);
+        assert_eq!(logged.2.len(), 3);
+        assert_eq!(seen(&replayed), logged);
+    }
+
+    #[test]
+    fn replay_rejects_positions_the_heap_does_not_hold() {
+        let dst = Catalog::new();
+        dst.create_table("t", cols()).unwrap();
+        dst.get_table("t").unwrap().insert_many(vec![row!["a", 1.0], row!["b", 2.0]]).unwrap();
+        let changes = [(2usize, row!["c", 3.0])];
+        for record in [
+            encode_rel_op(&RelOp::Delete { table: "t", positions: &[1, 0] }),
+            encode_rel_op(&RelOp::Delete { table: "t", positions: &[2] }),
+            encode_rel_op(&RelOp::Update { table: "t", changes: &changes }),
+        ] {
+            let err = apply_rel_op(&dst, &record, &Interner::new()).unwrap_err();
+            assert!(matches!(err, Error::Storage(_)), "{err}");
+        }
+        let rows = dst.get_table("t").unwrap().snapshot();
+        assert_eq!(rows.rows(), [row!["a", 1.0], row!["b", 2.0]]);
     }
 
     #[test]
@@ -420,7 +521,7 @@ mod tests {
     fn create_or_replace_flag_respected_on_replay() {
         let dst = Catalog::new();
         dst.create_table("t", cols()).unwrap();
-        dst.get_table("t").unwrap().insert(row!["x", 1.0]).unwrap();
+        dst.get_table("t").unwrap().insert_many(vec![row!["x", 1.0]]).unwrap();
         apply_rel_op(
             &dst,
             &encode_rel_op(&RelOp::CreateTable { name: "t", columns: &cols(), replace: true }),

@@ -87,23 +87,18 @@ fn rustdoc() {
     println!("xtask: rustdoc OK");
 }
 
-/// Regenerate the golden EXPLAIN snapshots (tests/snapshots/*.snap) and
-/// fail if they differ from the committed ones — the cheap CI gate for
-/// "the optimizer still produces the plans the snapshots promise". After
-/// an intentional plan change, run this once and commit the updated
-/// snapshots it leaves behind.
-fn explain_snapshots() {
+/// Regenerate the golden snapshots under `path` by running the test
+/// target `test` with `CROSSE_UPDATE_SNAPSHOTS=1`, then fail if they
+/// differ from the committed ones. `git status --porcelain` covers both
+/// modified *and* untracked snapshot files (`git diff --exit-code` alone
+/// would silently pass a brand-new .snap that was never committed).
+fn snapshot_gate(label: &str, test: &str, path: &str) {
     run(
-        "regenerate EXPLAIN snapshots",
-        cargo()
-            .args(["test", "--test", "explain_golden", "--quiet"])
-            .env("CROSSE_UPDATE_SNAPSHOTS", "1"),
+        &format!("regenerate {label} snapshots"),
+        cargo().args(["test", "--test", test, "--quiet"]).env("CROSSE_UPDATE_SNAPSHOTS", "1"),
     );
-    // `git status --porcelain` covers both modified *and* untracked
-    // snapshot files (`git diff --exit-code` alone would silently pass a
-    // brand-new .snap that was never committed).
     let status = Command::new("git")
-        .args(["status", "--porcelain", "--", "tests/snapshots"])
+        .args(["status", "--porcelain", "--", path])
         .output()
         .unwrap_or_else(|e| {
             eprintln!("xtask: failed to run git status: {e}");
@@ -112,52 +107,33 @@ fn explain_snapshots() {
     let dirty = String::from_utf8_lossy(&status.stdout);
     if !dirty.trim().is_empty() {
         run(
-            "diff regenerated snapshots against the committed ones",
-            Command::new("git").args(["diff", "--", "tests/snapshots"]),
+            &format!("diff regenerated {label} snapshots against the committed ones"),
+            Command::new("git").args(["diff", "--", path]),
         );
         eprintln!(
-            "xtask: explain-snapshots FAILED — snapshots differ from (or are \
-             missing in) the committed set:\n{dirty}\
-             commit the regenerated files if the plan change is intentional"
+            "xtask: {label} FAILED — output differs from (or is missing in) the \
+             committed snapshots:\n{dirty}\
+             commit the regenerated files if the change is intentional"
         );
         std::process::exit(1);
     }
+}
+
+/// The golden EXPLAIN snapshots (tests/snapshots/*.snap): the cheap CI
+/// gate for "the optimizer still produces the plans the snapshots
+/// promise". After an intentional plan change, run this once and commit
+/// the updated snapshots it leaves behind.
+fn explain_snapshots() {
+    snapshot_gate("explain-snapshots", "explain_golden", "tests/snapshots");
     println!("xtask: explain-snapshots OK (snapshots match the committed plans)");
 }
 
-/// Regenerate the golden lint snapshots (tests/snapshots/lint_*.snap) by
-/// running the lint corpus test with `CROSSE_UPDATE_SNAPSHOTS=1`, then
-/// fail if they differ from the committed ones — the corpus gate for "the
-/// linter still says exactly what the snapshots promise" (no new false
-/// positives on the clean corpus, no silently dropped findings on the
-/// seeded-defect fixtures).
+/// The golden lint snapshots (tests/snapshots/lint_*.snap): the corpus
+/// gate for "the linter still says exactly what the snapshots promise"
+/// (no new false positives on the clean corpus, no silently dropped
+/// findings on the seeded-defect fixtures).
 fn lint_gate() {
-    run(
-        "regenerate lint snapshots",
-        cargo()
-            .args(["test", "--test", "lint_golden", "--quiet"])
-            .env("CROSSE_UPDATE_SNAPSHOTS", "1"),
-    );
-    let status = Command::new("git")
-        .args(["status", "--porcelain", "--", "tests/snapshots"])
-        .output()
-        .unwrap_or_else(|e| {
-            eprintln!("xtask: failed to run git status: {e}");
-            std::process::exit(1);
-        });
-    let dirty = String::from_utf8_lossy(&status.stdout);
-    if !dirty.trim().is_empty() {
-        run(
-            "diff regenerated lint snapshots against the committed ones",
-            Command::new("git").args(["diff", "--", "tests/snapshots"]),
-        );
-        eprintln!(
-            "xtask: lint FAILED — lint output differs from (or is missing in) \
-             the committed snapshots:\n{dirty}\
-             commit the regenerated files if the lint change is intentional"
-        );
-        std::process::exit(1);
-    }
+    snapshot_gate("lint", "lint_golden", "tests/snapshots");
     println!("xtask: lint OK (corpus lint output matches the committed snapshots)");
 }
 
@@ -165,8 +141,8 @@ fn lint_gate() {
 /// srclint engine (rules R001–R006: no raw `std::sync` locks outside the
 /// compat shim, no `.unwrap()`/`panic!` in library code, labeled lock
 /// construction, `#![forbid(unsafe_code)]` crate roots, no wall-clock in
-/// the planner). Runs in-process, then regenerates the srclint golden
-/// snapshot and fails on drift from the committed one.
+/// the planner). Runs in-process, then gates the rule fixtures' golden
+/// snapshot (tests/snapshots/srclint.snap).
 fn srclint() {
     let root = std::path::Path::new(".");
     let findings = crosse_lint::srclint::lint_workspace(root).unwrap_or_else(|e| {
@@ -180,34 +156,7 @@ fn srclint() {
         eprintln!("xtask: srclint FAILED — fix the findings above or add a justified `// srclint: allow(RXXX): …`");
         std::process::exit(1);
     }
-    // Fixture corpus gate: regenerate tests/snapshots/srclint.snap and
-    // diff against the committed one, same pattern as the lint gate.
-    run(
-        "regenerate srclint snapshots",
-        cargo()
-            .args(["test", "--test", "srclint_golden", "--quiet"])
-            .env("CROSSE_UPDATE_SNAPSHOTS", "1"),
-    );
-    let status = Command::new("git")
-        .args(["status", "--porcelain", "--", "tests/snapshots/srclint.snap"])
-        .output()
-        .unwrap_or_else(|e| {
-            eprintln!("xtask: failed to run git status: {e}");
-            std::process::exit(1);
-        });
-    let dirty = String::from_utf8_lossy(&status.stdout);
-    if !dirty.trim().is_empty() {
-        run(
-            "diff regenerated srclint snapshot against the committed one",
-            Command::new("git").args(["diff", "--", "tests/snapshots/srclint.snap"]),
-        );
-        eprintln!(
-            "xtask: srclint FAILED — fixture output differs from (or is missing \
-             in) the committed snapshot:\n{dirty}\
-             commit the regenerated file if the rule change is intentional"
-        );
-        std::process::exit(1);
-    }
+    snapshot_gate("srclint", "srclint_golden", "tests/snapshots/srclint.snap");
     println!("xtask: srclint OK (workspace clean, fixture snapshot matches)");
 }
 

@@ -560,7 +560,7 @@ proptest! {
 
     /// An indexed query plan returns exactly what the sequential plan
     /// returns, for point, IN-list and range predicates — including after
-    /// deletes and updates (which force a lazy index rebuild).
+    /// deletes and updates, which maintain the index in place.
     #[test]
     fn index_scan_equals_seq_scan(
         rows in prop::collection::vec((0u8..20, -50i64..50), 0..60),
@@ -599,7 +599,7 @@ proptest! {
                 "{}", q
             );
         }
-        // Churn, then re-check (exercises the dirty-rebuild path).
+        // Churn, then re-check: DELETE and UPDATE keep the index exact.
         for db in [&seq, &idx] {
             db.execute(&format!("DELETE FROM t WHERE k = 'k{delete_key}'")).unwrap();
             db.execute(&format!("UPDATE t SET v = v + 1 WHERE v < {lo}")).unwrap();
@@ -1324,13 +1324,14 @@ proptest! {
         }
     }
 
-    /// Interleaved INSERT / DELETE / UPDATE on an indexed table keep every
-    /// index lookup equal to the full-scan filter, rows and heap order
-    /// alike: DELETE shifts a clean index's positions instead of dirtying
-    /// it, and UPDATE dirties it.
+    /// Interleaved INSERT / DELETE / UPDATE / TRUNCATE and failing UPDATEs
+    /// on an indexed table keep every index lookup equal to the full-scan
+    /// filter, rows and heap order alike, and the maintained index equal
+    /// to one built afresh: each write keeps the index exact in place, and
+    /// a failing UPDATE changes nothing.
     #[test]
     fn index_lookups_equal_scans_under_interleaved_writes(
-        ops in prop::collection::vec((0u8..3, 0i64..8, 0i64..8), 1..24),
+        ops in prop::collection::vec((0u8..5, 0i64..8, 0i64..8), 1..24),
     ) {
         let setup = |db: &Database| {
             db.execute_script("CREATE TABLE t (k INT, v INT); CREATE INDEX tk ON t (k);").unwrap();
@@ -1354,15 +1355,27 @@ proptest! {
             let dml = match op {
                 0 => format!("INSERT INTO t VALUES ({x}, {i}), ({y}, {i}), (NULL, {i})"),
                 1 => format!("DELETE FROM t WHERE k = {x} OR v = {y} OR k IS NULL"),
-                _ => format!("UPDATE t SET k = {y} WHERE v = {x}"),
+                2 => format!("UPDATE t SET k = {y} WHERE v = {x}"),
+                3 => "DELETE FROM t".to_string(),
+                // `v` ascends in heap order, so every row before the last
+                // batch matches and the last batch divides by zero.
+                _ => format!(
+                    "UPDATE t SET k = {y} WHERE {y} / (v - (SELECT MAX(v) FROM t)) <= 0"
+                ),
             };
-            db.execute(&dml).unwrap();
-            plain.execute(&dml).unwrap();
+            let fails = op == 4 && plain.catalog().get_table("t").unwrap().row_count() > 0;
+            prop_assert_eq!(db.execute(&dml).is_err(), fails, "{}", dml);
+            prop_assert_eq!(plain.execute(&dml).is_err(), fails, "{}", dml);
             for sql in lookups {
                 let indexed = db.query(sql).unwrap().rows;
                 let scanned = plain.query(sql).unwrap().rows;
                 prop_assert_eq!(&indexed, &scanned, "after `{}`: {}", dml, sql);
             }
+        }
+        let maintained: Vec<_> = lookups.iter().map(|sql| db.query(sql).unwrap().rows).collect();
+        db.execute_script("DROP INDEX tk; CREATE INDEX tk ON t (k);").unwrap();
+        for (sql, rows) in lookups.iter().zip(&maintained) {
+            prop_assert_eq!(&db.query(sql).unwrap().rows, rows, "rebuilt index: {}", sql);
         }
     }
 }
