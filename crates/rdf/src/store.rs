@@ -337,22 +337,8 @@ impl TripleStore {
         graph: &str,
         triples: impl IntoIterator<Item = &'t Triple>,
     ) -> Result<usize> {
-        let batch: Vec<&Triple> = triples.into_iter().collect();
-        let sink = self.sink();
-        let fresh = {
-            let _barrier = sink.guard();
-            self.bump_version();
-            let mut graphs = self.graphs.write();
-            if !batch.is_empty() || !graphs.contains_key(graph) {
-                sink.log(|| {
-                    let triples: Vec<Triple> = batch.iter().map(|&t| t.clone()).collect();
-                    encode_rdf_op(&RdfOp::InsertAll { graph, triples: &triples })
-                })?;
-            }
-            add(&mut graphs, graph, batch.iter().map(|t| self.intern(t)))
-        };
-        sink.flush()?;
-        Ok(fresh)
+        let ids: Vec<IdTriple> = triples.into_iter().map(|t| self.intern(t)).collect();
+        self.insert_ids(graph, ids)
     }
 
     /// Insert already-interned triples (ids must come from this store's
