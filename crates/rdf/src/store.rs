@@ -200,6 +200,7 @@ fn dedup_tail(out: &mut Vec<IdTriple>, before: usize) {
 // lock, so a write logs and applies under that one lock and log order is
 // apply order. A logged write checks, logs, then runs its step; redo
 // replay (`TripleStore::apply`) and snapshot restore run the same step.
+// Dropping a graph is `Graphs::remove` itself.
 
 /// Add id-triples to `graph`, creating the graph if absent; returns how
 /// many were new.
@@ -211,11 +212,6 @@ fn add(graphs: &mut Graphs, graph: &str, triples: impl IntoIterator<Item = IdTri
 /// Take one triple out of `graph`; whether it was there.
 fn take(graphs: &mut Graphs, graph: &str, triple: IdTriple) -> bool {
     graphs.get_mut(graph).is_some_and(|g| g.remove(triple))
-}
-
-/// Drop `graph` and all its triples.
-fn discard(graphs: &mut Graphs, graph: &str) {
-    graphs.remove(graph);
 }
 
 /// A pattern of concrete terms with wildcards.
@@ -318,7 +314,7 @@ impl TripleStore {
                 return Err(Error::store(format!("graph `{name}` does not exist")));
             }
             sink.log(|| encode_rdf_op(&RdfOp::DropGraph { graph: name }))?;
-            discard(&mut graphs, name);
+            graphs.remove(name);
             drop(graphs);
             self.bump_version();
         }
@@ -419,7 +415,7 @@ impl TripleStore {
                 }
             }
             RdfOp::DropGraph { graph } => {
-                discard(&mut graphs, graph);
+                graphs.remove(graph);
                 self.bump_version();
             }
             RdfOp::EnsureGraph { graph } => {

@@ -284,7 +284,8 @@ impl Table {
     /// invalid row. One redo record covers the whole batch, so recovery
     /// replays it all-or-nothing too.
     pub fn insert_many(&self, rows: Vec<Row>) -> Result<usize> {
-        let checked = rows.into_iter().map(|row| self.check_row(row)).collect::<Result<Vec<_>>>()?;
+        let checked =
+            rows.into_iter().map(|row| self.check_row(row)).collect::<Result<Vec<_>>>()?;
         let n = checked.len();
         let sink = self.write_sink()?;
         {
