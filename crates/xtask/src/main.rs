@@ -94,7 +94,7 @@ fn rustdoc() {
 /// would silently pass a brand-new .snap that was never committed).
 fn snapshot_gate(label: &str, test: &str, path: &str) {
     run(
-        &format!("regenerate {label} snapshots"),
+        &format!("{label}: regenerate the snapshots"),
         cargo().args(["test", "--test", test, "--quiet"]).env("CROSSE_UPDATE_SNAPSHOTS", "1"),
     );
     let status = Command::new("git")
@@ -107,7 +107,7 @@ fn snapshot_gate(label: &str, test: &str, path: &str) {
     let dirty = String::from_utf8_lossy(&status.stdout);
     if !dirty.trim().is_empty() {
         run(
-            &format!("diff regenerated {label} snapshots against the committed ones"),
+            &format!("{label}: diff the regenerated snapshots against the committed ones"),
             Command::new("git").args(["diff", "--", path]),
         );
         eprintln!(
