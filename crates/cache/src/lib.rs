@@ -1,11 +1,11 @@
 // srclint: allow(R002): the expect re-reads an entry inserted under the same &mut borrow (map/order coherence is this type's invariant)
 //! # crosse-cache
 //!
-//! A small bounded LRU cache shared by the query layers: the relational
-//! plan cache, the SPARQL prepared-query cache, and the SESQL AST cache
-//! all key compiled artefacts by normalized query text and must stay
-//! bounded under adversarial traffic (millions of distinct query strings
-//! must not grow memory without bound).
+//! A small bounded LRU cache shared by the query layers: the statement
+//! cache (SQL and SESQL keyed by shape), the compiled SPARQL legs and the
+//! SPARQL leg results all key compiled artefacts by query text and must
+//! stay bounded under adversarial traffic (millions of distinct query
+//! strings must not grow memory without bound).
 //!
 //! The implementation favours simplicity over peak throughput: a
 //! `HashMap` from key to a stamped entry plus a `BTreeMap` from stamp to

@@ -25,7 +25,6 @@ use crosse_relational::sql::ast::{Expr, SelectItem, TableRef};
 use crosse_relational::{Database, Value};
 
 use crate::error::{Error, Result};
-use crate::sesql::parser::parse_sesql;
 use crate::sqm::{EnrichedResult, SesqlEngine};
 
 /// One logged query with the concepts it touched.
@@ -155,16 +154,15 @@ impl CrossePlatform {
 
     // ---- querying ----------------------------------------------------------
 
-    /// Execute a SESQL query as `user`, recording it in the query log.
+    /// Execute a SESQL query as `user`, recording it in the query log:
+    /// [`SesqlEngine::prepare`] then [`CrossePlatform::query_prepared`].
     pub fn query(&self, user: &str, sesql: &str) -> Result<EnrichedResult> {
-        let result = self.engine.execute(user, sesql)?;
-        let concepts = extract_concepts(sesql).unwrap_or_default();
-        self.log_entry(user, sesql.to_string(), concepts);
-        Ok(result)
+        let prepared = self.engine.prepare(sesql)?;
+        self.query_prepared(user, &prepared, &crosse_relational::Params::new())
     }
 
     /// Execute a prepared SESQL query as `user` with bound parameters,
-    /// recording the (normalized, still-parameterised) text in the query
+    /// recording its text (as written, still parameterised) in the query
     /// log — repeated executions of one handle profile like repeated
     /// queries of one shape, which is exactly the activity-context signal
     /// the recommender wants.
@@ -217,13 +215,8 @@ pub fn check_user_name(user: &str) -> Result<()> {
     Ok(())
 }
 
-/// Extract the concept vocabulary of a SESQL query: table names, column
+/// The concept vocabulary of a parsed SESQL query: table names, column
 /// names, string constants, and enrichment arguments.
-pub fn extract_concepts(sesql: &str) -> Result<Vec<String>> {
-    Ok(concepts_of_query(&parse_sesql(sesql)?))
-}
-
-/// Concept vocabulary of an already-parsed SESQL query.
 pub fn concepts_of_query(q: &crate::sesql::ast::SesqlQuery) -> Vec<String> {
     let mut out: Vec<String> = Vec::new();
     let mut push = |s: &str| {
@@ -290,6 +283,7 @@ pub fn concepts_of_query(q: &crate::sesql::ast::SesqlQuery) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sesql::parser::parse_sesql;
 
     fn platform() -> CrossePlatform {
         let db = Database::new();
@@ -413,13 +407,13 @@ mod tests {
 
     #[test]
     fn extract_concepts_covers_enrichments() {
-        let cs = extract_concepts(
+        let cs = concepts_of_query(&parse_sesql(
             "SELECT name, city FROM landfill \
              WHERE ${city = Pollution:c1} \
              ENRICH BOOLSCHEMAREPLACEMENT(city, inCountry, Italy) \
                     REPLACECONSTANT(c1, Pollution, pollutionQuery)",
         )
-        .unwrap();
+        .unwrap());
         for expected in
             ["landfill", "name", "city", "inCountry", "Italy", "Pollution", "pollutionQuery"]
         {
@@ -429,7 +423,7 @@ mod tests {
 
     #[test]
     fn concepts_deduplicate_case_insensitively() {
-        let cs = extract_concepts("SELECT City, CITY FROM landfill").unwrap();
+        let cs = concepts_of_query(&parse_sesql("SELECT City, CITY FROM landfill").unwrap());
         assert_eq!(cs.iter().filter(|c| c.eq_ignore_ascii_case("city")).count(), 1);
     }
 }

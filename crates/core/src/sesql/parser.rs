@@ -6,12 +6,15 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crosse_relational::sql::ast::{Expr, Statement};
-use crosse_relational::sql::parser::{parse_expr_with_params, parse_statement_with_params};
+use crosse_relational::sql::lexer::tokenize;
+use crosse_relational::sql::parser::{parse_expr_with_params, parse_tokens};
+use crosse_relational::sql::shape::{Shape, Verbatim};
+use crosse_relational::sql::token::Token;
 
 use crate::error::{Error, Result};
 
 use super::ast::{Enrichment, SesqlQuery};
-use super::scanner::{extract_tags, split_enrich};
+use super::scanner::{extract_tags, split_enrich, TaggedCondition};
 
 /// Parse a full SESQL query text.
 ///
@@ -20,69 +23,113 @@ use super::scanner::{extract_tags, split_enrich};
 /// placeholders are accepted (a positional slot's index would be
 /// ambiguous between the cleaned query and the standalone condition).
 pub fn parse_sesql(text: &str) -> Result<SesqlQuery> {
+    let (scanned, tokens) = scan(text)?;
+    scanned.parse(tokens)
+}
+
+/// A SESQL text as the scanner leaves it (paper Remark 4.1): the cleaned
+/// SQL, its tagged conditions and the enrichment specification. Its
+/// tokens travel apart, so the statement cache can shape them.
+pub(crate) struct Scanned {
+    clean_sql: String,
+    tags: Vec<TaggedCondition>,
+    spec: Option<String>,
+}
+
+/// Scan `text` and lex its cleaned SQL.
+pub(crate) fn scan(text: &str) -> Result<(Scanned, Vec<Token>)> {
     let (sql_part, spec) = split_enrich(text)?;
     let (clean_sql, tags) = extract_tags(&sql_part)?;
+    let tokens = tokenize(&clean_sql)?;
+    Ok((Scanned { clean_sql, tags, spec }, tokens))
+}
 
-    let (stmt, params) = parse_statement_with_params(&clean_sql)?;
-    let Statement::Select(select) = stmt else {
-        return Err(Error::sesql("SESQL queries must start with SELECT", 0));
-    };
-
-    let mut conditions = HashMap::new();
-    for tag in &tags {
-        let (expr, tag_params) = parse_expr_with_params(&tag.text).map_err(|e| {
-            Error::sesql(
-                format!("tagged condition `{}` is not a valid expression: {e}", tag.id),
-                tag.offset,
-            )
-        })?;
-        if tag_params.iter().any(|s| s.name.is_none()) {
-            return Err(Error::sesql(
-                format!(
-                    "positional `?` parameters are not allowed inside the tagged \
-                     condition `{}`; use a named `$param`",
-                    tag.id
-                ),
-                tag.offset,
-            ));
+impl Scanned {
+    /// The statement-cache shape of the cleaned SQL's `tokens`: each tag
+    /// kept as written (REPLACECONSTANT and REPLACEVARIABLE read its
+    /// constants), and the ENRICH clause appended as written.
+    pub(crate) fn shape(&self, tokens: Vec<Token>) -> Shape {
+        let written: Vec<String> =
+            self.tags.iter().map(|t| format!("${{{}:{}}}", t.text, t.id)).collect();
+        let regions: Vec<Verbatim> = self
+            .tags
+            .iter()
+            .zip(&written)
+            .map(|(t, text)| Verbatim { range: t.clean.clone(), text })
+            .collect();
+        let mut shape = Shape::new(tokens, &regions);
+        if let Some(spec) = &self.spec {
+            shape.key.push_str(" ENRICH ");
+            shape.key.push_str(spec);
         }
-        // The condition text is embedded in the cleaned SQL, so every
-        // named placeholder already has a global slot: remap the locally
-        // assigned indices onto it.
-        let expr = expr.rewrite(&mut |node| match node {
-            Expr::Param { name: Some(n), .. } => {
-                let index = params
-                    .iter()
-                    .position(|s| s.name.as_deref() == Some(n.as_str()))
-                    .expect("condition text is part of the cleaned SQL");
-                Expr::Param { index, name: Some(n) }
-            }
-            other => other,
-        });
-        conditions.insert(tag.id.clone(), expr);
+        shape
     }
 
-    let enrichments = match spec {
-        None => Vec::new(),
-        Some(s) => parse_enrichments(&s)?,
-    };
+    /// Parse the cleaned SQL from `tokens` (the scanned ones, or a
+    /// shape's), the tagged conditions and the enrichment specification.
+    pub(crate) fn parse(self, tokens: Vec<Token>) -> Result<SesqlQuery> {
+        let Scanned { clean_sql, tags, spec } = self;
+        let (stmt, params) = parse_tokens(tokens)?;
+        let Statement::Select(select) = stmt else {
+            return Err(Error::sesql("SESQL queries must start with SELECT", 0));
+        };
 
-    // Validate: WHERE-enrichments must reference recorded condition ids.
-    for e in &enrichments {
-        if let Some(id) = e.condition_id() {
-            if !conditions.contains_key(id) {
+        let mut conditions = HashMap::new();
+        for tag in &tags {
+            let (expr, tag_params) = parse_expr_with_params(&tag.text).map_err(|e| {
+                Error::sesql(
+                    format!("tagged condition `{}` is not a valid expression: {e}", tag.id),
+                    tag.offset,
+                )
+            })?;
+            if tag_params.iter().any(|s| s.name.is_none()) {
                 return Err(Error::sesql(
                     format!(
-                        "{} references condition `{id}`, but no `${{...:{id}}}` marker exists",
-                        e.keyword()
+                        "positional `?` parameters are not allowed inside the tagged \
+                         condition `{}`; use a named `$param`",
+                        tag.id
                     ),
-                    0,
+                    tag.offset,
                 ));
             }
+            // The condition text is embedded in the cleaned SQL, so every
+            // named placeholder already has a global slot: remap the
+            // locally assigned indices onto it.
+            let expr = expr.rewrite(&mut |node| match node {
+                Expr::Param { name: Some(n), .. } => {
+                    let index = params
+                        .iter()
+                        .position(|s| s.name.as_deref() == Some(n.as_str()))
+                        .expect("condition text is part of the cleaned SQL");
+                    Expr::Param { index, name: Some(n) }
+                }
+                other => other,
+            });
+            conditions.insert(tag.id.clone(), expr);
         }
-    }
 
-    Ok(SesqlQuery { select: Arc::from(select), clean_sql, conditions, enrichments, params })
+        let enrichments = match spec {
+            None => Vec::new(),
+            Some(s) => parse_enrichments(&s)?,
+        };
+
+        // Validate: WHERE-enrichments must reference recorded condition ids.
+        for e in &enrichments {
+            if let Some(id) = e.condition_id() {
+                if !conditions.contains_key(id) {
+                    return Err(Error::sesql(
+                        format!(
+                            "{} references condition `{id}`, but no `${{...:{id}}}` marker exists",
+                            e.keyword()
+                        ),
+                        0,
+                    ));
+                }
+            }
+        }
+
+        Ok(SesqlQuery { select: Arc::from(select), clean_sql, conditions, enrichments, params })
+    }
 }
 
 /// Parse the enrichment specification (everything after `ENRICH`).

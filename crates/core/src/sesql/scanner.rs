@@ -57,6 +57,8 @@ pub struct TaggedCondition {
     pub text: String,
     /// Byte offset of the `${` marker in the original input.
     pub offset: usize,
+    /// Where the parenthesised condition stands in the cleaned SQL.
+    pub clean: std::ops::Range<usize>,
 }
 
 /// Extract every `${ cond : id }` marker; returns the cleaned SQL and the
@@ -137,10 +139,12 @@ pub fn extract_tags(sql: &str) -> Result<(String, Vec<TaggedCondition>)> {
                 }
                 // The cleaned query keeps the condition, parenthesised so
                 // operator precedence is preserved regardless of context.
+                let start = clean.len();
                 clean.push('(');
                 clean.push_str(&cond_text);
                 clean.push(')');
-                tags.push(TaggedCondition { id, text: cond_text, offset: marker_start });
+                let clean = start..clean.len();
+                tags.push(TaggedCondition { id, text: cond_text, offset: marker_start, clean });
             }
             c => {
                 clean.push(c as char);

@@ -35,6 +35,9 @@ use crosse_relational::{
     Column, DataType, ExecOutcome, Interner, Params, Prepared as PreparedSql, RowSet, Schema,
     SlotInfo, Value,
 };
+/// The language of a statement's text (also half of a statement-cache
+/// key, which is why the relational crate defines it).
+pub use crosse_relational::db::Lang;
 
 use crate::error::{Error, Result};
 use crate::platform::check_user_name;
@@ -290,19 +293,6 @@ impl Rows for EnrichedRows {
     }
 }
 
-/// The language of a statement's text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lang {
-    /// SESQL: SQL plus ENRICH clauses, run through the enrichment
-    /// pipeline in the session's knowledge context.
-    Sesql,
-    /// Plain SQL against the databank.
-    Sql,
-    /// SPARQL (SELECT, ASK or CONSTRUCT) over the session's context
-    /// graphs.
-    Sparql,
-}
-
 /// Whether `text` is DDL/DML (`CREATE`, `INSERT`, `UPDATE`, `DELETE`,
 /// `DROP`), which runs on the relational engine as a write whether it
 /// arrives as SESQL or SQL.
@@ -386,10 +376,11 @@ impl Session {
         &self.engine
     }
 
-    /// Compile `text` once into a [`Statement`]. SESQL goes through the
-    /// engine's prepared cache and SQL through the databank's; SPARQL of
-    /// any form is parsed and compiled here; DDL/DML ([`is_write`]) is
-    /// parsed now and executed by each [`Statement::execute`].
+    /// Compile `text` once into a [`Statement`]. SESQL and SQL go through
+    /// the databank's statement cache, one entry per (language, shape);
+    /// SPARQL of any form is parsed and compiled here; DDL/DML
+    /// ([`is_write`]) is parsed now and executed by each
+    /// [`Statement::execute`].
     pub fn prepare(&self, lang: Lang, text: &str) -> Result<Statement> {
         let compiled = match lang {
             Lang::Sparql => Compiled::Sparql(crosse_rdf::sparql::prepare_any(text)?),

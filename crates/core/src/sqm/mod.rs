@@ -7,8 +7,7 @@
 //! writes each enriched row once, in its final column order. The paper's
 //! JoinManager, its "temporary support database" and its "final SQL
 //! query" are that one pass here — no second database, no SQL text, no
-//! second move of the rows. Every stage is timed in [`PipelineReport`] so
-//! the E2 experiment can regenerate the Fig. 6 pipeline breakdown.
+//! second move of the rows. Every stage is timed in [`PipelineReport`].
 //!
 //! Every SESQL execution enters through [`SesqlEngine::prepare`] and
 //! [`PreparedSesql::execute_cursor`]; `SesqlEngine::run` is the one place
@@ -45,11 +44,10 @@ mod legs;
 mod prepared;
 mod rewrite;
 
-pub use prepared::{normalize_sesql, PreparedSesql};
+pub use prepared::PreparedSesql;
 
 pub(crate) use enrich::term_to_value_in;
 use legs::SparqlLegCache;
-use prepared::CachedSesql;
 use rewrite::{replace_condition, rewrite_constant};
 
 /// How multi-valued enrichments materialise (a subject may have several
@@ -145,8 +143,11 @@ pub struct EnrichedResult {
     pub report: PipelineReport,
 }
 
-/// Default capacity of the engine's bounded caches (SPARQL-leg solutions,
-/// compiled SPARQL legs, prepared SESQL queries).
+/// Default capacity of the engine's own bounded caches (SPARQL-leg
+/// solutions, compiled SPARQL legs). Prepared SESQL lives in the
+/// databank's statement cache, sized by
+/// [`crosse_relational::db::DEFAULT_PLAN_CACHE_CAPACITY`] until
+/// [`SesqlEngine::set_cache_capacity`] resizes it with the others.
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// Cumulative cache statistics (hits, misses, LRU evictions) — shared
@@ -168,9 +169,6 @@ pub struct SesqlEngine {
     /// needs invalidation, because a compiled leg holds no data (its
     /// constants are resolved against the store per execution).
     compiled_legs: Arc<Mutex<Lru<String, Arc<PreparedSparql>>>>,
-    /// Prepared SESQL queries keyed by normalized text (bounded LRU):
-    /// repeated `prepare` traffic skips the scanner + both parsers.
-    prepared: Arc<Mutex<Lru<String, CachedSesql>>>,
     /// The data directory's log and checkpointer when the engine was
     /// opened from one ([`SesqlEngine::open`]); `None` in memory.
     durability: Option<Arc<EngineDurability>>,
@@ -186,7 +184,6 @@ impl SesqlEngine {
             options: EnrichOptions::default(),
             cache: Arc::default(),
             compiled_legs: Arc::new(Mutex::new_labeled("sesql.ast_cache", Lru::new(DEFAULT_CACHE_CAPACITY))),
-            prepared: Arc::new(Mutex::new_labeled("sesql.prepared_cache", Lru::new(DEFAULT_CACHE_CAPACITY))),
             durability: None,
         }
     }
@@ -286,20 +283,23 @@ impl SesqlEngine {
         self.compiled_legs.lock().stats()
     }
 
-    /// Prepared-SESQL cache statistics.
+    /// Statistics of the databank's statement cache, which prepared SESQL
+    /// shares with SQL (the same figures as
+    /// [`Database::prepare_cache_stats`]).
     pub fn prepared_cache_stats(&self) -> CacheStats {
-        self.prepared.lock().stats()
+        self.db.prepare_cache_stats()
     }
 
-    /// Resize every engine-level cache (the leg cache's solutions, keyed
-    /// legs and pairs tables together, compiled SPARQL legs, prepared
-    /// queries). Capacity 0 is the way to switch caching off: every leg is
-    /// evaluated and counts as a miss, and a REPLACEVARIABLE query's pairs
-    /// table lives exactly as long as the query.
+    /// Resize every cache the engine uses: the leg cache's solutions,
+    /// keyed legs and pairs tables together, compiled SPARQL legs, and the
+    /// databank's statement cache. Capacity 0 is the way to switch caching
+    /// off: every leg is evaluated and counts as a miss, a REPLACEVARIABLE
+    /// query's pairs table lives exactly as long as the query, and every
+    /// statement is compiled again (through the same normaliser).
     pub fn set_cache_capacity(&self, capacity: usize) {
         self.cache.set_capacity(capacity);
         self.compiled_legs.lock().set_capacity(capacity);
-        self.prepared.lock().set_capacity(capacity);
+        self.db.set_plan_cache_capacity(capacity);
     }
 
     /// Drop all cached SPARQL-leg results: solutions, keyed SCHEMA*/BOOL*
@@ -384,9 +384,10 @@ impl SesqlEngine {
             rows
         } else {
             // -------- Phase A: WHERE-clause enrichments (AST rewrites) ----
-            // The rewrites work on literals, so parameters are bound first.
+            // The rewrites work on literals, so parameters and lifted
+            // literals are bound first.
             let bound;
-            let query = if query.has_params() {
+            let query = if query.has_params() || !stmt.sql.lifted().is_empty() {
                 bound = stmt.bind(params)?;
                 &bound
             } else {

@@ -1,17 +1,18 @@
-// srclint: allow(R002): the char walk indexes char boundaries
-//! Prepared SESQL: the compiled handle, the engine's prepared cache, text
-//! normalization and the user-independent lint run at prepare time.
+//! Prepared SESQL: the compiled handle and the user-independent lint run
+//! at prepare time. SESQL text is compiled through the databank's
+//! statement cache ([`Database::prepare_shape`]) under its (SESQL, shape)
+//! key: the scanner's cleaned SQL is shaped like any SQL — comparison
+//! literals of its WHERE clause lifted into hidden slots — with each
+//! `${…:id}` tag and the ENRICH clause kept as written, and the SESQL
+//! parse is kept beside the relational entry.
+
+use std::sync::OnceLock;
+
+use crosse_relational::db::{Compiled, Lang};
 
 use super::*;
-
-/// A compiled SESQL query as stored in the engine's prepared cache: a
-/// [`PreparedSesql`] minus the engine (which owns the cache).
-#[derive(Debug, Clone)]
-pub(super) struct CachedSesql {
-    query: Arc<SesqlQuery>,
-    sql: crosse_relational::Prepared,
-    warnings: Arc<Vec<Diagnostic>>,
-}
+use crate::sesql::parser::scan;
+use crate::sesql::scanner::{extract_tags, split_enrich};
 
 /// A compiled SESQL query with typed parameter slots, bound to its engine.
 ///
@@ -25,14 +26,15 @@ pub(super) struct CachedSesql {
 #[derive(Clone)]
 pub struct PreparedSesql {
     engine: SesqlEngine,
+    /// The parse of the statement's shape, shared by every text of it:
+    /// lifted literals are slots of `query.select`.
     pub(super) query: Arc<SesqlQuery>,
-    /// The executable form of `query.select`: typed slots, re-validation
+    /// The executable form of `query.select`: typed slots, this text's
+    /// lifted values, its text and prepare-time warnings, re-validation
     /// after DDL and the plan template all live in this handle.
     pub(super) sql: crosse_relational::Prepared,
-    text: String,
-    /// Lint findings from prepare time (the user-independent rules; see
-    /// [`SesqlEngine::lint`] for the context-dependent ones).
-    warnings: Arc<Vec<Diagnostic>>,
+    /// `query` as written, built by the first [`PreparedSesql::query`].
+    written: OnceLock<Arc<SesqlQuery>>,
 }
 
 /// The user-independent SESQL lint: relational rules over the cleaned
@@ -91,32 +93,44 @@ pub(super) fn lint_sesql_static(
 
 impl PreparedSesql {
     /// The parameter slots, in binding order, typed against the live
-    /// catalog.
+    /// catalog. Lifted literals are not among them.
     pub fn param_slots(&self) -> Arc<Vec<crosse_relational::SlotInfo>> {
         self.sql.param_slots()
     }
 
     /// Lint findings attached at prepare time (the user-independent
-    /// rules: relational `L…` plus `E001`/`E002`). Empty for clean
-    /// queries.
+    /// rules: relational `L…` plus `E001`/`E002`), found once per shape.
+    /// Empty for clean queries.
     pub fn warnings(&self) -> &[Diagnostic] {
-        &self.warnings
+        self.sql.warnings()
     }
 
-    /// Normalized query text (the prepared-cache key).
+    /// The query as written.
     pub fn text(&self) -> &str {
-        &self.text
+        self.sql.text()
     }
 
-    /// The parsed (still parameterised) query.
+    /// The parsed query as written: lifted literals in place, parameters
+    /// as their placeholders.
     pub fn query(&self) -> &SesqlQuery {
-        &self.query
+        self.written.get_or_init(|| {
+            let mut query = (*self.query).clone();
+            query.select = Arc::new(self.sql.select().into_owned());
+            // The scan cannot fail: it succeeded when the text was shaped.
+            if let Ok((sql, _)) = split_enrich(self.text()) {
+                if let Ok((clean, _)) = extract_tags(&sql) {
+                    query.clean_sql = clean;
+                }
+            }
+            Arc::new(query)
+        })
     }
 
-    /// Bind `params` into a parameter-free [`SesqlQuery`].
+    /// Bind `params` and the lifted literals into a slot-free
+    /// [`SesqlQuery`].
     pub fn bind(&self, params: &crosse_relational::Params) -> Result<SesqlQuery> {
-        use crosse_relational::prepared::{resolve_params, substitute_expr, substitute_select};
-        let values = resolve_params(&self.param_slots(), params)?;
+        use crosse_relational::prepared::{substitute_expr, substitute_select};
+        let values = self.sql.slot_values(&self.param_slots(), params)?;
         let mut bound = (*self.query).clone();
         bound.select = Arc::new(substitute_select((*bound.select).clone(), &values));
         bound.conditions = bound
@@ -150,78 +164,28 @@ impl PreparedSesql {
 }
 
 impl SesqlEngine {
-    /// Compile a SESQL query into a [`PreparedSesql`] handle: scan, parse
-    /// both grammars, compile the SQL part. Compilations are cached in a
-    /// bounded LRU keyed by normalized text, so repeated `prepare` calls
-    /// with equivalent text skip parsing entirely (check
-    /// [`SesqlEngine::prepared_cache_stats`]) and share the SQL part's
-    /// plan template.
+    /// Compile a SESQL query into a [`PreparedSesql`] handle through the
+    /// databank's statement cache: a text whose shape is cached costs its
+    /// scan and lexing; a miss parses both grammars and lints once for
+    /// the shape (see [`Database::prepare_shape`]). The SQL part is
+    /// planned at its first execution, after any WHERE enrichment.
     pub fn prepare(&self, sesql: &str) -> Result<PreparedSesql> {
-        let key = normalize_sesql(sesql);
-        let cached = { self.prepared.lock().get(&key).cloned() };
-        let CachedSesql { query, sql, warnings } = match cached {
-            Some(cached) => cached,
-            None => {
-                let query = Arc::new(parse_sesql(sesql)?);
-                let cached = CachedSesql {
-                    sql: self.db.compile(Arc::clone(&query.select)),
-                    warnings: Arc::new(lint_sesql_static(self.db.catalog(), &query, &key)),
-                    query,
-                };
-                self.prepared.lock().put(key.clone(), cached.clone());
-                cached
-            }
+        let (scanned, tokens) = scan(sesql)?;
+        let shape = scanned.shape(tokens);
+        let compile = |tokens, key: &str| {
+            // A shape parses as its text does; report the text's error.
+            let query =
+                scanned.parse(tokens).map_err(|e| parse_sesql(sesql).err().unwrap_or(e))?;
+            let warnings = lint_sesql_static(self.db.catalog(), &query, key);
+            let select = Arc::clone(&query.select);
+            Ok::<_, Error>(Compiled { select, warnings, extra: Some(Arc::new(query)) })
         };
-        Ok(PreparedSesql { engine: self.clone(), query, sql, warnings, text: key })
+        let (sql, extra) = self.db.prepare_shape(Lang::Sesql, sesql, shape, compile)?;
+        let query = extra
+            .and_then(|parse| parse.downcast::<SesqlQuery>().ok())
+            .ok_or_else(|| Error::sqm("a SESQL statement-cache entry keeps its parse"))?;
+        Ok(PreparedSesql { engine: self.clone(), query, sql, written: OnceLock::new() })
     }
-}
-
-/// Quote-aware whitespace normalization of SESQL text (the prepared-cache
-/// key): runs of whitespace outside `'...'` / `"..."` collapse to one
-/// space. Keyword case is left alone — SESQL's enrichment grammar is
-/// case-insensitive but its arguments are not, and a cache miss on case
-/// only costs a re-parse.
-pub fn normalize_sesql(text: &str) -> String {
-    let bytes = text.as_bytes();
-    let mut out = String::with_capacity(text.len());
-    let mut i = 0;
-    let mut pending_space = false;
-    while i < bytes.len() {
-        let c = bytes[i];
-        if c.is_ascii_whitespace() {
-            pending_space = !out.is_empty();
-            i += 1;
-            continue;
-        }
-        if pending_space {
-            out.push(' ');
-            pending_space = false;
-        }
-        if c == b'\'' || c == b'"' {
-            // Copy the quoted region verbatim (doubled-quote escapes).
-            let quote = c;
-            out.push(c as char);
-            i += 1;
-            while i < bytes.len() {
-                let b = bytes[i];
-                out.push(b as char);
-                i += 1;
-                if b == quote {
-                    if bytes.get(i) == Some(&quote) {
-                        out.push(quote as char);
-                        i += 1;
-                    } else {
-                        break;
-                    }
-                }
-            }
-            continue;
-        }
-        let ch = text[i..].chars().next().expect("in bounds");
-        out.push(ch);
-        i += ch.len_utf8();
-    }
-    out
 }
 
 #[cfg(test)]
@@ -246,6 +210,33 @@ mod tests {
         assert_eq!(diags.iter().map(|d| d.code).collect::<Vec<_>>(), vec!["E002"]);
         assert_eq!(diags[0].severity, crosse_lint::Severity::Error);
         assert!(diags[0].message.contains("ghost"));
+    }
+
+    #[test]
+    fn a_line_comment_ends_at_its_newline() {
+        // The first text filters on the line after its comment; the
+        // second comments its WHERE clause out and returns every row.
+        let e = engine();
+        let rows = |text: &str| {
+            let p = e.prepare(text).unwrap();
+            p.execute("director", &crosse_relational::Params::new()).unwrap().rows.len()
+        };
+        let q = "SELECT elem_name FROM elem_contained -- note";
+        assert_eq!(rows(&format!("{q}\nWHERE landfill_name = 'a'")), 3);
+        assert_eq!(rows(&format!("{q} WHERE landfill_name = 'a'")), 6);
+    }
+
+    #[test]
+    fn a_cached_statement_is_linted_again_after_ddl() {
+        let db = Database::new();
+        db.execute("CREATE TABLE t (a INT)").unwrap();
+        let e = SesqlEngine::new(db.clone(), KnowledgeBase::new());
+        let q = "SELECT a FROM t WHERE a = 3";
+        let codes = |w: &[Diagnostic]| w.iter().map(|d| d.code).collect::<Vec<_>>();
+        assert!(e.prepare(q).unwrap().warnings().is_empty());
+        db.execute_script("DROP TABLE t; CREATE TABLE t (a TEXT)").unwrap();
+        assert_eq!(codes(e.prepare(q).unwrap().warnings()), ["L004"]);
+        assert_eq!(codes(db.prepare(q).unwrap().warnings()), ["L004"]);
     }
 
     #[test]

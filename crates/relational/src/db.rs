@@ -1,6 +1,7 @@
 //! The `Database` facade: parse → plan → execute, plus the prepared-
 //! statement entry point (parse once → bind → stream).
 
+use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 
@@ -15,10 +16,13 @@ use crate::exec::Rows;
 use crate::foreign::{DataSource, Foreign};
 use crate::opt::OptimizerConfig;
 use crate::plan::{plan_select, Plan};
-use crate::prepared::{normalize_sql, Params, Prepared, SharedMemo};
+use crate::prepared::{fresh_memo, Params, Prepared, SharedMemo};
 use crate::schema::{Column, Schema};
 use crate::sql::ast::{Expr, Select, Statement};
-use crate::sql::parser::{parse_script, parse_statement, parse_statement_with_params};
+use crate::sql::lexer::tokenize;
+use crate::sql::parser::{parse_script, parse_statement, parse_statement_with_params, parse_tokens};
+use crate::sql::shape::{is_select, Shape};
+use crate::sql::token::Token;
 use crate::storage::{Catalog, Table};
 use crate::value::{Interner, Row, Value};
 
@@ -133,22 +137,51 @@ impl ExecOutcome {
     }
 }
 
-/// Default capacity of the prepared-statement (plan) cache.
+/// Default capacity of the statement cache.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
 
-/// A prepared statement as stored in the plan cache: what a
-/// [`Prepared`] is made of, minus the database (which owns the cache).
+/// The language of a statement's text: half of a statement-cache key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Lang {
+    /// SESQL: SQL plus ENRICH clauses, run through the enrichment
+    /// pipeline in the session's knowledge context.
+    Sesql,
+    /// Plain SQL against the databank.
+    Sql,
+    /// SPARQL (SELECT, ASK or CONSTRUCT) over the session's context
+    /// graphs.
+    Sparql,
+}
+
+/// What the statement cache keeps beside a SELECT for a front end that
+/// parses more than SQL (the SESQL parse of an enriched query).
+pub type Extra = Arc<dyn Any + Send + Sync>;
+
+/// What a statement-cache miss compiles from a shape's tokens.
+pub struct Compiled {
+    /// The SELECT, its lifted literals as [`Expr::Lifted`] slots.
+    pub select: Arc<Select>,
+    /// Prepare-time lint findings.
+    pub warnings: Vec<crosse_lint::Diagnostic>,
+    /// Kept beside the entry and handed back with every handle made from
+    /// it.
+    pub extra: Option<Extra>,
+}
+
+/// A statement as the cache keeps it: what a [`Prepared`] is made of,
+/// minus the database (which owns the cache) and the text and lifted
+/// values (which each prepare brings).
 #[derive(Debug, Clone)]
 struct CachedStmt {
     select: Arc<Select>,
-    /// Shared with every handle `prepare` hands out for this text, so one
-    /// handle's plan template serves them all.
+    /// Shared with every handle made from the entry, so one handle's plan
+    /// template serves them all.
     memo: SharedMemo,
-    /// Lint diagnostics computed at prepare time (parameters allowed).
     warnings: Arc<Vec<crosse_lint::Diagnostic>>,
-    /// Catalog version the lint and the eager plan ran against; DDL makes
-    /// the entry a miss.
-    version: u64,
+    /// The [`Database::plan_tag`] the entry was linted (and planned)
+    /// against; DDL or a new optimizer config makes it a miss.
+    tag: (u64, u64),
+    extra: Option<Extra>,
 }
 
 /// An in-memory SQL database: a catalog plus an execution engine.
@@ -158,7 +191,8 @@ struct CachedStmt {
 #[derive(Debug, Clone)]
 pub struct Database {
     catalog: Catalog,
-    plans: Arc<Mutex<Lru<String, CachedStmt>>>,
+    /// The statement cache: one LRU keyed by (language, shape).
+    statements: Arc<Mutex<Lru<(Lang, String), CachedStmt>>>,
     /// Worker threads for morsel-parallel query execution (shared across
     /// clones — one engine, one setting). 1 = sequential.
     exec_threads: Arc<std::sync::atomic::AtomicUsize>,
@@ -177,7 +211,10 @@ impl Default for Database {
     fn default() -> Self {
         Database {
             catalog: Catalog::default(),
-            plans: Arc::new(Mutex::new_labeled("db.plan_cache", Lru::new(DEFAULT_PLAN_CACHE_CAPACITY))),
+            statements: Arc::new(Mutex::new_labeled(
+                "db.plan_cache",
+                Lru::new(DEFAULT_PLAN_CACHE_CAPACITY),
+            )),
             exec_threads: Arc::new(std::sync::atomic::AtomicUsize::new(1)),
             interner: Arc::new(Interner::new()),
             opt: Arc::new(Mutex::new_labeled("db.opt_config", OptimizerConfig::default())),
@@ -247,7 +284,7 @@ impl Database {
         // Release pairs with the Acquire in `plan_tag`: whoever reads the
         // new epoch plans under the new config.
         self.opt_epoch.fetch_add(1, std::sync::atomic::Ordering::Release);
-        self.plans.lock().clear();
+        self.statements.lock().clear();
     }
 
     /// What a plan template is valid for: (catalog version, optimizer-
@@ -291,57 +328,103 @@ impl Database {
     /// it) still compiles, and "compile, run, drop" costs no more than
     /// planning once.
     pub fn compile(&self, select: Arc<Select>) -> Prepared {
-        Prepared::new(self.clone(), String::new(), select, None)
+        Prepared {
+            db: self.clone(),
+            select,
+            text: String::new(),
+            lifted: Vec::new(),
+            warnings: None,
+            memo: fresh_memo(),
+            scoped: Vec::new(),
+        }
     }
 
-    /// Prepare a SELECT from text: [`Database::compile`] behind a bounded
-    /// LRU keyed by normalized text (repeated `prepare` calls with
-    /// equivalent text skip the front-end and share one plan template),
-    /// plus what a caller preparing ahead of time relies on — the
-    /// statement is linted and planned now, so a bad table is a
-    /// prepare-time error, and the plan is kept as the template every
-    /// execution replays. Planning runs none of its subqueries.
+    /// Prepare a SELECT from text: [`Database::compile`] behind the
+    /// statement cache (see [`Database::prepare_shape`]; texts of one
+    /// shape skip the front-end and share one plan template), plus what a
+    /// caller preparing ahead of time relies on — the statement is linted
+    /// and planned now, so a bad table is a prepare-time error, and the
+    /// plan is kept as the template every execution replays. Planning
+    /// runs none of its subqueries.
     pub fn prepare(&self, sql: &str) -> Result<Prepared> {
-        let key = normalize_sql(sql)?;
-        let version = self.catalog.version();
-        // Bind the lookup before matching: an `if let` scrutinee would
-        // keep the cache lock alive across the re-lock below.
-        let cached = { self.plans.lock().get(&key).cloned() };
-        if let Some(c) = cached.filter(|c| c.version == version) {
-            return Ok(Prepared {
-                db: self.clone(),
-                select: c.select,
-                text: key,
-                warnings: Some(c.warnings),
-                memo: c.memo,
-                scoped: Vec::new(),
-            });
-        }
-        let (stmt, _) = parse_statement_with_params(sql)?;
-        let Statement::Select(select) = stmt else {
-            return Err(Error::plan(
-                "only SELECT statements can be prepared (DDL/DML execute directly)",
-            ));
+        self.prepare_sql(sql, Shape::of(sql)?)
+    }
+
+    fn prepare_sql(&self, sql: &str, shape: Shape) -> Result<Prepared> {
+        let compile = |tokens, key: &str| {
+            // A shape parses as its text does; report the text's error.
+            let (stmt, _) = parse_tokens(tokens)
+                .map_err(|e| parse_statement(sql).err().unwrap_or(e))?;
+            let Statement::Select(select) = stmt else {
+                return Err(Error::plan(
+                    "only SELECT statements can be prepared (DDL/DML execute directly)",
+                ));
+            };
+            let select: Arc<Select> = Arc::from(select);
+            // Prepare-time invariant: the AST must not reference a
+            // parameter slot outside its slot table (an engine bug in slot
+            // collection, not a user error).
+            let slots = crate::sql::parser::collect_params(&select).len();
+            crate::opt::validate::check_param_slots(&select, slots).map_err(Error::plan)?;
+            // Parameters are expected in a prepared statement, so the
+            // linter runs with L006 suppressed; spans are into the key.
+            let warnings = crate::lint::lint_select(&self.catalog, &select, key, true);
+            Ok(Compiled { select, warnings, extra: None })
         };
-        let select: Arc<Select> = Arc::from(select);
-        // Parameters are expected in a prepared statement, so the linter
-        // runs with L006 suppressed. Lint against the normalized text:
-        // spans are best-effort anyway and the original was not retained.
-        let warnings =
-            Arc::new(crate::lint::lint_select(&self.catalog, &select, &key, true));
-        let prepared =
-            Prepared::new(self.clone(), key.clone(), Arc::clone(&select), Some(Arc::clone(&warnings)));
-        let slots = prepared.param_slots();
-        // Prepare-time invariant: the AST must not reference a parameter
-        // slot outside the table we just derived (an engine bug in slot
-        // collection or AST caching, not a user error).
-        crate::opt::validate::check_param_slots(&select, slots.len()).map_err(Error::plan)?;
-        prepared.plan(true)?;
-        self.plans.lock().put(
-            key,
-            CachedStmt { select, memo: Arc::clone(&prepared.memo), warnings, version },
-        );
-        Ok(prepared)
+        Ok(self.prepare_shape(Lang::Sql, sql, shape, compile)?.0)
+    }
+
+    /// The statement cache: the compiled statement of `text`, in `lang`,
+    /// whose [`Shape`] is `shape`. Every text of one shape shares one
+    /// entry — one parse, one lint, one plan template — and gets a handle
+    /// of its own with its lifted literals' values. A miss, or an entry
+    /// older than the catalog or the optimizer config, runs `compile` on
+    /// the shape's tokens and its key; a SQL statement is then planned at
+    /// once, while a SESQL statement waits for its first execution (its
+    /// WHERE enrichments may have to rewrite it before it plans). The
+    /// entry's `extra` comes back beside the handle.
+    pub fn prepare_shape<E: From<Error>>(
+        &self,
+        lang: Lang,
+        text: &str,
+        shape: Shape,
+        compile: impl FnOnce(Vec<Token>, &str) -> std::result::Result<Compiled, E>,
+    ) -> std::result::Result<(Prepared, Option<Extra>), E> {
+        let Shape { key, tokens, lifted } = shape;
+        let key = (lang, key);
+        // Read the tag before compiling: a change that lands in between
+        // leaves the entry tagged old, and the next lookup compiles again.
+        let tag = self.plan_tag();
+        // Bind the lookup before matching: a scrutinee would keep the
+        // cache lock alive across the re-lock below.
+        let cached = { self.statements.lock().get(&key).cloned() };
+        let entry = match cached.filter(|c| c.tag == tag) {
+            Some(entry) => entry,
+            None => {
+                let Compiled { select, warnings, extra } = compile(tokens, &key.1)?;
+                let warnings = Arc::new(warnings);
+                let entry = CachedStmt { select, memo: fresh_memo(), warnings, tag, extra };
+                if lang == Lang::Sql {
+                    self.handle(&entry, String::new(), Vec::new()).plan(true)?;
+                }
+                self.statements.lock().put(key, entry.clone());
+                entry
+            }
+        };
+        let extra = entry.extra.clone();
+        Ok((self.handle(&entry, text.to_string(), lifted), extra))
+    }
+
+    fn handle(&self, entry: &CachedStmt, text: String, lifted: Vec<Value>) -> Prepared {
+        Prepared {
+            db: self.clone(),
+            select: Arc::clone(&entry.select),
+            text,
+            lifted,
+            warnings: Some(Arc::clone(&entry.warnings)),
+            memo: Arc::clone(&entry.memo),
+            scoped: Vec::new(),
+        }
     }
 
     /// Lint a statement without executing it: parse, then run the
@@ -353,30 +436,38 @@ impl Database {
         Ok(crate::lint::lint_statement(&self.catalog, &stmt, sql, false))
     }
 
-    /// Hit/miss/eviction statistics of the prepared-statement cache.
+    /// Hit/miss/eviction statistics of the statement cache (SQL and
+    /// SESQL statements, prepared and ad hoc).
     pub fn prepare_cache_stats(&self) -> CacheStats {
-        self.plans.lock().stats()
+        self.statements.lock().stats()
     }
 
-    /// Resize the prepared-statement cache (0 disables caching).
+    /// Resize the statement cache. Capacity 0 keeps nothing: every
+    /// statement is compiled again, through the same normaliser.
     pub fn set_plan_cache_capacity(&self, capacity: usize) {
-        self.plans.lock().set_capacity(capacity);
+        self.statements.lock().set_capacity(capacity);
     }
 
-    /// Parse, compile and stream a SELECT through a cursor in one call
-    /// (the ad-hoc path: the handle is dropped with the call; prepared
-    /// statements keep it and amortise the front-end).
+    /// Stream a SELECT through a cursor in one call (the ad-hoc path:
+    /// the statement cache compiles the text's shape once, and a hit
+    /// replays its plan template).
     pub fn query_cursor(&self, sql: &str) -> Result<Rows> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Select(select) = stmt else {
+        let tokens = tokenize(sql)?;
+        if !is_select(&tokens) {
             return Err(Error::plan("query_cursor expects a SELECT statement"));
-        };
-        self.compile(Arc::from(select)).execute_once(&Params::new())
+        }
+        self.prepare_sql(sql, Shape::new(tokens, &[]))?.execute(&Params::new())
     }
 
-    /// Parse and execute a single statement.
+    /// Execute a single statement: a SELECT through the statement cache
+    /// (as [`Database::query_cursor`]), anything else parsed and run.
     pub fn execute(&self, sql: &str) -> Result<ExecOutcome> {
-        self.execute_statement(parse_statement(sql)?)
+        let tokens = tokenize(sql)?;
+        if is_select(&tokens) {
+            let prepared = self.prepare_sql(sql, Shape::new(tokens, &[]))?;
+            return prepared.query(&Params::new()).map(ExecOutcome::Rows);
+        }
+        self.execute_statement(parse_tokens(tokens)?.0)
     }
 
     /// Execute a `;`-separated script, returning the outcome of each

@@ -12,7 +12,7 @@ use std::borrow::Cow;
 use crate::error::{Error, Result};
 use crate::schema::Schema;
 use crate::sql::ast::{BinaryOp, Expr, UnaryOp};
-use crate::value::Value;
+use crate::value::{DataType, Value};
 
 /// A fully bound scalar expression.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,6 +24,14 @@ pub enum BoundExpr {
     /// subquery result, slot `i` of the plan's [`crate::plan::Plan::Bind`]
     /// root — replaced by a literal when a cursor opens.
     Slot(usize),
+    /// Slot `slot` holding a literal the statement cache lifted out of
+    /// the text, which keeps the literal's type: planning decides what a
+    /// literal of `ty` would let it decide (an index key coerces by type
+    /// alone).
+    Lifted {
+        slot: usize,
+        ty: DataType,
+    },
     Unary {
         op: UnaryOp,
         expr: Box<BoundExpr>,
@@ -108,6 +116,7 @@ pub fn bind(expr: &Expr, schema: &Schema) -> Result<BoundExpr> {
             Ok(BoundExpr::Column(idx))
         }
         Expr::Param { index, .. } => Ok(BoundExpr::Slot(*index)),
+        Expr::Lifted { index, ty } => Ok(BoundExpr::Lifted { slot: *index, ty: *ty }),
         Expr::Unary { op, expr } => Ok(BoundExpr::Unary {
             op: *op,
             expr: Box::new(bind(expr, schema)?),
@@ -232,7 +241,10 @@ impl BoundExpr {
     /// Visit each direct operand, left to right.
     pub(crate) fn visit_operands<'e>(&'e self, f: &mut impl FnMut(&'e BoundExpr)) {
         match self {
-            BoundExpr::Literal(_) | BoundExpr::Column(_) | BoundExpr::Slot(_) => {}
+            BoundExpr::Literal(_)
+            | BoundExpr::Column(_)
+            | BoundExpr::Slot(_)
+            | BoundExpr::Lifted { .. } => {}
             BoundExpr::Unary { expr, .. } | BoundExpr::IsNull { expr, .. } => f(expr),
             BoundExpr::Binary { left, right, .. }
             | BoundExpr::Like { expr: left, pattern: right, .. } => {
@@ -264,7 +276,10 @@ impl BoundExpr {
     pub(crate) fn map_operands(self, f: &mut impl FnMut(BoundExpr) -> BoundExpr) -> BoundExpr {
         let mut boxed = |e: Box<BoundExpr>| Box::new(f(*e));
         match self {
-            leaf @ (BoundExpr::Literal(_) | BoundExpr::Column(_) | BoundExpr::Slot(_)) => leaf,
+            leaf @ (BoundExpr::Literal(_)
+            | BoundExpr::Column(_)
+            | BoundExpr::Slot(_)
+            | BoundExpr::Lifted { .. }) => leaf,
             BoundExpr::Unary { op, expr } => BoundExpr::Unary { op, expr: boxed(expr) },
             BoundExpr::Binary { left, op, right } => {
                 BoundExpr::Binary { left: boxed(left), op, right: boxed(right) }
@@ -297,7 +312,7 @@ impl BoundExpr {
 
     /// Whether the expression reads a slot anywhere.
     pub(crate) fn has_slot(&self) -> bool {
-        let mut found = matches!(self, BoundExpr::Slot(_));
+        let mut found = matches!(self, BoundExpr::Slot(_) | BoundExpr::Lifted { .. });
         self.visit_operands(&mut |e| found |= e.has_slot());
         found
     }
@@ -334,7 +349,7 @@ impl BoundExpr {
         match self {
             BoundExpr::Literal(_) | BoundExpr::Column(_) => self.eval_ref(row),
             // Only a statement that never reaches a cursor keeps one.
-            BoundExpr::Slot(_) => Err(Error::plan(
+            BoundExpr::Slot(_) | BoundExpr::Lifted { .. } => Err(Error::plan(
                 "unbound parameter — prepare the statement and execute it with bound values",
             )),
             BoundExpr::Unary { op, expr } => match (op, &*expr.eval_ref(row)?) {

@@ -121,7 +121,9 @@ fn unbind(e: &BoundExpr, schema: &Schema) -> Expr {
         BoundExpr::Column(i) => {
             Expr::Column { qualifier: None, name: schema.columns[*i].name.clone() }
         }
-        BoundExpr::Slot(i) => Expr::Param { name: Some((i + 1).to_string()), index: *i },
+        BoundExpr::Slot(i) | BoundExpr::Lifted { slot: i, .. } => {
+            Expr::Param { name: Some((i + 1).to_string()), index: *i }
+        }
         BoundExpr::Unary { op, expr } => Expr::Unary { op: *op, expr: boxed(expr) },
         BoundExpr::Binary { left, op, right } => {
             Expr::Binary { left: boxed(left), op: *op, right: boxed(right) }

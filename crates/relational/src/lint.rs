@@ -16,7 +16,8 @@
 //!   equi-join link between them in WHERE (the query runs as a cartesian
 //!   product).
 //! * **L004** — implicit string↔numeric coercion: comparing a TEXT column
-//!   against a numeric literal or vice versa.
+//!   against a numeric literal or vice versa (a literal the statement
+//!   cache lifted into a slot counts, by its recorded type).
 //! * **L005** — `DISTINCT` that is a no-op because every GROUP BY key is
 //!   projected (groups are already unique).
 //! * **L006** — unbound parameters in a statement that is about to be
@@ -451,10 +452,14 @@ fn coercing_comparisons(
                     return;
                 }
                 let check = |col: &Expr, lit: &Expr, out: &mut Vec<Diagnostic>| {
-                    let (Some(ct), Some(v)) = (column_type(col), literal(lit)) else {
+                    // A lifted literal is a literal of its recorded type.
+                    let lit_type = match lit {
+                        Expr::Lifted { ty, .. } => Some(*ty),
+                        _ => literal(lit).and_then(Value::data_type),
+                    };
+                    let (Some(ct), Some(vt)) = (column_type(col), lit_type) else {
                         return;
                     };
-                    let Some(vt) = v.data_type() else { return };
                     let mismatched = matches!(
                         (ct, vt),
                         (DataType::Text, DataType::Int | DataType::Float)

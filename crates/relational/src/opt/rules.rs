@@ -17,7 +17,7 @@ use crate::plan::{IndexLookup, Plan};
 use crate::schema::Schema;
 use crate::sql::ast::{BinaryOp, JoinKind};
 use crate::storage::Table;
-use crate::value::Value;
+use crate::value::{DataType, Value};
 
 use super::dedup::conjoin;
 use super::map_children;
@@ -224,8 +224,11 @@ pub(crate) fn index_lookup(table: &Table, c: &BoundExpr) -> Option<(usize, Index
         _ => None,
     };
     if c.has_slot() {
-        // Sargable exactly when it is with every slot a NULL literal.
-        let shape = index_lookup(table, &crate::plan::fill_expr(c.clone(), &[]));
+        // Sargable exactly when it is with every lifted literal a literal
+        // of its type (a key coerces by type alone) and every other slot
+        // a NULL literal: the cursor's open then always builds the lookup.
+        let typed = fill_lifted(c.clone());
+        let shape = index_lookup(table, &crate::plan::fill_expr(typed, &[]));
         return shape.map(|(pos, _)| (pos, IndexLookup::AtOpen(c.clone())));
     }
     let literal = |e: &BoundExpr| match e {
@@ -292,6 +295,19 @@ pub(crate) fn index_lookup(table: &Table, c: &BoundExpr) -> Option<(usize, Index
         }
         _ => None,
     }
+}
+
+/// `e` with each lifted literal replaced by a literal of its type.
+fn fill_lifted(e: BoundExpr) -> BoundExpr {
+    let BoundExpr::Lifted { ty, .. } = e else {
+        return e.map_operands(&mut fill_lifted);
+    };
+    BoundExpr::Literal(match ty {
+        DataType::Bool => Value::Bool(false),
+        DataType::Int => Value::Int(0),
+        DataType::Float => Value::Float(0.0),
+        DataType::Text => Value::from(""),
+    })
 }
 
 enum JoinSide {

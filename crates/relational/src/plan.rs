@@ -30,7 +30,7 @@ use crate::sql::ast::{
     is_aggregate_name, BinaryOp, Expr, JoinKind, OrderItem, Select, SelectItem, TableRef, UnaryOp,
 };
 use crate::prepared::infer_slot_types;
-use crate::sql::parser::collect_params;
+use crate::sql::parser::{collect_lifted, collect_params};
 use crate::storage::{Catalog, Table};
 use crate::value::{DataType, Value};
 
@@ -420,6 +420,7 @@ pub fn infer_type(expr: &Expr, schema: &Schema, slots: &[DataType]) -> DataType 
             DataType::Bool
         }
         Expr::Param { index, .. } => slots.get(*index).copied().unwrap_or(DataType::Text),
+        Expr::Lifted { ty, .. } => *ty,
         Expr::InSubquery { .. } | Expr::Exists { .. } => DataType::Bool,
         // The planner lifts scalar subqueries into slots before it types
         // anything; this arm only covers contexts it does not lift.
@@ -577,7 +578,9 @@ pub(crate) fn fill_slots(
 pub(crate) fn fill_expr(e: BoundExpr, values: &[Vec<Value>]) -> BoundExpr {
     let value = |i: usize| values.get(i).map_or(&[][..], Vec::as_slice);
     match e {
-        BoundExpr::Slot(i) => BoundExpr::Literal(value(i).first().cloned().unwrap_or(Value::Null)),
+        BoundExpr::Slot(i) | BoundExpr::Lifted { slot: i, .. } => {
+            BoundExpr::Literal(value(i).first().cloned().unwrap_or(Value::Null))
+        }
         BoundExpr::InList { expr, list, negated } => BoundExpr::InList {
             expr: Box::new(fill_expr(*expr, values)),
             list: list
@@ -608,7 +611,8 @@ struct Planner<'a> {
 
 impl<'a> Planner<'a> {
     /// A planner whose first slots are the parameters of `statement`,
-    /// typed by the columns they are compared with.
+    /// typed by the columns they are compared with, then its lifted
+    /// literals, typed as the literals.
     fn new(
         catalog: &'a Catalog,
         scoped: &'a [Arc<Table>],
@@ -616,9 +620,12 @@ impl<'a> Planner<'a> {
         statement: &Select,
     ) -> Self {
         let params = infer_slot_types(catalog, statement, &collect_params(statement));
+        let lifted = collect_lifted(statement).into_iter().map(|ty| (format!("?{ty}"), ty));
         let slots = params
             .into_iter()
-            .map(|p| (Slot::Param(p.display()), p.expected.unwrap_or(DataType::Text)))
+            .map(|p| (p.display(), p.expected.unwrap_or(DataType::Text)))
+            .chain(lifted)
+            .map(|(name, ty)| (Slot::Param(name), ty))
             .collect();
         Planner { catalog, scoped, cfg, slots: RefCell::new(slots), notes: RefCell::default() }
     }

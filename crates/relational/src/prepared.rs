@@ -3,12 +3,15 @@
 //! A [`Prepared`] is the executable form of a SELECT — the only one.
 //! [`Database::compile`](crate::Database::compile) builds it from an AST;
 //! [`Database::prepare`](crate::Database::prepare) builds it from text
-//! behind a bounded LRU keyed by [`normalize_sql`] (so repeated traffic
-//! with the same shape skips the front-end even when the submitted text
-//! differs in case or whitespace) and lints and plans it eagerly. Its plan
-//! is one template, kept for every binding: the *execute* step replays it
-//! and opens a [`Rows`] cursor, which fills the plan's slots — the bound
-//! values, the results of its subqueries — when it opens.
+//! through the statement cache, one entry per shape (see
+//! [`crate::sql::shape`]): texts that differ in whitespace, comments,
+//! keyword case or the values of their WHERE-clause comparison literals
+//! share one parse, one lint and one plan template, and each handle keeps
+//! its own text and the values of its *lifted* literals. Its plan is one
+//! template, kept for every binding: the *execute* step replays it and
+//! opens a [`Rows`] cursor, which fills the plan's slots — the bound
+//! values, the lifted literals, the results of its subqueries — when it
+//! opens.
 //!
 //! Placeholders come in two forms, shared with the SESQL and SPARQL
 //! grammars:
@@ -19,8 +22,11 @@
 //! Slots are *typed* where the query shape allows it: a placeholder
 //! compared against a column inherits that column's type, and binding a
 //! value that cannot coerce to it is an execute-time error rather than a
-//! silently-empty result.
+//! silently-empty result. A lifted literal is no placeholder: it is not in
+//! [`Prepared::param_slots`], and its value reaches the cursor as written,
+//! never coerced — it behaves as the literal it was.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -31,9 +37,7 @@ use crate::exec::Rows;
 use crate::plan::Plan;
 use crate::schema::{Column, Schema};
 use crate::sql::ast::{Expr, Select, SelectItem, TableRef};
-use crate::sql::lexer::tokenize;
-use crate::sql::parser::ParamSlot;
-use crate::sql::token::TokenKind;
+use crate::sql::parser::{collect_params, ParamSlot};
 use crate::storage::{Catalog, Table};
 use crate::value::{DataType, Value};
 
@@ -159,79 +163,80 @@ pub fn resolve_params(slots: &[SlotInfo], params: &Params) -> Result<Vec<Value>>
     Ok(out)
 }
 
-/// Canonical cache key for a statement: the token stream re-rendered with
-/// single spaces, unquoted identifiers (and keywords) lower-cased, and
-/// string literals re-escaped. Whitespace, comments and keyword case do
-/// not defeat the cache; quoted identifiers and literal contents survive
-/// verbatim.
-pub fn normalize_sql(sql: &str) -> Result<String> {
-    let tokens = tokenize(sql)?;
-    let mut out = String::with_capacity(sql.len());
-    for t in tokens {
-        match &t.kind {
-            TokenKind::Eof => break,
-            TokenKind::Ident { value, quoted: false } => {
-                if !out.is_empty() {
-                    out.push(' ');
-                }
-                out.push_str(&value.to_ascii_lowercase());
-            }
-            TokenKind::String(s) => {
-                if !out.is_empty() {
-                    out.push(' ');
-                }
-                out.push('\'');
-                out.push_str(&s.replace('\'', "''"));
-                out.push('\'');
-            }
-            other => {
-                if !out.is_empty() {
-                    out.push(' ');
-                }
-                out.push_str(&other.to_string());
-            }
+// ---- slot substitution -----------------------------------------------------
+
+/// `e` with every slot `value` names replaced by that literal, subquery
+/// bodies included.
+fn replace_slots(e: Expr, value: &impl Fn(&Expr) -> Option<Value>) -> Expr {
+    e.rewrite(&mut |node| {
+        if let Some(v) = value(&node) {
+            return Expr::Literal(v);
         }
-    }
-    Ok(out)
+        match node {
+            Expr::InSubquery { expr, query, negated } => Expr::InSubquery {
+                expr,
+                query: Box::new(replace_slots_in(*query, value)),
+                negated,
+            },
+            Expr::Exists { query, negated } => {
+                Expr::Exists { query: Box::new(replace_slots_in(*query, value)), negated }
+            }
+            Expr::ScalarSubquery(query) => {
+                Expr::ScalarSubquery(Box::new(replace_slots_in(*query, value)))
+            }
+            other => other,
+        }
+    })
 }
 
-// ---- parameter substitution ------------------------------------------------
+fn replace_slots_in(mut select: Select, value: &impl Fn(&Expr) -> Option<Value>) -> Select {
+    select.visit_clauses_mut(&mut |e| {
+        *e = replace_slots(std::mem::replace(e, Expr::Literal(Value::Null)), value)
+    });
+    select
+}
 
-/// Substitute every parameter placeholder in `e` with its bound literal,
-/// descending into subquery bodies. No values, nothing to substitute.
+/// The value `values` gives the slot `e` stands for, if `e` is a slot.
+fn slot_value(e: &Expr, values: &[Value]) -> Option<Value> {
+    match e {
+        Expr::Param { index, .. } | Expr::Lifted { index, .. } => {
+            Some(values.get(*index).cloned().unwrap_or(Value::Null))
+        }
+        _ => None,
+    }
+}
+
+/// Substitute every slot in `e` — parameters and lifted literals — with
+/// its value in `values`, descending into subquery bodies. No values,
+/// nothing to substitute.
 pub fn substitute_expr(e: Expr, values: &[Value]) -> Expr {
     if values.is_empty() {
         return e;
     }
-    e.rewrite(&mut |node| match node {
-        Expr::Param { index, .. } => Expr::Literal(
-            values.get(index).cloned().unwrap_or(Value::Null),
-        ),
-        Expr::InSubquery { expr, query, negated } => Expr::InSubquery {
-            expr,
-            query: Box::new(substitute_select(*query, values)),
-            negated,
-        },
-        Expr::Exists { query, negated } => Expr::Exists {
-            query: Box::new(substitute_select(*query, values)),
-            negated,
-        },
-        Expr::ScalarSubquery(query) => {
-            Expr::ScalarSubquery(Box::new(substitute_select(*query, values)))
-        }
-        other => other,
-    })
+    replace_slots(e, &|node| slot_value(node, values))
 }
 
-/// Substitute every parameter placeholder in a SELECT (all clauses, all
-/// union members, all subqueries). No values, nothing to substitute.
-pub fn substitute_select(mut select: Select, values: &[Value]) -> Select {
-    if !values.is_empty() {
-        select.visit_clauses_mut(&mut |e| {
-            *e = substitute_expr(std::mem::replace(e, Expr::Literal(Value::Null)), values)
-        });
+/// Substitute every slot in a SELECT (all clauses, all union members, all
+/// subqueries). No values, nothing to substitute.
+pub fn substitute_select(select: Select, values: &[Value]) -> Select {
+    if values.is_empty() {
+        return select;
     }
-    select
+    replace_slots_in(select, &|node| slot_value(node, values))
+}
+
+/// `select` with each lifted slot back as the literal it was lifted from —
+/// `lifted[k]` is the value of its `k`-th lifted slot — and its parameters
+/// left in place: the statement as written.
+pub fn restore_literals(select: Select, lifted: &[Value]) -> Select {
+    if lifted.is_empty() {
+        return select;
+    }
+    let base = collect_params(&select).len();
+    replace_slots_in(select, &|node| match node {
+        Expr::Lifted { index, .. } => lifted.get(index - base).cloned(),
+        _ => None,
+    })
 }
 
 // ---- slot type inference ---------------------------------------------------
@@ -372,16 +377,20 @@ pub fn infer_slot_types(
 #[derive(Debug, Clone)]
 pub struct Prepared {
     pub(crate) db: Database,
+    /// The statement's shape: each literal the statement cache lifted is
+    /// an [`Expr::Lifted`] slot here, shared by every text of the shape.
     pub(crate) select: Arc<Select>,
-    /// Normalized statement text (the plan-cache key); empty for a handle
-    /// built from an AST by [`Database::compile`].
+    /// The statement as written; empty for a handle built from an AST by
+    /// [`Database::compile`].
     pub(crate) text: String,
+    /// This text's values of the lifted slots, in slot order.
+    pub(crate) lifted: Vec<Value>,
     /// Lint diagnostics computed by [`Database::prepare`] (see
     /// [`crate::lint`]; parameter placeholders do not warn there); `None`
     /// for a handle that was never linted.
     pub(crate) warnings: Option<Arc<Vec<crosse_lint::Diagnostic>>>,
-    /// Shared by the handle's clones and, for a prepared text, by the plan
-    /// cache's entry and every handle made from it.
+    /// Shared by the handle's clones and, for a prepared text, by the
+    /// statement cache's entry and every handle made from it.
     pub(crate) memo: SharedMemo,
     /// Query-scoped relations bound by [`Prepared::with_table`].
     pub(crate) scoped: Vec<Arc<Table>>,
@@ -406,28 +415,21 @@ pub(crate) struct Memo {
 
 pub(crate) type SharedMemo = Arc<Mutex<Option<Memo>>>;
 
-impl Prepared {
-    /// A handle with an empty memo of its own.
-    pub(crate) fn new(
-        db: Database,
-        text: String,
-        select: Arc<Select>,
-        warnings: Option<Arc<Vec<crosse_lint::Diagnostic>>>,
-    ) -> Self {
-        let memo = Arc::new(Mutex::new_labeled("prepared.memo", None));
-        Prepared { db, select, text, warnings, memo, scoped: Vec::new() }
-    }
+/// A memo no handle has filled yet.
+pub(crate) fn fresh_memo() -> SharedMemo {
+    Arc::new(Mutex::new_labeled("prepared.memo", None))
+}
 
+impl Prepared {
     /// Bind `table`, a table no catalog holds, as a query-scoped
     /// relation: the statement's FROM clause names it by `table.name`,
     /// and planning resolves a FROM name against the handle's scoped
     /// tables before the catalog (a name that denotes both is an error).
     /// Nothing is created, logged or versioned, so binding a table
     /// invalidates no other plan. The handle gets a memo of its own.
-    pub fn with_table(self, table: Arc<Table>) -> Self {
-        let mut scoped = self.scoped;
-        scoped.push(table);
-        Prepared { scoped, ..Prepared::new(self.db, self.text, self.select, self.warnings) }
+    pub fn with_table(mut self, table: Arc<Table>) -> Self {
+        self.scoped.push(table);
+        Prepared { memo: fresh_memo(), ..self }
     }
 
     /// The memo for the live catalog and optimizer configuration,
@@ -462,14 +464,23 @@ impl Prepared {
         self.warnings.as_ref().map_or(&[], |w| w.as_slice())
     }
 
-    /// Normalized statement text (also the cache key).
+    /// The values of the statement's lifted literals, in slot order.
+    pub fn lifted(&self) -> &[Value] {
+        &self.lifted
+    }
+
+    /// The statement as written (empty for a handle compiled from an AST).
     pub fn text(&self) -> &str {
         &self.text
     }
 
-    /// The parsed (parameterised) SELECT.
-    pub fn select(&self) -> &Select {
-        &self.select
+    /// The parsed SELECT as written: lifted literals in place, parameters
+    /// as their placeholders.
+    pub fn select(&self) -> Cow<'_, Select> {
+        match self.lifted.is_empty() {
+            true => Cow::Borrowed(&self.select),
+            false => Cow::Owned(restore_literals((*self.select).clone(), &self.lifted)),
+        }
     }
 
     /// Execute with bound parameters, returning a streaming cursor.
@@ -481,15 +492,24 @@ impl Prepared {
     /// `Database::set_exec_threads`).
     pub fn execute(&self, params: &Params) -> Result<Rows> {
         let (plan, slots) = self.plan(true)?;
-        Rows::open(plan, self.db.exec_threads(), resolve_params(&slots, params)?)
+        Rows::open(plan, self.db.exec_threads(), self.slot_values(&slots, params)?)
     }
 
     /// [`Prepared::execute`] for a handle that is dropped with the call
-    /// (ad-hoc text, a rewritten SESQL leg): no later execution could
-    /// replay a template, so none is kept.
+    /// (a rewritten SESQL leg, `INSERT … SELECT`): no later execution
+    /// could replay a template, so none is kept.
     pub fn execute_once(self, params: &Params) -> Result<Rows> {
         let (plan, slots) = self.plan(false)?;
-        Rows::open(plan, self.db.exec_threads(), resolve_params(&slots, params)?)
+        Rows::open(plan, self.db.exec_threads(), self.slot_values(&slots, params)?)
+    }
+
+    /// What a cursor fills the statement's slots with: the parameters,
+    /// bound from `params` and coerced to their types, then the lifted
+    /// literals as written — never coerced, as a literal is not.
+    pub fn slot_values(&self, slots: &[SlotInfo], params: &Params) -> Result<Vec<Value>> {
+        let mut values = resolve_params(slots, params)?;
+        values.extend(self.lifted.iter().cloned());
+        Ok(values)
     }
 
     /// The plan every execution runs, and the slot types its bindings are
@@ -511,12 +531,12 @@ impl Prepared {
         Ok((plan, memo.slots))
     }
 
-    /// Render the optimized execution plan of this statement — the
-    /// `EXPLAIN` tree plus one annotation line per rewrite pass that
+    /// Render the optimized execution plan of this statement as written —
+    /// the `EXPLAIN` tree plus one annotation line per rewrite pass that
     /// fired. Parameters and subquery results show as the slots of a
-    /// `Bind` root; nothing runs.
+    /// `Bind` root, lifted literals in place; nothing runs.
     pub fn explain(&self) -> Result<String> {
-        Ok(self.db.plan_scoped(&self.select, &self.scoped)?.render())
+        Ok(self.db.plan_scoped(&self.select(), &self.scoped)?.render())
     }
 
     /// Execute and materialise (the `collect()` adapter over
@@ -543,21 +563,41 @@ mod tests {
         db
     }
 
+    fn shape_key(sql: &str) -> String {
+        crate::sql::shape::Shape::of(sql).unwrap().key
+    }
+
     #[test]
     fn normalization_folds_case_and_whitespace() {
-        let a = normalize_sql("SELECT  name FROM landfill\n WHERE city = 'Torino'").unwrap();
-        let b = normalize_sql("select name from LANDFILL where CITY='Torino'").unwrap();
+        let a = shape_key("SELECT  name FROM landfill\n WHERE city = 'Torino'");
+        let b = shape_key("select name from landfill where city='Torino'");
         assert_eq!(a, b);
-        // Literal contents are significant.
-        let c = normalize_sql("SELECT name FROM landfill WHERE city = 'torino'").unwrap();
-        assert_ne!(a, c);
+        // Identifier case names output columns: it is significant.
+        assert_ne!(a, shape_key("select name from LANDFILL where CITY='Torino'"));
+        // A lifted literal's value is not in the key; its type is.
+        assert_eq!(a, shape_key("SELECT name FROM landfill WHERE city = 'torino'"));
+        assert_ne!(a, shape_key("SELECT name FROM landfill WHERE city = 3"));
     }
 
     #[test]
     fn normalization_does_not_conflate_adjacent_strings() {
-        let a = normalize_sql("SELECT 'a' 'b'").unwrap();
-        let b = normalize_sql("SELECT 'a'' ''b'").unwrap();
+        let a = shape_key("SELECT 'a' 'b'");
+        let b = shape_key("SELECT 'a'' ''b'");
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn output_names_follow_each_texts_spelling() {
+        // Texts that differ in identifier case are different statements:
+        // each handle names its columns as its own text spells them.
+        let d = db();
+        let name = |p: Prepared| p.query(&Params::new()).unwrap().schema.columns[0].name.clone();
+        assert_eq!(name(d.prepare("SELECT NAME FROM landfill").unwrap()), "NAME");
+        assert_eq!(name(d.prepare("select name from landfill").unwrap()), "name");
+        assert_eq!(name(d.prepare("SELECT tons AS Big FROM landfill").unwrap()), "Big");
+        assert_eq!(name(d.prepare("SELECT tons AS big FROM landfill").unwrap()), "big");
+        assert_eq!(d.query("SELECT NAME FROM landfill").unwrap().schema.columns[0].name, "NAME");
+        assert_eq!(d.query("SELECT name FROM landfill").unwrap().schema.columns[0].name, "name");
     }
 
     #[test]

@@ -212,6 +212,14 @@ pub enum Expr {
         index: usize,
         name: Option<String>,
     },
+    /// A literal the statement cache lifted out of the text into a hidden
+    /// slot (see [`crate::sql::shape`]): its value arrives when the cursor
+    /// opens, and everything that types a literal reads `ty`. Slot
+    /// `index` follows every parameter slot; it is never bound by a user.
+    Lifted {
+        index: usize,
+        ty: DataType,
+    },
     Unary {
         op: UnaryOp,
         expr: Box<Expr>,
@@ -309,7 +317,7 @@ impl Expr {
     pub fn visit(&self, f: &mut impl FnMut(&Expr)) {
         f(self);
         match self {
-            Expr::Literal(_) | Expr::Column { .. } | Expr::Param { .. } => {}
+            Expr::Literal(_) | Expr::Column { .. } | Expr::Param { .. } | Expr::Lifted { .. } => {}
             Expr::Unary { expr, .. } => expr.visit(f),
             Expr::Binary { left, right, .. } => {
                 left.visit(f);
@@ -376,6 +384,7 @@ impl Expr {
             Expr::Literal(_)
             | Expr::Column { .. }
             | Expr::Param { .. }
+            | Expr::Lifted { .. }
             | Expr::Exists { .. }
             | Expr::ScalarSubquery(_) => self,
             Expr::Unary { op, expr } => Expr::Unary { op, expr: boxed(expr)? },
@@ -524,6 +533,7 @@ impl fmt::Display for Expr {
             }
             Expr::Param { name: Some(n), .. } => write!(f, "${n}"),
             Expr::Param { name: None, .. } => f.write_str("?"),
+            Expr::Lifted { ty, .. } => write!(f, "?{ty}"),
             Expr::Unary { op: UnaryOp::Not, expr } => write!(f, "NOT ({expr})"),
             Expr::Unary { op: UnaryOp::Neg, expr } => write!(f, "-({expr})"),
             Expr::Binary { left, op, right } => write!(f, "({left} {op} {right})"),

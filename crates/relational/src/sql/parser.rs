@@ -55,7 +55,14 @@ pub struct ParamSlot {
 /// (the prepare-side entry point; [`parse_statement`] remains the plain
 /// text-in path).
 pub fn parse_statement_with_params(sql: &str) -> Result<(Statement, Vec<ParamSlot>)> {
-    let mut p = Parser::new(sql)?;
+    parse_tokens(tokenize(sql)?)
+}
+
+/// [`parse_statement_with_params`] over tokens already lexed — the
+/// statement cache parses a [`Shape`](super::shape::Shape)'s tokens, whose
+/// lifted literals become [`Expr::Lifted`] slots after every parameter's.
+pub fn parse_tokens(tokens: Vec<Token>) -> Result<(Statement, Vec<ParamSlot>)> {
+    let mut p = Parser::from_tokens(tokens);
     let stmt = p.statement()?;
     p.eat_kind(&TokenKind::Semicolon);
     p.expect_eof()?;
@@ -100,16 +107,55 @@ pub fn collect_params(select: &Select) -> Vec<ParamSlot> {
     slots
 }
 
+/// The types of a parsed SELECT's lifted slots ([`Expr::Lifted`]), in
+/// slot order — the slots after its parameters'.
+pub fn collect_lifted(select: &Select) -> Vec<DataType> {
+    let mut lifted: Vec<(usize, DataType)> = Vec::new();
+    fn walk_select(select: &Select, lifted: &mut Vec<(usize, DataType)>) {
+        select.visit_clauses(&mut |e| {
+            e.visit(&mut |node| match node {
+                Expr::Lifted { index, ty } => lifted.push((*index, *ty)),
+                Expr::InSubquery { query, .. }
+                | Expr::Exists { query, .. }
+                | Expr::ScalarSubquery(query) => walk_select(query, lifted),
+                _ => {}
+            })
+        });
+    }
+    walk_select(select, &mut lifted);
+    lifted.sort_unstable_by_key(|(index, _)| *index);
+    lifted.into_iter().map(|(_, ty)| ty).collect()
+}
+
 pub(crate) struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     /// Parameter slots discovered so far, in slot-index order.
     params: Vec<ParamSlot>,
+    /// The slot of the next lifted literal: they follow every parameter
+    /// slot, in token order.
+    next_lifted: usize,
 }
 
 impl Parser {
     pub(crate) fn new(sql: &str) -> Result<Self> {
-        Ok(Parser { tokens: tokenize(sql)?, pos: 0, params: Vec::new() })
+        Ok(Parser::from_tokens(tokenize(sql)?))
+    }
+
+    fn from_tokens(tokens: Vec<Token>) -> Self {
+        // As many parameter slots as `param_slot` will hand out: one per
+        // distinct name, one per `?`.
+        let mut names: Vec<&str> = Vec::new();
+        let mut positional = 0;
+        for t in &tokens {
+            match &t.kind {
+                TokenKind::NamedParam(n) if !names.contains(&n.as_str()) => names.push(n),
+                TokenKind::PositionalParam => positional += 1,
+                _ => {}
+            }
+        }
+        let next_lifted = names.len() + positional;
+        Parser { tokens, pos: 0, params: Vec::new(), next_lifted }
     }
 
     /// Slot index for a placeholder: named parameters reuse their slot,
@@ -718,6 +764,11 @@ impl Parser {
                 self.advance();
                 let index = self.param_slot(None);
                 Ok(Expr::Param { index, name: None })
+            }
+            TokenKind::Lifted(ty) => {
+                self.advance();
+                self.next_lifted += 1;
+                Ok(Expr::Lifted { index: self.next_lifted - 1, ty })
             }
             TokenKind::Int(i) => {
                 self.advance();

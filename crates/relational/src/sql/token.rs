@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::value::DataType;
+
 /// A lexical token with its byte offset in the source.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Token {
@@ -51,6 +53,10 @@ pub enum TokenKind {
     NamedParam(String),
     /// `?` — a positional parameter placeholder.
     PositionalParam,
+    /// A literal of this type lifted into a hidden slot by the statement
+    /// cache's normaliser (see [`crate::sql::shape`]); the lexer never
+    /// produces one.
+    Lifted(DataType),
     /// End of input sentinel.
     Eof,
 }
@@ -90,6 +96,7 @@ impl fmt::Display for TokenKind {
             TokenKind::Semicolon => f.write_str(";"),
             TokenKind::NamedParam(n) => write!(f, "${n}"),
             TokenKind::PositionalParam => f.write_str("?"),
+            TokenKind::Lifted(ty) => write!(f, "?{ty}"),
             TokenKind::Eof => f.write_str("<eof>"),
         }
     }

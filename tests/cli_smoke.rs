@@ -498,3 +498,18 @@ fn help_mentions_server_modes() {
     assert!(text.contains("--connect"), "{text}");
     assert!(text.contains("crates/server/DESIGN.md"), "{text}");
 }
+
+#[test]
+fn prepare_counts_parameters_not_literals() {
+    // The statement cache lifts the comparison literal into a hidden
+    // slot; `\prepare` still counts only what `\exec` binds.
+    let out = run_script(
+        "\\prepare lit SELECT name FROM landfill WHERE name = 'LF00000';\n\
+         \\prepare mixed SELECT name FROM landfill WHERE name = 'LF00000' AND city = $c;\n\
+         \\exec lit\n",
+    );
+    assert!(out.contains("prepared `lit` (0 parameter(s))"), "{out}");
+    assert!(out.contains("prepared `mixed` (1 parameter(s))"), "{out}");
+    assert!(out.contains("LF00000"), "{out}");
+    assert!(!out.contains("error:"), "{out}");
+}

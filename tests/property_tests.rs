@@ -1621,3 +1621,132 @@ proptest! {
         }
     }
 }
+
+// ---- the statement cache's lifted literals ---------------------------------
+
+const LIFT_COLUMNS: &[&str] = &["i", "f", "s", "t.i", "t.f", "t.s"];
+const LIFT_OPS: &[&str] = &["=", "<>", "<", "<=", ">", ">="];
+/// INT, FLOAT and TEXT literals: signs, a spaced sign, doubled quotes.
+const LIFT_LITERALS: &[&str] = &[
+    "0", "3", "-2", "- 5", "+1", "1.5", "-0.5", "2.0", "'a'", "'b''c'", "'3'", "'abc'", "''",
+];
+
+/// One WHERE atom from generated indices: comparisons in both orders,
+/// IN / BETWEEN / a subquery, nested groups and negation, column pairs.
+fn lift_atom((kind, c, op, l, r, c2): (usize, usize, usize, usize, usize, usize)) -> String {
+    let (col, op) = (LIFT_COLUMNS[c % 6], LIFT_OPS[op % 6]);
+    let (lit, lit2) = (LIFT_LITERALS[l % 13], LIFT_LITERALS[r % 13]);
+    let col2 = LIFT_COLUMNS[c2 % 6];
+    match kind % 8 {
+        0 | 1 => format!("{col} {op} {lit}"),
+        2 => format!("{lit} {op} {col}"),
+        3 => format!("{col} IN (SELECT i FROM u WHERE s = {lit})"),
+        4 => format!("{col} BETWEEN {lit} AND {lit2}"),
+        5 => format!("({col} {op} {lit} OR {col2} = {lit2})"),
+        6 => format!("NOT {lit} {op} {col}"),
+        _ => format!("{col} {op} {col2}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The statement cache lifts comparison literals into hidden slots:
+    /// whatever it lifts, the shape with the values put back is the parse
+    /// of the text (SQL and SESQL, a tag included), and a held handle of
+    /// each text answers every run, between INSERTs and DELETEs, as the
+    /// text's own unlifted parse does when compiled directly.
+    #[test]
+    fn lifted_literals_round_trip_and_answer_as_written(
+        statements in prop::collection::vec(
+            (
+                prop::collection::vec(
+                    (0usize..8, 0usize..6, 0usize..6, 0usize..13, 0usize..13, 0usize..6),
+                    1..4,
+                ),
+                any::<bool>(),
+                0usize..4,
+            ),
+            1..4,
+        ),
+        rows in prop::collection::vec((0u8..6, 0u8..6, 0u8..4), 0..10),
+        churn in prop::collection::vec((0u8..6, 0u8..6, 0u8..4), 2..3),
+        indexed in any::<bool>(),
+    ) {
+        let db = Database::new();
+        db.execute_script("CREATE TABLE t (i INT, f FLOAT, s TEXT); CREATE TABLE u (i INT, s TEXT);
+                           INSERT INTO u VALUES (1, 'a'), (3, 'b''c'), (0, '3');").unwrap();
+        if indexed {
+            db.execute_script(
+                "CREATE INDEX ti ON t (i); CREATE INDEX tf ON t (f); CREATE INDEX ts ON t (s);",
+            )
+            .unwrap();
+        }
+        for &r in &rows {
+            db.execute(&format!("INSERT INTO t VALUES {}", held_row(r))).unwrap();
+        }
+        let kb = KnowledgeBase::new();
+        kb.register_user("u").unwrap();
+        let engine = SesqlEngine::new(db.clone(), kb);
+        let texts: Vec<(String, String)> = statements
+            .iter()
+            .map(|(atoms, or, shape)| {
+                let glue = if *or { " OR " } else { " AND " };
+                let filter = atoms.iter().map(|&a| lift_atom(a)).collect::<Vec<_>>().join(glue);
+                let (head, tail) = match shape {
+                    0 => ("SELECT i, s FROM t", ""),
+                    1 => ("SELECT i, 'k', 2 FROM t", " LIMIT 3"),
+                    2 => ("SELECT s FROM t", " ORDER BY s"),
+                    _ => ("SELECT f FROM t", " UNION SELECT f FROM t WHERE i = 1"),
+                };
+                let sql = format!("{head} WHERE {filter}{tail}");
+                let (_, c, op, l, r, c2) = atoms[0];
+                let tag = lift_atom((0, c, op, l, r, c2));
+                let sesql = format!("{head} WHERE ({filter}) AND ${{{tag}:c1}}{tail}");
+                (sql, sesql)
+            })
+            .collect();
+        let parse = |sql: &str| match crosse::relational::sql::parser::parse_statement(sql) {
+            Ok(crosse::relational::sql::ast::Statement::Select(s)) => Some(*s),
+            _ => None,
+        };
+        let run = |rows: Result<Vec<Row>, String>| rows.map(sorted);
+        let mut held = Vec::new();
+        for (sql, sesql) in &texts {
+            let Some(written) = parse(sql) else { continue };
+            let p = db.prepare(sql);
+            // A text that does not plan fails alike either way.
+            let direct = db.compile(std::sync::Arc::new(written.clone()));
+            let Ok(p) = p else {
+                prop_assert!(direct.query(&Params::new()).is_err(), "{}", sql);
+                continue;
+            };
+            prop_assert_eq!(&*p.select(), &written, "{}", sql);
+            prop_assert!(p.param_slots().is_empty(), "{}", sql);
+            let s = engine.prepare(sesql).unwrap();
+            prop_assert_eq!(s.query(), &parse_sesql(sesql).unwrap(), "{}", sesql);
+            prop_assert!(s.param_slots().is_empty(), "{}", sesql);
+            held.push((sql.clone(), written, p, s));
+        }
+        let direct = |select: &crosse::relational::sql::ast::Select| {
+            let p = db.compile(std::sync::Arc::new(select.clone()));
+            run(p.query(&Params::new()).map(|r| r.rows).map_err(|e| e.to_string()))
+        };
+        for (step, &row) in churn.iter().enumerate() {
+            for (sql, written, p, s) in &held {
+                let want = direct(written);
+                let got = run(p.query(&Params::new()).map(|r| r.rows).map_err(|e| e.to_string()));
+                prop_assert_eq!(&got, &want, "step {}: {}", step, sql);
+                let ad_hoc = run(db.query(sql).map(|r| r.rows).map_err(|e| e.to_string()));
+                prop_assert_eq!(&ad_hoc, &want, "step {} ad hoc: {}", step, sql);
+                // Un-enriched SESQL runs its SELECT, tag condition included.
+                let enriched = s.execute("u", &Params::new()).map(|r| r.rows.rows);
+                let want = direct(&s.query().select);
+                let enriched = run(enriched.map_err(|e| e.to_string()));
+                prop_assert_eq!(enriched.ok(), want.ok(), "{}", s.text());
+            }
+            db.execute(&format!("INSERT INTO t VALUES {}", held_row(row))).unwrap();
+            db.execute(&format!("DELETE FROM t WHERE i = {}", row.0 % 3)).unwrap();
+        }
+    }
+}

@@ -530,6 +530,23 @@ fn prepared_execute_reports_interrupts_by_their_own_code() {
     handle.shutdown();
 }
 
+/// A literal the statement cache lifts into a hidden slot is no
+/// parameter: `PreparedOk` counts only what `Execute` binds.
+#[test]
+fn prepared_ok_counts_parameters_not_lifted_literals() {
+    let mut handle = start(ServerConfig::default());
+    let mut c = connect(&handle);
+    let literal = "SELECT name FROM landfill WHERE name = 'LF00000'";
+    let mixed = "SELECT name FROM landfill WHERE name = 'LF00000' AND city = $c";
+    for lang in [Lang::Sql, Lang::Sesql] {
+        assert_eq!(c.prepare(lang, "literal", literal).expect("prepare"), Ok(0), "{lang:?}");
+        assert_eq!(c.prepare(lang, "mixed", mixed).expect("prepare"), Ok(1), "{lang:?}");
+        let r = c.execute("literal", Vec::new(), 0).expect("execute");
+        assert_eq!(r.rows.len(), 1, "{lang:?}");
+    }
+    handle.shutdown();
+}
+
 /// Every SPARQL form runs over the wire, ad hoc and prepared: ASK is one
 /// BOOL column, CONSTRUCT is `(subject, predicate, object)` rows, and a
 /// `<…>` string parameter binds an IRI.
